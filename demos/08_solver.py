@@ -36,7 +36,8 @@ u, rep = sv.solve_min_norm(prob)
 print(f"  relative residual   {rep.residual:.2e}")
 print(f"  ||u||_w1 = {rep.norm_u_w1:.6f}  vs bound ||f||_w2 = {rep.norm_f_w2:.6f}")
 print(f"  bound sqrt(c0)||u|| <= ||f||: {rep.bound_pass}   (c0 = {rep.c0})")
-print(f"  conjugate gradient iterations: {rep.cg_iters}, basis size {rep.basis_dim}")
+print(f"  numerical rank {rep.rank} of basis size {rep.basis_dim}, "
+      f"condition number {rep.cond:.2e}")
 
 print("\nIndependent oracle: the planar transform u_c(z) = -(1/pi) int f/(zeta - z)")
 oracle = sv.CauchyOracle(f1=f.coeff((), (1,)), reach=0.7 * math.sqrt(2) + R + 0.1)

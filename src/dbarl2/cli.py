@@ -282,12 +282,12 @@ def cmd_solve(config, seed, out_dir: Path) -> list:
     spec = _spec_from(config)
     family = _family_from(config)
     dom = _domain_from(config)
-    tri, wdom, kappa = weights.recipe_weights_whole_space(spec)
     if config.get("weights", "recipe") == "quadratic":
         phi = CylinderFn(config.get("phi", "3*(x(1)^2+y(1)^2)"))
-        zero = CylinderFn("0")
-        tri = weights.weight_triple(phi, zero)
+        tri = weights.weight_triple(phi, CylinderFn("0"))
         wdom = dom
+    else:
+        tri, wdom, _ = weights.recipe_weights_whole_space(spec)
     ctx = dbarops.OperatorContext(spec, family, tri.w1, tri.w2, tri.w3, tri.phi)
     fl = _forms_from(config, family)
     if not fl:

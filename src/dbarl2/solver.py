@@ -4,10 +4,11 @@ The trial space is a tensor Hermite-polynomial dictionary times a bump
 cut-off (so every trial function is smooth and compactly supported); the
 target space additionally carries the cut-off's derivative profile so the
 image of the trial space is represented exactly.  Matrices are assembled by
-deterministic Gauss-Hermite quadrature; the normal equations carry a 1e-10
-ridge and are solved by conjugate gradient, which keeps the iterates inside
-the range of the discrete operator and therefore returns the minimal-norm
-least-squares solution.
+deterministic Gauss-Hermite quadrature.  After whitening the trial-space
+metric, one thin SVD of the weighted image matrix gives the minimal-norm
+least-squares solution (singular values at or below 1e-10 max(s_max, 1) are
+cut), its numerical rank and condition number, and the kernel-orthogonality
+diagnostic (Golub & Van Loan, Matrix Computations, sec. 5.5).
 
 Bound checks follow the weighted estimates: the key inequality
 ||T* f||^2_{w1} + ||S f||^2_{w3} >= c0 ||f||^2_{w2} (gated on the coefficient
@@ -104,9 +105,6 @@ class SolveProblem:
     quad: Quadrature = field(default_factory=lambda: Quadrature("gauss_hermite",
                                                                 nodes_per_axis=24))
     tol_closed: float = 1e-8
-    ridge: float = 1e-10
-    cg_maxiter: int = 5000
-    cg_tol: float = 1e-13
     bound_tol: float = 1e-6
 
 
@@ -116,44 +114,27 @@ class ClosednessError(ValueError):
 
 @dataclass
 class SolveReport:
+    """Solve diagnostics; rank and cond describe the retained singular values."""
+
     residual: float
     norm_u_w1: float
     norm_f_w2: float
     c0: float
     bound_pass: bool
-    cg_iters: int
+    rank: int
+    cond: float
     basis_dim: int
     kernel_orth: float
-    cg_history: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
         return {"residual": self.residual, "norm_u_w1": self.norm_u_w1,
                 "norm_f_w2": self.norm_f_w2, "c0": self.c0,
-                "bound_pass": self.bound_pass, "cg_iters": self.cg_iters,
+                "bound_pass": self.bound_pass, "rank": self.rank,
                 "basis_dim": self.basis_dim}
 
 
-def _cg(K: np.ndarray, b: np.ndarray, ridge: float, maxiter: int, tol: float):
-    """Hermitian PSD conjugate gradient on (K + ridge I) v = b, from zero."""
-    v = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rs = float(np.real(np.vdot(r, r)))
-    b0 = math.sqrt(float(np.real(np.vdot(b, b)))) or 1.0
-    history = []
-    it = 0
-    for it in range(1, maxiter + 1):
-        Kp = K @ p + ridge * p
-        alpha = rs / float(np.real(np.vdot(p, Kp)))
-        v += alpha * p
-        r -= alpha * Kp
-        rs_new = float(np.real(np.vdot(r, r)))
-        history.append(math.sqrt(rs_new) / b0)
-        if math.sqrt(rs_new) <= tol * b0:
-            return v, it, history
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return v, it, history
+# singular values at or below this fraction of max(smax, 1) span the kernel
+_SV_CUT = 1e-10
 
 
 def _stack_rows(forms_per_basis, slots, pts, wq, weight_vals, family):
@@ -194,7 +175,8 @@ def solve_min_norm(p: SolveProblem) -> tuple[Form, SolveReport]:
     if f.is_zero():
         u = Form((s, tp1 - 1), {}, f.family)
         return u, SolveReport(residual=0.0, norm_u_w1=0.0, norm_f_w2=0.0, c0=1.0,
-                              bound_pass=True, cg_iters=0, basis_dim=0, kernel_orth=0.0)
+                              bound_pass=True, rank=0, cond=0.0, basis_dim=0,
+                              kernel_orth=0.0)
 
     from itertools import combinations
     idx_range = range(1, p.n + 1)
@@ -230,19 +212,18 @@ def solve_min_norm(p: SolveProblem) -> tuple[Form, SolveReport]:
     keep = w_eval > max(w_eval[-1], 0.0) * 1e-13
     W = w_vec[:, keep] / np.sqrt(w_eval[keep])
     Dw = D @ W
-    K = Dw.conj().T @ Dw
-    b = Dw.conj().T @ yvec
-    v, iters, history = _cg(K, b, p.ridge, p.cg_maxiter, p.cg_tol)
-    a = W @ v
 
-    # kernel orthogonality: SVD null directions of the whitened image map
-    _, sv, Vh = np.linalg.svd(Dw, full_matrices=True)
+    # minimal-norm least squares by one thin SVD; the cut directions are the kernel
+    U, sv, Vh = np.linalg.svd(Dw, full_matrices=False)
     smax = sv[0] if len(sv) else 0.0
-    null_mask = np.ones(Vh.shape[0], dtype=bool)
-    null_mask[:len(sv)] = sv <= 1e-10 * max(smax, 1.0)
+    keep = sv > _SV_CUT * max(smax, 1.0)
+    rank = int(np.count_nonzero(keep))
+    v = Vh[keep].conj().T @ ((U[:, keep].conj().T @ yvec) / sv[keep])
+    a = W @ v
+    cond = float(smax / sv[rank - 1]) if rank else 0.0
     kernel_orth = 0.0
-    if np.any(null_mask):
-        proj = Vh[null_mask] @ v
+    if rank < len(sv):
+        proj = Vh[~keep] @ v
         kernel_orth = float(np.max(np.abs(proj)) / max(np.linalg.norm(v), 1e-300))
 
     res_vec = D @ a - yvec
@@ -253,23 +234,18 @@ def solve_min_norm(p: SolveProblem) -> tuple[Form, SolveReport]:
     coeffs: dict = {}
     for ki, key in enumerate(slots_u):
         block = a[ki * len(dict_u):(ki + 1) * len(dict_u)]
-        comb = None
-        for cval, bfn in zip(block, dict_u):
-            if cval == 0:
-                continue
-            term = complex(cval) * bfn
-            comb = term if comb is None else comb + term
-        if comb is not None:
-            coeffs[key] = comb
+        terms = [mul(const(complex(cval)), bfn.expr)
+                 for cval, bfn in zip(block, dict_u) if cval != 0]
+        if terms:
+            coeffs[key] = CylinderFn(add(*terms), support_radius=p.radius, dim=p.n)
     u = Form((s, tp1 - 1), coeffs, f.family)
 
     rep_cond = check_conditions(f.family, max_index=max(p.n, s + tp1) + 2, s=s, t=tp1 - 1)
     c0 = rep_cond.c0_inf
     bound_pass = math.sqrt(max(c0, 0.0)) * norm_u <= norm_f * (1.0 + p.bound_tol)
     report = SolveReport(residual=residual, norm_u_w1=norm_u, norm_f_w2=norm_f,
-                         c0=c0, bound_pass=bool(bound_pass), cg_iters=iters,
-                         basis_dim=E.shape[1], kernel_orth=kernel_orth,
-                         cg_history=history if iters >= p.cg_maxiter else [])
+                         c0=c0, bound_pass=bool(bound_pass), rank=rank, cond=cond,
+                         basis_dim=E.shape[1], kernel_orth=kernel_orth)
     return u, report
 
 

@@ -459,7 +459,10 @@ def max_index(e: Expr) -> int:
         memo[key] = v
         return v
 
-    return rec(e)
+    try:
+        return rec(e)
+    finally:
+        del rec  # rec's closure refers to rec: clear it so the call leaves no cycle
 
 
 # ---------------------------------------------------------------------------
@@ -586,8 +589,10 @@ def eval_expr(e: Expr, pts: np.ndarray, memo: Optional[dict] = None):
         memo[key] = v
         return v
 
-    out = rec(e)
-    out = np.asarray(out)
+    try:
+        out = np.asarray(rec(e))
+    finally:
+        del rec  # as in max_index
     if out.ndim == 0:
         out = np.broadcast_to(out, (pts.shape[0],))
     return np.asarray(out, dtype=complex)

@@ -123,6 +123,21 @@ class TestReports:
         rep = json.loads((out / "solve_report.json").read_text())
         assert rep["residual"] <= 1e-3
 
+    def test_solve_quadratic_skips_recipe_weights(self, tmp_path, monkeypatch):
+        from dbarl2 import weights
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("recipe weights built for a quadratic-weight solve")
+
+        monkeypatch.setattr(weights, "recipe_weights_whole_space", refuse)
+        cfg = write_config(tmp_path, {
+            "seed": 3, "trunc_dim": 1, "weights": "quadratic",
+            "phi": "3*(x(1)^2+y(1)^2)", "degree": 4, "solve_dim": 1,
+            "basis_radius": 0.8})
+        out = tmp_path / "r"
+        assert run(["solve", "--config", cfg, "--out", out]) == 0
+        assert "rank" in json.loads((out / "solve_report.json").read_text())
+
     def test_approx_command(self, tmp_path):
         cfg = write_config(tmp_path, {
             "seed": 4, "trunc_dim": 1,

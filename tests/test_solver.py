@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,7 @@ class TestSolve:
         assert rep.residual <= 1e-3
         assert rep.bound_pass
         assert rep.kernel_orth <= 1e-8
+        assert 0 < rep.rank <= rep.basis_dim
         # minimal norm never exceeds the manufactured generator's norm
         n_u0 = np.sqrt(norm_sq(u0, ctx.w1, spec, GH24).mean.real)
         assert rep.norm_u_w1 <= n_u0 * (1 + 1e-8)
@@ -73,6 +76,28 @@ class TestSolve:
             residuals.append(rep.residual)
         assert residuals[0] >= residuals[1] >= residuals[2]
         assert residuals[2] <= 1e-3
+
+    def test_two_variable_solve_memory(self, fam):
+        # n = 2, degree 3 at 8 nodes per axis: 8192 weighted rows, so a full
+        # (rows x rows) factor alone would take 1 GiB; the thin solve stays small
+        spec = gm.GaussianSpec(2)
+        phi = CylinderFn("3*(x(1)^2+y(1)^2+x(2)^2+y(2)^2)")
+        ctx = do.OperatorContext(spec, fam, phi, phi, phi, CylinderFn("0"))
+        u0 = Form((0, 0), {((), ()): bump_fn(2, R, poly="x(1)+0.5*y(2)^2")}, fam)
+        prob = sv.SolveProblem(ctx=ctx, domain=dm.ball(r=1.0), f=do.dbar(u0), degree=3,
+                               n=2, radius=R,
+                               quad=gm.Quadrature("gauss_hermite", nodes_per_axis=8))
+        tracemalloc.start()
+        try:
+            u, rep = sv.solve_min_norm(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2 ** 20
+        pts = np.random.default_rng(21).standard_normal((200, 4)) * 0.3
+        ref = u0.coeff((), ())(pts)
+        assert float(np.max(np.abs(u.coeff((), ())(pts) - ref))) <= 1e-9
+        assert 0 < rep.rank <= rep.basis_dim
 
     def test_closedness_gate(self, fam):
         # in two variables a dzb_1 coefficient depending on zb_2 is not closed

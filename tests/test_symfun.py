@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -58,6 +59,21 @@ class TestEval:
         vals = eval_expr(parse("x(1)*y(1)"), pts)
         assert vals.shape == (50,)
         np.testing.assert_allclose(vals.real, pts[:, 0] * pts[:, 1])
+
+
+    def test_walkers_leave_no_cyclic_garbage(self):
+        e = parse("exp(x(1)*y(2))*bump((x(1)^2+y(1)^2+x(2)^2)/0.64)"
+                  "+sin(x(2))^2/(1+x(1)^2)")
+        pts = np.random.default_rng(3).standard_normal((50, 4))
+        gc.collect()
+        gc.disable()
+        try:
+            eval_expr(e, pts)
+            sf.max_index(e)
+            CylinderFn(e, support_radius=0.8)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestDerivatives:
