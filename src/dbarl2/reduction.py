@@ -79,11 +79,9 @@ class ResolutionError(ValueError):
 class GridFn(FnBase):
     """Values on a uniform grid over [-L, L]^(2n) with multilinear interpolation.
 
-    First derivatives are central-difference stencils on the grid, flagged
+    First derivatives are central-difference stencils on the grid and so only
     approximate: they feed only the reported ladders, never an exact identity.
     """
-
-    approximate_derivatives = True
 
     def __init__(self, values: np.ndarray, extent: float, n: int,
                  support_radius: Optional[float] = None):

@@ -87,7 +87,10 @@ def _degree_combos(slots: int, degree: int):
             yield from rec(pos + 1, left - v)
         combo[pos] = 0
 
-    yield from rec(0, degree)
+    try:
+        yield from rec(0, degree)
+    finally:
+        del rec  # rec's closure refers to rec: clear it so the call leaves no cycle
 
 
 # ---------------------------------------------------------------------------

@@ -477,8 +477,8 @@ _GERM_CUT = 1e-8  # germ: evaluation window (cut, 1-cut); tails are constants
 def _require_real(v, what: str):
     v = np.asarray(v)
     if np.iscomplexobj(v):
-        scale = np.max(np.abs(v)) if v.size else 0.0
-        if np.max(np.abs(v.imag)) > _REAL_TOL * max(1.0, scale):
+        # per point, so the verdict does not depend on how points are batched
+        if np.any(np.abs(v.imag) > _REAL_TOL * np.maximum(1.0, np.abs(v))):
             raise EvalError(f"{what} of a non-real argument")
         return v.real
     return v
@@ -1025,10 +1025,6 @@ def sigma_op(f: FnBase, i: int, a_i: float, varphi: FnBase) -> FnBase:
         e = add(d.expr, mul(const(-1), f.expr, del_op(varphi, i).expr))
         return CylinderFn(e, d.support_radius, max(d.dim, varphi.dim))
     return FnSum((d, FnScale(-1.0, term)))
-
-
-def fn_conj(f: FnBase) -> FnBase:
-    return _as_fn(f).conj()
 
 
 def free_variables(e: Expr) -> set:

@@ -265,8 +265,6 @@ class _SmoothStairs:
         """Antiderivative of the quintic smoothstep with value 0 at u = 0."""
         u = np.asarray(u, dtype=float)
         below = np.clip(u, 0.0, 1.0)
-        core = u ** 4 * (u * (u - 3.0) + 2.5)  # integral of 6u^5-15u^4+10u^3
-        core = np.where(u <= 0.0, 0.0, np.where(u >= 1.0, 0.5 + (u - 1.0), core))
         # for u in (0,1): u^6 - 3 u^5 + 2.5 u^4; at 1: 0.5
         mid = below ** 6 - 3.0 * below ** 5 + 2.5 * below ** 4
         return np.where(u >= 1.0, 0.5 + (u - 1.0), np.where(u <= 0.0, 0.0, mid))
@@ -381,10 +379,6 @@ def weight_triple(phi: CylinderFn, psi: CylinderFn) -> WeightTriple:
         phi=phi,
         psi=psi,
     )
-
-
-def phi_from_eta(domain: Domain, majorant: ConvexMajorant, n: int) -> CylinderFn:
-    return majorant.compose(domain.eta(n))
 
 
 @dataclass

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dbarl2 import gaussmeasure as gm
-from dbarl2.symfun import CylinderFn
+from dbarl2.symfun import CylinderFn, EvalError, FnBase
 
 from conftest import bump_fn, random_bump_fn
 
@@ -70,6 +70,36 @@ class TestIntegrate:
         assert est.mean.real == pytest.approx(3 * a1 ** 4 * a2 ** 2, rel=1e-12)
 
 
+def _per_node(r, pts):
+    """Reference: the tail rule as one evaluation of r.f per tail node."""
+    out = np.zeros(len(pts), dtype=complex)
+    full = np.empty((len(pts), 2 * r.f.dim))
+    full[:, :2 * r.dim] = pts[:, :2 * r.dim]
+    for t in range(r._tail_pts.shape[0]):
+        full[:, 2 * r.dim:] = r._tail_pts[t]
+        out += r._tail_w[t] * r.f(full)
+    return out
+
+
+class _Counting(FnBase):
+    def __init__(self, f):
+        self.f, self.dim, self.support_radius = f, f.dim, f.support_radius
+        self.calls = 0
+
+    def __call__(self, pts):
+        self.calls += 1
+        return self.f(pts)
+
+
+class _ScalarTwo(FnBase):
+    """A constant whose evaluation returns a Python scalar, not an array."""
+
+    dim, support_radius = 3, None
+
+    def __call__(self, pts):
+        return 2.0 + 0j
+
+
 class TestReduce:
     def test_identity_when_low_dim(self, spec3):
         f = bump_fn(2, 0.7)
@@ -122,6 +152,45 @@ class TestReduce:
         got = r.d_dx(1)(pts)
         expect = 2 * pts[:, 0] * spec3.a(3) ** 2
         np.testing.assert_allclose(got.real, expect, rtol=1e-12)
+
+    def test_batched_tail_equals_per_node_loop(self, spec3):
+        rng = np.random.default_rng(21)
+        f = random_bump_fn(rng, 3, 0.8)
+        for n, N in ((1, 200), (2, 200), (2, 20_000)):
+            r = gm.reduce_fn(f, n, spec3)
+            pts = gm.sample(spec3, N, 31 + n, n=n)
+            assert np.array_equal(r(pts), _per_node(r, pts))
+            if N == 200:
+                d = r.d_dx(1)
+                assert np.array_equal(d(pts), _per_node(d, pts))
+
+    def test_batched_tail_constant_integrand(self, spec3):
+        pts = gm.sample(spec3, 200, 4, n=1)
+        for f in (CylinderFn("2", dim=3), _ScalarTwo()):
+            r = gm.reduce_fn(f, 1, spec3)
+            got = r(pts)
+            assert got.shape == (200,)
+            assert np.array_equal(got, _per_node(r, pts))
+            np.testing.assert_allclose(got, 2.0, rtol=1e-12)
+
+    def test_batched_tail_monte_carlo(self):
+        spec4 = gm.GaussianSpec(4)
+        r = gm.reduce_fn(bump_fn(4, 0.8, poly="1+x(4)^2"), 1, spec4)
+        assert r._tail_pts.shape[0] == gm._TAIL_MC  # 8^6 nodes exceed the budget
+        pts = gm.sample(spec4, 200, 5, n=1)
+        assert np.array_equal(r(pts), _per_node(r, pts))
+
+    def test_batched_tail_one_call_per_batch(self, spec3):
+        f = _Counting(bump_fn(3, 0.8))
+        r = gm.reduce_fn(f, 1, spec3)
+        assert r._tail_pts.shape[0] == 4096
+        r(gm.sample(spec3, 200, 6, n=1))
+        assert f.calls == 51  # ceil(4096 / (16384 // 200))
+
+    def test_batched_tail_eval_error_propagates(self, spec3):
+        r = gm.reduce_fn(CylinderFn("log(x(3))", dim=3), 1, spec3)
+        with pytest.raises(EvalError):
+            r(gm.sample(spec3, 200, 7, n=1))
 
 
 class TestGaussGreen:

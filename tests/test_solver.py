@@ -1,3 +1,5 @@
+import gc
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -136,6 +138,25 @@ class TestSolve:
         # sesquilinear pairings conjugate one slot already, so the adjoint
         # relation reads B[a, b] = Bstar[b, a]
         assert float(np.max(np.abs(B - Bstar.T))) <= 1e-8
+
+
+class TestDictionary:
+    def test_degree_combo_order(self):
+        assert list(sv._degree_combos(3, 2)) == [
+            (0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 0), (0, 1, 1), (0, 2, 0),
+            (1, 0, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)]
+        # lexicographic, first slot slowest: the order that fixes the basis
+        lex = [c for c in itertools.product(range(4), repeat=4) if sum(c) <= 3]
+        assert list(sv._degree_combos(4, 3)) == lex
+
+    def test_dictionary_leaves_no_cyclic_garbage(self):
+        gc.collect()
+        gc.disable()
+        try:
+            sv.scalar_dictionary(2, 3, 0.8, gm.GaussianSpec(2))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestKeyInequality:

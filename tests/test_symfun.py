@@ -75,6 +75,27 @@ class TestEval:
         finally:
             gc.enable()
 
+    def test_real_check_is_per_point(self):
+        def raises(v):
+            try:
+                sf._require_real(v, "test")
+            except EvalError:
+                return True
+            return False
+
+        parts = {
+            "small_nonreal": np.array([1e-3 + 1e-6j]),
+            "small_real": np.array([1e-3 + 1e-13j]),
+            "large": np.array([1e4 + 1e-6j]),
+        }
+        assert raises(parts["small_nonreal"])
+        assert not raises(parts["small_real"])
+        assert not raises(parts["large"])
+        for a in parts.values():
+            for b in parts.values():
+                both = np.concatenate([a, b])
+                assert raises(both) == (raises(a) or raises(b))
+
 
 class TestDerivatives:
     def test_product_rule(self):
