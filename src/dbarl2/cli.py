@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dbarops, domains, forms, gaussmeasure, multiindex, reduction, solver, weights
-from .symfun import CylinderFn, delbar_op
+from .symfun import CylinderFn, ParseError, delbar_op, eval_expr, free_variables, parse
 
 
 @dataclass
@@ -82,13 +83,30 @@ def _family_from(config) -> multiindex.WeightFamily:
     if kind == "constant":
         return multiindex.constant_family(float(fam.get("value", 1.0)))
     if kind == "multiplicative":
-        mu_expr = fam.get("mu", "1.0")
-        mu = eval("lambda j: " + mu_expr, {"__builtins__": {}}, {})  # config-local rule
-        return multiindex.multiplicative_family(mu=mu)
+        return multiindex.multiplicative_family(mu=_mu_from(fam.get("mu", "1.0")))
     if kind == "prior_work":
         spec = _spec_from(config)
         return multiindex.prior_work_family(spec.a)
     raise ConfigError(f"unknown family kind {kind!r}")
+
+
+def _mu_from(text: str):
+    """mu(j) from an expression in j, read with the symfun grammar (j stands for x(1))."""
+    src = re.sub(r"\bj\b", "x(1)", text)
+    try:
+        e = parse(src)
+    except ParseError as exc:
+        raise ConfigError(f"bad mu {text!r} (read as {src!r}): {exc}") from None
+    if not free_variables(e) <= {("x", 1)}:
+        raise ConfigError(f"mu {text!r} may use no variable but j")
+
+    def mu(j):
+        v = complex(np.asarray(eval_expr(e, np.array([[float(j), 0.0]]))).reshape(-1)[0])
+        if v.imag != 0.0:
+            raise ConfigError(f"mu {text!r} is not real at j = {j}")
+        return v.real
+
+    return mu
 
 
 def _domain_from(config) -> domains.Domain:

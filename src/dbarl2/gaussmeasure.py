@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -91,9 +92,7 @@ class Quadrature:
         """Materialize points (M, 2n) and weights (M,); weights sum to 1."""
         n = spec.trunc_dim if n is None else n
         if self.kind == "monte_carlo":
-            pts = sample(spec, self.N, self.seed, n=n)
-            w = np.full(self.N, 1.0 / self.N)
-            return pts, w
+            return _mc_nodes_weights(spec, self.N, self.seed, n)
         if self.kind == "gauss_hermite":
             m = self.nodes_per_axis
             if m ** (2 * n) > _GH_BUDGET:
@@ -112,6 +111,16 @@ class Quadrature:
                 w = w * g.reshape(-1)
             return pts, w
         raise ValueError(f"unknown quadrature kind {self.kind!r}")
+
+
+@lru_cache(maxsize=4)
+def _mc_nodes_weights(spec: GaussianSpec, N: int, seed: int, n: int):
+    """The Monte Carlo point set and its equal weights, drawn once per key (read-only)."""
+    pts = sample(spec, N, seed, n=n)
+    w = np.full(N, 1.0 / N)
+    pts.flags.writeable = False
+    w.flags.writeable = False
+    return pts, w
 
 
 def sample(spec: GaussianSpec, N: int, seed: int, n: Optional[int] = None) -> np.ndarray:

@@ -107,3 +107,27 @@ def random_form(rng: np.random.Generator, degree, n: int, radius: float,
         J = tuple(range(1, t + 1))
         coeffs[(I, J)] = random_bump_fn(rng, n, radius)
     return Form(degree, coeffs, family)
+
+
+class CountingFn(sf.FnBase):
+    """Wraps a function and counts how often it is evaluated."""
+
+    def __init__(self, f):
+        self.f, self.dim, self.support_radius = f, f.dim, f.support_radius
+        self.calls = 0
+
+    def __call__(self, pts):
+        self.calls += 1
+        return self.f(pts)
+
+
+class ScalarTwo(sf.FnBase):
+    """A constant whose evaluation returns a Python scalar, not an array."""
+
+    support_radius = None
+
+    def __init__(self, dim: int):
+        self.dim = dim
+
+    def __call__(self, pts):
+        return 2.0 + 0j

@@ -59,6 +59,12 @@ class TestExitCodes:
                                        "forms": BASE_IDENTITIES["forms"]})
         assert run(["identities", "--config", cfg2, "--out", tmp_path / "r"]) == 2
 
+    def test_mu_outside_the_grammar_exits_two(self, tmp_path):
+        for mu in ("().__class__", "x(2)", "j**2", "i*j"):
+            cfg = write_config(tmp_path, {"family": {"kind": "multiplicative", "mu": mu},
+                                          "max_index": 6, "s": 0, "t": 0})
+            assert run(["conditions", "--config", cfg, "--out", tmp_path / "r"]) == 2
+
     def test_empty_forms_exit_zero(self, tmp_path):
         cfg = write_config(tmp_path, {"seed": 1, "trunc_dim": 2, "forms": []})
         out = tmp_path / "r"
@@ -89,6 +95,19 @@ class TestReports:
             "condition3_multiplicative"}
         c0 = [r for r in recs if r["check_id"] == "condition2_c0_positive"][0]
         assert c0["lhs"] == pytest.approx(7.0 / 6.0)
+
+    def test_conditions_mu_matches_python_rule(self, tmp_path, monkeypatch):
+        # reference: the same rule written as a Python function
+        from dbarl2 import cli, multiindex
+
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "conditions.json"
+        assert run(["conditions", "--config", cfg, "--out", tmp_path / "grammar"]) == 0
+        monkeypatch.setattr(cli, "_family_from", lambda config: multiindex.multiplicative_family(
+            mu=lambda j: 1.0 + 1.0 / j))
+        assert run(["conditions", "--config", cfg, "--out", tmp_path / "python"]) == 0
+        for name in ("conditions_report.jsonl", "conditions_summary.csv"):
+            assert ((tmp_path / "grammar" / name).read_bytes()
+                    == (tmp_path / "python" / name).read_bytes())
 
     def test_reproducibility_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, BASE_IDENTITIES)

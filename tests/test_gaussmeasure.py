@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from dbarl2 import gaussmeasure as gm
-from dbarl2.symfun import CylinderFn, EvalError, FnBase
+from dbarl2.symfun import CylinderFn, EvalError
 
-from conftest import bump_fn, random_bump_fn
+from conftest import CountingFn, ScalarTwo, bump_fn, random_bump_fn
 
 
 MC = gm.Quadrature("monte_carlo", N=200_000, seed=42)
@@ -69,6 +69,17 @@ class TestIntegrate:
         est = gm.integrate(CylinderFn("x(1)^4*y(2)^2"), spec2, q)
         assert est.mean.real == pytest.approx(3 * a1 ** 4 * a2 ** 2, rel=1e-12)
 
+    def test_monte_carlo_points_drawn_once(self, spec3):
+        q = gm.Quadrature("monte_carlo", N=1000, seed=11)
+        pts, w = q.nodes_weights(spec3, n=2)
+        again = q.nodes_weights(spec3, n=2)
+        assert again[0] is pts and again[1] is w
+        assert not pts.flags.writeable and not w.flags.writeable
+        assert np.array_equal(pts, gm.sample(spec3, 1000, 11, n=2))
+        assert np.array_equal(w, np.full(1000, 1.0 / 1000))
+        other, _ = gm.Quadrature("monte_carlo", N=1000, seed=12).nodes_weights(spec3, n=2)
+        assert not np.array_equal(other, pts)
+
 
 def _per_node(r, pts):
     """Reference: the tail rule as one evaluation of r.f per tail node."""
@@ -79,25 +90,6 @@ def _per_node(r, pts):
         full[:, 2 * r.dim:] = r._tail_pts[t]
         out += r._tail_w[t] * r.f(full)
     return out
-
-
-class _Counting(FnBase):
-    def __init__(self, f):
-        self.f, self.dim, self.support_radius = f, f.dim, f.support_radius
-        self.calls = 0
-
-    def __call__(self, pts):
-        self.calls += 1
-        return self.f(pts)
-
-
-class _ScalarTwo(FnBase):
-    """A constant whose evaluation returns a Python scalar, not an array."""
-
-    dim, support_radius = 3, None
-
-    def __call__(self, pts):
-        return 2.0 + 0j
 
 
 class TestReduce:
@@ -166,7 +158,7 @@ class TestReduce:
 
     def test_batched_tail_constant_integrand(self, spec3):
         pts = gm.sample(spec3, 200, 4, n=1)
-        for f in (CylinderFn("2", dim=3), _ScalarTwo()):
+        for f in (CylinderFn("2", dim=3), ScalarTwo(3)):
             r = gm.reduce_fn(f, 1, spec3)
             got = r(pts)
             assert got.shape == (200,)
@@ -181,7 +173,7 @@ class TestReduce:
         assert np.array_equal(r(pts), _per_node(r, pts))
 
     def test_batched_tail_one_call_per_batch(self, spec3):
-        f = _Counting(bump_fn(3, 0.8))
+        f = CountingFn(bump_fn(3, 0.8))
         r = gm.reduce_fn(f, 1, spec3)
         assert r._tail_pts.shape[0] == 4096
         r(gm.sample(spec3, 200, 6, n=1))

@@ -11,9 +11,9 @@ from dbarl2 import gaussmeasure as gm
 from dbarl2 import solver as sv
 from dbarl2 import weights as wt
 from dbarl2.forms import Form, norm_sq
-from dbarl2.symfun import CylinderFn
+from dbarl2.symfun import CylinderFn, EvalError
 
-from conftest import bump_fn, random_form
+from conftest import CountingFn, ScalarTwo, bump_fn, random_form
 
 
 R = 0.8
@@ -281,3 +281,60 @@ class TestCauchyOracle:
         w1v = np.exp(-np.real(ctx.w1(pts)))
         norm_uc = float(np.sqrt(np.sum(w * np.abs(oracle(pts)) ** 2 * w1v)))
         assert rep.norm_u_w1 <= norm_uc * (1 + 1e-3)
+
+    def test_batched_equals_per_radius_loop(self, manufactured):
+        f1 = manufactured[1].coeff((), (1,))
+        oracle = sv.CauchyOracle(f1=f1, reach=0.7 * np.sqrt(2) + R + 0.1)
+        rng = np.random.default_rng(8)
+        for pts in (rng.uniform(-0.7, 0.7, (1, 2)), rng.uniform(-0.7, 0.7, (5, 2))):
+            assert np.array_equal(oracle(pts), _per_radius(oracle, f1, pts))
+        # N * nt >= _ORACLE_CHUNK: one radius per call, as the reference does
+        small = sv.CauchyOracle(f1=f1, reach=oracle.reach, nr=16)
+        pts = rng.uniform(-0.7, 0.7, (43, 2))
+        assert 43 * small.nt >= sv._ORACLE_CHUNK
+        assert np.array_equal(small(pts), _per_radius(small, f1, pts))
+
+    def test_one_call_per_batch_of_radii(self, manufactured):
+        g = CountingFn(manufactured[1].coeff((), (1,)))
+        sv.CauchyOracle(f1=g, reach=2.0)(np.zeros((1, 2)))
+        assert g.calls == 13  # ceil(512 / (16384 // 384))
+
+    def test_constant_scalar_integrand(self):
+        oracle = sv.CauchyOracle(f1=ScalarTwo(1), reach=1.0, nr=64, nt=48)
+        pts = np.random.default_rng(9).uniform(-1, 1, (7, 2))
+        got = oracle(pts)
+        assert got.shape == (7,)
+        assert np.array_equal(got, _per_radius(oracle, oracle.f1, pts))
+
+    def test_eval_error_propagates(self):
+        oracle = sv.CauchyOracle(f1=CylinderFn("log(x(1))"), reach=1.0, nr=64, nt=48)
+        with pytest.raises(EvalError):
+            oracle(np.zeros((1, 2)))
+
+    def test_legendre_rule_built_once(self):
+        nodes, weights = sv._leggauss(64)
+        ref = np.polynomial.legendre.leggauss(64)
+        assert np.array_equal(nodes, ref[0]) and np.array_equal(weights, ref[1])
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        assert sv._leggauss(64)[0] is nodes
+
+
+def _per_radius(oracle, g, pts):
+    """Reference: the oracle's polar rule as one evaluation of g per radius."""
+    N, nt = len(pts), oracle.nt
+    rr, wr = np.polynomial.legendre.leggauss(oracle.nr)
+    r = 0.5 * oracle.reach * (rr + 1.0)
+    wr = 0.5 * oracle.reach * wr
+    th = (np.arange(nt) + 0.5) * (2.0 * np.pi / nt)
+    wt = 2.0 * np.pi / nt
+    cx, sx = np.cos(th), np.sin(th)
+    phase = np.tile(cx - 1j * sx, N)
+    base_x, base_y = np.repeat(pts[:, 0], nt), np.repeat(pts[:, 1], nt)
+    out = np.zeros(N, dtype=complex)
+    shift = np.empty((N * nt, 2))
+    for rj, wj in zip(r, wr):
+        shift[:, 0] = base_x + rj * np.tile(cx, N)
+        shift[:, 1] = base_y + rj * np.tile(sx, N)
+        out += (wj * wt) * (g(shift) * phase).reshape(N, nt).sum(axis=1)
+    return -out / np.pi
+
