@@ -17,13 +17,13 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import dbarops, domains, forms, gaussmeasure, multiindex, reduction, solver, weights
-from .symfun import CylinderFn, ParseError, delbar_op, eval_expr, free_variables, parse
+from .symfun import CylinderFn, ParseError, eval_expr, free_variables, parse
 
 
 @dataclass
@@ -159,7 +159,6 @@ def cmd_identities(config, seed) -> list:
     if not test_fns:
         return recs
 
-    rng = np.random.default_rng(seed)
     pts = gaussmeasure.sample(spec, 100, seed + 3)
 
     t0 = time.perf_counter()
@@ -171,9 +170,9 @@ def cmd_identities(config, seed) -> list:
         residual, stderr = rep.residual, rep.stderr
     else:
         # deliberately mismatched scale on the right side only
-        pts, wq = quad.nodes_weights(spec)
-        la = g0.d_dx(1)(pts)
-        rb = (pts[:, 0] / float(wrong_a1) ** 2) * g0(pts)
+        qpts, wq = quad.nodes_weights(spec)
+        la = g0.d_dx(1)(qpts)
+        rb = (qpts[:, 0] / float(wrong_a1) ** 2) * g0(qpts)
         est = gaussmeasure.paired_residual(la, rb, wq, quad.deterministic)
         lhs = abs(float(np.sum(wq * la).real))
         rhs = abs(float(np.sum(wq * rb).real))

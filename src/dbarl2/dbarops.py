@@ -18,18 +18,16 @@ shares one point set across both sides, so the Monte Carlo noise pairs off.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
 from .forms import Form, inner_vals
-from .gaussmeasure import (GaussianSpec, MCEstimate, Quadrature, _estimate,
-                           paired_residual, sample)
+from .gaussmeasure import GaussianSpec, MCEstimate, Quadrature, paired_residual
 from .multiindex import WeightFamily, as_multiindex, epsilon, insert
-from .symfun import (CylinderFn, FnBase, ZERO_FN, _as_fn, conj_, del_op,
-                     delbar_op, delta_op, exp_, mul, sigma_op)
+from .symfun import (CylinderFn, FnBase, ZERO_FN, _as_fn, del_op, delbar_op,
+                     delta_op, exp_, sigma_op)
 
 
 @dataclass
@@ -70,7 +68,7 @@ def dbar(f: Form) -> Form:
                 continue
             sign, K = insert(i, J)
             term = delbar_op(fn, i)
-            if hasattr(term, "is_zero") and term.is_zero():
+            if term.is_zero():
                 continue
             term = (sgn_s * sign) * term
             key = (I, K)
@@ -85,7 +83,7 @@ def Tstar(f: Form, ctx: OperatorContext) -> Form:
         raise ValueError("Tstar needs a form of degree (s, t+1) with t+1 >= 1")
     t = tp1 - 1
     sgn = -1.0 if (s + 1) % 2 else 1.0
-    gauge = _weight_gauge(ctx)  # e^{w1 - w2} as a function
+    gauge = CylinderFn(exp_(ctx.w1.expr - ctx.w2.expr), dim=max(ctx.w1.dim, ctx.w2.dim))
     out: dict = {}
     for (I, J), fn in f.coeffs.items():
         for i in J:
@@ -102,32 +100,6 @@ def Tstar(f: Form, ctx: OperatorContext) -> Form:
             key = (I, L)
             out[key] = out[key] + term if key in out else term
     return Form((s, t), out, f.family)
-
-
-def _weight_gauge(ctx: OperatorContext) -> FnBase:
-    if isinstance(ctx.w1, CylinderFn) and isinstance(ctx.w2, CylinderFn):
-        return CylinderFn(exp_(ctx.w1.expr - ctx.w2.expr),
-                          dim=max(ctx.w1.dim, ctx.w2.dim))
-    return _ExpFn(ctx.w1 - ctx.w2)
-
-
-class _ExpFn(FnBase):
-    def __init__(self, f: FnBase):
-        self.f = f
-        self.dim = f.dim
-        self.support_radius = None
-
-    def __call__(self, pts):
-        return np.exp(self.f(pts))
-
-    def d_dx(self, i):
-        return self * self.f.d_dx(i)
-
-    def d_dy(self, i):
-        return self * self.f.d_dy(i)
-
-    def conj(self):
-        return _ExpFn(self.f.conj())
 
 
 def adjoint_residual(u: Form, f: Form, ctx: OperatorContext,

@@ -15,12 +15,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .symfun import (CylinderFn, Expr, add, const, del_op, delbar_op, diff,
-                     eval_expr, log_, mul, norm_sq_coords, pw, x, y)
-
-
-class BoundaryError(ValueError):
-    """Evaluation at or beyond the domain boundary."""
+from .symfun import (CylinderFn, Expr, VarX, VarY, _children, _rebuild, add,
+                     const, del_op, delbar_op, log_, mul, norm_sq_coords, pw, x, y)
 
 
 @dataclass
@@ -230,35 +226,10 @@ def whole_space(sample_scale: float = 0.4) -> Domain:
 
 
 def _substitute(e: Expr, subs: dict) -> Expr:
-    from . import symfun as sf
-
-    if isinstance(e, sf.VarX):
-        return subs.get(("x", e.i), e)
-    if isinstance(e, sf.VarY):
-        return subs.get(("y", e.i), e)
-    if isinstance(e, sf.Const):
-        return e
-    if isinstance(e, sf.Add):
-        return sf.add(*(_substitute(t, subs) for t in e.terms))
-    if isinstance(e, sf.Mul):
-        return sf.mul(*(_substitute(t, subs) for t in e.factors))
-    if isinstance(e, sf.Div):
-        return sf.div(_substitute(e.num, subs), _substitute(e.den, subs))
-    if isinstance(e, sf.Pow):
-        return sf.pw(_substitute(e.base, subs), e.k)
-    if isinstance(e, sf.Fun):
-        return sf._fun(e.name, _substitute(e.arg, subs))
-    if isinstance(e, sf.BumpD):
-        return sf.BumpD(_substitute(e.arg, subs), e.k)
-    if isinstance(e, sf.CubicStepD):
-        return sf.CubicStepD(_substitute(e.arg, subs), e.level, e.order)
-    if isinstance(e, sf.GermStepD):
-        return sf.GermStepD(_substitute(e.arg, subs), e.k)
-    if isinstance(e, sf.Poly1):
-        return sf.poly1(_substitute(e.arg, subs), e.coeffs)
-    if isinstance(e, sf.Conj):
-        return sf.conj_(_substitute(e.arg, subs))
-    raise TypeError(type(e))
+    """e with each variable ("x"|"y", i) in subs replaced by its expression."""
+    if isinstance(e, (VarX, VarY)):
+        return subs.get(("x" if isinstance(e, VarX) else "y", e.i), e)
+    return _rebuild(e, tuple(_substitute(c, subs) for c in _children(e)))
 
 
 def complex_hessian(eta: CylinderFn, points: np.ndarray, n: int,

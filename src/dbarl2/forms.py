@@ -2,7 +2,8 @@
 
 A form is a finite sum of coefficients f[I, J] dz_I wedge dzb_J over strictly
 increasing multi-indices with |I| = s and |J| = t.  Coefficients are cylinder
-functions (or any FnBase); absent keys are zero.  The squared norm is
+functions (an opaque FnBase is lifted into one as a leaf); absent keys are
+zero.  The squared norm is
 
     sum' c[I, J] * integral of |f[I, J]|^2 e^(-w) dP,
 
@@ -12,14 +13,13 @@ checks downstream can pair their estimates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .gaussmeasure import GaussianSpec, MCEstimate, Quadrature, _estimate
-from .multiindex import MultiIndex, WeightFamily, as_multiindex, epsilon, insert
+from .multiindex import MultiIndex, WeightFamily, as_multiindex, insert
 from .symfun import FnBase, ZERO_FN, _as_fn
 
 
@@ -46,7 +46,7 @@ class Form:
             if len(I) != s or len(J) != t:
                 raise DegreeError(f"key ({I},{J}) has wrong cardinalities for degree {self.degree}")
             fn = _as_fn(fn)
-            if not (hasattr(fn, "is_zero") and fn.is_zero()):
+            if not fn.is_zero():
                 clean[(I, J)] = fn
         self.coeffs = clean
 

@@ -18,13 +18,13 @@ nodes, at most ``_TAIL_CHUNK`` points per call of the integrand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .symfun import CylinderFn, FnBase, _as_fn
+from .symfun import FnBase, _as_fn
 
 _SAMPLE_CHUNK = 1 << 16
 _GH_BUDGET = 2_000_000
@@ -99,18 +99,20 @@ class Quadrature:
                 raise ValueError(
                     f"gauss_hermite with {m} nodes in {2 * n} real dims exceeds "
                     f"the {_GH_BUDGET} node budget; use monte_carlo")
-            t, w1 = np.polynomial.hermite.hermgauss(m)
-            sig = spec.sigma_cols(n)
-            axes_nodes = [math.sqrt(2.0) * sig[c] * t for c in range(2 * n)]
-            axes_w = [w1 / math.sqrt(math.pi)] * (2 * n)
-            grids = np.meshgrid(*axes_nodes, indexing="ij")
-            pts = np.stack([g.reshape(-1) for g in grids], axis=1)
-            wg = np.meshgrid(*axes_w, indexing="ij")
-            w = np.ones(pts.shape[0])
-            for g in wg:
-                w = w * g.reshape(-1)
-            return pts, w
+            return _gh_tensor(m, spec.sigma_cols(n))
         raise ValueError(f"unknown quadrature kind {self.kind!r}")
+
+
+def _gh_tensor(m: int, sig: np.ndarray):
+    """Tensor Gauss-Hermite rule, m nodes per axis, for independent N(0, sig_c^2)
+    axes: points (m^d, d) and weights summing to 1."""
+    t, w1 = np.polynomial.hermite.hermgauss(m)
+    grids = np.meshgrid(*[math.sqrt(2.0) * s * t for s in sig], indexing="ij")
+    pts = np.stack([g.reshape(-1) for g in grids], axis=1)
+    w = np.ones(pts.shape[0])
+    for g in np.meshgrid(*([w1 / math.sqrt(math.pi)] * len(sig)), indexing="ij"):
+        w = w * g.reshape(-1)
+    return pts, w
 
 
 @lru_cache(maxsize=4)
@@ -208,9 +210,6 @@ class ReducedFn(FnBase):
             raise ValueError("derivative index beyond the reduced dimension")
         return ReducedFn(self.f.d_dy(i), self.dim, self._tail_pts, self._tail_w)
 
-    def conj(self) -> "ReducedFn":
-        return ReducedFn(self.f.conj(), self.dim, self._tail_pts, self._tail_w)
-
 
 def reduce_fn(f: FnBase, n: int, spec: GaussianSpec,
               tail_nodes: int = 8, tail_seed: int = 7_000_001) -> FnBase:
@@ -223,14 +222,7 @@ def reduce_fn(f: FnBase, n: int, spec: GaussianSpec,
     tail_cols = 2 * (m - n)
     tail_sig = spec.sigma_cols(m)[2 * n:]
     if tail_nodes ** tail_cols <= _TAIL_BUDGET:
-        t, w1 = np.polynomial.hermite.hermgauss(tail_nodes)
-        axes = [math.sqrt(2.0) * s * t for s in tail_sig]
-        grids = np.meshgrid(*axes, indexing="ij")
-        tail_pts = np.stack([g.reshape(-1) for g in grids], axis=1)
-        wts = np.meshgrid(*([w1 / math.sqrt(math.pi)] * tail_cols), indexing="ij")
-        tail_w = np.ones(tail_pts.shape[0])
-        for g in wts:
-            tail_w = tail_w * g.reshape(-1)
+        tail_pts, tail_w = _gh_tensor(tail_nodes, tail_sig)
     else:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=tail_seed,
                                                            spawn_key=(m, n)))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ from scipy.signal import fftconvolve
 from .domains import Domain
 from .forms import Form, support_mask
 from .gaussmeasure import GaussianSpec, Quadrature, reduce_fn
-from .symfun import CylinderFn, FnBase, add, bump, const, germ_step, mul, _as_fn
+from .symfun import CylinderFn, FnBase, add, const, germ_step, _as_fn
 
 
 def _ball_surface(d: int) -> float:
@@ -134,13 +134,6 @@ class GridFn(FnBase):
     def d_dy(self, i: int) -> "GridFn":
         return self._stencil(2 * (i - 1) + 1)
 
-    def conj(self) -> "GridFn":
-        return GridFn(np.conjugate(self.values), self.extent, self.dim,
-                      self.support_radius)
-
-    def is_zero(self) -> bool:
-        return not np.any(self.values)
-
 
 def fn_to_grid(f: FnBase, n: int, extent: float, grid_res: int) -> GridFn:
     f = _as_fn(f)
@@ -151,8 +144,17 @@ def fn_to_grid(f: FnBase, n: int, extent: float, grid_res: int) -> GridFn:
     return GridFn(vals, extent, n, f.support_radius)
 
 
-def mollify(f_n: FnBase, delta: float, grid_res: int = 121,
-            spec: Optional[GaussianSpec] = None) -> GridFn:
+def _unit_kernel(n: int, delta: float, h: float) -> np.ndarray:
+    """The width-delta mollifier on C^n sampled at spacing h, scaled to unit
+    discrete mass (complex, for the FFT convolution)."""
+    half = int(math.ceil(delta / h))
+    mesh = np.meshgrid(*([np.arange(-half, half + 1) * h] * (2 * n)), indexing="ij")
+    kpts = np.stack([g.reshape(-1) for g in mesh], axis=1)
+    kern = mollifier(n).scaled(kpts, delta).reshape([2 * half + 1] * (2 * n))
+    return (kern / kern.sum()).astype(complex)
+
+
+def mollify(f_n: FnBase, delta: float, grid_res: int = 121) -> GridFn:
     """Convolution with the width-delta mollifier on a uniform grid.
 
     Needs a compactly supported input in dimension n <= 2 (grid convolution).
@@ -174,14 +176,7 @@ def mollify(f_n: FnBase, delta: float, grid_res: int = 121,
     if h > delta / 2.0:
         raise ResolutionError(
             f"grid spacing {h:.4g} too coarse for delta = {delta}; raise grid_res")
-    m = mollifier(n)
-    half = int(math.ceil(delta / h))
-    k_axes = [np.arange(-half, half + 1) * h] * (2 * n)
-    mesh = np.meshgrid(*k_axes, indexing="ij")
-    kpts = np.stack([g.reshape(-1) for g in mesh], axis=1)
-    kern = m.scaled(kpts, delta).reshape([2 * half + 1] * (2 * n))
-    kern = kern / kern.sum()
-    out = fftconvolve(grid.values, kern.astype(complex), mode="same")
+    out = fftconvolve(grid.values, _unit_kernel(n, delta, h), mode="same")
     # support arithmetic is exact: kill FFT roundoff outside radius R + delta
     axes = np.linspace(-extent, extent, grid_res)
     mesh = np.meshgrid(*([axes] * (2 * n)), indexing="ij")
@@ -263,13 +258,7 @@ def convolution_adjoint_residual(f: FnBase, g: FnBase, n: int, delta: float,
             / (2 * math.pi * a * a)
 
     shape = [res] * (2 * n)
-    m = mollifier(n)
-    half = int(math.ceil(delta / h))
-    k_axes = [np.arange(-half, half + 1) * h] * (2 * n)
-    kmesh = np.meshgrid(*k_axes, indexing="ij")
-    kpts = np.stack([mm.reshape(-1) for mm in kmesh], axis=1)
-    kern = m.scaled(kpts, delta).reshape([2 * half + 1] * (2 * n))
-    kern = (kern / kern.sum()).astype(complex)
+    kern = _unit_kernel(n, delta, h)
 
     fv = f(pts).reshape(shape)
     gv = g(pts).reshape(shape)
@@ -321,7 +310,6 @@ def approx_pipeline(f: Form, domain: Domain, rho: float, n_ladder: Sequence[int]
     eta_rho = CylinderFn(germ_step(add(eta.expr, const(-rho))), dim=eta.dim)
 
     pts, wq = quad.nodes_weights(spec)
-    w2_vals = None
     if w2 is not None:
         w2 = _as_fn(w2)
 
@@ -332,7 +320,7 @@ def approx_pipeline(f: Form, domain: Domain, rho: float, n_ladder: Sequence[int]
             coeffs = {}
             for key, fn in f.coeffs.items():
                 red = reduce_fn(fn, n, spec)
-                mol = mollify(red, delta, grid_res=grid_res, spec=spec)
+                mol = mollify(red, delta, grid_res=grid_res)
                 coeffs[key] = eta_rho * mol
             cand = Form(f.degree, coeffs, f.family)
             total = np.zeros(pts.shape[0])

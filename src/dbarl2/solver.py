@@ -26,16 +26,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import hermite_e as herme
-from numpy.polynomial import polynomial as npoly
 
 from .dbarops import OperatorContext, Tstar, dbar
 from .domains import Domain, complex_hessian
-from .forms import Form, inner_vals, norm_sq, support_mask
+from .forms import Form, _weighted_sq_vals
 from .gaussmeasure import GaussianSpec, Quadrature, sample
 from .multiindex import check_conditions
 from .symfun import (BumpD, CylinderFn, add, const, mul, norm_sq_coords,
-                     poly1, pw, x, y, _as_fn)
-from .weights import Cond4Report, WeightTriple, check_cond4
+                     poly1, x, y, _as_fn)
+from .weights import WeightTriple, check_cond4
 
 
 # ---------------------------------------------------------------------------
@@ -294,22 +293,8 @@ def key_inequality_check(f: Form, ctx: OperatorContext, quad: Quadrature,
     tsf = Tstar(f, ctx)
     sf_ = dbar(f)
     pts, wq = quad.nodes_weights(ctx.spec)
-
-    def sq_vals(form, weight):
-        total = np.zeros(pts.shape[0])
-        for (I, J), fn in form.coeffs.items():
-            c = form.family.coeff(I, J)
-            total += c * np.abs(fn(pts)) ** 2
-        mask = support_mask(pts, form.support_radius(), form.max_dim())
-        out = np.zeros_like(total)
-        if mask is None:
-            out = total * np.exp(-np.real(weight(pts)))
-        elif np.any(mask):
-            out[mask] = total[mask] * np.exp(-np.real(weight(pts[mask])))
-        return out
-
-    lhs_vals = sq_vals(tsf, ctx.w1) + sq_vals(sf_, ctx.w3)
-    rhs_vals = rep.c0_inf * sq_vals(f, ctx.w2)
+    lhs_vals = _weighted_sq_vals(tsf, ctx.w1, pts) + _weighted_sq_vals(sf_, ctx.w3, pts)
+    rhs_vals = rep.c0_inf * _weighted_sq_vals(f, ctx.w2, pts)
     diff = lhs_vals - rhs_vals
     lhs = float(np.sum(wq * lhs_vals))
     rhs = float(np.sum(wq * rhs_vals))
@@ -331,8 +316,7 @@ def weighted_bound_check(u: Form, f: Form, ctx: OperatorContext, c_fn,
     t = tp1 - 1
     n = ctx.spec.trunc_dim
     phi = ctx.w3
-    H = complex_hessian(phi if isinstance(phi, CylinderFn) else _as_fn(phi),
-                        levi_points, n)
+    H = complex_hessian(phi, levi_points, n)
     eig = np.linalg.eigvalsh(H)[:, 0]
     cvals = np.real(c_fn(levi_points))
     if float(np.min(eig - cvals)) < -1e-9:
@@ -479,7 +463,7 @@ class CauchyOracle:
         ax = np.linspace(-extent, extent, res)
         X, Y = np.meshgrid(ax, ax, indexing="ij")
         base = np.stack([X.reshape(-1), Y.reshape(-1)], axis=1)
-        df = delbar_op(_as_fn(self.f1), 1)
+        df = delbar_op(self.f1, 1)
         dbar_u = self._apply(df, base)
         fv = self.f1(base)
         return float(np.max(np.abs(dbar_u - fv)))

@@ -13,14 +13,18 @@ derivatives stay exact:
   * the cubic cut-off step used for the level-k truncations,
   * the C-infinity step germ (exp(1/(x-1)) - 1) * exp(-exp(1/(x-1))/x) + 1,
   * truncated power series (for weights built from series majorants).
+
+A function known only by its values (a grid function, a reduced integral)
+enters the tree as an opaque ``Leaf``: evaluation calls it, and its partials
+are whatever its own ``d_dx``/``d_dy`` return.  So there is one algebra, and
+the Wirtinger operators act on every function through the tree.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -148,6 +152,19 @@ class Poly1(Expr):
 @dataclass(frozen=True)
 class Conj(Expr):
     arg: Expr
+
+
+@dataclass(frozen=True, eq=False)
+class Leaf(Expr):
+    """An opaque function (FnBase protocol) of the point array."""
+    fn: object
+
+    # by the payload's identity: Expr's field-less __eq__ would equate all leaves
+    def __eq__(self, other):
+        return isinstance(other, Leaf) and other.fn is self.fn
+
+    def __hash__(self):
+        return id(self.fn)
 
 
 ZERO = Const(0.0)
@@ -334,6 +351,59 @@ def conj_(arg) -> Expr:
 
 
 # ---------------------------------------------------------------------------
+# Traversal
+# ---------------------------------------------------------------------------
+
+def _children(e: Expr) -> tuple:
+    """The direct subexpressions of a node."""
+    if isinstance(e, (Const, VarX, VarY, Leaf)):
+        return ()
+    if isinstance(e, Add):
+        return e.terms
+    if isinstance(e, Mul):
+        return e.factors
+    if isinstance(e, Div):
+        return (e.num, e.den)
+    if isinstance(e, Pow):
+        return (e.base,)
+    return (e.arg,)  # Fun, BumpD, CubicStepD, GermStepD, Poly1, Conj
+
+
+def _rebuild(e: Expr, kids: tuple) -> Expr:
+    """The node e over new children, through the simplifying constructors."""
+    if isinstance(e, Add):
+        return add(*kids)
+    if isinstance(e, Mul):
+        return mul(*kids)
+    if isinstance(e, Div):
+        return div(*kids)
+    if isinstance(e, Pow):
+        return pw(kids[0], e.k)
+    if isinstance(e, Fun):
+        return _fun(e.name, kids[0])
+    if isinstance(e, Poly1):
+        return poly1(kids[0], e.coeffs)
+    if isinstance(e, Conj):
+        return conj_(kids[0])
+    if isinstance(e, (BumpD, CubicStepD, GermStepD)):
+        return replace(e, arg=kids[0])
+    return e
+
+
+def _walk(e: Expr):
+    """Each distinct node of the tree once (shared subtrees by identity)."""
+    seen = set()
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        k = id(n)
+        if k not in seen:
+            seen.add(k)
+            yield n
+            stack.extend(_children(n))
+
+
+# ---------------------------------------------------------------------------
 # Differentiation
 # ---------------------------------------------------------------------------
 
@@ -429,40 +499,21 @@ def diff(e: Expr, kind: str, i: int) -> Expr:
         return mul(poly1(e.arg, dcs), diff(e.arg, kind, i))
     if isinstance(e, Conj):
         return conj_(diff(e.arg, kind, i))
+    if isinstance(e, Leaf):
+        return Leaf(e.fn.d_dx(i) if kind == "x" else e.fn.d_dy(i))
     raise TypeError(f"cannot differentiate {type(e)}")
 
 
 def max_index(e: Expr) -> int:
-    """Largest variable index appearing in the expression (0 for constants)."""
-    memo: dict = {}
-
-    def rec(n) -> int:
-        key = id(n)
-        if key in memo:
-            return memo[key]
+    """Largest variable index in the expression; a leaf counts as its dim (0 for constants)."""
+    out = 0
+    for n in _walk(e):
         if isinstance(n, (VarX, VarY)):
-            v = n.i
-        elif isinstance(n, Const):
-            v = 0
-        elif isinstance(n, Add):
-            v = max(rec(t) for t in n.terms)
-        elif isinstance(n, Mul):
-            v = max(rec(t) for t in n.factors)
-        elif isinstance(n, Div):
-            v = max(rec(n.num), rec(n.den))
-        elif isinstance(n, Pow):
-            v = rec(n.base)
-        elif isinstance(n, (Fun, BumpD, CubicStepD, GermStepD, Poly1, Conj)):
-            v = rec(n.arg)
-        else:
-            raise TypeError(type(n))
-        memo[key] = v
-        return v
-
-    try:
-        return rec(e)
-    finally:
-        del rec  # rec's closure refers to rec: clear it so the call leaves no cycle
+            if n.i > out:
+                out = n.i
+        elif isinstance(n, Leaf):
+            out = max(out, n.fn.dim)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +635,8 @@ def eval_expr(e: Expr, pts: np.ndarray, memo: Optional[dict] = None):
             v = npoly.polyval(np.asarray(a, dtype=complex), np.asarray(n.coeffs))
         elif isinstance(n, Conj):
             v = np.conjugate(rec(n.arg))
+        elif isinstance(n, Leaf):
+            v = n.fn(pts)
         else:
             raise TypeError(type(n))
         memo[key] = v
@@ -592,7 +645,7 @@ def eval_expr(e: Expr, pts: np.ndarray, memo: Optional[dict] = None):
     try:
         out = np.asarray(rec(e))
     finally:
-        del rec  # as in max_index
+        del rec  # rec's closure refers to rec: clear it so the call leaves no cycle
     if out.ndim == 0:
         out = np.broadcast_to(out, (pts.shape[0],))
     return np.asarray(out, dtype=complex)
@@ -756,7 +809,7 @@ def _parse_atom(tk: _Tokens) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Function layer: cylinder functions plus generic combinators
+# Function layer: cylinder functions over the tree; opaque functions as leaves
 # ---------------------------------------------------------------------------
 
 def _combine_radius_mul(r1, r2):
@@ -774,7 +827,12 @@ def _combine_radius_add(r1, r2):
 
 
 class FnBase:
-    """Common protocol: callable on (N, 2n) points; exact partials; algebra."""
+    """Leaf protocol: dim, support_radius, a call on (N, 2n) points, and
+    optional partials d_dx/d_dy.
+
+    Arithmetic lifts both operands through _as_fn, so every sum or product
+    is a CylinderFn and an opaque function enters it as a Leaf.
+    """
 
     dim: int
     support_radius: Optional[float]
@@ -788,39 +846,39 @@ class FnBase:
     def d_dy(self, i: int) -> "FnBase":
         raise NotImplementedError
 
-    def conj(self) -> "FnBase":
-        return FnConj(self)
-
     def __add__(self, other):
-        return FnSum((self, _as_fn(other)))
+        a, b = _as_fn(self), _as_fn(other)
+        return CylinderFn(add(a.expr, b.expr),
+                          _combine_radius_add(a.support_radius, b.support_radius),
+                          max(a.dim, b.dim))
 
-    def __radd__(self, other):
-        return FnSum((_as_fn(other), self))
+    __radd__ = __add__
 
     def __sub__(self, other):
-        return FnSum((self, FnScale(-1.0, _as_fn(other))))
+        return self + (-1.0) * _as_fn(other)
 
     def __mul__(self, other):
+        a = _as_fn(self)
         if isinstance(other, (int, float, complex)):
-            return FnScale(complex(other), self)
-        return FnProd(self, _as_fn(other))
+            return CylinderFn(mul(const(other), a.expr), a.support_radius, a.dim)
+        b = _as_fn(other)
+        return CylinderFn(mul(a.expr, b.expr),
+                          _combine_radius_mul(a.support_radius, b.support_radius),
+                          max(a.dim, b.dim))
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return FnScale(complex(other), self)
-        return FnProd(_as_fn(other), self)
+    __rmul__ = __mul__
 
     def __neg__(self):
-        return FnScale(-1.0, self)
+        return (-1.0) * self
 
 
-def _as_fn(v) -> FnBase:
-    if isinstance(v, FnBase):
+def _as_fn(v) -> "CylinderFn":
+    if isinstance(v, CylinderFn):
         return v
-    if isinstance(v, Expr):
+    if isinstance(v, FnBase):
+        return CylinderFn(Leaf(v), v.support_radius, v.dim)
+    if isinstance(v, (Expr, str)):
         return CylinderFn(v)
-    if isinstance(v, str):
-        return CylinderFn(parse(v))
     if isinstance(v, (int, float, complex)):
         return CylinderFn(const(v))
     raise TypeError(f"cannot coerce {type(v)} to a function")
@@ -847,210 +905,66 @@ class CylinderFn(FnBase):
     def d_dy(self, i: int) -> "CylinderFn":
         return CylinderFn(diff(self.expr, "y", i), self.support_radius, self.dim)
 
-    def conj(self) -> "CylinderFn":
-        return CylinderFn(conj_(self.expr), self.support_radius, self.dim)
-
-    def __add__(self, other):
-        if isinstance(other, (int, float, complex, Expr, str)):
-            other = _as_fn(other)
-        if isinstance(other, CylinderFn):
-            return CylinderFn(add(self.expr, other.expr),
-                              _combine_radius_add(self.support_radius, other.support_radius),
-                              max(self.dim, other.dim))
-        return super().__add__(other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float, complex, Expr, str)):
-            other = _as_fn(other)
-        if isinstance(other, CylinderFn):
-            return self + (-1.0) * other
-        return super().__sub__(other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return CylinderFn(mul(const(other), self.expr), self.support_radius, self.dim)
-        if isinstance(other, (Expr, str)):
-            other = _as_fn(other)
-        if isinstance(other, CylinderFn):
-            return CylinderFn(mul(self.expr, other.expr),
-                              _combine_radius_mul(self.support_radius, other.support_radius),
-                              max(self.dim, other.dim))
-        return super().__mul__(other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return (-1.0) * self
-
     def is_zero(self) -> bool:
         return _is_const(self.expr, 0)
-
-
-class FnSum(FnBase):
-    def __init__(self, fns):
-        self.fns = tuple(fns)
-        self.dim = max(f.dim for f in self.fns)
-        r = self.fns[0].support_radius
-        for f in self.fns[1:]:
-            r = _combine_radius_add(r, f.support_radius)
-        self.support_radius = r
-
-    def __call__(self, pts):
-        out = self.fns[0](pts)
-        for f in self.fns[1:]:
-            out = out + f(pts)
-        return out
-
-    def d_dx(self, i):
-        return FnSum(tuple(f.d_dx(i) for f in self.fns))
-
-    def d_dy(self, i):
-        return FnSum(tuple(f.d_dy(i) for f in self.fns))
-
-    def conj(self):
-        return FnSum(tuple(f.conj() for f in self.fns))
-
-
-class FnProd(FnBase):
-    def __init__(self, a: FnBase, b: FnBase):
-        self.a, self.b = a, b
-        self.dim = max(a.dim, b.dim)
-        self.support_radius = _combine_radius_mul(a.support_radius, b.support_radius)
-
-    def __call__(self, pts):
-        return self.a(pts) * self.b(pts)
-
-    def d_dx(self, i):
-        return FnSum((FnProd(self.a.d_dx(i), self.b), FnProd(self.a, self.b.d_dx(i))))
-
-    def d_dy(self, i):
-        return FnSum((FnProd(self.a.d_dy(i), self.b), FnProd(self.a, self.b.d_dy(i))))
-
-    def conj(self):
-        return FnProd(self.a.conj(), self.b.conj())
-
-
-class FnScale(FnBase):
-    def __init__(self, c: complex, f: FnBase):
-        self.c = complex(c)
-        self.f = f
-        self.dim = f.dim
-        self.support_radius = f.support_radius
-
-    def __call__(self, pts):
-        return self.c * self.f(pts)
-
-    def d_dx(self, i):
-        return FnScale(self.c, self.f.d_dx(i))
-
-    def d_dy(self, i):
-        return FnScale(self.c, self.f.d_dy(i))
-
-    def conj(self):
-        return FnScale(self.c.conjugate(), self.f.conj())
-
-
-class FnConj(FnBase):
-    def __init__(self, f: FnBase):
-        self.f = f
-        self.dim = f.dim
-        self.support_radius = f.support_radius
-
-    def __call__(self, pts):
-        return np.conjugate(self.f(pts))
-
-    def d_dx(self, i):
-        return FnConj(self.f.d_dx(i))
-
-    def d_dy(self, i):
-        return FnConj(self.f.d_dy(i))
-
-    def conj(self):
-        return self.f
 
 
 ZERO_FN = CylinderFn(ZERO, support_radius=0.0)
 
 
 # ---------------------------------------------------------------------------
-# Wirtinger / Gaussian-adjoint operators (work on any FnBase)
+# Wirtinger / Gaussian-adjoint operators (any function, through _as_fn)
 # ---------------------------------------------------------------------------
 
-def del_op(f: FnBase, i: int) -> FnBase:
+def del_op(f: FnBase, i: int) -> CylinderFn:
     """Holomorphic Wirtinger derivative: (d/dx_i - i d/dy_i)/2."""
     f = _as_fn(f)
-    if isinstance(f, CylinderFn):
-        e = add(mul(const(0.5), diff(f.expr, "x", i)),
-                mul(const(-0.5j), diff(f.expr, "y", i)))
-        return CylinderFn(e, f.support_radius, f.dim)
-    return FnSum((FnScale(0.5, f.d_dx(i)), FnScale(-0.5j, f.d_dy(i))))
+    e = add(mul(const(0.5), diff(f.expr, "x", i)),
+            mul(const(-0.5j), diff(f.expr, "y", i)))
+    return CylinderFn(e, f.support_radius, f.dim)
 
 
-def delbar_op(f: FnBase, i: int) -> FnBase:
+def delbar_op(f: FnBase, i: int) -> CylinderFn:
     """Antiholomorphic Wirtinger derivative: (d/dx_i + i d/dy_i)/2."""
     f = _as_fn(f)
-    if isinstance(f, CylinderFn):
-        e = add(mul(const(0.5), diff(f.expr, "x", i)),
-                mul(const(0.5j), diff(f.expr, "y", i)))
-        return CylinderFn(e, f.support_radius, f.dim)
-    return FnSum((FnScale(0.5, f.d_dx(i)), FnScale(0.5j, f.d_dy(i))))
+    e = add(mul(const(0.5), diff(f.expr, "x", i)),
+            mul(const(0.5j), diff(f.expr, "y", i)))
+    return CylinderFn(e, f.support_radius, f.dim)
 
 
-def wirtinger(f: FnBase, i: int) -> tuple[FnBase, FnBase]:
+def wirtinger(f: FnBase, i: int) -> tuple[CylinderFn, CylinderFn]:
     return del_op(f, i), delbar_op(f, i)
 
 
-def delta_op(f: FnBase, i: int, a_i: float) -> FnBase:
+def delta_op(f: FnBase, i: int, a_i: float) -> CylinderFn:
     """delta_i f = del_i f - zb_i/(2 a_i^2) * f."""
     if not a_i > 0:
         raise ValueError("a_i must be positive")
     f = _as_fn(f)
     factor = -1.0 / (2.0 * a_i ** 2)
-    if isinstance(f, CylinderFn):
-        d = del_op(f, i)
-        e = add(d.expr, mul(const(factor), zb(i), f.expr))
-        return CylinderFn(e, f.support_radius, max(f.dim, i))
-    return FnSum((del_op(f, i), FnScale(factor, FnProd(CylinderFn(zb(i)), f))))
+    e = add(del_op(f, i).expr, mul(const(factor), zb(i), f.expr))
+    return CylinderFn(e, f.support_radius, max(f.dim, i))
 
 
-def sigma_op(f: FnBase, i: int, a_i: float, varphi: FnBase) -> FnBase:
+def sigma_op(f: FnBase, i: int, a_i: float, varphi: FnBase) -> CylinderFn:
     """sigma_i f = delta_i f - f * del_i(varphi)."""
     f = _as_fn(f)
     varphi = _as_fn(varphi)
     d = delta_op(f, i, a_i)
-    term = FnProd(f, del_op(varphi, i))
-    if isinstance(d, CylinderFn) and isinstance(f, CylinderFn) and isinstance(varphi, CylinderFn):
-        e = add(d.expr, mul(const(-1), f.expr, del_op(varphi, i).expr))
-        return CylinderFn(e, d.support_radius, max(d.dim, varphi.dim))
-    return FnSum((d, FnScale(-1.0, term)))
+    e = add(d.expr, mul(const(-1), f.expr, del_op(varphi, i).expr))
+    return CylinderFn(e, d.support_radius, max(d.dim, varphi.dim))
 
 
 def free_variables(e: Expr) -> set:
-    """Set of ('x'|'y', i) variables appearing in the expression."""
+    """Set of ('x'|'y', i) variables in the expression; a leaf brings all of its dim."""
     out: set = set()
-    stack = [e]
-    seen = set()
-    while stack:
-        n = stack.pop()
-        if id(n) in seen:
-            continue
-        seen.add(id(n))
+    for n in _walk(e):
         if isinstance(n, VarX):
             out.add(("x", n.i))
         elif isinstance(n, VarY):
             out.add(("y", n.i))
-        elif isinstance(n, Add):
-            stack.extend(n.terms)
-        elif isinstance(n, Mul):
-            stack.extend(n.factors)
-        elif isinstance(n, Div):
-            stack.extend((n.num, n.den))
-        elif isinstance(n, Pow):
-            stack.append(n.base)
-        elif isinstance(n, (Fun, BumpD, CubicStepD, GermStepD, Poly1, Conj)):
-            stack.append(n.arg)
+        elif isinstance(n, Leaf):
+            out.update((k, i) for i in range(1, n.fn.dim + 1) for k in "xy")
     return out
 
 

@@ -19,17 +19,16 @@ over-estimation is the safe direction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .domains import Domain, complex_hessian, normalize_eta
-from .forms import Form, support_mask
-from .gaussmeasure import GaussianSpec, Quadrature
-from .symfun import (CylinderFn, FnBase, add, conj_, const, cubic_step,
-                     del_op, delbar_op, diff, eval_expr, germ_step, mul,
-                     poly1, x)
+from .forms import Form
+from .gaussmeasure import GaussianSpec
+from .symfun import (CylinderFn, add, conj_, const, cubic_step, del_op,
+                     delbar_op, diff, eval_expr, germ_step, mul, poly1, x)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +92,7 @@ def smooth_step(rho: float, eta: Optional[CylinderFn] = None):
 # The psi majorant
 # ---------------------------------------------------------------------------
 
-def dbar_eta_sq_sum(eta: CylinderFn, n: int) -> FnBase:
+def dbar_eta_sq_sum(eta: CylinderFn, n: int) -> CylinderFn:
     """sum over i <= n of |dbar_i eta|^2 as a symbolic function."""
     terms = []
     for i in range(1, n + 1):
@@ -107,7 +106,7 @@ class PsiReport:
     psi: CylinderFn
     levels: np.ndarray
     safety: float
-    target: FnBase
+    target: Callable[[np.ndarray], np.ndarray]  # ln(1 + (9/4) sum_i |dbar_i eta|^2)
 
 
 def staircase_fn(levels: Sequence[float], eta: CylinderFn) -> CylinderFn:
@@ -143,15 +142,7 @@ def psi_majorant(domain: Domain, trunc_dim: int, levels: int,
         pts = domain.sample_sublevel(trunc_dim, float(j + 1), samples, seed + j)
         lv[j] = (1.0 + safety) * float(np.max(target_vals(pts)))
     psi = staircase_fn(lv, eta)
-
-    class _Target(FnBase):
-        dim = trunc_dim
-        support_radius = None
-
-        def __call__(self, pts):
-            return target_vals(pts).astype(complex)
-
-    return PsiReport(psi=psi, levels=lv, safety=safety, target=_Target())
+    return PsiReport(psi=psi, levels=lv, safety=safety, target=target_vals)
 
 
 # ---------------------------------------------------------------------------

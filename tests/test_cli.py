@@ -118,6 +118,18 @@ class TestReports:
         for name in ("identities_report.jsonl", "identities_summary.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_perturbed_gauss_green_leaves_the_audit_points(self, tmp_path):
+        # the pointwise checks must not see the Gauss-Green quadrature points
+        bad = dict(BASE_IDENTITIES, perturb={"gauss_green_a1": 0.05})
+        out = {}
+        for name, payload in (("plain", BASE_IDENTITIES), ("perturbed", bad)):
+            cfg = write_config(tmp_path, payload, name=f"{name}.json")
+            run(["identities", "--config", cfg, "--out", tmp_path / name])
+            out[name] = {r["check_id"]: r for r in map(json.loads, (
+                tmp_path / name / "identities_report.jsonl").read_text().splitlines())}
+        for check in ("commutator", "s_after_t_zero", "multiplier"):
+            assert out["plain"][check] == out["perturbed"][check]
+
     def test_majorant_command(self, tmp_path):
         cfg = write_config(tmp_path, {"g0": "one", "K_max": 8.0,
                                       "trunc_order": 120})

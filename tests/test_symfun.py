@@ -9,7 +9,7 @@ from dbarl2.symfun import (CylinderFn, EvalError, ParseError, bump, conj_,
                            del_op, delbar_op, delta_op, diff, eval_expr,
                            fd_check, parse, sigma_op, wirtinger)
 
-from conftest import random_smooth_expr
+from conftest import ScalarTwo, bump_fn, random_smooth_expr
 
 
 def ev(text, pt):
@@ -202,6 +202,77 @@ class TestSupport:
         assert (a * b).support_radius == 1.0
         assert (a + b).support_radius == 2.0
         assert (a * CylinderFn("x(2)")).support_radius == 1.0
+
+
+
+class TestLeaf:
+    """Opaque functions enter the tree as Leaf nodes."""
+
+    @pytest.fixture
+    def grid(self):
+        from dbarl2.reduction import fn_to_grid
+        return fn_to_grid(CylinderFn("(1+x(1)*y(1))*bump((x(1)^2+y(1)^2)/0.64)",
+                                     support_radius=0.8), 1, 1.0, 41)
+
+    @pytest.fixture
+    def pts(self):
+        return np.random.default_rng(11).normal(size=(60, 2), scale=0.3)
+
+    def test_grid_times_cylinder(self, grid, pts):
+        cf = CylinderFn("exp(x(1))")
+        prod = grid * cf
+        assert isinstance(prod, CylinderFn)
+        assert np.array_equal(prod(pts), grid(pts) * cf(pts))
+
+    def test_reduced_plus_cylinder(self, spec2):
+        from dbarl2.gaussmeasure import ReducedFn, reduce_fn
+        red = reduce_fn(bump_fn(2, 0.8), 1, spec2)
+        assert isinstance(red, ReducedFn)
+        cf = CylinderFn("sin(x(1))")
+        total = red + cf
+        assert isinstance(total, CylinderFn)
+        pts = np.random.default_rng(12).normal(size=(40, 2), scale=0.3)
+        assert np.array_equal(total(pts), red(pts) + cf(pts))
+
+    def test_negated_grid(self, grid, pts):
+        neg = -grid
+        assert isinstance(neg, CylinderFn)
+        assert np.array_equal(neg(pts), (-1.0) * grid(pts))
+
+    def test_delbar_of_leaf_product_is_the_product_rule(self, grid, pts):
+        f = CylinderFn("x(1)^2*y(1)+y(1)")
+        got = delbar_op(grid * f, 1)(pts)
+        gx, gy = grid.d_dx(1)(pts), grid.d_dy(1)(pts)
+        fx, fy = f.d_dx(1)(pts), f.d_dy(1)(pts)
+        want = 0.5 * (gx * f(pts) + grid(pts) * fx) + 0.5j * (gy * f(pts) + grid(pts) * fy)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_leaf_dim_counts_as_variables(self):
+        leaf = sf.Leaf(ScalarTwo(3))
+        e = sf.mul(sf.x(1), leaf)
+        assert sf.max_index(e) == 3
+        assert sf.free_variables(e) == {(k, i) for k in "xy" for i in (1, 2, 3)}
+        assert CylinderFn(e).dim == 3
+
+    def test_leaves_compare_by_payload(self, grid):
+        a, b = sf.Leaf(grid), sf.Leaf(ScalarTwo(1))
+        assert a != b
+        assert a == sf.Leaf(grid) and hash(a) == hash(sf.Leaf(grid))
+
+    def test_substitute_nothing_keeps_every_node_kind(self, grid, pts):
+        from dbarl2.domains import _substitute
+        x1, y1 = sf.x(1), sf.y(1)
+        e = sf.add(
+            sf.mul(sf.const(0.5 + 0.25j), x1, sf.Leaf(grid)),
+            sf.div(sf.exp_(y1), sf.add(sf.pw(x1, 2), sf.const(1.0))),
+            sf.bump(x1), sf.cubic_step(y1, 0.0), sf.germ_step(x1),
+            sf.poly1(y1, (1.0, 2.0, 3.0)), conj_(sf.mul(x1, sf.const(1j), y1)))
+        kinds = {type(n).__name__ for n in sf._walk(e)}
+        assert kinds == {"Const", "VarX", "VarY", "Add", "Mul", "Div", "Pow", "Fun",
+                         "BumpD", "CubicStepD", "GermStepD", "Poly1", "Conj", "Leaf"}
+        same = _substitute(e, {})
+        assert same == e
+        assert np.array_equal(eval_expr(same, pts), eval_expr(e, pts))
 
 
 class TestGerms:
