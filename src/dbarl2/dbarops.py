@@ -27,7 +27,7 @@ from .forms import Form, inner_vals
 from .gaussmeasure import GaussianSpec, MCEstimate, Quadrature, paired_residual
 from .multiindex import WeightFamily, as_multiindex, epsilon, insert
 from .symfun import (CylinderFn, FnBase, ZERO_FN, _as_fn, del_op, delbar_op,
-                     delta_op, exp_, sigma_op)
+                     delta_op, eval_expr, exp_, sigma_op)
 
 
 @dataclass
@@ -129,12 +129,17 @@ def ibp_residual(f: FnBase, g: FnBase, i: int, spec: GaussianSpec,
         if varphi is None:
             raise ValueError("weighted variant needs varphi")
         varphi = _as_fn(varphi)
-        density = np.exp(-np.real(varphi(pts)))
-        lhs = delbar_op(f, i)(pts) * np.conjugate(g(pts)) * density
-        rhs = -f(pts) * np.conjugate(sigma_op(g, i, a_i, varphi)(pts)) * density
+        vphi, dbf, vg, vf, vsg = eval_expr(
+            [varphi.expr, delbar_op(f, i).expr, g.expr, f.expr,
+             sigma_op(g, i, a_i, varphi).expr], pts)
+        density = np.exp(-np.real(vphi))
+        lhs = dbf * np.conjugate(vg) * density
+        rhs = -vf * np.conjugate(vsg) * density
     else:
-        lhs = delbar_op(f, i)(pts) * np.conjugate(g(pts))
-        rhs = -f(pts) * np.conjugate(delta_op(g, i, a_i)(pts))
+        dbf, vg, vf, vdg = eval_expr(
+            [delbar_op(f, i).expr, g.expr, f.expr, delta_op(g, i, a_i).expr], pts)
+        lhs = dbf * np.conjugate(vg)
+        rhs = -vf * np.conjugate(vdg)
     return paired_residual(lhs, rhs, w, quad.deterministic)
 
 
@@ -152,7 +157,8 @@ def commutator_residual(h: FnBase, i: int, j: int, ctx: OperatorContext,
         - sigma_op(delbar_op(h, i), j, a_j, varphi)
     cross = h * delbar_op(del_op(varphi, j), i)
     kron = 1.0 if i == j else 0.0
-    vals = left(points) + cross(points) + (kron / (2.0 * a_j ** 2)) * h(points)
+    vl, vc, vh = eval_expr([left.expr, cross.expr, h.expr], points)
+    vals = vl + vc + (kron / (2.0 * a_j ** 2)) * vh
     return float(np.max(np.abs(vals))) if len(vals) else 0.0
 
 
@@ -210,9 +216,8 @@ def multiplier_residual(m: FnBase, f: Form, ctx: OperatorContext,
     rhs = dbar(f).mul_fn(m) + wedge_dbar_fn(m, f)
     worst = 0.0
     keys = set(lhs.coeffs) | set(rhs.coeffs)
-    for k in keys:
-        va = lhs.coeff(*k)(points)
-        vb = rhs.coeff(*k)(points)
+    vals = eval_expr([g.coeff(*k).expr for k in keys for g in (lhs, rhs)], points)
+    for va, vb in zip(vals[0::2], vals[1::2]):
         if len(va):
             worst = max(worst, float(np.max(np.abs(va - vb))))
     return worst
@@ -222,8 +227,7 @@ def st_complex_residual(u: Form, points: np.ndarray) -> float:
     """Max pointwise coefficient of dbar(dbar u): the complex property S T = 0."""
     ddu = dbar(dbar(u))
     worst = 0.0
-    for fn in ddu.coeffs.values():
-        vals = fn(points)
+    for vals in eval_expr([fn.expr for fn in ddu.coeffs.values()], points):
         if len(vals):
             worst = max(worst, float(np.max(np.abs(vals))))
     return worst

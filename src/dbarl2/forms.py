@@ -20,7 +20,7 @@ import numpy as np
 
 from .gaussmeasure import GaussianSpec, MCEstimate, Quadrature, _estimate
 from .multiindex import MultiIndex, WeightFamily, as_multiindex, insert
-from .symfun import FnBase, ZERO_FN, _as_fn
+from .symfun import FnBase, ZERO_FN, _as_fn, eval_expr
 
 
 Key = Tuple[MultiIndex, MultiIndex]
@@ -128,22 +128,46 @@ def support_mask(pts: np.ndarray, radius: Optional[float], dim: int) -> Optional
     return rsq <= radius * radius * (1.0 + 1e-12)
 
 
-def _weighted_sq_vals(form: Form, w_fn, pts: np.ndarray) -> np.ndarray:
-    """Pointwise Sum' c[I,J] |f[I,J]|^2 e^{-w}; weight evaluated on support only."""
-    total = np.zeros(pts.shape[0], dtype=float)
-    for (I, J), fn in form.coeffs.items():
-        c = form.family.coeff(I, J) if form.family is not None else 1.0
-        total += c * np.abs(fn(pts)) ** 2
-    if w_fn is None:
-        return total
-    mask = support_mask(pts, form.support_radius(), form.max_dim())
-    out = np.zeros_like(total)
-    if mask is None:
-        out = total * np.exp(-np.real(_as_fn(w_fn)(pts)))
-    else:
+def _weighted_sq_vals(parts, pts: np.ndarray) -> list:
+    """Pointwise Sum' c[I,J] |f[I,J]|^2 e^{-w} for each (form, w_fn) in parts.
+
+    The coefficients of all parts are evaluated over one shared memo; each
+    weight only on its form's support.
+    """
+    vals = iter(eval_expr([fn.expr for form, _ in parts for fn in form.coeffs.values()], pts))
+    totals = []
+    for form, _ in parts:
+        total = np.zeros(pts.shape[0], dtype=float)
+        for (I, J) in form.coeffs:
+            c = form.family.coeff(I, J) if form.family is not None else 1.0
+            total += c * np.abs(next(vals)) ** 2
+        totals.append(total)
+    return _weigh(totals, [(w_fn, form.support_radius(), form.max_dim())
+                           for form, w_fn in parts], pts)
+
+
+def _weigh(totals: list, weights: list, pts: np.ndarray) -> list:
+    """totals[k] * e^{-Re w_k} for weights[k] = (w_k, radius, dim), w_k evaluated
+    on the support ball only (no factor for w_k None); weights on the same ball
+    share one evaluation."""
+    balls: dict = {}
+    for k, (w_fn, radius, dim) in enumerate(weights):
+        if w_fn is not None:
+            balls.setdefault((radius, dim), []).append(k)
+    outs = list(totals)
+    for (radius, dim), ks in balls.items():
+        exprs = [_as_fn(weights[k][0]).expr for k in ks]
+        mask = support_mask(pts, radius, dim)
+        if mask is None:
+            for k, w in zip(ks, eval_expr(exprs, pts)):
+                outs[k] = totals[k] * np.exp(-np.real(w))
+            continue
+        for k in ks:
+            outs[k] = np.zeros_like(totals[k])
         if np.any(mask):
-            out[mask] = total[mask] * np.exp(-np.real(_as_fn(w_fn)(pts[mask])))
-    return out
+            for k, w in zip(ks, eval_expr(exprs, pts[mask])):
+                outs[k][mask] = totals[k][mask] * np.exp(-np.real(w))
+    return outs
 
 
 def norm_sq(form: Form, w_fn, spec: GaussianSpec, quad: Quadrature) -> MCEstimate:
@@ -151,7 +175,7 @@ def norm_sq(form: Form, w_fn, spec: GaussianSpec, quad: Quadrature) -> MCEstimat
     if form.max_dim() > spec.trunc_dim:
         raise ValueError("form coefficients exceed the truncation dimension")
     pts, wq = quad.nodes_weights(spec)
-    vals = _weighted_sq_vals(form, w_fn, pts)
+    vals, = _weighted_sq_vals([(form, w_fn)], pts)
     return _estimate(vals.astype(complex), wq, quad.deterministic, getattr(quad, "seed", None))
 
 
@@ -168,24 +192,14 @@ def inner_vals(fa: Form, fb: Form, w_fn, pts: np.ndarray) -> np.ndarray:
     """Pointwise integrand of the weighted inner product (for paired residuals)."""
     family = fa.family or fb.family
     total = np.zeros(pts.shape[0], dtype=complex)
-    keys = set(fa.coeffs) & set(fb.coeffs)
-    for k in keys:
+    keys = list(set(fa.coeffs) & set(fb.coeffs))
+    vals = eval_expr([g.coeffs[k].expr for k in keys for g in (fa, fb)], pts)
+    for k, va, vb in zip(keys, vals[0::2], vals[1::2]):
         c = family.coeff(*k) if family is not None else 1.0
-        total += c * fa.coeffs[k](pts) * np.conjugate(fb.coeffs[k](pts))
-    if w_fn is None:
-        return total
+        total += c * va * np.conjugate(vb)
     ra, rb = fa.support_radius(), fb.support_radius()
-    if ra is None or rb is None:
-        radius = None
-    else:
-        radius = min(ra, rb)
-    mask = support_mask(pts, radius, max(fa.max_dim(), fb.max_dim()))
-    out = np.zeros_like(total)
-    if mask is None:
-        out = total * np.exp(-np.real(_as_fn(w_fn)(pts)))
-    else:
-        if np.any(mask):
-            out[mask] = total[mask] * np.exp(-np.real(_as_fn(w_fn)(pts[mask])))
+    radius = None if ra is None or rb is None else min(ra, rb)
+    out, = _weigh([total], [(w_fn, radius, max(fa.max_dim(), fb.max_dim()))], pts)
     return out
 
 

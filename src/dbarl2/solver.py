@@ -32,7 +32,7 @@ from .domains import Domain, complex_hessian
 from .forms import Form, _weighted_sq_vals
 from .gaussmeasure import GaussianSpec, Quadrature, sample
 from .multiindex import check_conditions
-from .symfun import (BumpD, CylinderFn, add, const, mul, norm_sq_coords,
+from .symfun import (BumpD, CylinderFn, add, const, eval_expr, mul, norm_sq_coords,
                      poly1, x, y, _as_fn)
 from .weights import WeightTriple, check_cond4
 
@@ -143,16 +143,13 @@ _SV_CUT = 1e-10
 def _stack_rows(forms_per_basis, slots, pts, wq, weight_vals, family):
     """Rows (slot x node) by columns (basis): sqrt(c w e^{-w}) . coeff values."""
     M = len(pts)
-    cols = []
-    for fb in forms_per_basis:
-        col = np.empty(M * len(slots), dtype=complex)
-        for si, key in enumerate(slots):
-            fn = fb.coeffs.get(key)
-            vals = fn(pts) if fn is not None else np.zeros(M, dtype=complex)
-            c = family.coeff(*key)
-            col[si * M:(si + 1) * M] = vals * np.sqrt(c * wq * weight_vals)
-        cols.append(col)
-    return np.stack(cols, axis=1)
+    scale = [np.sqrt(family.coeff(*key) * wq * weight_vals) for key in slots]
+    cells = [(b, si, fb.coeffs[key]) for b, fb in enumerate(forms_per_basis)
+             for si, key in enumerate(slots) if key in fb.coeffs]
+    out = np.zeros((M * len(slots), len(forms_per_basis)), dtype=complex)
+    for (b, si, _), vals in zip(cells, eval_expr([fn.expr for *_, fn in cells], pts)):
+        out[si * M:(si + 1) * M, b] = vals * scale[si]
+    return out
 
 
 def solve_min_norm(p: SolveProblem) -> tuple[Form, SolveReport]:
@@ -293,8 +290,9 @@ def key_inequality_check(f: Form, ctx: OperatorContext, quad: Quadrature,
     tsf = Tstar(f, ctx)
     sf_ = dbar(f)
     pts, wq = quad.nodes_weights(ctx.spec)
-    lhs_vals = _weighted_sq_vals(tsf, ctx.w1, pts) + _weighted_sq_vals(sf_, ctx.w3, pts)
-    rhs_vals = rep.c0_inf * _weighted_sq_vals(f, ctx.w2, pts)
+    sq_tsf, sq_sf, sq_f = _weighted_sq_vals([(tsf, ctx.w1), (sf_, ctx.w3), (f, ctx.w2)], pts)
+    lhs_vals = sq_tsf + sq_sf
+    rhs_vals = rep.c0_inf * sq_f
     diff = lhs_vals - rhs_vals
     lhs = float(np.sum(wq * lhs_vals))
     rhs = float(np.sum(wq * rhs_vals))

@@ -16,15 +16,27 @@ derivatives stay exact:
 
 A function known only by its values (a grid function, a reduced integral)
 enters the tree as an opaque ``Leaf``: evaluation calls it, and its partials
-are whatever its own ``d_dx``/``d_dy`` return.  So there is one algebra, and
-the Wirtinger operators act on every function through the tree.
+are whatever its own ``d_dx``/``d_dy`` return (zero in the coordinates beyond
+its ``dim``).  So there is one algebra, and the Wirtinger operators act on
+every function through the tree.
+
+Nodes are hash-consed: a constructor returns the one live node with the same
+type, scalar fields (floats and complex values by their exact bits) and
+children, so structurally equal trees are one object and node equality is
+identity.  A node's ``max_index`` is computed once, when it is made, and
+derivatives are kept in a bounded table keyed by node.  ``eval_expr`` takes
+one root or several on one point set and evaluates them over one shared memo,
+so a subtree common to several coefficients is evaluated once; each value is
+dropped as soon as its last consumer has been computed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import struct
+import weakref
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -41,11 +53,72 @@ class ParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# AST
+# AST: hash-consed nodes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Expr:
+_PACK1 = struct.Struct("<d").pack
+_PACK2 = struct.Struct("<2d").pack
+
+
+def _field_key(v):
+    """Intern key of one field: a child by identity, a float or complex value
+    by its exact bits (0.0 and -0.0 stay apart), an opaque payload by id."""
+    if isinstance(v, Expr):
+        return v
+    t = type(v)
+    if t is complex:
+        return _PACK2(v.real, v.imag)
+    if t is float:
+        return _PACK1(v)
+    if t is int or t is str:
+        return v
+    if t is tuple:
+        return tuple(map(_field_key, v))
+    return id(v)  # the node holds the payload, so the id stays unique while it lives
+
+
+# live nodes by (type, field keys); an entry goes when its node is freed
+_INTERNED: dict = {}
+
+
+def _forget(ref, table=_INTERNED):
+    # the table is bound here so that the callback still finds it at shutdown
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
+class _Interned(type):
+    """Node classes whose constructor returns the one live node with the same
+    type, scalar fields and children (Filliatre & Conchon, hash-consing).
+
+    Structurally equal trees are therefore one object, so node equality and
+    hashing are identity, and an id-keyed memo shares every common subtree.
+    """
+
+    def __call__(cls, *args, **kwargs):
+        if kwargs:  # dataclasses.replace passes every field by name
+            args += tuple(kwargs[f.name] for f in fields(cls)[len(args):])
+        key = (cls, *map(_field_key, args))
+        ref = _INTERNED.get(key)
+        node = ref() if ref is not None else None
+        if node is None:
+            node = super().__call__(*args)
+            _INTERNED[key] = weakref.KeyedRef(node, _forget, key)
+        return node
+
+
+@dataclass(frozen=True, eq=False)
+class Expr(metaclass=_Interned):
+    def __post_init__(self):
+        # depends only on the node, so it is computed once, from the children's
+        if isinstance(self, (VarX, VarY)):
+            top = self.i
+        elif isinstance(self, Leaf):
+            top = self.fn.dim
+        else:
+            top = max((c._max_index for c in _children(self)), default=0)
+        object.__setattr__(self, "_max_index", top)
+
     def __add__(self, other):
         return add(self, _as_expr(other))
 
@@ -77,57 +150,57 @@ class Expr:
         return mul(const(-1), self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Const(Expr):
     val: complex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VarX(Expr):
     i: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VarY(Expr):
     i: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Add(Expr):
     terms: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mul(Expr):
     factors: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Div(Expr):
     num: Expr
     den: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pow(Expr):
     base: Expr
     k: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Fun(Expr):
     name: str  # exp | log | sin | cos
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BumpD(Expr):
     """k-th derivative of the bump germ, as a single exact primitive."""
     arg: Expr
     k: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CubicStepD(Expr):
     """order-th derivative of the cubic step h_level (1 below level, 0 above level+1)."""
     arg: Expr
@@ -135,36 +208,44 @@ class CubicStepD(Expr):
     order: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GermStepD(Expr):
     """k-th derivative of the smooth step germ (1 for x<=0, 0 for x>=1)."""
     arg: Expr
     k: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Poly1(Expr):
     """Polynomial in one subexpression, ascending coefficients."""
     arg: Expr
     coeffs: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Conj(Expr):
     arg: Expr
 
 
 @dataclass(frozen=True, eq=False)
 class Leaf(Expr):
-    """An opaque function (FnBase protocol) of the point array."""
+    """An opaque function (FnBase protocol) of the point array, interned by identity."""
     fn: object
 
-    # by the payload's identity: Expr's field-less __eq__ would equate all leaves
-    def __eq__(self, other):
-        return isinstance(other, Leaf) and other.fn is self.fn
 
-    def __hash__(self):
-        return id(self.fn)
+def _children(e: Expr) -> tuple:
+    """The direct subexpressions of a node."""
+    if isinstance(e, (Const, VarX, VarY, Leaf)):
+        return ()
+    if isinstance(e, Add):
+        return e.terms
+    if isinstance(e, Mul):
+        return e.factors
+    if isinstance(e, Div):
+        return (e.num, e.den)
+    if isinstance(e, Pow):
+        return (e.base,)
+    return (e.arg,)  # Fun, BumpD, CubicStepD, GermStepD, Poly1, Conj
 
 
 ZERO = Const(0.0)
@@ -354,21 +435,6 @@ def conj_(arg) -> Expr:
 # Traversal
 # ---------------------------------------------------------------------------
 
-def _children(e: Expr) -> tuple:
-    """The direct subexpressions of a node."""
-    if isinstance(e, (Const, VarX, VarY, Leaf)):
-        return ()
-    if isinstance(e, Add):
-        return e.terms
-    if isinstance(e, Mul):
-        return e.factors
-    if isinstance(e, Div):
-        return (e.num, e.den)
-    if isinstance(e, Pow):
-        return (e.base,)
-    return (e.arg,)  # Fun, BumpD, CubicStepD, GermStepD, Poly1, Conj
-
-
 def _rebuild(e: Expr, kids: tuple) -> Expr:
     """The node e over new children, through the simplifying constructors."""
     if isinstance(e, Add):
@@ -451,6 +517,14 @@ def _germ_template(k: int) -> Expr:
     return _GERM_TEMPLATES[k]
 
 
+# derivatives of interned nodes, by (node, kind, i); a bounded table outside
+# the nodes, since d exp(a) holds exp(a) and a cache on the node would be a
+# cycle.  A 4096-entry table ran the benchmark's cases no faster than this
+# one but kept more nodes alive for the cyclic collector to scan.
+_DIFF_CACHE = 1 << 9
+
+
+@lru_cache(maxsize=_DIFF_CACHE)
 def diff(e: Expr, kind: str, i: int) -> Expr:
     """Exact symbolic partial derivative with respect to x_i or y_i."""
     if isinstance(e, Const):
@@ -500,20 +574,15 @@ def diff(e: Expr, kind: str, i: int) -> Expr:
     if isinstance(e, Conj):
         return conj_(diff(e.arg, kind, i))
     if isinstance(e, Leaf):
+        if i > e.fn.dim:  # a function of the first dim coordinates only
+            return ZERO
         return Leaf(e.fn.d_dx(i) if kind == "x" else e.fn.d_dy(i))
     raise TypeError(f"cannot differentiate {type(e)}")
 
 
 def max_index(e: Expr) -> int:
     """Largest variable index in the expression; a leaf counts as its dim (0 for constants)."""
-    out = 0
-    for n in _walk(e):
-        if isinstance(n, (VarX, VarY)):
-            if n.i > out:
-                out = n.i
-        elif isinstance(n, Leaf):
-            out = max(out, n.fn.dim)
-    return out
+    return e._max_index
 
 
 # ---------------------------------------------------------------------------
@@ -535,120 +604,151 @@ def _require_real(v, what: str):
     return v
 
 
-def eval_expr(e: Expr, pts: np.ndarray, memo: Optional[dict] = None):
-    """Evaluate on points of shape (N, 2n); returns scalar or (N,) array."""
+def _schedule(roots: tuple) -> tuple[list, dict]:
+    """The distinct nodes under the roots, children first, and how many
+    times each is consumed (once per parent slot, once per root)."""
+    uses: dict = {}
+    order = []
+    for r in roots:
+        uses[r] = uses.get(r, 0) + 1
+        if uses[r] > 1:
+            continue
+        stack = [(r, iter(_children(r)))]
+        while stack:
+            n, kids = stack[-1]
+            for c in kids:
+                seen = c in uses
+                uses[c] = uses[c] + 1 if seen else 1
+                if not seen:
+                    stack.append((c, iter(_children(c))))
+                    break
+            else:
+                stack.pop()
+                order.append(n)
+    return order, uses
+
+
+def eval_expr(e: Union[Expr, Sequence[Expr]], pts: np.ndarray):
+    """Evaluate on points of shape (N, 2n): one root gives an (N,) complex
+    array, a sequence of roots gives a list of them.
+
+    All roots share one memo keyed by node; nodes are interned, so a subtree
+    common to several roots is evaluated once.  A value is dropped as soon as
+    its last consumer has been computed.
+    """
     pts = np.asarray(pts, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
-    if memo is None:
-        memo = {}
-
-    ncols = pts.shape[1]
-
-    def rec(n):
-        key = id(n)
-        if key in memo:
-            return memo[key]
-        if isinstance(n, Const):
-            v = n.val
-        elif isinstance(n, VarX):
-            col = 2 * (n.i - 1)
-            if col >= ncols:
-                raise EvalError(f"point has no coordinate x_{n.i}")
-            v = pts[:, col]
-        elif isinstance(n, VarY):
-            col = 2 * (n.i - 1) + 1
-            if col >= ncols:
-                raise EvalError(f"point has no coordinate y_{n.i}")
-            v = pts[:, col]
-        elif isinstance(n, Add):
-            v = rec(n.terms[0])
-            for t in n.terms[1:]:
-                v = v + rec(t)
-        elif isinstance(n, Mul):
-            v = rec(n.factors[0])
-            for t in n.factors[1:]:
-                v = v * rec(t)
-        elif isinstance(n, Div):
-            den = rec(n.den)
-            if np.any(den == 0):
-                raise EvalError("division by zero")
-            v = rec(n.num) / den
-        elif isinstance(n, Pow):
-            v = rec(n.base) ** n.k
-        elif isinstance(n, Fun):
-            a = rec(n.arg)
-            if n.name == "exp":
-                v = np.exp(a)
-            elif n.name == "log":
-                aa = np.asarray(a)
-                if np.iscomplexobj(aa):
-                    bad = (aa.imag == 0) & (aa.real <= 0)
-                else:
-                    bad = aa <= 0
-                if np.any(bad):
-                    raise EvalError("log of nonpositive real")
-                v = np.log(aa)
-            elif n.name == "sin":
-                v = np.sin(a)
-            elif n.name == "cos":
-                v = np.cos(a)
+    roots = (e,) if isinstance(e, Expr) else tuple(e)
+    order, uses = _schedule(roots)
+    memo: dict = {}
+    for n in order:
+        memo[n] = _node_value(n, memo, pts)
+        for c in _children(n):
+            left = uses[c] - 1
+            if left:
+                uses[c] = left
             else:
-                raise ValueError(n.name)
-        elif isinstance(n, BumpD):
-            t = np.atleast_1d(_require_real(rec(n.arg), "bump"))
-            om = 1.0 - t * t
-            inside = om > _EDGE
-            out = np.zeros(np.broadcast_shapes(t.shape, (1,)), dtype=float)
-            if np.any(inside):
-                ti = t[inside] if t.shape else t
-                omi = om[inside]
-                val = np.exp(-1.0 / omi)
-                if n.k > 0:
-                    val = val * npoly.polyval(ti, np.asarray(_bump_numer(n.k))) / omi ** (2 * n.k)
-                out[inside] = val
-            v = out if out.shape != () else float(out)
-        elif isinstance(n, CubicStepD):
-            t = np.atleast_1d(_require_real(rec(n.arg), "cubic step"))
-            tau = t - n.level
-            out = np.zeros(tau.shape, dtype=float)
-            if n.order == 0:
-                out[tau < 0.0] = 1.0
-            mid = (tau >= 0.0) & (tau <= 1.0)
-            if np.any(mid):
-                out[mid] = npoly.polyval(tau[mid], np.asarray(_cubic_poly(n.order)))
-            v = out
-        elif isinstance(n, GermStepD):
-            t = np.atleast_1d(_require_real(rec(n.arg), "smooth step"))
-            out = np.zeros(t.shape, dtype=float)
-            if n.k == 0:
-                out[t <= _GERM_CUT] = 1.0
-            mid = (t > _GERM_CUT) & (t < 1.0 - _GERM_CUT)
-            if np.any(mid):
-                sub = np.zeros((int(mid.sum()), 2))
-                sub[:, 0] = t[mid]
-                val = eval_expr(_germ_template(n.k), sub, None)
-                out[mid] = np.real(val)
-            v = out
-        elif isinstance(n, Poly1):
-            a = rec(n.arg)
-            v = npoly.polyval(np.asarray(a, dtype=complex), np.asarray(n.coeffs))
-        elif isinstance(n, Conj):
-            v = np.conjugate(rec(n.arg))
-        elif isinstance(n, Leaf):
-            v = n.fn(pts)
-        else:
-            raise TypeError(type(n))
-        memo[key] = v
-        return v
+                del memo[c]
+    outs = []
+    for r in roots:
+        out = np.asarray(memo[r])
+        if out.ndim == 0:
+            out = np.broadcast_to(out, (pts.shape[0],))
+        outs.append(np.asarray(out, dtype=complex))
+    return outs[0] if isinstance(e, Expr) else outs
 
-    try:
-        out = np.asarray(rec(e))
-    finally:
-        del rec  # rec's closure refers to rec: clear it so the call leaves no cycle
-    if out.ndim == 0:
-        out = np.broadcast_to(out, (pts.shape[0],))
-    return np.asarray(out, dtype=complex)
+
+def _node_value(n: Expr, memo: dict, pts: np.ndarray):
+    """The value of one node from the values of its children."""
+    if isinstance(n, Const):
+        return n.val
+    if isinstance(n, VarX):
+        col = 2 * (n.i - 1)
+        if col >= pts.shape[1]:
+            raise EvalError(f"point has no coordinate x_{n.i}")
+        return pts[:, col]
+    if isinstance(n, VarY):
+        col = 2 * (n.i - 1) + 1
+        if col >= pts.shape[1]:
+            raise EvalError(f"point has no coordinate y_{n.i}")
+        return pts[:, col]
+    if isinstance(n, Add):
+        v = memo[n.terms[0]]
+        for t in n.terms[1:]:
+            v = v + memo[t]
+        return v
+    if isinstance(n, Mul):
+        v = memo[n.factors[0]]
+        for t in n.factors[1:]:
+            v = v * memo[t]
+        return v
+    if isinstance(n, Div):
+        den = memo[n.den]
+        if np.any(den == 0):
+            raise EvalError("division by zero")
+        return memo[n.num] / den
+    if isinstance(n, Pow):
+        return memo[n.base] ** n.k
+    if isinstance(n, Fun):
+        a = memo[n.arg]
+        if n.name == "exp":
+            return np.exp(a)
+        if n.name == "log":
+            aa = np.asarray(a)
+            if np.iscomplexobj(aa):
+                bad = (aa.imag == 0) & (aa.real <= 0)
+            else:
+                bad = aa <= 0
+            if np.any(bad):
+                raise EvalError("log of nonpositive real")
+            return np.log(aa)
+        if n.name == "sin":
+            return np.sin(a)
+        if n.name == "cos":
+            return np.cos(a)
+        raise ValueError(n.name)
+    if isinstance(n, BumpD):
+        t = np.atleast_1d(_require_real(memo[n.arg], "bump"))
+        om = 1.0 - t * t
+        inside = om > _EDGE
+        out = np.zeros(np.broadcast_shapes(t.shape, (1,)), dtype=float)
+        if np.any(inside):
+            ti = t[inside] if t.shape else t
+            omi = om[inside]
+            val = np.exp(-1.0 / omi)
+            if n.k > 0:
+                val = val * npoly.polyval(ti, np.asarray(_bump_numer(n.k))) / omi ** (2 * n.k)
+            out[inside] = val
+        return out if out.shape != () else float(out)
+    if isinstance(n, CubicStepD):
+        t = np.atleast_1d(_require_real(memo[n.arg], "cubic step"))
+        tau = t - n.level
+        out = np.zeros(tau.shape, dtype=float)
+        if n.order == 0:
+            out[tau < 0.0] = 1.0
+        mid = (tau >= 0.0) & (tau <= 1.0)
+        if np.any(mid):
+            out[mid] = npoly.polyval(tau[mid], np.asarray(_cubic_poly(n.order)))
+        return out
+    if isinstance(n, GermStepD):
+        t = np.atleast_1d(_require_real(memo[n.arg], "smooth step"))
+        out = np.zeros(t.shape, dtype=float)
+        if n.k == 0:
+            out[t <= _GERM_CUT] = 1.0
+        mid = (t > _GERM_CUT) & (t < 1.0 - _GERM_CUT)
+        if np.any(mid):
+            sub = np.zeros((int(mid.sum()), 2))
+            sub[:, 0] = t[mid]
+            out[mid] = np.real(eval_expr(_germ_template(n.k), sub))
+        return out
+    if isinstance(n, Poly1):
+        return npoly.polyval(np.asarray(memo[n.arg], dtype=complex), np.asarray(n.coeffs))
+    if isinstance(n, Conj):
+        return np.conjugate(memo[n.arg])
+    if isinstance(n, Leaf):
+        return n.fn(pts)
+    raise TypeError(type(n))
 
 
 # ---------------------------------------------------------------------------

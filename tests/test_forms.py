@@ -126,6 +126,32 @@ class TestNorm:
         assert abs(est.mean.imag) <= 1e-15
 
 
+    def test_shared_integrands_equal_the_per_coefficient_loop(self, fam, spec2):
+        rng = np.random.default_rng(6)
+        f = random_form(rng, (1, 1), 2, 0.7, fam)
+        g = random_form(rng, (1, 1), 2, 0.7, fam)
+        w = CylinderFn("0.3*(x(1)^2+y(2)^2)+log(1+x(2)^2)")
+        pts = np.random.default_rng(7).normal(size=(400, 4), scale=0.5)
+        mask = fm.support_mask(pts, 0.7, 2)
+        ew = np.exp(-np.real(w(pts[mask])))
+        inner_ref = np.zeros(len(pts), dtype=complex)
+        for k in set(f.coeffs) & set(g.coeffs):
+            inner_ref += f.coeffs[k](pts) * np.conjugate(g.coeffs[k](pts))
+        inner_ref[mask] *= ew
+        inner_ref[~mask] = 0.0
+        assert np.array_equal(fm.inner_vals(f, g, w, pts), inner_ref)
+        sq_ref = []
+        for h in (f, g):
+            total = np.zeros(len(pts))
+            for fn in h.coeffs.values():
+                total += np.abs(fn(pts)) ** 2
+            out = np.zeros(len(pts))
+            out[mask] = total[mask] * ew
+            sq_ref.append(out)
+        got = fm._weighted_sq_vals([(f, w), (g, w)], pts)
+        assert all(np.array_equal(a, b) for a, b in zip(got, sq_ref))
+
+
 class TestFormLiteral:
     def test_parse_entries(self, fam, spec2):
         f = parse_form_literal(

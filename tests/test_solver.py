@@ -140,6 +140,26 @@ class TestSolve:
         assert float(np.max(np.abs(B - Bstar.T))) <= 1e-8
 
 
+    def test_stacked_rows_equal_the_per_column_loop(self, fam):
+        spec = gm.GaussianSpec(2)
+        dict_u = sv.scalar_dictionary(2, 2, R, spec, profiles=(0,))
+        slots = [((), (1,)), ((), (2,)), ((), (3,))]  # no image has a dzb_3 part
+        images = [do.dbar(Form((0, 0), {((), ()): b}, fam)) for b in dict_u]
+        pts, wq = gm.Quadrature("gauss_hermite", nodes_per_axis=4).nodes_weights(spec)
+        ew = np.exp(-np.real(CylinderFn("3*(x(1)^2+y(2)^2)")(pts)))
+        M = len(pts)
+        cols = []
+        for img in images:
+            col = np.empty(M * len(slots), dtype=complex)
+            for si, key in enumerate(slots):
+                fn = img.coeffs.get(key)
+                vals = fn(pts) if fn is not None else np.zeros(M, dtype=complex)
+                col[si * M:(si + 1) * M] = vals * np.sqrt(fam.coeff(*key) * wq * ew)
+            cols.append(col)
+        assert np.array_equal(sv._stack_rows(images, slots, pts, wq, ew, fam),
+                              np.stack(cols, axis=1))
+
+
 class TestDictionary:
     def test_degree_combo_order(self):
         assert list(sv._degree_combos(3, 2)) == [
@@ -209,6 +229,52 @@ class TestKeyInequality:
         out2 = sv.key_inequality_check(f.scale(np.exp(1j * 0.7)), ctx, quad,
                                        tri, dom, pts)
         assert out1.margin == pytest.approx(out2.margin, rel=1e-12)
+
+
+    def test_shared_evaluation_peak_is_no_higher(self, fam, monkeypatch):
+        """One memo for all coefficients, values dropped after their last use,
+        against one memo per coefficient kept for its whole tree."""
+        from dbarl2.forms import support_mask
+        from dbarl2.symfun import _as_fn, _walk, eval_expr
+        spec = gm.GaussianSpec(2)
+        tri, dom, _ = wt.recipe_weights_whole_space(spec)
+        ctx = do.OperatorContext(spec, fam, tri.w1, tri.w2, tri.w3, tri.phi)
+        pts = dom.sample_sublevel(2, 2.0, 100, 9)
+        quad = gm.Quadrature("monte_carlo", N=20_000, seed=10)
+        f = random_form(np.random.default_rng(11), (1, 1), 2, 0.6, fam)
+
+        def per_tree(fn, qpts):
+            # every node is a root, so each value lives until the tree is done
+            return eval_expr(list(_walk(_as_fn(fn).expr)), qpts)[0]
+
+        def per_coefficient(parts, qpts):
+            outs = []
+            for form, w_fn in parts:
+                total = np.zeros(len(qpts))
+                for (I, J), fn in form.coeffs.items():
+                    total += form.family.coeff(I, J) * np.abs(per_tree(fn, qpts)) ** 2
+                mask = support_mask(qpts, form.support_radius(), form.max_dim())
+                out = np.zeros_like(total)
+                out[mask] = total[mask] * np.exp(-np.real(per_tree(w_fn, qpts[mask])))
+                outs.append(out)
+            return outs
+
+        def traced():
+            sv.key_inequality_check(f, ctx, quad, tri, dom, pts)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                out = sv.key_inequality_check(f, ctx, quad, tri, dom, pts)
+                return tracemalloc.get_traced_memory()[1], out
+            finally:
+                tracemalloc.stop()
+
+        shared, out = traced()
+        monkeypatch.setattr(sv, "_weighted_sq_vals", per_coefficient)
+        alone, ref = traced()
+        assert shared <= alone
+        assert (out.lhs, out.rhs, out.margin, out.stderr) == \
+            (ref.lhs, ref.rhs, ref.margin, ref.stderr)
 
 
 class TestBoundChecks:

@@ -1,5 +1,6 @@
 import gc
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from dbarl2.symfun import (CylinderFn, EvalError, ParseError, bump, conj_,
                            del_op, delbar_op, delta_op, diff, eval_expr,
                            fd_check, parse, sigma_op, wirtinger)
 
-from conftest import ScalarTwo, bump_fn, random_smooth_expr
+from conftest import CountingFn, ScalarTwo, bump_fn, random_form, random_smooth_expr
 
 
 def ev(text, pt):
@@ -273,6 +274,158 @@ class TestLeaf:
         same = _substitute(e, {})
         assert same == e
         assert np.array_equal(eval_expr(same, pts), eval_expr(e, pts))
+
+    def test_partials_beyond_the_leaf_dim_vanish(self, grid, spec2):
+        from dbarl2.gaussmeasure import reduce_fn
+        assert diff(sf.Leaf(grid), "x", 2) is sf.ZERO
+        assert diff(sf.Leaf(reduce_fn(bump_fn(2, 0.8), 1, spec2)), "y", 2) is sf.ZERO
+
+    def test_delbar_of_a_reduced_product_is_the_product_rule(self, spec2):
+        from dbarl2.gaussmeasure import reduce_fn
+        red = reduce_fn(bump_fn(2, 0.8, poly="1+x(1)*y(2)"), 1, spec2)
+        pts = np.random.default_rng(13).normal(size=(30, 4), scale=0.3)
+        prod = CylinderFn("x(2)", dim=2) * red
+        dbar_red = 0.5 * (red.d_dx(1)(pts) + 1j * red.d_dy(1)(pts))
+        assert np.max(np.abs(delbar_op(prod, 1)(pts) - pts[:, 2] * dbar_red)) <= 1e-12
+        assert np.max(np.abs(delbar_op(prod, 2)(pts) - 0.5 * red(pts))) <= 1e-12
+
+    def test_dbar_of_the_approximation_output(self, spec2, fam):
+        from dbarl2.dbarops import dbar
+        from dbarl2.domains import whole_space
+        from dbarl2.forms import Form
+        from dbarl2.reduction import approx_pipeline
+        f = Form((0, 0), {((), ()): bump_fn(2, 0.4, poly="1+x(1)")}, fam)
+        out = approx_pipeline(f, whole_space(), 2.0, [1], [0.2], spec2).output
+        df = dbar(out)
+        assert set(df.coeffs) == {((), (1,)), ((), (2,))}
+        pts = np.random.default_rng(14).normal(size=(20, 4), scale=0.3)
+        for fn in df.coeffs.values():
+            assert np.all(np.isfinite(fn(pts)))
+
+
+def _structural_counts(roots) -> tuple:
+    """(tree size counting repeats, number of structurally distinct subtrees).
+
+    Numbers each subtree by (type, scalar fields, children's numbers), bottom
+    up over the tree as written, so node identity plays no part.
+    """
+    numbers: dict = {}
+
+    def walk(n):
+        kids = [walk(c) for c in sf._children(n)]
+        scalars = []
+        for fld in fields(n):
+            v = getattr(n, fld.name)
+            if isinstance(v, sf.Expr) or (type(v) is tuple and v and isinstance(v[0], sf.Expr)):
+                continue
+            scalars.append(id(v) if isinstance(n, sf.Leaf) else repr(v))
+        key = (type(n).__name__, tuple(scalars), tuple(k for k, _ in kids))
+        return numbers.setdefault(key, len(numbers)), 1 + sum(size for _, size in kids)
+
+    tree = sum(walk(r)[1] for r in roots)
+    return tree, len(numbers)
+
+
+def _operator_tree(spec2, fam):
+    from dbarl2.dbarops import OperatorContext, Tstar, dbar
+    ctx = OperatorContext(spec2, fam, CylinderFn("x(1)^2"),
+                          CylinderFn("0.5*(x(1)^2+y(2)^2)"), CylinderFn("0"),
+                          CylinderFn("x(1)^2"))
+    f = random_form(np.random.default_rng(1), (0, 1), 2, 0.8, fam)
+    return dbar(Tstar(f, ctx))
+
+
+def _every_node_kind(leaf_fn):
+    x1, y1 = sf.x(1), sf.y(1)
+    return sf.add(
+        sf.mul(sf.const(0.5 + 0.25j), x1, sf.Leaf(leaf_fn)),
+        sf.div(sf.exp_(y1), sf.add(sf.pw(x1, 2), sf.const(1.0))),
+        sf.bump(x1), sf.cubic_step(y1, 0.0), sf.germ_step(x1),
+        sf.poly1(y1, (1.0, 2.0, 3.0)), conj_(sf.mul(x1, sf.const(1j), y1)))
+
+
+class TestInterning:
+    """Nodes are hash-consed: one live object per structure."""
+
+    def test_equal_parses_are_one_object(self):
+        text = "exp(x(1)*y(2))*bump((x(1)^2+y(1)^2)/0.64)+sin(x(2))^2/(1+x(1)^2)"
+        assert parse(text) is parse(text)
+        assert diff(parse(text), "x", 1) is diff(parse(text), "x", 1)
+
+    def test_signed_zeros_stay_apart(self):
+        assert sf.Const(0.0) is not sf.Const(-0.0)
+        assert sf.Const(-0.0) is sf.Const(-0.0)
+        assert sf.const(complex(1.0, 0.0)) is not sf.const(complex(1.0, -0.0))
+        assert sf.cubic_step(sf.x(1), 0.0) is not sf.cubic_step(sf.x(1), -0.0)
+        assert sf.Const(0.0) is not sf.Const(0j)
+
+    def test_table_returns_to_its_size_after_a_drop(self):
+        before = len(sf._INTERNED)
+        e = parse("cos(x(3)*0.918273645)+y(3)^7/(2.71828+x(3))")
+        assert len(sf._INTERNED) > before
+        del e
+        assert len(sf._INTERNED) == before
+
+    def test_rebuilds_return_the_interned_node(self):
+        from dbarl2.domains import _substitute
+        e = _every_node_kind(ScalarTwo(1))
+        for n in sf._walk(e):
+            assert replace(n) is n
+            assert sf._rebuild(n, sf._children(n)) is n
+        assert _substitute(e, {}) is e
+
+    def test_dbar_tstar_leaves_no_cyclic_garbage(self, spec2, fam):
+        gc.collect()
+        gc.disable()
+        try:
+            tree = _operator_tree(spec2, fam)
+            del tree
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_operator_tree_walks_its_distinct_structures(self, spec2, fam):
+        roots = tuple(fn.expr for fn in _operator_tree(spec2, fam).coeffs.values())
+        tree, distinct = _structural_counts(roots)
+        order, _ = sf._schedule(roots)
+        assert len(order) == distinct
+        assert tree > 8 * distinct
+
+
+class TestSharedEval:
+    """Several roots on one point set share one memo."""
+
+    @pytest.fixture
+    def pts(self):
+        return np.random.default_rng(15).normal(size=(200, 4), scale=0.4)
+
+    def test_roots_equal_their_own_evaluation(self, pts):
+        rng = np.random.default_rng(16)
+        roots = [random_smooth_expr(rng) for _ in range(6)]
+        b = bump_fn(2, 0.8, poly="x(1)-y(2)").expr
+        roots += [b, diff(b, "y", 2), sf.mul(roots[0], b), roots[0], sf.const(2.5)]
+        got = eval_expr(roots, pts)
+        assert len(got) == len(roots)
+        for r, v in zip(roots, got):
+            assert np.array_equal(v, eval_expr(r, pts))
+
+    def test_a_shared_leaf_is_called_once(self, pts, spec2, fam):
+        from dbarl2.forms import Form, norm_sq
+        from dbarl2.gaussmeasure import Quadrature
+        counting = CountingFn(bump_fn(2, 0.8))
+        roots = [sf.mul(sf.x(1), sf.Leaf(counting)), sf.add(sf.Leaf(counting), sf.y(2))]
+        eval_expr(roots, pts)
+        assert counting.calls == 1
+        form = Form((0, 1), {((), (1,)): counting * CylinderFn("x(1)"),
+                             ((), (2,)): counting + CylinderFn("y(2)")}, fam)
+        norm_sq(form, None, spec2, Quadrature("monte_carlo", N=500, seed=3))
+        assert counting.calls == 2
+
+    def test_an_error_in_any_root_propagates(self, pts):
+        good, bad = parse("x(1)*y(2)"), parse("1/(x(1)-x(1))")
+        for roots in ([good, bad], [bad, good], [good, good, bad]):
+            with pytest.raises(EvalError):
+                eval_expr(roots, pts)
 
 
 class TestGerms:
