@@ -18,7 +18,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .gaussmeasure import GaussianSpec, MCEstimate, Quadrature, _estimate
+from .gaussmeasure import GaussianSpec, MCEstimate, Quadrature, _estimate, support_rsq
 from .multiindex import MultiIndex, WeightFamily, as_multiindex, insert
 from .symfun import FnBase, ZERO_FN, _as_fn, eval_expr
 
@@ -125,7 +125,7 @@ def support_mask(pts: np.ndarray, radius: Optional[float], dim: int) -> Optional
         return None
     cols = min(2 * dim, pts.shape[1])
     rsq = np.sum(pts[:, :cols] ** 2, axis=1)
-    return rsq <= radius * radius * (1.0 + 1e-12)
+    return rsq <= support_rsq(radius)
 
 
 def _weighted_sq_vals(parts, pts: np.ndarray) -> list:

@@ -11,8 +11,16 @@ the nodes.
 tensor Gauss-Hermite tail rule (Monte Carlo when the tail is too wide).  It is
 exact for per-axis tail degree < 2 * tail_nodes, not for the bump integrands
 the library reduces, whose support cuts through the tail: there 8 nodes deviate
-from a 12-node rule by up to 7.1e-5.  The tail is evaluated in batches of tail
-nodes, at most ``_TAIL_CHUNK`` points per call of the integrand.
+from a 12-node rule by up to 7.1e-5.
+
+When the integrand declares a ``support_radius`` R, the integrand is evaluated
+only on the (head, tail node) pairs inside its support ball,
+|head|^2 <= ``support_rsq(R)`` - |tail|^2, and never outside it: every other
+term of the tail sum is an exact zero.  Each call of the integrand holds whole
+tail nodes, at most ``_TAIL_CHUNK`` points unless one node alone has more (a
+column-major array), and the sum is accumulated node by node in the order of
+the rule, so the values are bitwise those of the per-node loop over all pairs.
+Without a radius every pair is live.
 """
 
 from __future__ import annotations
@@ -31,6 +39,12 @@ _GH_BUDGET = 2_000_000
 _TAIL_BUDGET = 200_000
 _TAIL_MC = 4096
 _TAIL_CHUNK = 1 << 14  # points per evaluation of the integrand in ReducedFn
+
+
+def support_rsq(radius: float) -> float:
+    """Squared radius of the support ball with its rounding slack: a point with
+    squared norm at most this is inside."""
+    return radius * radius * (1.0 + 1e-12)
 
 
 def default_a(i: int) -> float:
@@ -171,8 +185,9 @@ def paired_residual(vals_a: np.ndarray, vals_b: np.ndarray, w: np.ndarray,
 class ReducedFn(FnBase):
     """Partial integral of ``f`` over coordinates beyond ``n`` (tail quadrature).
 
-    Exactness and batching of the tail rule as in the module docstring.
-    Derivatives commute with the tail integral, so d_dx defers to the source.
+    Exactness, support masking and batching of the tail rule as in the module
+    docstring.  Derivatives commute with the tail integral, so d_dx defers to
+    the source.
     """
 
     def __init__(self, f: FnBase, n: int, tail_pts: np.ndarray, tail_w: np.ndarray):
@@ -181,23 +196,43 @@ class ReducedFn(FnBase):
         self.support_radius = f.support_radius
         self._tail_pts = tail_pts
         self._tail_w = tail_w
+        self._tail_sq = np.sum(tail_pts ** 2, axis=1)
+        self._tail_cols = np.ascontiguousarray(tail_pts.T)
 
     def __call__(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         if pts.ndim == 1:
             pts = pts[None, :]
-        N = pts.shape[0]
-        h, T = 2 * self.dim, self._tail_pts.shape[0]
-        step = min(T, max(1, _TAIL_CHUNK // max(N, 1)))
-        out = np.zeros(N, dtype=complex)
-        full = np.empty((step, N, 2 * self.f.dim))
-        full[:, :, :h] = pts[:, :h]
-        for s in range(0, T, step):
-            k = min(step, T - s)
-            full[:k, :, h:] = self._tail_pts[s:s + k, None, :]
-            vals = np.broadcast_to(self.f(full[:k].reshape(k * N, -1)), (k * N,)).reshape(k, N)
-            for j in range(k):  # node by node, so the sum keeps its order
-                out += self._tail_w[s + j] * vals[j]
+        h = 2 * self.dim
+        head = pts[:, :h]
+        N, T = head.shape[0], self._tail_pts.shape[0]
+        if self.support_radius is None:
+            order, live = np.arange(N), np.full(T, N)
+        else:  # heads by norm, so each node's live heads are a prefix of them
+            hsq = np.sum(head ** 2, axis=1)
+            order = np.argsort(hsq, kind="stable")
+            live = np.searchsorted(hsq[order], support_rsq(self.support_radius) - self._tail_sq,
+                                   side="right")
+        head_cols = np.take(head.T, order, axis=1)
+        first = np.concatenate(([0], np.cumsum(live)))  # first row of each node
+        acc = np.zeros(N, dtype=complex)  # in the order of `order`
+        s = 0
+        while s < T:  # whole nodes s..e-1, at most _TAIL_CHUNK rows (at least one node)
+            e = max(s + 1, int(np.searchsorted(first, first[s] + _TAIL_CHUNK, side="right")) - 1)
+            c = live[s:e]
+            rows = int(first[e] - first[s])
+            if rows:
+                pos = np.arange(rows) - np.repeat(first[s:e] - first[s], c)
+                # the points column by column: each coordinate read is contiguous
+                cols = np.empty((2 * self.f.dim, rows))
+                cols[:h] = np.take(head_cols, pos, axis=1)
+                cols[h:] = np.repeat(self._tail_cols[:, s:e], c, axis=1)
+                vals = np.broadcast_to(self.f(cols.T), (rows,))
+                # add.at walks pos in order: node by node, so the sum keeps its order
+                np.add.at(acc, pos, np.repeat(self._tail_w[s:e], c) * vals)
+            s = e
+        out = np.empty(N, dtype=complex)
+        out[order] = acc
         return out
 
     def d_dx(self, i: int) -> "ReducedFn":

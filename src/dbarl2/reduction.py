@@ -20,9 +20,9 @@ from scipy import integrate as spint
 from scipy.signal import fftconvolve
 
 from .domains import Domain
-from .forms import Form, support_mask
+from .forms import Form, _weigh
 from .gaussmeasure import GaussianSpec, Quadrature, reduce_fn
-from .symfun import CylinderFn, FnBase, add, const, germ_step, _as_fn
+from .symfun import CylinderFn, FnBase, add, const, germ_step, support_of_sum, _as_fn
 
 
 def _ball_surface(d: int) -> float:
@@ -310,35 +310,26 @@ def approx_pipeline(f: Form, domain: Domain, rho: float, n_ladder: Sequence[int]
     eta_rho = CylinderFn(germ_step(add(eta.expr, const(-rho))), dim=eta.dim)
 
     pts, wq = quad.nodes_weights(spec)
-    if w2 is not None:
-        w2 = _as_fn(w2)
+    fvals = {key: fn(pts) for key, fn in f.coeffs.items()}
 
     ladder = []
     final = None
     for n in n_ladder:
+        reduced = {key: reduce_fn(fn, n, spec) for key, fn in f.coeffs.items()}
         for delta in delta_ladder:
-            coeffs = {}
-            for key, fn in f.coeffs.items():
-                red = reduce_fn(fn, n, spec)
-                mol = mollify(red, delta, grid_res=grid_res)
-                coeffs[key] = eta_rho * mol
+            coeffs = {key: eta_rho * mollify(red, delta, grid_res=grid_res)
+                      for key, red in reduced.items()}
             cand = Form(f.degree, coeffs, f.family)
             total = np.zeros(pts.shape[0])
             for key in set(f.coeffs) | set(cand.coeffs):
                 c = f.family.coeff(*key) if f.family is not None else 1.0
-                dv = cand.coeff(*key)(pts) - f.coeff(*key)(pts)
+                dv = cand.coeff(*key)(pts) - fvals[key]
                 total += c * np.abs(dv) ** 2
             if w2 is not None:
-                rads = [fn.support_radius for fn in
-                        list(f.coeffs.values()) + list(cand.coeffs.values())]
-                radius = None if any(r is None for r in rads) else max(rads)
-                mask = support_mask(pts, radius, max(f.max_dim(), cand.max_dim()))
-                weighted = np.zeros_like(total)
-                if mask is None:
-                    weighted = total * np.exp(-np.real(w2(pts)))
-                elif np.any(mask):
-                    weighted[mask] = total[mask] * np.exp(-np.real(w2(pts[mask])))
-                total = weighted
+                dim = max(f.max_dim(), cand.max_dim())
+                radius = support_of_sum([(fn.support_radius, fn.dim) for fn in
+                                         [*f.coeffs.values(), *cand.coeffs.values()]], dim)
+                total, = _weigh([total], [(w2, radius, dim)], pts)
             mean = float(np.sum(wq * total))
             if quad.deterministic:
                 se = 0.0

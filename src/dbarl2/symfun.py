@@ -912,18 +912,28 @@ def _parse_atom(tk: _Tokens) -> Expr:
 # Function layer: cylinder functions over the tree; opaque functions as leaves
 # ---------------------------------------------------------------------------
 
-def _combine_radius_mul(r1, r2):
-    if r1 is None:
-        return r2
-    if r2 is None:
-        return r1
-    return min(r1, r2)
+def support_of_sum(parts, dim: int) -> Optional[float]:
+    """Support radius in C^dim of a sum of parts given as (radius, dim) pairs.
 
-
-def _combine_radius_add(r1, r2):
-    if r1 is None or r2 is None:
+    A radius bounds a ball in C^d of its part's own dim d; in C^dim with
+    dim > d the part is an unbounded cylinder.  So the sum is bounded only
+    when every part is bounded in C^dim, except that the zero function
+    (radius 0) adds nothing.
+    """
+    live = [(r, d) for r, d in parts if r != 0]
+    if any(r is None or d < dim for r, d in live):
         return None
-    return max(r1, r2)
+    return max((r for r, _ in live), default=0.0)
+
+
+def support_of_product(parts, dim: int) -> Optional[float]:
+    """Support radius in C^dim of a product of (radius, dim) factors: 0 when a
+    factor is the zero function, else the smallest radius among the factors of
+    full dim (a lower-dim factor bounds nothing in C^dim)."""
+    if any(r == 0 for r, _ in parts):
+        return 0.0
+    full = [r for r, d in parts if r is not None and d >= dim]
+    return min(full) if full else None
 
 
 class FnBase:
@@ -948,9 +958,9 @@ class FnBase:
 
     def __add__(self, other):
         a, b = _as_fn(self), _as_fn(other)
-        return CylinderFn(add(a.expr, b.expr),
-                          _combine_radius_add(a.support_radius, b.support_radius),
-                          max(a.dim, b.dim))
+        dim = max(a.dim, b.dim)
+        return CylinderFn(add(a.expr, b.expr), support_of_sum(
+            [(a.support_radius, a.dim), (b.support_radius, b.dim)], dim), dim)
 
     __radd__ = __add__
 
@@ -962,9 +972,9 @@ class FnBase:
         if isinstance(other, (int, float, complex)):
             return CylinderFn(mul(const(other), a.expr), a.support_radius, a.dim)
         b = _as_fn(other)
-        return CylinderFn(mul(a.expr, b.expr),
-                          _combine_radius_mul(a.support_radius, b.support_radius),
-                          max(a.dim, b.dim))
+        dim = max(a.dim, b.dim)
+        return CylinderFn(mul(a.expr, b.expr), support_of_product(
+            [(a.support_radius, a.dim), (b.support_radius, b.dim)], dim), dim)
 
     __rmul__ = __mul__
 
@@ -1043,7 +1053,8 @@ def delta_op(f: FnBase, i: int, a_i: float) -> CylinderFn:
     f = _as_fn(f)
     factor = -1.0 / (2.0 * a_i ** 2)
     e = add(del_op(f, i).expr, mul(const(factor), zb(i), f.expr))
-    return CylinderFn(e, f.support_radius, max(f.dim, i))
+    dim = max(f.dim, i)
+    return CylinderFn(e, support_of_product([(f.support_radius, f.dim)], dim), dim)
 
 
 def sigma_op(f: FnBase, i: int, a_i: float, varphi: FnBase) -> CylinderFn:
@@ -1052,7 +1063,8 @@ def sigma_op(f: FnBase, i: int, a_i: float, varphi: FnBase) -> CylinderFn:
     varphi = _as_fn(varphi)
     d = delta_op(f, i, a_i)
     e = add(d.expr, mul(const(-1), f.expr, del_op(varphi, i).expr))
-    return CylinderFn(e, d.support_radius, max(d.dim, varphi.dim))
+    dim = max(d.dim, varphi.dim)
+    return CylinderFn(e, support_of_product([(d.support_radius, d.dim)], dim), dim)
 
 
 def free_variables(e: Expr) -> set:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,26 @@ def _per_node(r, pts):
     return out
 
 
+def _live_counts(r, pts):
+    """Reference: per tail node, the heads whose pair lies in the support ball."""
+    head = np.sum(pts[:, :2 * r.dim] ** 2, axis=1)
+    tail = np.sum(r._tail_pts ** 2, axis=1)
+    thr = gm.support_rsq(r.support_radius)
+    return np.array([sum(1 for hs in head if hs <= thr - ts) for ts in tail])
+
+
+class _Recording(CountingFn):
+    """Counts the evaluations and keeps every point set it is called on."""
+
+    def __init__(self, f):
+        super().__init__(f)
+        self.seen = []
+
+    def __call__(self, pts):
+        self.seen.append(np.array(pts))
+        return super().__call__(pts)
+
+
 class TestReduce:
     def test_identity_when_low_dim(self, spec3):
         f = bump_fn(2, 0.7)
@@ -173,11 +195,68 @@ class TestReduce:
         assert np.array_equal(r(pts), _per_node(r, pts))
 
     def test_batched_tail_one_call_per_batch(self, spec3):
-        f = CountingFn(bump_fn(3, 0.8))
+        f = _Recording(bump_fn(3, 0.8))
         r = gm.reduce_fn(f, 1, spec3)
         assert r._tail_pts.shape[0] == 4096
-        r(gm.sample(spec3, 200, 6, n=1))
-        assert f.calls == 51  # ceil(4096 / (16384 // 200))
+        pts = gm.sample(spec3, 200, 6, n=1)
+        r(pts)
+        live = _live_counts(r, pts)
+        node = {tuple(t): j for j, t in enumerate(r._tail_pts)}
+        seen = set()
+        for call in f.seen:
+            assert len(call) <= gm._TAIL_CHUNK
+            nodes, rows = np.unique([node[tuple(p)] for p in call[:, 2:]], return_counts=True)
+            assert np.array_equal(rows, live[nodes])  # whole nodes only
+            assert seen.isdisjoint(nodes)
+            seen.update(nodes.tolist())
+        assert sum(len(call) for call in f.seen) == live.sum() < 200 * 4096
+        # greedy: whole nodes while the call stays within _TAIL_CHUNK rows
+        calls, rows = 0, None
+        for k in live:
+            if rows is None or rows + k > gm._TAIL_CHUNK:
+                calls += bool(rows)  # a group of zero rows makes no call
+                rows = 0
+            rows += k
+        calls += bool(rows)
+        assert f.calls == calls
+
+    def test_masked_tail_equals_dense_loop(self, spec2, spec3):
+        # the mollifier grid of the approximation pipeline
+        f = bump_fn(2, 0.4, poly="1+x(1)-y(2)^2")
+        axis = np.linspace(-0.45, 0.45, 61)
+        grid = np.stack([g.reshape(-1) for g in np.meshgrid(axis, axis, indexing="ij")], 1)
+        r = gm.reduce_fn(f, 1, spec2)
+        assert 0 < _live_counts(r, grid).sum() < 0.2 * len(grid) * 64
+        assert np.array_equal(r(grid), _per_node(r, grid))
+        d = r.d_dx(1)
+        assert np.array_equal(d(grid), _per_node(d, grid))
+        # no support radius: every pair is live
+        r = gm.reduce_fn(CylinderFn("exp(x(1)*y(3))*(1+x(2)^2)", dim=3), 1, spec3)
+        pts = gm.sample(spec3, 300, 12, n=1)
+        assert np.array_equal(r(pts), _per_node(r, pts))
+        # every head outside the ball: zeros, and the integrand is never called
+        counting = CountingFn(f)
+        far = grid[np.sum(grid ** 2, axis=1) > 0.41 ** 2]
+        got = gm.reduce_fn(counting, 1, spec2)(far)
+        assert got.shape == (len(far),) and np.array_equal(got, np.zeros(len(far)))
+        assert counting.calls == 0
+
+    def test_integrand_sees_only_its_support_ball(self, spec3):
+        f = _Recording(random_bump_fn(np.random.default_rng(13), 3, 0.8))
+        r = gm.reduce_fn(f, 1, spec3)
+        pts = gm.sample(spec3, 400, 14, n=1)
+        r(pts)
+        seen = np.concatenate(f.seen)
+        head, tail = np.sum(seen[:, :2] ** 2, axis=1), np.sum(seen[:, 2:] ** 2, axis=1)
+        assert np.all(head <= gm.support_rsq(0.8) - tail)
+        assert len(seen) == _live_counts(r, pts).sum()
+
+    def test_lower_dim_factor_does_not_bound_the_tail(self, spec2):
+        # bump(x1) * x2^2 is not supported in the unit ball of C^2
+        f = CylinderFn("bump(x(1))", support_radius=1.0) * CylinderFn("x(2)^2")
+        got = gm.reduce_fn(f, 1, spec2)(np.array([[0.95, 0.0]]))
+        want = math.exp(-1.0 / (1.0 - 0.95 ** 2)) * spec2.a(2) ** 2
+        np.testing.assert_allclose(got.real, want, rtol=1e-12)
 
     def test_batched_tail_eval_error_propagates(self, spec3):
         r = gm.reduce_fn(CylinderFn("log(x(3))", dim=3), 1, spec3)

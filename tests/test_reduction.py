@@ -149,6 +149,16 @@ class TestPipeline:
         assert text[0] == "n,delta,norm_error,stderr"
         assert len(text) == 4
 
+    def test_unit_weight_ladder_equals_unweighted(self, spec2, fam):
+        # eta_rho (of z1, z2) times the mollified slice (of z1 only) is bounded
+        # in C^1 but not in C^2, so the weight 1 must be applied everywhere
+        f = Form((0, 1), {((), (1,)): bump_fn(2, 0.4, poly="1+x(1)")}, fam)
+        kw = dict(n_ladder=[1], delta_ladder=[0.2, 0.1, 0.05], spec=spec2,
+                  quad=gm.Quadrature("monte_carlo", N=4000, seed=12), grid_res=61)
+        plain = rd.approx_pipeline(f, dm.whole_space(), 2.0, **kw)
+        unit = rd.approx_pipeline(f, dm.whole_space(), 2.0, w2="0", **kw)
+        assert [r.norm_error for r in unit.ladder] == [r.norm_error for r in plain.ladder]
+
     def test_zero_coefficient_output(self, spec1, fam):
         f = Form((0, 1), {((), (1,)): CylinderFn("0*x(1)", support_radius=0.4)}, fam)
         dom = dm.whole_space()

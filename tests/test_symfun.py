@@ -8,7 +8,7 @@ import pytest
 from dbarl2 import symfun as sf
 from dbarl2.symfun import (CylinderFn, EvalError, ParseError, bump, conj_,
                            del_op, delbar_op, delta_op, diff, eval_expr,
-                           fd_check, parse, sigma_op, wirtinger)
+                           ZERO_FN, fd_check, parse, sigma_op, wirtinger)
 
 from conftest import CountingFn, ScalarTwo, bump_fn, random_form, random_smooth_expr
 
@@ -202,7 +202,15 @@ class TestSupport:
         b = CylinderFn("bump(x(1)/2)", support_radius=2.0)
         assert (a * b).support_radius == 1.0
         assert (a + b).support_radius == 2.0
-        assert (a * CylinderFn("x(2)")).support_radius == 1.0
+        # bump(x(1)) bounds a ball in C^1; in C^2 the product is a cylinder
+        prod = a * CylinderFn("x(2)")
+        assert prod.dim == 2 and prod.support_radius is None
+        assert prod(np.array([[0.0, 0.0, 5.0, 0.0]]))[0] != 0.0  # |z| = 5 > 1
+        assert (a + CylinderFn("x(2)")).support_radius is None
+        assert (a + ZERO_FN).support_radius == 1.0  # zero adds nothing
+        assert (a * ZERO_FN).support_radius == 0.0  # zero absorbs
+        c = CylinderFn("bump(x(1)^2+y(1)^2+x(2)^2+y(2)^2)", support_radius=1.0)
+        assert (c * CylinderFn("x(1)")).support_radius == 1.0  # full-dim factor bounds
 
 
 
