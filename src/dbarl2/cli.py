@@ -17,35 +17,13 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import dbarops, domains, forms, gaussmeasure, multiindex, reduction, solver, weights
+from .gaussmeasure import CheckOutcome, verdict
 from .symfun import CylinderFn, ParseError, eval_expr, free_variables, parse
-
-
-@dataclass
-class CheckRecord:
-    check_id: str
-    lhs: float
-    rhs: float
-    stderr: float
-    margin: float
-    passed: bool
-    runtime_ms: float = 0.0
-
-    def row(self):
-        return [self.check_id, repr(float(self.lhs)), repr(float(self.rhs)),
-                repr(float(self.stderr)), repr(float(self.margin)),
-                "true" if self.passed else "false"]
-
-    def json_obj(self):
-        # runtime is console-only: reports must be byte-identical across runs
-        return {"check_id": self.check_id, "lhs": float(self.lhs),
-                "rhs": float(self.rhs), "stderr": float(self.stderr),
-                "margin": float(self.margin), "pass": bool(self.passed)}
 
 
 class ConfigError(ValueError):
@@ -135,12 +113,6 @@ def _tol(config, name, default):
     return float(config.get("tolerances", {}).get(name, default))
 
 
-def _pass_stat(margin, stderr, tol):
-    if stderr > 0:
-        return margin >= -3.0 * stderr
-    return margin >= -tol
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -177,9 +149,9 @@ def cmd_identities(config, seed) -> list:
         lhs = abs(float(np.sum(wq * la).real))
         rhs = abs(float(np.sum(wq * rb).real))
         residual, stderr = abs(est.mean), est.stderr
-    recs.append(CheckRecord("gauss_green_x1", lhs, rhs, stderr,
-                            -residual, _pass_stat(-residual, stderr, tol),
-                            (time.perf_counter() - t0) * 1e3))
+    recs.append(CheckOutcome("gauss_green_x1", lhs, rhs, stderr,
+                             -residual, verdict(-residual, stderr, tol),
+                             runtime_ms=(time.perf_counter() - t0) * 1e3))
 
     g1 = test_fns[min(1, len(test_fns) - 1)]
     for weighted in (False, True):
@@ -188,9 +160,9 @@ def cmd_identities(config, seed) -> list:
         est = dbarops.ibp_residual(g0, g1, 1, spec, quad, weighted=weighted,
                                    varphi=varphi)
         name = "ibp_sigma" if weighted else "ibp_delta"
-        recs.append(CheckRecord(name, abs(est.mean), 0.0, est.stderr,
-                                -abs(est.mean), _pass_stat(-abs(est.mean), est.stderr, tol),
-                                (time.perf_counter() - t0) * 1e3))
+        recs.append(CheckOutcome(name, abs(est.mean), 0.0, est.stderr,
+                                 -abs(est.mean), verdict(-abs(est.mean), est.stderr, tol),
+                                 runtime_ms=(time.perf_counter() - t0) * 1e3))
 
     t0 = time.perf_counter()
     ctx = dbarops.OperatorContext(spec, family, CylinderFn(config.get("w1", "0")),
@@ -198,37 +170,37 @@ def cmd_identities(config, seed) -> list:
                                   CylinderFn(config.get("w3", "0")),
                                   CylinderFn(config.get("varphi", "0")))
     res = dbarops.commutator_residual(g0, 1, 1, ctx, pts)
-    recs.append(CheckRecord("commutator", res, 0.0, 0.0, -res, res <= 1e-10,
-                            (time.perf_counter() - t0) * 1e3))
+    recs.append(CheckOutcome("commutator", res, 0.0, 0.0, -res, verdict(-res, 0.0, 1e-10),
+                             runtime_ms=(time.perf_counter() - t0) * 1e3))
 
     t0 = time.perf_counter()
     u = fl[0]
     st = dbarops.st_complex_residual(u, pts)
-    recs.append(CheckRecord("s_after_t_zero", st, 0.0, 0.0, -st, st <= 1e-10,
-                            (time.perf_counter() - t0) * 1e3))
+    recs.append(CheckOutcome("s_after_t_zero", st, 0.0, 0.0, -st, verdict(-st, 0.0, 1e-10),
+                             runtime_ms=(time.perf_counter() - t0) * 1e3))
 
     if len(fl) >= 2:
         t0 = time.perf_counter()
         est = dbarops.adjoint_residual(fl[0], fl[1], ctx, quad)
-        recs.append(CheckRecord("adjoint", abs(est.mean), 0.0, est.stderr,
-                                -abs(est.mean), _pass_stat(-abs(est.mean), est.stderr, tol),
-                                (time.perf_counter() - t0) * 1e3))
+        recs.append(CheckOutcome("adjoint", abs(est.mean), 0.0, est.stderr,
+                                 -abs(est.mean), verdict(-abs(est.mean), est.stderr, tol),
+                                 runtime_ms=(time.perf_counter() - t0) * 1e3))
         t0 = time.perf_counter()
         g = dbarops.dbar(fl[0])
         I = ()
         K = (1,) * (fl[0].degree[1] + 1) if fl[0].degree[1] == 0 else None
         if K is not None:
             est = dbarops.weak_dbar_residual(fl[0], g, g0, I, K, spec, quad)
-            recs.append(CheckRecord("weak_dbar", abs(est.mean), 0.0, est.stderr,
-                                    -abs(est.mean),
-                                    _pass_stat(-abs(est.mean), est.stderr, tol),
-                                    (time.perf_counter() - t0) * 1e3))
+            recs.append(CheckOutcome("weak_dbar", abs(est.mean), 0.0, est.stderr,
+                                     -abs(est.mean),
+                                     verdict(-abs(est.mean), est.stderr, tol),
+                                     runtime_ms=(time.perf_counter() - t0) * 1e3))
 
     t0 = time.perf_counter()
     m = CylinderFn(config.get("multiplier", "x(1)"))
     res = dbarops.multiplier_residual(m, fl[0], ctx, pts)
-    recs.append(CheckRecord("multiplier", res, 0.0, 0.0, -res, res <= 1e-10,
-                            (time.perf_counter() - t0) * 1e3))
+    recs.append(CheckOutcome("multiplier", res, 0.0, 0.0, -res, verdict(-res, 0.0, 1e-10),
+                             runtime_ms=(time.perf_counter() - t0) * 1e3))
     return recs
 
 
@@ -241,13 +213,13 @@ def cmd_conditions(config, seed) -> list:
     rep = multiindex.check_conditions(family, max_index, s, t)
     ms = (time.perf_counter() - t0) * 1e3
     return [
-        CheckRecord("condition1_c1_finite", rep.c1_sup, float("inf"), 0.0,
-                    float("inf") - 0 if rep.c1_sup < float("inf") else -1.0,
-                    rep.c1_sup < float("inf"), ms),
-        CheckRecord("condition2_c0_positive", rep.c0_inf, 0.0, 0.0, rep.c0_inf,
-                    rep.c0_inf > 0.0, ms),
-        CheckRecord("condition3_multiplicative", float(len(rep.violations)), 0.0,
-                    0.0, -float(len(rep.violations)), rep.multiplicative_ok, ms),
+        CheckOutcome("condition1_c1_finite", rep.c1_sup, float("inf"), 0.0,
+                     float("inf") - 0 if rep.c1_sup < float("inf") else -1.0,
+                     rep.c1_sup < float("inf"), runtime_ms=ms),
+        CheckOutcome("condition2_c0_positive", rep.c0_inf, 0.0, 0.0, rep.c0_inf,
+                     rep.c0_inf > 0.0, runtime_ms=ms),
+        CheckOutcome("condition3_multiplicative", float(len(rep.violations)), 0.0,
+                     0.0, -float(len(rep.violations)), rep.multiplicative_ok, runtime_ms=ms),
     ]
 
 
@@ -259,15 +231,15 @@ def cmd_domains(config, seed) -> list:
     pts = dom.sample_interior(n, N, seed)
     eig = domains.levi_min_eigs(dom, pts, n)
     ms = (time.perf_counter() - t0) * 1e3
-    recs = [CheckRecord("levi_min_eig", float(np.min(eig)), -1e-9, 0.0,
-                        float(np.min(eig)) + 1e-9, bool(np.min(eig) >= -1e-9), ms)]
+    recs = [CheckOutcome("levi_min_eig", float(np.min(eig)), -1e-9, 0.0,
+                         float(np.min(eig)) + 1e-9, bool(np.min(eig) >= -1e-9), runtime_ms=ms)]
     if dom.boundary_distance is not None:
         t0 = time.perf_counter()
         rep = domains.uniformly_included(dom, float(config.get("tau", 1.0)), n=n,
                                          seed=seed)
-        recs.append(CheckRecord("sublevel_uniform_inclusion", rep.margin, 0.0, 0.0,
-                                rep.margin, rep.included,
-                                (time.perf_counter() - t0) * 1e3))
+        recs.append(CheckOutcome("sublevel_uniform_inclusion", rep.margin, 0.0, 0.0,
+                                 rep.margin, rep.included,
+                                 runtime_ms=(time.perf_counter() - t0) * 1e3))
     return recs
 
 
@@ -289,10 +261,10 @@ def cmd_approx(config, seed, out_dir: Path) -> list:
     report.write_csv(str(out_dir / "approx_ladder.csv"))
     errs = [row.norm_error for row in report.ladder]
     ses = [row.stderr for row in report.ladder]
-    ok = all(errs[i + 1] <= errs[i] + 3.0 * (ses[i] + ses[i + 1])
+    ok = all(verdict(errs[i] - errs[i + 1], ses[i] + ses[i + 1], 0.0)
              for i in range(len(errs) - 1))
-    return [CheckRecord("approx_ladder_monotone", errs[-1], errs[0], ses[-1],
-                        errs[0] - errs[-1], ok, ms)]
+    return [CheckOutcome("approx_ladder_monotone", errs[-1], errs[0], ses[-1],
+                         errs[0] - errs[-1], ok, runtime_ms=ms)]
 
 
 def cmd_solve(config, seed, out_dir: Path) -> list:
@@ -327,12 +299,12 @@ def cmd_solve(config, seed, out_dir: Path) -> list:
         json.dumps(rep.as_dict(), sort_keys=True) + "\n")
     tol = _tol(config, "residual", 1e-3)
     return [
-        CheckRecord("solve_residual", rep.residual, tol, 0.0, tol - rep.residual,
-                    rep.residual <= tol, ms),
-        CheckRecord("solve_norm_bound", float(np.sqrt(max(rep.c0, 0.0))) * rep.norm_u_w1,
-                    rep.norm_f_w2, 0.0,
-                    rep.norm_f_w2 - float(np.sqrt(max(rep.c0, 0.0))) * rep.norm_u_w1,
-                    rep.bound_pass, ms),
+        CheckOutcome("solve_residual", rep.residual, tol, 0.0, tol - rep.residual,
+                     rep.residual <= tol, runtime_ms=ms),
+        CheckOutcome("solve_norm_bound", float(np.sqrt(max(rep.c0, 0.0))) * rep.norm_u_w1,
+                     rep.norm_f_w2, 0.0,
+                     rep.norm_f_w2 - float(np.sqrt(max(rep.c0, 0.0))) * rep.norm_u_w1,
+                     rep.bound_pass, runtime_ms=ms),
     ]
 
 
@@ -355,8 +327,8 @@ def cmd_majorant(config, seed) -> list:
                float(np.min(maj(grid) - np.array([g0(v) for v in grid])))]
     ms = (time.perf_counter() - t0) * 1e3
     worst = min(margins)
-    return [CheckRecord("majorant_chain", worst, -1e-9, 0.0, worst + 1e-9,
-                        worst >= -1e-9, ms)]
+    return [CheckOutcome("majorant_chain", worst, -1e-9, 0.0, worst + 1e-9,
+                         worst >= -1e-9, runtime_ms=ms)]
 
 
 COMMANDS = {"identities": cmd_identities, "conditions": cmd_conditions,

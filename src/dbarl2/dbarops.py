@@ -214,30 +214,22 @@ def multiplier_residual(m: FnBase, f: Form, ctx: OperatorContext,
     m = _as_fn(m)
     lhs = dbar(f.mul_fn(m))
     rhs = dbar(f).mul_fn(m) + wedge_dbar_fn(m, f)
-    worst = 0.0
     keys = set(lhs.coeffs) | set(rhs.coeffs)
     vals = eval_expr([g.coeff(*k).expr for k in keys for g in (lhs, rhs)], points)
-    for va, vb in zip(vals[0::2], vals[1::2]):
-        if len(va):
-            worst = max(worst, float(np.max(np.abs(va - vb))))
-    return worst
+    return max_abs(va - vb for va, vb in zip(vals[0::2], vals[1::2]))
 
 
 def st_complex_residual(u: Form, points: np.ndarray) -> float:
     """Max pointwise coefficient of dbar(dbar u): the complex property S T = 0."""
-    ddu = dbar(dbar(u))
-    worst = 0.0
-    for vals in eval_expr([fn.expr for fn in ddu.coeffs.values()], points):
-        if len(vals):
-            worst = max(worst, float(np.max(np.abs(vals))))
-    return worst
+    return max_abs(eval_expr([fn.expr for fn in dbar(dbar(u)).coeffs.values()], points))
 
 
 def support_leak(form: Form, points_outside: np.ndarray) -> float:
     """Max |coefficient| at points outside the declared support."""
-    worst = 0.0
-    for fn in form.coeffs.values():
-        vals = fn(points_outside)
-        if len(vals):
-            worst = max(worst, float(np.max(np.abs(vals))))
-    return worst
+    return max_abs(eval_expr([fn.expr for fn in form.coeffs.values()], points_outside))
+
+
+def max_abs(values) -> float:
+    """Largest |v| over a sequence of arrays; 0.0 when there is none.  A
+    running max from 0.0: a NaN entry does not raise it."""
+    return max([0.0, *(float(np.max(np.abs(v))) for v in values if len(v))])

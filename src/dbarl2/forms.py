@@ -20,7 +20,8 @@ import numpy as np
 
 from .gaussmeasure import GaussianSpec, MCEstimate, Quadrature, _estimate, support_rsq
 from .multiindex import MultiIndex, WeightFamily, as_multiindex, insert
-from .symfun import FnBase, ZERO_FN, _as_fn, eval_expr
+from .symfun import (FnBase, ZERO_FN, _as_fn, eval_expr, support_of_product,
+                     support_of_sum)
 
 
 Key = Tuple[MultiIndex, MultiIndex]
@@ -71,12 +72,9 @@ class Form:
         return max((fn.dim for fn in self.coeffs.values()), default=0)
 
     def support_radius(self) -> Optional[float]:
-        radii = [fn.support_radius for fn in self.coeffs.values()]
-        if not radii:
-            return 0.0
-        if any(r is None for r in radii):
-            return None
-        return max(radii)
+        """Radius of a ball in C^max_dim() holding every coefficient's support."""
+        return support_of_sum([(fn.support_radius, fn.dim) for fn in self.coeffs.values()],
+                              self.max_dim())
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -197,9 +195,10 @@ def inner_vals(fa: Form, fb: Form, w_fn, pts: np.ndarray) -> np.ndarray:
     for k, va, vb in zip(keys, vals[0::2], vals[1::2]):
         c = family.coeff(*k) if family is not None else 1.0
         total += c * va * np.conjugate(vb)
-    ra, rb = fa.support_radius(), fb.support_radius()
-    radius = None if ra is None or rb is None else min(ra, rb)
-    out, = _weigh([total], [(w_fn, radius, max(fa.max_dim(), fb.max_dim()))], pts)
+    dim = max(fa.max_dim(), fb.max_dim())
+    radius = support_of_product([(fa.support_radius(), fa.max_dim()),
+                                 (fb.support_radius(), fb.max_dim())], dim)
+    out, = _weigh([total], [(w_fn, radius, dim)], pts)
     return out
 
 

@@ -21,6 +21,9 @@ tail nodes, at most ``_TAIL_CHUNK`` points unless one node alone has more (a
 column-major array), and the sum is accumulated node by node in the order of
 the rule, so the values are bitwise those of the per-node loop over all pairs.
 Without a radius every pair is live.
+
+``verdict`` is the one pass rule of every estimate the package audits, and
+``CheckOutcome`` the one record a check returns.
 """
 
 from __future__ import annotations
@@ -154,6 +157,15 @@ def sample(spec: GaussianSpec, N: int, seed: int, n: Optional[int] = None) -> np
     return np.concatenate(blocks, axis=0) if len(blocks) > 1 else blocks[0]
 
 
+@lru_cache
+def _leggauss(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per n (read-only)."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def _estimate(vals: np.ndarray, w: np.ndarray, deterministic: bool,
               seed: Optional[int]) -> MCEstimate:
     mean = complex(np.sum(w * vals))
@@ -266,6 +278,40 @@ def reduce_fn(f: FnBase, n: int, spec: GaussianSpec,
     return ReducedFn(f, n, tail_pts, tail_w)
 
 
+def verdict(margin: float, stderr: float, tol: float) -> bool:
+    """The one pass rule of an estimate: margin >= -3 stderr when it carries a
+    Monte Carlo stderr, else margin >= -tol."""
+    if stderr > 0:
+        return bool(margin >= -3.0 * stderr)
+    return bool(margin >= -tol)
+
+
+@dataclass
+class CheckOutcome:
+    """One check: its two sides, stderr, margin and verdict (None when refused,
+    with the reason).  The runtime is console-only, so reports stay
+    byte-identical across runs."""
+
+    check_id: str
+    lhs: float
+    rhs: float
+    stderr: float
+    margin: float
+    passed: Optional[bool]
+    reason: str = ""
+    runtime_ms: float = 0.0
+
+    def row(self):
+        return [self.check_id, repr(float(self.lhs)), repr(float(self.rhs)),
+                repr(float(self.stderr)), repr(float(self.margin)),
+                "true" if self.passed else "false"]
+
+    def json_obj(self):
+        return {"check_id": self.check_id, "lhs": float(self.lhs),
+                "rhs": float(self.rhs), "stderr": float(self.stderr),
+                "margin": float(self.margin), "pass": bool(self.passed)}
+
+
 @dataclass(frozen=True)
 class GaussGreenReport:
     lhs: complex
@@ -275,9 +321,7 @@ class GaussGreenReport:
 
     @property
     def passed(self) -> bool:
-        if self.stderr == 0.0:
-            return self.residual <= 1e-8
-        return self.residual <= 3.0 * self.stderr
+        return verdict(-self.residual, self.stderr, 1e-8)
 
 
 def gauss_green_residual(f: FnBase, m: int, spec: GaussianSpec,

@@ -21,16 +21,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import hermite_e as herme
 
-from .dbarops import OperatorContext, Tstar, dbar
+from .dbarops import OperatorContext, Tstar, dbar, max_abs
 from .domains import Domain, complex_hessian
 from .forms import Form, _weighted_sq_vals
-from .gaussmeasure import GaussianSpec, Quadrature, sample
+from .gaussmeasure import (CheckOutcome, GaussianSpec, Quadrature, _leggauss, sample,
+                           verdict)
 from .multiindex import check_conditions
 from .symfun import (BumpD, CylinderFn, add, const, eval_expr, mul, norm_sq_coords,
                      poly1, x, y, _as_fn)
@@ -162,12 +162,7 @@ def solve_min_norm(p: SolveProblem) -> tuple[Form, SolveReport]:
 
     # closedness gate: dbar f must vanish at the audit points
     audit_pts = sample(spec, 200, 20_202, n=spec.trunc_dim)
-    df = dbar(f)
-    worst = 0.0
-    for fn in df.coeffs.values():
-        vals = fn(audit_pts)
-        if len(vals):
-            worst = max(worst, float(np.max(np.abs(vals))))
+    worst = max_abs(eval_expr([fn.expr for fn in dbar(f).coeffs.values()], audit_pts))
     if worst > p.tol_closed:
         raise ClosednessError(f"dbar(f) reaches {worst:.3e} at audit points "
                               f"(gate {p.tol_closed:.1e}); f is not closed")
@@ -242,9 +237,9 @@ def solve_min_norm(p: SolveProblem) -> tuple[Form, SolveReport]:
 
     rep_cond = check_conditions(f.family, max_index=max(p.n, s + tp1) + 2, s=s, t=tp1 - 1)
     c0 = rep_cond.c0_inf
-    bound_pass = math.sqrt(max(c0, 0.0)) * norm_u <= norm_f * (1.0 + p.bound_tol)
+    bound_pass = verdict(norm_f - math.sqrt(max(c0, 0.0)) * norm_u, 0.0, p.bound_tol * norm_f)
     report = SolveReport(residual=residual, norm_u_w1=norm_u, norm_f_w2=norm_f,
-                         c0=c0, bound_pass=bool(bound_pass), rank=rank, cond=cond,
+                         c0=c0, bound_pass=bound_pass, rank=rank, cond=cond,
                          basis_dim=E.shape[1], kernel_orth=kernel_orth)
     return u, report
 
@@ -253,15 +248,17 @@ def solve_min_norm(p: SolveProblem) -> tuple[Form, SolveReport]:
 # Key inequality and bound audits
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CheckOutcome:
-    check_id: str
-    lhs: float
-    rhs: float
-    stderr: float
-    margin: float
-    passed: Optional[bool]
-    reason: str = ""
+def _audit(check_id: str, lhs_vals: np.ndarray, rhs_vals: np.ndarray, wq: np.ndarray,
+           quad: Quadrature, upper: bool, tol) -> CheckOutcome:
+    """The record of lhs >= rhs (lhs <= rhs when upper) from pointwise integrands
+    on one point set: the margin and its stderr are those of the paired
+    difference, the verdict is ``verdict`` at tolerance tol(lhs, rhs)."""
+    diff = rhs_vals - lhs_vals if upper else lhs_vals - rhs_vals
+    lhs = float(np.sum(wq * lhs_vals))
+    rhs = float(np.sum(wq * rhs_vals))
+    margin = float(np.sum(wq * diff))
+    se = 0.0 if quad.deterministic else float(np.std(diff) / math.sqrt(len(diff)))
+    return CheckOutcome(check_id, lhs, rhs, se, margin, verdict(margin, se, tol(lhs, rhs)))
 
 
 def key_inequality_check(f: Form, ctx: OperatorContext, quad: Quadrature,
@@ -287,22 +284,23 @@ def key_inequality_check(f: Form, ctx: OperatorContext, quad: Quadrature,
         return CheckOutcome("key_inequality", 0.0, 0.0, 0.0, 0.0, None,
                             reason=f"curvature condition fails with margin {c4.margin:.3e}")
 
-    tsf = Tstar(f, ctx)
-    sf_ = dbar(f)
     pts, wq = quad.nodes_weights(ctx.spec)
-    sq_tsf, sq_sf, sq_f = _weighted_sq_vals([(tsf, ctx.w1), (sf_, ctx.w3), (f, ctx.w2)], pts)
-    lhs_vals = sq_tsf + sq_sf
-    rhs_vals = rep.c0_inf * sq_f
-    diff = lhs_vals - rhs_vals
-    lhs = float(np.sum(wq * lhs_vals))
-    rhs = float(np.sum(wq * rhs_vals))
-    margin = float(np.sum(wq * diff))
-    if quad.deterministic:
-        se = 0.0
-    else:
-        se = float(np.std(diff) / math.sqrt(len(diff)))
-    passed = margin >= -3.0 * se if se > 0 else margin >= -1e-9 * max(abs(lhs), abs(rhs), 1.0)
-    return CheckOutcome("key_inequality", lhs, rhs, se, margin, bool(passed))
+    sq_tsf, sq_sf, sq_f = _weighted_sq_vals(
+        [(Tstar(f, ctx), ctx.w1), (dbar(f), ctx.w3), (f, ctx.w2)], pts)
+    return _audit("key_inequality", sq_tsf + sq_sf, rep.c0_inf * sq_f, wq, quad, False,
+                  lambda lhs, rhs: 1e-9 * max(abs(lhs), abs(rhs), 1.0))
+
+
+def _bound_c0(f: Form, ctx: OperatorContext, levi_points: np.ndarray,
+              floor) -> Optional[float]:
+    """The bound audits' hypotheses: None when the Levi form of phi = w3 falls
+    below floor at an audit point, else the family's c0 for f's degree."""
+    H = complex_hessian(ctx.w3, levi_points, ctx.spec.trunc_dim)
+    if float(np.min(np.linalg.eigvalsh(H)[:, 0] - floor)) < -1e-9:
+        return None
+    s, tp1 = f.degree
+    return check_conditions(f.family, max_index=max(f.max_index(), s + tp1) + 2,
+                            s=s, t=tp1 - 1).c0_inf
 
 
 def weighted_bound_check(u: Form, f: Form, ctx: OperatorContext, c_fn,
@@ -310,37 +308,14 @@ def weighted_bound_check(u: Form, f: Form, ctx: OperatorContext, c_fn,
                          levi_points: np.ndarray, tol: float = 1e-6) -> CheckOutcome:
     """Levi-weighted estimate: ||u||^2_phi <= 2 ||f/sqrt(c)||^2_phi / (c0 (t+1))."""
     c_fn = _as_fn(c_fn)
-    s, tp1 = f.degree
-    t = tp1 - 1
-    n = ctx.spec.trunc_dim
-    phi = ctx.w3
-    H = complex_hessian(phi, levi_points, n)
-    eig = np.linalg.eigvalsh(H)[:, 0]
-    cvals = np.real(c_fn(levi_points))
-    if float(np.min(eig - cvals)) < -1e-9:
+    c0 = _bound_c0(f, ctx, levi_points, np.real(c_fn(levi_points)))
+    if c0 is None:
         return CheckOutcome("weighted_bound", 0.0, 0.0, 0.0, 0.0, None,
                             reason="Levi form does not dominate c at the audit points")
-    rep = check_conditions(f.family, max_index=max(f.max_index(), s + tp1) + 2, s=s, t=t)
     pts, wq = quad.nodes_weights(ctx.spec)
-    ephi = np.exp(-np.real(phi(pts)))
-
-    lhs_vals = np.zeros(pts.shape[0])
-    for (I, L), fn in u.coeffs.items():
-        lhs_vals += u.family.coeff(I, L) * np.abs(fn(pts)) ** 2
-    lhs_vals = lhs_vals * ephi
-    rhs_vals = np.zeros(pts.shape[0])
-    cpts = np.real(c_fn(pts))
-    for (I, J), fn in f.coeffs.items():
-        rhs_vals += f.family.coeff(I, J) * np.abs(fn(pts)) ** 2 / cpts
-    rhs_vals = 2.0 * rhs_vals * ephi / (rep.c0_inf * (t + 1))
-
-    lhs = float(np.sum(wq * lhs_vals))
-    rhs = float(np.sum(wq * rhs_vals))
-    diff = rhs_vals - lhs_vals
-    se = 0.0 if quad.deterministic else float(np.std(diff) / math.sqrt(len(diff)))
-    margin = rhs - lhs
-    passed = lhs <= rhs * (1.0 + tol) + 3.0 * se
-    return CheckOutcome("weighted_bound", lhs, rhs, se, margin, bool(passed))
+    u_sq, f_sq = _weighted_sq_vals([(u, ctx.w3), (f, ctx.w3)], pts)
+    rhs_vals = 2.0 * (f_sq / np.real(c_fn(pts))) / (c0 * f.degree[1])  # degree[1] = t + 1
+    return _audit("weighted_bound", u_sq, rhs_vals, wq, quad, True, lambda lhs, rhs: tol * rhs)
 
 
 def hormander_bound_check(u: Form, f: Form, ctx: OperatorContext, domain: Domain,
@@ -348,38 +323,20 @@ def hormander_bound_check(u: Form, f: Form, ctx: OperatorContext, domain: Domain
                           bounded: bool = False, sup_norm_sq: float = 1.0,
                           tol: float = 1e-6) -> CheckOutcome:
     """The (1 + ||z||^2)^-2 weighted bound; bounded domains use the sup factor."""
-    s, tp1 = f.degree
-    t = tp1 - 1
-    n = ctx.spec.trunc_dim
-    phi = ctx.w3
-    H = complex_hessian(phi, levi_points, n)
-    if float(np.min(np.linalg.eigvalsh(H)[:, 0])) < -1e-9:
+    c0 = _bound_c0(f, ctx, levi_points, 0.0)
+    if c0 is None:
         return CheckOutcome("hormander_bound", 0.0, 0.0, 0.0, 0.0, None,
                             reason="phi is not plurisubharmonic at the audit points")
-    rep = check_conditions(f.family, max_index=max(f.max_index(), s + tp1) + 2, s=s, t=t)
     pts, wq = quad.nodes_weights(ctx.spec)
-    ephi = np.exp(-np.real(phi(pts)))
-    zsq = np.sum(pts ** 2, axis=1)
-
-    u_vals = np.zeros(pts.shape[0])
-    for (I, L), fn in u.coeffs.items():
-        u_vals += u.family.coeff(I, L) * np.abs(fn(pts)) ** 2
-    f_vals = np.zeros(pts.shape[0])
-    for (I, J), fn in f.coeffs.items():
-        f_vals += f.family.coeff(I, J) * np.abs(fn(pts)) ** 2
-    rhs_vals = f_vals * ephi / (rep.c0_inf * (t + 1))
+    u_sq, f_sq = _weighted_sq_vals([(u, ctx.w3), (f, ctx.w3)], pts)
+    rhs_vals = f_sq / (c0 * f.degree[1])  # degree[1] = t + 1
     if bounded:
-        lhs_vals = u_vals * ephi
-        factor = (1.0 + sup_norm_sq) ** 2
-        rhs_vals = factor * rhs_vals
+        lhs_vals = u_sq
+        rhs_vals = (1.0 + sup_norm_sq) ** 2 * rhs_vals
     else:
-        lhs_vals = u_vals * ephi / (1.0 + zsq) ** 2
-    lhs = float(np.sum(wq * lhs_vals))
-    rhs = float(np.sum(wq * rhs_vals))
-    diff = rhs_vals - lhs_vals
-    se = 0.0 if quad.deterministic else float(np.std(diff) / math.sqrt(len(diff)))
-    passed = lhs <= rhs * (1.0 + tol) + 3.0 * se
-    return CheckOutcome("hormander_bound", lhs, rhs, se, rhs - lhs, bool(passed))
+        lhs_vals = u_sq / (1.0 + np.sum(pts ** 2, axis=1)) ** 2
+    return _audit("hormander_bound", lhs_vals, rhs_vals, wq, quad, True,
+                  lambda lhs, rhs: tol * rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -387,15 +344,6 @@ def hormander_bound_check(u: Form, f: Form, ctx: OperatorContext, domain: Domain
 # ---------------------------------------------------------------------------
 
 _ORACLE_CHUNK = 1 << 14  # points per evaluation of the integrand in CauchyOracle
-
-
-@lru_cache
-def _leggauss(n: int):
-    """Gauss-Legendre nodes and weights on [-1, 1], built once per n (read-only)."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
 
 
 @dataclass

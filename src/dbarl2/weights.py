@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .domains import Domain, complex_hessian, normalize_eta
-from .forms import Form
+from .forms import Form, _weighted_sq_vals
 from .gaussmeasure import GaussianSpec
 from .symfun import (CylinderFn, add, conj_, const, cubic_step, del_op,
                      delbar_op, diff, eval_expr, germ_step, mul, poly1, x)
@@ -461,10 +461,7 @@ def weight_for_target(f: Form, domain: Domain, J_max: int, spec: GaussianSpec,
 
     pts = dom.sample_interior(n, samples, seed + 2)
     eta_vals = np.real(eta(pts))
-    total = np.zeros(pts.shape[0])
-    for (I, J), fn in f.coeffs.items():
-        c = f.family.coeff(I, J) if f.family is not None else 1.0
-        total += c * np.abs(fn(pts)) ** 2
+    total, = _weighted_sq_vals([(f, None)], pts)
 
     m = np.empty(J_max + 1)
     for j in range(1, J_max + 2):

@@ -236,3 +236,19 @@ class TestMultiplier:
         f = Form((0, 1), {}, fam)
         pts = gm.sample(spec2, 50, 41)
         assert do.multiplier_residual(CylinderFn("x(1)"), f, ctx, pts) == 0.0
+
+
+class TestMaxAbs:
+    def test_values(self):
+        assert do.max_abs([]) == 0.0
+        assert do.max_abs([np.array([]), np.zeros(0, dtype=complex)]) == 0.0
+        assert do.max_abs([np.array([1.0, -3j]), np.array([2.0])]) == 3.0
+
+    def test_residuals_equal_the_per_coefficient_loop(self, spec2, fam):
+        rng = np.random.default_rng(41)
+        u = random_form(rng, (0, 1), 2, 0.9, fam)
+        pts = gm.sample(spec2, 300, 42)
+        loop = lambda form: max([0.0] + [float(np.max(np.abs(fn(pts))))
+                                         for fn in form.coeffs.values()])
+        assert do.support_leak(u, pts) == loop(u) > 0.0
+        assert do.st_complex_residual(u, pts) == loop(dbar(dbar(u)))

@@ -38,9 +38,15 @@ class TestFormBasics:
             _ = f + g
 
     def test_support_radius(self, fam):
-        f = Form((0, 1), {((), (1,)): bump_fn(1, 0.5),
-                          ((), (2,)): bump_fn(2, 0.8)}, fam)
-        assert f.support_radius() == 0.8
+        # a dim-1 bump is a cylinder in C^2: no ball in C^2 holds the form
+        low = bump_fn(1, 0.5)
+        f = Form((0, 1), {((), (1,)): low, ((), (2,)): bump_fn(2, 0.8)}, fam)
+        assert f.support_radius() is None
+        far = np.array([[0.1, 0.0, 5.0, 0.0]])  # |z| = 5.001 > 0.8
+        assert abs(low(far)[0]) > 0.0
+        same = Form((0, 1), {((), (1,)): bump_fn(2, 0.5), ((), (2,)): bump_fn(2, 0.8)}, fam)
+        assert same.support_radius() == 0.8
+        assert Form((0, 1), {}, fam).support_radius() == 0.0
         g = Form((0, 1), {((), (1,)): CylinderFn("x(1)")}, fam)
         assert g.support_radius() is None
 
@@ -106,6 +112,15 @@ class TestNorm:
         plain = norm_sq(f, None, spec1, quad).mean.real
         weighted = norm_sq(f, w, spec1, quad).mean.real
         assert 0 < weighted < plain
+
+    def test_unit_weight_on_mixed_dims_equals_no_weight(self, fam):
+        # the weight is evaluated only inside the form's support ball, and a
+        # dim-1 coefficient has none in C^2: the weight "0" must change nothing
+        spec = gm.GaussianSpec(2, a_rule=lambda i: 0.5)
+        quad = gm.Quadrature("monte_carlo", N=20_000, seed=3)
+        f = Form((0, 1), {((), (1,)): bump_fn(1, 0.5), ((), (2,)): bump_fn(2, 0.8)}, fam)
+        assert norm_sq(f, "0", spec, quad).mean == norm_sq(f, None, spec, quad).mean
+        assert inner(f, f, "0", spec, quad).mean == inner(f, f, None, spec, quad).mean
 
     def test_parallelogram_law(self, fam, spec2):
         rng = np.random.default_rng(5)

@@ -286,3 +286,42 @@ class TestGaussGreen:
                                       gm.Quadrature("gauss_hermite", nodes_per_axis=48))
         assert rep.residual <= 1e-8
         assert rep.stderr == 0.0
+
+
+class TestVerdict:
+    """One pass rule: margin >= -3 stderr with a stderr, else margin >= -tol."""
+
+    @pytest.mark.parametrize("margin, stderr, tol, want", [
+        (-0.29, 0.1, 0.0, True),      # stderr > 0: tol is ignored
+        (-0.31, 0.1, 1.0, False),
+        (-0.31, 0.1, 0.0, False),
+        (-1e-9, 0.0, 1e-8, True),     # stderr = 0: tol applies
+        (-1e-7, 0.0, 1e-8, False),
+        (0.0, 0.0, 0.0, True),
+        (-1e-300, 0.0, 0.0, False),
+    ])
+    def test_table(self, margin, stderr, tol, want):
+        assert gm.verdict(margin, stderr, tol) is want
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6, 0.25])
+    def test_exact_boundary(self, tol):
+        assert gm.verdict(-tol, 0.0, tol) is True
+        assert gm.verdict(np.nextafter(-tol, -np.inf), 0.0, tol) is False
+
+    def test_three_stderr_boundary(self):
+        edge = -3.0 * 0.1
+        assert gm.verdict(edge, 0.1, 0.0) is True
+        assert gm.verdict(np.nextafter(edge, -np.inf), 0.1, 0.0) is False
+
+    def test_gauss_green_report_uses_it(self):
+        assert gm.GaussGreenReport(0, 0, residual=1e-8, stderr=0.0).passed
+        assert not gm.GaussGreenReport(0, 0, residual=1.01e-8, stderr=0.0).passed
+        assert gm.GaussGreenReport(0, 0, residual=0.3, stderr=0.1).passed
+
+    def test_record_columns(self):
+        rec = gm.CheckOutcome("c", 1.5, 2.0, 0.0, 0.5, True, runtime_ms=3.0)
+        assert rec.row() == ["c", "1.5", "2.0", "0.0", "0.5", "true"]
+        assert rec.json_obj() == {"check_id": "c", "lhs": 1.5, "rhs": 2.0, "stderr": 0.0,
+                                  "margin": 0.5, "pass": True}
+        assert gm.CheckOutcome("c", 0.0, 0.0, 0.0, 0.0, None, reason="refused").row()[-1] \
+            == "false"

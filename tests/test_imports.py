@@ -1,20 +1,29 @@
-"""Every name a dbarl2 module imports is used in that module.
+"""Every name a dbarl2 module imports is used in that module, and every
+module-level function and class it defines is named somewhere else.
 
-Only the standard ``ast`` module is needed.  A name counts as used when it
-appears anywhere in the module as a ``Name`` node (a load, or the root of an
-attribute chain).  The package ``__init__`` re-exports its imports and is
-exempt.
+Only the standard ``ast`` module is needed.  An imported name counts as used
+when it appears anywhere in the module as a ``Name`` node (a load, or the
+root of an attribute chain).  The package ``__init__`` re-exports its imports
+and is exempt.  A definition counts as named when a ``Name``, an attribute,
+an imported name or a string that is a (dotted) identifier spells it in a
+module of ``src/``, ``tests/``, ``demos/`` or ``perfbench/``, outside the
+definition itself.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "dbarl2"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "dbarl2"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+READERS = sorted(p for d in ("src", "tests", "demos", "perfbench")
+                 for p in (ROOT / d).rglob("*.py"))
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _imported(tree: ast.Module) -> dict:
@@ -37,3 +46,35 @@ def test_no_unused_imports(path):
     unused = sorted(f"{name} (line {line})" for name, line in _imported(tree).items()
                     if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def _spelled(tree: ast.Module):
+    """(name, owner) for each name the module spells; owner is the module-level
+    definition the spelling sits in (None outside every definition)."""
+    for top in tree.body:
+        owner = top.name if isinstance(top, DEFS) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                yield node.id, owner
+            elif isinstance(node, ast.Attribute):
+                yield node.attr, owner
+            elif isinstance(node, ast.alias):
+                yield node.name.split(".")[-1], owner
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
+                for part in node.value.split("."):
+                    yield part, owner
+
+
+def test_every_definition_is_named_elsewhere():
+    named = set()
+    for path in READERS:
+        for name, owner in _spelled(ast.parse(path.read_text(), filename=str(path))):
+            named.add((name, path if path.parent == SRC else None, owner))
+    unnamed = []
+    for path in MODULES:
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(top, DEFS) and not any(
+                    n == top.name and (p != path or o != top.name) for n, p, o in named):
+                unnamed.append(f"{path.name}:{top.lineno} {top.name}")
+    assert not unnamed, f"definitions nothing names: {', '.join(unnamed)}"

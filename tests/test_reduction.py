@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from dbarl2 import domains as dm
+from dbarl2 import forms as fm
 from dbarl2 import gaussmeasure as gm
 from dbarl2 import reduction as rd
 from dbarl2.forms import Form
-from dbarl2.symfun import CylinderFn, germ_step, mul, const, add, parse
+from dbarl2.symfun import CylinderFn, germ_step, mul, const, add, parse, support_of_sum
 
 from conftest import bump_fn
 
@@ -17,6 +18,14 @@ class TestMollifierKernel:
         assert aud.mass_deviation <= 1e-6
         assert aud.exterior_max == 0.0
         assert aud.radial_deviation <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_mass_reads_the_evaluated_kernel(self, n, monkeypatch):
+        m = rd.mollifier(n)
+        assert abs(m.mass_quadrature() - 1.0) <= 1e-12
+        level = rd.Mollifier.level
+        monkeypatch.setattr(rd.Mollifier, "level", lambda self, r: 1.1 * level(self, r))
+        assert m.mass_quadrature() == pytest.approx(1.1, rel=1e-12)
 
     def test_scaled_mass(self):
         m = rd.mollifier(1)
@@ -165,3 +174,54 @@ class TestPipeline:
         rep = rd.approx_pipeline(f, dom, rho=2.0, n_ladder=[1], delta_ladder=[0.1],
                                  spec=spec1, grid_res=61)
         assert rep.ladder[-1].norm_error <= 1e-12
+
+
+def _ladder_reference(f, rho, n_ladder, delta_ladder, spec, w2, quad, grid_res):
+    """The error ladder by a per-key loop over separately evaluated candidates."""
+    eta = dm.whole_space().eta(spec.trunc_dim)
+    eta_rho = CylinderFn(germ_step(add(eta.expr, const(-rho))), dim=eta.dim)
+    pts, wq = quad.nodes_weights(spec)
+    fvals = {key: fn(pts) for key, fn in f.coeffs.items()}
+    rows = []
+    for n in n_ladder:
+        reduced = {key: gm.reduce_fn(fn, n, spec) for key, fn in f.coeffs.items()}
+        for delta in delta_ladder:
+            cand = Form(f.degree, {key: eta_rho * rd.mollify(red, delta, grid_res=grid_res)
+                                   for key, red in reduced.items()}, f.family)
+            total = np.zeros(pts.shape[0])
+            for key in set(f.coeffs) | set(cand.coeffs):
+                dv = cand.coeff(*key)(pts) - fvals[key]
+                total += f.family.coeff(*key) * np.abs(dv) ** 2
+            if w2 is not None:
+                dim = max(f.max_dim(), cand.max_dim())
+                radius = support_of_sum([(fn.support_radius, fn.dim) for fn in
+                                         [*f.coeffs.values(), *cand.coeffs.values()]], dim)
+                total, = fm._weigh([total], [(w2, radius, dim)], pts)
+            mean = float(np.sum(wq * total))
+            rows.append((n, delta, np.sqrt(max(mean, 0.0)),
+                         float(np.std(total) / np.sqrt(len(total)))))
+    return rows
+
+
+class TestFoldedLadder:
+    """All candidates of one n through one weighted-integrand call equal the
+    per-key loop exactly."""
+
+    @pytest.mark.parametrize("two, w2", [(False, None), (False, "0"), (True, None),
+                                         (True, "0"), (True, "x(1)^2+y(2)^2"),
+                                         ("mixed", "x(1)^2+y(2)^2")])
+    def test_equals_the_per_key_loop(self, two, w2, spec1, spec2, fam):
+        if two:
+            spec = spec2
+            low = bump_fn(1, 0.4, poly="1+x(1)") if two == "mixed" else \
+                bump_fn(2, 0.4, poly="1+x(1)")
+            f = Form((0, 1), {((), (1,)): low,
+                              ((), (2,)): bump_fn(2, 0.5, poly="y(2)-x(1)")}, fam)
+        else:
+            spec = spec1
+            f = Form((0, 1), {((), (1,)): bump_fn(1, 0.4, poly="x(1)")}, fam)
+        kw = dict(rho=2.0, n_ladder=[1], delta_ladder=[0.2, 0.1, 0.05], spec=spec,
+                  quad=gm.Quadrature("monte_carlo", N=4000, seed=12), grid_res=61)
+        rep = rd.approx_pipeline(f, dm.whole_space(), w2=w2, **kw)
+        want = _ladder_reference(f, w2=w2, **kw)
+        assert [(r.n, r.delta, r.norm_error, r.stderr) for r in rep.ladder] == want

@@ -11,6 +11,7 @@ from dbarl2 import gaussmeasure as gm
 from dbarl2 import solver as sv
 from dbarl2 import weights as wt
 from dbarl2.forms import Form, norm_sq
+from dbarl2.multiindex import check_conditions
 from dbarl2.symfun import CylinderFn, EvalError
 
 from conftest import CountingFn, ScalarTwo, bump_fn, random_form
@@ -331,6 +332,75 @@ class TestBoundChecks:
                                        GH24, levi_pts, bounded=True,
                                        sup_norm_sq=1.0)
         assert out.passed is False
+
+
+def _bound_reference(u, f, ctx, quad, c_fn=None, bounded=False, sup_norm_sq=1.0):
+    """(lhs, rhs, margin, stderr) of a bound audit from per-coefficient loops:
+    the weighted bound when c_fn is given, else the (1 + |z|^2)^-2 bound."""
+    pts, wq = quad.nodes_weights(ctx.spec)
+    ephi = np.exp(-np.real(ctx.w3(pts)))
+    u_vals = np.zeros(pts.shape[0])
+    for (I, L), fn in u.coeffs.items():
+        u_vals += u.family.coeff(I, L) * np.abs(fn(pts)) ** 2
+    f_vals = np.zeros(pts.shape[0])
+    for (I, J), fn in f.coeffs.items():
+        f_vals += f.family.coeff(I, J) * np.abs(fn(pts)) ** 2
+    s, tp1 = f.degree
+    c0 = check_conditions(f.family, max_index=max(f.max_index(), s + tp1) + 2,
+                          s=s, t=tp1 - 1).c0_inf
+    if c_fn is not None:
+        lhs_vals = u_vals * ephi
+        rhs_vals = 2.0 * f_vals / np.real(c_fn(pts)) * ephi / (c0 * tp1)
+    else:
+        rhs_vals = f_vals * ephi / (c0 * tp1)
+        if bounded:
+            lhs_vals = u_vals * ephi
+            rhs_vals = (1.0 + sup_norm_sq) ** 2 * rhs_vals
+        else:
+            lhs_vals = u_vals * ephi / (1.0 + np.sum(pts ** 2, axis=1)) ** 2
+    diff = rhs_vals - lhs_vals
+    se = 0.0 if quad.deterministic else float(np.std(diff) / np.sqrt(len(diff)))
+    return float(np.sum(wq * lhs_vals)), float(np.sum(wq * rhs_vals)), \
+        float(np.sum(wq * diff)), se
+
+
+class TestFoldedBoundAudits:
+    """Both bound audits take their integrands from one shared evaluation; they
+    equal the per-coefficient loops."""
+
+    MC = gm.Quadrature("monte_carlo", N=20_000, seed=5)
+
+    def _cases(self, quad_ctx, manufactured, fam):
+        spec, ctx = quad_ctx
+        u0, f = manufactured
+        yield ctx, u0, f, gm.sample(spec, 50, 9)
+        spec2 = gm.GaussianSpec(2)
+        phi = CylinderFn("3*(x(1)^2+y(1)^2+x(2)^2+y(2)^2)")
+        ctx2 = do.OperatorContext(spec2, fam, phi, phi, phi, CylinderFn("0"))
+        rng = np.random.default_rng(31)
+        yield (ctx2, random_form(rng, (0, 1), 2, 0.8, fam),
+               random_form(rng, (0, 2), 2, 0.8, fam), gm.sample(spec2, 50, 9))
+
+    @pytest.mark.parametrize("quad", [GH24, MC], ids=["gh24", "mc"])
+    def test_equal_the_per_coefficient_loop(self, quad, quad_ctx, manufactured, fam):
+        for ctx, u, f, levi in self._cases(quad_ctx, manufactured, fam):
+            if quad.deterministic and ctx.spec.trunc_dim > 1:
+                quad = gm.Quadrature("gauss_hermite", nodes_per_axis=10)
+            c = CylinderFn("2+x(1)^2")
+            outs = [(sv.weighted_bound_check(u, f, ctx, c, quad, dm.ball(r=1.0), levi),
+                     _bound_reference(u, f, ctx, quad, c_fn=c))]
+            for bounded in (False, True):
+                outs.append((sv.hormander_bound_check(u, f, ctx, dm.ball(r=1.0), quad, levi,
+                                                      bounded=bounded, sup_norm_sq=0.7),
+                             _bound_reference(u, f, ctx, quad, bounded=bounded,
+                                              sup_norm_sq=0.7)))
+            for out, (lhs, rhs, margin, se) in outs:
+                assert out.passed is not None
+                assert out.lhs == pytest.approx(lhs, rel=1e-12)
+                assert out.rhs == pytest.approx(rhs, rel=1e-12)
+                assert out.margin == pytest.approx(margin, rel=1e-12, abs=1e-12 * rhs)
+                assert out.stderr == pytest.approx(se, rel=1e-12)
+                assert (se == 0.0) == quad.deterministic
 
 
 class TestCauchyOracle:
