@@ -113,6 +113,20 @@ def _tol(config, name, default):
     return float(config.get("tolerances", {}).get(name, default))
 
 
+def _ms(t0: float) -> float:
+    """Milliseconds since the perf_counter reading t0."""
+    return (time.perf_counter() - t0) * 1e3
+
+
+def _residual(check_id: str, res: float, stderr: float, tol: float, t0: float,
+              sides=None) -> CheckOutcome:
+    """The record of an identity whose residual res should vanish: margin -res,
+    judged by ``verdict``; lhs and rhs are ``sides``, by default (res, 0)."""
+    lhs, rhs = (res, 0.0) if sides is None else sides
+    return CheckOutcome(check_id, lhs, rhs, stderr, -res, verdict(-res, stderr, tol),
+                        runtime_ms=_ms(t0))
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -138,20 +152,17 @@ def cmd_identities(config, seed) -> list:
     wrong_a1 = config.get("perturb", {}).get("gauss_green_a1")
     if wrong_a1 is None:
         rep = gaussmeasure.gauss_green_residual(g0, 1, spec, quad)
-        lhs, rhs = abs(rep.lhs), abs(rep.rhs)
+        sides = (abs(rep.lhs), abs(rep.rhs))
         residual, stderr = rep.residual, rep.stderr
     else:
         # deliberately mismatched scale on the right side only
         qpts, wq = quad.nodes_weights(spec)
         la = g0.d_dx(1)(qpts)
         rb = (qpts[:, 0] / float(wrong_a1) ** 2) * g0(qpts)
-        est = gaussmeasure.paired_residual(la, rb, wq, quad.deterministic)
-        lhs = abs(float(np.sum(wq * la).real))
-        rhs = abs(float(np.sum(wq * rb).real))
+        est = gaussmeasure.estimate(la - rb, wq, quad)
+        sides = (abs(float(np.sum(wq * la).real)), abs(float(np.sum(wq * rb).real)))
         residual, stderr = abs(est.mean), est.stderr
-    recs.append(CheckOutcome("gauss_green_x1", lhs, rhs, stderr,
-                             -residual, verdict(-residual, stderr, tol),
-                             runtime_ms=(time.perf_counter() - t0) * 1e3))
+    recs.append(_residual("gauss_green_x1", residual, stderr, tol, t0, sides))
 
     g1 = test_fns[min(1, len(test_fns) - 1)]
     for weighted in (False, True):
@@ -159,10 +170,8 @@ def cmd_identities(config, seed) -> list:
         varphi = CylinderFn(config.get("varphi", "0"))
         est = dbarops.ibp_residual(g0, g1, 1, spec, quad, weighted=weighted,
                                    varphi=varphi)
-        name = "ibp_sigma" if weighted else "ibp_delta"
-        recs.append(CheckOutcome(name, abs(est.mean), 0.0, est.stderr,
-                                 -abs(est.mean), verdict(-abs(est.mean), est.stderr, tol),
-                                 runtime_ms=(time.perf_counter() - t0) * 1e3))
+        recs.append(_residual("ibp_sigma" if weighted else "ibp_delta", abs(est.mean),
+                              est.stderr, tol, t0))
 
     t0 = time.perf_counter()
     ctx = dbarops.OperatorContext(spec, family, CylinderFn(config.get("w1", "0")),
@@ -170,37 +179,28 @@ def cmd_identities(config, seed) -> list:
                                   CylinderFn(config.get("w3", "0")),
                                   CylinderFn(config.get("varphi", "0")))
     res = dbarops.commutator_residual(g0, 1, 1, ctx, pts)
-    recs.append(CheckOutcome("commutator", res, 0.0, 0.0, -res, verdict(-res, 0.0, 1e-10),
-                             runtime_ms=(time.perf_counter() - t0) * 1e3))
+    recs.append(_residual("commutator", res, 0.0, 1e-10, t0))
 
     t0 = time.perf_counter()
-    u = fl[0]
-    st = dbarops.st_complex_residual(u, pts)
-    recs.append(CheckOutcome("s_after_t_zero", st, 0.0, 0.0, -st, verdict(-st, 0.0, 1e-10),
-                             runtime_ms=(time.perf_counter() - t0) * 1e3))
+    st = dbarops.st_complex_residual(fl[0], pts)
+    recs.append(_residual("s_after_t_zero", st, 0.0, 1e-10, t0))
 
     if len(fl) >= 2:
         t0 = time.perf_counter()
         est = dbarops.adjoint_residual(fl[0], fl[1], ctx, quad)
-        recs.append(CheckOutcome("adjoint", abs(est.mean), 0.0, est.stderr,
-                                 -abs(est.mean), verdict(-abs(est.mean), est.stderr, tol),
-                                 runtime_ms=(time.perf_counter() - t0) * 1e3))
+        recs.append(_residual("adjoint", abs(est.mean), est.stderr, tol, t0))
         t0 = time.perf_counter()
         g = dbarops.dbar(fl[0])
         I = ()
         K = (1,) * (fl[0].degree[1] + 1) if fl[0].degree[1] == 0 else None
         if K is not None:
             est = dbarops.weak_dbar_residual(fl[0], g, g0, I, K, spec, quad)
-            recs.append(CheckOutcome("weak_dbar", abs(est.mean), 0.0, est.stderr,
-                                     -abs(est.mean),
-                                     verdict(-abs(est.mean), est.stderr, tol),
-                                     runtime_ms=(time.perf_counter() - t0) * 1e3))
+            recs.append(_residual("weak_dbar", abs(est.mean), est.stderr, tol, t0))
 
     t0 = time.perf_counter()
     m = CylinderFn(config.get("multiplier", "x(1)"))
     res = dbarops.multiplier_residual(m, fl[0], ctx, pts)
-    recs.append(CheckOutcome("multiplier", res, 0.0, 0.0, -res, verdict(-res, 0.0, 1e-10),
-                             runtime_ms=(time.perf_counter() - t0) * 1e3))
+    recs.append(_residual("multiplier", res, 0.0, 1e-10, t0))
     return recs
 
 
@@ -211,7 +211,7 @@ def cmd_conditions(config, seed) -> list:
     max_index = int(config.get("max_index", 6))
     t0 = time.perf_counter()
     rep = multiindex.check_conditions(family, max_index, s, t)
-    ms = (time.perf_counter() - t0) * 1e3
+    ms = _ms(t0)
     return [
         CheckOutcome("condition1_c1_finite", rep.c1_sup, float("inf"), 0.0,
                      float("inf") - 0 if rep.c1_sup < float("inf") else -1.0,
@@ -230,7 +230,7 @@ def cmd_domains(config, seed) -> list:
     t0 = time.perf_counter()
     pts = dom.sample_interior(n, N, seed)
     eig = domains.levi_min_eigs(dom, pts, n)
-    ms = (time.perf_counter() - t0) * 1e3
+    ms = _ms(t0)
     recs = [CheckOutcome("levi_min_eig", float(np.min(eig)), -1e-9, 0.0,
                          float(np.min(eig)) + 1e-9, bool(np.min(eig) >= -1e-9), runtime_ms=ms)]
     if dom.boundary_distance is not None:
@@ -239,7 +239,7 @@ def cmd_domains(config, seed) -> list:
                                          seed=seed)
         recs.append(CheckOutcome("sublevel_uniform_inclusion", rep.margin, 0.0, 0.0,
                                  rep.margin, rep.included,
-                                 runtime_ms=(time.perf_counter() - t0) * 1e3))
+                                 runtime_ms=_ms(t0)))
     return recs
 
 
@@ -257,7 +257,7 @@ def cmd_approx(config, seed, out_dir: Path) -> list:
         delta_ladder=[float(v) for v in config.get("delta_ladder", [0.2, 0.1, 0.05])],
         spec=spec, quad=_quad_from(config, seed),
         grid_res=int(config.get("grid_res", 101)))
-    ms = (time.perf_counter() - t0) * 1e3
+    ms = _ms(t0)
     report.write_csv(str(out_dir / "approx_ladder.csv"))
     errs = [row.norm_error for row in report.ladder]
     ses = [row.stderr for row in report.ladder]
@@ -294,7 +294,7 @@ def cmd_solve(config, seed, out_dir: Path) -> list:
                                n=int(config.get("solve_dim", 1)),
                                radius=float(config.get("basis_radius", 0.8)))
     u, rep = solver.solve_min_norm(prob)
-    ms = (time.perf_counter() - t0) * 1e3
+    ms = _ms(t0)
     (out_dir / "solve_report.json").write_text(
         json.dumps(rep.as_dict(), sort_keys=True) + "\n")
     tol = _tol(config, "residual", 1e-3)
@@ -325,7 +325,7 @@ def cmd_majorant(config, seed) -> list:
     margins = [float(np.min(maj.deriv(grid, 2) - maj.deriv(grid, 1))),
                float(np.min(maj.deriv(grid, 1) - maj(grid))),
                float(np.min(maj(grid) - np.array([g0(v) for v in grid])))]
-    ms = (time.perf_counter() - t0) * 1e3
+    ms = _ms(t0)
     worst = min(margins)
     return [CheckOutcome("majorant_chain", worst, -1e-9, 0.0, worst + 1e-9,
                          worst >= -1e-9, runtime_ms=ms)]

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .forms import Form, inner_vals
-from .gaussmeasure import GaussianSpec, MCEstimate, Quadrature, paired_residual
+from .gaussmeasure import GaussianSpec, MCEstimate, Quadrature, estimate
 from .multiindex import WeightFamily, as_multiindex, epsilon, insert
 from .symfun import (CylinderFn, FnBase, ZERO_FN, _as_fn, del_op, delbar_op,
                      delta_op, eval_expr, exp_, sigma_op)
@@ -110,7 +110,7 @@ def adjoint_residual(u: Form, f: Form, ctx: OperatorContext,
     pts, w = quad.nodes_weights(ctx.spec)
     lhs_vals = inner_vals(Tu, f, ctx.w2, pts)
     rhs_vals = inner_vals(u, Tsf, ctx.w1, pts)
-    return paired_residual(lhs_vals, rhs_vals, w, quad.deterministic)
+    return estimate(lhs_vals - rhs_vals, w, quad)
 
 
 def ibp_residual(f: FnBase, g: FnBase, i: int, spec: GaussianSpec,
@@ -140,7 +140,7 @@ def ibp_residual(f: FnBase, g: FnBase, i: int, spec: GaussianSpec,
             [delbar_op(f, i).expr, g.expr, f.expr, delta_op(g, i, a_i).expr], pts)
         lhs = dbf * np.conjugate(vg)
         rhs = -vf * np.conjugate(vdg)
-    return paired_residual(lhs, rhs, w, quad.deterministic)
+    return estimate(lhs - rhs, w, quad)
 
 
 def commutator_residual(h: FnBase, i: int, j: int, ctx: OperatorContext,
@@ -158,8 +158,7 @@ def commutator_residual(h: FnBase, i: int, j: int, ctx: OperatorContext,
     cross = h * delbar_op(del_op(varphi, j), i)
     kron = 1.0 if i == j else 0.0
     vl, vc, vh = eval_expr([left.expr, cross.expr, h.expr], points)
-    vals = vl + vc + (kron / (2.0 * a_j ** 2)) * vh
-    return float(np.max(np.abs(vals))) if len(vals) else 0.0
+    return max_abs([vl + vc + (kron / (2.0 * a_j ** 2)) * vh])
 
 
 def weak_dbar_residual(f: Form, g: Form, testfn: FnBase, I, K,
@@ -187,7 +186,7 @@ def weak_dbar_residual(f: Form, g: Form, testfn: FnBase, I, K,
         lhs += sgn * sign * fn(pts) * np.conjugate(dtest(pts))
     gfn = g.coeffs.get((I, K), ZERO_FN)
     rhs = gfn(pts) * np.conjugate(testfn(pts))
-    return paired_residual(lhs, rhs, w, quad.deterministic)
+    return estimate(lhs - rhs, w, quad)
 
 
 def wedge_dbar_fn(m: FnBase, f: Form) -> Form:
@@ -230,6 +229,7 @@ def support_leak(form: Form, points_outside: np.ndarray) -> float:
 
 
 def max_abs(values) -> float:
-    """Largest |v| over a sequence of arrays; 0.0 when there is none.  A
-    running max from 0.0: a NaN entry does not raise it."""
-    return max([0.0, *(float(np.max(np.abs(v))) for v in values if len(v))])
+    """Largest |v| over a sequence of arrays; 0.0 when there is none.  A NaN
+    entry makes it NaN, so no comparison against a tolerance passes it."""
+    maxima = [np.max(np.abs(v)) for v in values if len(v)]
+    return float(np.max(maxima)) if maxima else 0.0

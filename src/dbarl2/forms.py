@@ -18,9 +18,9 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .gaussmeasure import GaussianSpec, MCEstimate, Quadrature, _estimate, support_rsq
+from .gaussmeasure import GaussianSpec, MCEstimate, Quadrature, estimate, support_rsq
 from .multiindex import MultiIndex, WeightFamily, as_multiindex, insert
-from .symfun import (FnBase, ZERO_FN, _as_fn, eval_expr, support_of_product,
+from .symfun import (CylinderFn, FnBase, ZERO_FN, _as_fn, eval_expr, support_of_product,
                      support_of_sum)
 
 
@@ -174,7 +174,7 @@ def norm_sq(form: Form, w_fn, spec: GaussianSpec, quad: Quadrature) -> MCEstimat
         raise ValueError("form coefficients exceed the truncation dimension")
     pts, wq = quad.nodes_weights(spec)
     vals, = _weighted_sq_vals([(form, w_fn)], pts)
-    return _estimate(vals.astype(complex), wq, quad.deterministic, getattr(quad, "seed", None))
+    return estimate(vals, wq, quad)
 
 
 def inner(fa: Form, fb: Form, w_fn, spec: GaussianSpec, quad: Quadrature) -> MCEstimate:
@@ -183,7 +183,7 @@ def inner(fa: Form, fb: Form, w_fn, spec: GaussianSpec, quad: Quadrature) -> MCE
         raise DegreeError("inner product needs equal degrees")
     pts, wq = quad.nodes_weights(spec)
     vals = inner_vals(fa, fb, w_fn, pts)
-    return _estimate(vals, wq, quad.deterministic, getattr(quad, "seed", None))
+    return estimate(vals, wq, quad)
 
 
 def inner_vals(fa: Form, fb: Form, w_fn, pts: np.ndarray) -> np.ndarray:
@@ -205,8 +205,6 @@ def inner_vals(fa: Form, fb: Form, w_fn, pts: np.ndarray) -> np.ndarray:
 def parse_form_literal(entries, degree, family: WeightFamily,
                        support_radius: Optional[float] = None) -> Form:
     """Build a form from config-file literals: [{"I": [...], "J": [...], "coeff": "expr"}]."""
-    from .symfun import CylinderFn
-
     coeffs = {}
     for ent in entries:
         I = as_multiindex(ent.get("I", ()))

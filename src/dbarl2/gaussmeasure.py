@@ -22,7 +22,8 @@ column-major array), and the sum is accumulated node by node in the order of
 the rule, so the values are bitwise those of the per-node loop over all pairs.
 Without a radius every pair is live.
 
-``verdict`` is the one pass rule of every estimate the package audits, and
+``estimate`` is the one quadrature estimate (mean and stderr) of every
+integral the package audits, ``verdict`` the one pass rule of an estimate, and
 ``CheckOutcome`` the one record a check returns.
 """
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -84,12 +85,6 @@ class GaussianSpec:
 class MCEstimate:
     mean: complex
     stderr: float
-    samples: int
-    seed: Optional[int] = None
-
-    @property
-    def real(self) -> float:
-        return self.mean.real
 
 
 @dataclass(frozen=True)
@@ -166,32 +161,24 @@ def _leggauss(n: int):
     return nodes, weights
 
 
-def _estimate(vals: np.ndarray, w: np.ndarray, deterministic: bool,
-              seed: Optional[int]) -> MCEstimate:
+def estimate(vals: np.ndarray, w: np.ndarray, quad: Quadrature) -> MCEstimate:
+    """The one quadrature estimate: mean sum(w vals); stderr std(vals)/sqrt(N)
+    for Monte Carlo, 0 for a deterministic rule.  A residual passes the paired
+    difference of its two sides, so the noise they share cancels."""
     mean = complex(np.sum(w * vals))
-    if deterministic:
-        return MCEstimate(mean=mean, stderr=0.0, samples=len(vals), seed=None)
-    N = len(vals)
-    dev = vals - mean
-    var = float(np.sum(np.abs(dev) ** 2)) / max(N - 1, 1)
-    return MCEstimate(mean=mean, stderr=math.sqrt(var / N), samples=N, seed=seed)
+    if quad.deterministic:
+        return MCEstimate(mean, 0.0)
+    return MCEstimate(mean, float(np.std(vals) / math.sqrt(len(vals))))
 
 
-def integrate(f: Union[FnBase, Callable], spec: GaussianSpec, quad: Quadrature,
+def integrate(f: FnBase, spec: GaussianSpec, quad: Quadrature,
               n: Optional[int] = None) -> MCEstimate:
     """Integral of f against the truncated product measure."""
-    fn = _as_fn(f) if not callable(f) or isinstance(f, FnBase) else f
-    if isinstance(fn, FnBase) and fn.dim > (spec.trunc_dim if n is None else n):
+    fn = _as_fn(f)
+    if fn.dim > (spec.trunc_dim if n is None else n):
         raise ValueError(f"integrand dim {fn.dim} exceeds truncation {spec.trunc_dim}")
     pts, w = quad.nodes_weights(spec, n=n)
-    vals = np.asarray(fn(pts))
-    return _estimate(vals, w, quad.deterministic, getattr(quad, "seed", None))
-
-
-def paired_residual(vals_a: np.ndarray, vals_b: np.ndarray, w: np.ndarray,
-                    deterministic: bool) -> MCEstimate:
-    """Estimate of integral(a - b) with the variance of the paired difference."""
-    return _estimate(np.asarray(vals_a) - np.asarray(vals_b), w, deterministic, None)
+    return estimate(np.asarray(fn(pts)), w, quad)
 
 
 class ReducedFn(FnBase):
@@ -339,5 +326,5 @@ def gauss_green_residual(f: FnBase, m: int, spec: GaussianSpec,
     rb = (pts[:, 2 * (m - 1)] / spec.a(m) ** 2) * f(pts)
     lhs = complex(np.sum(w * la))
     rhs = complex(np.sum(w * rb))
-    est = paired_residual(la, rb, w, quad.deterministic)
+    est = estimate(la - rb, w, quad)
     return GaussGreenReport(lhs=lhs, rhs=rhs, residual=abs(est.mean), stderr=est.stderr)

@@ -21,7 +21,7 @@ from scipy.signal import fftconvolve
 
 from .domains import Domain
 from .forms import Form, _weighted_sq_vals
-from .gaussmeasure import GaussianSpec, Quadrature, _leggauss, reduce_fn
+from .gaussmeasure import GaussianSpec, Quadrature, _leggauss, estimate, reduce_fn
 from .symfun import CylinderFn, FnBase, add, const, germ_step, _as_fn
 
 
@@ -320,8 +320,8 @@ def approx_pipeline(f: Form, domain: Domain, rho: float, n_ladder: Sequence[int]
                  for delta in delta_ladder]
         totals = _weighted_sq_vals([(cand - f, w2) for cand in cands], pts)
         for delta, total in zip(delta_ladder, totals):
-            mean = float(np.sum(wq * total))
-            se = 0.0 if quad.deterministic else float(np.std(total) / math.sqrt(len(total)))
+            est = estimate(total, wq, quad)
             ladder.append(LadderRow(n=n, delta=delta,
-                                    norm_error=math.sqrt(max(mean, 0.0)), stderr=se))
+                                    norm_error=math.sqrt(max(est.mean.real, 0.0)),
+                                    stderr=est.stderr))
     return PipelineReport(output=cands[-1] if cands else None, ladder=ladder, rho=rho)

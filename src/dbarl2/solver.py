@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,11 +30,11 @@ from numpy.polynomial import hermite_e as herme
 from .dbarops import OperatorContext, Tstar, dbar, max_abs
 from .domains import Domain, complex_hessian
 from .forms import Form, _weighted_sq_vals
-from .gaussmeasure import (CheckOutcome, GaussianSpec, Quadrature, _leggauss, sample,
-                           verdict)
+from .gaussmeasure import (CheckOutcome, GaussianSpec, Quadrature, _leggauss, estimate,
+                           sample, verdict)
 from .multiindex import check_conditions
-from .symfun import (BumpD, CylinderFn, add, const, eval_expr, mul, norm_sq_coords,
-                     poly1, x, y, _as_fn)
+from .symfun import (BumpD, CylinderFn, add, const, delbar_op, eval_expr, mul,
+                     norm_sq_coords, poly1, x, y, _as_fn)
 from .weights import WeightTriple, check_cond4
 
 
@@ -163,7 +164,7 @@ def solve_min_norm(p: SolveProblem) -> tuple[Form, SolveReport]:
     # closedness gate: dbar f must vanish at the audit points
     audit_pts = sample(spec, 200, 20_202, n=spec.trunc_dim)
     worst = max_abs(eval_expr([fn.expr for fn in dbar(f).coeffs.values()], audit_pts))
-    if worst > p.tol_closed:
+    if not worst <= p.tol_closed:
         raise ClosednessError(f"dbar(f) reaches {worst:.3e} at audit points "
                               f"(gate {p.tol_closed:.1e}); f is not closed")
 
@@ -173,7 +174,6 @@ def solve_min_norm(p: SolveProblem) -> tuple[Form, SolveReport]:
                               bound_pass=True, rank=0, cond=0.0, basis_dim=0,
                               kernel_orth=0.0)
 
-    from itertools import combinations
     idx_range = range(1, p.n + 1)
     slots_u = [(I, L) for I in combinations(idx_range, s)
                for L in combinations(idx_range, tp1 - 1)]
@@ -193,13 +193,7 @@ def solve_min_norm(p: SolveProblem) -> tuple[Form, SolveReport]:
     E = _stack_rows(basis_forms, slots_u, pts, wq, ew1, f.family)
     images = [dbar(b) for b in basis_forms]
     D = _stack_rows(images, slots_f, pts, wq, ew2, f.family)
-    yvec = np.zeros(D.shape[0], dtype=complex)
-    M = len(pts)
-    for si, key in enumerate(slots_f):
-        fn = f.coeffs.get(key)
-        if fn is None:
-            continue
-        yvec[si * M:(si + 1) * M] = fn(pts) * np.sqrt(f.family.coeff(*key) * wq * ew2)
+    yvec = _stack_rows([f], slots_f, pts, wq, ew2, f.family)[:, 0]
 
     # whiten the trial-space metric
     G = E.conj().T @ E
@@ -253,12 +247,12 @@ def _audit(check_id: str, lhs_vals: np.ndarray, rhs_vals: np.ndarray, wq: np.nda
     """The record of lhs >= rhs (lhs <= rhs when upper) from pointwise integrands
     on one point set: the margin and its stderr are those of the paired
     difference, the verdict is ``verdict`` at tolerance tol(lhs, rhs)."""
-    diff = rhs_vals - lhs_vals if upper else lhs_vals - rhs_vals
     lhs = float(np.sum(wq * lhs_vals))
     rhs = float(np.sum(wq * rhs_vals))
-    margin = float(np.sum(wq * diff))
-    se = 0.0 if quad.deterministic else float(np.std(diff) / math.sqrt(len(diff)))
-    return CheckOutcome(check_id, lhs, rhs, se, margin, verdict(margin, se, tol(lhs, rhs)))
+    est = estimate(rhs_vals - lhs_vals if upper else lhs_vals - rhs_vals, wq, quad)
+    margin = est.mean.real
+    return CheckOutcome(check_id, lhs, rhs, est.stderr, margin,
+                        verdict(margin, est.stderr, tol(lhs, rhs)))
 
 
 def key_inequality_check(f: Form, ctx: OperatorContext, quad: Quadrature,
@@ -404,8 +398,6 @@ class CauchyOracle:
         dbar is exactly the same quadrature applied to the symbolic dbar of f;
         no finite differences enter.
         """
-        from .symfun import delbar_op
-
         ax = np.linspace(-extent, extent, res)
         X, Y = np.meshgrid(ax, ax, indexing="ij")
         base = np.stack([X.reshape(-1), Y.reshape(-1)], axis=1)

@@ -24,11 +24,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .domains import Domain, complex_hessian, normalize_eta
+from .domains import Domain, complex_hessian, normalize_eta, whole_space
 from .forms import Form, _weighted_sq_vals
 from .gaussmeasure import GaussianSpec
 from .symfun import (CylinderFn, add, conj_, const, cubic_step, del_op,
-                     delbar_op, diff, eval_expr, germ_step, mul, poly1, x)
+                     delbar_op, diff, eval_expr, germ_step, log_, mul, poly1, x)
 
 
 # ---------------------------------------------------------------------------
@@ -45,28 +45,26 @@ class CutoffFamily:
     X_k: Optional[CylinderFn] = None
 
 
-def cutoff(k: int, eta: Optional[CylinderFn] = None) -> CutoffFamily:
-    if k < 1:
-        raise ValueError("cut-off level k must be >= 1")
-    h_expr = cubic_step(x(1), k)
-    hp_expr = diff(h_expr, "x", 1)
-
+def _on_line(expr) -> Callable[[np.ndarray], np.ndarray]:
+    """t -> Re expr at the points (t, 0) of C^1."""
     def h(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         pts = np.zeros((len(t), 2))
         pts[:, 0] = t
-        return np.real(eval_expr(h_expr, pts))
+        return np.real(eval_expr(expr, pts))
 
-    def h_prime(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        pts = np.zeros((len(t), 2))
-        pts[:, 0] = t
-        return np.real(eval_expr(hp_expr, pts))
+    return h
 
+
+def cutoff(k: int, eta: Optional[CylinderFn] = None) -> CutoffFamily:
+    if k < 1:
+        raise ValueError("cut-off level k must be >= 1")
+    h_expr = cubic_step(x(1), k)
     X_k = None
     if eta is not None:
         X_k = CylinderFn(cubic_step(eta.expr, k), dim=eta.dim)
-    return CutoffFamily(k=k, h=h, h_prime=h_prime, X_k=X_k)
+    return CutoffFamily(k=k, h=_on_line(h_expr), h_prime=_on_line(diff(h_expr, "x", 1)),
+                        X_k=X_k)
 
 
 def smooth_step(rho: float, eta: Optional[CylinderFn] = None):
@@ -74,18 +72,10 @@ def smooth_step(rho: float, eta: Optional[CylinderFn] = None):
 
     Returns (h callable, eta_rho CylinderFn or None).
     """
-    h_expr = germ_step(add(x(1), const(-rho)))
-
-    def h(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        pts = np.zeros((len(t), 2))
-        pts[:, 0] = t
-        return np.real(eval_expr(h_expr, pts))
-
     eta_rho = None
     if eta is not None:
         eta_rho = CylinderFn(germ_step(add(eta.expr, const(-rho))), dim=eta.dim)
-    return h, eta_rho
+    return _on_line(germ_step(add(x(1), const(-rho)))), eta_rho
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +362,14 @@ def weight_triple(phi: CylinderFn, psi: CylinderFn) -> WeightTriple:
     )
 
 
+def _grad_sq(psi: CylinderFn, n: int, pts: np.ndarray) -> np.ndarray:
+    """sum over i <= n of |d_i psi|^2 at the points."""
+    out = np.zeros(pts.shape[0])
+    for v in eval_expr([del_op(psi, i).expr for i in range(1, n + 1)], pts):
+        out += np.abs(v) ** 2
+    return out
+
+
 @dataclass
 class Cond4Report:
     margin: float
@@ -389,10 +387,7 @@ def check_cond4(phi: CylinderFn, psi: CylinderFn, domain: Domain, n: int,
     points = np.atleast_2d(np.asarray(points, dtype=float))
     H = complex_hessian(phi, points, n)
     eigmin = np.linalg.eigvalsh(H)[:, 0]
-    grad = np.zeros(points.shape[0])
-    for i in range(1, n + 1):
-        grad += np.abs(del_op(psi, i)(points)) ** 2
-    bound = 2.0 * grad + 2.0 * np.exp(np.real(psi(points))) - 0.5
+    bound = 2.0 * _grad_sq(psi, n, points) + 2.0 * np.exp(np.real(psi(points))) - 0.5
     per_point = eigmin - bound
     return Cond4Report(margin=float(np.min(per_point)), per_point=per_point,
                        points=len(per_point))
@@ -414,9 +409,6 @@ def recipe_weights_whole_space(spec: GaussianSpec, tau_certify: float = 2.0,
 
     Returns (triple, domain, kappa).
     """
-    from .domains import whole_space
-    from .symfun import log_
-
     n = spec.trunc_dim
     dom = whole_space()
     eta = dom.eta(n)
@@ -470,24 +462,14 @@ def weight_for_target(f: Form, domain: Domain, J_max: int, spec: GaussianSpec,
     b = np.array([2.0 ** (-(j + 1)) / (1.0 + m[j]) for j in range(J_max + 1)])
 
     psi_vals = np.real(psi(pts))
-    grad_psi = np.zeros(pts.shape[0])
-    for i in range(1, n + 1):
-        grad_psi += np.abs(del_op(psi, i)(pts)) ** 2
-    cond_target = 2.0 * grad_psi + 2.0 * np.exp(psi_vals)
+    cond_target = 2.0 * _grad_sq(psi, n, pts) + 2.0 * np.exp(psi_vals)
 
-    def sup_level(vals, tau):
-        mask = eta_vals <= tau
-        if not np.any(mask):
-            return 0.0
-        return (1.0 + safety) * float(np.max(vals[mask]))
+    def sup_on(vals, mask):
+        """The inflated sup of vals over the masked samples; 0.0 when none is."""
+        return (1.0 + safety) * float(np.max(vals[mask])) if np.any(mask) else 0.0
 
-    def sup_ann(vals, j):
-        mask = (eta_vals > j) & (eta_vals <= j + 1)
-        if not np.any(mask):
-            return 0.0
-        return (1.0 + safety) * float(np.max(vals[mask]))
-
-    h_steps = np.cumsum([abs(math.log(1.0 / b[j]) + sup_ann(psi_vals, j + 1))
+    h_steps = np.cumsum([abs(math.log(1.0 / b[j])
+                             + sup_on(psi_vals, (eta_vals > j + 1) & (eta_vals <= j + 2)))
                          for j in range(J_max + 1)])
 
     # certified range: the staircase psi plateaus above level J_max+1 and all
@@ -496,19 +478,16 @@ def weight_for_target(f: Form, domain: Domain, J_max: int, spec: GaussianSpec,
 
     def g0(xv: float) -> float:
         h_val = 0.0 if xv <= 1.0 else h_steps[min(int(math.floor(xv)) - 1, J_max)]
-        return 1.0 + h_val + sup_level(cond_target, math.ceil(max(xv, 1.0)))
+        return 1.0 + h_val + sup_on(cond_target, eta_vals <= math.ceil(max(xv, 1.0)))
 
     g0_table = np.array([g0(float(v)) for v in range(0, int(K_max) + 2)])
-    maj = None
-    order = trunc_order
-    for _ in range(4):
+    for attempt in range(5):  # doubling the order; the last failure propagates
         try:
-            maj = convex_majorant(g0, K_max=K_max, trunc_order=order)
+            maj = convex_majorant(g0, K_max=K_max, trunc_order=trunc_order << attempt)
             break
         except TruncationError:
-            order *= 2
-    if maj is None:
-        maj = convex_majorant(g0, K_max=K_max, trunc_order=order)
+            if attempt == 4:
+                raise
     phi = maj.compose(eta)
     triple = weight_triple(phi, psi)
 

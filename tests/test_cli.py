@@ -1,9 +1,14 @@
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dbarl2.cli import main
+from dbarl2.forms import parse_form_literal
+from dbarl2.gaussmeasure import GaussianSpec, Quadrature
+from dbarl2.multiindex import constant_family
 
 
 BASE_IDENTITIES = {
@@ -129,6 +134,41 @@ class TestReports:
                 tmp_path / name / "identities_report.jsonl").read_text().splitlines())}
         for check in ("commutator", "s_after_t_zero", "multiplier"):
             assert out["plain"][check] == out["perturbed"][check]
+
+    def test_perturbed_gauss_green_record(self, tmp_path):
+        # the record reads the mismatched sides off the quadrature points
+        wrong = 0.05
+        bad = dict(BASE_IDENTITIES, perturb={"gauss_green_a1": wrong})
+        cfg = write_config(tmp_path, bad)
+        run(["identities", "--config", cfg, "--out", tmp_path])
+        recs = {r["check_id"]: r for r in map(json.loads, (
+            tmp_path / "identities_report.jsonl").read_text().splitlines())}
+        quad = Quadrature("monte_carlo", N=20000, seed=7)
+        pts, w = quad.nodes_weights(GaussianSpec(2))
+        g0 = parse_form_literal(BASE_IDENTITIES["forms"][0]["entries"], (0, 0),
+                                constant_family(1.0), support_radius=0.8).coeff((), ())
+        la = g0.d_dx(1)(pts)
+        rb = (pts[:, 0] / wrong ** 2) * g0(pts)
+        margin = -abs(complex(np.sum(w * (la - rb))))
+        stderr = float(np.std(la - rb) / np.sqrt(len(pts)))
+        got = recs["gauss_green_x1"]
+        assert got["lhs"] == abs(float(np.sum(w * la).real))
+        assert got["rhs"] == abs(float(np.sum(w * rb).real))
+        assert got["margin"] == margin
+        assert got["stderr"] == pytest.approx(stderr, rel=1e-12)
+        assert got["pass"] is (margin >= -3.0 * stderr) is False
+
+    def test_nan_residual_fails(self, tmp_path):
+        # inf - inf: every coefficient of dbar(dbar u) is NaN, which must not pass
+        nan_form = {"degree": [0, 0], "entries": [
+            {"I": [], "J": [], "coeff": "exp(800+x(1))*x(2) - exp(800+x(1))*x(2)"}]}
+        cfg = write_config(tmp_path, dict(BASE_IDENTITIES, forms=[nan_form]))
+        with np.errstate(all="ignore"):
+            assert run(["identities", "--config", cfg, "--out", tmp_path]) == 1
+        recs = {r["check_id"]: r for r in map(json.loads, (
+            tmp_path / "identities_report.jsonl").read_text().splitlines())}
+        assert math.isnan(recs["s_after_t_zero"]["lhs"])
+        assert recs["s_after_t_zero"]["pass"] is False
 
     def test_majorant_command(self, tmp_path):
         cfg = write_config(tmp_path, {"g0": "one", "K_max": 8.0,

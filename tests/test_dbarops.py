@@ -244,6 +244,20 @@ class TestMaxAbs:
         assert do.max_abs([np.array([]), np.zeros(0, dtype=complex)]) == 0.0
         assert do.max_abs([np.array([1.0, -3j]), np.array([2.0])]) == 3.0
 
+    def test_nan_propagates(self, spec2, fam):
+        assert np.isnan(do.max_abs([np.zeros(3), np.array([1.0, np.nan])]))
+        # exp(800 x1) overflows at x1 = 1: inf - inf is NaN there
+        c = "exp(800*x(1))*x({}) - exp(800*x(1))*x({})"
+        with np.errstate(all="ignore"):
+            u = Form((0, 1), {((), (1,)): CylinderFn(c.format(1, 1))}, fam)
+            assert np.isnan(do.support_leak(u, np.array([[1.0, 0.0]])))
+            # dbar(dbar u) needs a (0, 0)-form in two variables to have a coefficient
+            u2 = Form((0, 0), {((), ()): CylinderFn(c.format(2, 2))}, fam)
+            pts = np.array([[1.0, 0.0, 0.5, 0.0]])
+            assert np.isnan(do.st_complex_residual(u2, pts))
+            ctx = make_ctx(spec2, fam, varphi="x(1)^2")
+            assert np.isnan(do.commutator_residual(CylinderFn(c.format(2, 2)), 1, 1, ctx, pts))
+
     def test_residuals_equal_the_per_coefficient_loop(self, spec2, fam):
         rng = np.random.default_rng(41)
         u = random_form(rng, (0, 1), 2, 0.9, fam)

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from dbarl2 import dbarops as do
+from dbarl2 import forms as fm
 from dbarl2 import gaussmeasure as gm
-from dbarl2.symfun import CylinderFn, EvalError
+from dbarl2.symfun import CylinderFn, EvalError, delbar_op, delta_op, sigma_op
 
 from conftest import CountingFn, ScalarTwo, bump_fn, random_bump_fn
 
@@ -325,3 +327,82 @@ class TestVerdict:
                                   "margin": 0.5, "pass": True}
         assert gm.CheckOutcome("c", 0.0, 0.0, 0.0, 0.0, None, reason="refused").row()[-1] \
             == "false"
+
+
+class TestEstimate:
+    """One estimator: mean sum(w v); stderr std(v)/sqrt(N) for Monte Carlo, 0 for
+    Gauss-Hermite.  Every integral and residual is that estimate of its integrand."""
+
+    MC_SMALL = gm.Quadrature("monte_carlo", N=2000, seed=5)
+    GH_SMALL = gm.Quadrature("gauss_hermite", nodes_per_axis=6)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_monte_carlo_stderr(self, dtype):
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal(1000).astype(dtype)
+        if dtype is complex:
+            v = v + 1j * rng.standard_normal(1000)
+        w = np.full(1000, 1e-3)
+        est = gm.estimate(v, w, self.MC_SMALL)
+        assert est.stderr == float(np.std(v) / math.sqrt(len(v)))
+        assert est.mean == complex(np.sum(w * v))
+
+    def test_deterministic_rule_has_no_stderr(self, spec2):
+        pts, w = self.GH_SMALL.nodes_weights(spec2)
+        v = np.cos(pts[:, 0]) + 1j * pts[:, 3]
+        est = gm.estimate(v, w, self.GH_SMALL)
+        assert est.stderr == 0.0
+        assert est.mean == complex(np.sum(w * v))
+
+    @staticmethod
+    def _inner(fa, fb, w_fn, pts):
+        """Sum' c f_a conj(f_b) e^{-w}, coefficient by coefficient."""
+        total = np.zeros(len(pts), dtype=complex)
+        for key in set(fa.coeffs) & set(fb.coeffs):
+            total += fa.family.coeff(*key) * fa.coeffs[key](pts) \
+                * np.conjugate(fb.coeffs[key](pts))
+        return total * np.exp(-np.real(w_fn(pts)))
+
+    def _cases(self, spec, fam):
+        a1 = spec.a(1)
+        f, g = CylinderFn("x(1)*y(2)+sin(x(2))"), CylinderFn("1+x(1)^2-y(1)*x(2)")
+        varphi, w = CylinderFn("x(1)^2+y(2)^2"), CylinderFn("0.5*x(2)^2")
+        u = fm.Form((0, 0), {((), ()): f}, fam)
+        v = fm.Form((0, 1), {((), (1,)): g, ((), (2,)): f}, fam)
+        ctx = do.OperatorContext(spec, fam, w, varphi, CylinderFn("0"), varphi)
+        yield ("integrate", lambda q: gm.integrate(f, spec, q), lambda p: f(p))
+        yield ("norm_sq", lambda q: fm.norm_sq(v, w, spec, q),
+               lambda p: np.real(self._inner(v, v, w, p)))
+        yield ("inner", lambda q: fm.inner(v, v.scale(1j), w, spec, q),
+               lambda p: self._inner(v, v.scale(1j), w, p))
+        yield ("adjoint_residual", lambda q: do.adjoint_residual(u, v, ctx, q),
+               lambda p: self._inner(do.dbar(u), v, ctx.w2, p)
+               - self._inner(u, do.Tstar(v, ctx), ctx.w1, p))
+        yield ("ibp_delta", lambda q: do.ibp_residual(f, g, 1, spec, q),
+               lambda p: delbar_op(f, 1)(p) * np.conjugate(g(p))
+               + f(p) * np.conjugate(delta_op(g, 1, a1)(p)))
+        yield ("ibp_sigma", lambda q: do.ibp_residual(f, g, 1, spec, q, weighted=True,
+                                                      varphi=varphi),
+               lambda p: (delbar_op(f, 1)(p) * np.conjugate(g(p))
+                          + f(p) * np.conjugate(sigma_op(g, 1, a1, varphi)(p)))
+               * np.exp(-np.real(varphi(p))))
+        yield ("weak_dbar_residual",
+               lambda q: do.weak_dbar_residual(u, v, g, (), (1,), spec, q),
+               lambda p: -f(p) * np.conjugate(delta_op(g, 1, a1)(p))
+               - g(p) * np.conjugate(g(p)))
+        yield ("gauss_green_residual", lambda q: gm.gauss_green_residual(f, 1, spec, q),
+               lambda p: f.d_dx(1)(p) - (p[:, 0] / a1 ** 2) * f(p))
+
+    @pytest.mark.parametrize("kind", ["monte_carlo", "gauss_hermite"])
+    def test_every_integral_is_the_estimate_of_its_integrand(self, spec2, fam, kind):
+        quad = self.MC_SMALL if kind == "monte_carlo" else self.GH_SMALL
+        pts, w = quad.nodes_weights(spec2)
+        for name, run, integrand in self._cases(spec2, fam):
+            got = run(quad)
+            want = gm.estimate(integrand(pts), w, quad)
+            if name == "gauss_green_residual":
+                got = gm.MCEstimate(got.residual, got.stderr)
+                want = gm.MCEstimate(abs(want.mean), want.stderr)
+            assert got.mean == pytest.approx(want.mean, rel=1e-12, abs=1e-15), name
+            assert got.stderr == pytest.approx(want.stderr, rel=1e-12), name
+            assert (got.stderr == 0.0) is quad.deterministic, name

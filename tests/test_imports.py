@@ -1,5 +1,6 @@
-"""Every name a dbarl2 module imports is used in that module, and every
-module-level function and class it defines is named somewhere else.
+"""Every name a dbarl2 module imports is used in that module, no import sits
+inside a function or class, and every module-level function and class a
+module defines is named somewhere else.
 
 Only the standard ``ast`` module is needed.  An imported name counts as used
 when it appears anywhere in the module as a ``Name`` node (a load, or the
@@ -46,6 +47,17 @@ def test_no_unused_imports(path):
     unused = sorted(f"{name} (line {line})" for name, line in _imported(tree).items()
                     if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def test_no_import_inside_a_definition():
+    nested = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, DEFS):
+                nested |= {f"{path.name}:{sub.lineno}" for sub in ast.walk(node)
+                           if isinstance(sub, (ast.Import, ast.ImportFrom))}
+    assert not nested, f"imports inside a definition: {', '.join(sorted(nested))}"
 
 
 def _spelled(tree: ast.Module):

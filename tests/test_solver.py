@@ -112,6 +112,17 @@ class TestSolve:
         with pytest.raises(sv.ClosednessError):
             sv.solve_min_norm(prob)
 
+    def test_closedness_gate_refuses_nan(self, fam):
+        # inf - inf: dbar(f) is NaN at every audit point, which must not pass the gate
+        spec = gm.GaussianSpec(2)
+        phi = CylinderFn("3*(x(1)^2+y(1)^2+x(2)^2+y(2)^2)")
+        ctx = do.OperatorContext(spec, fam, phi, phi, phi, CylinderFn("0"))
+        u0 = Form((0, 0), {((), ()): CylinderFn("exp(800+x(1))*x(2) - exp(800+x(1))*x(2)")},
+                  fam)
+        prob = sv.SolveProblem(ctx=ctx, domain=dm.ball(r=1.0), f=do.dbar(u0), n=1, radius=R)
+        with np.errstate(all="ignore"), pytest.raises(sv.ClosednessError, match="nan"):
+            sv.solve_min_norm(prob)
+
     def test_galerkin_adjoint_consistency(self, quad_ctx, fam):
         # matrix of T against the trial dictionary equals the conjugate
         # transpose of the matrix of the closed-form adjoint; the support
