@@ -294,9 +294,10 @@ class CheckOutcome:
                 "true" if self.passed else "false"]
 
     def json_obj(self):
-        return {"check_id": self.check_id, "lhs": float(self.lhs),
-                "rhs": float(self.rhs), "stderr": float(self.stderr),
-                "margin": float(self.margin), "pass": bool(self.passed)}
+        """The report record as strict JSON: a non-finite number is null."""
+        nums = {k: float(getattr(self, k)) for k in ("lhs", "rhs", "stderr", "margin")}
+        return {"check_id": self.check_id, "pass": bool(self.passed),
+                **{k: v if math.isfinite(v) else None for k, v in nums.items()}}
 
 
 @dataclass(frozen=True)
@@ -311,19 +312,20 @@ class GaussGreenReport:
         return verdict(-self.residual, self.stderr, 1e-8)
 
 
-def gauss_green_residual(f: FnBase, m: int, spec: GaussianSpec,
-                         quad: Quadrature) -> GaussGreenReport:
+def gauss_green_residual(f: FnBase, m: int, spec: GaussianSpec, quad: Quadrature,
+                         a_m: Optional[float] = None) -> GaussGreenReport:
     """Residual of: integral of D_{x_m} f  equals  integral of (x_m/a_m^2) f.
 
-    Both sides share one point set, so the reported stderr is that of the
-    paired difference.
+    a_m is the scale the right side divides by, the measure's own by default
+    (another value plants a mismatch the check must see).  Both sides share
+    one point set, so the reported stderr is that of the paired difference.
     """
     f = _as_fn(f)
     if m > spec.trunc_dim:
         raise ValueError("m exceeds the truncation dimension")
     pts, w = quad.nodes_weights(spec)
     la = f.d_dx(m)(pts)
-    rb = (pts[:, 2 * (m - 1)] / spec.a(m) ** 2) * f(pts)
+    rb = (pts[:, 2 * (m - 1)] / (spec.a(m) if a_m is None else a_m) ** 2) * f(pts)
     lhs = complex(np.sum(w * la))
     rhs = complex(np.sum(w * rb))
     est = estimate(la - rb, w, quad)

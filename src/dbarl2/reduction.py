@@ -1,8 +1,11 @@
 """Mollification on the reduced finite-dimensional slice and the approximation pipeline.
 
 The mollifier is the radial bump profile on C^n normalized to unit Lebesgue
-mass; convolution runs on a uniform grid (n in {1, 2}, so 2 or 4 real
-dimensions) via FFT.  Mollified coefficients come back as grid-backed
+mass; its normalising constant comes from a 600-node Gauss-Legendre rule of
+the radial integral, and the unit-mass audit reads the kernel with a distinct
+400-node rule, so the audit measures the normalisation instead of repeating
+it.  Convolution runs on a uniform grid (n in {1, 2}, so 2 or 4 real
+dimensions) by numpy FFTs.  Mollified coefficients come back as grid-backed
 functions with stencil first derivatives, flagged approximate; the pipeline
 composes reduce -> mollify -> multiply by the smooth cut-off eta_rho and
 reports the weighted-norm error ladder over (n, delta).
@@ -16,18 +19,21 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import integrate as spint
-from scipy.signal import fftconvolve
 
 from .domains import Domain
 from .forms import Form, _weighted_sq_vals
 from .gaussmeasure import GaussianSpec, Quadrature, _leggauss, estimate, reduce_fn
-from .symfun import CylinderFn, FnBase, add, const, germ_step, _as_fn
+from .symfun import FnBase, _as_fn
+from .weights import smooth_step
 
 
-def _ball_surface(d: int) -> float:
-    """Surface area of the unit sphere in R^d."""
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+def _radial_mass(level, d: int, nodes: int) -> float:
+    """|S^(d-1)| times the nodes-point Gauss-Legendre rule on [0, 1] for the
+    integral of level(r) r^(d-1): the Lebesgue mass of a radial kernel on R^d."""
+    t, w = _leggauss(nodes)
+    r = 0.5 * (t + 1.0)
+    surface = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    return surface * 0.5 * float(np.sum(w * level(r) * r ** (d - 1)))
 
 
 @dataclass
@@ -54,23 +60,18 @@ class Mollifier:
         return self.level(r) / delta ** (2 * self.n)
 
     def mass_quadrature(self) -> float:
-        """Mass of the kernel as ``level`` evaluates it: |S^(d-1)| times a
-        400-node Gauss-Legendre rule on [0, 1] for the integral of
-        level(r) r^(d-1) (2.7e-14 from 1 for n = 1 and n = 2)."""
-        d = 2 * self.n
-        t, w = _leggauss(400)
-        r = 0.5 * (t + 1.0)
-        return _ball_surface(d) * 0.5 * float(np.sum(w * self.level(r) * r ** (d - 1)))
+        """Mass of the kernel as ``level`` evaluates it, by a 400-node
+        Gauss-Legendre rule (about 5e-14 from 1 for n = 1 and n = 2)."""
+        return _radial_mass(self.level, 2 * self.n, 400)
 
 
 def mollifier(n: int) -> Mollifier:
+    """The unit-mass kernel on C^n.  Its constant is 1 over the mass of the bare
+    bump by a 600-node Gauss-Legendre rule; the audit's rule has 400 nodes, so
+    that ``mass_quadrature`` checks the constant rather than re-deriving it."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    d = 2 * n
-    surf = _ball_surface(d)
-    val, _ = spint.quad(lambda r: math.exp(-1.0 / (1.0 - r * r)) * r ** (d - 1),
-                        0.0, 1.0, epsabs=1e-13, epsrel=1e-13)
-    return Mollifier(n=n, norm_const=1.0 / (surf * val))
+    return Mollifier(n=n, norm_const=1.0 / _radial_mass(Mollifier(n, 1.0).level, 2 * n, 600))
 
 
 class ResolutionError(ValueError):
@@ -136,21 +137,48 @@ class GridFn(FnBase):
         return self._stencil(2 * (i - 1) + 1)
 
 
+def _mesh(ax: np.ndarray, d: int) -> np.ndarray:
+    """The (len(ax)^d, d) points of the grid ax^d, the last coordinate fastest."""
+    return np.stack(np.meshgrid(*([ax] * d), indexing="ij"), axis=-1).reshape(-1, d)
+
+
+def _gauss_density(pts: np.ndarray, spec: GaussianSpec, n: int) -> np.ndarray:
+    """The Gaussian density of the first n complex coordinates at real points."""
+    dens = np.ones(len(pts))
+    for i in range(1, n + 1):
+        a = spec.a(i)
+        dens = dens * np.exp(-(pts[:, 2 * i - 2] ** 2 + pts[:, 2 * i - 1] ** 2) / (2 * a * a)) \
+            / (2 * math.pi * a * a)
+    return dens
+
+
+def _smooth_len(m: int) -> int:
+    """The least 2^i 3^j 5^k >= m: a length the FFT factors into small primes."""
+    e = range(m.bit_length() + 1)
+    return min(c for c in (2 ** i * 3 ** j * 5 ** k for i in e for j in e for k in e) if c >= m)
+
+
+def _fftconvolve(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The linear convolution a * k cropped to the grid of a (centred, like a
+    "same" convolution), by FFTs padded to 5-smooth lengths."""
+    axes = tuple(range(a.ndim))
+    shape = [_smooth_len(sa + sk - 1) for sa, sk in zip(a.shape, k.shape)]
+    full = np.fft.ifftn(np.fft.fftn(a, shape, axes) * np.fft.fftn(k, shape, axes), axes=axes)
+    return full[tuple(slice((sk - 1) // 2, (sk - 1) // 2 + sa)
+                      for sa, sk in zip(a.shape, k.shape))]
+
+
 def fn_to_grid(f: FnBase, n: int, extent: float, grid_res: int) -> GridFn:
     f = _as_fn(f)
-    axes = [np.linspace(-extent, extent, grid_res)] * (2 * n)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in mesh], axis=1)
-    vals = f(pts).reshape([grid_res] * (2 * n))
-    return GridFn(vals, extent, n, f.support_radius)
+    vals = f(_mesh(np.linspace(-extent, extent, grid_res), 2 * n))
+    return GridFn(vals.reshape([grid_res] * (2 * n)), extent, n, f.support_radius)
 
 
 def _unit_kernel(n: int, delta: float, h: float) -> np.ndarray:
     """The width-delta mollifier on C^n sampled at spacing h, scaled to unit
     discrete mass (complex, for the FFT convolution)."""
     half = int(math.ceil(delta / h))
-    mesh = np.meshgrid(*([np.arange(-half, half + 1) * h] * (2 * n)), indexing="ij")
-    kpts = np.stack([g.reshape(-1) for g in mesh], axis=1)
+    kpts = _mesh(np.arange(-half, half + 1) * h, 2 * n)
     kern = mollifier(n).scaled(kpts, delta).reshape([2 * half + 1] * (2 * n))
     return (kern / kern.sum()).astype(complex)
 
@@ -177,29 +205,18 @@ def mollify(f_n: FnBase, delta: float, grid_res: int = 121) -> GridFn:
     if h > delta / 2.0:
         raise ResolutionError(
             f"grid spacing {h:.4g} too coarse for delta = {delta}; raise grid_res")
-    out = fftconvolve(grid.values, _unit_kernel(n, delta, h), mode="same")
+    out = _fftconvolve(grid.values, _unit_kernel(n, delta, h))
     # support arithmetic is exact: kill FFT roundoff outside radius R + delta
-    axes = np.linspace(-extent, extent, grid_res)
-    mesh = np.meshgrid(*([axes] * (2 * n)), indexing="ij")
-    rad_sq = np.zeros_like(mesh[0])
-    for g in mesh:
-        rad_sq += g * g
-    out[rad_sq > (R + delta) ** 2] = 0.0
+    pts = _mesh(grid.axes(), 2 * n)
+    out[np.sum(pts * pts, axis=1).reshape(grid.shape) > (R + delta) ** 2] = 0.0
     return GridFn(out, extent, n, support_radius=R + delta)
 
 
 def l2_gauss_grid(values_fn, grid: GridFn, spec: GaussianSpec) -> float:
     """Grid quadrature of |values|^2 against the Gaussian density."""
     n = grid.dim
-    axes = grid.axes()
-    mesh = np.meshgrid(*([axes] * (2 * n)), indexing="ij")
-    dens = np.ones_like(mesh[0])
-    for i in range(1, n + 1):
-        a = spec.a(i)
-        dens = dens * np.exp(-(mesh[2 * i - 2] ** 2 + mesh[2 * i - 1] ** 2) / (2 * a * a)) \
-            / (2 * math.pi * a * a)
-    vol = grid.h ** (2 * n)
-    return float(np.sum(np.abs(values_fn) ** 2 * dens) * vol)
+    dens = _gauss_density(_mesh(grid.axes(), 2 * n), spec, n).reshape(grid.shape)
+    return float(np.sum(np.abs(values_fn) ** 2 * dens) * grid.h ** (2 * n))
 
 
 @dataclass
@@ -209,7 +226,7 @@ class MollifierAudit:
     radial_deviation: float
 
 
-def audit_mollifier(n: int, grid_res: int = 61, seed: int = 5) -> MollifierAudit:
+def audit_mollifier(n: int, seed: int = 5) -> MollifierAudit:
     """Unit mass, support containment, and radiality of the kernel."""
     m = mollifier(n)
     mass_dev = abs(m.mass_quadrature() - 1.0)
@@ -221,11 +238,8 @@ def audit_mollifier(n: int, grid_res: int = 61, seed: int = 5) -> MollifierAudit
     v = rng.standard_normal((500, 2 * n))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     radii = rng.random(500) ** (1.0 / (2 * n))
-    base = m.level(radii)
-    rotated = m.scaled(v * radii[:, None], 1.0)
-    rad_dev = float(np.max(np.abs(base - rotated)))
-    return MollifierAudit(mass_deviation=mass_dev, exterior_max=ext,
-                          radial_deviation=rad_dev)
+    rad_dev = float(np.max(np.abs(m.level(radii) - m.scaled(v * radii[:, None], 1.0))))
+    return MollifierAudit(mass_deviation=mass_dev, exterior_max=ext, radial_deviation=rad_dev)
 
 
 def convolution_adjoint_residual(f: FnBase, g: FnBase, n: int, delta: float,
@@ -241,34 +255,21 @@ def convolution_adjoint_residual(f: FnBase, g: FnBase, n: int, delta: float,
     if f.dim > n or g.dim > n:
         f = reduce_fn(f, n, spec)
         g = reduce_fn(g, n, spec)
-    Rf = f.support_radius if f.support_radius is not None else 1.0
-    Rg = g.support_radius if g.support_radius is not None else 1.0
-    extent = max(Rf, Rg) + delta + 0.05
-    res = grid_res
-
-    axes = np.linspace(-extent, extent, res)
-    mesh = np.meshgrid(*([axes] * (2 * n)), indexing="ij")
-    pts = np.stack([mm.reshape(-1) for mm in mesh], axis=1)
+    radii = [1.0 if fn.support_radius is None else fn.support_radius for fn in (f, g)]
+    extent = max(radii) + delta + 0.05
+    axes = np.linspace(-extent, extent, grid_res)
+    pts = _mesh(axes, 2 * n)
     h = axes[1] - axes[0]
     vol = h ** (2 * n)
-
-    dens = np.ones(pts.shape[0])
-    for i in range(1, n + 1):
-        a = spec.a(i)
-        dens *= np.exp(-(pts[:, 2 * i - 2] ** 2 + pts[:, 2 * i - 1] ** 2) / (2 * a * a)) \
-            / (2 * math.pi * a * a)
-
-    shape = [res] * (2 * n)
     kern = _unit_kernel(n, delta, h)
 
+    shape = [grid_res] * (2 * n)
     fv = f(pts).reshape(shape)
     gv = g(pts).reshape(shape)
-    dv = dens.reshape(shape)
+    dv = _gauss_density(pts, spec, n).reshape(shape)
 
-    f_moll = fftconvolve(fv, kern, mode="same")
-    lhs = np.sum(f_moll * gv * dv) * vol
-    g_weighted = fftconvolve(gv * dv, kern, mode="same")
-    rhs = np.sum(fv * g_weighted) * vol
+    lhs = np.sum(_fftconvolve(fv, kern) * gv * dv) * vol
+    rhs = np.sum(fv * _fftconvolve(gv * dv, kern)) * vol
     return float(abs(lhs - rhs))
 
 
@@ -307,8 +308,7 @@ def approx_pipeline(f: Form, domain: Domain, rho: float, n_ladder: Sequence[int]
     if any(fn.support_radius is None for fn in f.coeffs.values()):
         raise ValueError("the pipeline needs compactly supported coefficients")
     quad = quad or Quadrature("monte_carlo", N=20_000, seed=404)
-    eta = domain.eta(spec.trunc_dim)
-    eta_rho = CylinderFn(germ_step(add(eta.expr, const(-rho))), dim=eta.dim)
+    _, eta_rho = smooth_step(rho, domain.eta(spec.trunc_dim))
 
     pts, wq = quad.nodes_weights(spec)
     ladder = []

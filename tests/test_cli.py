@@ -1,5 +1,4 @@
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +37,16 @@ def write_config(tmp_path, payload, name="config.json"):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def strict_records(path):
+    """The records of a JSON-lines report, read as RFC 8259 JSON (no NaN or
+    Infinity tokens), keyed by check id."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return {r["check_id"]: r for r in (json.loads(line, parse_constant=refuse)
+                                       for line in path.read_text().splitlines())}
 
 
 class TestExitCodes:
@@ -93,13 +102,11 @@ class TestReports:
                                       "max_index": 6, "s": 0, "t": 0})
         out = tmp_path / "r"
         run(["conditions", "--config", cfg, "--out", out])
-        recs = [json.loads(l) for l in
-                (out / "conditions_report.jsonl").read_text().splitlines()]
-        assert {r["check_id"] for r in recs} == {
-            "condition1_c1_finite", "condition2_c0_positive",
-            "condition3_multiplicative"}
-        c0 = [r for r in recs if r["check_id"] == "condition2_c0_positive"][0]
-        assert c0["lhs"] == pytest.approx(7.0 / 6.0)
+        recs = strict_records(out / "conditions_report.jsonl")
+        assert set(recs) == {"condition1_c1_finite", "condition2_c0_positive",
+                             "condition3_multiplicative"}
+        assert recs["condition2_c0_positive"]["lhs"] == pytest.approx(7.0 / 6.0)
+        assert recs["condition1_c1_finite"]["rhs"] is None
 
     def test_conditions_mu_matches_python_rule(self, tmp_path, monkeypatch):
         # reference: the same rule written as a Python function
@@ -158,6 +165,28 @@ class TestReports:
         assert got["stderr"] == pytest.approx(stderr, rel=1e-12)
         assert got["pass"] is (margin >= -3.0 * stderr) is False
 
+    def test_complex_gauss_green_sides_are_moduli(self, tmp_path):
+        # plain and perturbed records both report |sum w la| and |sum w rb|
+        coeff = "i*x(1)*bump((x(1)^2+y(1)^2+x(2)^2+y(2)^2)/0.64)"
+        entries = [{"I": [], "J": [], "coeff": coeff}]
+        forms = [{"degree": [0, 0], "support_radius": 0.8, "entries": entries},
+                 BASE_IDENTITIES["forms"][1]]
+        spec = GaussianSpec(2)
+        pts, w = Quadrature("monte_carlo", N=20000, seed=7).nodes_weights(spec)
+        g0 = parse_form_literal(entries, (0, 0), constant_family(1.0),
+                                support_radius=0.8).coeff((), ())
+        la = g0.d_dx(1)(pts)
+        for a1 in (None, 0.05):
+            payload = dict(BASE_IDENTITIES, forms=forms)
+            if a1 is not None:
+                payload["perturb"] = {"gauss_green_a1": a1}
+            out = tmp_path / str(a1)
+            run(["identities", "--config", write_config(tmp_path, payload), "--out", out])
+            got = strict_records(out / "identities_report.jsonl")["gauss_green_x1"]
+            rb = (pts[:, 0] / (spec.a(1) if a1 is None else a1) ** 2) * g0(pts)
+            assert got["lhs"] == abs(complex(np.sum(w * la))) > 0.0
+            assert got["rhs"] == abs(complex(np.sum(w * rb)))
+
     def test_nan_residual_fails(self, tmp_path):
         # inf - inf: every coefficient of dbar(dbar u) is NaN, which must not pass
         nan_form = {"degree": [0, 0], "entries": [
@@ -165,9 +194,8 @@ class TestReports:
         cfg = write_config(tmp_path, dict(BASE_IDENTITIES, forms=[nan_form]))
         with np.errstate(all="ignore"):
             assert run(["identities", "--config", cfg, "--out", tmp_path]) == 1
-        recs = {r["check_id"]: r for r in map(json.loads, (
-            tmp_path / "identities_report.jsonl").read_text().splitlines())}
-        assert math.isnan(recs["s_after_t_zero"]["lhs"])
+        recs = strict_records(tmp_path / "identities_report.jsonl")
+        assert recs["s_after_t_zero"]["lhs"] is None
         assert recs["s_after_t_zero"]["pass"] is False
 
     def test_majorant_command(self, tmp_path):

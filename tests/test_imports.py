@@ -1,8 +1,9 @@
 """Every name a dbarl2 module imports is used in that module, no import sits
-inside a function or class, and every module-level function and class a
-module defines is named somewhere else.
+inside a function or class, every module-level function and class a module
+defines is named somewhere else, and importing the command line loads no
+third-party package but numpy.
 
-Only the standard ``ast`` module is needed.  An imported name counts as used
+Only the standard ``ast`` module is needed for the source checks.  An imported name counts as used
 when it appears anywhere in the module as a ``Name`` node (a load, or the
 root of an attribute chain).  The package ``__init__`` re-exports its imports
 and is exempt.  A definition counts as named when a ``Name``, an attribute,
@@ -14,7 +15,10 @@ definition itself.
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,3 +94,13 @@ def test_every_definition_is_named_elsewhere():
                     n == top.name and (p != path or o != top.name) for n, p, o in named):
                 unnamed.append(f"{path.name}:{top.lineno} {top.name}")
     assert not unnamed, f"definitions nothing names: {', '.join(unnamed)}"
+
+
+def test_cli_imports_numpy_only():
+    # a fresh interpreter: the packages the test session already holds do not count
+    probe = ("import sys; before = set(sys.modules); import dbarl2.cli; "
+             "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+             " - set(sys.stdlib_module_names)))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert ast.literal_eval(out.stdout) == ["dbarl2", "numpy"]

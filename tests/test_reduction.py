@@ -38,6 +38,37 @@ class TestMollifierKernel:
         assert float(np.sum(vals)) * h * h == pytest.approx(1.0, abs=1e-6)
 
 
+def direct_same_convolution(a, k):
+    """The linear convolution a * k by direct summation over the kernel,
+    cropped to the grid of a with the kernel's centre (sk - 1) // 2."""
+    full = np.zeros([sa + sk - 1 for sa, sk in zip(a.shape, k.shape)], dtype=complex)
+    for q in np.ndindex(k.shape):
+        full[tuple(slice(qi, qi + sa) for qi, sa in zip(q, a.shape))] += k[q] * a
+    return full[tuple(slice((sk - 1) // 2, (sk - 1) // 2 + sa)
+                      for sa, sk in zip(a.shape, k.shape))]
+
+
+class TestFFTConvolve:
+    @pytest.mark.parametrize("a_shape, k_shape", [
+        ((17, 12), (5, 3)),         # full lengths 21 and 14: neither 5-smooth
+        ((20, 11), (9, 4)),         # 28 (not 5-smooth) and an even kernel
+        ((7, 8, 6, 9), (3, 5, 3, 5)),  # full lengths 9, 12, 8 and 13
+        ((9, 9, 9, 9), (7, 7, 7, 7)),  # 15 on every axis
+    ])
+    def test_matches_direct_sum(self, a_shape, k_shape):
+        rng = np.random.default_rng(len(a_shape) + sum(k_shape))
+        a = rng.standard_normal(a_shape) + 1j * rng.standard_normal(a_shape)
+        k = rng.standard_normal(k_shape) + 1j * rng.standard_normal(k_shape)
+        ref = direct_same_convolution(a, k)
+        got = rd._fftconvolve(a, k)
+        assert got.shape == a.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_smooth_lengths(self):
+        assert [rd._smooth_len(m) for m in (1, 7, 13, 14, 21, 121, 149, 251)] == \
+            [1, 8, 15, 15, 24, 125, 150, 256]
+
+
 class TestMollify:
     def test_plateau_preserved(self, spec1):
         ind = CylinderFn(germ_step(mul(const(2.0), add(parse("x(1)^2+y(1)^2"),
