@@ -6,7 +6,8 @@
 One JSON config per invocation.  Each command emits a JSON-lines report plus
 a CSV summary (columns check_id,lhs,rhs,stderr,margin,pass); identical
 configs reproduce byte-identical report files.  Exit codes: 0 all checks
-pass, 1 any check failed, 2 config error.
+pass, 1 any check failed, 2 config error, 3 a check crashed (traceback on
+stderr, no report).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import re
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -368,6 +370,10 @@ def main(argv=None) -> int:
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a crash, not a failed check
+        traceback.print_exc()
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
     write_reports(records, out_dir, args.command)
     for rec in records:

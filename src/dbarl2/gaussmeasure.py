@@ -161,6 +161,11 @@ def _leggauss(n: int):
     return nodes, weights
 
 
+def _mesh(ax: np.ndarray, d: int) -> np.ndarray:
+    """The (len(ax)^d, d) points of the grid ax^d, the last coordinate fastest."""
+    return np.stack(np.meshgrid(*([ax] * d), indexing="ij"), axis=-1).reshape(-1, d)
+
+
 def estimate(vals: np.ndarray, w: np.ndarray, quad: Quadrature) -> MCEstimate:
     """The one quadrature estimate: mean sum(w vals); stderr std(vals)/sqrt(N)
     for Monte Carlo, 0 for a deterministic rule.  A residual passes the paired

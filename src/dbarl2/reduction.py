@@ -22,7 +22,7 @@ import numpy as np
 
 from .domains import Domain
 from .forms import Form, _weighted_sq_vals
-from .gaussmeasure import GaussianSpec, Quadrature, _leggauss, estimate, reduce_fn
+from .gaussmeasure import GaussianSpec, Quadrature, _leggauss, _mesh, estimate, reduce_fn
 from .symfun import FnBase, _as_fn
 from .weights import smooth_step
 
@@ -135,11 +135,6 @@ class GridFn(FnBase):
 
     def d_dy(self, i: int) -> "GridFn":
         return self._stencil(2 * (i - 1) + 1)
-
-
-def _mesh(ax: np.ndarray, d: int) -> np.ndarray:
-    """The (len(ax)^d, d) points of the grid ax^d, the last coordinate fastest."""
-    return np.stack(np.meshgrid(*([ax] * d), indexing="ij"), axis=-1).reshape(-1, d)
 
 
 def _gauss_density(pts: np.ndarray, spec: GaussianSpec, n: int) -> np.ndarray:

@@ -79,6 +79,18 @@ class TestExitCodes:
                                           "max_index": 6, "s": 0, "t": 0})
             assert run(["conditions", "--config", cfg, "--out", tmp_path / "r"]) == 2
 
+    def test_crash_exits_three(self, tmp_path, capsys):
+        # log of a nonpositive real raises EvalError: a crash, not a failed check
+        crash = dict(BASE_IDENTITIES, forms=[{"degree": [0, 0], "entries": [
+            {"I": [], "J": [], "coeff": "log(x(1))"}]}])
+        cfg = write_config(tmp_path, crash)
+        out = tmp_path / "r"
+        assert run(["identities", "--config", cfg, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback")
+        assert err.endswith("\nerror: EvalError: log of nonpositive real\n")
+        assert not (out / "identities_report.jsonl").exists()
+
     def test_empty_forms_exit_zero(self, tmp_path):
         cfg = write_config(tmp_path, {"seed": 1, "trunc_dim": 2, "forms": []})
         out = tmp_path / "r"

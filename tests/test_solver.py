@@ -12,13 +12,15 @@ from dbarl2 import solver as sv
 from dbarl2 import weights as wt
 from dbarl2.forms import Form, norm_sq
 from dbarl2.multiindex import check_conditions
-from dbarl2.symfun import CylinderFn, EvalError
+from dbarl2.symfun import CylinderFn, EvalError, delbar_op
 
 from conftest import CountingFn, ScalarTwo, bump_fn, random_form
 
 
 R = 0.8
 GH24 = gm.Quadrature("gauss_hermite", nodes_per_axis=24)
+# points where the oracle with criterion 10's reach is out of range
+FAR_POINTS = np.array([(2.48, 0.0), (-1.8, -1.2), (1.5, 1.0), (-1.2, -2.1)])
 
 
 @pytest.fixture(scope="module")
@@ -440,11 +442,63 @@ class TestCauchyOracle:
         pts = rng.uniform(-0.7, 0.7, (43, 2))
         assert 43 * small.nt >= sv._ORACLE_CHUNK
         assert np.array_equal(small(pts), _per_radius(small, f1, pts))
+        mixed = np.concatenate([pts[:39], FAR_POINTS])
+        assert np.array_equal(small(mixed), _per_radius(small, f1, mixed))
+
+    def test_masked_equals_dense_beyond_reach(self, manufactured):
+        # beyond reach - R the oracle is wrong, but bitwise as wrong as the dense rule
+        f1 = manufactured[1].coeff((), (1,))
+        oracle = sv.CauchyOracle(f1=f1, reach=0.7 * np.sqrt(2) + R + 0.1)
+        for z in FAR_POINTS:
+            assert np.array_equal(oracle(z[None]), _per_radius(oracle, f1, z[None]))
+        near_far = np.concatenate([[[0.1, -0.3], [0.0, 0.0]], FAR_POINTS, [[5.0, 0.0]]])
+        assert np.array_equal(oracle(near_far), _per_radius(oracle, f1, near_far))
+
+    def test_masked_equals_dense_on_other_integrands(self, manufactured):
+        # the dbar integrand of dbar_residual_on_grid, and a real-valued one
+        f1 = manufactured[1].coeff((), (1,))
+        oracle = sv.CauchyOracle(f1=f1, reach=0.7 * np.sqrt(2) + R + 0.1)
+        pts = np.concatenate([gm._mesh(np.linspace(-0.7, 0.7, 3), 2), FAR_POINTS[:1]])
+        for g in (delbar_op(f1, 1), RealPart(manufactured[0].coeff((), ()))):
+            assert np.array_equal(oracle._apply(g, pts), _per_radius(oracle, g, pts))
+
+    def test_integrand_sees_only_live_nodes(self, manufactured):
+        f1 = manufactured[1].coeff((), (1,))
+        reach = 0.7 * np.sqrt(2) + R + 0.1
+        rng = np.random.default_rng(10)
+        for pts in (rng.uniform(-0.7, 0.7, (1, 2)), FAR_POINTS[:1],
+                    np.concatenate([rng.uniform(-0.7, 0.7, (3, 2)), FAR_POINTS])):
+            g = InsideSupport(f1)
+            oracle = sv.CauchyOracle(f1=g, reach=reach)
+            oracle(pts)
+            # exactly the polar nodes that pass the support test, each once
+            assert g.points == sum(np.count_nonzero(np.sum(shift ** 2, axis=1)
+                                                    <= gm.support_rsq(R))
+                                   for _, shift in _polar_nodes(oracle, pts))
+        # every circle about (5, 0) misses the support: no row is built
+        g = InsideSupport(f1)
+        assert np.array_equal(sv.CauchyOracle(f1=g, reach=reach)(np.array([[5.0, 0.0]])),
+                              np.zeros(1))
+        assert g.calls == 0
 
     def test_one_call_per_batch_of_radii(self, manufactured):
+        # reach 2, z = 0: only the radii r <= R = 0.8 reach the support disc, and
+        # each of those circles lies inside it. They are the Gauss-Legendre
+        # radii r = 1 + t with t <= -0.2 (223 of 512, the nearest 0.002 from the
+        # edge), in batches of 16384 // 384 = 42 rows: ceil(223 / 42) = 6 calls
         g = CountingFn(manufactured[1].coeff((), (1,)))
         sv.CauchyOracle(f1=g, reach=2.0)(np.zeros((1, 2)))
-        assert g.calls == 13  # ceil(512 / (16384 // 384))
+        rows = int(np.count_nonzero(sv._leggauss(512)[0] + 1.0 <= 0.8))
+        assert rows == 223
+        assert g.calls == 6 == -(-rows // (sv._ORACLE_CHUNK // 384))
+
+    def test_nonfinite_point_propagates(self, manufactured):
+        f1 = manufactured[1].coeff((), (1,))
+        oracle = sv.CauchyOracle(f1=f1, reach=1.0, nr=64, nt=48)
+        with np.errstate(invalid="ignore"):
+            got = oracle(np.array([[np.nan, 0.0], [np.inf, 0.0], [0.1, 0.2]]))
+        assert np.isnan(got[:2]).all()
+        assert np.array_equal(got[2:], _per_radius(oracle, f1, np.array([[0.1, 0.2]])))
 
     def test_constant_scalar_integrand(self):
         oracle = sv.CauchyOracle(f1=ScalarTwo(1), reach=1.0, nr=64, nt=48)
@@ -466,22 +520,49 @@ class TestCauchyOracle:
         assert sv._leggauss(64)[0] is nodes
 
 
-def _per_radius(oracle, g, pts):
-    """Reference: the oracle's polar rule as one evaluation of g per radius."""
+class InsideSupport(CountingFn):
+    """Counts calls and points, and fails on a point outside the support disc."""
+
+    def __init__(self, f):
+        super().__init__(f)
+        self.points = 0
+
+    def __call__(self, pts):
+        assert np.all(pts[:, 0] ** 2 + pts[:, 1] ** 2 <= gm.support_rsq(self.support_radius))
+        self.points += len(pts)
+        return super().__call__(pts)
+
+
+class RealPart(CountingFn):
+    """The real part of a function, as a float array."""
+
+    def __call__(self, pts):
+        return np.real(super().__call__(pts))
+
+
+def _polar_nodes(oracle, pts):
+    """The oracle's polar rule radius by radius: (weight, (N * nt, 2) nodes)."""
     N, nt = len(pts), oracle.nt
     rr, wr = np.polynomial.legendre.leggauss(oracle.nr)
     r = 0.5 * oracle.reach * (rr + 1.0)
     wr = 0.5 * oracle.reach * wr
     th = (np.arange(nt) + 0.5) * (2.0 * np.pi / nt)
-    wt = 2.0 * np.pi / nt
     cx, sx = np.cos(th), np.sin(th)
-    phase = np.tile(cx - 1j * sx, N)
     base_x, base_y = np.repeat(pts[:, 0], nt), np.repeat(pts[:, 1], nt)
-    out = np.zeros(N, dtype=complex)
     shift = np.empty((N * nt, 2))
     for rj, wj in zip(r, wr):
         shift[:, 0] = base_x + rj * np.tile(cx, N)
         shift[:, 1] = base_y + rj * np.tile(sx, N)
+        yield wj, shift
+
+
+def _per_radius(oracle, g, pts):
+    """Reference: the oracle's polar rule as one evaluation of g per radius."""
+    N, nt = len(pts), oracle.nt
+    th = (np.arange(nt) + 0.5) * (2.0 * np.pi / nt)
+    wt = 2.0 * np.pi / nt
+    phase = np.tile(np.cos(th) - 1j * np.sin(th), N)
+    out = np.zeros(N, dtype=complex)
+    for wj, shift in _polar_nodes(oracle, pts):
         out += (wj * wt) * (g(shift) * phase).reshape(N, nt).sum(axis=1)
     return -out / np.pi
-
