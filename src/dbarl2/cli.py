@@ -289,7 +289,7 @@ def cmd_solve(config, seed, out_dir: Path) -> list:
     u, rep = solver.solve_min_norm(prob)
     ms = _ms(t0)
     (out_dir / "solve_report.json").write_text(
-        json.dumps(rep.as_dict(), sort_keys=True) + "\n")
+        json.dumps(rep.as_dict(), sort_keys=True, allow_nan=False) + "\n")
     tol = _tol(config, "residual", 1e-3)
     return [
         CheckOutcome("solve_residual", rep.residual, tol, 0.0, tol - rep.residual,

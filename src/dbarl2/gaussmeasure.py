@@ -300,9 +300,14 @@ class CheckOutcome:
 
     def json_obj(self):
         """The report record as strict JSON: a non-finite number is null."""
-        nums = {k: float(getattr(self, k)) for k in ("lhs", "rhs", "stderr", "margin")}
         return {"check_id": self.check_id, "pass": bool(self.passed),
-                **{k: v if math.isfinite(v) else None for k, v in nums.items()}}
+                **{k: json_number(float(getattr(self, k)))
+                   for k in ("lhs", "rhs", "stderr", "margin")}}
+
+
+def json_number(v):
+    """A number as strict JSON (RFC 8259) can hold it: a non-finite value is null."""
+    return v if math.isfinite(v) else None
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,19 @@
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dbarl2.cli import main
-from dbarl2.forms import parse_form_literal
+from dbarl2.forms import Form, parse_form_literal
 from dbarl2.gaussmeasure import GaussianSpec, Quadrature
 from dbarl2.multiindex import constant_family
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 BASE_IDENTITIES = {
@@ -39,14 +45,17 @@ def run(args):
     return main([str(a) for a in args])
 
 
-def strict_records(path):
-    """The records of a JSON-lines report, read as RFC 8259 JSON (no NaN or
-    Infinity tokens), keyed by check id."""
+def strict_json(text):
+    """One JSON value read as RFC 8259 JSON: a NaN or Infinity token is refused."""
     def refuse(token):
         raise ValueError(f"{token} is not JSON")
 
-    return {r["check_id"]: r for r in (json.loads(line, parse_constant=refuse)
-                                       for line in path.read_text().splitlines())}
+    return json.loads(text, parse_constant=refuse)
+
+
+def strict_records(path):
+    """The records of a JSON-lines report, read strictly, keyed by check id."""
+    return {r["check_id"]: r for r in map(strict_json, path.read_text().splitlines())}
 
 
 class TestExitCodes:
@@ -231,8 +240,37 @@ class TestReports:
             "degree": 6, "solve_dim": 1, "basis_radius": 0.8})
         out = tmp_path / "r"
         assert run(["solve", "--config", cfg, "--out", out]) == 0
-        rep = json.loads((out / "solve_report.json").read_text())
+        rep = strict_json((out / "solve_report.json").read_text())
         assert rep["residual"] <= 1e-3
+
+    def test_nan_solve_report_is_strict_json(self, tmp_path, monkeypatch):
+        from dbarl2 import solver
+
+        def nan_solve(prob):
+            rep = solver.SolveReport(residual=math.nan, norm_u_w1=math.inf, norm_f_w2=1.0,
+                                     c0=1.0, bound_pass=False, rank=0, cond=0.0,
+                                     basis_dim=0, kernel_orth=0.0)
+            return Form((0, 0), {}, prob.f.family), rep
+
+        monkeypatch.setattr(solver, "solve_min_norm", nan_solve)
+        out = tmp_path / "r"
+        assert run(["solve", "--config", ROOT / "configs" / "solve.json", "--out", out]) == 1
+        rep = strict_json((out / "solve_report.json").read_text())
+        assert (rep["residual"], rep["norm_u_w1"], rep["norm_f_w2"]) == (None, None, 1.0)
+        assert strict_records(out / "solve_report.jsonl")["solve_residual"]["lhs"] is None
+
+    def test_solve_reports_do_not_depend_on_blas_threads(self, tmp_path):
+        # the variable is set in the child's environment only
+        got = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-m", "dbarl2.cli", "solve", "--config",
+                            str(ROOT / "configs" / "solve.json"), "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            got.append({name: (out / name).read_bytes() for name in
+                        ("solve_report.json", "solve_report.jsonl", "solve_summary.csv")})
+        assert got[0] == got[1]
 
     def test_solve_quadratic_skips_recipe_weights(self, tmp_path, monkeypatch):
         from dbarl2 import weights

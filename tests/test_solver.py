@@ -11,7 +11,7 @@ from dbarl2 import gaussmeasure as gm
 from dbarl2 import solver as sv
 from dbarl2 import weights as wt
 from dbarl2.forms import Form, norm_sq
-from dbarl2.multiindex import check_conditions
+from dbarl2.multiindex import check_conditions, constant_family
 from dbarl2.symfun import CylinderFn, EvalError, delbar_op
 
 from conftest import CountingFn, ScalarTwo, bump_fn, random_form
@@ -191,6 +191,109 @@ class TestDictionary:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def _solve(ctx, u0, fam, degree, n, quad):
+    f = do.dbar(Form((0, 0), {((), ()): u0}, fam))
+    return sv.solve_min_norm(sv.SolveProblem(ctx=ctx, domain=dm.ball(r=1.0), f=f,
+                                             degree=degree, n=n, radius=R, quad=quad))
+
+
+def _cold(ctx, u0, fam, degree, n, quad):
+    sv._galerkin_space.cache_clear()
+    return _solve(ctx, u0, fam, degree, n, quad)
+
+
+def _assert_same_bits(got, want, n):
+    (u, rep), (u_ref, rep_ref) = got, want
+    pts = np.random.default_rng(31).standard_normal((200, 2 * n)) * 0.3
+    assert u.coeffs.keys() == u_ref.coeffs.keys()
+    for key, fn in u.coeffs.items():
+        assert fn(pts).tobytes() == u_ref.coeffs[key](pts).tobytes()
+    assert repr(rep) == repr(rep_ref)  # every field, floats by their repr
+
+
+def _ctx(fam, n):
+    phi = CylinderFn("3*(" + "+".join(f"x({i})^2+y({i})^2" for i in range(1, n + 1)) + ")")
+    return do.OperatorContext(gm.GaussianSpec(n), fam, phi, phi, phi, CylinderFn("0"))
+
+
+GH6 = gm.Quadrature("gauss_hermite", nodes_per_axis=6)
+
+
+class TestSpaceCache:
+    @pytest.mark.parametrize("n, degree, quad, polys", [
+        (1, 8, GH24, ("x(1)", "y(1)^2-0.5*x(1)")),
+        (2, 3, GH6, ("x(1)+0.5*y(2)^2", "y(1)-x(2)^2"))], ids=["n1", "n2"])
+    def test_warm_solve_equals_cold(self, fam, n, degree, quad, polys):
+        ctx = _ctx(fam, n)
+        first, second = (bump_fn(n, R, poly=p) for p in polys)
+        sv._galerkin_space.cache_clear()
+        _solve(ctx, first, fam, degree, n, quad)
+        warm = _solve(ctx, second, fam, degree, n, quad)
+        info = sv._galerkin_space.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        _assert_same_bits(warm, _cold(ctx, second, fam, degree, n, quad), n)
+
+    def test_other_space_misses(self, fam):
+        ctx = _ctx(fam, 1)
+        u0 = bump_fn(1, R, poly="x(1)")
+        phi = CylinderFn("3*(x(1)^2+y(1)^2)")  # same expression, another w1 object
+        fam2 = constant_family(2.0)
+        variants = [(do.OperatorContext(ctx.spec, fam, phi, ctx.w2, ctx.w3, ctx.varphi),
+                     fam, 8, GH24),
+                    (ctx, fam, 6, GH24),
+                    (ctx, fam, 8, gm.Quadrature("gauss_hermite", nodes_per_axis=20)),
+                    (ctx, fam2, 8, GH24)]
+        for c, fm, degree, quad in variants:
+            sv._galerkin_space.cache_clear()
+            _solve(ctx, u0, fam, 8, 1, GH24)
+            got = _solve(c, u0, fm, degree, 1, quad)
+            assert sv._galerkin_space.cache_info().misses == 2
+            _assert_same_bits(got, _cold(c, u0, fm, degree, 1, quad), 1)
+
+    def test_cached_arrays_are_read_only(self, quad_ctx, manufactured, fam):
+        spec, ctx = quad_ctx
+        f = manufactured[1]
+        sv._galerkin_space.cache_clear()
+        sv.solve_min_norm(sv.SolveProblem(ctx=ctx, domain=dm.ball(r=1.0), f=f, degree=8,
+                                          n=1, radius=R, quad=GH24))
+        entry = sv._galerkin_space(ctx.w1, ctx.w2, spec, fam, 1, 8, R, GH24, 0, 1,
+                                   tuple(f.coeffs))
+        assert sv._galerkin_space.cache_info().hits == 1
+        arrays = [a for a in entry if isinstance(a, np.ndarray)]
+        assert len(arrays) == 9
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr.flat[0] = 0
+
+    def test_size_stays_within_maxsize(self, fam):
+        ctx = _ctx(fam, 1)
+        u0 = bump_fn(1, R, poly="x(1)")
+        quad = gm.Quadrature("gauss_hermite", nodes_per_axis=8)
+        sv._galerkin_space.cache_clear()
+        for degree in range(1, 8):
+            _solve(ctx, u0, fam, degree, 1, quad)
+            info = sv._galerkin_space.cache_info()
+            assert info.currsize <= info.maxsize
+        assert info.currsize == info.maxsize < 7
+
+    def test_closedness_gate_draws_its_points_once(self, quad_ctx, manufactured,
+                                                   monkeypatch):
+        spec, ctx = quad_ctx
+        pts = gm.Quadrature("monte_carlo", N=200, seed=20_202).nodes_weights(spec)[0]
+        assert pts.tobytes() == gm.sample(spec, 200, 20_202, n=spec.trunc_dim).tobytes()
+        assert not pts.flags.writeable
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the audit points were drawn again")
+
+        monkeypatch.setattr(gm, "sample", refuse)
+        monkeypatch.setattr(sv, "sample", refuse, raising=False)  # a from-import binding
+        _, rep = sv.solve_min_norm(sv.SolveProblem(
+            ctx=ctx, domain=dm.ball(r=1.0), f=manufactured[1], degree=8, n=1, radius=R,
+            quad=GH24))
+        assert rep.residual <= 1e-3
 
 
 class TestKeyInequality:
