@@ -16,11 +16,15 @@ whitening and the thin SVD.  It is cached, keyed by the identities of w1 and
 w2, the measure, f's family, n, degree, radius, quadrature, f's degree and
 target slots, never by f's values; its arrays are read-only, so a solve gives
 the same bits whether the cache is cold or warm.  The right-hand-side half
-(``solve_min_norm``) checks closedness, stacks f and applies the SVD, so a
-later solve in the same space pays only for f.  A cached entry, and the
-weights and family of its key, stay alive until it is evicted (at most
-``_SPACE_CACHE`` entries are kept); at n = 2 with 24 nodes per axis and
-degree 3, D alone is about 370 MB.
+(``solve_min_norm``) checks closedness, stacks f and applies the SVD.  Only a
+process that solves several right-hand sides in one space (the same w1 and w2
+objects) gains: its later solves pay only for f.  ``dbarl2 solve``, demo 08
+and criterion 10 solve once per process, so every solve they make is cold and
+builds the space as before the split.  A cached entry, and the weights and
+family of its key, stay alive until it is evicted (at most ``_SPACE_CACHE``
+entries are kept).  An entry holds about 5 M k complex numbers at n = 2 (E,
+then D and U with two target slots each) for M nodes and k trial functions:
+3.7 MB at 6 nodes per axis and degree 3, about 0.95 GB at 24 nodes per axis.
 
 Bound checks follow the weighted estimates: the key inequality
 ||T* f||^2_{w1} + ||S f||^2_{w3} >= c0 ||f||^2_{w2} (gated on the coefficient
@@ -44,7 +48,7 @@ from .dbarops import OperatorContext, Tstar, dbar, max_abs
 from .domains import Domain, complex_hessian
 from .forms import Form, _weighted_sq_vals
 from .gaussmeasure import (CheckOutcome, GaussianSpec, Quadrature, _leggauss, _mesh, estimate,
-                           json_number, support_rsq, verdict)
+                           json_number, sample, support_rsq, verdict)
 from .multiindex import check_conditions
 from .symfun import (BumpD, CylinderFn, add, const, delbar_op, eval_expr, mul,
                      norm_sq_coords, poly1, x, y, _as_fn)
@@ -168,8 +172,9 @@ def _stack_rows(forms_per_basis, slots, pts, wq, weight_vals, family):
     return out
 
 
-# Galerkin spaces kept for later solves: each entry holds E, D and the SVD of D W
-_SPACE_CACHE = 4
+# Galerkin spaces kept for later solves: two, so that a caller alternating two
+# spaces (the benchmark's solve workload: one at n = 1, one at n = 2) reuses both
+_SPACE_CACHE = 2
 
 
 @lru_cache(maxsize=_SPACE_CACHE)
@@ -217,7 +222,7 @@ def solve_min_norm(p: SolveProblem) -> tuple[Form, SolveReport]:
         raise ValueError("the target must be a form of degree (s, t+1)")
 
     # closedness gate: dbar f must vanish at the audit points
-    audit_pts = Quadrature("monte_carlo", N=200, seed=20_202).nodes_weights(spec)[0]
+    audit_pts = sample(spec, 200, 20_202, n=spec.trunc_dim)
     worst = max_abs(eval_expr([fn.expr for fn in dbar(f).coeffs.values()], audit_pts))
     if not worst <= p.tol_closed:
         raise ClosednessError(f"dbar(f) reaches {worst:.3e} at audit points "

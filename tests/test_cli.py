@@ -260,11 +260,12 @@ class TestReports:
         assert strict_records(out / "solve_report.jsonl")["solve_residual"]["lhs"] is None
 
     def test_solve_reports_do_not_depend_on_blas_threads(self, tmp_path):
-        # the variable is set in the child's environment only
+        # set in the child's environment only, under each name a BLAS may read
         got = []
         for threads in ("1", "2"):
             out = tmp_path / threads
-            env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads)
+            env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
             subprocess.run([sys.executable, "-m", "dbarl2.cli", "solve", "--config",
                             str(ROOT / "configs" / "solve.json"), "--out", str(out)],
                            env=env, check=True, capture_output=True)

@@ -278,23 +278,6 @@ class TestSpaceCache:
             assert info.currsize <= info.maxsize
         assert info.currsize == info.maxsize < 7
 
-    def test_closedness_gate_draws_its_points_once(self, quad_ctx, manufactured,
-                                                   monkeypatch):
-        spec, ctx = quad_ctx
-        pts = gm.Quadrature("monte_carlo", N=200, seed=20_202).nodes_weights(spec)[0]
-        assert pts.tobytes() == gm.sample(spec, 200, 20_202, n=spec.trunc_dim).tobytes()
-        assert not pts.flags.writeable
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the audit points were drawn again")
-
-        monkeypatch.setattr(gm, "sample", refuse)
-        monkeypatch.setattr(sv, "sample", refuse, raising=False)  # a from-import binding
-        _, rep = sv.solve_min_norm(sv.SolveProblem(
-            ctx=ctx, domain=dm.ball(r=1.0), f=manufactured[1], degree=8, n=1, radius=R,
-            quad=GH24))
-        assert rep.residual <= 1e-3
-
 
 class TestKeyInequality:
     def test_zero_form(self, fam):
