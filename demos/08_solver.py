@@ -63,7 +63,6 @@ print(f"  ||T* f||^2_w1 + ||S f||^2_w3 = {out.lhs:.4f} >= c0 ||f||^2_w2 = {out.r
 
 print("\nWeighted bound audit for the solved problem")
 levi_pts = np.random.default_rng(9).normal(size=(50, 2)) * 0.3
-chk = sv.weighted_bound_check(u, f, ctx, CylinderFn("3"), prob.quad,
-                              dm.ball(r=1.0), levi_pts)
+chk = sv.weighted_bound_check(u, f, ctx, CylinderFn("3"), prob.quad, levi_pts)
 print(f"  ||u||^2_phi = {chk.lhs:.5f} <= {chk.rhs:.5f} = 2||f/sqrt(c)||^2_phi/(c0(t+1))"
       f" : {chk.passed}")

@@ -111,6 +111,13 @@ def _forms_from(config, family) -> list:
     return out
 
 
+def _one_form(fl: list, command: str):
+    """The one form of a command that takes one; a config listing more is refused."""
+    if len(fl) > 1:
+        raise ConfigError(f"{command} takes one form, the config lists {len(fl)}")
+    return fl[0]
+
+
 def _tol(config, name, default):
     return float(config.get("tolerances", {}).get(name, default))
 
@@ -245,7 +252,7 @@ def cmd_approx(config, seed, out_dir: Path) -> list:
         return []
     t0 = time.perf_counter()
     report = reduction.approx_pipeline(
-        fl[0], dom, rho=float(config.get("rho", 2.0)),
+        _one_form(fl, "approx"), dom, rho=float(config.get("rho", 2.0)),
         n_ladder=[int(v) for v in config.get("n_ladder", [spec.trunc_dim])],
         delta_ladder=[float(v) for v in config.get("delta_ladder", [0.2, 0.1, 0.05])],
         spec=spec, quad=_quad_from(config, seed),
@@ -280,7 +287,7 @@ def cmd_solve(config, seed, out_dir: Path) -> list:
                         support_radius=manufactured.get("support_radius"))}, family)
         target = dbarops.dbar(u0)
     else:
-        target = fl[0]
+        target = _one_form(fl, "solve")
     t0 = time.perf_counter()
     prob = solver.SolveProblem(ctx=ctx, domain=wdom, f=target,
                                degree=int(config.get("degree", 8)),

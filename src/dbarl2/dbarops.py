@@ -26,8 +26,8 @@ import numpy as np
 from .forms import Form, inner_vals
 from .gaussmeasure import GaussianSpec, MCEstimate, Quadrature, estimate
 from .multiindex import WeightFamily, as_multiindex, epsilon, insert
-from .symfun import (CylinderFn, FnBase, ZERO_FN, _as_fn, del_op, delbar_op,
-                     delta_op, eval_expr, exp_, sigma_op)
+from .symfun import (CylinderFn, FnBase, ZERO_FN, _as_fn, add, const, del_op, delbar_op,
+                     delta_op, eval_expr, exp_, mul, sigma_op)
 
 
 @dataclass
@@ -47,12 +47,12 @@ class OperatorContext:
         self.w3 = _as_fn(self.w3)
         self.varphi = _as_fn(self.varphi)
 
-    def check_real_weights(self, pts: np.ndarray, tol: float = 1e-12) -> float:
+    def check_real_weights(self, pts: np.ndarray) -> float:
         worst = 0.0
         for w in (self.w1, self.w2, self.w3):
             worst = max(worst, float(np.max(np.abs(np.imag(w(pts)))))) if pts.size else 0.0
-        if worst > tol:
-            raise ValueError(f"weights have imaginary part {worst} > {tol}")
+        if worst > 1e-12:
+            raise ValueError(f"weights have imaginary part {worst} > 1e-12")
         return worst
 
 
@@ -83,7 +83,8 @@ def Tstar(f: Form, ctx: OperatorContext) -> Form:
         raise ValueError("Tstar needs a form of degree (s, t+1) with t+1 >= 1")
     t = tp1 - 1
     sgn = -1.0 if (s + 1) % 2 else 1.0
-    gauge = CylinderFn(exp_(ctx.w1.expr - ctx.w2.expr), dim=max(ctx.w1.dim, ctx.w2.dim))
+    gauge = CylinderFn(exp_(add(ctx.w1.expr, mul(const(-1), ctx.w2.expr))),
+                       dim=max(ctx.w1.dim, ctx.w2.dim))
     out: dict = {}
     for (I, J), fn in f.coeffs.items():
         for i in J:

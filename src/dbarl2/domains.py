@@ -35,13 +35,12 @@ class Domain:
             raise ValueError(f"domain kind {self.kind!r} has no interior sampler")
         return self.interior_sampler(n, N, seed)
 
-    def sample_sublevel(self, n: int, tau: float, N: int, seed: int,
-                        max_tries: int = 60) -> np.ndarray:
-        """Rejection-sample interior points with eta <= tau."""
+    def sample_sublevel(self, n: int, tau: float, N: int, seed: int) -> np.ndarray:
+        """Rejection-sample interior points with eta <= tau, in at most 60 draws."""
         eta = self.eta(n)
         got = []
         count = 0
-        for trial in range(max_tries):
+        for trial in range(60):
             pts = self.sample_interior(n, max(2 * N, 64), seed + 7919 * trial)
             vals = np.real(eta(pts))
             keep = pts[vals <= tau]
@@ -124,12 +123,12 @@ def polydisc() -> Domain:
 
 
 def cylinder_over(eta_base: CylinderFn, m: int,
-                  base_boundary: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                   base_sampler: Optional[Callable[[int, int], np.ndarray]] = None) -> Domain:
     """Cylinder over a finite-dimensional base: eta(z) = eta_base(z_m) + ||z||^2.
 
     The base exhaustion (user-supplied, strictly plurisubharmonic for the base
-    set) is accepted as given and only checked numerically.
+    set) is accepted as given and only checked numerically.  The cylinder has
+    no boundary-distance rule.
     """
 
     def builder(n: int) -> CylinderFn:
@@ -138,22 +137,13 @@ def cylinder_over(eta_base: CylinderFn, m: int,
         return CylinderFn(add(eta_base.expr, norm_sq_coords(n)), dim=n)
 
     def sampler(n: int, N: int, seed: int) -> np.ndarray:
-        if base_sampler is None:
-            raise ValueError("cylinder domain needs a base sampler")
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(4,)))
         base_pts = base_sampler(N, seed)
         tail = rng.standard_normal((N, 2 * (n - m))) * 0.3
         return np.concatenate([base_pts, tail], axis=1)
 
-    def bdist(pts: np.ndarray) -> np.ndarray:
-        if base_boundary is None:
-            raise ValueError("cylinder domain has no boundary rule")
-        return base_boundary(pts[:, :2 * m])
-
-    return Domain("cylinder_over", builder,
-                  bdist if base_boundary is not None else None,
-                  sampler if base_sampler is not None else None,
-                  {"m": m})
+    return Domain("cylinder_over", builder, None,
+                  sampler if base_sampler is not None else None, {"m": m})
 
 
 def translated_scaled(base: Domain, a: Sequence[complex] = (),
@@ -204,12 +194,13 @@ def custom(eta_builder: Callable[[int], CylinderFn],
     return Domain("custom", eta_builder, None, interior_sampler, {})
 
 
-def whole_space(sample_scale: float = 0.4) -> Domain:
+def whole_space() -> Domain:
     """V = the whole space with exhaustion eta = ||z||^2 (Levi form = I).
 
     The boundary is empty, so the boundary distance is +infinity and d_V
     reduces to 1/||z||.  Numerically the tamest pseudo-convex arena: the
-    exhaustion gradient sum is ||z||^2 itself.
+    exhaustion gradient sum is ||z||^2 itself.  Interior samples are centered
+    Gaussians of scale 0.4 per real coordinate.
     """
 
     def builder(n: int) -> CylinderFn:
@@ -220,7 +211,7 @@ def whole_space(sample_scale: float = 0.4) -> Domain:
 
     def sampler(n: int, N: int, seed: int) -> np.ndarray:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(6,)))
-        return rng.standard_normal((N, 2 * n)) * sample_scale
+        return rng.standard_normal((N, 2 * n)) * 0.4
 
     return Domain("whole_space", builder, bdist, sampler, {})
 
@@ -232,9 +223,9 @@ def _substitute(e: Expr, subs: dict) -> Expr:
     return _rebuild(e, tuple(_substitute(c, subs) for c in _children(e)))
 
 
-def complex_hessian(eta: CylinderFn, points: np.ndarray, n: int,
-                    herm_tol: float = 1e-9) -> np.ndarray:
-    """[del_i delbar_j eta] at each point: shape (P, n, n), Hermitian-checked."""
+def complex_hessian(eta: CylinderFn, points: np.ndarray, n: int) -> np.ndarray:
+    """[del_i delbar_j eta] at each point: shape (P, n, n), Hermitian to a
+    relative 1e-9 or refused."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     P = points.shape[0]
     H = np.empty((P, n, n), dtype=complex)
@@ -244,7 +235,7 @@ def complex_hessian(eta: CylinderFn, points: np.ndarray, n: int,
             H[:, i - 1, j - 1] = del_op(dbj, i)(points)
     scale = max(1.0, float(np.max(np.abs(H))))
     dev = float(np.max(np.abs(H - np.conjugate(np.transpose(H, (0, 2, 1)))))) / scale
-    if dev > herm_tol:
+    if dev > 1e-9:
         raise ArithmeticError(
             f"complex Hessian deviates from Hermitian by {dev} (relative)")
     H = 0.5 * (H + np.conjugate(np.transpose(H, (0, 2, 1))))
@@ -261,16 +252,15 @@ def levi_min_eigs(domain: Domain, points: np.ndarray, n: int) -> np.ndarray:
     return np.linalg.eigvalsh(H)[:, 0]
 
 
-def normalize_eta(domain: Domain, n_probe: int = 3, samples: int = 10_000,
-                  seed: int = 1234) -> Domain:
+def normalize_eta(domain: Domain, n_probe: int = 3, seed: int = 1234) -> Domain:
     """Shift to eta + ||z||^2 - inf_{V0} eta: nonnegative, Levi form gains +I.
 
-    The infimum over V0 = {eta <= 0} is sample-estimated; the 10% safety
-    margin shifts downward, which only enlarges the new eta and preserves
-    every inequality it feeds.
+    The infimum over V0 = {eta <= 0} is estimated on 10,000 samples; the
+    10% safety margin shifts downward, which only enlarges the new eta and
+    preserves every inequality it feeds.
     """
     eta = domain.eta(n_probe)
-    pts = domain.sample_interior(n_probe, samples, seed)
+    pts = domain.sample_interior(n_probe, 10_000, seed)
     vals = np.real(eta(pts))
     sub = vals[vals <= 0.0]
     m_hat = float(np.min(sub)) if len(sub) else min(0.0, float(np.min(vals)))
@@ -303,16 +293,16 @@ class InclusionReport:
 
 
 def uniformly_included(domain: Domain, S, n: Optional[int] = None,
-                       N: int = 2000, seed: int = 99) -> InclusionReport:
+                       seed: int = 99) -> InclusionReport:
     """Uniform inclusion of a sample set or a sub-level set, with the margin.
 
-    S is either an array of points or a sub-level threshold tau (float); the
-    margin is the sampled infimum of d_V over S.
+    S is either an array of points or a sub-level threshold tau (float), then
+    sampled at 2000 points; the margin is the sampled infimum of d_V over S.
     """
     if isinstance(S, (int, float)):
         if n is None:
             raise ValueError("sub-level form needs the truncation dimension n")
-        pts = domain.sample_sublevel(n, float(S), N, seed)
+        pts = domain.sample_sublevel(n, float(S), 2000, seed)
     else:
         pts = np.atleast_2d(np.asarray(S, dtype=float))
     if domain.boundary_distance is None:

@@ -1,4 +1,4 @@
-"""Sparse (s,t)-forms with weighted L2 norms and index contraction.
+"""Sparse (s,t)-forms with weighted L2 norms.
 
 A form is a finite sum of coefficients f[I, J] dz_I wedge dzb_J over strictly
 increasing multi-indices with |I| = s and |J| = t.  Coefficients are cylinder
@@ -19,7 +19,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .gaussmeasure import GaussianSpec, MCEstimate, Quadrature, estimate, support_rsq
-from .multiindex import MultiIndex, WeightFamily, as_multiindex, insert
+from .multiindex import MultiIndex, WeightFamily, as_multiindex
 from .symfun import (CylinderFn, FnBase, ZERO_FN, _as_fn, eval_expr, support_of_product,
                      support_of_sum)
 
@@ -104,17 +104,6 @@ class Form:
         """Multiply every coefficient by a scalar function (m . f)."""
         m = _as_fn(m)
         return self.map_coeffs(lambda fn: m * fn)
-
-    def contract(self, I, i: int, L) -> FnBase:
-        """f[I, iL] = sum' over |J| = t of eps^J_{iL} f[I, J]; one surviving term."""
-        I, L = as_multiindex(I), as_multiindex(L)
-        sign, K = insert(i, L)
-        if sign == 0:
-            return ZERO_FN
-        fn = self.coeffs.get((I, K))
-        if fn is None:
-            return ZERO_FN
-        return sign * fn if sign != 1 else fn
 
 
 def support_mask(pts: np.ndarray, radius: Optional[float], dim: int) -> Optional[np.ndarray]:

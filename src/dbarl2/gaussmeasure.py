@@ -8,10 +8,10 @@ and deterministic tensor Gauss-Hermite with the Gaussian weight absorbed into
 the nodes.
 
 ``reduce_fn`` integrates out the coordinates beyond a target dimension with a
-tensor Gauss-Hermite tail rule (Monte Carlo when the tail is too wide).  It is
-exact for per-axis tail degree < 2 * tail_nodes, not for the bump integrands
-the library reduces, whose support cuts through the tail: there 8 nodes deviate
-from a 12-node rule by up to 7.1e-5.
+tensor Gauss-Hermite tail rule of ``_TAIL_NODES`` = 8 nodes per axis (Monte
+Carlo when the tail is too wide).  It is exact for per-axis tail degree < 16,
+not for the bump integrands the library reduces, whose support cuts through
+the tail: there 8 nodes deviate from a 12-node rule by up to 7.1e-5.
 
 When the integrand declares a ``support_radius`` R, the integrand is evaluated
 only on the (head, tail node) pairs inside its support ball,
@@ -41,7 +41,9 @@ from .symfun import FnBase, _as_fn
 _SAMPLE_CHUNK = 1 << 16
 _GH_BUDGET = 2_000_000
 _TAIL_BUDGET = 200_000
+_TAIL_NODES = 8
 _TAIL_MC = 4096
+_TAIL_SEED = 7_000_001  # entropy of the Monte Carlo tail rule
 _TAIL_CHUNK = 1 << 14  # points per evaluation of the integrand in ReducedFn
 
 
@@ -176,13 +178,12 @@ def estimate(vals: np.ndarray, w: np.ndarray, quad: Quadrature) -> MCEstimate:
     return MCEstimate(mean, float(np.std(vals) / math.sqrt(len(vals))))
 
 
-def integrate(f: FnBase, spec: GaussianSpec, quad: Quadrature,
-              n: Optional[int] = None) -> MCEstimate:
+def integrate(f: FnBase, spec: GaussianSpec, quad: Quadrature) -> MCEstimate:
     """Integral of f against the truncated product measure."""
     fn = _as_fn(f)
-    if fn.dim > (spec.trunc_dim if n is None else n):
+    if fn.dim > spec.trunc_dim:
         raise ValueError(f"integrand dim {fn.dim} exceeds truncation {spec.trunc_dim}")
-    pts, w = quad.nodes_weights(spec, n=n)
+    pts, w = quad.nodes_weights(spec)
     return estimate(np.asarray(fn(pts)), w, quad)
 
 
@@ -250,8 +251,7 @@ class ReducedFn(FnBase):
         return ReducedFn(self.f.d_dy(i), self.dim, self._tail_pts, self._tail_w)
 
 
-def reduce_fn(f: FnBase, n: int, spec: GaussianSpec,
-              tail_nodes: int = 8, tail_seed: int = 7_000_001) -> FnBase:
+def reduce_fn(f: FnBase, n: int, spec: GaussianSpec) -> FnBase:
     """f integrated over the coordinates beyond n; returns f itself when it
     already lives in dimension <= n."""
     f = _as_fn(f)
@@ -260,10 +260,10 @@ def reduce_fn(f: FnBase, n: int, spec: GaussianSpec,
     m = f.dim
     tail_cols = 2 * (m - n)
     tail_sig = spec.sigma_cols(m)[2 * n:]
-    if tail_nodes ** tail_cols <= _TAIL_BUDGET:
-        tail_pts, tail_w = _gh_tensor(tail_nodes, tail_sig)
+    if _TAIL_NODES ** tail_cols <= _TAIL_BUDGET:
+        tail_pts, tail_w = _gh_tensor(_TAIL_NODES, tail_sig)
     else:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=tail_seed,
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=_TAIL_SEED,
                                                            spawn_key=(m, n)))
         tail_pts = rng.standard_normal((_TAIL_MC, tail_cols)) * tail_sig
         tail_w = np.full(_TAIL_MC, 1.0 / _TAIL_MC)

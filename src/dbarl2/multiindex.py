@@ -81,13 +81,12 @@ class WeightFamily:
 
     kind:
       - "constant":        c[I, J] = value
-      - "multiplicative":  c[I, J] = alpha(I) * prod(mu(j) for j in J)
+      - "multiplicative":  c[I, J] = prod(mu(j) for j in J)
       - "custom":          c[I, J] = callback(I, J), checked positive
     """
 
     kind: str
     value: float = 1.0
-    alpha: Callable[[MultiIndex], float] = field(default=lambda I: 1.0)
     mu: Callable[[int], float] = field(default=lambda j: 1.0)
     callback: Optional[Callable[[MultiIndex, MultiIndex], float]] = None
 
@@ -97,7 +96,7 @@ class WeightFamily:
         if self.kind == "constant":
             return self.value
         if self.kind == "multiplicative":
-            out = self.alpha(I)
+            out = 1.0
             for j in J:
                 out *= self.mu(j)
             return out
@@ -122,8 +121,8 @@ def constant_family(value: float = 1.0) -> WeightFamily:
     return WeightFamily(kind="constant", value=value)
 
 
-def multiplicative_family(alpha=lambda I: 1.0, mu=lambda j: 1.0) -> WeightFamily:
-    return WeightFamily(kind="multiplicative", alpha=alpha, mu=mu)
+def multiplicative_family(mu=lambda j: 1.0) -> WeightFamily:
+    return WeightFamily(kind="multiplicative", mu=mu)
 
 
 def custom_family(callback) -> WeightFamily:
@@ -153,7 +152,6 @@ class ConditionReport:
     max_index: int
     s: int
     t: int
-    note: str = "ratios c[I,iJ]/c[I,J] enumerated over entries <= max_index with i not in J"
 
     @property
     def passed(self) -> bool:
@@ -164,13 +162,13 @@ def _increasing_tuples(length: int, max_index: int):
     return itertools.combinations(range(1, max_index + 1), length)
 
 
-def check_conditions(family: WeightFamily, max_index: int, s: int, t: int,
-                     rel_tol: float = 1e-12) -> ConditionReport:
+def check_conditions(family: WeightFamily, max_index: int, s: int, t: int) -> ConditionReport:
     """Enumerate the ratio extrema and the multiplicativity identity up to max_index.
 
-    The infimum is taken over i not in J: the i-in-J terms vanish identically
-    and would force the infimum to 0 for every family, emptying the estimate
-    they feed.
+    The ratios c[I,iJ]/c[I,J] run over entries <= max_index with i not in J:
+    the i-in-J terms vanish identically and would force the infimum to 0 for
+    every family, emptying the estimate they feed.  The identity holds when
+    its sides agree to a relative 1e-12.
     """
     if max_index < s + t + 2:
         raise ValueError(f"max_index must be >= s+t+2 = {s + t + 2}, got {max_index}")
@@ -198,7 +196,7 @@ def check_conditions(family: WeightFamily, max_index: int, s: int, t: int,
                 K = tuple(sorted(L + (a, b)))
                 lhs = family.coeff(I, J) * family.coeff(I, Jp)
                 rhs = family.coeff(I, L) * family.coeff(I, K)
-                if abs(lhs - rhs) > rel_tol * max(abs(lhs), abs(rhs), 1e-300):
+                if abs(lhs - rhs) > 1e-12 * max(abs(lhs), abs(rhs), 1e-300):
                     violations.append({"I": I, "J": J, "Jp": Jp, "L": L, "K": K,
                                        "lhs": lhs, "rhs": rhs})
 

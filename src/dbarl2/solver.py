@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -93,22 +93,8 @@ def scalar_dictionary(n: int, degree: int, radius: float, spec: GaussianSpec,
 
 
 def _degree_combos(slots: int, degree: int):
-    """All exponent tuples with total degree <= degree."""
-    combo = [0] * slots
-
-    def rec(pos, left):
-        if pos == slots:
-            yield tuple(combo)
-            return
-        for v in range(left + 1):
-            combo[pos] = v
-            yield from rec(pos + 1, left - v)
-        combo[pos] = 0
-
-    try:
-        yield from rec(0, degree)
-    finally:
-        del rec  # rec's closure refers to rec: clear it so the call leaves no cycle
+    """All exponent tuples with total degree <= degree, first slot slowest."""
+    return (c for c in product(range(degree + 1), repeat=slots) if sum(c) <= degree)
 
 
 # ---------------------------------------------------------------------------
@@ -118,15 +104,13 @@ def _degree_combos(slots: int, degree: int):
 @dataclass
 class SolveProblem:
     ctx: OperatorContext
-    domain: Domain
+    domain: Domain  # nothing reads it; callers still pass it
     f: Form
     degree: int = 8
     n: int = 1
     radius: float = 0.8
     quad: Quadrature = field(default_factory=lambda: Quadrature("gauss_hermite",
                                                                 nodes_per_axis=24))
-    tol_closed: float = 1e-8
-    bound_tol: float = 1e-6
 
 
 class ClosednessError(ValueError):
@@ -158,6 +142,10 @@ class SolveReport:
 
 # singular values at or below this fraction of max(smax, 1) span the kernel
 _SV_CUT = 1e-10
+# closedness gate on max |dbar f| at the audit points
+_TOL_CLOSED = 1e-8
+# relative tolerance of the norm bound, and of the weighted and Hormander bounds
+_BOUND_TOL = 1e-6
 
 
 def _stack_rows(forms_per_basis, slots, pts, wq, weight_vals, family):
@@ -224,9 +212,9 @@ def solve_min_norm(p: SolveProblem) -> tuple[Form, SolveReport]:
     # closedness gate: dbar f must vanish at the audit points
     audit_pts = sample(spec, 200, 20_202, n=spec.trunc_dim)
     worst = max_abs(eval_expr([fn.expr for fn in dbar(f).coeffs.values()], audit_pts))
-    if not worst <= p.tol_closed:
+    if not worst <= _TOL_CLOSED:
         raise ClosednessError(f"dbar(f) reaches {worst:.3e} at audit points "
-                              f"(gate {p.tol_closed:.1e}); f is not closed")
+                              f"(gate {_TOL_CLOSED:.1e}); f is not closed")
 
     if f.is_zero():
         u = Form((s, tp1 - 1), {}, f.family)
@@ -269,7 +257,7 @@ def solve_min_norm(p: SolveProblem) -> tuple[Form, SolveReport]:
 
     rep_cond = check_conditions(f.family, max_index=max(p.n, s + tp1) + 2, s=s, t=tp1 - 1)
     c0 = rep_cond.c0_inf
-    bound_pass = verdict(norm_f - math.sqrt(max(c0, 0.0)) * norm_u, 0.0, p.bound_tol * norm_f)
+    bound_pass = verdict(norm_f - math.sqrt(max(c0, 0.0)) * norm_u, 0.0, _BOUND_TOL * norm_f)
     report = SolveReport(residual=residual, norm_u_w1=norm_u, norm_f_w2=norm_f,
                          c0=c0, bound_pass=bound_pass, rank=rank, cond=cond,
                          basis_dim=E.shape[1], kernel_orth=kernel_orth)
@@ -295,23 +283,23 @@ def _audit(check_id: str, lhs_vals: np.ndarray, rhs_vals: np.ndarray, wq: np.nda
 
 def key_inequality_check(f: Form, ctx: OperatorContext, quad: Quadrature,
                          triple: WeightTriple, domain: Domain,
-                         cond4_points: np.ndarray,
-                         max_index: Optional[int] = None) -> CheckOutcome:
+                         cond4_points: np.ndarray) -> CheckOutcome:
     """||T* f||^2_{w1} + ||S f||^2_{w3} - c0 ||f||^2_{w2} with preconditions.
 
     Refuses (passed = None) when the coefficient conditions or the curvature
-    condition fail; those are the estimate's hypotheses.
+    condition fail; those are the estimate's hypotheses.  Nothing reads
+    domain: the curvature condition is checked at cond4_points.
     """
     s, tp1 = f.degree
     t = tp1 - 1
-    mi = max_index or max(f.max_index() + 1, s + tp1 + 2)
+    mi = max(f.max_index() + 1, s + tp1 + 2)
     rep = check_conditions(f.family, max_index=mi, s=s, t=t)
     if not rep.passed:
         return CheckOutcome("key_inequality", 0.0, 0.0, 0.0, 0.0, None,
                             reason=f"coefficient conditions fail: c0={rep.c0_inf}, "
                                    f"c1={rep.c1_sup}, mult={rep.multiplicative_ok}")
     n = ctx.spec.trunc_dim
-    c4 = check_cond4(triple.phi, triple.psi, domain, n, cond4_points)
+    c4 = check_cond4(triple.phi, triple.psi, n, cond4_points)
     if not c4.passed:
         return CheckOutcome("key_inequality", 0.0, 0.0, 0.0, 0.0, None,
                             reason=f"curvature condition fails with margin {c4.margin:.3e}")
@@ -336,8 +324,7 @@ def _bound_c0(f: Form, ctx: OperatorContext, levi_points: np.ndarray,
 
 
 def weighted_bound_check(u: Form, f: Form, ctx: OperatorContext, c_fn,
-                         quad: Quadrature, domain: Domain,
-                         levi_points: np.ndarray, tol: float = 1e-6) -> CheckOutcome:
+                         quad: Quadrature, levi_points: np.ndarray) -> CheckOutcome:
     """Levi-weighted estimate: ||u||^2_phi <= 2 ||f/sqrt(c)||^2_phi / (c0 (t+1))."""
     c_fn = _as_fn(c_fn)
     c0 = _bound_c0(f, ctx, levi_points, np.real(c_fn(levi_points)))
@@ -347,13 +334,13 @@ def weighted_bound_check(u: Form, f: Form, ctx: OperatorContext, c_fn,
     pts, wq = quad.nodes_weights(ctx.spec)
     u_sq, f_sq = _weighted_sq_vals([(u, ctx.w3), (f, ctx.w3)], pts)
     rhs_vals = 2.0 * (f_sq / np.real(c_fn(pts))) / (c0 * f.degree[1])  # degree[1] = t + 1
-    return _audit("weighted_bound", u_sq, rhs_vals, wq, quad, True, lambda lhs, rhs: tol * rhs)
+    return _audit("weighted_bound", u_sq, rhs_vals, wq, quad, True,
+                  lambda lhs, rhs: _BOUND_TOL * rhs)
 
 
-def hormander_bound_check(u: Form, f: Form, ctx: OperatorContext, domain: Domain,
-                          quad: Quadrature, levi_points: np.ndarray,
-                          bounded: bool = False, sup_norm_sq: float = 1.0,
-                          tol: float = 1e-6) -> CheckOutcome:
+def hormander_bound_check(u: Form, f: Form, ctx: OperatorContext, quad: Quadrature,
+                          levi_points: np.ndarray, bounded: bool = False,
+                          sup_norm_sq: float = 1.0) -> CheckOutcome:
     """The (1 + ||z||^2)^-2 weighted bound; bounded domains use the sup factor."""
     c0 = _bound_c0(f, ctx, levi_points, 0.0)
     if c0 is None:
@@ -368,7 +355,7 @@ def hormander_bound_check(u: Form, f: Form, ctx: OperatorContext, domain: Domain
     else:
         lhs_vals = u_sq / (1.0 + np.sum(pts ** 2, axis=1)) ** 2
     return _audit("hormander_bound", lhs_vals, rhs_vals, wq, quad, True,
-                  lambda lhs, rhs: tol * rhs)
+                  lambda lhs, rhs: _BOUND_TOL * rhs)
 
 
 # ---------------------------------------------------------------------------

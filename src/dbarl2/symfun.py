@@ -20,6 +20,11 @@ are whatever its own ``d_dx``/``d_dy`` return (zero in the coordinates beyond
 its ``dim``).  So there is one algebra, and the Wirtinger operators act on
 every function through the tree.
 
+Nodes are made by the constructor functions (``add``, ``mul``, ``div``,
+``pw``, ``exp_``, ...) and define no operators.  ``FnBase`` is the one
+arithmetic: ``+``, ``-`` and ``*`` on functions lift both operands to
+``CylinderFn`` and build the node with those constructors.
+
 Nodes are hash-consed: a constructor returns the one live node with the same
 type, scalar fields (floats and complex values by their exact bits) and
 children, so structurally equal trees are one object and node equality is
@@ -118,36 +123,6 @@ class Expr(metaclass=_Interned):
         else:
             top = max((c._max_index for c in _children(self)), default=0)
         object.__setattr__(self, "_max_index", top)
-
-    def __add__(self, other):
-        return add(self, _as_expr(other))
-
-    def __radd__(self, other):
-        return add(_as_expr(other), self)
-
-    def __sub__(self, other):
-        return add(self, mul(const(-1), _as_expr(other)))
-
-    def __rsub__(self, other):
-        return add(_as_expr(other), mul(const(-1), self))
-
-    def __mul__(self, other):
-        return mul(self, _as_expr(other))
-
-    def __rmul__(self, other):
-        return mul(_as_expr(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_expr(other))
-
-    def __rtruediv__(self, other):
-        return div(_as_expr(other), self)
-
-    def __pow__(self, k: int):
-        return pw(self, k)
-
-    def __neg__(self):
-        return mul(const(-1), self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -1040,10 +1015,6 @@ def delbar_op(f: FnBase, i: int) -> CylinderFn:
     e = add(mul(const(0.5), diff(f.expr, "x", i)),
             mul(const(0.5j), diff(f.expr, "y", i)))
     return CylinderFn(e, f.support_radius, f.dim)
-
-
-def wirtinger(f: FnBase, i: int) -> tuple[CylinderFn, CylinderFn]:
-    return del_op(f, i), delbar_op(f, i)
 
 
 def delta_op(f: FnBase, i: int, a_i: float) -> CylinderFn:

@@ -11,9 +11,9 @@ The estimates need three ingredients built from the exhaustion function eta:
     from which the weight is phi = g(eta) and the triple is
     (w1, w2, w3) = (phi - 2 psi, phi - psi, phi).
 
-Sup-estimates over sub-level sets are sampled and inflated by a safety
-factor; every inequality they feed is monotone in the estimate, so
-over-estimation is the safe direction.
+Sup-estimates over sub-level sets are sampled and inflated by the safety
+factor 1 + ``_SAFETY``; every inequality they feed is monotone in the
+estimate, so over-estimation is the safe direction.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from .forms import Form, _weighted_sq_vals
 from .gaussmeasure import GaussianSpec
 from .symfun import (CylinderFn, add, conj_, const, cubic_step, del_op,
                      delbar_op, diff, eval_expr, germ_step, log_, mul, poly1, x)
+
+_SAFETY = 0.5  # a sampled sup-estimate is inflated by the factor 1 + _SAFETY
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +97,6 @@ def dbar_eta_sq_sum(eta: CylinderFn, n: int) -> CylinderFn:
 class PsiReport:
     psi: CylinderFn
     levels: np.ndarray
-    safety: float
     target: Callable[[np.ndarray], np.ndarray]  # ln(1 + (9/4) sum_i |dbar_i eta|^2)
 
 
@@ -118,7 +119,7 @@ def staircase_fn(levels: Sequence[float], eta: CylinderFn) -> CylinderFn:
 
 
 def psi_majorant(domain: Domain, trunc_dim: int, levels: int,
-                 samples: int = 10_000, seed: int = 314, safety: float = 0.5) -> PsiReport:
+                 samples: int = 10_000, seed: int = 314) -> PsiReport:
     """psi = H(eta) with ln(1 + (9/4) sum_i |dbar_i eta|^2) <= psi on V_levels.
 
     The per-level sups of the target are sampled on V_{j+1} and inflated by
@@ -130,9 +131,9 @@ def psi_majorant(domain: Domain, trunc_dim: int, levels: int,
     lv = np.empty(levels + 1)
     for j in range(levels + 1):
         pts = domain.sample_sublevel(trunc_dim, float(j + 1), samples, seed + j)
-        lv[j] = (1.0 + safety) * float(np.max(target_vals(pts)))
+        lv[j] = (1.0 + _SAFETY) * float(np.max(target_vals(pts)))
     psi = staircase_fn(lv, eta)
-    return PsiReport(psi=psi, levels=lv, safety=safety, target=target_vals)
+    return PsiReport(psi=psi, levels=lv, target=target_vals)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +291,7 @@ class CalculusG:
 
 
 def calculus_G(g: Callable[[float], float], x1: float, x2: float,
-               K_max: float = 20.0, density: int = 200) -> CalculusG:
+               K_max: float = 20.0) -> CalculusG:
     """The double-majorization construction for a nondecreasing g vanishing on [0, x2].
 
     Knot ladder r_0 = 0 < x1 < (x1+x2)/2 < x2 < x2+1 < ...; plateau levels are
@@ -303,7 +304,7 @@ def calculus_G(g: Callable[[float], float], x1: float, x2: float,
     if max(float(g(t)) for t in probe) > 0.0:
         raise ValueError("g must vanish on the closed interval [0, x2]")
     knots = [0.0, x1, 0.5 * (x1 + x2), x2]
-    step = max(1.0, (K_max - x2) / max(1, density // 10))
+    step = max(1.0, (K_max - x2) / 20)  # about 20 steps from x2 to K_max, none below 1
     v = x2
     while v < K_max + 2.0:
         v += step
@@ -311,7 +312,9 @@ def calculus_G(g: Callable[[float], float], x1: float, x2: float,
     knots = np.asarray(knots)
 
     def sup_on(fn, hi):
-        grid = np.linspace(0.0, hi, max(8, int(density * hi / max(knots[-1], 1.0)) + 8))
+        """The sup of fn on a grid of [0, hi] as dense as 200 points on the whole
+        ladder, plus 8."""
+        grid = np.linspace(0.0, hi, max(8, int(200 * hi / max(knots[-1], 1.0)) + 8))
         return float(np.max([fn(t) for t in grid]))
 
     def one_ahead(levels):
@@ -344,12 +347,6 @@ class WeightTriple:
     phi: CylinderFn
     psi: CylinderFn
 
-    def pointwise_identity_dev(self, pts: np.ndarray) -> float:
-        """max |w3 - w2 - psi| and |w2 - w1 - psi| at the points."""
-        d1 = np.abs(self.w3(pts) - self.w2(pts) - self.psi(pts))
-        d2 = np.abs(self.w2(pts) - self.w1(pts) - self.psi(pts))
-        return float(max(np.max(d1), np.max(d2))) if len(d1) else 0.0
-
 
 def weight_triple(phi: CylinderFn, psi: CylinderFn) -> WeightTriple:
     """(w1, w2, w3) = (phi - 2 psi, phi - psi, phi)."""
@@ -381,8 +378,7 @@ class Cond4Report:
         return self.margin >= 0.0
 
 
-def check_cond4(phi: CylinderFn, psi: CylinderFn, domain: Domain, n: int,
-                points: np.ndarray, spec: Optional[GaussianSpec] = None) -> Cond4Report:
+def check_cond4(phi: CylinderFn, psi: CylinderFn, n: int, points: np.ndarray) -> Cond4Report:
     """Levi(phi) >= (2 sum_i |d_i psi|^2 + 2 e^psi - 1/2) I at each point."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     H = complex_hessian(phi, points, n)
@@ -397,15 +393,14 @@ def check_cond4(phi: CylinderFn, psi: CylinderFn, domain: Domain, n: int,
 # Weight-for-target construction
 # ---------------------------------------------------------------------------
 
-def recipe_weights_whole_space(spec: GaussianSpec, tau_certify: float = 2.0,
-                               margin: float = 1.25):
+def recipe_weights_whole_space(spec: GaussianSpec):
     """Numerically tame instance of the weight recipe on the whole space.
 
     eta = ||z||^2 makes ln(1 + (9/4) sum_i |dbar_i eta|^2) = ln(1 + 9/4 eta)
     an exact closed-form majorant, so psi needs no staircase; phi = kappa eta
     with kappa calibrated 25% above the curvature bound of the certified
-    sub-level set, which makes check_cond4 pass with real margin while the
-    weights stay inside double-precision range.
+    sub-level set {eta <= 2}, which makes check_cond4 pass with real margin
+    while the weights stay inside double-precision range.
 
     Returns (triple, domain, kappa).
     """
@@ -414,9 +409,9 @@ def recipe_weights_whole_space(spec: GaussianSpec, tau_certify: float = 2.0,
     eta = dom.eta(n)
     psi = CylinderFn(log_(add(const(1.0), mul(const(2.25), eta.expr))), dim=n)
     # curvature bound 2 sum|d_i psi|^2 + 2 e^psi - 1/2 along eta = r^2
-    r2 = np.linspace(0.0, tau_certify, 512)
+    r2 = np.linspace(0.0, 2.0, 512)
     bound = 2.0 * (2.25 / (1.0 + 2.25 * r2)) ** 2 * r2 + 2.0 * (1.0 + 2.25 * r2) - 0.5
-    kappa = margin * float(np.max(bound))
+    kappa = 1.25 * float(np.max(bound))
     phi = CylinderFn(mul(const(kappa), eta.expr), dim=n)
     return weight_triple(phi, psi), dom, kappa
 
@@ -434,20 +429,19 @@ class WeightRecipe:
 
 
 def weight_for_target(f: Form, domain: Domain, J_max: int, spec: GaussianSpec,
-                      samples: int = 10_000, seed: int = 2718,
-                      safety: float = 0.5, trunc_order: int = 120,
-                      normalize: bool = True) -> WeightRecipe:
+                      samples: int = 10_000, trunc_order: int = 120) -> WeightRecipe:
     """Build (phi, psi) for a given closed target form following the solvability recipe.
 
-    Annulus masses m_j of the target give the summable sequence
-    b_j = 2^-j / (1 + m_j); the staircase h accumulates |ln(1/b_j) + sup psi|;
-    g0 = 1 + h + sup-estimate of (2 sum |d_i psi|^2 + 2 e^psi); the convex
-    series majorant of g0 composes with eta into phi.
+    The domain's eta is normalized first.  Annulus masses m_j of the target
+    give the summable sequence b_j = 2^-j / (1 + m_j); the staircase h
+    accumulates |ln(1/b_j) + sup psi|; g0 = 1 + h + sup-estimate of
+    (2 sum |d_i psi|^2 + 2 e^psi); the convex series majorant of g0 composes
+    with eta into phi.
     """
     n = spec.trunc_dim
-    dom = normalize_eta(domain, n_probe=n, seed=seed) if normalize else domain
-    psi_rep = psi_majorant(dom, n, levels=J_max + 1, samples=samples,
-                           seed=seed + 1, safety=safety)
+    seed = 2718  # every draw below is seeded from it
+    dom = normalize_eta(domain, n_probe=n, seed=seed)
+    psi_rep = psi_majorant(dom, n, levels=J_max + 1, samples=samples, seed=seed + 1)
     psi = psi_rep.psi
     eta = dom.eta(n)
 
@@ -466,7 +460,7 @@ def weight_for_target(f: Form, domain: Domain, J_max: int, spec: GaussianSpec,
 
     def sup_on(vals, mask):
         """The inflated sup of vals over the masked samples; 0.0 when none is."""
-        return (1.0 + safety) * float(np.max(vals[mask])) if np.any(mask) else 0.0
+        return (1.0 + _SAFETY) * float(np.max(vals[mask])) if np.any(mask) else 0.0
 
     h_steps = np.cumsum([abs(math.log(1.0 / b[j])
                              + sup_on(psi_vals, (eta_vals > j + 1) & (eta_vals <= j + 2)))

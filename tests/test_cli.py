@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dbarl2.cli import main
+from dbarl2.cli import COMMANDS, main
 from dbarl2.forms import Form, parse_form_literal
 from dbarl2.gaussmeasure import GaussianSpec, Quadrature
 from dbarl2.multiindex import constant_family
@@ -99,6 +99,18 @@ class TestExitCodes:
         assert err.startswith("Traceback")
         assert err.endswith("\nerror: EvalError: log of nonpositive real\n")
         assert not (out / "identities_report.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "approx"])
+    def test_more_than_one_form_exits_two(self, tmp_path, capsys, command):
+        # a command that takes one form refuses a list rather than drop its tail
+        lit = {"degree": [0, 1], "support_radius": 0.4,
+               "entries": [{"I": [], "J": [1], "coeff": "x(1)*bump((x(1)^2+y(1)^2)/0.16)"}]}
+        cfg = write_config(tmp_path, {"trunc_dim": 1, "weights": "quadratic",
+                                      "domain": {"kind": "whole_space"},
+                                      "forms": [lit, lit, lit]})
+        assert run([command, "--config", cfg, "--out", tmp_path / "r"]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: {command} takes one form, the config lists 3\n"
 
     def test_empty_forms_exit_zero(self, tmp_path):
         cfg = write_config(tmp_path, {"seed": 1, "trunc_dim": 2, "forms": []})
@@ -259,18 +271,19 @@ class TestReports:
         assert (rep["residual"], rep["norm_u_w1"], rep["norm_f_w2"]) == (None, None, 1.0)
         assert strict_records(out / "solve_report.jsonl")["solve_residual"]["lhs"] is None
 
-    def test_solve_reports_do_not_depend_on_blas_threads(self, tmp_path):
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_reports_do_not_depend_on_blas_threads(self, tmp_path, command):
         # set in the child's environment only, under each name a BLAS may read
         got = []
         for threads in ("1", "2"):
             out = tmp_path / threads
             env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads,
                        OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-            subprocess.run([sys.executable, "-m", "dbarl2.cli", "solve", "--config",
-                            str(ROOT / "configs" / "solve.json"), "--out", str(out)],
+            subprocess.run([sys.executable, "-m", "dbarl2.cli", command, "--config",
+                            str(ROOT / "configs" / f"{command}.json"), "--out", str(out)],
                            env=env, check=True, capture_output=True)
-            got.append({name: (out / name).read_bytes() for name in
-                        ("solve_report.json", "solve_report.jsonl", "solve_summary.csv")})
+            got.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert {f"{command}_report.jsonl", f"{command}_summary.csv"} <= set(got[0])
         assert got[0] == got[1]
 
     def test_solve_quadratic_skips_recipe_weights(self, tmp_path, monkeypatch):

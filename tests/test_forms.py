@@ -52,24 +52,6 @@ class TestFormBasics:
 
 
 class TestContract:
-    def test_identity_sign(self, fam):
-        g = CylinderFn("x(1)")
-        f = Form((0, 2), {((), (1, 2)): g}, fam)
-        pts = np.random.default_rng(0).normal(size=(20, 4))
-        np.testing.assert_allclose(f.contract((), 1, (2,))(pts), g(pts))
-
-    def test_i_in_L_zero(self, fam):
-        f = Form((0, 2), {((), (1, 2)): CylinderFn("x(1)")}, fam)
-        assert f.contract((), 2, (2,)).is_zero()
-
-    def test_reordering_sign(self, fam):
-        # sign oracle: (1,3) -> (1,3) is even, (3,1) -> (1,3) is odd
-        g = CylinderFn("y(2)")
-        f = Form((0, 2), {((), (1, 3)): g}, fam)
-        pts = np.random.default_rng(1).normal(size=(20, 6))
-        np.testing.assert_allclose(f.contract((), 1, (3,))(pts), g(pts))
-        np.testing.assert_allclose(f.contract((), 3, (1,))(pts), -g(pts))
-
     def test_at_most_one_match(self):
         # sum over K of |eps^K_{iL}| is at most 1 for entries up to 8
         from itertools import combinations

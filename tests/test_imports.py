@@ -1,7 +1,8 @@
 """Every name a dbarl2 module imports is used in that module, no import sits
 inside a function or class, every module-level function and class a module
-defines is named somewhere else, and importing the command line loads no
-third-party package but numpy.
+defines is named somewhere else, every defaulted parameter or field is passed
+by some call, no expression node defines arithmetic operators, and importing
+the command line loads no third-party package but numpy.
 
 Only the standard ``ast`` module is needed for the source checks.  An imported name counts as used
 when it appears anywhere in the module as a ``Name`` node (a load, or the
@@ -9,7 +10,9 @@ root of an attribute chain).  The package ``__init__`` re-exports its imports
 and is exempt.  A definition counts as named when a ``Name``, an attribute,
 an imported name or a string that is a (dotted) identifier spells it in a
 module of ``src/``, ``tests/``, ``demos/`` or ``perfbench/``, outside the
-definition itself.
+definition itself.  A defaulted parameter counts as passed when some call
+of a function, method or class of its name passes it by keyword, reaches
+its position, or unpacks ``*args`` or ``**kwargs``.
 """
 
 from __future__ import annotations
@@ -94,6 +97,90 @@ def test_every_definition_is_named_elsewhere():
                     n == top.name and (p != path or o != top.name) for n, p, o in named):
                 unnamed.append(f"{path.name}:{top.lineno} {top.name}")
     assert not unnamed, f"definitions nothing names: {', '.join(unnamed)}"
+
+
+# defaulted parameters that no call passes, each with the reason it stays
+UNPASSED = {
+    ("_forget", "table"): "binds the intern table, so the weakref callback still "
+                          "finds it at interpreter shutdown",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        f = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(f, "id", None) == "dataclass" or getattr(f, "attr", None) == "dataclass":
+            return True
+    return False
+
+
+def _defaulted(tree: ast.Module):
+    """(callee name, parameter, position or None when keyword-only, line) of each
+    defaulted parameter and dataclass field; a class is called by its own name."""
+    callee = {}  # an __init__ -> the name of its class
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            if _is_dataclass(node):
+                fields = [st for st in node.body
+                          if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)]
+                for pos, st in enumerate(fields):
+                    if st.value is not None:
+                        yield node.name, st.target.id, pos, st.lineno
+            callee.update((st, node.name) for st in node.body
+                          if isinstance(st, ast.FunctionDef) and st.name == "__init__")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = callee.get(node, node.name)
+            a = node.args
+            params = a.posonlyargs + a.args
+            bound = 1 if params and params[0].arg in ("self", "cls") else 0
+            for pos in range(len(params) - len(a.defaults), len(params)):
+                yield name, params[pos].arg, pos - bound, node.lineno
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    yield name, arg.arg, None, node.lineno
+
+
+def _passed() -> tuple[set, dict, set]:
+    """Over every call in the readers: (callee, keyword) pairs, the most
+    positional arguments per callee, and the callees given *args or **kwargs."""
+    keywords, npos, unpacked = set(), {}, set()
+    for path in READERS:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            keywords |= {(name, k.arg) for k in node.keywords}
+            npos[name] = max(npos.get(name, 0), len(node.args))
+            if any(isinstance(a, ast.Starred) for a in node.args) or \
+                    any(k.arg is None for k in node.keywords):
+                unpacked.add(name)
+    return keywords, npos, unpacked
+
+
+def test_every_default_is_passed_somewhere():
+    keywords, npos, unpacked = _passed()
+    never = []
+    for path in MODULES:
+        for name, param, pos, line in _defaulted(ast.parse(path.read_text(), filename=str(path))):
+            if (name, param) in UNPASSED or (name, param) in keywords or name in unpacked \
+                    or (pos is not None and npos.get(name, 0) > pos):
+                continue
+            never.append(f"{path.name}:{line} {name}({param})")
+    assert not never, f"defaults no call passes: {', '.join(never)}"
+
+
+def test_expr_nodes_define_no_arithmetic():
+    # FnBase is the one arithmetic; expression nodes are built by constructor functions
+    ops = {f"__{p}{op}__" for op in ("add", "sub", "mul", "truediv", "pow") for p in ("", "r")}
+    ops.add("__neg__")
+    nodes, found = {"Expr"}, []
+    for top in ast.parse((SRC / "symfun.py").read_text()).body:
+        if isinstance(top, ast.ClassDef) and (top.name in nodes or any(
+                getattr(b, "id", None) in nodes for b in top.bases)):
+            nodes.add(top.name)
+            found += [f"{top.name}.{st.name}" for st in top.body
+                      if isinstance(st, ast.FunctionDef) and st.name in ops]
+    assert not found, f"expression nodes define arithmetic: {', '.join(found)}"
 
 
 def test_cli_imports_numpy_only():

@@ -385,8 +385,7 @@ class TestBoundChecks:
                                n=1, radius=R, quad=GH24)
         u, _ = sv.solve_min_norm(prob)
         levi_pts = gm.sample(spec, 50, 9)
-        out = sv.weighted_bound_check(u, f, ctx, CylinderFn("3"), GH24,
-                                      dm.ball(r=1.0), levi_pts)
+        out = sv.weighted_bound_check(u, f, ctx, CylinderFn("3"), GH24, levi_pts)
         assert out.passed
 
     def test_c_scaling_is_exact(self, quad_ctx, manufactured, fam):
@@ -396,7 +395,7 @@ class TestBoundChecks:
         rhs = {}
         for kappa in (1.0, 2.0, 3.0):
             out = sv.weighted_bound_check(u0, f, ctx, CylinderFn(f"{kappa}"),
-                                          GH24, dm.ball(r=1.0), levi_pts)
+                                          GH24, levi_pts)
             rhs[kappa] = out.rhs
         assert rhs[1.0] == pytest.approx(2.0 * rhs[2.0], rel=1e-12)
         assert rhs[1.0] == pytest.approx(3.0 * rhs[3.0], rel=1e-12)
@@ -405,8 +404,7 @@ class TestBoundChecks:
         spec, ctx = quad_ctx
         u0, f = manufactured
         levi_pts = gm.sample(spec, 50, 11)
-        out = sv.weighted_bound_check(u0, f, ctx, CylinderFn("100"), GH24,
-                                      dm.ball(r=1.0), levi_pts)
+        out = sv.weighted_bound_check(u0, f, ctx, CylinderFn("100"), GH24, levi_pts)
         assert out.passed is None
 
     def test_hormander_bounded_variant(self, quad_ctx, manufactured, fam):
@@ -416,20 +414,18 @@ class TestBoundChecks:
                                n=1, radius=R, quad=GH24)
         u, _ = sv.solve_min_norm(prob)
         levi_pts = gm.sample(spec, 50, 12)
-        out = sv.hormander_bound_check(u, f, ctx, dm.ball(r=1.0), GH24,
-                                       levi_pts, bounded=True, sup_norm_sq=1.0)
+        out = sv.hormander_bound_check(u, f, ctx, GH24, levi_pts, bounded=True,
+                                       sup_norm_sq=1.0)
         assert out.passed
-        out2 = sv.hormander_bound_check(u, f, ctx, dm.ball(r=1.0), GH24,
-                                        levi_pts, bounded=False)
+        out2 = sv.hormander_bound_check(u, f, ctx, GH24, levi_pts, bounded=False)
         assert out2.passed
 
     def test_scaled_solution_fails(self, quad_ctx, manufactured, fam):
         spec, ctx = quad_ctx
         u0, f = manufactured
         levi_pts = gm.sample(spec, 50, 13)
-        out = sv.hormander_bound_check(u0.scale(10.0), f, ctx, dm.ball(r=1.0),
-                                       GH24, levi_pts, bounded=True,
-                                       sup_norm_sq=1.0)
+        out = sv.hormander_bound_check(u0.scale(10.0), f, ctx, GH24, levi_pts,
+                                       bounded=True, sup_norm_sq=1.0)
         assert out.passed is False
 
 
@@ -486,10 +482,10 @@ class TestFoldedBoundAudits:
             if quad.deterministic and ctx.spec.trunc_dim > 1:
                 quad = gm.Quadrature("gauss_hermite", nodes_per_axis=10)
             c = CylinderFn("2+x(1)^2")
-            outs = [(sv.weighted_bound_check(u, f, ctx, c, quad, dm.ball(r=1.0), levi),
+            outs = [(sv.weighted_bound_check(u, f, ctx, c, quad, levi),
                      _bound_reference(u, f, ctx, quad, c_fn=c))]
             for bounded in (False, True):
-                outs.append((sv.hormander_bound_check(u, f, ctx, dm.ball(r=1.0), quad, levi,
+                outs.append((sv.hormander_bound_check(u, f, ctx, quad, levi,
                                                       bounded=bounded, sup_norm_sq=0.7),
                              _bound_reference(u, f, ctx, quad, bounded=bounded,
                                               sup_norm_sq=0.7)))

@@ -8,7 +8,7 @@ import pytest
 from dbarl2 import symfun as sf
 from dbarl2.symfun import (CylinderFn, EvalError, ParseError, bump, conj_,
                            del_op, delbar_op, delta_op, diff, eval_expr,
-                           ZERO_FN, fd_check, parse, sigma_op, wirtinger)
+                           ZERO_FN, fd_check, parse, sigma_op)
 
 from conftest import CountingFn, ScalarTwo, bump_fn, random_form, random_smooth_expr
 
@@ -158,7 +158,7 @@ class TestWirtinger:
                 assert np.max(np.abs(v - expect)) <= 1e-14
 
     def test_wirtinger_pair(self):
-        d, db = wirtinger(CylinderFn("x(1)^2"), 1)
+        d, db = del_op(CylinderFn("x(1)^2"), 1), delbar_op(CylinderFn("x(1)^2"), 1)
         pts = np.array([[0.5, 0.2]])
         assert d(pts)[0] == pytest.approx(0.5)
         assert db(pts)[0] == pytest.approx(0.5)
