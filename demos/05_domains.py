@@ -15,20 +15,20 @@ print("  eta(0) =", ball.eta(2)(np.zeros(4))[0].real)
 v = np.zeros(4)
 v[0] = np.sqrt(1 - np.exp(-1.0))
 print("  eta at ||z||^2 = 1 - 1/e:", ball.eta(2)(v)[0].real)
-print("  Levi min eigenvalue at 0:", dm.levi_min_eig(ball, np.zeros(4), 2))
+print("  Levi min eigenvalue at 0:", float(dm.levi_min_eigs(ball.eta(2), np.zeros(4), 2)[0]))
 
 print("\nLevi scans over 50 interior points")
 for dom, name in ((ball, "ball"), (dm.polydisc(), "polydisc"),
                   (dm.translated_scaled(ball, a=(0.2,), c=1.5), "translated/scaled"),
                   (dm.whole_space(), "whole space")):
     pts = dom.sample_interior(2, 50, 7)
-    print(f"  {name:18s} min eig = {float(np.min(dm.levi_min_eigs(dom, pts, 2))):+.4f}")
+    print(f"  {name:18s} min eig = {float(np.min(dm.levi_min_eigs(dom.eta(2), pts, 2))):+.4f}")
 
 print("\nNormalization: eta + ||z||^2 - inf, Levi form gains the identity")
 nb = dm.normalize_eta(ball)
 pts = nb.sample_interior(2, 500, 8)
 print("  min eta after normalization:", float(np.min(np.real(nb.eta(2)(pts)))))
-print("  min Levi eigenvalue:", float(np.min(dm.levi_min_eigs(nb, pts[:50], 2))))
+print("  min Levi eigenvalue:", float(np.min(dm.levi_min_eigs(nb.eta(2), pts[:50], 2))))
 
 print("\nBoundary geometry")
 print("  d_V at ||z|| = 0.5:", dm.d_V(ball, np.array([0.5, 0, 0, 0])))

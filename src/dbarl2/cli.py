@@ -229,7 +229,7 @@ def cmd_domains(config, seed) -> list:
     N = int(config.get("scan_points", 50))
     t0 = time.perf_counter()
     pts = dom.sample_interior(n, N, seed)
-    eig = domains.levi_min_eigs(dom, pts, n)
+    eig = domains.levi_min_eigs(dom.eta(n), pts, n)
     ms = _ms(t0)
     recs = [CheckOutcome("levi_min_eig", float(np.min(eig)), -1e-9, 0.0,
                          float(np.min(eig)) + 1e-9, bool(np.min(eig) >= -1e-9), runtime_ms=ms)]

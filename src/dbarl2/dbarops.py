@@ -23,9 +23,9 @@ from typing import Optional
 
 import numpy as np
 
-from .forms import Form, inner_vals
+from .forms import Form, add_term, inner_vals
 from .gaussmeasure import GaussianSpec, MCEstimate, Quadrature, estimate
-from .multiindex import WeightFamily, as_multiindex, epsilon, insert
+from .multiindex import WeightFamily, as_multiindex, contractions, insertions
 from .symfun import (CylinderFn, FnBase, ZERO_FN, _as_fn, add, const, del_op, delbar_op,
                      delta_op, eval_expr, exp_, mul, sigma_op)
 
@@ -63,16 +63,10 @@ def dbar(f: Form) -> Form:
     r = max(f.max_dim(), f.max_index())
     sgn_s = -1.0 if s % 2 else 1.0
     for (I, J), fn in f.coeffs.items():
-        for i in range(1, r + 1):
-            if i in J:
-                continue
-            sign, K = insert(i, J)
+        for i, sign, K in insertions(J, r):
             term = delbar_op(fn, i)
-            if term.is_zero():
-                continue
-            term = (sgn_s * sign) * term
-            key = (I, K)
-            out[key] = out[key] + term if key in out else term
+            if not term.is_zero():
+                add_term(out, (I, K), (sgn_s * sign) * term)
     return Form((s, t + 1), out, f.family)
 
 
@@ -87,19 +81,13 @@ def Tstar(f: Form, ctx: OperatorContext) -> Form:
                        dim=max(ctx.w1.dim, ctx.w2.dim))
     out: dict = {}
     for (I, J), fn in f.coeffs.items():
-        for i in J:
-            L = tuple(v for v in J if v != i)
-            sign = epsilon(i, L, J)
+        for i, L, sign in contractions(J):
             cIL = ctx.family.coeff(I, L)
             ciL = ctx.family.contract_coeff(I, i, L)
-            if ciL == 0.0:
-                continue
             contracted = sign * fn if sign != 1 else fn
             inner_term = delta_op(contracted, i, ctx.spec.a(i)) \
                 - contracted * del_op(ctx.w2, i)
-            term = (sgn * ciL / cIL) * (gauge * inner_term)
-            key = (I, L)
-            out[key] = out[key] + term if key in out else term
+            add_term(out, (I, L), (sgn * ciL / cIL) * (gauge * inner_term))
     return Form((s, t), out, f.family)
 
 
@@ -177,11 +165,9 @@ def weak_dbar_residual(f: Form, g: Form, testfn: FnBase, I, K,
     pts, w = quad.nodes_weights(spec)
     sgn = -1.0 if (s + 1) % 2 else 1.0
     lhs = np.zeros(pts.shape[0], dtype=complex)
-    for i in K:
-        J = tuple(v for v in K if v != i)
-        sign = epsilon(i, J, K)
+    for i, J, sign in contractions(K):
         fn = f.coeffs.get((I, J))
-        if fn is None or sign == 0:
+        if fn is None:
             continue
         dtest = delta_op(testfn, i, spec.a(i))
         lhs += sgn * sign * fn(pts) * np.conjugate(dtest(pts))
@@ -198,13 +184,8 @@ def wedge_dbar_fn(m: FnBase, f: Form) -> Form:
     sgn_s = -1.0 if s % 2 else 1.0
     out: dict = {}
     for (I, J), fn in f.coeffs.items():
-        for i in range(1, r + 1):
-            if i in J:
-                continue
-            sign, K = insert(i, J)
-            term = (sgn_s * sign) * (fn * delbar_op(m, i))
-            key = (I, K)
-            out[key] = out[key] + term if key in out else term
+        for i, sign, K in insertions(J, r):
+            add_term(out, (I, K), (sgn_s * sign) * (fn * delbar_op(m, i)))
     return Form((s, t + 1), out, f.family)
 
 

@@ -10,7 +10,7 @@ operational pseudo-convexity check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -25,7 +25,6 @@ class Domain:
     eta_builder: Callable[[int], CylinderFn]
     boundary_distance: Optional[Callable[[np.ndarray], np.ndarray]] = None
     interior_sampler: Optional[Callable[[int, int, int], np.ndarray]] = None
-    params: dict = field(default_factory=dict)
 
     def eta(self, n: int) -> CylinderFn:
         return self.eta_builder(n)
@@ -36,7 +35,8 @@ class Domain:
         return self.interior_sampler(n, N, seed)
 
     def sample_sublevel(self, n: int, tau: float, N: int, seed: int) -> np.ndarray:
-        """Rejection-sample interior points with eta <= tau, in at most 60 draws."""
+        """Rejection-sample N interior points with eta <= tau, in at most 60 draws;
+        fewer is an error."""
         eta = self.eta(n)
         got = []
         count = 0
@@ -49,8 +49,9 @@ class Domain:
                 count += len(keep)
             if count >= N:
                 break
-        if count == 0:
-            raise ValueError(f"no interior samples with eta <= {tau}")
+        if count < N:
+            raise ValueError(f"only {count} of {N} interior samples have eta <= {tau} "
+                             f"after 60 draws")
         return np.concatenate(got, axis=0)[:N]
 
 
@@ -92,7 +93,7 @@ def ball(center: Sequence[complex] = (), r: float = 1.0) -> Domain:
         pts = r * 0.9999 * rho[:, None] * v
         return pts + _center_cols(center, n)
 
-    return Domain("ball", builder, bdist, sampler, {"center": center, "r": r})
+    return Domain("ball", builder, bdist, sampler)
 
 
 def polydisc() -> Domain:
@@ -119,7 +120,7 @@ def polydisc() -> Domain:
         pts[:, 1::2] = rad * np.sin(th)
         return pts
 
-    return Domain("polydisc", builder, bdist, sampler, {})
+    return Domain("polydisc", builder, bdist, sampler)
 
 
 def cylinder_over(eta_base: CylinderFn, m: int,
@@ -143,7 +144,7 @@ def cylinder_over(eta_base: CylinderFn, m: int,
         return np.concatenate([base_pts, tail], axis=1)
 
     return Domain("cylinder_over", builder, None,
-                  sampler if base_sampler is not None else None, {"m": m})
+                  sampler if base_sampler is not None else None)
 
 
 def translated_scaled(base: Domain, a: Sequence[complex] = (),
@@ -185,13 +186,12 @@ def translated_scaled(base: Domain, a: Sequence[complex] = (),
             out[:, 2 * i - 1] = zy
         return out
 
-    return Domain("translated_scaled", builder, None, sampler,
-                  {"base": base.kind, "a": a})
+    return Domain("translated_scaled", builder, None, sampler)
 
 
 def custom(eta_builder: Callable[[int], CylinderFn],
            interior_sampler=None) -> Domain:
-    return Domain("custom", eta_builder, None, interior_sampler, {})
+    return Domain("custom", eta_builder, None, interior_sampler)
 
 
 def whole_space() -> Domain:
@@ -213,7 +213,7 @@ def whole_space() -> Domain:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(6,)))
         return rng.standard_normal((N, 2 * n)) * 0.4
 
-    return Domain("whole_space", builder, bdist, sampler, {})
+    return Domain("whole_space", builder, bdist, sampler)
 
 
 def _substitute(e: Expr, subs: dict) -> Expr:
@@ -242,14 +242,9 @@ def complex_hessian(eta: CylinderFn, points: np.ndarray, n: int) -> np.ndarray:
     return H
 
 
-def levi_min_eig(domain: Domain, point: np.ndarray, n: int) -> float:
-    """Smallest eigenvalue of the complex Hessian of eta_n at the point."""
-    return float(np.min(levi_min_eigs(domain, np.atleast_2d(point), n)))
-
-
-def levi_min_eigs(domain: Domain, points: np.ndarray, n: int) -> np.ndarray:
-    H = complex_hessian(domain.eta(n), points, n)
-    return np.linalg.eigvalsh(H)[:, 0]
+def levi_min_eigs(fn: CylinderFn, points: np.ndarray, n: int) -> np.ndarray:
+    """Smallest eigenvalue of the complex Hessian of fn at each point."""
+    return np.linalg.eigvalsh(complex_hessian(fn, points, n))[:, 0]
 
 
 def normalize_eta(domain: Domain, n_probe: int = 3, seed: int = 1234) -> Domain:
@@ -271,25 +266,28 @@ def normalize_eta(domain: Domain, n_probe: int = 3, seed: int = 1234) -> Domain:
         return CylinderFn(add(base.expr, norm_sq_coords(n), const(-c_shift)), dim=n)
 
     return Domain(f"normalized({domain.kind})", builder, domain.boundary_distance,
-                  domain.interior_sampler, dict(domain.params, shift=-c_shift))
+                  domain.interior_sampler)
 
 
 def d_V(domain: Domain, point: np.ndarray) -> float:
-    """min of the boundary distance and 1/||z|| (1/0 = +inf)."""
-    point = np.asarray(point, dtype=float).reshape(1, -1)
+    """min of the boundary distance and 1/||z|| (1/0 = +inf) at one point."""
+    return float(_d_V_values(domain, np.asarray(point, dtype=float).reshape(1, -1))[0])
+
+
+def _d_V_values(domain: Domain, pts: np.ndarray) -> np.ndarray:
+    """d_V at each row of pts."""
     if domain.boundary_distance is None:
         raise ValueError(f"domain kind {domain.kind!r} has no boundary-distance rule")
-    bd = float(domain.boundary_distance(point)[0])
-    nrm = float(np.linalg.norm(point))
-    inv = math.inf if nrm == 0.0 else 1.0 / nrm
-    return min(bd, inv)
+    nrm = np.linalg.norm(pts, axis=1)
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / nrm
+    return np.minimum(domain.boundary_distance(pts), inv)
 
 
 @dataclass
 class InclusionReport:
     included: bool
     margin: float
-    checked: int
 
 
 def uniformly_included(domain: Domain, S, n: Optional[int] = None,
@@ -305,12 +303,5 @@ def uniformly_included(domain: Domain, S, n: Optional[int] = None,
         pts = domain.sample_sublevel(n, float(S), 2000, seed)
     else:
         pts = np.atleast_2d(np.asarray(S, dtype=float))
-    if domain.boundary_distance is None:
-        raise ValueError(f"domain kind {domain.kind!r} has no boundary-distance rule")
-    bd = domain.boundary_distance(pts)
-    nrm = np.linalg.norm(pts, axis=1)
-    with np.errstate(divide="ignore"):
-        inv = np.where(nrm == 0.0, np.inf, 1.0 / np.maximum(nrm, 1e-300))
-    dvals = np.minimum(bd, inv)
-    margin = float(np.min(dvals))
-    return InclusionReport(included=margin > 0.0, margin=margin, checked=len(pts))
+    margin = float(np.min(_d_V_values(domain, pts)))
+    return InclusionReport(included=margin > 0.0, margin=margin)

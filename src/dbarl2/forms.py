@@ -31,6 +31,11 @@ class DegreeError(ValueError):
     pass
 
 
+def add_term(coeffs: dict, key: Key, term: FnBase) -> None:
+    """coeffs[key] += term; a new key starts at term."""
+    coeffs[key] = coeffs[key] + term if key in coeffs else term
+
+
 @dataclass
 class Form:
     degree: Tuple[int, int]
@@ -50,14 +55,6 @@ class Form:
             if not fn.is_zero():
                 clean[(I, J)] = fn
         self.coeffs = clean
-
-    @property
-    def s(self) -> int:
-        return self.degree[0]
-
-    @property
-    def t(self) -> int:
-        return self.degree[1]
 
     def coeff(self, I, J) -> FnBase:
         return self.coeffs.get((tuple(I), tuple(J)), ZERO_FN)
@@ -89,7 +86,7 @@ class Form:
             raise DegreeError("cannot add forms of different degrees")
         out = dict(self.coeffs)
         for k, fn in other.coeffs.items():
-            out[k] = out[k] + fn if k in out else fn
+            add_term(out, k, fn)
         return Form(self.degree, out, self.family or other.family)
 
     def __sub__(self, other: "Form") -> "Form":
@@ -198,7 +195,6 @@ def parse_form_literal(entries, degree, family: WeightFamily,
     for ent in entries:
         I = as_multiindex(ent.get("I", ()))
         J = as_multiindex(ent.get("J", ()))
-        fn = CylinderFn(ent["coeff"], support_radius=ent.get("support_radius", support_radius))
-        key = (I, J)
-        coeffs[key] = coeffs[key] + fn if key in coeffs else fn
+        add_term(coeffs, (I, J),
+                 CylinderFn(ent["coeff"], support_radius=ent.get("support_radius", support_radius)))
     return Form(tuple(degree), coeffs, family)

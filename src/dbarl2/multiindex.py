@@ -71,8 +71,23 @@ def insert(i: int, J: MultiIndex) -> tuple[int, Optional[MultiIndex]]:
     return epsilon(i, tuple(J), K), K
 
 
+def insertions(J: MultiIndex, r: int):
+    """(i, sign, K) with (sign, K) = insert(i, J) for each i <= r not in J."""
+    for i in range(1, r + 1):
+        if i not in J:
+            sign, K = insert(i, J)
+            yield i, sign, K
+
+
+def contractions(K: MultiIndex):
+    """(i, L, epsilon(i, L, K)) with L = K without i, for each i in K."""
+    for i in K:
+        L = tuple(v for v in K if v != i)
+        yield i, L, epsilon(i, L, K)
+
+
 class InvalidFamilyError(ValueError):
-    """A custom weight callback produced a non-positive value."""
+    """A weight family produced a non-positive c[I, J]."""
 
 
 @dataclass(frozen=True)
@@ -82,7 +97,9 @@ class WeightFamily:
     kind:
       - "constant":        c[I, J] = value
       - "multiplicative":  c[I, J] = prod(mu(j) for j in J)
-      - "custom":          c[I, J] = callback(I, J), checked positive
+      - "custom":          c[I, J] = callback(I, J)
+
+    Every kind is checked positive where it is evaluated.
     """
 
     kind: str
@@ -94,18 +111,18 @@ class WeightFamily:
         I = tuple(I)
         J = tuple(J)
         if self.kind == "constant":
-            return self.value
-        if self.kind == "multiplicative":
-            out = 1.0
+            v = self.value
+        elif self.kind == "multiplicative":
+            v = 1.0
             for j in J:
-                out *= self.mu(j)
-            return out
-        if self.kind == "custom":
+                v *= self.mu(j)
+        elif self.kind == "custom":
             v = float(self.callback(I, J))
-            if not v > 0.0:
-                raise InvalidFamilyError(f"c[{I},{J}] = {v} is not positive")
-            return v
-        raise ValueError(f"unknown family kind {self.kind!r}")
+        else:
+            raise ValueError(f"unknown family kind {self.kind!r}")
+        if not v > 0.0:
+            raise InvalidFamilyError(f"c[{I},{J}] = {v} is not positive")
+        return v
 
     def contract_coeff(self, I: MultiIndex, i: int, L: MultiIndex) -> float:
         """c[I, iL]: the single surviving term of the contraction sum, 0 if i in L."""
@@ -116,8 +133,6 @@ class WeightFamily:
 
 
 def constant_family(value: float = 1.0) -> WeightFamily:
-    if not value > 0:
-        raise InvalidFamilyError(f"constant family value must be positive, got {value}")
     return WeightFamily(kind="constant", value=value)
 
 
@@ -149,9 +164,6 @@ class ConditionReport:
     c0_inf: float
     multiplicative_ok: bool
     violations: list
-    max_index: int
-    s: int
-    t: int
 
     @property
     def passed(self) -> bool:
@@ -178,10 +190,8 @@ def check_conditions(family: WeightFamily, max_index: int, s: int, t: int) -> Co
     for I in _increasing_tuples(s, max_index):
         for J in _increasing_tuples(t, max_index):
             cIJ = family.coeff(I, J)
-            for i in range(1, max_index + 1):
-                if i in J:
-                    continue
-                ratio = family.contract_coeff(I, i, J) / cIJ
+            for _, _, K in insertions(J, max_index):
+                ratio = family.coeff(I, K) / cIJ
                 c1 = max(c1, ratio)
                 c0 = min(c0, ratio)
 
@@ -202,5 +212,4 @@ def check_conditions(family: WeightFamily, max_index: int, s: int, t: int) -> Co
 
     return ConditionReport(c1_sup=c1, c0_inf=c0,
                            multiplicative_ok=not violations,
-                           violations=violations,
-                           max_index=max_index, s=s, t=t)
+                           violations=violations)

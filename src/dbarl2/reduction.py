@@ -23,7 +23,7 @@ import numpy as np
 from .domains import Domain
 from .forms import Form, _weighted_sq_vals
 from .gaussmeasure import GaussianSpec, Quadrature, _leggauss, _mesh, estimate, reduce_fn
-from .symfun import FnBase, _as_fn
+from .symfun import FnBase, _as_fn, bump_values
 from .weights import smooth_step
 
 
@@ -44,15 +44,7 @@ class Mollifier:
     norm_const: float  # gamma_n = norm_const * bump(|z|)
 
     def level(self, radii: np.ndarray) -> np.ndarray:
-        r = np.asarray(radii, dtype=float)
-        out = np.zeros_like(r)
-        inside = np.abs(r) < 1.0
-        om = 1.0 - r[inside] ** 2
-        good = om > 1e-6
-        vals = np.zeros(inside.sum())
-        vals[good] = np.exp(-1.0 / om[good])
-        out[inside] = self.norm_const * vals
-        return out
+        return self.norm_const * bump_values(np.asarray(radii, dtype=float), 0)
 
     def scaled(self, pts: np.ndarray, delta: float) -> np.ndarray:
         """gamma_{n,delta}(z) = delta^(-2n) gamma_n(z/delta) at real points (N, 2n)."""
@@ -281,7 +273,6 @@ class LadderRow:
 class PipelineReport:
     output: Form
     ladder: list
-    rho: float
 
     def write_csv(self, path: str):
         with open(path, "w", newline="") as fh:
@@ -320,4 +311,4 @@ def approx_pipeline(f: Form, domain: Domain, rho: float, n_ladder: Sequence[int]
             ladder.append(LadderRow(n=n, delta=delta,
                                     norm_error=math.sqrt(max(est.mean.real, 0.0)),
                                     stderr=est.stderr))
-    return PipelineReport(output=cands[-1] if cands else None, ladder=ladder, rho=rho)
+    return PipelineReport(output=cands[-1] if cands else None, ladder=ladder)

@@ -45,7 +45,7 @@ import numpy as np
 from numpy.polynomial import hermite_e as herme
 
 from .dbarops import OperatorContext, Tstar, dbar, max_abs
-from .domains import Domain, complex_hessian
+from .domains import Domain, levi_min_eigs
 from .forms import Form, _weighted_sq_vals
 from .gaussmeasure import (CheckOutcome, GaussianSpec, Quadrature, _leggauss, _mesh, estimate,
                            json_number, sample, support_rsq, verdict)
@@ -315,8 +315,7 @@ def _bound_c0(f: Form, ctx: OperatorContext, levi_points: np.ndarray,
               floor) -> Optional[float]:
     """The bound audits' hypotheses: None when the Levi form of phi = w3 falls
     below floor at an audit point, else the family's c0 for f's degree."""
-    H = complex_hessian(ctx.w3, levi_points, ctx.spec.trunc_dim)
-    if float(np.min(np.linalg.eigvalsh(H)[:, 0] - floor)) < -1e-9:
+    if float(np.min(levi_min_eigs(ctx.w3, levi_points, ctx.spec.trunc_dim) - floor)) < -1e-9:
         return None
     s, tp1 = f.degree
     return check_conditions(f.family, max_index=max(f.max_index(), s + tp1) + 2,

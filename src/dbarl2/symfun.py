@@ -164,7 +164,7 @@ class Pow(Expr):
 
 @dataclass(frozen=True, eq=False)
 class Fun(Expr):
-    name: str  # exp | log | sin | cos
+    name: str  # a key of _FUNS
     arg: Expr
 
 
@@ -338,20 +338,34 @@ def pw(base, k: int) -> Expr:
     return Pow(base, k)
 
 
+def _log_values(a):
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        bad = (a.imag == 0) & (a.real <= 0)
+    else:
+        bad = a <= 0
+    if np.any(bad):
+        raise EvalError("log of nonpositive real")
+    return np.log(a)
+
+
+# name -> (its values at an array, the partial of a node Fun(name, arg) given
+# the partial d of arg)
+_FUNS = {
+    "exp": (np.exp, lambda e, d: mul(e, d)),
+    "log": (_log_values, lambda e, d: div(d, e.arg)),
+    "sin": (np.sin, lambda e, d: mul(_fun("cos", e.arg), d)),
+    "cos": (np.cos, lambda e, d: mul(const(-1), _fun("sin", e.arg), d)),
+}
+
+
 def _fun(name: str, arg) -> Expr:
     arg = _as_expr(arg)
     if isinstance(arg, Const):
-        v = arg.val
-        if name == "exp":
-            return Const(complex(np.exp(v)))
-        if name == "log":
-            if v.imag == 0 and v.real <= 0:
-                raise EvalError("log of nonpositive real constant")
-            return Const(complex(np.log(v)))
-        if name == "sin":
-            return Const(complex(np.sin(v)))
-        if name == "cos":
-            return Const(complex(np.cos(v)))
+        try:
+            return Const(complex(_FUNS[name][0](arg.val)))
+        except EvalError as exc:
+            raise EvalError(f"{exc} constant") from None
     return Fun(name, arg)
 
 
@@ -525,16 +539,7 @@ def diff(e: Expr, kind: str, i: int) -> Expr:
     if isinstance(e, Pow):
         return mul(const(e.k), pw(e.base, e.k - 1), diff(e.base, kind, i))
     if isinstance(e, Fun):
-        d = diff(e.arg, kind, i)
-        if e.name == "exp":
-            return mul(e, d)
-        if e.name == "log":
-            return div(d, e.arg)
-        if e.name == "sin":
-            return mul(_fun("cos", e.arg), d)
-        if e.name == "cos":
-            return mul(const(-1), _fun("sin", e.arg), d)
-        raise ValueError(f"unknown function {e.name}")
+        return _FUNS[e.name][1](e, diff(e.arg, kind, i))
     if isinstance(e, BumpD):
         return mul(BumpD(e.arg, e.k + 1), diff(e.arg, kind, i))
     if isinstance(e, CubicStepD):
@@ -577,6 +582,22 @@ def _require_real(v, what: str):
             raise EvalError(f"{what} of a non-real argument")
         return v.real
     return v
+
+
+def bump_values(t, k: int) -> np.ndarray:
+    """The k-th derivative of exp(-1/(1-t^2)) at real t (an array of at least
+    one dimension); 0 where 1 - t^2 <= _EDGE."""
+    t = np.atleast_1d(t)
+    om = 1.0 - t * t
+    inside = om > _EDGE
+    out = np.zeros(t.shape)
+    if np.any(inside):
+        omi = om[inside]
+        val = np.exp(-1.0 / omi)
+        if k > 0:
+            val = val * npoly.polyval(t[inside], np.asarray(_bump_numer(k))) / omi ** (2 * k)
+        out[inside] = val
+    return out
 
 
 def _schedule(roots: tuple) -> tuple[list, dict]:
@@ -666,36 +687,9 @@ def _node_value(n: Expr, memo: dict, pts: np.ndarray):
     if isinstance(n, Pow):
         return memo[n.base] ** n.k
     if isinstance(n, Fun):
-        a = memo[n.arg]
-        if n.name == "exp":
-            return np.exp(a)
-        if n.name == "log":
-            aa = np.asarray(a)
-            if np.iscomplexobj(aa):
-                bad = (aa.imag == 0) & (aa.real <= 0)
-            else:
-                bad = aa <= 0
-            if np.any(bad):
-                raise EvalError("log of nonpositive real")
-            return np.log(aa)
-        if n.name == "sin":
-            return np.sin(a)
-        if n.name == "cos":
-            return np.cos(a)
-        raise ValueError(n.name)
+        return _FUNS[n.name][0](memo[n.arg])
     if isinstance(n, BumpD):
-        t = np.atleast_1d(_require_real(memo[n.arg], "bump"))
-        om = 1.0 - t * t
-        inside = om > _EDGE
-        out = np.zeros(np.broadcast_shapes(t.shape, (1,)), dtype=float)
-        if np.any(inside):
-            ti = t[inside] if t.shape else t
-            omi = om[inside]
-            val = np.exp(-1.0 / omi)
-            if n.k > 0:
-                val = val * npoly.polyval(ti, np.asarray(_bump_numer(n.k))) / omi ** (2 * n.k)
-            out[inside] = val
-        return out if out.shape != () else float(out)
+        return bump_values(_require_real(memo[n.arg], "bump"), n.k)
     if isinstance(n, CubicStepD):
         t = np.atleast_1d(_require_real(memo[n.arg], "cubic step"))
         tau = t - n.level
@@ -729,9 +723,6 @@ def _node_value(n: Expr, memo: dict, pts: np.ndarray):
 # ---------------------------------------------------------------------------
 # Parser (exact grammar; z(i)/zb(i) are sugar over x, y)
 # ---------------------------------------------------------------------------
-
-_FUNCS = {"exp", "log", "sin", "cos", "bump", "conj"}
-
 
 class _Tokens:
     def __init__(self, text: str):
@@ -870,7 +861,7 @@ def _parse_atom(tk: _Tokens) -> Expr:
             return _parse_indexed(tk, z)
         if name == "zb":
             return _parse_indexed(tk, zb)
-        if name in _FUNCS:
+        if name in _FUNS or name in ("bump", "conj"):
             tk.expect("(")
             arg = _parse_expr(tk)
             tk.expect(")")

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .domains import Domain, complex_hessian, normalize_eta, whole_space
+from .domains import Domain, levi_min_eigs, normalize_eta, whole_space
 from .forms import Form, _weighted_sq_vals
 from .gaussmeasure import GaussianSpec
 from .symfun import (CylinderFn, add, conj_, const, cubic_step, del_op,
@@ -150,13 +150,9 @@ class ConvexMajorant:
 
     p: np.ndarray            # ascending series coefficients p_n = prod_{i<=n} a_i
     a_seq: np.ndarray        # the factor sequence a_0, a_1, ...
-    N_k: np.ndarray          # the exponent thresholds of the construction
-    trunc_order: int
-    K_max: float
-    tail_bound: float
 
     def __call__(self, t):
-        return np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), self.p)
+        return self.deriv(t, 0)
 
     def deriv(self, t, order: int = 1):
         c = self.p
@@ -210,8 +206,7 @@ def convex_majorant(g0: Callable[[float], float], K_max: float,
     if not tail <= 1e-9:
         raise TruncationError(
             f"series tail {tail} at x = {K_max} exceeds 1e-9; raise trunc_order")
-    return ConvexMajorant(p=p, a_seq=a, N_k=N_k, trunc_order=trunc_order,
-                          K_max=K_max, tail_bound=tail)
+    return ConvexMajorant(p=p, a_seq=a)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +273,6 @@ class CalculusG:
     """C^2 function with G = 0 below x1, G'' >= 0, G >= g, G' >= g."""
 
     stairs_h: _SmoothStairs
-    base: float
 
     def __call__(self, t):
         return self.stairs_h.antideriv(t)
@@ -332,7 +326,7 @@ def calculus_G(g: Callable[[float], float], x1: float, x2: float,
     h_stairs = one_ahead(d)
     if h_stairs.base != 0.0:
         raise ValueError("g must vanish on [0, x2] for the vanishing-tail construction")
-    return CalculusG(stairs_h=h_stairs, base=x1)
+    return CalculusG(stairs_h=h_stairs)
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +364,6 @@ def _grad_sq(psi: CylinderFn, n: int, pts: np.ndarray) -> np.ndarray:
 @dataclass
 class Cond4Report:
     margin: float
-    per_point: np.ndarray
-    points: int
 
     @property
     def passed(self) -> bool:
@@ -381,12 +373,9 @@ class Cond4Report:
 def check_cond4(phi: CylinderFn, psi: CylinderFn, n: int, points: np.ndarray) -> Cond4Report:
     """Levi(phi) >= (2 sum_i |d_i psi|^2 + 2 e^psi - 1/2) I at each point."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    H = complex_hessian(phi, points, n)
-    eigmin = np.linalg.eigvalsh(H)[:, 0]
+    eigmin = levi_min_eigs(phi, points, n)
     bound = 2.0 * _grad_sq(psi, n, points) + 2.0 * np.exp(np.real(psi(points))) - 0.5
-    per_point = eigmin - bound
-    return Cond4Report(margin=float(np.min(per_point)), per_point=per_point,
-                       points=len(per_point))
+    return Cond4Report(margin=float(np.min(eigmin - bound)))
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +408,9 @@ def recipe_weights_whole_space(spec: GaussianSpec):
 @dataclass
 class WeightRecipe:
     triple: WeightTriple
-    majorant: ConvexMajorant
     domain: Domain
     b: np.ndarray
     m: np.ndarray
-    psi_report: PsiReport
     g0_table: np.ndarray
     norm_w2_est: float
 
@@ -441,8 +428,7 @@ def weight_for_target(f: Form, domain: Domain, J_max: int, spec: GaussianSpec,
     n = spec.trunc_dim
     seed = 2718  # every draw below is seeded from it
     dom = normalize_eta(domain, n_probe=n, seed=seed)
-    psi_rep = psi_majorant(dom, n, levels=J_max + 1, samples=samples, seed=seed + 1)
-    psi = psi_rep.psi
+    psi = psi_majorant(dom, n, levels=J_max + 1, samples=samples, seed=seed + 1).psi
     eta = dom.eta(n)
 
     pts = dom.sample_interior(n, samples, seed + 2)
@@ -489,6 +475,5 @@ def weight_for_target(f: Form, domain: Domain, J_max: int, spec: GaussianSpec,
     mask_J = eta_vals <= (J_max + 1)
     norm_w2 = float(np.mean(total * np.exp(-w2_vals) * mask_J))
 
-    return WeightRecipe(triple=triple, majorant=maj, domain=dom, b=b, m=m,
-                        psi_report=psi_rep, g0_table=g0_table,
+    return WeightRecipe(triple=triple, domain=dom, b=b, m=m, g0_table=g0_table,
                         norm_w2_est=norm_w2)

@@ -88,6 +88,15 @@ class TestExitCodes:
                                           "max_index": 6, "s": 0, "t": 0})
             assert run(["conditions", "--config", cfg, "--out", tmp_path / "r"]) == 2
 
+    @pytest.mark.parametrize("command", ["identities", "conditions"])
+    def test_nonpositive_family_exits_two(self, tmp_path, capsys, command):
+        # c[(),(1,)] = mu(1) = -1: a config error, whatever the family kind
+        config = json.loads((ROOT / "configs" / "identities.json").read_text())
+        config["family"] = {"kind": "multiplicative", "mu": "-1"}
+        cfg = write_config(tmp_path, config)
+        assert run([command, "--config", cfg, "--out", tmp_path / "r"]) == 2
+        assert capsys.readouterr().err.startswith("config error: c[")
+
     def test_crash_exits_three(self, tmp_path, capsys):
         # log of a nonpositive real raises EvalError: a crash, not a failed check
         crash = dict(BASE_IDENTITIES, forms=[{"degree": [0, 0], "entries": [

@@ -57,26 +57,27 @@ class TestPolydisc:
 class TestLevi:
     def test_ball_identity_hessian(self):
         b = dm.ball(r=1.0)
-        assert dm.levi_min_eig(b, np.zeros(4), 2) == pytest.approx(1.0, abs=1e-12)
+        eig, = dm.levi_min_eigs(b.eta(2), np.zeros(4), 2)
+        assert eig == pytest.approx(1.0, abs=1e-12)
 
     def test_catalog_positivity(self):
         for dom in (dm.ball(r=1.0), dm.polydisc(),
                     dm.translated_scaled(dm.ball(r=1.0), a=(0.1 + 0.05j,), c=1.5),
                     dm.whole_space()):
             pts = dom.sample_interior(2, 50, 77)
-            assert float(np.min(dm.levi_min_eigs(dom, pts, 2))) >= -1e-9
+            assert float(np.min(dm.levi_min_eigs(dom.eta(2), pts, 2))) >= -1e-9
 
     def test_normalized_dominates_identity(self):
         nb = dm.normalize_eta(dm.ball(r=1.0))
         pts = nb.sample_interior(2, 50, 78)
-        assert float(np.min(dm.levi_min_eigs(nb, pts, 2))) >= 1.0 - 1e-6
+        assert float(np.min(dm.levi_min_eigs(nb.eta(2), pts, 2))) >= 1.0 - 1e-6
 
     def test_normalized_gains_exactly_identity(self):
         b = dm.ball(r=1.0)
         nb = dm.normalize_eta(b)
         pts = b.sample_interior(2, 20, 79)
-        base = dm.levi_min_eigs(b, pts, 2)
-        lifted = dm.levi_min_eigs(nb, pts, 2)
+        base = dm.levi_min_eigs(b.eta(2), pts, 2)
+        lifted = dm.levi_min_eigs(nb.eta(2), pts, 2)
         np.testing.assert_allclose(lifted, base + 1.0, atol=1e-9)
 
     def test_normalized_nonnegative(self):
@@ -101,7 +102,7 @@ class TestLevi:
 
         dom = dm.cylinder_over(eta_m, 1, base_sampler=base_sampler)
         pts = dom.sample_interior(2, 50, 82)
-        assert float(np.min(dm.levi_min_eigs(dom, pts, 2))) >= -1e-9
+        assert float(np.min(dm.levi_min_eigs(dom.eta(2), pts, 2))) >= -1e-9
 
 
 class TestGeometry:
@@ -123,6 +124,11 @@ class TestGeometry:
         for tau in (0.5, 1.0, 2.0):
             rep = dm.uniformly_included(b, tau, n=2, seed=83)
             assert rep.included and rep.margin > 0
+
+    def test_short_sublevel_sample_raises(self):
+        # 60 draws of 2000 points hold only 6 with eta <= 0.01 in the unit ball of C^2
+        with pytest.raises(ValueError, match="only 6 of 1000 interior samples"):
+            dm.ball(r=1.0).sample_sublevel(2, 0.01, 1000, 1)
 
     def test_nesting(self):
         b = dm.ball(r=1.0)

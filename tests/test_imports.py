@@ -1,8 +1,9 @@
 """Every name a dbarl2 module imports is used in that module, no import sits
 inside a function or class, every module-level function and class a module
 defines is named somewhere else, every defaulted parameter or field is passed
-by some call, no expression node defines arithmetic operators, and importing
-the command line loads no third-party package but numpy.
+by some call, every field is read somewhere, no expression node defines
+arithmetic operators, and importing the command line loads no third-party
+package but numpy.
 
 Only the standard ``ast`` module is needed for the source checks.  An imported name counts as used
 when it appears anywhere in the module as a ``Name`` node (a load, or the
@@ -12,7 +13,11 @@ an imported name or a string that is a (dotted) identifier spells it in a
 module of ``src/``, ``tests/``, ``demos/`` or ``perfbench/``, outside the
 definition itself.  A defaulted parameter counts as passed when some call
 of a function, method or class of its name passes it by keyword, reaches
-its position, or unpacks ``*args`` or ``**kwargs``.
+its position, or unpacks ``*args`` or ``**kwargs``.  A field (a dataclass
+field, an attribute an ``__init__`` sets on ``self``, or a property) counts
+as read when an attribute load, a constant ``getattr`` or a string spells its
+name in one of those modules; the scan goes by name, so it cannot tell two
+classes' fields of one name apart.
 """
 
 from __future__ import annotations
@@ -167,6 +172,57 @@ def test_every_default_is_passed_somewhere():
                 continue
             never.append(f"{path.name}:{line} {name}({param})")
     assert not never, f"defaults no call passes: {', '.join(never)}"
+
+
+def _fields(tree: ast.Module):
+    """(class, name, line) of each dataclass field, each ``self.<name>`` an
+    ``__init__`` assigns, and each property."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for st in node.body:
+            if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name) \
+                    and _is_dataclass(node):
+                yield node.name, st.target.id, st.lineno
+            elif isinstance(st, ast.FunctionDef) and st.name == "__init__":
+                yield from ((node.name, sub.attr, sub.lineno) for sub in ast.walk(st)
+                            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                            and getattr(sub.value, "id", None) == "self")
+            elif isinstance(st, ast.FunctionDef) and any(
+                    getattr(d, "id", None) == "property" for d in st.decorator_list):
+                yield node.name, st.name, st.lineno
+
+
+def _reads(node: ast.AST, callees: frozenset = frozenset()):
+    """(name, callees) for each read in the tree: an attribute load, a constant
+    ``getattr`` or a string equal to the name; callees are the names of the
+    calls whose arguments hold it."""
+    if isinstance(node, ast.Call):
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name == "getattr" and len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
+            yield node.args[1].value, callees
+        yield from _reads(node.func, callees)
+        for arg in node.args + node.keywords:
+            yield from _reads(arg, callees | {name})
+        return
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        yield node.attr, callees
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        yield node.value, callees
+    for child in ast.iter_child_nodes(node):
+        yield from _reads(child, callees)
+
+
+def test_every_field_is_read_somewhere():
+    # a field handed to a new instance of its own class is passed on, not read
+    reads: dict = {}
+    for path in READERS:
+        for name, callees in _reads(ast.parse(path.read_text(), filename=str(path))):
+            reads.setdefault(name, set()).add(callees)
+    unread = [f"{path.name}:{line} {cls}.{name}" for path in MODULES
+              for cls, name, line in _fields(ast.parse(path.read_text(), filename=str(path)))
+              if not any(cls not in callees for callees in reads.get(name, ()))]
+    assert not unread, f"fields nothing reads: {', '.join(unread)}"
 
 
 def test_expr_nodes_define_no_arithmetic():

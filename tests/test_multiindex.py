@@ -73,6 +73,21 @@ def test_custom_family_positivity():
         bad.coeff((), (1,))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: constant_family(-1.0), lambda: constant_family(0.0),
+    lambda: multiplicative_family(mu=lambda j: -1.0),
+    lambda: multiplicative_family(mu=lambda j: 0.0),
+], ids=["constant-neg", "constant-zero", "multiplicative-neg", "multiplicative-zero"])
+def test_every_family_kind_is_checked_positive(make):
+    with pytest.raises(InvalidFamilyError):
+        make().coeff((), (1,))
+
+
+def test_check_conditions_refuses_a_nonpositive_family():
+    with pytest.raises(InvalidFamilyError):
+        check_conditions(multiplicative_family(mu=lambda j: -1.0), max_index=4, s=0, t=0)
+
+
 def test_contract_coeff_examples():
     fam = constant_family(1.0)
     assert fam.contract_coeff((1,), 2, (3,)) == 1.0
