@@ -2,8 +2,10 @@
 
 The measure multiplies centered complex Gaussians with scales a_i = 2^-(i+1),
 so the scale sum stays below 1.  Reduction integrates out the coordinates
-beyond a target dimension; at polynomial tail dependence the tensor
-Gauss-Hermite tail rule is exact.  The Gauss-Green identity trades the
+beyond a target dimension with a tensor Gauss-Hermite tail rule whose node
+counts follow the scales (8 on the first tail axis, 4 on an axis half as
+wide, at least 2); an axis of m nodes is exact for polynomial dependence of
+degree below 2m.  The Gauss-Green identity trades the
 x-derivative against multiplication by x/a^2 under the measure.
 """
 

@@ -585,9 +585,9 @@ def _require_real(v, what: str):
 
 
 def bump_values(t, k: int) -> np.ndarray:
-    """The k-th derivative of exp(-1/(1-t^2)) at real t (an array of at least
-    one dimension); 0 where 1 - t^2 <= _EDGE."""
-    t = np.atleast_1d(t)
+    """The k-th derivative of exp(-1/(1-t^2)) at real t, of t's shape; 0 where
+    1 - t^2 <= _EDGE."""
+    t = np.asarray(t)
     om = 1.0 - t * t
     inside = om > _EDGE
     out = np.zeros(t.shape)
@@ -691,7 +691,7 @@ def _node_value(n: Expr, memo: dict, pts: np.ndarray):
     if isinstance(n, BumpD):
         return bump_values(_require_real(memo[n.arg], "bump"), n.k)
     if isinstance(n, CubicStepD):
-        t = np.atleast_1d(_require_real(memo[n.arg], "cubic step"))
+        t = np.asarray(_require_real(memo[n.arg], "cubic step"))
         tau = t - n.level
         out = np.zeros(tau.shape, dtype=float)
         if n.order == 0:
@@ -701,7 +701,7 @@ def _node_value(n: Expr, memo: dict, pts: np.ndarray):
             out[mid] = npoly.polyval(tau[mid], np.asarray(_cubic_poly(n.order)))
         return out
     if isinstance(n, GermStepD):
-        t = np.atleast_1d(_require_real(memo[n.arg], "smooth step"))
+        t = np.asarray(_require_real(memo[n.arg], "smooth step"))
         out = np.zeros(t.shape, dtype=float)
         if n.k == 0:
             out[t <= _GERM_CUT] = 1.0

@@ -121,6 +121,18 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             f"config error: {command} takes one form, the config lists 3\n"
 
+    def test_tail_rule_over_budget_exits_two(self, tmp_path, capsys):
+        # equal scales keep 8 nodes on each of the 6 tail axes of 4 -> 1
+        ball = "+".join(f"x({i})^2+y({i})^2" for i in range(1, 5))
+        cfg = write_config(tmp_path, {
+            "trunc_dim": 4, "a_rule": [0.25] * 4,
+            "quadrature": {"kind": "monte_carlo", "N": 1000}, "n_ladder": [1],
+            "forms": [{"degree": [0, 1], "support_radius": 0.8,
+                       "entries": [{"I": [], "J": [1], "coeff": f"x(1)*bump(({ball})/0.64)"}]}]})
+        assert run(["approx", "--config", cfg, "--out", tmp_path / "r"]) == 2
+        assert capsys.readouterr().err == ("config error: a tail rule of (8, 8, 8, 8, 8, 8) "
+                                           "nodes per axis exceeds the 200000 node budget\n")
+
     def test_empty_forms_exit_zero(self, tmp_path):
         cfg = write_config(tmp_path, {"seed": 1, "trunc_dim": 2, "forms": []})
         out = tmp_path / "r"

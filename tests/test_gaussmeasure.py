@@ -73,6 +73,15 @@ class TestIntegrate:
         est = gm.integrate(CylinderFn("x(1)^4*y(2)^2"), spec2, q)
         assert est.mean.real == pytest.approx(3 * a1 ** 4 * a2 ** 2, rel=1e-12)
 
+    def test_broken_hermite_rule_is_refused(self, spec1):
+        # numpy's hermgauss gives all-zero weights at 371 nodes, non-finite ones from 372 on
+        with np.errstate(all="ignore"):
+            for m in (371, 400):
+                with pytest.raises(ValueError, match=rf"rule of \({m}, {m}\) nodes has non-finite"):
+                    gm.Quadrature("gauss_hermite", nodes_per_axis=m).nodes_weights(spec1)
+        _, w = gm.Quadrature("gauss_hermite", nodes_per_axis=24).nodes_weights(spec1)
+        assert np.all(np.isfinite(w)) and w.sum() == pytest.approx(1.0, rel=1e-13)
+
     def test_monte_carlo_points_drawn_once(self, spec3):
         q = gm.Quadrature("monte_carlo", N=1000, seed=11)
         pts, w = q.nodes_weights(spec3, n=2)
@@ -94,6 +103,11 @@ def _per_node(r, pts):
         full[:, 2 * r.dim:] = r._tail_pts[t]
         out += r._tail_w[t] * r.f(full)
     return out
+
+
+def _counts(r):
+    """The nodes per axis of a reduction's tensor tail rule."""
+    return [len(np.unique(col)) for col in r._tail_pts.T]
 
 
 def _live_counts(r, pts):
@@ -189,17 +203,42 @@ class TestReduce:
             assert np.array_equal(got, _per_node(r, pts))
             np.testing.assert_allclose(got, 2.0, rtol=1e-12)
 
-    def test_batched_tail_monte_carlo(self):
+    def test_tail_counts_follow_the_scales(self):
+        # 8 nodes on the first tail axis, the others in proportion to their scale, at least 2
         spec4 = gm.GaussianSpec(4)
-        r = gm.reduce_fn(bump_fn(4, 0.8, poly="1+x(4)^2"), 1, spec4)
-        assert r._tail_pts.shape[0] == gm._TAIL_MC  # 8^6 nodes exceed the budget
+        f = bump_fn(4, 0.8, poly="1+x(4)^2")
+        r = gm.reduce_fn(f, 1, spec4)
+        assert _counts(r) == [8, 8, 4, 4, 2, 2]
+        assert r._tail_pts.shape[0] == 4096
+        again = gm.reduce_fn(f, 1, spec4)
+        assert r._tail_pts.tobytes() == again._tail_pts.tobytes()
+        assert r._tail_w.tobytes() == again._tail_w.tobytes()
         pts = gm.sample(spec4, 200, 5, n=1)
         assert np.array_equal(r(pts), _per_node(r, pts))
+        assert _counts(gm.reduce_fn(f, 2, spec4)) == [8, 8, 4, 4]
+        assert _counts(gm.reduce_fn(f, 3, spec4)) == [8, 8]
+
+    def test_tail_rule_is_exact_per_axis(self, spec3):
+        # m nodes on an axis integrate its degrees < 2m: 8 on x(2), 4 on x(3) at 3 -> 1
+        pts = gm.sample(spec3, 5, 6, n=1)
+        for i, k, moment in ((2, 14, 135135), (3, 6, 15)):  # E x^k = (k-1)!! a^k
+            r = gm.reduce_fn(CylinderFn(f"x({i})^{k}", dim=3), 1, spec3)
+            np.testing.assert_allclose(r(pts).real, moment * spec3.a(i) ** k, rtol=1e-12)
+        r = gm.reduce_fn(CylinderFn("x(3)^8", dim=3), 1, spec3)
+        assert abs(r(pts[:1])[0].real / (105 * spec3.a(3) ** 8) - 1) > 0.1
+
+    def test_tail_rule_over_budget_is_refused(self):
+        # equal scales keep 8 nodes on every axis: 8^6 exceeds the budget
+        flat = gm.GaussianSpec(4, a_rule=lambda i: 0.25)
+        with pytest.raises(ValueError, match=r"\(8, 8, 8, 8, 8, 8\) nodes per axis exceeds"):
+            gm.reduce_fn(bump_fn(4, 0.8), 1, flat)
+        assert _counts(gm.reduce_fn(bump_fn(4, 0.8), 2, flat)) == [8, 8, 8, 8]
 
     def test_batched_tail_one_call_per_batch(self, spec3):
         f = _Recording(bump_fn(3, 0.8))
         r = gm.reduce_fn(f, 1, spec3)
-        assert r._tail_pts.shape[0] == 4096
+        T = math.prod(_counts(r))
+        assert r._tail_pts.shape[0] == T
         pts = gm.sample(spec3, 200, 6, n=1)
         r(pts)
         live = _live_counts(r, pts)
@@ -211,7 +250,7 @@ class TestReduce:
             assert np.array_equal(rows, live[nodes])  # whole nodes only
             assert seen.isdisjoint(nodes)
             seen.update(nodes.tolist())
-        assert sum(len(call) for call in f.seen) == live.sum() < 200 * 4096
+        assert sum(len(call) for call in f.seen) == live.sum() < 200 * T
         # greedy: whole nodes while the call stays within _TAIL_CHUNK rows
         calls, rows = 0, None
         for k in live:

@@ -1,23 +1,25 @@
 """Every name a dbarl2 module imports is used in that module, no import sits
-inside a function or class, every module-level function and class a module
-defines is named somewhere else, every defaulted parameter or field is passed
-by some call, every field is read somewhere, no expression node defines
+inside a function or class, every module-level function, class and constant a
+module defines is named somewhere else, every defaulted parameter or field is
+passed by some call, every field is read somewhere, no expression node defines
 arithmetic operators, and importing the command line loads no third-party
 package but numpy.
 
-Only the standard ``ast`` module is needed for the source checks.  An imported name counts as used
-when it appears anywhere in the module as a ``Name`` node (a load, or the
-root of an attribute chain).  The package ``__init__`` re-exports its imports
-and is exempt.  A definition counts as named when a ``Name``, an attribute,
-an imported name or a string that is a (dotted) identifier spells it in a
-module of ``src/``, ``tests/``, ``demos/`` or ``perfbench/``, outside the
-definition itself.  A defaulted parameter counts as passed when some call
-of a function, method or class of its name passes it by keyword, reaches
-its position, or unpacks ``*args`` or ``**kwargs``.  A field (a dataclass
-field, an attribute an ``__init__`` sets on ``self``, or a property) counts
-as read when an attribute load, a constant ``getattr`` or a string spells its
-name in one of those modules; the scan goes by name, so it cannot tell two
-classes' fields of one name apart.
+Only the standard ``ast`` module is needed for the source checks.  An imported
+name counts as used when it appears anywhere in the module as a ``Name`` node
+(a load, or the root of an attribute chain).  The package ``__init__``
+re-exports its imports and is exempt from the import check.  A definition
+counts as named when a ``Name`` load, an attribute, an imported name or a
+string that is a (dotted) identifier spells it in a module of ``src/``,
+``tests/``, ``demos/`` or ``perfbench/``, outside the definition itself; a
+constant is a name that a module-level assignment binds (``__version__`` is
+exempt).  A defaulted parameter counts as passed when some call of a function,
+method or class of its name passes it by keyword, reaches its position, or
+unpacks ``*args`` or ``**kwargs``.  A field (a dataclass field, an attribute an
+``__init__`` sets on ``self``, or a property) counts as read when an attribute
+load, a constant ``getattr`` or a string spells its name in one of those
+modules; the scan goes by name, so it cannot tell two classes' fields of one
+name apart.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def _spelled(tree: ast.Module):
     for top in tree.body:
         owner = top.name if isinstance(top, DEFS) else None
         for node in ast.walk(top):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 yield node.id, owner
             elif isinstance(node, ast.Attribute):
                 yield node.attr, owner
@@ -90,17 +92,28 @@ def _spelled(tree: ast.Module):
                     yield part, owner
 
 
+def _defined(tree: ast.Module):
+    """(name, line, owner) of each module-level definition (its own owner) and
+    each name a module-level assignment binds (owner None)."""
+    for top in tree.body:
+        if isinstance(top, DEFS):
+            yield top.name, top.lineno, top.name
+        elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+            for target in top.targets if isinstance(top, ast.Assign) else [top.target]:
+                yield from ((n.id, top.lineno, None) for n in ast.walk(target)
+                            if isinstance(n, ast.Name) and n.id != "__version__")
+
+
 def test_every_definition_is_named_elsewhere():
     named = set()
     for path in READERS:
         for name, owner in _spelled(ast.parse(path.read_text(), filename=str(path))):
             named.add((name, path if path.parent == SRC else None, owner))
     unnamed = []
-    for path in MODULES:
-        for top in ast.parse(path.read_text(), filename=str(path)).body:
-            if isinstance(top, DEFS) and not any(
-                    n == top.name and (p != path or o != top.name) for n, p, o in named):
-                unnamed.append(f"{path.name}:{top.lineno} {top.name}")
+    for path in sorted(SRC.glob("*.py")):
+        for name, line, own in _defined(ast.parse(path.read_text(), filename=str(path))):
+            if not any(n == name and (own is None or p != path or o != own) for n, p, o in named):
+                unnamed.append(f"{path.name}:{line} {name}")
     assert not unnamed, f"definitions nothing names: {', '.join(unnamed)}"
 
 

@@ -455,6 +455,15 @@ class TestGerms:
         for t in (0.2, 0.5, 0.8):
             assert fd_check(e, np.array([t, 0.0]), 1e-6) <= 1e-8
 
+    def test_germ_of_a_constant_has_one_value_per_point(self):
+        # a germ keeps its argument's shape, so a constant broadcasts as exp(0.5) does
+        pts = np.zeros((5, 2))
+        assert CylinderFn("bump(0.5)")(pts).shape == CylinderFn("exp(0.5)")(pts).shape == (5,)
+        for e in (bump(sf.const(0.5)), sf.cubic_step(sf.const(0.5), 0.0),
+                  sf.germ_step(sf.const(0.5))):
+            v = eval_expr(e, pts)
+            assert v.shape == (5,) and np.all(v == v[0])
+
     def test_bump_higher_derivatives_match_fd(self):
         e = diff(bump(sf.x(1)), "x", 1)
         for t in (0.0, 0.3, 0.7):
