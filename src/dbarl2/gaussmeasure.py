@@ -17,10 +17,11 @@ seeded bumps on C^3, 3 -> 1 is off a 12-node rule by <= 3.6e-4 sup |f|, 3 -> 2 b
 When the integrand declares a ``support_radius`` R, the integrand is evaluated
 only on the (head, tail node) pairs inside its support ball,
 |head|^2 <= ``support_rsq(R)`` - |tail|^2, and never outside it: every other
-term of the tail sum is an exact zero.  Each call of the integrand holds whole
-tail nodes, at most ``_TAIL_CHUNK`` points unless one node alone has more (a
-column-major array), and the sum is accumulated node by node in the order of
-the rule, so the values are bitwise those of the per-node loop over all pairs.
+term of the tail sum is an exact zero.  The integrand is compiled once per
+call (one ``symfun.Tape``) and run on batches of whole tail nodes, at most
+``_TAIL_CHUNK`` points unless one node alone has more (a column-major array),
+and the sum is accumulated node by node in the order of the rule, so the
+values are bitwise those of the per-node loop over all pairs.
 Without a radius every pair is live.
 
 ``estimate`` is the one quadrature estimate (mean and stderr) of every
@@ -37,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .symfun import FnBase, _as_fn
+from .symfun import FnBase, Tape, _as_fn
 
 _SAMPLE_CHUNK = 1 << 16
 _GH_BUDGET = 2_000_000
@@ -225,6 +226,8 @@ class ReducedFn(FnBase):
                                    side="right")
         head_cols = np.take(head.T, order, axis=1)
         first = np.concatenate(([0], np.cumsum(live)))  # first row of each node
+        f = _as_fn(self.f)
+        tape = Tape(f.expr)  # compiled once, run on every batch
         acc = np.zeros(N, dtype=complex)  # in the order of `order`
         s = 0
         while s < T:  # whole nodes s..e-1, at most _TAIL_CHUNK rows (at least one node)
@@ -234,10 +237,10 @@ class ReducedFn(FnBase):
             if rows:
                 pos = np.arange(rows) - np.repeat(first[s:e] - first[s], c)
                 # the points column by column: each coordinate read is contiguous
-                cols = np.empty((2 * self.f.dim, rows))
+                cols = np.empty((2 * f.dim, rows))
                 cols[:h] = np.take(head_cols, pos, axis=1)
                 cols[h:] = np.repeat(self._tail_cols[:, s:e], c, axis=1)
-                vals = np.broadcast_to(self.f(cols.T), (rows,))
+                vals = np.broadcast_to(f(cols.T, tape), (rows,))
                 # add.at walks pos in order: node by node, so the sum keeps its order
                 np.add.at(acc, pos, np.repeat(self._tail_w[s:e], c) * vals)
             s = e

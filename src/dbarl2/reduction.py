@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -139,10 +140,23 @@ def _gauss_density(pts: np.ndarray, spec: GaussianSpec, n: int) -> np.ndarray:
     return dens
 
 
+@lru_cache
 def _smooth_len(m: int) -> int:
     """The least 2^i 3^j 5^k >= m: a length the FFT factors into small primes."""
-    e = range(m.bit_length() + 1)
-    return min(c for c in (2 ** i * 3 ** j * 5 ** k for i in e for j in e for k in e) if c >= m)
+    best = 1
+    while best < m:  # the least power of two >= m bounds the answer
+        best *= 2
+    p = 1
+    while p < best:  # p = 5^k, then q = 3^j 5^k, each below the bound
+        q = p
+        while q < best:
+            c = q
+            while c < m:
+                c *= 2
+            best = min(best, c)
+            q *= 3
+        p *= 5
+    return best
 
 
 def _fftconvolve(a: np.ndarray, k: np.ndarray) -> np.ndarray:

@@ -50,7 +50,7 @@ from .forms import Form, _weighted_sq_vals
 from .gaussmeasure import (CheckOutcome, GaussianSpec, Quadrature, _leggauss, _mesh, estimate,
                            json_number, sample, support_rsq, verdict)
 from .multiindex import check_conditions
-from .symfun import (BumpD, CylinderFn, add, const, delbar_op, eval_expr, mul,
+from .symfun import (BumpD, CylinderFn, Tape, add, const, delbar_op, eval_expr, mul,
                      norm_sq_coords, poly1, x, y, _as_fn)
 from .weights import WeightTriple, check_cond4
 
@@ -384,7 +384,8 @@ class CauchyOracle:
     ``ReducedFn``, and every other term is an exact zero, so the cost is
     proportional to the live nodes.  Without R, or when an evaluation point is
     not finite, every node is live, so a NaN propagates.  The rows are built
-    in batches of at most ``_ORACLE_CHUNK`` nodes; the angle sums of a batch
+    in batches of at most ``_ORACLE_CHUNK`` nodes, the integrand compiled once
+    per call (one ``symfun.Tape``) and run on each batch; the angle sums of a batch
     are formed in one pass and accumulated over the radii in the order of the
     rule, so the values are bitwise those of the dense radius-by-radius sum.
     """
@@ -415,6 +416,8 @@ class CauchyOracle:
         lo = int(np.count_nonzero(r + rho + pad < np.min(dist)))
         hi = self.nr - int(np.count_nonzero(r - rho - pad > np.max(dist)))
         out = np.zeros(N, dtype=complex)
+        fn = _as_fn(g)
+        tape = Tape(fn.expr)  # compiled once, run on every batch of radii
         base_x = np.repeat(pts[:, 0], self.nt)
         base_y = np.repeat(pts[:, 1], self.nt)
         tiled_cx = np.tile(cx, N)
@@ -432,7 +435,8 @@ class CauchyOracle:
                 continue
             # complex zeros: a real value is cast exactly as the product below would
             vals = np.zeros((k, M), dtype=complex)
-            vals[live] = g(np.compress(live.reshape(-1), shift[:k].reshape(k * M, 2), axis=0))
+            vals[live] = fn(np.compress(live.reshape(-1), shift[:k].reshape(k * M, 2), axis=0),
+                            tape)
             sums = (vals * tiled_phase).reshape(k, N, self.nt).sum(axis=2)
             # radius by radius in the order of the rule, after the earlier batches
             terms = np.concatenate((out[None], (wr[s:s + k, None] * wt) * sums))

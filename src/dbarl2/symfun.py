@@ -29,14 +29,33 @@ Nodes are hash-consed: a constructor returns the one live node with the same
 type, scalar fields (floats and complex values by their exact bits) and
 children, so structurally equal trees are one object and node equality is
 identity.  A node's ``max_index`` is computed once, when it is made, and
-derivatives are kept in a bounded table keyed by node.  ``eval_expr`` takes
-one root or several on one point set and evaluates them over one shared memo,
-so a subtree common to several coefficients is evaluated once; each value is
-dropped as soon as its last consumer has been computed.
+derivatives are kept in a bounded table keyed by node.
+
+Evaluation compiles one root or several to a ``Tape``: every distinct node
+under them, children first, each with its kernel and the slot of its last
+consumer, so a subtree common to several coefficients is evaluated once and
+each value is dropped as soon as its last consumer has been computed.
+``eval_expr`` compiles and runs one; a caller that evaluates one function on
+many point sets (the reduction tail, the Cauchy oracle) compiles it once per
+call and runs the tape on each batch.  How a node is computed is fixed when
+the node is made: a value that is real by construction (variables, real
+constants, germs, and sums, products, quotients, powers, exp, log, sin, cos,
+conjugates and real polynomials of real values) is held as float64, any
+other as complex128, and only the roots are converted to complex.  The
+results are those of evaluating everything in complex arithmetic with every
+constant a Python complex: where that arithmetic would hold a real value as
+complex, the tape computes the same real part, with ``num * (1 / den)`` for a
+quotient, numpy's complex product chain (``b*b``, ``b*(b*b)``, then binary
+exponentiation) for an integer power, and complex ``exp`` and ``log``; where
+it would hold the value as float, the tape keeps ``num / den`` and
+``b ** k``.  So on finite values the real parts agree bit for bit and the
+imaginary parts up to the sign of a zero.  An opaque leaf's value counts as
+complex.
 """
 
 from __future__ import annotations
 
+import operator
 import struct
 import weakref
 from dataclasses import dataclass, fields, replace
@@ -115,14 +134,19 @@ class _Interned(type):
 @dataclass(frozen=True, eq=False)
 class Expr(metaclass=_Interned):
     def __post_init__(self):
-        # depends only on the node, so it is computed once, from the children's
-        if isinstance(self, (VarX, VarY)):
+        # depends only on the node, so it is computed once, from the children's:
+        # the largest variable index, and how a Tape evaluates the node
+        op = _RULES[type(self)](self)
+        if op[0]:
+            top = max([c._max_index for c in op[0]])
+        elif isinstance(self, (VarX, VarY)):
             top = self.i
         elif isinstance(self, Leaf):
             top = self.fn.dim
         else:
-            top = max((c._max_index for c in _children(self)), default=0)
+            top = 0
         object.__setattr__(self, "_max_index", top)
+        object.__setattr__(self, "_op", op)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,17 +234,331 @@ class Leaf(Expr):
 
 def _children(e: Expr) -> tuple:
     """The direct subexpressions of a node."""
-    if isinstance(e, (Const, VarX, VarY, Leaf)):
-        return ()
-    if isinstance(e, Add):
-        return e.terms
-    if isinstance(e, Mul):
-        return e.factors
-    if isinstance(e, Div):
-        return (e.num, e.den)
-    if isinstance(e, Pow):
-        return (e.base,)
-    return (e.arg,)  # Fun, BumpD, CubicStepD, GermStepD, Poly1, Conj
+    return e._op[0]
+
+
+# ---------------------------------------------------------------------------
+# Evaluation
+# ---------------------------------------------------------------------------
+
+_REAL_TOL = 1e-9
+_EDGE = 1e-6      # bump: treat 1-t^2 <= _EDGE as outside (value < exp(-1e6) ~ 0)
+_GERM_CUT = 1e-8  # germ: evaluation window (cut, 1-cut); tails are constants
+
+
+def _require_real(v, what: str):
+    v = np.asarray(v)
+    if np.iscomplexobj(v):
+        # per point, so the verdict does not depend on how points are batched
+        if np.any(np.abs(v.imag) > _REAL_TOL * np.maximum(1.0, np.abs(v))):
+            raise EvalError(f"{what} of a non-real argument")
+        return v.real
+    return v
+
+
+def bump_values(t, k: int) -> np.ndarray:
+    """The k-th derivative of exp(-1/(1-t^2)) at real t, of t's shape; 0 where
+    1 - t^2 <= _EDGE."""
+    t = np.asarray(t)
+    om = 1.0 - t * t
+    inside = om > _EDGE
+    out = np.zeros(t.shape)
+    if np.any(inside):
+        omi = om[inside]
+        val = np.exp(-1.0 / omi)
+        if k > 0:
+            val = val * npoly.polyval(t[inside], np.asarray(_bump_numer(k))) / omi ** (2 * k)
+        out[inside] = val
+    return out
+
+
+# Typing flags of a node: _R, its value is real, so a tape holds it as
+# float64; _C, the all-complex evaluator (every Const a Python complex) holds
+# it as complex, so a real value must be the real part of that evaluator's
+# complex arithmetic.  A value without _R is complex on the tape too.
+_R, _C = 1, 2
+
+# numpy's float64 exp and log differ from the real part of its complex ones in
+# the last bit (9,216 exp and 36,448 log values of 200,000 normal samples,
+# numpy 2.4.6 on x86-64); its float64 sin and cos agree with the complex ones.
+_VIA_COMPLEX = frozenset(("exp", "log"))
+
+# Kernels: kern(vals, ks, arg, pts) computes a node from the values of its
+# children at the tape slots ks.
+
+
+def _k_const(vals, ks, v, pts):
+    return v
+
+
+def _k_var(vals, ks, arg, pts):
+    col, name = arg
+    if col >= pts.shape[1]:
+        raise EvalError(f"point has no coordinate {name}")
+    return pts[:, col]
+
+
+def _k_fold(vals, ks, arg, pts):
+    # left to right as written; the first step makes a new value, so the
+    # later ones go in place (iop), except at the first complex operand,
+    # which promotes it (on a scalar, iop makes a new value)
+    op, iop, up = arg
+    v = op(vals[ks[0]], vals[ks[1]])
+    for j in range(2, len(ks)):
+        v = (op if j == up else iop)(v, vals[ks[j]])
+    return v
+
+
+def _k_div(vals, ks, recip, pts):
+    den = vals[ks[1]]
+    if np.any(den == 0):
+        raise EvalError("division by zero")
+    if recip:  # numpy's complex quotient of real values
+        return vals[ks[0]] * (1.0 / den)
+    return vals[ks[0]] / den
+
+
+def _k_pow(vals, ks, k, pts):
+    return vals[ks[0]] ** k
+
+
+def _k_pow_chain(vals, ks, k, pts):
+    # numpy's complex integer power of real values: b, b*b, b*(b*b), then
+    # binary exponentiation; float64 b ** k rounds differently from k = 3 on
+    b = vals[ks[0]]
+    if k <= 2:
+        return b if k == 1 else b * b
+    if k == 3:
+        return b * (b * b)
+    acc = None
+    while True:
+        if k & 1:
+            acc = b if acc is None else acc * b
+        k >>= 1
+        if not k:
+            return acc
+        b = b * b
+
+
+def _k_fun(vals, ks, arg, pts):
+    f, via_complex = arg
+    if via_complex:  # a copy of the real part, so the complex result is freed
+        return np.array(f(np.asarray(vals[ks[0]], dtype=complex)).real)
+    return f(vals[ks[0]])
+
+
+def _k_bump(vals, ks, k, pts):
+    return bump_values(_require_real(vals[ks[0]], "bump"), k)
+
+
+def _k_cubic(vals, ks, arg, pts):
+    level, coeffs, order = arg
+    tau = np.asarray(_require_real(vals[ks[0]], "cubic step")) - level
+    out = np.zeros(tau.shape, dtype=float)
+    if order == 0:
+        out[tau < 0.0] = 1.0
+    mid = (tau >= 0.0) & (tau <= 1.0)
+    if np.any(mid):
+        out[mid] = npoly.polyval(tau[mid], coeffs)
+    return out
+
+
+def _k_germ(vals, ks, k, pts):
+    t = np.asarray(_require_real(vals[ks[0]], "smooth step"))
+    out = np.zeros(t.shape, dtype=float)
+    if k == 0:
+        out[t <= _GERM_CUT] = 1.0
+    mid = (t > _GERM_CUT) & (t < 1.0 - _GERM_CUT)
+    if np.any(mid):
+        sub = np.zeros((int(mid.sum()), 2))
+        sub[:, 0] = t[mid]
+        out[mid] = np.real(eval_expr(_germ_template(k), sub))
+    return out
+
+
+def _k_poly(vals, ks, arg, pts):
+    coeffs, real = arg
+    v = vals[ks[0]]
+    return npoly.polyval(v if real else np.asarray(v, dtype=complex), coeffs)
+
+
+def _k_same(vals, ks, arg, pts):
+    return vals[ks[0]]
+
+
+def _k_conj(vals, ks, arg, pts):
+    return np.conjugate(vals[ks[0]])
+
+
+def _k_leaf(vals, ks, fn, pts):
+    return np.asarray(fn(pts), dtype=complex)
+
+
+# Rules: a node -> (children, kernel, kernel argument, flags), from the
+# children's flags.  An argument never holds the node (that would be a cycle).
+
+def _r_const(n):
+    v = n.val
+    if isinstance(v, complex):
+        return ((), _k_const, v.real, _R | _C) if v.imag == 0 else ((), _k_const, v, _C)
+    return (), _k_const, v, _R
+
+
+def _r_var(n):
+    kind = "y" if type(n) is VarY else "x"
+    return (), _k_var, (2 * (n.i - 1) + (kind == "y"), f"{kind}_{n.i}"), _R
+
+
+def _r_fold(n):
+    if type(n) is Add:
+        kids, op, iop = n.terms, operator.add, operator.iadd
+    else:
+        kids, op, iop = n.factors, operator.mul, operator.imul
+    c = 0
+    for j, k in enumerate(kids):
+        f = k._op[3]
+        if not f & _R:  # the first operand that is not real
+            return kids, _k_fold, (op, iop, j), _C
+        c |= f
+    return kids, _k_fold, (op, iop, -1), c
+
+
+def _r_div(n):
+    fa, fb = n.num._op[3], n.den._op[3]
+    flags = (_R | ((fa | fb) & _C)) if fa & fb & _R else _C
+    return (n.num, n.den), _k_div, flags == _R | _C, flags
+
+
+def _r_pow(n):
+    f = n.base._op[3]
+    chain = f & _R and f & _C and 0 < n.k < 100  # numpy's own chain stops at 100
+    return (n.base,), (_k_pow_chain if chain else _k_pow), n.k, f
+
+
+def _r_fun(n):
+    f = n.arg._op[3]
+    via = bool(f & _R and f & _C) and n.name in _VIA_COMPLEX
+    return (n.arg,), _k_fun, (_FUNS[n.name][0], via), f
+
+
+def _r_bump(n):
+    return (n.arg,), _k_bump, n.k, _R
+
+
+def _r_cubic(n):
+    return (n.arg,), _k_cubic, (n.level, np.asarray(_cubic_poly(n.order)), n.order), _R
+
+
+def _r_germ(n):
+    return (n.arg,), _k_germ, n.k, _R
+
+
+def _r_poly(n):
+    f = n.arg._op[3]
+    cs = np.asarray(n.coeffs)
+    if f & _R and not np.any(cs.imag):  # real coefficients of a real value
+        return (n.arg,), _k_poly, (cs.real.copy(), True), _R | _C
+    return (n.arg,), _k_poly, (cs, False), _C
+
+
+def _r_conj(n):
+    f = n.arg._op[3]
+    return (n.arg,), (_k_same if f & _R else _k_conj), None, f
+
+
+def _r_leaf(n):
+    return (), _k_leaf, n.fn, _C
+
+
+_RULES = {Const: _r_const, VarX: _r_var, VarY: _r_var, Add: _r_fold, Mul: _r_fold,
+          Div: _r_div, Pow: _r_pow, Fun: _r_fun, BumpD: _r_bump, CubicStepD: _r_cubic,
+          GermStepD: _r_germ, Poly1: _r_poly, Conj: _r_conj, Leaf: _r_leaf}
+
+
+class Tape:
+    """One root or several compiled once: every distinct node under them,
+    children first, with its kernel and the slot of its last consumer.  Run
+    by ``eval_expr(tape, pts)``; the typing rules are in the module docstring.
+    """
+
+    __slots__ = ("roots", "single", "steps", "last", "out_at")
+
+    def __init__(self, e: Union[Expr, Sequence[Expr]]):
+        self.single = isinstance(e, Expr)
+        self.roots = (e,) if self.single else tuple(e)
+        slot: dict = {}
+        steps, last = [], []
+        for r in self.roots:
+            if r in slot:
+                continue
+            stack = [(r, iter(r._op[0]))]
+            while stack:
+                n, it = stack[-1]
+                for c in it:
+                    if c not in slot:
+                        stack.append((c, iter(c._op[0])))
+                        break
+                else:
+                    stack.pop()
+                    kids, kern, arg, _ = n._op
+                    i = len(steps)
+                    ks = tuple(map(slot.__getitem__, kids)) if kids else ()
+                    for s in ks:
+                        last[s] = i
+                    slot[n] = i
+                    steps.append((kern, ks, arg))
+                    last.append(-1)  # a root that no node consumes
+        self.steps, self.last = steps, last
+        self.out_at: dict = {}  # slot -> (root positions, held as complex before)
+        for k, r in enumerate(self.roots):
+            self.out_at.setdefault(slot[r], ([], r._op[3] & _C))[0].append(k)
+
+    def __len__(self) -> int:
+        return len(self.steps)
+
+    def run(self, pts: np.ndarray) -> list:
+        """The complex value of every root at points of shape (N, 2n)."""
+        N = pts.shape[0]
+        last, out_at = self.last, self.out_at
+        vals = [None] * len(self.steps)
+        outs = [None] * len(self.roots)
+        for i, (kern, ks, arg) in enumerate(self.steps):
+            v = vals[i] = kern(vals, ks, arg, pts)
+            for s in ks:
+                if last[s] == i:
+                    vals[s] = None
+            if i in out_at:  # converted as soon as it is complete
+                at, cx = out_at[i]
+                # as the all-complex evaluator gave it: a constant it held as
+                # complex becomes a broadcast view, a real one a new array
+                out = np.asarray(v, dtype=complex) if cx else np.asarray(v)
+                if out.ndim == 0:
+                    out = np.broadcast_to(out, (N,))
+                out = np.asarray(out, dtype=complex)
+                for k in at:
+                    outs[k] = out
+                if last[i] < 0:
+                    vals[i] = None
+                elif out is not v and np.ndim(v):  # later consumers read the real part
+                    vals[i] = out.real
+        return outs
+
+
+def eval_expr(e: Union[Expr, Sequence[Expr], Tape], pts: np.ndarray):
+    """Evaluate on points of shape (N, 2n): one root gives an (N,) complex
+    array, a sequence of roots gives a list of them.
+
+    The roots are compiled to one ``Tape`` (or ``e`` is one, compiled by a
+    caller that runs it on many point sets): nodes are interned, so a subtree
+    common to several roots is evaluated once, and each value is dropped as
+    soon as its last consumer has been computed.
+    """
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[None, :]
+    tape = e if isinstance(e, Tape) else Tape(e)
+    outs = tape.run(pts)
+    return outs[0] if tape.single else outs
 
 
 ZERO = Const(0.0)
@@ -566,161 +904,6 @@ def max_index(e: Expr) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
-# ---------------------------------------------------------------------------
-
-_REAL_TOL = 1e-9
-_EDGE = 1e-6      # bump: treat 1-t^2 <= _EDGE as outside (value < exp(-1e6) ~ 0)
-_GERM_CUT = 1e-8  # germ: evaluation window (cut, 1-cut); tails are constants
-
-
-def _require_real(v, what: str):
-    v = np.asarray(v)
-    if np.iscomplexobj(v):
-        # per point, so the verdict does not depend on how points are batched
-        if np.any(np.abs(v.imag) > _REAL_TOL * np.maximum(1.0, np.abs(v))):
-            raise EvalError(f"{what} of a non-real argument")
-        return v.real
-    return v
-
-
-def bump_values(t, k: int) -> np.ndarray:
-    """The k-th derivative of exp(-1/(1-t^2)) at real t, of t's shape; 0 where
-    1 - t^2 <= _EDGE."""
-    t = np.asarray(t)
-    om = 1.0 - t * t
-    inside = om > _EDGE
-    out = np.zeros(t.shape)
-    if np.any(inside):
-        omi = om[inside]
-        val = np.exp(-1.0 / omi)
-        if k > 0:
-            val = val * npoly.polyval(t[inside], np.asarray(_bump_numer(k))) / omi ** (2 * k)
-        out[inside] = val
-    return out
-
-
-def _schedule(roots: tuple) -> tuple[list, dict]:
-    """The distinct nodes under the roots, children first, and how many
-    times each is consumed (once per parent slot, once per root)."""
-    uses: dict = {}
-    order = []
-    for r in roots:
-        uses[r] = uses.get(r, 0) + 1
-        if uses[r] > 1:
-            continue
-        stack = [(r, iter(_children(r)))]
-        while stack:
-            n, kids = stack[-1]
-            for c in kids:
-                seen = c in uses
-                uses[c] = uses[c] + 1 if seen else 1
-                if not seen:
-                    stack.append((c, iter(_children(c))))
-                    break
-            else:
-                stack.pop()
-                order.append(n)
-    return order, uses
-
-
-def eval_expr(e: Union[Expr, Sequence[Expr]], pts: np.ndarray):
-    """Evaluate on points of shape (N, 2n): one root gives an (N,) complex
-    array, a sequence of roots gives a list of them.
-
-    All roots share one memo keyed by node; nodes are interned, so a subtree
-    common to several roots is evaluated once.  A value is dropped as soon as
-    its last consumer has been computed.
-    """
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    roots = (e,) if isinstance(e, Expr) else tuple(e)
-    order, uses = _schedule(roots)
-    memo: dict = {}
-    for n in order:
-        memo[n] = _node_value(n, memo, pts)
-        for c in _children(n):
-            left = uses[c] - 1
-            if left:
-                uses[c] = left
-            else:
-                del memo[c]
-    outs = []
-    for r in roots:
-        out = np.asarray(memo[r])
-        if out.ndim == 0:
-            out = np.broadcast_to(out, (pts.shape[0],))
-        outs.append(np.asarray(out, dtype=complex))
-    return outs[0] if isinstance(e, Expr) else outs
-
-
-def _node_value(n: Expr, memo: dict, pts: np.ndarray):
-    """The value of one node from the values of its children."""
-    if isinstance(n, Const):
-        return n.val
-    if isinstance(n, VarX):
-        col = 2 * (n.i - 1)
-        if col >= pts.shape[1]:
-            raise EvalError(f"point has no coordinate x_{n.i}")
-        return pts[:, col]
-    if isinstance(n, VarY):
-        col = 2 * (n.i - 1) + 1
-        if col >= pts.shape[1]:
-            raise EvalError(f"point has no coordinate y_{n.i}")
-        return pts[:, col]
-    if isinstance(n, Add):
-        v = memo[n.terms[0]]
-        for t in n.terms[1:]:
-            v = v + memo[t]
-        return v
-    if isinstance(n, Mul):
-        v = memo[n.factors[0]]
-        for t in n.factors[1:]:
-            v = v * memo[t]
-        return v
-    if isinstance(n, Div):
-        den = memo[n.den]
-        if np.any(den == 0):
-            raise EvalError("division by zero")
-        return memo[n.num] / den
-    if isinstance(n, Pow):
-        return memo[n.base] ** n.k
-    if isinstance(n, Fun):
-        return _FUNS[n.name][0](memo[n.arg])
-    if isinstance(n, BumpD):
-        return bump_values(_require_real(memo[n.arg], "bump"), n.k)
-    if isinstance(n, CubicStepD):
-        t = np.asarray(_require_real(memo[n.arg], "cubic step"))
-        tau = t - n.level
-        out = np.zeros(tau.shape, dtype=float)
-        if n.order == 0:
-            out[tau < 0.0] = 1.0
-        mid = (tau >= 0.0) & (tau <= 1.0)
-        if np.any(mid):
-            out[mid] = npoly.polyval(tau[mid], np.asarray(_cubic_poly(n.order)))
-        return out
-    if isinstance(n, GermStepD):
-        t = np.asarray(_require_real(memo[n.arg], "smooth step"))
-        out = np.zeros(t.shape, dtype=float)
-        if n.k == 0:
-            out[t <= _GERM_CUT] = 1.0
-        mid = (t > _GERM_CUT) & (t < 1.0 - _GERM_CUT)
-        if np.any(mid):
-            sub = np.zeros((int(mid.sum()), 2))
-            sub[:, 0] = t[mid]
-            out[mid] = np.real(eval_expr(_germ_template(n.k), sub))
-        return out
-    if isinstance(n, Poly1):
-        return npoly.polyval(np.asarray(memo[n.arg], dtype=complex), np.asarray(n.coeffs))
-    if isinstance(n, Conj):
-        return np.conjugate(memo[n.arg])
-    if isinstance(n, Leaf):
-        return n.fn(pts)
-    raise TypeError(type(n))
-
-
-# ---------------------------------------------------------------------------
 # Parser (exact grammar; z(i)/zb(i) are sugar over x, y)
 # ---------------------------------------------------------------------------
 
@@ -972,8 +1155,10 @@ class CylinderFn(FnBase):
         self.dim = d if dim is None else max(int(dim), d)
         self.support_radius = support_radius
 
-    def __call__(self, pts) -> np.ndarray:
-        return eval_expr(self.expr, pts)
+    def __call__(self, pts, tape: Optional[Tape] = None) -> np.ndarray:
+        """The values at the points; ``tape``, ``Tape(self.expr)``, spares a
+        caller that evaluates the function chunk by chunk its compilation."""
+        return eval_expr(self.expr if tape is None else tape, pts)
 
     def d_dx(self, i: int) -> "CylinderFn":
         return CylinderFn(diff(self.expr, "x", i), self.support_radius, self.dim)

@@ -131,3 +131,24 @@ class ScalarTwo(sf.FnBase):
 
     def __call__(self, pts):
         return 2.0 + 0j
+
+
+def compiles_and_runs(monkeypatch):
+    """Record each compiled root set, and each point set a compiled function
+    is run on with its values."""
+    compiled, runs = [], []
+    init, call = sf.Tape.__init__, sf.CylinderFn.__call__
+
+    def counting_init(self, e):
+        compiled.append(e)
+        init(self, e)
+
+    def recording_call(self, pts, tape=None):
+        out = call(self, pts, tape)
+        if tape is not None:
+            runs.append((np.array(pts), out))
+        return out
+
+    monkeypatch.setattr(sf.Tape, "__init__", counting_init)
+    monkeypatch.setattr(sf.CylinderFn, "__call__", recording_call)
+    return compiled, runs

@@ -8,7 +8,7 @@ from dbarl2 import forms as fm
 from dbarl2 import gaussmeasure as gm
 from dbarl2.symfun import CylinderFn, EvalError, delbar_op, delta_op, sigma_op
 
-from conftest import CountingFn, ScalarTwo, bump_fn, random_bump_fn
+from conftest import CountingFn, ScalarTwo, bump_fn, compiles_and_runs, random_bump_fn
 
 
 MC = gm.Quadrature("monte_carlo", N=200_000, seed=42)
@@ -260,6 +260,18 @@ class TestReduce:
             rows += k
         calls += bool(rows)
         assert f.calls == calls
+
+    def test_integrand_is_compiled_once_per_call(self, spec3, monkeypatch):
+        f = random_bump_fn(np.random.default_rng(21), 3, 0.8)
+        r = gm.reduce_fn(f, 1, spec3)
+        pts = gm.sample(spec3, 200, 6, n=1)
+        compiled, runs = compiles_and_runs(monkeypatch)
+        got = r(pts)
+        monkeypatch.undo()
+        assert len(runs) > 1 and compiled == [f.expr]  # several batches, one tape
+        for cols, vals in runs:  # each batch as its own evaluation of f
+            assert np.array_equal(vals, f(cols))
+        assert np.array_equal(got, _per_node(r, pts))
 
     def test_masked_tail_equals_dense_loop(self, spec2, spec3):
         # the mollifier grid of the approximation pipeline

@@ -68,6 +68,19 @@ class TestFFTConvolve:
         assert [rd._smooth_len(m) for m in (1, 7, 13, 14, 21, 121, 149, 251)] == \
             [1, 8, 15, 15, 24, 125, 150, 256]
 
+    def test_smooth_length_is_the_least_5_smooth_length(self):
+        def smooth(c):
+            for p in (2, 3, 5):
+                while c % p == 0:
+                    c //= p
+            return c == 1
+
+        want = 1
+        for m in range(1, 5001):
+            while not smooth(want) or want < m:
+                want += 1
+            assert rd._smooth_len(m) == want
+
 
 class TestMollify:
     def test_plateau_preserved(self, spec1):

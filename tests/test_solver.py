@@ -14,7 +14,7 @@ from dbarl2.forms import Form, norm_sq
 from dbarl2.multiindex import check_conditions, constant_family
 from dbarl2.symfun import CylinderFn, EvalError, delbar_op
 
-from conftest import CountingFn, ScalarTwo, bump_fn, random_form
+from conftest import CountingFn, ScalarTwo, bump_fn, compiles_and_runs, random_form
 
 
 R = 0.8
@@ -573,6 +573,18 @@ class TestCauchyOracle:
         rows = int(np.count_nonzero(sv._leggauss(512)[0] + 1.0 <= 0.8))
         assert rows == 223
         assert g.calls == 6 == -(-rows // (sv._ORACLE_CHUNK // 384))
+
+    def test_integrand_is_compiled_once_per_call(self, manufactured, monkeypatch):
+        f1 = manufactured[1].coeff((), (1,))
+        oracle = sv.CauchyOracle(f1=f1, reach=2.0)
+        pts = np.array([[0.1, -0.2], [0.3, 0.25]])
+        compiled, runs = compiles_and_runs(monkeypatch)
+        got = oracle(pts)
+        monkeypatch.undo()
+        assert len(runs) > 1 and compiled == [f1.expr]  # several batches of radii, one tape
+        for shift, vals in runs:  # each batch as its own evaluation of f1
+            assert np.array_equal(vals, f1(shift))
+        assert np.array_equal(got, _per_radius(oracle, f1, pts))
 
     def test_nonfinite_point_propagates(self, manufactured):
         f1 = manufactured[1].coeff((), (1,))

@@ -4,6 +4,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from dbarl2 import symfun as sf
 from dbarl2.symfun import (CylinderFn, EvalError, ParseError, bump, conj_,
@@ -395,8 +397,7 @@ class TestInterning:
     def test_operator_tree_walks_its_distinct_structures(self, spec2, fam):
         roots = tuple(fn.expr for fn in _operator_tree(spec2, fam).coeffs.values())
         tree, distinct = _structural_counts(roots)
-        order, _ = sf._schedule(roots)
-        assert len(order) == distinct
+        assert len(sf.Tape(roots)) == distinct
         assert tree > 8 * distinct
 
 
@@ -472,3 +473,227 @@ class TestGerms:
 
 def ev_expr(e, t):
     return eval_expr(e, np.array([t, 0.0]))[0].real
+
+
+# ---------------------------------------------------------------------------
+# The tape against the all-complex evaluator it replaced
+# ---------------------------------------------------------------------------
+
+def _reference(roots, pts):
+    """The all-complex evaluator: a memo of every node under the roots,
+    children first, each value as numpy gives it when every Const is a
+    Python complex; the roots converted to complex at the end.  Returns the
+    root values and whether every node value was finite."""
+    pts = np.asarray(pts, dtype=float)
+    memo, finite = {}, True
+    for n in _postorder(roots):
+        v = memo[n] = _node_value(n, memo, pts)
+        finite = finite and bool(np.all(np.isfinite(v)))
+    outs = []
+    for r in roots:
+        out = np.asarray(memo[r])
+        if out.ndim == 0:
+            out = np.broadcast_to(out, (pts.shape[0],))
+        outs.append(np.asarray(out, dtype=complex))
+    return outs, finite
+
+
+def _postorder(roots):
+    seen, order = set(), []
+
+    def visit(n):
+        if n not in seen:
+            seen.add(n)
+            for c in sf._children(n):
+                visit(c)
+            order.append(n)
+
+    for r in roots:
+        visit(r)
+    return order
+
+
+def _node_value(n, memo, pts):
+    """One node from its children's values, with numpy's own promotion."""
+    if isinstance(n, sf.Const):
+        return n.val
+    if isinstance(n, sf.VarX):
+        col = 2 * (n.i - 1)
+        if col >= pts.shape[1]:
+            raise EvalError(f"point has no coordinate x_{n.i}")
+        return pts[:, col]
+    if isinstance(n, sf.VarY):
+        col = 2 * (n.i - 1) + 1
+        if col >= pts.shape[1]:
+            raise EvalError(f"point has no coordinate y_{n.i}")
+        return pts[:, col]
+    if isinstance(n, sf.Add):
+        v = memo[n.terms[0]]
+        for t in n.terms[1:]:
+            v = v + memo[t]
+        return v
+    if isinstance(n, sf.Mul):
+        v = memo[n.factors[0]]
+        for t in n.factors[1:]:
+            v = v * memo[t]
+        return v
+    if isinstance(n, sf.Div):
+        den = memo[n.den]
+        if np.any(den == 0):
+            raise EvalError("division by zero")
+        return memo[n.num] / den
+    if isinstance(n, sf.Pow):
+        return memo[n.base] ** n.k
+    if isinstance(n, sf.Fun):
+        return sf._FUNS[n.name][0](memo[n.arg])
+    if isinstance(n, sf.BumpD):
+        return sf.bump_values(sf._require_real(memo[n.arg], "bump"), n.k)
+    if isinstance(n, sf.CubicStepD):
+        t = np.asarray(sf._require_real(memo[n.arg], "cubic step"))
+        tau = t - n.level
+        out = np.zeros(tau.shape, dtype=float)
+        if n.order == 0:
+            out[tau < 0.0] = 1.0
+        mid = (tau >= 0.0) & (tau <= 1.0)
+        if np.any(mid):
+            out[mid] = npoly.polyval(tau[mid], np.asarray(sf._cubic_poly(n.order)))
+        return out
+    if isinstance(n, sf.GermStepD):
+        t = np.asarray(sf._require_real(memo[n.arg], "smooth step"))
+        out = np.zeros(t.shape, dtype=float)
+        if n.k == 0:
+            out[t <= sf._GERM_CUT] = 1.0
+        mid = (t > sf._GERM_CUT) & (t < 1.0 - sf._GERM_CUT)
+        if np.any(mid):
+            sub = np.zeros((int(mid.sum()), 2))
+            sub[:, 0] = t[mid]
+            out[mid] = np.real(_reference([sf._germ_template(n.k)], sub)[0][0])
+        return out
+    if isinstance(n, sf.Poly1):
+        return npoly.polyval(np.asarray(memo[n.arg], dtype=complex), np.asarray(n.coeffs))
+    if isinstance(n, sf.Conj):
+        return np.conjugate(memo[n.arg])
+    if isinstance(n, sf.Leaf):
+        return n.fn(pts)
+    raise TypeError(type(n))
+
+
+class _Wave(sf.FnBase):
+    """An opaque function with complex values (real ones when ``real``)."""
+
+    dim, support_radius = 2, None
+
+    def __init__(self, real: bool):
+        self.real = real
+
+    def __call__(self, pts):
+        v = np.cos(3.0 * pts[:, 0]) * pts[:, 3] + 0.5
+        return v.astype(complex) if self.real else v * np.exp(1j * pts[:, 1])
+
+
+_LEAVES = (_Wave(True), _Wave(False), ScalarTwo(2))
+_GRID = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])  # zeros for quotients and logs
+_SMALL = st.sampled_from([0.0, -0.0, 0.5, -1.0, 2.0]) | st.floats(-3.0, 3.0, width=64)
+
+
+@st.composite
+def _leaf(draw, real):
+    kind = draw(st.sampled_from(("float", "complex", "zero_imag", "zero_imag", "var", "var",
+                                 "leaf")))
+    if kind == "float":
+        return sf.Const(draw(_SMALL))
+    if kind == "complex" and not real:
+        return sf.Const(complex(draw(_SMALL), draw(_SMALL.filter(bool))))
+    if kind in ("complex", "zero_imag"):
+        return sf.Const(complex(draw(_SMALL), draw(st.sampled_from([0.0, -0.0]))))
+    if kind == "var":
+        return draw(st.sampled_from([sf.VarX(1), sf.VarY(1), sf.VarX(2), sf.VarY(2)]))
+    return sf.Leaf(draw(st.sampled_from(_LEAVES[:1] if real else _LEAVES)))
+
+
+_KINDS = ("add", "mul", "div", "pow", "exp", "log", "sin", "cos", "bump", "cubic",
+          "germ", "poly", "conj")
+
+
+@st.composite
+def _tree(draw, depth=3, real=False):
+    """A random tree over every node kind (only real values when ``real``).
+    No n-ary node has only constants, and no quotient or power has a constant
+    base or a constant over a constant, so Python scalars never meet."""
+    if depth == 0 or draw(st.integers(0, 4)) == 0:
+        return draw(_leaf(real))
+    kind = draw(st.sampled_from(_KINDS))
+
+    def sub(r=real):
+        return draw(_tree(depth - 1, r))
+
+    if kind in ("add", "mul"):
+        ops = [sub() for _ in range(draw(st.integers(2, 4)))]
+        if all(isinstance(o, sf.Const) for o in ops):
+            ops[0] = sf.VarX(1)
+        return (sf.Add if kind == "add" else sf.Mul)(tuple(ops))
+    if kind == "div":
+        num, den = sub(), sub()
+        return sf.Div(num, sf.Add((sf.VarY(1), den)) if isinstance(den, sf.Const) else den)
+    if kind == "pow":
+        base = sub()
+        return sf.Pow(sf.Mul((sf.VarX(2), base)) if isinstance(base, sf.Const) else base,
+                      draw(st.integers(1, 7)))
+    if kind == "log" and draw(st.booleans()):  # an argument that is often positive
+        return sf.Fun(kind, sf.Add((sf.Pow(sub(), 2), sf.Const(0.5 + 0j))))
+    if kind in ("exp", "log", "sin", "cos"):
+        return sf.Fun(kind, sub())
+    if kind == "bump":
+        return sf.BumpD(sub(True), draw(st.integers(0, 2)))
+    if kind == "cubic":
+        return sf.CubicStepD(sub(True), draw(st.sampled_from([-0.5, 0.0, 0.5])),
+                             draw(st.integers(0, 3)))
+    if kind == "germ":
+        return sf.GermStepD(sub(True), draw(st.integers(0, 2)))
+    if kind == "poly":
+        cs = draw(st.lists(_SMALL, min_size=2, max_size=4))
+        if not real and draw(st.booleans()):
+            cs = [complex(c, draw(_SMALL)) for c in cs]
+        return sf.Poly1(sub(), tuple(complex(c) for c in cs))
+    return sf.Conj(sub())
+
+
+class TestTape:
+    """The typed tape gives the all-complex evaluator's values, bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(e=_tree(), seed=st.integers(0, 2 ** 32 - 1),
+           grid=st.lists(st.tuples(_GRID, _GRID, _GRID, _GRID), max_size=3), data=st.data())
+    def test_tape_equals_the_all_complex_evaluator(self, e, seed, grid, data):
+        # random points (rounding differs between kernels there) and grid points
+        pts = np.random.default_rng(seed).uniform(-1.5, 1.5, (64, 4))
+        pts = np.concatenate([pts, np.reshape(grid, (-1, 4))])
+        nodes = list(sf._walk(e))
+        roots = [e] + data.draw(st.lists(st.sampled_from(nodes), max_size=3)) + [e]
+        with np.errstate(all="ignore"):
+            try:
+                want, finite = _reference(roots, pts)
+            except EvalError as exc:
+                for arg in (e, roots):  # the first failing node is e's in both
+                    with pytest.raises(EvalError) as got:
+                        eval_expr(arg, pts)
+                    assert str(got.value) == str(exc)
+                return
+            assume(finite)
+            single, got = eval_expr(e, pts), eval_expr(roots, pts)
+        for g, w in zip([single] + got, want[:1] + want):
+            assert g.shape == w.shape == (len(pts),)
+            assert np.array_equal(g.real, w.real) and np.array_equal(g.imag, w.imag)
+
+    def test_real_parts_follow_the_complex_rules(self):
+        # the all-complex evaluator holds x(1)^3 as float (b ** 3) and
+        # (x(1) * (1+0j))^3 as complex (b * (b * b)); the quotients, exp and log alike
+        pts = np.random.default_rng(17).normal(size=(4000, 2))
+        one = sf.Const(1 + 0j)
+        for e in (sf.Pow(sf.VarX(1), 3), sf.Pow(sf.Mul((one, sf.VarX(1))), 3),
+                  sf.Div(sf.VarY(1), sf.VarX(1)), sf.Div(sf.Mul((one, sf.VarY(1))), sf.VarX(1)),
+                  sf.Fun("exp", sf.Mul((one, sf.VarX(1)))),
+                  sf.Fun("log", sf.Mul((one, sf.Pow(sf.VarX(1), 2))))):
+            (want,), _ = _reference([e], pts)
+            assert np.array_equal(eval_expr(e, pts).real, want.real)
