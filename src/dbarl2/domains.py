@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .symfun import (CylinderFn, Expr, VarX, VarY, _children, _rebuild, add,
+from .symfun import (CylinderFn, Expr, Var, _children, _rebuild, add,
                      const, del_op, delbar_op, log_, mul, norm_sq_coords, pw, x, y)
 
 
@@ -218,8 +218,8 @@ def whole_space() -> Domain:
 
 def _substitute(e: Expr, subs: dict) -> Expr:
     """e with each variable ("x"|"y", i) in subs replaced by its expression."""
-    if isinstance(e, (VarX, VarY)):
-        return subs.get(("x" if isinstance(e, VarX) else "y", e.i), e)
+    if isinstance(e, Var):
+        return subs.get((e.kind, e.i), e)
     return _rebuild(e, tuple(_substitute(c, subs) for c in _children(e)))
 
 

@@ -221,6 +221,7 @@ class ReducedFn(FnBase):
             order, live = np.arange(N), np.full(T, N)
         else:  # heads by norm, so each node's live heads are a prefix of them
             hsq = np.sum(head ** 2, axis=1)
+            hsq[~np.isfinite(hsq)] = -np.inf  # live at every node, so a NaN stays NaN
             order = np.argsort(hsq, kind="stable")
             live = np.searchsorted(hsq[order], support_rsq(self.support_radius) - self._tail_sq,
                                    side="right")

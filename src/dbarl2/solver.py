@@ -50,7 +50,7 @@ from .forms import Form, _weighted_sq_vals
 from .gaussmeasure import (CheckOutcome, GaussianSpec, Quadrature, _leggauss, _mesh, estimate,
                            json_number, sample, support_rsq, verdict)
 from .multiindex import check_conditions
-from .symfun import (BumpD, CylinderFn, Tape, add, const, delbar_op, eval_expr, mul,
+from .symfun import (CylinderFn, Fun, Tape, add, const, delbar_op, eval_expr, mul,
                      norm_sq_coords, poly1, x, y, _as_fn)
 from .weights import WeightTriple, check_cond4
 
@@ -77,7 +77,7 @@ def scalar_dictionary(n: int, degree: int, radius: float, spec: GaussianSpec,
     s_expr = mul(const(1.0 / radius ** 2), norm_sq_coords(n))
     out = []
     for prof in profiles:
-        chi = BumpD(s_expr, prof)
+        chi = Fun("bump", s_expr, prof)
         for combo in _degree_combos(2 * n, degree):
             factors = []
             for i in range(1, n + 1):
@@ -255,8 +255,7 @@ def solve_min_norm(p: SolveProblem) -> tuple[Form, SolveReport]:
             coeffs[key] = CylinderFn(add(*terms), support_radius=p.radius, dim=p.n)
     u = Form((s, tp1 - 1), coeffs, f.family)
 
-    rep_cond = check_conditions(f.family, max_index=max(p.n, s + tp1) + 2, s=s, t=tp1 - 1)
-    c0 = rep_cond.c0_inf
+    c0 = _conditions(f, p.n).c0_inf
     bound_pass = verdict(norm_f - math.sqrt(max(c0, 0.0)) * norm_u, 0.0, _BOUND_TOL * norm_f)
     report = SolveReport(residual=residual, norm_u_w1=norm_u, norm_f_w2=norm_f,
                          c0=c0, bound_pass=bound_pass, rank=rank, cond=cond,
@@ -267,6 +266,13 @@ def solve_min_norm(p: SolveProblem) -> tuple[Form, SolveReport]:
 # ---------------------------------------------------------------------------
 # Key inequality and bound audits
 # ---------------------------------------------------------------------------
+
+def _conditions(f: Form, n: int):
+    """The family's conditions for f of degree (s, t+1), over the one index range
+    of every check: max(n, f.max_index(), s+t+1) + 2, n the check's dimension."""
+    s, tp1 = f.degree
+    return check_conditions(f.family, max(n, f.max_index(), s + tp1) + 2, s, tp1 - 1)
+
 
 def _audit(check_id: str, lhs_vals: np.ndarray, rhs_vals: np.ndarray, wq: np.ndarray,
            quad: Quadrature, upper: bool, tol) -> CheckOutcome:
@@ -290,15 +296,12 @@ def key_inequality_check(f: Form, ctx: OperatorContext, quad: Quadrature,
     condition fail; those are the estimate's hypotheses.  Nothing reads
     domain: the curvature condition is checked at cond4_points.
     """
-    s, tp1 = f.degree
-    t = tp1 - 1
-    mi = max(f.max_index() + 1, s + tp1 + 2)
-    rep = check_conditions(f.family, max_index=mi, s=s, t=t)
+    n = ctx.spec.trunc_dim
+    rep = _conditions(f, n)
     if not rep.passed:
         return CheckOutcome("key_inequality", 0.0, 0.0, 0.0, 0.0, None,
                             reason=f"coefficient conditions fail: c0={rep.c0_inf}, "
                                    f"c1={rep.c1_sup}, mult={rep.multiplicative_ok}")
-    n = ctx.spec.trunc_dim
     c4 = check_cond4(triple.phi, triple.psi, n, cond4_points)
     if not c4.passed:
         return CheckOutcome("key_inequality", 0.0, 0.0, 0.0, 0.0, None,
@@ -317,9 +320,7 @@ def _bound_c0(f: Form, ctx: OperatorContext, levi_points: np.ndarray,
     below floor at an audit point, else the family's c0 for f's degree."""
     if float(np.min(levi_min_eigs(ctx.w3, levi_points, ctx.spec.trunc_dim) - floor)) < -1e-9:
         return None
-    s, tp1 = f.degree
-    return check_conditions(f.family, max_index=max(f.max_index(), s + tp1) + 2,
-                            s=s, t=tp1 - 1).c0_inf
+    return _conditions(f, ctx.spec.trunc_dim).c0_inf
 
 
 def weighted_bound_check(u: Form, f: Form, ctx: OperatorContext, c_fn,

@@ -6,13 +6,17 @@ Gaussian-adjoint building block delta_i = del_i - zb_i/(2 a_i^2), the weighted
 variant sigma_i, and full symbolic conjugation.  Evaluation is vectorized:
 points are float arrays of shape (N, 2n) with columns x1, y1, x2, y2, ...
 
-Compactly supported smooth germs are first-class nodes so that their
-derivatives stay exact:
+Every one-argument primitive is one row of one table, ``_FUNS`` (its values,
+its partial rule, and for a germ the label of its real-argument check), and
+one node, ``Fun(name, arg, k)``: the k-th derivative of the primitive at arg.
+Besides exp, log, sin and cos, the rows are compactly supported smooth germs,
+so their derivatives stay exact:
 
   * bump(t)   = exp(-1/(1-t^2)) on (-1, 1), 0 outside,
-  * the cubic cut-off step used for the level-k truncations,
-  * the C-infinity step germ (exp(1/(x-1)) - 1) * exp(-exp(1/(x-1))/x) + 1,
-  * truncated power series (for weights built from series majorants).
+  * the cubic cut-off step of the level-k truncations (a level shifts t),
+  * the C-infinity step germ (exp(1/(x-1)) - 1) * exp(-exp(1/(x-1))/x) + 1.
+
+Truncated power series (for weights built from series majorants) are ``Poly1``.
 
 A function known only by its values (a grid function, a reduced integral)
 enters the tree as an opaque ``Leaf``: evaluation calls it, and its partials
@@ -58,7 +62,7 @@ from __future__ import annotations
 import operator
 import struct
 import weakref
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
@@ -139,7 +143,7 @@ class Expr(metaclass=_Interned):
         op = _RULES[type(self)](self)
         if op[0]:
             top = max([c._max_index for c in op[0]])
-        elif isinstance(self, (VarX, VarY)):
+        elif isinstance(self, Var):
             top = self.i
         elif isinstance(self, Leaf):
             top = self.fn.dim
@@ -155,12 +159,8 @@ class Const(Expr):
 
 
 @dataclass(frozen=True, eq=False)
-class VarX(Expr):
-    i: int
-
-
-@dataclass(frozen=True, eq=False)
-class VarY(Expr):
+class Var(Expr):
+    kind: str  # "x" or "y"
     i: int
 
 
@@ -188,30 +188,10 @@ class Pow(Expr):
 
 @dataclass(frozen=True, eq=False)
 class Fun(Expr):
-    name: str  # a key of _FUNS
+    """The k-th derivative of the primitive ``name`` (a key of _FUNS) at arg."""
+    name: str
     arg: Expr
-
-
-@dataclass(frozen=True, eq=False)
-class BumpD(Expr):
-    """k-th derivative of the bump germ, as a single exact primitive."""
-    arg: Expr
-    k: int
-
-
-@dataclass(frozen=True, eq=False)
-class CubicStepD(Expr):
-    """order-th derivative of the cubic step h_level (1 below level, 0 above level+1)."""
-    arg: Expr
-    level: float
-    order: int
-
-
-@dataclass(frozen=True, eq=False)
-class GermStepD(Expr):
-    """k-th derivative of the smooth step germ (1 for x<=0, 0 for x>=1)."""
-    arg: Expr
-    k: int
+    k: int  # no default, so a node's intern key does not depend on how it is built
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,6 +249,32 @@ def bump_values(t, k: int) -> np.ndarray:
         if k > 0:
             val = val * npoly.polyval(t[inside], np.asarray(_bump_numer(k))) / omi ** (2 * k)
         out[inside] = val
+    return out
+
+
+def _cubic_values(t, k: int) -> np.ndarray:
+    """The k-th derivative of the cubic step at real t (1 below 0, 0 above 1)."""
+    t = np.asarray(t)
+    out = np.zeros(t.shape)
+    if k == 0:
+        out[t < 0.0] = 1.0
+    mid = (t >= 0.0) & (t <= 1.0)
+    if np.any(mid):
+        out[mid] = npoly.polyval(t[mid], np.asarray(_cubic_poly(k)))
+    return out
+
+
+def _step_values(t, k: int) -> np.ndarray:
+    """The k-th derivative of the smooth step germ at real t (1 below 0, 0 above 1)."""
+    t = np.asarray(t)
+    out = np.zeros(t.shape)
+    if k == 0:
+        out[t <= _GERM_CUT] = 1.0
+    mid = (t > _GERM_CUT) & (t < 1.0 - _GERM_CUT)
+    if np.any(mid):
+        sub = np.zeros((int(mid.sum()), 2))
+        sub[:, 0] = t[mid]
+        out[mid] = np.real(eval_expr(_germ_template(k), sub))
     return out
 
 
@@ -347,33 +353,9 @@ def _k_fun(vals, ks, arg, pts):
     return f(vals[ks[0]])
 
 
-def _k_bump(vals, ks, k, pts):
-    return bump_values(_require_real(vals[ks[0]], "bump"), k)
-
-
-def _k_cubic(vals, ks, arg, pts):
-    level, coeffs, order = arg
-    tau = np.asarray(_require_real(vals[ks[0]], "cubic step")) - level
-    out = np.zeros(tau.shape, dtype=float)
-    if order == 0:
-        out[tau < 0.0] = 1.0
-    mid = (tau >= 0.0) & (tau <= 1.0)
-    if np.any(mid):
-        out[mid] = npoly.polyval(tau[mid], coeffs)
-    return out
-
-
-def _k_germ(vals, ks, k, pts):
-    t = np.asarray(_require_real(vals[ks[0]], "smooth step"))
-    out = np.zeros(t.shape, dtype=float)
-    if k == 0:
-        out[t <= _GERM_CUT] = 1.0
-    mid = (t > _GERM_CUT) & (t < 1.0 - _GERM_CUT)
-    if np.any(mid):
-        sub = np.zeros((int(mid.sum()), 2))
-        sub[:, 0] = t[mid]
-        out[mid] = np.real(eval_expr(_germ_template(k), sub))
-    return out
+def _k_germ(vals, ks, arg, pts):
+    values, label, k = arg
+    return values(_require_real(vals[ks[0]], label), k)
 
 
 def _k_poly(vals, ks, arg, pts):
@@ -405,8 +387,7 @@ def _r_const(n):
 
 
 def _r_var(n):
-    kind = "y" if type(n) is VarY else "x"
-    return (), _k_var, (2 * (n.i - 1) + (kind == "y"), f"{kind}_{n.i}"), _R
+    return (), _k_var, (2 * (n.i - 1) + (n.kind == "y"), f"{n.kind}_{n.i}"), _R
 
 
 def _r_fold(n):
@@ -436,21 +417,12 @@ def _r_pow(n):
 
 
 def _r_fun(n):
+    values, _, label = _FUNS[n.name]
+    if label is not None:  # a germ is real by construction
+        return (n.arg,), _k_germ, (values, label, n.k), _R
     f = n.arg._op[3]
     via = bool(f & _R and f & _C) and n.name in _VIA_COMPLEX
-    return (n.arg,), _k_fun, (_FUNS[n.name][0], via), f
-
-
-def _r_bump(n):
-    return (n.arg,), _k_bump, n.k, _R
-
-
-def _r_cubic(n):
-    return (n.arg,), _k_cubic, (n.level, np.asarray(_cubic_poly(n.order)), n.order), _R
-
-
-def _r_germ(n):
-    return (n.arg,), _k_germ, n.k, _R
+    return (n.arg,), _k_fun, (values, via), f
 
 
 def _r_poly(n):
@@ -470,9 +442,8 @@ def _r_leaf(n):
     return (), _k_leaf, n.fn, _C
 
 
-_RULES = {Const: _r_const, VarX: _r_var, VarY: _r_var, Add: _r_fold, Mul: _r_fold,
-          Div: _r_div, Pow: _r_pow, Fun: _r_fun, BumpD: _r_bump, CubicStepD: _r_cubic,
-          GermStepD: _r_germ, Poly1: _r_poly, Conj: _r_conj, Leaf: _r_leaf}
+_RULES = {Const: _r_const, Var: _r_var, Add: _r_fold, Mul: _r_fold, Div: _r_div,
+          Pow: _r_pow, Fun: _r_fun, Poly1: _r_poly, Conj: _r_conj, Leaf: _r_leaf}
 
 
 class Tape:
@@ -577,16 +548,16 @@ def const(v) -> Const:
     return Const(complex(v))
 
 
-def x(i: int) -> VarX:
+def x(i: int) -> Var:
     if i < 1:
         raise ValueError("variable index must be >= 1")
-    return VarX(i)
+    return Var("x", i)
 
 
-def y(i: int) -> VarY:
+def y(i: int) -> Var:
     if i < 1:
         raise ValueError("variable index must be >= 1")
-    return VarY(i)
+    return Var("y", i)
 
 
 def z(i: int) -> Expr:
@@ -687,24 +658,33 @@ def _log_values(a):
     return np.log(a)
 
 
-# name -> (its values at an array, the partial of a node Fun(name, arg) given
-# the partial d of arg)
+def _germ_partial(e, d):
+    return mul(Fun(e.name, e.arg, e.k + 1), d)
+
+
+# name -> (its values, the partial of a node Fun(name, arg, k) given the
+# partial d of arg, and for a germ the label of its real-argument check).
+# exp, log, sin and cos take the argument's values (k is 0); a germ's
+# values(t, k) are its k-th derivative at real t.
 _FUNS = {
-    "exp": (np.exp, lambda e, d: mul(e, d)),
-    "log": (_log_values, lambda e, d: div(d, e.arg)),
-    "sin": (np.sin, lambda e, d: mul(_fun("cos", e.arg), d)),
-    "cos": (np.cos, lambda e, d: mul(const(-1), _fun("sin", e.arg), d)),
+    "exp": (np.exp, lambda e, d: mul(e, d), None),
+    "log": (_log_values, lambda e, d: div(d, e.arg), None),
+    "sin": (np.sin, lambda e, d: mul(_fun("cos", e.arg), d), None),
+    "cos": (np.cos, lambda e, d: mul(const(-1), _fun("sin", e.arg), d), None),
+    "bump": (bump_values, _germ_partial, "bump"),
+    "cubic": (_cubic_values, _germ_partial, "cubic step"),
+    "step": (_step_values, _germ_partial, "smooth step"),
 }
 
 
-def _fun(name: str, arg) -> Expr:
+def _fun(name: str, arg, k: int = 0) -> Expr:
     arg = _as_expr(arg)
-    if isinstance(arg, Const):
+    if isinstance(arg, Const) and _FUNS[name][2] is None:  # a germ stays a node
         try:
             return Const(complex(_FUNS[name][0](arg.val)))
         except EvalError as exc:
             raise EvalError(f"{exc} constant") from None
-    return Fun(name, arg)
+    return Fun(name, arg, k)
 
 
 def exp_(arg) -> Expr:
@@ -725,17 +705,17 @@ def cos_(arg) -> Expr:
 
 def bump(arg) -> Expr:
     """exp(-1/(1-t^2)) inside (-1,1), 0 outside; smooth and compactly supported."""
-    return BumpD(_as_expr(arg), 0)
+    return _fun("bump", arg)
 
 
 def cubic_step(arg, level: float) -> Expr:
     """The C^1 cut-off: 1 below `level`, cubic descent on [level, level+1], then 0."""
-    return CubicStepD(_as_expr(arg), float(level), 0)
+    return _fun("cubic", add(arg, const(-level)))
 
 
 def germ_step(arg) -> Expr:
     """The C-infinity step: 1 for t <= 0, smooth descent on (0,1), 0 for t >= 1."""
-    return GermStepD(_as_expr(arg), 0)
+    return _fun("step", arg)
 
 
 def poly1(arg, coeffs) -> Expr:
@@ -753,7 +733,7 @@ def conj_(arg) -> Expr:
         return Const(arg.val.conjugate())
     if isinstance(arg, Conj):
         return arg.arg
-    if isinstance(arg, (VarX, VarY)):
+    if isinstance(arg, Var):
         return arg
     return Conj(arg)
 
@@ -773,13 +753,11 @@ def _rebuild(e: Expr, kids: tuple) -> Expr:
     if isinstance(e, Pow):
         return pw(kids[0], e.k)
     if isinstance(e, Fun):
-        return _fun(e.name, kids[0])
+        return _fun(e.name, kids[0], e.k)
     if isinstance(e, Poly1):
         return poly1(kids[0], e.coeffs)
     if isinstance(e, Conj):
         return conj_(kids[0])
-    if isinstance(e, (BumpD, CubicStepD, GermStepD)):
-        return replace(e, arg=kids[0])
     return e
 
 
@@ -816,7 +794,7 @@ def _bump_numer(k: int) -> tuple:
     return tuple(out)
 
 
-_CUBIC_BASE = (1.0, 0.0, -3.0, 2.0)  # (tau-1)^2 (2 tau + 1) with tau = t - level
+_CUBIC_BASE = (1.0, 0.0, -3.0, 2.0)  # (t-1)^2 (2 t + 1)
 
 
 @lru_cache(maxsize=16)
@@ -827,21 +805,14 @@ def _cubic_poly(order: int) -> tuple:
     return tuple(p)
 
 
-_GERM_TEMPLATES: list = []
-
-
+@lru_cache(maxsize=None)
 def _germ_template(k: int) -> Expr:
     """k-th derivative of the open-interval germ formula, in the variable x(1)."""
-    if not _GERM_TEMPLATES:
-        t = VarX(1)
-        e_inner = exp_(div(ONE, add(t, const(-1))))
-        formula = add(mul(add(e_inner, const(-1)),
-                          exp_(mul(const(-1), div(e_inner, t)))),
-                      ONE)
-        _GERM_TEMPLATES.append(formula)
-    while len(_GERM_TEMPLATES) <= k:
-        _GERM_TEMPLATES.append(diff(_GERM_TEMPLATES[-1], "x", 1))
-    return _GERM_TEMPLATES[k]
+    if k:
+        return diff(_germ_template(k - 1), "x", 1)
+    t = x(1)
+    e_inner = exp_(div(ONE, add(t, const(-1))))
+    return add(mul(add(e_inner, const(-1)), exp_(mul(const(-1), div(e_inner, t)))), ONE)
 
 
 # derivatives of interned nodes, by (node, kind, i); a bounded table outside
@@ -856,10 +827,8 @@ def diff(e: Expr, kind: str, i: int) -> Expr:
     """Exact symbolic partial derivative with respect to x_i or y_i."""
     if isinstance(e, Const):
         return ZERO
-    if isinstance(e, VarX):
-        return ONE if (kind == "x" and e.i == i) else ZERO
-    if isinstance(e, VarY):
-        return ONE if (kind == "y" and e.i == i) else ZERO
+    if isinstance(e, Var):
+        return ONE if (e.kind == kind and e.i == i) else ZERO
     if isinstance(e, Add):
         return add(*(diff(t, kind, i) for t in e.terms))
     if isinstance(e, Mul):
@@ -878,12 +847,6 @@ def diff(e: Expr, kind: str, i: int) -> Expr:
         return mul(const(e.k), pw(e.base, e.k - 1), diff(e.base, kind, i))
     if isinstance(e, Fun):
         return _FUNS[e.name][1](e, diff(e.arg, kind, i))
-    if isinstance(e, BumpD):
-        return mul(BumpD(e.arg, e.k + 1), diff(e.arg, kind, i))
-    if isinstance(e, CubicStepD):
-        return mul(CubicStepD(e.arg, e.level, e.order + 1), diff(e.arg, kind, i))
-    if isinstance(e, GermStepD):
-        return mul(GermStepD(e.arg, e.k + 1), diff(e.arg, kind, i))
     if isinstance(e, Poly1):
         if len(e.coeffs) <= 1:
             return ZERO
@@ -1036,23 +999,14 @@ def _parse_atom(tk: _Tokens) -> Expr:
         name = tk.ident()
         if name == "i":
             return const(1j)
-        if name == "x":
-            return _parse_indexed(tk, x)
-        if name == "y":
-            return _parse_indexed(tk, y)
-        if name == "z":
-            return _parse_indexed(tk, z)
-        if name == "zb":
-            return _parse_indexed(tk, zb)
-        if name in _FUNS or name in ("bump", "conj"):
+        builder = {"x": x, "y": y, "z": z, "zb": zb}.get(name)
+        if builder is not None:
+            return _parse_indexed(tk, builder)
+        if name in ("exp", "log", "sin", "cos", "bump", "conj"):
             tk.expect("(")
             arg = _parse_expr(tk)
             tk.expect(")")
-            if name == "bump":
-                return bump(arg)
-            if name == "conj":
-                return conj_(arg)
-            return _fun(name, arg)
+            return conj_(arg) if name == "conj" else _fun(name, arg)
         raise ParseError(f"unknown identifier {name!r}", tk.pos)
     raise ParseError("expected an atom", tk.pos)
 
@@ -1218,10 +1172,8 @@ def free_variables(e: Expr) -> set:
     """Set of ('x'|'y', i) variables in the expression; a leaf brings all of its dim."""
     out: set = set()
     for n in _walk(e):
-        if isinstance(n, VarX):
-            out.add(("x", n.i))
-        elif isinstance(n, VarY):
-            out.add(("y", n.i))
+        if isinstance(n, Var):
+            out.add((n.kind, n.i))
         elif isinstance(n, Leaf):
             out.update((k, i) for i in range(1, n.fn.dim + 1) for k in "xy")
     return out

@@ -311,6 +311,16 @@ class TestReduce:
         want = math.exp(-1.0 / (1.0 - 0.95 ** 2)) * spec2.a(2) ** 2
         np.testing.assert_allclose(got.real, want, rtol=1e-12)
 
+    def test_a_non_finite_head_is_not_masked(self, spec2):
+        # the support ball must not turn a NaN head into an exact 0
+        f = bump_fn(2, 0.8, poly="1+x(1)")
+        pts = np.array([[np.nan, 0.1], [0.3, -0.2], [np.inf, 0.0], [0.9, 0.0], [-0.1, 0.4]])
+        with np.errstate(invalid="ignore"):  # (1 + inf) * 0
+            got = gm.reduce_fn(f, 1, spec2)(pts)
+            unbounded = gm.reduce_fn(CylinderFn(f.expr), 1, spec2)(pts)
+        assert np.all(np.isnan(got[[0, 2]])) and np.all(np.isnan(unbounded[[0, 2]]))
+        assert np.array_equal(got[[1, 3, 4]], _per_node(gm.reduce_fn(f, 1, spec2), pts[[1, 3, 4]]))
+
     def test_batched_tail_eval_error_propagates(self, spec3):
         r = gm.reduce_fn(CylinderFn("log(x(3))", dim=3), 1, spec3)
         with pytest.raises(EvalError):

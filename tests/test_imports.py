@@ -2,8 +2,8 @@
 inside a function or class, every module-level function, class and constant a
 module defines is named somewhere else, every defaulted parameter or field is
 passed by some call, every field is read somewhere, no expression node defines
-arithmetic operators, and importing the command line loads no third-party
-package but numpy.
+arithmetic operators, every expression node has a typing rule, and importing
+the command line loads no third-party package but numpy.
 
 Only the standard ``ast`` module is needed for the source checks.  An imported
 name counts as used when it appears anywhere in the module as a ``Name`` node
@@ -238,18 +238,35 @@ def test_every_field_is_read_somewhere():
     assert not unread, f"fields nothing reads: {', '.join(unread)}"
 
 
+def _expr_nodes(tree: ast.Module) -> list:
+    """The class definitions of ``Expr`` and of every class derived from it."""
+    names, out = {"Expr"}, []
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef) and (top.name in names or any(
+                getattr(b, "id", None) in names for b in top.bases)):
+            names.add(top.name)
+            out.append(top)
+    return out
+
+
 def test_expr_nodes_define_no_arithmetic():
     # FnBase is the one arithmetic; expression nodes are built by constructor functions
     ops = {f"__{p}{op}__" for op in ("add", "sub", "mul", "truediv", "pow") for p in ("", "r")}
     ops.add("__neg__")
-    nodes, found = {"Expr"}, []
-    for top in ast.parse((SRC / "symfun.py").read_text()).body:
-        if isinstance(top, ast.ClassDef) and (top.name in nodes or any(
-                getattr(b, "id", None) in nodes for b in top.bases)):
-            nodes.add(top.name)
-            found += [f"{top.name}.{st.name}" for st in top.body
-                      if isinstance(st, ast.FunctionDef) and st.name in ops]
+    tree = ast.parse((SRC / "symfun.py").read_text())
+    found = [f"{node.name}.{st.name}" for node in _expr_nodes(tree)
+             for st in node.body if isinstance(st, ast.FunctionDef) and st.name in ops]
     assert not found, f"expression nodes define arithmetic: {', '.join(found)}"
+
+
+def test_every_expr_node_has_a_rule():
+    # a node type that _RULES does not key is half-wired: it cannot be typed or evaluated
+    tree = ast.parse((SRC / "symfun.py").read_text())
+    rules = next(top.value for top in tree.body if isinstance(top, ast.Assign)
+                 and any(getattr(t, "id", None) == "_RULES" for t in top.targets))
+    keyed = {k.id for k in rules.keys}
+    missing = [node.name for node in _expr_nodes(tree) if node.name not in keyed | {"Expr"}]
+    assert not missing, f"expression nodes without a rule in _RULES: {', '.join(missing)}"
 
 
 def test_cli_imports_numpy_only():

@@ -11,7 +11,7 @@ from dbarl2 import gaussmeasure as gm
 from dbarl2 import solver as sv
 from dbarl2 import weights as wt
 from dbarl2.forms import Form, norm_sq
-from dbarl2.multiindex import check_conditions, constant_family
+from dbarl2.multiindex import check_conditions, constant_family, multiplicative_family
 from dbarl2.symfun import CylinderFn, EvalError, delbar_op
 
 from conftest import CountingFn, ScalarTwo, bump_fn, compiles_and_runs, random_form
@@ -317,6 +317,21 @@ class TestKeyInequality:
                                       tri, dom, pts)
         assert out.passed is None
         assert "curvature" in out.reason
+
+    def test_c0_is_one_truncation_for_every_check(self):
+        # c0 = inf mu(j) over the indices the conditions enumerate, so it
+        # depends on the range: the key inequality and the bound audits read it
+        # at max(n, max index of f, s+t+1) + 2 = 4, as the solve does
+        fam = multiplicative_family(lambda j: 1.0 + 1.0 / j)
+        spec = gm.GaussianSpec(2)
+        tri, dom, _ = wt.recipe_weights_whole_space(spec)
+        ctx = do.OperatorContext(spec, fam, tri.w1, tri.w2, tri.w3, tri.phi)
+        f = Form((0, 1), {((), (2,)): bump_fn(2, 0.6, poly="x(2)")}, fam)
+        quad = gm.Quadrature("gauss_hermite", nodes_per_axis=6)
+        out = sv.key_inequality_check(f, ctx, quad, tri, dom, dom.sample_sublevel(2, 2.0, 100, 1))
+        assert out.passed is not None
+        assert out.rhs == pytest.approx(1.25 * norm_sq(f, ctx.w2, spec, quad).mean.real, rel=1e-12)
+        assert sv._bound_c0(f, ctx, gm.sample(spec, 10, 1), -np.inf) == 1.25
 
     def test_unimodular_invariance(self, fam):
         spec = gm.GaussianSpec(1)
