@@ -8,6 +8,7 @@ the exhaustion so it is nonnegative and its Levi form dominates the identity.
 import numpy as np
 
 from dbarl2 import domains as dm
+from dbarl2.gaussmeasure import STRICT, verdict
 
 ball = dm.ball(r=1.0)
 print("Unit ball, eta = -ln(1 - ||z||^2)")
@@ -33,5 +34,6 @@ print("  min Levi eigenvalue:", float(np.min(dm.levi_min_eigs(nb.eta(2), pts[:50
 print("\nBoundary geometry")
 print("  d_V at ||z|| = 0.5:", dm.d_V(ball, np.array([0.5, 0, 0, 0])))
 print("  d_V at the center (1/0 = infinity convention):", dm.d_V(ball, np.zeros(4)))
-rep = dm.uniformly_included(ball, 1.0, n=2)
-print(f"  sub-level tau = 1 uniformly included: {rep.included} (margin {rep.margin:.3f})")
+margin = dm.uniformly_included(ball, 1.0, n=2)
+print(f"  sub-level tau = 1 uniformly included: {verdict(margin, 0.0, STRICT)} "
+      f"(margin {margin:.3f})")

@@ -53,10 +53,10 @@ print("  min G - g =", float(np.min(G(grid) - gv)),
 print("\nCurvature condition for the weight triple")
 spec = GaussianSpec(2)
 phi = CylinderFn("3*(x(1)^2+y(1)^2+x(2)^2+y(2)^2)")
-rep4 = wt.check_cond4(phi, CylinderFn("0"), 2,
-                      np.random.default_rng(0).normal(size=(50, 4)) * 0.2)
-print(f"  phi = 3||z||^2, psi = 0: margin = {rep4.margin:.3f} (Hessian 3I vs bound 3/2)")
-rep4 = wt.check_cond4(CylinderFn("0"), CylinderFn("0"), 2, np.zeros((1, 4)))
-print(f"  phi = 0 fails as it must: margin = {rep4.margin:.3f}")
+margin4 = wt.check_cond4(phi, CylinderFn("0"), 2,
+                         np.random.default_rng(0).normal(size=(50, 4)) * 0.2)
+print(f"  phi = 3||z||^2, psi = 0: margin = {margin4:.3f} (Hessian 3I vs bound 3/2)")
+margin4 = wt.check_cond4(CylinderFn("0"), CylinderFn("0"), 2, np.zeros((1, 4)))
+print(f"  phi = 0 fails as it must: margin = {margin4:.3f}")
 tri, dom2, kappa = wt.recipe_weights_whole_space(spec)
 print(f"  recipe weights on the whole space use kappa = {kappa:.2f}")

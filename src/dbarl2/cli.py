@@ -5,9 +5,11 @@
 
 One JSON config per invocation.  Each command emits a JSON-lines report plus
 a CSV summary (columns check_id,lhs,rhs,stderr,margin,pass); identical
-configs reproduce byte-identical report files.  Exit codes: 0 all checks
-pass, 1 any check failed, 2 config error, 3 a check crashed (traceback on
-stderr, no report).
+configs reproduce byte-identical report files.  A record passes when
+``verdict(margin, stderr, tol)`` of its own margin does (``CheckOutcome.judged``),
+save the approx ladder, which passes when each of its steps does.  Exit codes:
+0 all checks pass, 1 any check failed, 2 config error, 3 a check crashed
+(traceback on stderr, no report).
 """
 
 from __future__ import annotations
@@ -19,12 +21,13 @@ import re
 import sys
 import time
 import traceback
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import dbarops, domains, forms, gaussmeasure, multiindex, reduction, solver, weights
-from .gaussmeasure import CheckOutcome, verdict
+from .gaussmeasure import STRICT, CheckOutcome, verdict
 from .symfun import CylinderFn, ParseError, eval_expr, free_variables, parse
 
 
@@ -127,33 +130,21 @@ def _ms(t0: float) -> float:
     return (time.perf_counter() - t0) * 1e3
 
 
-def _residual(check_id: str, res: float, stderr: float, tol: float, t0: float,
-              sides=None) -> CheckOutcome:
-    """The record of an identity whose residual res should vanish: margin -res,
-    judged by ``verdict``; lhs and rhs are ``sides``, by default (res, 0)."""
-    lhs, rhs = (res, 0.0) if sides is None else sides
-    return CheckOutcome(check_id, lhs, rhs, stderr, -res, verdict(-res, stderr, tol),
-                        runtime_ms=_ms(t0))
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 def cmd_identities(config, seed) -> list:
+    """Identities with residual res: margin -res; lhs res and rhs 0 (Gauss-Green: its sides)."""
     spec = _spec_from(config)
     quad = _quad_from(config, seed)
     family = _family_from(config)
     tol = _tol(config, "deterministic", 1e-8)
-    recs = []
     fl = _forms_from(config, family)
-    test_fns = []
-    for f in fl:
-        for key, fn in f.coeffs.items():
-            test_fns.append(fn)
+    test_fns = [fn for f in fl for fn in f.coeffs.values()]
     if not test_fns:
-        return recs
-
+        return []
+    varphi = CylinderFn(config.get("varphi", "0"))
     pts = gaussmeasure.sample(spec, 100, seed + 3)
 
     t0 = time.perf_counter()
@@ -161,46 +152,47 @@ def cmd_identities(config, seed) -> list:
     wrong_a1 = config.get("perturb", {}).get("gauss_green_a1")
     rep = gaussmeasure.gauss_green_residual(
         g0, 1, spec, quad, None if wrong_a1 is None else float(wrong_a1))
-    recs.append(_residual("gauss_green_x1", rep.residual, rep.stderr, tol, t0,
-                          (abs(rep.lhs), abs(rep.rhs))))
+    recs = [CheckOutcome.judged("gauss_green_x1", abs(rep.lhs), abs(rep.rhs), -rep.residual,
+                                rep.stderr, tol, runtime_ms=_ms(t0))]
 
     g1 = test_fns[min(1, len(test_fns) - 1)]
     for weighted in (False, True):
         t0 = time.perf_counter()
-        varphi = CylinderFn(config.get("varphi", "0"))
-        est = dbarops.ibp_residual(g0, g1, 1, spec, quad, weighted=weighted,
-                                   varphi=varphi)
-        recs.append(_residual("ibp_sigma" if weighted else "ibp_delta", abs(est.mean),
-                              est.stderr, tol, t0))
+        est = dbarops.ibp_residual(g0, g1, 1, spec, quad, weighted=weighted, varphi=varphi)
+        res = abs(est.mean)
+        recs.append(CheckOutcome.judged("ibp_sigma" if weighted else "ibp_delta", res, 0.0,
+                                        -res, est.stderr, tol, runtime_ms=_ms(t0)))
 
     t0 = time.perf_counter()
     ctx = dbarops.OperatorContext(spec, family, CylinderFn(config.get("w1", "0")),
                                   CylinderFn(config.get("w2", "0")),
-                                  CylinderFn(config.get("w3", "0")),
-                                  CylinderFn(config.get("varphi", "0")))
+                                  CylinderFn(config.get("w3", "0")), varphi)
     res = dbarops.commutator_residual(g0, 1, 1, ctx, pts)
-    recs.append(_residual("commutator", res, 0.0, 1e-10, t0))
+    recs.append(CheckOutcome.judged("commutator", res, 0.0, -res, 0.0, 1e-10,
+                                    runtime_ms=_ms(t0)))
 
     t0 = time.perf_counter()
-    st = dbarops.st_complex_residual(fl[0], pts)
-    recs.append(_residual("s_after_t_zero", st, 0.0, 1e-10, t0))
+    res = dbarops.st_complex_residual(fl[0], pts)
+    recs.append(CheckOutcome.judged("s_after_t_zero", res, 0.0, -res, 0.0, 1e-10,
+                                    runtime_ms=_ms(t0)))
 
     if len(fl) >= 2:
         t0 = time.perf_counter()
         est = dbarops.adjoint_residual(fl[0], fl[1], ctx, quad)
-        recs.append(_residual("adjoint", abs(est.mean), est.stderr, tol, t0))
-        t0 = time.perf_counter()
-        g = dbarops.dbar(fl[0])
-        I = ()
-        K = (1,) * (fl[0].degree[1] + 1) if fl[0].degree[1] == 0 else None
-        if K is not None:
-            est = dbarops.weak_dbar_residual(fl[0], g, g0, I, K, spec, quad)
-            recs.append(_residual("weak_dbar", abs(est.mean), est.stderr, tol, t0))
+        res = abs(est.mean)
+        recs.append(CheckOutcome.judged("adjoint", res, 0.0, -res, est.stderr, tol,
+                                        runtime_ms=_ms(t0)))
+        if fl[0].degree[1] == 0:
+            t0 = time.perf_counter()
+            est = dbarops.weak_dbar_residual(fl[0], dbarops.dbar(fl[0]), g0, (), (1,), spec, quad)
+            res = abs(est.mean)
+            recs.append(CheckOutcome.judged("weak_dbar", res, 0.0, -res, est.stderr, tol,
+                                            runtime_ms=_ms(t0)))
 
     t0 = time.perf_counter()
-    m = CylinderFn(config.get("multiplier", "x(1)"))
-    res = dbarops.multiplier_residual(m, fl[0], ctx, pts)
-    recs.append(_residual("multiplier", res, 0.0, 1e-10, t0))
+    res = dbarops.multiplier_residual(CylinderFn(config.get("multiplier", "x(1)")), fl[0], ctx, pts)
+    recs.append(CheckOutcome.judged("multiplier", res, 0.0, -res, 0.0, 1e-10,
+                                    runtime_ms=_ms(t0)))
     return recs
 
 
@@ -210,17 +202,7 @@ def cmd_conditions(config, seed) -> list:
     t = int(config.get("t", 0))
     max_index = int(config.get("max_index", 6))
     t0 = time.perf_counter()
-    rep = multiindex.check_conditions(family, max_index, s, t)
-    ms = _ms(t0)
-    return [
-        CheckOutcome("condition1_c1_finite", rep.c1_sup, float("inf"), 0.0,
-                     float("inf") - 0 if rep.c1_sup < float("inf") else -1.0,
-                     rep.c1_sup < float("inf"), runtime_ms=ms),
-        CheckOutcome("condition2_c0_positive", rep.c0_inf, 0.0, 0.0, rep.c0_inf,
-                     rep.c0_inf > 0.0, runtime_ms=ms),
-        CheckOutcome("condition3_multiplicative", float(len(rep.violations)), 0.0,
-                     0.0, -float(len(rep.violations)), rep.multiplicative_ok, runtime_ms=ms),
-    ]
+    return multiindex.check_conditions(family, max_index, s, t).records(runtime_ms=_ms(t0))
 
 
 def cmd_domains(config, seed) -> list:
@@ -229,21 +211,22 @@ def cmd_domains(config, seed) -> list:
     N = int(config.get("scan_points", 50))
     t0 = time.perf_counter()
     pts = dom.sample_interior(n, N, seed)
-    eig = domains.levi_min_eigs(dom.eta(n), pts, n)
-    ms = _ms(t0)
-    recs = [CheckOutcome("levi_min_eig", float(np.min(eig)), -1e-9, 0.0,
-                         float(np.min(eig)) + 1e-9, bool(np.min(eig) >= -1e-9), runtime_ms=ms)]
+    eig = float(np.min(domains.levi_min_eigs(dom.eta(n), pts, n)))
+    recs = [CheckOutcome.judged("levi_min_eig", eig, -1e-9, eig + 1e-9, 0.0, 0.0,
+                                runtime_ms=_ms(t0))]
     if dom.boundary_distance is not None:
         t0 = time.perf_counter()
-        rep = domains.uniformly_included(dom, float(config.get("tau", 1.0)), n=n,
-                                         seed=seed)
-        recs.append(CheckOutcome("sublevel_uniform_inclusion", rep.margin, 0.0, 0.0,
-                                 rep.margin, rep.included,
-                                 runtime_ms=_ms(t0)))
+        margin = domains.uniformly_included(dom, float(config.get("tau", 1.0)), n=n,
+                                            seed=seed)
+        recs.append(CheckOutcome.judged("sublevel_uniform_inclusion", margin, 0.0, margin,
+                                        0.0, STRICT, runtime_ms=_ms(t0)))
     return recs
 
 
 def cmd_approx(config, seed, out_dir: Path) -> list:
+    """The one record whose pass is not the verdict of its own margin
+    errs[0] - errs[-1]: it passes when each step of the ladder does, step i
+    judged by verdict(errs[i] - errs[i+1], ses[i] + ses[i+1], 0)."""
     spec = _spec_from(config)
     family = _family_from(config)
     dom = _domain_from(config)
@@ -298,14 +281,9 @@ def cmd_solve(config, seed, out_dir: Path) -> list:
     (out_dir / "solve_report.json").write_text(
         json.dumps(rep.as_dict(), sort_keys=True, allow_nan=False) + "\n")
     tol = _tol(config, "residual", 1e-3)
-    return [
-        CheckOutcome("solve_residual", rep.residual, tol, 0.0, tol - rep.residual,
-                     rep.residual <= tol, runtime_ms=ms),
-        CheckOutcome("solve_norm_bound", float(np.sqrt(max(rep.c0, 0.0))) * rep.norm_u_w1,
-                     rep.norm_f_w2, 0.0,
-                     rep.norm_f_w2 - float(np.sqrt(max(rep.c0, 0.0))) * rep.norm_u_w1,
-                     rep.bound_pass, runtime_ms=ms),
-    ]
+    return [CheckOutcome.judged("solve_residual", rep.residual, tol, tol - rep.residual, 0.0,
+                                0.0, runtime_ms=ms),
+            replace(rep.bound, runtime_ms=ms)]
 
 
 def cmd_majorant(config, seed) -> list:
@@ -319,16 +297,12 @@ def cmd_majorant(config, seed) -> list:
         g0 = lambda v: 1000.0 if v >= 5 else 1.0
     else:
         raise ConfigError(f"unknown g0 fixture {kind!r}")
-    maj = weights.convex_majorant(g0, K_max=float(config.get("K_max", 10.0)),
+    K_max = float(config.get("K_max", 10.0))
+    maj = weights.convex_majorant(g0, K_max=K_max,
                                   trunc_order=int(config.get("trunc_order", 320)))
-    grid = np.linspace(0.0, float(config.get("K_max", 10.0)), 2001)
-    margins = [float(np.min(maj.deriv(grid, 2) - maj.deriv(grid, 1))),
-               float(np.min(maj.deriv(grid, 1) - maj(grid))),
-               float(np.min(maj(grid) - np.array([g0(v) for v in grid])))]
-    ms = _ms(t0)
-    worst = min(margins)
-    return [CheckOutcome("majorant_chain", worst, -1e-9, 0.0, worst + 1e-9,
-                         worst >= -1e-9, runtime_ms=ms)]
+    worst = maj.chain_margin(g0, np.linspace(0.0, K_max, 2001))
+    return [CheckOutcome.judged("majorant_chain", worst, -1e-9, worst + 1e-9, 0.0, 0.0,
+                                runtime_ms=_ms(t0))]
 
 
 COMMANDS = {"identities": cmd_identities, "conditions": cmd_conditions,

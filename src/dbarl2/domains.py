@@ -284,15 +284,8 @@ def _d_V_values(domain: Domain, pts: np.ndarray) -> np.ndarray:
     return np.minimum(domain.boundary_distance(pts), inv)
 
 
-@dataclass
-class InclusionReport:
-    included: bool
-    margin: float
-
-
-def uniformly_included(domain: Domain, S, n: Optional[int] = None,
-                       seed: int = 99) -> InclusionReport:
-    """Uniform inclusion of a sample set or a sub-level set, with the margin.
+def uniformly_included(domain: Domain, S, n: Optional[int] = None, seed: int = 99) -> float:
+    """The margin of uniform inclusion of a sample set or a sub-level set (> 0: included).
 
     S is either an array of points or a sub-level threshold tau (float), then
     sampled at 2000 points; the margin is the sampled infimum of d_V over S.
@@ -303,5 +296,4 @@ def uniformly_included(domain: Domain, S, n: Optional[int] = None,
         pts = domain.sample_sublevel(n, float(S), 2000, seed)
     else:
         pts = np.atleast_2d(np.asarray(S, dtype=float))
-    margin = float(np.min(_d_V_values(domain, pts)))
-    return InclusionReport(included=margin > 0.0, margin=margin)
+    return float(np.min(_d_V_values(domain, pts)))

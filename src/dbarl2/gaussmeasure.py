@@ -25,8 +25,9 @@ values are bitwise those of the per-node loop over all pairs.
 Without a radius every pair is live.
 
 ``estimate`` is the one quadrature estimate (mean and stderr) of every
-integral the package audits, ``verdict`` the one pass rule of an estimate, and
-``CheckOutcome`` the one record a check returns.
+integral the package audits, ``verdict`` the one pass rule of every record, and
+``CheckOutcome`` the one record a check returns, ``judged`` by ``verdict`` of its
+own margin or ``refused``.
 """
 
 from __future__ import annotations
@@ -275,18 +276,22 @@ def reduce_fn(f: FnBase, n: int, spec: GaussianSpec) -> FnBase:
 
 
 def verdict(margin: float, stderr: float, tol: float) -> bool:
-    """The one pass rule of an estimate: margin >= -3 stderr when it carries a
-    Monte Carlo stderr, else margin >= -tol."""
+    """The one pass rule of every record: margin >= -3 stderr when it carries a
+    Monte Carlo stderr, else margin >= -tol.  ``STRICT`` as tol asks margin > 0."""
     if stderr > 0:
         return bool(margin >= -3.0 * stderr)
     return bool(margin >= -tol)
+
+
+# tol of a strict check: margin >= ulp(0), the least positive float, is margin > 0
+STRICT = -math.ulp(0.0)
 
 
 @dataclass
 class CheckOutcome:
     """One check: its two sides, stderr, margin and verdict (None when refused,
     with the reason).  The runtime is console-only, so reports stay
-    byte-identical across runs."""
+    byte-identical across runs.  Build a record with ``judged`` or ``refused``."""
 
     check_id: str
     lhs: float
@@ -296,6 +301,18 @@ class CheckOutcome:
     passed: Optional[bool]
     reason: str = ""
     runtime_ms: float = 0.0
+
+    @staticmethod
+    def judged(check_id: str, lhs: float, rhs: float, margin: float, stderr: float,
+               tol: float, runtime_ms: float = 0.0) -> "CheckOutcome":
+        """The record whose pass is ``verdict(margin, stderr, tol)``."""
+        return CheckOutcome(check_id, lhs, rhs, stderr, margin, verdict(margin, stderr, tol),
+                            runtime_ms=runtime_ms)
+
+    @staticmethod
+    def refused(check_id: str, reason: str) -> "CheckOutcome":
+        """The record of a check whose hypotheses fail: no numbers, no verdict."""
+        return CheckOutcome(check_id, 0.0, 0.0, 0.0, 0.0, None, reason=reason)
 
     def row(self):
         return [self.check_id, repr(float(self.lhs)), repr(float(self.rhs)),
@@ -320,10 +337,6 @@ class GaussGreenReport:
     rhs: complex
     residual: float
     stderr: float
-
-    @property
-    def passed(self) -> bool:
-        return verdict(-self.residual, self.stderr, 1e-8)
 
 
 def gauss_green_residual(f: FnBase, m: int, spec: GaussianSpec, quad: Quadrature,

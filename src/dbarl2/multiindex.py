@@ -11,9 +11,12 @@ ratio, multiplicativity).
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
+
+from .gaussmeasure import STRICT, CheckOutcome
 
 
 MultiIndex = tuple  # tuple of positive ints, strictly increasing
@@ -165,9 +168,19 @@ class ConditionReport:
     multiplicative_ok: bool
     violations: list
 
+    def records(self, runtime_ms: float = 0.0) -> list:
+        """One record each: c1 finite, c0 > 0 (strict) and no multiplicativity
+        violation (margin minus their count, -0.0 for none)."""
+        c1, c0, bad = self.c1_sup, self.c0_inf, float(len(self.violations))
+        rows = [("condition1_c1_finite", c1, math.inf, math.inf if c1 < math.inf else -1.0, 0.0),
+                ("condition2_c0_positive", c0, 0.0, c0, STRICT),
+                ("condition3_multiplicative", bad, 0.0, -bad, 0.0)]
+        return [CheckOutcome.judged(check_id, lhs, rhs, margin, 0.0, tol, runtime_ms=runtime_ms)
+                for check_id, lhs, rhs, margin, tol in rows]
+
     @property
     def passed(self) -> bool:
-        return self.c0_inf > 0.0 and self.c1_sup < float("inf") and self.multiplicative_ok
+        return all(rec.passed for rec in self.records())
 
 
 def _increasing_tuples(length: int, max_index: int):

@@ -119,17 +119,22 @@ class ClosednessError(ValueError):
 
 @dataclass
 class SolveReport:
-    """Solve diagnostics; rank and cond describe the retained singular values."""
+    """Solve diagnostics; rank and cond describe the retained singular values,
+    bound is the ``solve_norm_bound`` record sqrt(c0) ||u||_{w1} <= ||f||_{w2}."""
 
     residual: float
     norm_u_w1: float
     norm_f_w2: float
     c0: float
-    bound_pass: bool
+    bound: CheckOutcome
     rank: int
     cond: float
     basis_dim: int
     kernel_orth: float
+
+    @property
+    def bound_pass(self) -> bool:
+        return self.bound.passed
 
     def as_dict(self) -> dict:
         """The report as strict JSON: a non-finite number is null."""
@@ -201,6 +206,13 @@ def _galerkin_space(w1, w2, spec: GaussianSpec, family, n: int, degree: int, rad
     return (slots_u, dict_u) + arrays
 
 
+def _norm_bound(c0: float, norm_u: float, norm_f: float) -> CheckOutcome:
+    """The record of sqrt(c0) ||u||_{w1} <= ||f||_{w2}, at tolerance _BOUND_TOL ||f||."""
+    lhs = math.sqrt(max(c0, 0.0)) * norm_u
+    return CheckOutcome.judged("solve_norm_bound", lhs, norm_f, norm_f - lhs, 0.0,
+                               _BOUND_TOL * norm_f)
+
+
 def solve_min_norm(p: SolveProblem) -> tuple[Form, SolveReport]:
     """Minimal-norm least-squares solve of dbar u = f in the Galerkin space."""
     ctx, f = p.ctx, p.f
@@ -219,8 +231,8 @@ def solve_min_norm(p: SolveProblem) -> tuple[Form, SolveReport]:
     if f.is_zero():
         u = Form((s, tp1 - 1), {}, f.family)
         return u, SolveReport(residual=0.0, norm_u_w1=0.0, norm_f_w2=0.0, c0=1.0,
-                              bound_pass=True, rank=0, cond=0.0, basis_dim=0,
-                              kernel_orth=0.0)
+                              bound=_norm_bound(1.0, 0.0, 0.0), rank=0, cond=0.0,
+                              basis_dim=0, kernel_orth=0.0)
 
     idx_range = range(1, p.n + 1)
     slots_f = tuple(sorted(set([(I, J) for I in combinations(idx_range, s)
@@ -256,9 +268,8 @@ def solve_min_norm(p: SolveProblem) -> tuple[Form, SolveReport]:
     u = Form((s, tp1 - 1), coeffs, f.family)
 
     c0 = _conditions(f, p.n).c0_inf
-    bound_pass = verdict(norm_f - math.sqrt(max(c0, 0.0)) * norm_u, 0.0, _BOUND_TOL * norm_f)
     report = SolveReport(residual=residual, norm_u_w1=norm_u, norm_f_w2=norm_f,
-                         c0=c0, bound_pass=bound_pass, rank=rank, cond=cond,
+                         c0=c0, bound=_norm_bound(c0, norm_u, norm_f), rank=rank, cond=cond,
                          basis_dim=E.shape[1], kernel_orth=kernel_orth)
     return u, report
 
@@ -282,9 +293,7 @@ def _audit(check_id: str, lhs_vals: np.ndarray, rhs_vals: np.ndarray, wq: np.nda
     lhs = float(np.sum(wq * lhs_vals))
     rhs = float(np.sum(wq * rhs_vals))
     est = estimate(rhs_vals - lhs_vals if upper else lhs_vals - rhs_vals, wq, quad)
-    margin = est.mean.real
-    return CheckOutcome(check_id, lhs, rhs, est.stderr, margin,
-                        verdict(margin, est.stderr, tol(lhs, rhs)))
+    return CheckOutcome.judged(check_id, lhs, rhs, est.mean.real, est.stderr, tol(lhs, rhs))
 
 
 def key_inequality_check(f: Form, ctx: OperatorContext, quad: Quadrature,
@@ -299,13 +308,13 @@ def key_inequality_check(f: Form, ctx: OperatorContext, quad: Quadrature,
     n = ctx.spec.trunc_dim
     rep = _conditions(f, n)
     if not rep.passed:
-        return CheckOutcome("key_inequality", 0.0, 0.0, 0.0, 0.0, None,
-                            reason=f"coefficient conditions fail: c0={rep.c0_inf}, "
-                                   f"c1={rep.c1_sup}, mult={rep.multiplicative_ok}")
+        return CheckOutcome.refused("key_inequality",
+                                    f"coefficient conditions fail: c0={rep.c0_inf}, "
+                                    f"c1={rep.c1_sup}, mult={rep.multiplicative_ok}")
     c4 = check_cond4(triple.phi, triple.psi, n, cond4_points)
-    if not c4.passed:
-        return CheckOutcome("key_inequality", 0.0, 0.0, 0.0, 0.0, None,
-                            reason=f"curvature condition fails with margin {c4.margin:.3e}")
+    if not verdict(c4, 0.0, 0.0):
+        return CheckOutcome.refused("key_inequality",
+                                    f"curvature condition fails with margin {c4:.3e}")
 
     pts, wq = quad.nodes_weights(ctx.spec)
     sq_tsf, sq_sf, sq_f = _weighted_sq_vals(
@@ -316,9 +325,10 @@ def key_inequality_check(f: Form, ctx: OperatorContext, quad: Quadrature,
 
 def _bound_c0(f: Form, ctx: OperatorContext, levi_points: np.ndarray,
               floor) -> Optional[float]:
-    """The bound audits' hypotheses: None when the Levi form of phi = w3 falls
-    below floor at an audit point, else the family's c0 for f's degree."""
-    if float(np.min(levi_min_eigs(ctx.w3, levi_points, ctx.spec.trunc_dim) - floor)) < -1e-9:
+    """The bound audits' hypotheses: None when the Levi form of phi = w3 falls more
+    than 1e-9 below floor (or is NaN) at an audit point, else the family's c0."""
+    gap = float(np.min(levi_min_eigs(ctx.w3, levi_points, ctx.spec.trunc_dim) - floor))
+    if not verdict(gap, 0.0, 1e-9):
         return None
     return _conditions(f, ctx.spec.trunc_dim).c0_inf
 
@@ -329,8 +339,8 @@ def weighted_bound_check(u: Form, f: Form, ctx: OperatorContext, c_fn,
     c_fn = _as_fn(c_fn)
     c0 = _bound_c0(f, ctx, levi_points, np.real(c_fn(levi_points)))
     if c0 is None:
-        return CheckOutcome("weighted_bound", 0.0, 0.0, 0.0, 0.0, None,
-                            reason="Levi form does not dominate c at the audit points")
+        return CheckOutcome.refused("weighted_bound",
+                                    "Levi form does not dominate c at the audit points")
     pts, wq = quad.nodes_weights(ctx.spec)
     u_sq, f_sq = _weighted_sq_vals([(u, ctx.w3), (f, ctx.w3)], pts)
     rhs_vals = 2.0 * (f_sq / np.real(c_fn(pts))) / (c0 * f.degree[1])  # degree[1] = t + 1
@@ -344,8 +354,8 @@ def hormander_bound_check(u: Form, f: Form, ctx: OperatorContext, quad: Quadratu
     """The (1 + ||z||^2)^-2 weighted bound; bounded domains use the sup factor."""
     c0 = _bound_c0(f, ctx, levi_points, 0.0)
     if c0 is None:
-        return CheckOutcome("hormander_bound", 0.0, 0.0, 0.0, 0.0, None,
-                            reason="phi is not plurisubharmonic at the audit points")
+        return CheckOutcome.refused("hormander_bound",
+                                    "phi is not plurisubharmonic at the audit points")
     pts, wq = quad.nodes_weights(ctx.spec)
     u_sq, f_sq = _weighted_sq_vals([(u, ctx.w3), (f, ctx.w3)], pts)
     rhs_vals = f_sq / (c0 * f.degree[1])  # degree[1] = t + 1

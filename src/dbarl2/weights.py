@@ -160,6 +160,12 @@ class ConvexMajorant:
             c = np.polynomial.polynomial.polyder(c)
         return np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), c)
 
+    def chain_margin(self, g0: Callable[[float], float], grid: np.ndarray) -> float:
+        """The least gap of the chain g'' >= g' >= g >= g0 over the grid."""
+        g, d1, d2 = self(grid), self.deriv(grid, 1), self.deriv(grid, 2)
+        return min(float(np.min(d2 - d1)), float(np.min(d1 - g)),
+                   float(np.min(g - np.array([g0(v) for v in grid]))))
+
     def as_expr(self, child_expr):
         return poly1(child_expr, tuple(self.p))
 
@@ -361,21 +367,12 @@ def _grad_sq(psi: CylinderFn, n: int, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class Cond4Report:
-    margin: float
-
-    @property
-    def passed(self) -> bool:
-        return self.margin >= 0.0
-
-
-def check_cond4(phi: CylinderFn, psi: CylinderFn, n: int, points: np.ndarray) -> Cond4Report:
-    """Levi(phi) >= (2 sum_i |d_i psi|^2 + 2 e^psi - 1/2) I at each point."""
+def check_cond4(phi: CylinderFn, psi: CylinderFn, n: int, points: np.ndarray) -> float:
+    """Least gap of Levi(phi) >= (2 sum_i |d_i psi|^2 + 2 e^psi - 1/2) I over the points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     eigmin = levi_min_eigs(phi, points, n)
     bound = 2.0 * _grad_sq(psi, n, points) + 2.0 * np.exp(np.real(psi(points))) - 0.5
-    return Cond4Report(margin=float(np.min(eigmin - bound)))
+    return float(np.min(eigmin - bound))
 
 
 # ---------------------------------------------------------------------------

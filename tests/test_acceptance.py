@@ -272,8 +272,7 @@ def test_criterion_09_key_inequality():
     tri, dom, kappa = wt.recipe_weights_whole_space(spec2)
     ctx = do.OperatorContext(spec2, FAM, tri.w1, tri.w2, tri.w3, tri.phi)
     cond4_pts = dom.sample_sublevel(2, 2.0, 200, 91)
-    c4 = wt.check_cond4(tri.phi, tri.psi, 2, cond4_pts)
-    ok = c4.passed
+    ok = wt.check_cond4(tri.phi, tri.psi, 2, cond4_pts) >= 0.0
     quad = gm.Quadrature("monte_carlo", N=20_000, seed=92)
     rng = np.random.default_rng(93)
     margins = []

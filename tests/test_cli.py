@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -8,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dbarl2.cli import COMMANDS, main
+from dbarl2 import domains, multiindex, solver, weights
+from dbarl2.cli import COMMANDS, cmd_conditions, cmd_domains, cmd_majorant, cmd_solve, main
 from dbarl2.forms import Form, parse_form_literal
-from dbarl2.gaussmeasure import GaussianSpec, Quadrature
-from dbarl2.multiindex import constant_family
+from dbarl2.gaussmeasure import CheckOutcome, GaussianSpec, Quadrature
+from dbarl2.multiindex import ConditionReport, constant_family
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -277,11 +279,10 @@ class TestReports:
         assert rep["residual"] <= 1e-3
 
     def test_nan_solve_report_is_strict_json(self, tmp_path, monkeypatch):
-        from dbarl2 import solver
-
         def nan_solve(prob):
+            bound = CheckOutcome.judged("solve_norm_bound", math.inf, 1.0, -math.inf, 0.0, 1e-6)
             rep = solver.SolveReport(residual=math.nan, norm_u_w1=math.inf, norm_f_w2=1.0,
-                                     c0=1.0, bound_pass=False, rank=0, cond=0.0,
+                                     c0=1.0, bound=bound, rank=0, cond=0.0,
                                      basis_dim=0, kernel_orth=0.0)
             return Form((0, 0), {}, prob.f.family), rep
 
@@ -308,8 +309,6 @@ class TestReports:
         assert got[0] == got[1]
 
     def test_solve_quadratic_skips_recipe_weights(self, tmp_path, monkeypatch):
-        from dbarl2 import weights
-
         def refuse(*args, **kwargs):
             raise AssertionError("recipe weights built for a quadratic-weight solve")
 
@@ -335,3 +334,139 @@ class TestReports:
         out = tmp_path / "r"
         assert run(["approx", "--config", cfg, "--out", out]) == 0
         assert (out / "approx_ladder.csv").exists()
+
+
+# sha256 of the report files of `dbarl2 <command> --config configs/<command>.json`
+# at one BLAS thread, recorded with numpy 2.4.6 on x86-64 (another numpy or BLAS
+# may move last digits; then regenerate the table and say why in CHANGES.md)
+GOLDEN_NUMPY = "2.4.6"
+GOLDEN_REPORTS = {
+    "approx": {
+        "approx_ladder.csv": "fe5374bf900bf13a9bdc5f4e4de8b541787b494c2f68a34a48ed77f41df73dca",
+        "approx_report.jsonl": "b8e63f349f85de2f0a95eac3bd849398d5c5a8e7581236f885910d3a9e6ff56d",
+        "approx_summary.csv": "cde09b99e34db9cf15ae54d9ef00b9c6095076edfff12fcdb0eac67e3194369c",
+    },
+    "conditions": {
+        "conditions_report.jsonl":
+            "65c8954f75b4c77c266790a0d14f2841f9a31e4e1f14aafa93ea9e2921d51b66",
+        "conditions_summary.csv":
+            "e691832ccbf15aa51004fd8d914b90444eceff20888373d55a305065318749bf",
+    },
+    "domains": {
+        "domains_report.jsonl": "43873eb6aa051a1277c8b51f70c4e205076a1eac8ce4cc2f25b9531846b99f3d",
+        "domains_summary.csv": "1dad8298f870281471a1ed05b65cd3309381f15439eb87940d594f8bc63420f9",
+    },
+    "identities": {
+        "identities_report.jsonl":
+            "787c55a5ca7babd8409fb9f916505f29d6361858ff125bfaa04428768af2de31",
+        "identities_summary.csv":
+            "b0484b5d3080702fe48a0f5637adf2b30da8d5e55af4426ef9d6a61407094998",
+    },
+    "majorant": {
+        "majorant_report.jsonl": "67b2946984d0ba4a26c47c64922b8545dc64b6d4cb5c97a0e60bf2ff53cd552b",
+        "majorant_summary.csv": "b8f083e3587fff53ebed94afdb1e110252cd0ca2bf80f5a6a46dddf6cccab014",
+    },
+    "solve": {
+        "solve_report.json": "ab72a86e46f8dcffbc65bc4ea718acb62852e251d23cd5dda30d231bc45c5575",
+        "solve_report.jsonl": "49f8701170f64a108290cebe7ac15b1cee1ff4c606474493c607c33370c93a20",
+        "solve_summary.csv": "09719c5c4a9c6f00b1248e874e795f4c38d6aed14804e613dca05128084af186",
+    },
+}
+
+
+def test_golden_table_covers_every_command():
+    assert sorted(GOLDEN_REPORTS) == sorted(COMMANDS)
+    assert sum(map(len, GOLDEN_REPORTS.values())) == 14
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_reports_keep_their_bytes(tmp_path, command):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    subprocess.run([sys.executable, "-m", "dbarl2.cli", command, "--config",
+                    str(ROOT / "configs" / f"{command}.json"), "--out", str(tmp_path)],
+                   env=env, check=True, capture_output=True)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(tmp_path.iterdir())}
+    assert got == GOLDEN_REPORTS[command], \
+        f"table recorded with numpy {GOLDEN_NUMPY}, running numpy {np.__version__}"
+
+
+class TestRecordEdges:
+    """Each record kind one float step either side of its pass boundary."""
+
+    def test_conditions(self, monkeypatch):
+        def records(c1=1.0, c0=1.0, violations=()):
+            rep = ConditionReport(c1_sup=c1, c0_inf=c0, multiplicative_ok=not violations,
+                                  violations=list(violations))
+            monkeypatch.setattr(multiindex, "check_conditions", lambda *args: rep)
+            recs = cmd_conditions({}, 0)
+            assert rep.passed is all(r.passed for r in recs)
+            return [r.passed for r in recs]
+
+        assert records() == [True, True, True]
+        assert records(c0=0.0) == [True, False, True]  # c0 > 0 is strict
+        assert records(c0=-0.0) == [True, False, True]
+        assert records(c0=np.nextafter(0.0, 1.0)) == [True, True, True]
+        assert records(c1=math.inf) == [False, True, True]
+        assert records(c1=np.finfo(float).max) == [True, True, True]
+        assert records(violations=[{}]) == [True, True, False]
+
+    def test_conditions_multiplicative_margin_is_minus_zero(self):
+        rec = cmd_conditions({}, 0)[2]
+        assert rec.check_id == "condition3_multiplicative"
+        assert math.copysign(1.0, rec.margin) == -1.0 and rec.row()[4] == "-0.0"
+
+    def test_domains(self, monkeypatch):
+        config = {"domain": {"kind": "ball", "r": 1.0}, "trunc_dim": 2, "scan_points": 3}
+
+        def passes(eig=1.0, inclusion=1.0):
+            monkeypatch.setattr(domains, "levi_min_eigs", lambda *args: np.array([eig, 1.0]))
+            monkeypatch.setattr(domains, "uniformly_included", lambda *a, **k: inclusion)
+            return [r.passed for r in cmd_domains(config, 0)]
+
+        assert passes(eig=-1e-9) == [True, True]
+        assert passes(eig=np.nextafter(-1e-9, -np.inf)) == [False, True]
+        assert passes(inclusion=0.0) == [True, False]  # inclusion margin > 0 is strict
+        assert passes(inclusion=-0.0) == [True, False]
+        assert passes(inclusion=np.nextafter(0.0, 1.0)) == [True, True]
+
+    def test_solve_residual(self, monkeypatch, tmp_path):
+        tol = 1e-3
+        bound = CheckOutcome.judged("solve_norm_bound", 1.0, 2.0, 1.0, 0.0, 1e-6)
+
+        def records(residual):
+            rep = solver.SolveReport(residual=residual, norm_u_w1=1.0, norm_f_w2=2.0, c0=1.0,
+                                     bound=bound, rank=1, cond=1.0, basis_dim=1,
+                                     kernel_orth=0.0)
+            monkeypatch.setattr(solver, "solve_min_norm",
+                                lambda prob: (Form((0, 0), {}, prob.f.family), rep))
+            return cmd_solve({"trunc_dim": 1, "weights": "quadratic",
+                              "tolerances": {"residual": tol}}, 0, tmp_path)
+
+        res, nb = records(tol)
+        assert (res.check_id, res.passed, res.margin) == ("solve_residual", True, 0.0)
+        assert (nb.check_id, nb.lhs, nb.rhs, nb.margin, nb.passed) == \
+            ("solve_norm_bound", 1.0, 2.0, 1.0, True)
+        assert records(np.nextafter(tol, 1.0))[0].passed is False
+
+    def test_solve_norm_bound_is_the_report_verdict(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "seed": 3, "trunc_dim": 1, "weights": "quadratic", "degree": 4,
+            "solve_dim": 1, "basis_radius": 0.8})
+        out = tmp_path / "r"
+        run(["solve", "--config", cfg, "--out", out])
+        rec = strict_records(out / "solve_report.jsonl")["solve_norm_bound"]
+        rep = strict_json((out / "solve_report.json").read_text())
+        assert rec["pass"] is rep["bound_pass"]
+        assert rec["margin"] == rec["rhs"] - rec["lhs"]
+
+    def test_majorant_chain(self, monkeypatch):
+        def passes(worst):
+            fake = type("Majorant", (), {"chain_margin": lambda self, g0, grid: worst})()
+            monkeypatch.setattr(weights, "convex_majorant", lambda *a, **k: fake)
+            (rec,) = cmd_majorant({}, 0)
+            return rec.passed
+
+        assert passes(-1e-9) is True
+        assert passes(np.nextafter(-1e-9, -np.inf)) is False

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dbarl2 import cli
 from dbarl2 import dbarops as do
 from dbarl2 import forms as fm
 from dbarl2 import gaussmeasure as gm
@@ -331,12 +332,12 @@ class TestGaussGreen:
     def test_stein_identity(self, spec3):
         rep = gm.gauss_green_residual(CylinderFn("x(1)"), 1, spec3, MC)
         assert rep.lhs == pytest.approx(1.0)
-        assert rep.passed
+        assert gm.verdict(-rep.residual, rep.stderr, 1e-8)
 
     def test_constant(self, spec3):
         rep = gm.gauss_green_residual(CylinderFn("1"), 1, spec3, MC)
         assert rep.lhs == 0.0
-        assert rep.passed
+        assert gm.verdict(-rep.residual, rep.stderr, 1e-8)
 
     def test_bump(self, spec3):
         f = bump_fn(1, 1.0)
@@ -376,18 +377,43 @@ class TestVerdict:
         assert gm.verdict(edge, 0.1, 0.0) is True
         assert gm.verdict(np.nextafter(edge, -np.inf), 0.1, 0.0) is False
 
-    def test_gauss_green_report_uses_it(self):
-        assert gm.GaussGreenReport(0, 0, residual=1e-8, stderr=0.0).passed
-        assert not gm.GaussGreenReport(0, 0, residual=1.01e-8, stderr=0.0).passed
-        assert gm.GaussGreenReport(0, 0, residual=0.3, stderr=0.1).passed
+    def test_gauss_green_report_uses_it(self, monkeypatch):
+        # the identities command judges the residual at the config's deterministic tol
+        def record(residual, stderr, tol):
+            monkeypatch.setattr(gm, "gauss_green_residual", lambda *args: gm.GaussGreenReport(
+                1.0, 1.0, residual=residual, stderr=stderr))
+            config = {"trunc_dim": 1, "quadrature": {"kind": "monte_carlo", "N": 200},
+                      "tolerances": {"deterministic": tol},
+                      "forms": [{"degree": [0, 0],
+                                 "entries": [{"I": [], "J": [], "coeff": "x(1)"}]}]}
+            rec = cli.cmd_identities(config, 0)[0]
+            assert (rec.check_id, rec.margin, rec.stderr) == ("gauss_green_x1", -residual,
+                                                               stderr)
+            return rec.passed
+
+        for tol in (1e-8, 1e-3):
+            assert record(tol, 0.0, tol) is True
+            assert record(np.nextafter(tol, np.inf), 0.0, tol) is False
+        assert record(3.0 * 0.1, 0.1, 1e-8) is True  # with a stderr: 3 stderr
+        assert record(np.nextafter(3.0 * 0.1, 1.0), 0.1, 1e-8) is False
 
     def test_record_columns(self):
-        rec = gm.CheckOutcome("c", 1.5, 2.0, 0.0, 0.5, True, runtime_ms=3.0)
+        rec = gm.CheckOutcome.judged("c", 1.5, 2.0, 0.5, 0.0, 0.0, runtime_ms=3.0)
+        assert (rec.passed, rec.runtime_ms) == (True, 3.0)
         assert rec.row() == ["c", "1.5", "2.0", "0.0", "0.5", "true"]
         assert rec.json_obj() == {"check_id": "c", "lhs": 1.5, "rhs": 2.0, "stderr": 0.0,
                                   "margin": 0.5, "pass": True}
-        assert gm.CheckOutcome("c", 0.0, 0.0, 0.0, 0.0, None, reason="refused").row()[-1] \
-            == "false"
+        # margin before stderr, as in verdict
+        rec = gm.CheckOutcome.judged("c", 0.0, 0.0, -0.3, 0.1, 0.0)
+        assert (rec.margin, rec.stderr, rec.passed) == (-0.3, 0.1, True)
+        refused = gm.CheckOutcome.refused("c", "refused")
+        assert (refused.passed, refused.reason) == (None, "refused")
+        assert refused.row() == ["c", "0.0", "0.0", "0.0", "0.0", "false"]
+
+    def test_strict_tol_fails_at_zero(self):
+        assert gm.verdict(0.0, 0.0, gm.STRICT) is False
+        assert gm.verdict(-0.0, 0.0, gm.STRICT) is False
+        assert gm.verdict(np.nextafter(0.0, 1.0), 0.0, gm.STRICT) is True
 
 
 class TestEstimate:
