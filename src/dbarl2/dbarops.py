@@ -23,11 +23,11 @@ from typing import Optional
 
 import numpy as np
 
-from .forms import Form, add_term, inner_vals
+from .forms import Form, _ball_values, add_term, inner_vals
 from .gaussmeasure import GaussianSpec, MCEstimate, Quadrature, estimate
 from .multiindex import WeightFamily, as_multiindex, contractions, insertions
 from .symfun import (CylinderFn, FnBase, ZERO_FN, _as_fn, add, const, del_op, delbar_op,
-                     delta_op, eval_expr, exp_, mul, sigma_op)
+                     delta_op, eval_expr, exp_, mul, sigma_op, support_of_product)
 
 
 @dataclass
@@ -81,13 +81,13 @@ def Tstar(f: Form, ctx: OperatorContext) -> Form:
                        dim=max(ctx.w1.dim, ctx.w2.dim))
     out: dict = {}
     for (I, J), fn in f.coeffs.items():
+        cIJ = ctx.family.coeff(I, J)  # c[I, iL]: i is contracted out of J, so iL = J
         for i, L, sign in contractions(J):
             cIL = ctx.family.coeff(I, L)
-            ciL = ctx.family.contract_coeff(I, i, L)
             contracted = sign * fn if sign != 1 else fn
             inner_term = delta_op(contracted, i, ctx.spec.a(i)) \
                 - contracted * del_op(ctx.w2, i)
-            add_term(out, (I, L), (sgn * ciL / cIL) * (gauge * inner_term))
+            add_term(out, (I, L), (sgn * cIJ / cIL) * (gauge * inner_term))
     return Form((s, t), out, f.family)
 
 
@@ -112,24 +112,21 @@ def ibp_residual(f: FnBase, g: FnBase, i: int, spec: GaussianSpec,
     factor under both integrals.
     """
     f, g = _as_fn(f), _as_fn(g)
+    if weighted and varphi is None:
+        raise ValueError("weighted variant needs varphi")
     pts, w = quad.nodes_weights(spec)
-    a_i = spec.a(i)
-    if weighted:
-        if varphi is None:
-            raise ValueError("weighted variant needs varphi")
-        varphi = _as_fn(varphi)
-        vphi, dbf, vg, vf, vsg = eval_expr(
-            [varphi.expr, delbar_op(f, i).expr, g.expr, f.expr,
-             sigma_op(g, i, a_i, varphi).expr], pts)
-        density = np.exp(-np.real(vphi))
-        lhs = dbf * np.conjugate(vg) * density
-        rhs = -vf * np.conjugate(vsg) * density
-    else:
-        dbf, vg, vf, vdg = eval_expr(
-            [delbar_op(f, i).expr, g.expr, f.expr, delta_op(g, i, a_i).expr], pts)
-        lhs = dbf * np.conjugate(vg)
-        rhs = -vf * np.conjugate(vdg)
-    return estimate(lhs - rhs, w, quad)
+    adj = sigma_op(g, i, spec.a(i), _as_fn(varphi)) if weighted else delta_op(g, i, spec.a(i))
+    # both integrands vanish off the supports of f and g
+    dim = max(f.dim, g.dim)
+    radius = support_of_product([(f.support_radius, f.dim), (g.support_radius, g.dim)], dim)
+    (on, _, (dbf, vg, vf, vadj), ew), = _ball_values(
+        [([delbar_op(f, i).expr, g.expr, f.expr, adj.expr], varphi if weighted else None,
+          radius, dim)], pts)
+    lhs = dbf * np.conjugate(vg)
+    rhs = -vf * np.conjugate(vadj)
+    diff = np.zeros(pts.shape[0], dtype=complex)
+    diff[on] = lhs - rhs if ew is None else lhs * ew - rhs * ew
+    return estimate(diff, w, quad)
 
 
 def commutator_residual(h: FnBase, i: int, j: int, ctx: OperatorContext,

@@ -103,55 +103,64 @@ class Form:
         return self.map_coeffs(lambda fn: m * fn)
 
 
-def support_mask(pts: np.ndarray, radius: Optional[float], dim: int) -> Optional[np.ndarray]:
-    """Boolean mask of points inside the support ball (None when unbounded)."""
-    if radius is None:
-        return None
-    cols = min(2 * dim, pts.shape[1])
-    rsq = np.sum(pts[:, :cols] ** 2, axis=1)
+def support_mask(pts: np.ndarray, radius: float, dim: int) -> np.ndarray:
+    """Boolean mask of points inside the support ball of that radius in C^dim."""
+    rsq = np.zeros(len(pts))
+    for c in range(min(2 * dim, pts.shape[1])):  # np.sum's row sums below 8 columns, 6x faster
+        rsq += pts[:, c] ** 2
     return rsq <= support_rsq(radius)
 
 
-def _weighted_sq_vals(parts, pts: np.ndarray) -> list:
-    """Pointwise Sum' c[I,J] |f[I,J]|^2 e^{-w} for each (form, w_fn) in parts.
-
-    The coefficients of all parts are evaluated over one shared memo; each
-    weight only on its form's support.
-    """
-    vals = iter(eval_expr([fn.expr for form, _ in parts for fn in form.coeffs.values()], pts))
-    totals = []
-    for form, _ in parts:
-        total = np.zeros(pts.shape[0], dtype=float)
-        for (I, J) in form.coeffs:
-            c = form.family.coeff(I, J) if form.family is not None else 1.0
-            total += c * np.abs(next(vals)) ** 2
-        totals.append(total)
-    return _weigh(totals, [(w_fn, form.support_radius(), form.max_dim())
-                           for form, w_fn in parts], pts)
-
-
-def _weigh(totals: list, weights: list, pts: np.ndarray) -> list:
-    """totals[k] * e^{-Re w_k} for weights[k] = (w_k, radius, dim), w_k evaluated
-    on the support ball only (no factor for w_k None); weights on the same ball
-    share one evaluation."""
+def _ball_values(groups, pts: np.ndarray) -> list:
+    """(on, m, vals, ew) for each group (exprs, w_fn, radius, dim): the values of
+    exprs and the factor e^{-Re w_fn} (None without a weight) at the m points
+    pts[on] of the support ball, or at every point when the ball is unbounded or
+    there is no weight.  Groups that select the same points share one
+    evaluation; a group without exprs is a zero integrand, which selects no
+    point and evaluates no weight.  The one place that forms e^{-Re w}."""
     balls: dict = {}
-    for k, (w_fn, radius, dim) in enumerate(weights):
-        if w_fn is not None:
-            balls.setdefault((radius, dim), []).append(k)
-    outs = list(totals)
-    for (radius, dim), ks in balls.items():
-        exprs = [_as_fn(weights[k][0]).expr for k in ks]
-        mask = support_mask(pts, radius, dim)
-        if mask is None:
-            for k, w in zip(ks, eval_expr(exprs, pts)):
-                outs[k] = totals[k] * np.exp(-np.real(w))
-            continue
+    for k, (exprs, w_fn, radius, dim) in enumerate(groups):
+        ball = None if w_fn is None or radius is None else (radius, min(dim, pts.shape[1] // 2))
+        balls.setdefault(ball if exprs else 0, []).append(k)
+    out = [None] * len(groups)
+    for ball, ks in balls.items():
+        on = slice(None) if ball is None else \
+            support_mask(pts, *ball) if ball else np.zeros(len(pts), dtype=bool)
+        sub = pts if ball is None else np.compress(on, pts, axis=0)  # pts[on], but faster
+        roots = []
         for k in ks:
-            outs[k] = np.zeros_like(totals[k])
-        if np.any(mask):
-            for k, w in zip(ks, eval_expr(exprs, pts[mask])):
-                outs[k][mask] = totals[k][mask] * np.exp(-np.real(w))
-    return outs
+            exprs, w_fn = groups[k][:2]
+            roots += list(exprs) if w_fn is None else [*exprs, _as_fn(w_fn).expr]
+        vals = iter(eval_expr(roots, sub) if len(sub) else
+                    [np.zeros(0, dtype=complex)] * len(roots))
+        for k in ks:
+            exprs, w_fn = groups[k][:2]
+            coeff_vals = [next(vals) for _ in exprs]
+            ew = None if w_fn is None else np.exp(-np.real(next(vals)))
+            out[k] = (on, len(sub), coeff_vals, ew)
+    return out
+
+
+def _weighted_sq_vals(parts, pts: np.ndarray) -> list:
+    """Pointwise Sum' c[I,J] |f[I,J]|^2 e^{-w} for each (form, w_fn) in parts,
+    zero outside the form's support ball when it has a weight."""
+    groups = [([fn.expr for fn in form.coeffs.values()], w_fn, form.support_radius(),
+               form.max_dim()) for form, w_fn in parts]
+    totals = []
+    for (form, _), (on, m, vals, ew) in zip(parts, _ball_values(groups, pts)):
+        total = np.zeros(m)
+        for (I, J), v in zip(form.coeffs, vals):
+            c = form.family.coeff(I, J) if form.family is not None else 1.0
+            total += c * np.abs(v) ** 2
+        totals.append(_spread(total, on, ew, pts.shape[0]))
+    return totals
+
+
+def _spread(total: np.ndarray, on, ew, size: int) -> np.ndarray:
+    """total * ew (total without a weight) at the selected points, zero elsewhere."""
+    out = np.zeros(size, dtype=total.dtype)
+    out[on] = total if ew is None else total * ew
+    return out
 
 
 def norm_sq(form: Form, w_fn, spec: GaussianSpec, quad: Quadrature) -> MCEstimate:
@@ -175,17 +184,17 @@ def inner(fa: Form, fb: Form, w_fn, spec: GaussianSpec, quad: Quadrature) -> MCE
 def inner_vals(fa: Form, fb: Form, w_fn, pts: np.ndarray) -> np.ndarray:
     """Pointwise integrand of the weighted inner product (for paired residuals)."""
     family = fa.family or fb.family
-    total = np.zeros(pts.shape[0], dtype=complex)
     keys = list(set(fa.coeffs) & set(fb.coeffs))
-    vals = eval_expr([g.coeffs[k].expr for k in keys for g in (fa, fb)], pts)
-    for k, va, vb in zip(keys, vals[0::2], vals[1::2]):
-        c = family.coeff(*k) if family is not None else 1.0
-        total += c * va * np.conjugate(vb)
     dim = max(fa.max_dim(), fb.max_dim())
     radius = support_of_product([(fa.support_radius(), fa.max_dim()),
                                  (fb.support_radius(), fb.max_dim())], dim)
-    out, = _weigh([total], [(w_fn, radius, dim)], pts)
-    return out
+    (on, m, vals, ew), = _ball_values(
+        [([g.coeffs[k].expr for k in keys for g in (fa, fb)], w_fn, radius, dim)], pts)
+    total = np.zeros(m, dtype=complex)
+    for k, va, vb in zip(keys, vals[0::2], vals[1::2]):
+        c = family.coeff(*k) if family is not None else 1.0
+        total += c * va * np.conjugate(vb)
+    return _spread(total, on, ew, pts.shape[0])
 
 
 def parse_form_literal(entries, degree, family: WeightFamily,

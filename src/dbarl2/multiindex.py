@@ -127,13 +127,6 @@ class WeightFamily:
             raise InvalidFamilyError(f"c[{I},{J}] = {v} is not positive")
         return v
 
-    def contract_coeff(self, I: MultiIndex, i: int, L: MultiIndex) -> float:
-        """c[I, iL]: the single surviving term of the contraction sum, 0 if i in L."""
-        sign, K = insert(i, tuple(L))
-        if sign == 0:
-            return 0.0
-        return self.coeff(I, K)
-
 
 def constant_family(value: float = 1.0) -> WeightFamily:
     return WeightFamily(kind="constant", value=value)

@@ -2,9 +2,10 @@
 
 The trial space is a tensor Hermite-polynomial dictionary times a bump
 cut-off (so every trial function is smooth and compactly supported); the
-target space additionally carries the cut-off's derivative profile so the
-image of the trial space is represented exactly.  Matrices are assembled by
-deterministic Gauss-Hermite quadrature.  After whitening the trial-space
+image matrix D holds the symbolic d-bar of each trial function, so the image
+of the trial space is represented exactly.  Matrices are assembled by
+deterministic Gauss-Hermite quadrature, a weight evaluated only on the
+support ball of the functions it multiplies.  After whitening the trial-space
 metric, one thin SVD of the weighted image matrix gives the minimal-norm
 least-squares solution (singular values at or below 1e-10 max(s_max, 1) are
 cut), its numerical rank and condition number, and the kernel-orthogonality
@@ -16,15 +17,16 @@ whitening and the thin SVD.  It is cached, keyed by the identities of w1 and
 w2, the measure, f's family, n, degree, radius, quadrature, f's degree and
 target slots, never by f's values; its arrays are read-only, so a solve gives
 the same bits whether the cache is cold or warm.  The right-hand-side half
-(``solve_min_norm``) checks closedness, stacks f and applies the SVD.  Only a
-process that solves several right-hand sides in one space (the same w1 and w2
-objects) gains: its later solves pay only for f.  ``dbarl2 solve``, demo 08
-and criterion 10 solve once per process, so every solve they make is cold and
-builds the space as before the split.  A cached entry, and the weights and
-family of its key, stay alive until it is evicted (at most ``_SPACE_CACHE``
-entries are kept).  An entry holds about 5 M k complex numbers at n = 2 (E,
-then D and U with two target slots each) for M nodes and k trial functions:
-3.7 MB at 6 nodes per axis and degree 3, about 0.95 GB at 24 nodes per axis.
+(``solve_min_norm``) checks closedness, stacks f with e^{-w2} on f's declared
+ball and applies the SVD.  Only a process that solves several right-hand sides
+in one space (the same w1 and w2 objects) gains: its later solves pay only for
+f.  ``dbarl2 solve``, demo 08 and criterion 10 solve once per process, so every
+solve they make is cold and builds the space as before the split.  A cached
+entry, and the weights and family of its key, stay alive until it is evicted
+(at most ``_SPACE_CACHE`` entries are kept).  An entry holds about 5 M k
+complex numbers at n = 2 (E, then D and U with two target slots each) for M
+nodes and k trial functions: 3.7 MB at 6 nodes per axis and degree 3, about
+0.95 GB at 24 nodes per axis.
 
 Bound checks follow the weighted estimates: the key inequality
 ||T* f||^2_{w1} + ||S f||^2_{w3} >= c0 ||f||^2_{w2} (gated on the coefficient
@@ -46,12 +48,12 @@ from numpy.polynomial import hermite_e as herme
 
 from .dbarops import OperatorContext, Tstar, dbar, max_abs
 from .domains import Domain, levi_min_eigs
-from .forms import Form, _weighted_sq_vals
+from .forms import Form, _ball_values, _weighted_sq_vals
 from .gaussmeasure import (CheckOutcome, GaussianSpec, Quadrature, _leggauss, _mesh, estimate,
                            json_number, sample, support_rsq, verdict)
 from .multiindex import check_conditions
 from .symfun import (CylinderFn, Fun, Tape, add, const, delbar_op, eval_expr, mul,
-                     norm_sq_coords, poly1, x, y, _as_fn)
+                     norm_sq_coords, poly1, support_of_sum, x, y, _as_fn)
 from .weights import WeightTriple, check_cond4
 
 
@@ -153,15 +155,20 @@ _TOL_CLOSED = 1e-8
 _BOUND_TOL = 1e-6
 
 
-def _stack_rows(forms_per_basis, slots, pts, wq, weight_vals, family):
-    """Rows (slot x node) by columns (basis): sqrt(c w e^{-w}) . coeff values."""
+def _stack_rows(forms_per_basis, slots, pts, wq, w_fn, family):
+    """Rows (slot x node) by columns (basis): sqrt(c w e^{-w}) . coeff values,
+    formed on the forms' support ball and zero elsewhere."""
     M = len(pts)
-    scale = [np.sqrt(family.coeff(*key) * wq * weight_vals) for key in slots]
     cells = [(b, si, fb.coeffs[key]) for b, fb in enumerate(forms_per_basis)
              for si, key in enumerate(slots) if key in fb.coeffs]
+    dim = max(fb.max_dim() for fb in forms_per_basis)
+    radius = support_of_sum([(fb.support_radius(), fb.max_dim()) for fb in forms_per_basis], dim)
+    (on, _, vals, ew), = _ball_values([([fn.expr for *_, fn in cells], w_fn, radius, dim)],
+                                      pts)
+    scale = [np.sqrt(family.coeff(*key) * wq[on] * ew) for key in slots]
     out = np.zeros((M * len(slots), len(forms_per_basis)), dtype=complex)
-    for (b, si, _), vals in zip(cells, eval_expr([fn.expr for *_, fn in cells], pts)):
-        out[si * M:(si + 1) * M, b] = vals * scale[si]
+    for (b, si, _), v in zip(cells, vals):
+        out[si * M:(si + 1) * M, b][on] = v * scale[si]
     return out
 
 
@@ -175,8 +182,8 @@ def _galerkin_space(w1, w2, spec: GaussianSpec, family, n: int, degree: int, rad
                     quad: Quadrature, s: int, tp1: int, slots_f: tuple) -> tuple:
     """The half of a solve that does not depend on f's values, built once per key.
 
-    Returns the trial slots and dictionary, the nodes, weights and e^{-w2}, the
-    trial metric E, the image matrix D, the whitening W and the thin SVD
+    Returns the trial slots and dictionary, the nodes and weights, the trial
+    metric E, the image matrix D, the whitening W and the thin SVD
     U, sv, Vh of D W; every array is read-only.
     """
     idx_range = range(1, n + 1)
@@ -186,12 +193,9 @@ def _galerkin_space(w1, w2, spec: GaussianSpec, family, n: int, degree: int, rad
     basis_forms = [Form((s, tp1 - 1), {key: b}, family) for key in slots_u for b in dict_u]
 
     pts, wq = quad.nodes_weights(spec, n=spec.trunc_dim)
-    ew1 = np.exp(-np.real(w1(pts)))
-    ew2 = np.exp(-np.real(w2(pts)))
-
-    E = _stack_rows(basis_forms, slots_u, pts, wq, ew1, family)
+    E = _stack_rows(basis_forms, slots_u, pts, wq, w1, family)
     images = [dbar(b) for b in basis_forms]
-    D = _stack_rows(images, slots_f, pts, wq, ew2, family)
+    D = _stack_rows(images, slots_f, pts, wq, w2, family)
 
     # whiten the trial-space metric
     G = E.conj().T @ E
@@ -200,7 +204,7 @@ def _galerkin_space(w1, w2, spec: GaussianSpec, family, n: int, degree: int, rad
     W = w_vec[:, keep] / np.sqrt(w_eval[keep])
 
     U, sv, Vh = np.linalg.svd(D @ W, full_matrices=False)
-    arrays = (pts, wq, ew2, E, D, W, U, sv, Vh)
+    arrays = (pts, wq, E, D, W, U, sv, Vh)
     for arr in arrays:
         arr.flags.writeable = False
     return (slots_u, dict_u) + arrays
@@ -237,9 +241,9 @@ def solve_min_norm(p: SolveProblem) -> tuple[Form, SolveReport]:
     idx_range = range(1, p.n + 1)
     slots_f = tuple(sorted(set([(I, J) for I in combinations(idx_range, s)
                                 for J in combinations(idx_range, tp1)]) | set(f.coeffs)))
-    slots_u, dict_u, pts, wq, ew2, E, D, W, U, sv, Vh = _galerkin_space(
+    slots_u, dict_u, pts, wq, E, D, W, U, sv, Vh = _galerkin_space(
         ctx.w1, ctx.w2, spec, f.family, p.n, p.degree, p.radius, p.quad, s, tp1, slots_f)
-    yvec = _stack_rows([f], slots_f, pts, wq, ew2, f.family)[:, 0]
+    yvec = _stack_rows([f], slots_f, pts, wq, ctx.w2, f.family)[:, 0]
 
     # minimal-norm least squares from the thin SVD; the cut directions are the kernel
     smax = sv[0] if len(sv) else 0.0

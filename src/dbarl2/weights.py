@@ -239,8 +239,6 @@ class _SmoothStairs:
             return ((6.0 * u - 15.0) * u + 10.0) * u ** 3
         if order == 1:
             return ((30.0 * u - 60.0) * u + 30.0) * u ** 2
-        if order == 2:
-            return ((120.0 * u - 180.0) * u + 60.0) * u
         raise ValueError(order)
 
     @staticmethod
@@ -468,9 +466,8 @@ def weight_for_target(f: Form, domain: Domain, J_max: int, spec: GaussianSpec,
     phi = maj.compose(eta)
     triple = weight_triple(phi, psi)
 
-    w2_vals = np.real(triple.w2(pts))
-    mask_J = eta_vals <= (J_max + 1)
-    norm_w2 = float(np.mean(total * np.exp(-w2_vals) * mask_J))
+    weighted, = _weighted_sq_vals([(f, triple.w2)], pts)
+    norm_w2 = float(np.mean(weighted * (eta_vals <= (J_max + 1))))
 
     return WeightRecipe(triple=triple, domain=dom, b=b, m=m, g0_table=g0_table,
                         norm_w2_est=norm_w2)

@@ -121,6 +121,25 @@ class CountingFn(sf.FnBase):
         return self.f(pts)
 
 
+class RecordingFn(CountingFn):
+    """Counts the evaluations and keeps every point set it is called on; its
+    partials are those of the wrapped function, and are not recorded."""
+
+    def __init__(self, f):
+        super().__init__(f)
+        self.seen = []
+
+    def __call__(self, pts):
+        self.seen.append(np.array(pts))
+        return super().__call__(pts)
+
+    def d_dx(self, i):
+        return self.f.d_dx(i)
+
+    def d_dy(self, i):
+        return self.f.d_dy(i)
+
+
 class ScalarTwo(sf.FnBase):
     """A constant whose evaluation returns a Python scalar, not an array."""
 

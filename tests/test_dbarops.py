@@ -5,6 +5,7 @@ from dbarl2 import dbarops as do
 from dbarl2 import gaussmeasure as gm
 from dbarl2.dbarops import OperatorContext, Tstar, dbar
 from dbarl2.forms import Form
+from dbarl2.multiindex import multiplicative_family
 from dbarl2.symfun import CylinderFn
 
 from conftest import bump_fn, random_form
@@ -97,6 +98,22 @@ class TestTstar:
         gauge = np.exp(-pts[:, 0])
         expect = gauge * ((pts[:, 0] - 1j * pts[:, 1]) / (2 * spec2.a(1) ** 2) + 0.5)
         np.testing.assert_allclose(ts.coeff((), ())(pts), expect, atol=1e-13)
+
+    def test_contraction_reads_the_family_at_J_over_L(self, spec3, fam):
+        # the term contracting i out of J carries c[I, J] / c[I, J without i]
+        mult = multiplicative_family(mu=lambda j: 1.0 + 1.0 / j)
+        weights = dict(w1="x(1)^2", w2="0.5*(x(1)^2+y(3)^2)")
+        coeffs = {((2,), (1, 3)): bump_fn(3, 0.9, poly="x(1)+y(3)"),
+                  ((1,), (2, 3)): bump_fn(3, 0.9, poly="y(2)-0.5")}
+        plain = Tstar(Form((1, 2), coeffs, fam), make_ctx(spec3, fam, **weights))
+        weighted = Tstar(Form((1, 2), coeffs, mult), make_ctx(spec3, mult, **weights))
+        pts = gm.sample(spec3, 40, 9)
+        assert set(weighted.coeffs) == set(plain.coeffs)
+        for (I, L), fn in plain.coeffs.items():
+            J = next(J for (I2, J) in coeffs if I2 == I)
+            ratio = mult.coeff(I, J) / mult.coeff(I, L)
+            np.testing.assert_allclose(weighted.coeffs[(I, L)](pts), ratio * fn(pts),
+                                       rtol=1e-13, atol=0)
 
     def test_support_preserved(self, spec2, fam):
         ctx = make_ctx(spec2, fam)

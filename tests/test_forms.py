@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from dbarl2 import dbarops as do
 from dbarl2 import forms as fm
 from dbarl2 import gaussmeasure as gm
+from dbarl2 import solver as sv
 from dbarl2.forms import Form, inner, norm_sq, parse_form_literal
 from dbarl2.multiindex import constant_family, multiplicative_family
 from dbarl2.symfun import CylinderFn
 
-from conftest import bump_fn, random_form
+from conftest import RecordingFn, bump_fn, random_form
 
 
 GH = gm.Quadrature("gauss_hermite", nodes_per_axis=10)
@@ -147,6 +149,53 @@ class TestNorm:
             sq_ref.append(out)
         got = fm._weighted_sq_vals([(f, w), (g, w)], pts)
         assert all(np.array_equal(a, b) for a, b in zip(got, sq_ref))
+
+
+class TestWeightOnSupportBall:
+    """A weight is evaluated only inside its integrand's support ball, and never
+    for a zero integrand (an opaque weight would be undefined elsewhere)."""
+
+    RADIUS = 0.4
+
+    def _parts(self, fam):
+        rng = np.random.default_rng(21)
+        f = random_form(rng, (0, 1), 2, self.RADIUS, fam)
+        g = random_form(rng, (0, 1), 2, self.RADIUS, fam)
+        pts = np.random.default_rng(22).normal(size=(2000, 4), scale=0.3)
+        return f, g, pts, RecordingFn(CylinderFn("x(1)^2+y(1)^2-0.5*x(2)"))
+
+    def _assert_inside(self, w, pts):
+        seen = np.concatenate(w.seen)
+        assert 0 < len(seen) < len(pts)
+        assert np.all(np.sum(seen ** 2, axis=1) <= gm.support_rsq(self.RADIUS))
+
+    def test_weighted_squares_and_inner_products(self, fam):
+        f, g, pts, w = self._parts(fam)
+        fm._weighted_sq_vals([(f, w), (g, w)], pts)
+        fm.inner_vals(f, g, w, pts)
+        self._assert_inside(w, pts)
+
+    def test_stacked_rows(self, fam):
+        f, g, pts, w = self._parts(fam)
+        wq = np.full(len(pts), 1.0 / len(pts))
+        sv._stack_rows([f, g], sorted(set(f.coeffs) | set(g.coeffs)), pts, wq, w, fam)
+        self._assert_inside(w, pts)
+
+    def test_weighted_ibp_residual(self, fam, spec2):
+        *_, w = self._parts(fam)
+        quad = gm.Quadrature("monte_carlo", N=2000, seed=23)
+        do.ibp_residual(bump_fn(2, self.RADIUS, poly="x(1)+y(2)"),
+                        bump_fn(2, self.RADIUS, poly="1-x(2)"), 1, spec2, quad,
+                        weighted=True, varphi=w)
+        self._assert_inside(w, quad.nodes_weights(spec2)[0])
+
+    def test_zero_integrand_never_evaluates_the_weight(self, fam):
+        f, _, pts, w = self._parts(fam)
+        zero = Form((0, 1), {}, fam)
+        sq, = fm._weighted_sq_vals([(zero, w)], pts)
+        prod = fm.inner_vals(zero, f, w, pts)
+        assert not w.seen
+        assert not np.any(sq) and not np.any(prod)
 
 
 class TestFormLiteral:

@@ -9,7 +9,8 @@ from dbarl2 import forms as fm
 from dbarl2 import gaussmeasure as gm
 from dbarl2.symfun import CylinderFn, EvalError, delbar_op, delta_op, sigma_op
 
-from conftest import CountingFn, ScalarTwo, bump_fn, compiles_and_runs, random_bump_fn
+from conftest import (CountingFn, RecordingFn, ScalarTwo, bump_fn, compiles_and_runs,
+                      random_bump_fn)
 
 
 MC = gm.Quadrature("monte_carlo", N=200_000, seed=42)
@@ -119,18 +120,6 @@ def _live_counts(r, pts):
     return np.array([sum(1 for hs in head if hs <= thr - ts) for ts in tail])
 
 
-class _Recording(CountingFn):
-    """Counts the evaluations and keeps every point set it is called on."""
-
-    def __init__(self, f):
-        super().__init__(f)
-        self.seen = []
-
-    def __call__(self, pts):
-        self.seen.append(np.array(pts))
-        return super().__call__(pts)
-
-
 class TestReduce:
     def test_identity_when_low_dim(self, spec3):
         f = bump_fn(2, 0.7)
@@ -236,7 +225,7 @@ class TestReduce:
         assert _counts(gm.reduce_fn(bump_fn(4, 0.8), 2, flat)) == [8, 8, 8, 8]
 
     def test_batched_tail_one_call_per_batch(self, spec3):
-        f = _Recording(bump_fn(3, 0.8))
+        f = RecordingFn(bump_fn(3, 0.8))
         r = gm.reduce_fn(f, 1, spec3)
         T = math.prod(_counts(r))
         assert r._tail_pts.shape[0] == T
@@ -296,7 +285,7 @@ class TestReduce:
         assert counting.calls == 0
 
     def test_integrand_sees_only_its_support_ball(self, spec3):
-        f = _Recording(random_bump_fn(np.random.default_rng(13), 3, 0.8))
+        f = RecordingFn(random_bump_fn(np.random.default_rng(13), 3, 0.8))
         r = gm.reduce_fn(f, 1, spec3)
         pts = gm.sample(spec3, 400, 14, n=1)
         r(pts)

@@ -3,7 +3,8 @@ inside a function or class, every module-level function, class and constant a
 module defines is named somewhere else, every defaulted parameter or field is
 passed by some call, every field is read somewhere, no expression node defines
 arithmetic operators, every expression node has a typing rule, and importing
-the command line loads no third-party package but numpy.
+the command line loads no third-party package but numpy, and one function
+forms the weight factor e^{-Re w}.
 
 Only the standard ``ast`` module is needed for the source checks.  An imported
 name counts as used when it appears anywhere in the module as a ``Name`` node
@@ -267,6 +268,46 @@ def test_every_expr_node_has_a_rule():
     keyed = {k.id for k in rules.keys}
     missing = [node.name for node in _expr_nodes(tree) if node.name not in keyed | {"Expr"}]
     assert not missing, f"expression nodes without a rule in _RULES: {', '.join(missing)}"
+
+
+def _is_np_call(node: ast.AST, name: str) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+        and node.func.attr == name and getattr(node.func.value, "id", None) == "np"
+
+
+def _own_nodes(fn: ast.AST):
+    """The nodes of a function's body outside the functions nested in it."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(c for c in ast.iter_child_nodes(node)
+                     if not isinstance(c, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
+def _weight_factors(tree: ast.Module):
+    """The functions that call np.exp on a negated np.real(...), spelled out or
+    through a name the function binds to one."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(_own_nodes(fn))
+        real = {t.id for n in nodes if isinstance(n, ast.Assign) and _is_np_call(n.value, "real")
+                for t in n.targets if isinstance(t, ast.Name)}
+        for n in nodes:
+            if _is_np_call(n, "exp") and n.args and isinstance(n.args[0], ast.UnaryOp) \
+                    and isinstance(n.args[0].op, ast.USub):
+                arg = n.args[0].operand
+                if _is_np_call(arg, "real") or getattr(arg, "id", None) in real:
+                    yield fn.name
+
+
+def test_one_function_forms_the_weight_factor():
+    # e^{-Re w} has one home, which evaluates w only on its integrand's support ball
+    found = {f"{path.name}:{name}" for path in MODULES
+             for name in _weight_factors(ast.parse(path.read_text(), filename=str(path)))}
+    assert found == {"forms.py:_ball_values"}, \
+        f"e^{{-Re w}} is formed outside forms._ball_values: {', '.join(sorted(found))}"
 
 
 def test_cli_imports_numpy_only():

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,27 +84,6 @@ def test_every_family_kind_is_checked_positive(make):
 def test_check_conditions_refuses_a_nonpositive_family():
     with pytest.raises(InvalidFamilyError):
         check_conditions(multiplicative_family(mu=lambda j: -1.0), max_index=4, s=0, t=0)
-
-
-def test_contract_coeff_examples():
-    fam = constant_family(1.0)
-    assert fam.contract_coeff((1,), 2, (3,)) == 1.0
-    assert fam.contract_coeff((1,), 3, (3,)) == 0.0
-    mult = multiplicative_family(mu=lambda j: 2.0)
-    ratio = mult.contract_coeff((5,), 1, (2,)) / mult.coeff((5,), (2,))
-    assert ratio == pytest.approx(2.0)
-
-
-def test_contract_coeff_matches_indicator_times_coeff():
-    fam = multiplicative_family(mu=lambda j: 1.0 + 1.0 / j)
-    for L in itertools.combinations(range(1, 8), 2):
-        for i in range(1, 8):
-            got = fam.contract_coeff((2,), i, L)
-            if i in L:
-                assert got == 0.0
-            else:
-                K = tuple(sorted(L + (i,)))
-                assert got == pytest.approx(fam.coeff((2,), K))
 
 
 def test_check_conditions_constant():

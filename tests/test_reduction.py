@@ -240,7 +240,10 @@ def _ladder_reference(f, rho, n_ladder, delta_ladder, spec, w2, quad, grid_res):
                 dim = max(f.max_dim(), cand.max_dim())
                 radius = support_of_sum([(fn.support_radius, fn.dim) for fn in
                                          [*f.coeffs.values(), *cand.coeffs.values()]], dim)
-                total, = fm._weigh([total], [(w2, radius, dim)], pts)
+                on = slice(None) if radius is None else fm.support_mask(pts, radius, dim)
+                weighted = np.zeros_like(total)
+                weighted[on] = total[on] * np.exp(-np.real(CylinderFn(w2)(pts[on])))
+                total = weighted
             mean = float(np.sum(wq * total))
             rows.append((n, delta, np.sqrt(max(mean, 0.0)),
                          float(np.std(total) / np.sqrt(len(total)))))

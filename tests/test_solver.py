@@ -10,7 +10,7 @@ from dbarl2 import domains as dm
 from dbarl2 import gaussmeasure as gm
 from dbarl2 import solver as sv
 from dbarl2 import weights as wt
-from dbarl2.forms import Form, norm_sq
+from dbarl2.forms import Form, norm_sq, support_mask
 from dbarl2.multiindex import check_conditions, constant_family, multiplicative_family
 from dbarl2.symfun import CylinderFn, EvalError, delbar_op
 
@@ -160,17 +160,21 @@ class TestSolve:
         slots = [((), (1,)), ((), (2,)), ((), (3,))]  # no image has a dzb_3 part
         images = [do.dbar(Form((0, 0), {((), ()): b}, fam)) for b in dict_u]
         pts, wq = gm.Quadrature("gauss_hermite", nodes_per_axis=4).nodes_weights(spec)
-        ew = np.exp(-np.real(CylinderFn("3*(x(1)^2+y(2)^2)")(pts)))
+        w = CylinderFn("3*(x(1)^2+y(2)^2)")
+        ball = support_mask(pts, R, 2)  # the trial ball: rows are zero off it
+        assert 0 < np.count_nonzero(ball) < len(pts)
+        ew = np.exp(-np.real(w(pts[ball])))
         M = len(pts)
         cols = []
         for img in images:
-            col = np.empty(M * len(slots), dtype=complex)
+            col = np.zeros(M * len(slots), dtype=complex)
             for si, key in enumerate(slots):
                 fn = img.coeffs.get(key)
-                vals = fn(pts) if fn is not None else np.zeros(M, dtype=complex)
-                col[si * M:(si + 1) * M] = vals * np.sqrt(fam.coeff(*key) * wq * ew)
+                if fn is not None:
+                    col[si * M:(si + 1) * M][ball] = \
+                        fn(pts)[ball] * np.sqrt(fam.coeff(*key) * wq[ball] * ew)
             cols.append(col)
-        assert np.array_equal(sv._stack_rows(images, slots, pts, wq, ew, fam),
+        assert np.array_equal(sv._stack_rows(images, slots, pts, wq, w, fam),
                               np.stack(cols, axis=1))
 
 
@@ -262,7 +266,7 @@ class TestSpaceCache:
                                    tuple(f.coeffs))
         assert sv._galerkin_space.cache_info().hits == 1
         arrays = [a for a in entry if isinstance(a, np.ndarray)]
-        assert len(arrays) == 9
+        assert len(arrays) == 8  # nodes, weights, E, D, W, U, sv, Vh
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr.flat[0] = 0
@@ -350,7 +354,6 @@ class TestKeyInequality:
         """One memo for all coefficients, values dropped after their last use,
         against one root per coefficient and per weight: the shared peak stays
         within twice that (1.70 times measured, numpy 2.4.6)."""
-        from dbarl2.forms import support_mask
         from dbarl2.symfun import _as_fn, eval_expr
         spec = gm.GaussianSpec(2)
         tri, dom, _ = wt.recipe_weights_whole_space(spec)
@@ -388,6 +391,33 @@ class TestKeyInequality:
         assert shared <= 2 * alone, (shared / 2 ** 20, alone / 2 ** 20)
         assert (out.lhs, out.rhs, out.margin, out.stderr) == \
             (ref.lhs, ref.rhs, ref.margin, ref.stderr)
+
+
+class TestBoundedDomainWeights:
+    """phi = -2 log(1 - |z|^2) is defined only in the unit disc; f and the trial
+    space live in the disc of radius 0.5, where every weight is evaluated."""
+
+    @pytest.fixture(scope="class")
+    def disc(self, fam):
+        spec = gm.GaussianSpec(1)
+        tri = wt.weight_triple(CylinderFn("-2*log(1-(x(1)^2+y(1)^2))"), CylinderFn("0"))
+        ctx = do.OperatorContext(spec, fam, tri.w1, tri.w2, tri.w3, tri.phi)
+        f = do.dbar(Form((0, 0), {((), ()): bump_fn(1, 0.5, poly="x(1)")}, fam))
+        assert f.support_radius() == 0.5
+        return ctx, tri, f
+
+    def test_solve_returns_a_record(self, disc):
+        ctx, _, f = disc
+        _, rep = sv.solve_min_norm(sv.SolveProblem(ctx=ctx, domain=dm.ball(r=1.0), f=f,
+                                                   degree=8, n=1, radius=0.5, quad=GH24))
+        assert rep.bound.passed is not None and rep.residual <= 1e-6
+
+    def test_key_inequality_returns_a_record(self, disc):
+        ctx, tri, f = disc
+        dom = dm.ball(r=1.0)
+        out = sv.key_inequality_check(f, ctx, GH24, tri, dom,
+                                      dom.sample_sublevel(1, 1.0, 200, 41))
+        assert out.passed is not None and out.margin > 0
 
 
 class TestBoundChecks:
