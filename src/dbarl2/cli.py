@@ -3,13 +3,18 @@
     dbarl2 <identities|conditions|domains|approx|solve|majorant>
            --config path [--out dir] [--seed N]
 
-One JSON config per invocation.  Each command emits a JSON-lines report plus
-a CSV summary (columns check_id,lhs,rhs,stderr,margin,pass); identical
-configs reproduce byte-identical report files.  A record passes when
-``verdict(margin, stderr, tol)`` of its own margin does (``CheckOutcome.judged``),
-save the approx ladder, which passes when each of its steps does.  Exit codes:
-0 all checks pass, 1 any check failed, 2 config error, 3 a check crashed
-(traceback on stderr, no report).
+One JSON config per invocation.  Each command ``cmd_<name>(config, seed,
+out_dir)`` parses its config, then yields its records in order; ``run_checks``
+stamps each with the wall time since the record before it (the first's time
+includes parsing the config), which only the console shows.  The records go
+to a JSON-lines report plus a CSV summary (columns
+check_id,lhs,rhs,stderr,margin,pass); identical configs reproduce
+byte-identical report files.  A record passes when ``verdict(margin, stderr,
+tol)`` of its own margin does (``CheckOutcome.judged``), save the approx
+ladder, which passes when each of its steps does.  Exit codes: 0 all checks
+pass, 1 any check failed, 2 config error (among them a form, expression,
+``solve_dim`` or ``n_ladder`` entry that reaches past ``trunc_dim``), 3 a
+check crashed (traceback on stderr, no report).
 """
 
 from __future__ import annotations
@@ -105,12 +110,15 @@ def _domain_from(config) -> domains.Domain:
     raise ConfigError(f"unknown domain kind {kind!r}")
 
 
-def _forms_from(config, family) -> list:
+def _forms_from(config, family, n: int) -> list:
+    """The config's forms, each refused when it reaches past coordinate n = trunc_dim."""
     out = []
-    for lit in config.get("forms", []):
+    for k, lit in enumerate(config.get("forms", [])):
         degree = tuple(lit.get("degree", (0, 1)))
-        out.append(forms.parse_form_literal(lit["entries"], degree, family,
-                                            support_radius=lit.get("support_radius")))
+        f = forms.parse_form_literal(lit["entries"], degree, family,
+                                     support_radius=lit.get("support_radius"))
+        _within(n, max(f.max_index(), f.max_dim()), f"forms[{k}]")
+        out.append(f)
     return out
 
 
@@ -125,169 +133,149 @@ def _tol(config, name, default):
     return float(config.get("tolerances", {}).get(name, default))
 
 
-def _ms(t0: float) -> float:
-    """Milliseconds since the perf_counter reading t0."""
-    return (time.perf_counter() - t0) * 1e3
+def _within(n: int, reach: int, field: str) -> int:
+    """reach, refused when it passes coordinate n = trunc_dim."""
+    if reach > n:
+        raise ConfigError(f"{field} reaches coordinate {reach}, past trunc_dim {n}")
+    return reach
+
+
+def _fn_from(n: int, field: str, text: str, support_radius=None) -> CylinderFn:
+    """A config expression, refused when it reaches past coordinate n = trunc_dim."""
+    fn = CylinderFn(text, support_radius=support_radius)
+    _within(n, fn.dim, field)
+    return fn
+
+
+def _residual(check_id: str, res: float, stderr: float, tol: float) -> CheckOutcome:
+    """An identity's record: lhs its residual res, rhs 0, margin -res."""
+    return CheckOutcome.judged(check_id, res, 0.0, -res, stderr, tol)
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each parses its config, then yields its records in order
 # ---------------------------------------------------------------------------
 
-def cmd_identities(config, seed) -> list:
+def cmd_identities(config, seed, out_dir: Path):
     """Identities with residual res: margin -res; lhs res and rhs 0 (Gauss-Green: its sides)."""
     spec = _spec_from(config)
     quad = _quad_from(config, seed)
     family = _family_from(config)
     tol = _tol(config, "deterministic", 1e-8)
-    fl = _forms_from(config, family)
+    fl = _forms_from(config, family, spec.trunc_dim)
+    varphi, w1, w2, w3, multiplier = (
+        _fn_from(spec.trunc_dim, key, config.get(key, default)) for key, default in
+        (("varphi", "0"), ("w1", "0"), ("w2", "0"), ("w3", "0"), ("multiplier", "x(1)")))
     test_fns = [fn for f in fl for fn in f.coeffs.values()]
     if not test_fns:
-        return []
-    varphi = CylinderFn(config.get("varphi", "0"))
+        return
     pts = gaussmeasure.sample(spec, 100, seed + 3)
 
-    t0 = time.perf_counter()
     g0 = test_fns[0]
     wrong_a1 = config.get("perturb", {}).get("gauss_green_a1")
     rep = gaussmeasure.gauss_green_residual(
         g0, 1, spec, quad, None if wrong_a1 is None else float(wrong_a1))
-    recs = [CheckOutcome.judged("gauss_green_x1", abs(rep.lhs), abs(rep.rhs), -rep.residual,
-                                rep.stderr, tol, runtime_ms=_ms(t0))]
+    yield CheckOutcome.judged("gauss_green_x1", abs(rep.lhs), abs(rep.rhs), -rep.residual,
+                              rep.stderr, tol)
 
     g1 = test_fns[min(1, len(test_fns) - 1)]
     for weighted in (False, True):
-        t0 = time.perf_counter()
         est = dbarops.ibp_residual(g0, g1, 1, spec, quad, weighted=weighted, varphi=varphi)
-        res = abs(est.mean)
-        recs.append(CheckOutcome.judged("ibp_sigma" if weighted else "ibp_delta", res, 0.0,
-                                        -res, est.stderr, tol, runtime_ms=_ms(t0)))
+        yield _residual("ibp_sigma" if weighted else "ibp_delta", abs(est.mean), est.stderr, tol)
 
-    t0 = time.perf_counter()
-    ctx = dbarops.OperatorContext(spec, family, CylinderFn(config.get("w1", "0")),
-                                  CylinderFn(config.get("w2", "0")),
-                                  CylinderFn(config.get("w3", "0")), varphi)
-    res = dbarops.commutator_residual(g0, 1, 1, ctx, pts)
-    recs.append(CheckOutcome.judged("commutator", res, 0.0, -res, 0.0, 1e-10,
-                                    runtime_ms=_ms(t0)))
-
-    t0 = time.perf_counter()
-    res = dbarops.st_complex_residual(fl[0], pts)
-    recs.append(CheckOutcome.judged("s_after_t_zero", res, 0.0, -res, 0.0, 1e-10,
-                                    runtime_ms=_ms(t0)))
+    ctx = dbarops.OperatorContext(spec, family, w1, w2, w3, varphi)
+    yield _residual("commutator", dbarops.commutator_residual(g0, 1, 1, ctx, pts), 0.0, 1e-10)
+    yield _residual("s_after_t_zero", dbarops.st_complex_residual(fl[0], pts), 0.0, 1e-10)
 
     if len(fl) >= 2:
-        t0 = time.perf_counter()
         est = dbarops.adjoint_residual(fl[0], fl[1], ctx, quad)
-        res = abs(est.mean)
-        recs.append(CheckOutcome.judged("adjoint", res, 0.0, -res, est.stderr, tol,
-                                        runtime_ms=_ms(t0)))
+        yield _residual("adjoint", abs(est.mean), est.stderr, tol)
         if fl[0].degree[1] == 0:
-            t0 = time.perf_counter()
             est = dbarops.weak_dbar_residual(fl[0], dbarops.dbar(fl[0]), g0, (), (1,), spec, quad)
-            res = abs(est.mean)
-            recs.append(CheckOutcome.judged("weak_dbar", res, 0.0, -res, est.stderr, tol,
-                                            runtime_ms=_ms(t0)))
+            yield _residual("weak_dbar", abs(est.mean), est.stderr, tol)
 
-    t0 = time.perf_counter()
-    res = dbarops.multiplier_residual(CylinderFn(config.get("multiplier", "x(1)")), fl[0], ctx, pts)
-    recs.append(CheckOutcome.judged("multiplier", res, 0.0, -res, 0.0, 1e-10,
-                                    runtime_ms=_ms(t0)))
-    return recs
+    yield _residual("multiplier", dbarops.multiplier_residual(multiplier, fl[0], ctx, pts),
+                    0.0, 1e-10)
 
 
-def cmd_conditions(config, seed) -> list:
-    family = _family_from(config)
-    s = int(config.get("s", 0))
-    t = int(config.get("t", 0))
-    max_index = int(config.get("max_index", 6))
-    t0 = time.perf_counter()
-    return multiindex.check_conditions(family, max_index, s, t).records(runtime_ms=_ms(t0))
+def cmd_conditions(config, seed, out_dir: Path):
+    yield from multiindex.check_conditions(
+        _family_from(config), int(config.get("max_index", 6)), int(config.get("s", 0)),
+        int(config.get("t", 0))).records()
 
 
-def cmd_domains(config, seed) -> list:
+def cmd_domains(config, seed, out_dir: Path):
     dom = _domain_from(config)
     n = int(config.get("trunc_dim", 2))
     N = int(config.get("scan_points", 50))
-    t0 = time.perf_counter()
     pts = dom.sample_interior(n, N, seed)
     eig = float(np.min(domains.levi_min_eigs(dom.eta(n), pts, n)))
-    recs = [CheckOutcome.judged("levi_min_eig", eig, -1e-9, eig + 1e-9, 0.0, 0.0,
-                                runtime_ms=_ms(t0))]
+    yield CheckOutcome.judged("levi_min_eig", eig, -1e-9, eig + 1e-9, 0.0, 0.0)
     if dom.boundary_distance is not None:
-        t0 = time.perf_counter()
         margin = domains.uniformly_included(dom, float(config.get("tau", 1.0)), n=n,
                                             seed=seed)
-        recs.append(CheckOutcome.judged("sublevel_uniform_inclusion", margin, 0.0, margin,
-                                        0.0, STRICT, runtime_ms=_ms(t0)))
-    return recs
+        yield CheckOutcome.judged("sublevel_uniform_inclusion", margin, 0.0, margin, 0.0, STRICT)
 
 
-def cmd_approx(config, seed, out_dir: Path) -> list:
+def cmd_approx(config, seed, out_dir: Path):
     """The one record whose pass is not the verdict of its own margin
     errs[0] - errs[-1]: it passes when each step of the ladder does, step i
     judged by verdict(errs[i] - errs[i+1], ses[i] + ses[i+1], 0)."""
     spec = _spec_from(config)
     family = _family_from(config)
     dom = _domain_from(config)
-    fl = _forms_from(config, family)
+    fl = _forms_from(config, family, spec.trunc_dim)
+    n_ladder = [_within(spec.trunc_dim, int(v), "n_ladder")
+                for v in config.get("n_ladder", [spec.trunc_dim])]
     if not fl:
-        return []
-    t0 = time.perf_counter()
+        return
     report = reduction.approx_pipeline(
-        _one_form(fl, "approx"), dom, rho=float(config.get("rho", 2.0)),
-        n_ladder=[int(v) for v in config.get("n_ladder", [spec.trunc_dim])],
+        _one_form(fl, "approx"), dom, rho=float(config.get("rho", 2.0)), n_ladder=n_ladder,
         delta_ladder=[float(v) for v in config.get("delta_ladder", [0.2, 0.1, 0.05])],
         spec=spec, quad=_quad_from(config, seed),
         grid_res=int(config.get("grid_res", 101)))
-    ms = _ms(t0)
     report.write_csv(str(out_dir / "approx_ladder.csv"))
     errs = [row.norm_error for row in report.ladder]
     ses = [row.stderr for row in report.ladder]
     ok = all(verdict(errs[i] - errs[i + 1], ses[i] + ses[i + 1], 0.0)
              for i in range(len(errs) - 1))
-    return [CheckOutcome("approx_ladder_monotone", errs[-1], errs[0], ses[-1],
-                         errs[0] - errs[-1], ok, runtime_ms=ms)]
+    yield CheckOutcome("approx_ladder_monotone", errs[-1], errs[0], ses[-1],
+                       errs[0] - errs[-1], ok)
 
 
-def cmd_solve(config, seed, out_dir: Path) -> list:
+def cmd_solve(config, seed, out_dir: Path):
     spec = _spec_from(config)
+    n = spec.trunc_dim
     family = _family_from(config)
     dom = _domain_from(config)
+    fl = _forms_from(config, family, n)
+    if not fl:
+        m = config.get("manufactured", {"coeff": "x(1)*bump((x(1)^2+y(1)^2)/0.64)",
+                                        "support_radius": 0.8})
+        u0 = _fn_from(n, "manufactured.coeff", m["coeff"], m.get("support_radius"))
+        target = dbarops.dbar(forms.Form((0, 0), {((), ()): u0}, family))
+    else:
+        target = _one_form(fl, "solve")
+    solve_dim = _within(n, int(config.get("solve_dim", 1)), "solve_dim")
     if config.get("weights", "recipe") == "quadratic":
-        phi = CylinderFn(config.get("phi", "3*(x(1)^2+y(1)^2)"))
+        phi = _fn_from(n, "phi", config.get("phi", "3*(x(1)^2+y(1)^2)"))
         tri = weights.weight_triple(phi, CylinderFn("0"))
         wdom = dom
     else:
         tri, wdom, _ = weights.recipe_weights_whole_space(spec)
     ctx = dbarops.OperatorContext(spec, family, tri.w1, tri.w2, tri.w3, tri.phi)
-    fl = _forms_from(config, family)
-    if not fl:
-        manufactured = config.get("manufactured",
-                                  {"coeff": "x(1)*bump((x(1)^2+y(1)^2)/0.64)",
-                                   "support_radius": 0.8})
-        u0 = forms.Form((0, 0), {((), ()): CylinderFn(manufactured["coeff"],
-                        support_radius=manufactured.get("support_radius"))}, family)
-        target = dbarops.dbar(u0)
-    else:
-        target = _one_form(fl, "solve")
-    t0 = time.perf_counter()
     prob = solver.SolveProblem(ctx=ctx, domain=wdom, f=target,
-                               degree=int(config.get("degree", 8)),
-                               n=int(config.get("solve_dim", 1)),
+                               degree=int(config.get("degree", 8)), n=solve_dim,
                                radius=float(config.get("basis_radius", 0.8)))
-    u, rep = solver.solve_min_norm(prob)
-    ms = _ms(t0)
+    _, rep = solver.solve_min_norm(prob)
     (out_dir / "solve_report.json").write_text(
         json.dumps(rep.as_dict(), sort_keys=True, allow_nan=False) + "\n")
     tol = _tol(config, "residual", 1e-3)
-    return [CheckOutcome.judged("solve_residual", rep.residual, tol, tol - rep.residual, 0.0,
-                                0.0, runtime_ms=ms),
-            replace(rep.bound, runtime_ms=ms)]
+    yield CheckOutcome.judged("solve_residual", rep.residual, tol, tol - rep.residual, 0.0, 0.0)
+    yield rep.bound
 
 
-def cmd_majorant(config, seed) -> list:
-    t0 = time.perf_counter()
+def cmd_majorant(config, seed, out_dir: Path):
     kind = config.get("g0", "one")
     if kind == "one":
         g0 = lambda v: 1.0
@@ -301,8 +289,7 @@ def cmd_majorant(config, seed) -> list:
     maj = weights.convex_majorant(g0, K_max=K_max,
                                   trunc_order=int(config.get("trunc_order", 320)))
     worst = maj.chain_margin(g0, np.linspace(0.0, K_max, 2001))
-    return [CheckOutcome.judged("majorant_chain", worst, -1e-9, worst + 1e-9, 0.0, 0.0,
-                                runtime_ms=_ms(t0))]
+    yield CheckOutcome.judged("majorant_chain", worst, -1e-9, worst + 1e-9, 0.0, 0.0)
 
 
 COMMANDS = {"identities": cmd_identities, "conditions": cmd_conditions,
@@ -310,8 +297,19 @@ COMMANDS = {"identities": cmd_identities, "conditions": cmd_conditions,
             "majorant": cmd_majorant}
 
 
+def run_checks(records) -> list:
+    """The records in order, each stamped with the wall time since the one
+    before it; the first's time counts from the start, so it includes the
+    command's parsing of its config.  The one place that reads the clock."""
+    out, t0 = [], time.perf_counter()
+    for rec in records:
+        t1 = time.perf_counter()
+        out.append(replace(rec, runtime_ms=(t1 - t0) * 1e3))
+        t0 = t1
+    return out
+
+
 def write_reports(records, out_dir: Path, command: str):
-    out_dir.mkdir(parents=True, exist_ok=True)
     jsonl = out_dir / f"{command}_report.jsonl"
     with open(jsonl, "w") as fh:
         for rec in records:
@@ -342,12 +340,8 @@ def main(argv=None) -> int:
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     out_dir = Path(args.out)
     try:
-        fn = COMMANDS[args.command]
-        if args.command in ("approx", "solve"):
-            out_dir.mkdir(parents=True, exist_ok=True)
-            records = fn(config, seed, out_dir)
-        else:
-            records = fn(config, seed)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        records = run_checks(COMMANDS[args.command](config, seed, out_dir))
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -362,8 +356,6 @@ def main(argv=None) -> int:
         print(f"{rec.check_id:32s} {status}  lhs={rec.lhs:.6g} rhs={rec.rhs:.6g} "
               f"margin={rec.margin:.3g} stderr={rec.stderr:.3g} "
               f"[{rec.runtime_ms:.0f} ms]")
-    if not records:
-        return 0
     return 0 if all(r.passed for r in records) else 1
 
 

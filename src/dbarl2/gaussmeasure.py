@@ -290,8 +290,9 @@ STRICT = -math.ulp(0.0)
 @dataclass
 class CheckOutcome:
     """One check: its two sides, stderr, margin and verdict (None when refused,
-    with the reason).  The runtime is console-only, so reports stay
-    byte-identical across runs.  Build a record with ``judged`` or ``refused``."""
+    with the reason).  The runtime, stamped by ``cli.run_checks``, is
+    console-only, so reports stay byte-identical across runs.  Build a record
+    with ``judged`` or ``refused``."""
 
     check_id: str
     lhs: float
@@ -304,10 +305,9 @@ class CheckOutcome:
 
     @staticmethod
     def judged(check_id: str, lhs: float, rhs: float, margin: float, stderr: float,
-               tol: float, runtime_ms: float = 0.0) -> "CheckOutcome":
+               tol: float) -> "CheckOutcome":
         """The record whose pass is ``verdict(margin, stderr, tol)``."""
-        return CheckOutcome(check_id, lhs, rhs, stderr, margin, verdict(margin, stderr, tol),
-                            runtime_ms=runtime_ms)
+        return CheckOutcome(check_id, lhs, rhs, stderr, margin, verdict(margin, stderr, tol))
 
     @staticmethod
     def refused(check_id: str, reason: str) -> "CheckOutcome":

@@ -161,14 +161,14 @@ class ConditionReport:
     multiplicative_ok: bool
     violations: list
 
-    def records(self, runtime_ms: float = 0.0) -> list:
+    def records(self) -> list:
         """One record each: c1 finite, c0 > 0 (strict) and no multiplicativity
         violation (margin minus their count, -0.0 for none)."""
         c1, c0, bad = self.c1_sup, self.c0_inf, float(len(self.violations))
         rows = [("condition1_c1_finite", c1, math.inf, math.inf if c1 < math.inf else -1.0, 0.0),
                 ("condition2_c0_positive", c0, 0.0, c0, STRICT),
                 ("condition3_multiplicative", bad, 0.0, -bad, 0.0)]
-        return [CheckOutcome.judged(check_id, lhs, rhs, margin, 0.0, tol, runtime_ms=runtime_ms)
+        return [CheckOutcome.judged(check_id, lhs, rhs, margin, 0.0, tol)
                 for check_id, lhs, rhs, margin, tol in rows]
 
     @property

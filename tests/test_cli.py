@@ -37,6 +37,15 @@ BASE_IDENTITIES = {
 }
 
 
+# a 0-form on C, then a form on index 2 and a coefficient in x(2), each past trunc_dim 1
+ZERO_FORM = {"degree": [0, 0], "support_radius": 0.8, "entries": [
+    {"I": [], "J": [], "coeff": "x(1)*bump((x(1)^2+y(1)^2)/0.64)"}]}
+PAST_FORM = {"degree": [0, 1], "support_radius": 0.8, "entries": [
+    {"I": [], "J": [2], "coeff": "x(1)*bump((x(1)^2+y(1)^2)/0.64)"}]}
+PAST_COEFF = {"degree": [0, 1], "support_radius": 0.8, "entries": [
+    {"I": [], "J": [1], "coeff": "x(2)*bump((x(1)^2+y(1)^2)/0.64)"}]}
+
+
 def write_config(tmp_path, payload, name="config.json"):
     p = tmp_path / name
     p.write_text(json.dumps(payload))
@@ -134,6 +143,41 @@ class TestExitCodes:
         assert run(["approx", "--config", cfg, "--out", tmp_path / "r"]) == 2
         assert capsys.readouterr().err == ("config error: a tail rule of (8, 8, 8, 8, 8, 8) "
                                            "nodes per axis exceeds the 200000 node budget\n")
+
+    @pytest.mark.parametrize("code", [0, 1, 2, 3])
+    def test_console_entry_point_exit_codes(self, tmp_path, code):
+        # each exit code as a shell sees it; a config error or a crash writes no report
+        payload = {1: dict(BASE_IDENTITIES, perturb={"gauss_green_a1": 0.05}),
+                   2: dict(BASE_IDENTITIES, quadrature={"kind": "bogus"}),
+                   3: dict(BASE_IDENTITIES, forms=[{"degree": [0, 0], "entries": [
+                       {"I": [], "J": [], "coeff": "log(x(1))"}]}])}.get(code)
+        cfg = ROOT / "configs" / "identities.json" if payload is None else \
+            write_config(tmp_path, payload)
+        out = tmp_path / "r"
+        proc = subprocess.run([sys.executable, "-m", "dbarl2.cli", "identities", "--config",
+                               str(cfg), "--out", str(out)], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+        assert proc.returncode == code, proc.stderr
+        if code >= 2:
+            assert list(out.glob("*")) == []
+
+    @pytest.mark.parametrize("command, change, field", [
+        ("identities", {"forms": [ZERO_FORM, PAST_FORM], "trunc_dim": 1, "a_rule": [0.25]},
+         "forms[1]"),
+        ("identities", {"forms": [ZERO_FORM, PAST_FORM], "trunc_dim": 1}, "forms[1]"),
+        ("identities", {"forms": [PAST_COEFF], "trunc_dim": 1}, "forms[0]"),
+        ("identities", {"multiplier": "x(3)"}, "multiplier"),
+        ("solve", {"solve_dim": 2}, "solve_dim"),
+        ("approx", {"n_ladder": [2]}, "n_ladder"),
+    ], ids=["form-a_rule", "form", "coeff", "multiplier", "solve_dim", "n_ladder"])
+    def test_past_trunc_dim_exits_two(self, tmp_path, capsys, command, change, field):
+        # refused while parsing, before any check runs or any file is written
+        config = json.loads((ROOT / "configs" / f"{command}.json").read_text())
+        cfg = write_config(tmp_path, dict(config, **change))
+        out = tmp_path / "r"
+        assert run([command, "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field} reaches coordinate ")
+        assert list(out.glob("*")) == []
 
     def test_empty_forms_exit_zero(self, tmp_path):
         cfg = write_config(tmp_path, {"seed": 1, "trunc_dim": 2, "forms": []})
@@ -400,7 +444,7 @@ class TestRecordEdges:
             rep = ConditionReport(c1_sup=c1, c0_inf=c0, multiplicative_ok=not violations,
                                   violations=list(violations))
             monkeypatch.setattr(multiindex, "check_conditions", lambda *args: rep)
-            recs = cmd_conditions({}, 0)
+            recs = list(cmd_conditions({}, 0, None))
             assert rep.passed is all(r.passed for r in recs)
             return [r.passed for r in recs]
 
@@ -413,7 +457,7 @@ class TestRecordEdges:
         assert records(violations=[{}]) == [True, True, False]
 
     def test_conditions_multiplicative_margin_is_minus_zero(self):
-        rec = cmd_conditions({}, 0)[2]
+        rec = list(cmd_conditions({}, 0, None))[2]
         assert rec.check_id == "condition3_multiplicative"
         assert math.copysign(1.0, rec.margin) == -1.0 and rec.row()[4] == "-0.0"
 
@@ -423,7 +467,7 @@ class TestRecordEdges:
         def passes(eig=1.0, inclusion=1.0):
             monkeypatch.setattr(domains, "levi_min_eigs", lambda *args: np.array([eig, 1.0]))
             monkeypatch.setattr(domains, "uniformly_included", lambda *a, **k: inclusion)
-            return [r.passed for r in cmd_domains(config, 0)]
+            return [r.passed for r in cmd_domains(config, 0, None)]
 
         assert passes(eig=-1e-9) == [True, True]
         assert passes(eig=np.nextafter(-1e-9, -np.inf)) == [False, True]
@@ -441,8 +485,8 @@ class TestRecordEdges:
                                      kernel_orth=0.0)
             monkeypatch.setattr(solver, "solve_min_norm",
                                 lambda prob: (Form((0, 0), {}, prob.f.family), rep))
-            return cmd_solve({"trunc_dim": 1, "weights": "quadratic",
-                              "tolerances": {"residual": tol}}, 0, tmp_path)
+            return list(cmd_solve({"trunc_dim": 1, "weights": "quadratic",
+                                   "tolerances": {"residual": tol}}, 0, tmp_path))
 
         res, nb = records(tol)
         assert (res.check_id, res.passed, res.margin) == ("solve_residual", True, 0.0)
@@ -465,7 +509,7 @@ class TestRecordEdges:
         def passes(worst):
             fake = type("Majorant", (), {"chain_margin": lambda self, g0, grid: worst})()
             monkeypatch.setattr(weights, "convex_majorant", lambda *a, **k: fake)
-            (rec,) = cmd_majorant({}, 0)
+            (rec,) = cmd_majorant({}, 0, None)
             return rec.passed
 
         assert passes(-1e-9) is True
