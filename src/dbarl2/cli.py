@@ -11,10 +11,12 @@ to a JSON-lines report plus a CSV summary (columns
 check_id,lhs,rhs,stderr,margin,pass); identical configs reproduce
 byte-identical report files.  A record passes when ``verdict(margin, stderr,
 tol)`` of its own margin does (``CheckOutcome.judged``), save the approx
-ladder, which passes when each of its steps does.  Exit codes: 0 all checks
-pass, 1 any check failed, 2 config error (among them a form, expression,
-``solve_dim`` or ``n_ladder`` entry that reaches past ``trunc_dim``), 3 a
-check crashed (traceback on stderr, no report).
+ladder, which passes when each of its steps does.  A refused record prints
+``refused: <reason>`` and does not pass.  Exit codes: 0 all checks pass, 1 any
+check failed or was refused, 2 config error (among them a form, expression,
+``solve_dim`` or ``n_ladder`` entry that reaches past ``trunc_dim``, or a list
+``a_rule`` shorter than the a_i a family reads), 3 a check crashed (traceback
+on stderr, no report).
 """
 
 from __future__ import annotations
@@ -49,7 +51,13 @@ def _spec_from(config) -> gaussmeasure.GaussianSpec:
         vals = [float(v) for v in rule]
         if len(vals) < n:
             raise ConfigError("a_rule list shorter than trunc_dim")
-        return gaussmeasure.GaussianSpec(trunc_dim=n, a_rule=lambda i: vals[i - 1])
+
+        def a_rule(i):
+            if i > len(vals):  # a family may read a_i past trunc_dim
+                raise ConfigError(f"a_rule lists {len(vals)} scales; a_{len(vals) + 1} is needed")
+            return vals[i - 1]
+
+        return gaussmeasure.GaussianSpec(trunc_dim=n, a_rule=a_rule)
     raise ConfigError(f"unknown a_rule {rule!r}")
 
 
@@ -352,11 +360,11 @@ def main(argv=None) -> int:
 
     write_reports(records, out_dir, args.command)
     for rec in records:
-        status = "pass" if rec.passed else "FAIL"
-        print(f"{rec.check_id:32s} {status}  lhs={rec.lhs:.6g} rhs={rec.rhs:.6g} "
-              f"margin={rec.margin:.3g} stderr={rec.stderr:.3g} "
-              f"[{rec.runtime_ms:.0f} ms]")
-    return 0 if all(r.passed for r in records) else 1
+        status = f"refused: {rec.reason}" if rec.passed is None else (
+            f"{'pass' if rec.passed else 'FAIL'}  lhs={rec.lhs:.6g} rhs={rec.rhs:.6g} "
+            f"margin={rec.margin:.3g} stderr={rec.stderr:.3g}")
+        print(f"{rec.check_id:32s} {status} [{rec.runtime_ms:.0f} ms]")
+    return 0 if all(r.passed for r in records) else 1  # a refusal verified nothing
 
 
 if __name__ == "__main__":

@@ -47,27 +47,24 @@ class OperatorContext:
         self.w3 = _as_fn(self.w3)
         self.varphi = _as_fn(self.varphi)
 
-    def check_real_weights(self, pts: np.ndarray) -> float:
-        worst = 0.0
-        for w in (self.w1, self.w2, self.w3):
-            worst = max(worst, float(np.max(np.abs(np.imag(w(pts)))))) if pts.size else 0.0
-        if worst > 1e-12:
-            raise ValueError(f"weights have imaginary part {worst} > 1e-12")
-        return worst
+
+def _wedge(f: Form, r: int, term) -> Form:
+    """(-1)^s sum over I, K, i <= r, J of eps^K_{iJ} term(f[I,J], i) dz_I dzb_K,
+    a zero term skipped: degree (s,t) -> (s,t+1)."""
+    s, t = f.degree
+    sgn_s = -1.0 if s % 2 else 1.0
+    out: dict = {}
+    for (I, J), fn in f.coeffs.items():
+        for i, sign, K in insertions(J, r):
+            g = term(fn, i)
+            if not g.is_zero():
+                add_term(out, (I, K), (sgn_s * sign) * g)
+    return Form((s, t + 1), out, f.family)
 
 
 def dbar(f: Form) -> Form:
     """(s,t) -> (s,t+1); the finite i-range is forced by the coefficient dims."""
-    s, t = f.degree
-    out: dict = {}
-    r = max(f.max_dim(), f.max_index())
-    sgn_s = -1.0 if s % 2 else 1.0
-    for (I, J), fn in f.coeffs.items():
-        for i, sign, K in insertions(J, r):
-            term = delbar_op(fn, i)
-            if not term.is_zero():
-                add_term(out, (I, K), (sgn_s * sign) * term)
-    return Form((s, t + 1), out, f.family)
+    return _wedge(f, max(f.max_dim(), f.max_index()), delbar_op)
 
 
 def Tstar(f: Form, ctx: OperatorContext) -> Form:
@@ -175,15 +172,9 @@ def weak_dbar_residual(f: Form, g: Form, testfn: FnBase, I, K,
 
 def wedge_dbar_fn(m: FnBase, f: Form) -> Form:
     """(T m) wedge f = (-1)^s sum eps^K_{iJ} f[I,J] dbar_i(m) dz_I dzb_K."""
-    s, t = f.degree
     m = _as_fn(m)
-    r = max(f.max_index(), m.dim, f.max_dim())
-    sgn_s = -1.0 if s % 2 else 1.0
-    out: dict = {}
-    for (I, J), fn in f.coeffs.items():
-        for i, sign, K in insertions(J, r):
-            add_term(out, (I, K), (sgn_s * sign) * (fn * delbar_op(m, i)))
-    return Form((s, t + 1), out, f.family)
+    return _wedge(f, max(f.max_index(), m.dim, f.max_dim()),
+                  lambda fn, i: fn * delbar_op(m, i))
 
 
 def multiplier_residual(m: FnBase, f: Form, ctx: OperatorContext,
@@ -200,11 +191,6 @@ def multiplier_residual(m: FnBase, f: Form, ctx: OperatorContext,
 def st_complex_residual(u: Form, points: np.ndarray) -> float:
     """Max pointwise coefficient of dbar(dbar u): the complex property S T = 0."""
     return max_abs(eval_expr([fn.expr for fn in dbar(dbar(u)).coeffs.values()], points))
-
-
-def support_leak(form: Form, points_outside: np.ndarray) -> float:
-    """Max |coefficient| at points outside the declared support."""
-    return max_abs(eval_expr([fn.expr for fn in form.coeffs.values()], points_outside))
 
 
 def max_abs(values) -> float:

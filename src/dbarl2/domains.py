@@ -123,30 +123,6 @@ def polydisc() -> Domain:
     return Domain("polydisc", builder, bdist, sampler)
 
 
-def cylinder_over(eta_base: CylinderFn, m: int,
-                  base_sampler: Optional[Callable[[int, int], np.ndarray]] = None) -> Domain:
-    """Cylinder over a finite-dimensional base: eta(z) = eta_base(z_m) + ||z||^2.
-
-    The base exhaustion (user-supplied, strictly plurisubharmonic for the base
-    set) is accepted as given and only checked numerically.  The cylinder has
-    no boundary-distance rule.
-    """
-
-    def builder(n: int) -> CylinderFn:
-        if n < m:
-            raise ValueError(f"cylinder truncation needs n >= {m}")
-        return CylinderFn(add(eta_base.expr, norm_sq_coords(n)), dim=n)
-
-    def sampler(n: int, N: int, seed: int) -> np.ndarray:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(4,)))
-        base_pts = base_sampler(N, seed)
-        tail = rng.standard_normal((N, 2 * (n - m))) * 0.3
-        return np.concatenate([base_pts, tail], axis=1)
-
-    return Domain("cylinder_over", builder, None,
-                  sampler if base_sampler is not None else None)
-
-
 def translated_scaled(base: Domain, a: Sequence[complex] = (),
                       c: Union[complex, Sequence[complex]] = 1.0) -> Domain:
     """V + a and cV from a base domain: eta(z) = eta_base((z_i - a_i)/c_i)."""
@@ -187,11 +163,6 @@ def translated_scaled(base: Domain, a: Sequence[complex] = (),
         return out
 
     return Domain("translated_scaled", builder, None, sampler)
-
-
-def custom(eta_builder: Callable[[int], CylinderFn],
-           interior_sampler=None) -> Domain:
-    return Domain("custom", eta_builder, None, interior_sampler)
 
 
 def whole_space() -> Domain:

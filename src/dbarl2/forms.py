@@ -18,7 +18,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .gaussmeasure import GaussianSpec, MCEstimate, Quadrature, estimate, support_rsq
+from .gaussmeasure import GaussianSpec, MCEstimate, Quadrature, estimate, support_mask
 from .multiindex import MultiIndex, WeightFamily, as_multiindex
 from .symfun import (CylinderFn, FnBase, ZERO_FN, _as_fn, eval_expr, support_of_product,
                      support_of_sum)
@@ -103,20 +103,12 @@ class Form:
         return self.map_coeffs(lambda fn: m * fn)
 
 
-def support_mask(pts: np.ndarray, radius: float, dim: int) -> np.ndarray:
-    """Boolean mask of points inside the support ball of that radius in C^dim."""
-    rsq = np.zeros(len(pts))
-    for c in range(min(2 * dim, pts.shape[1])):  # np.sum's row sums below 8 columns, 6x faster
-        rsq += pts[:, c] ** 2
-    return rsq <= support_rsq(radius)
-
-
 def _ball_values(groups, pts: np.ndarray) -> list:
     """(on, m, vals, ew) for each group (exprs, w_fn, radius, dim): the values of
     exprs and the factor e^{-Re w_fn} (None without a weight) at the m points
-    pts[on] of the support ball, or at every point when the ball is unbounded or
-    there is no weight.  Groups that select the same points share one
-    evaluation; a group without exprs is a zero integrand, which selects no
+    pts[on] that ``support_mask`` keeps, or at every point when the ball is
+    unbounded or there is no weight.  Groups that select the same points share
+    one evaluation; a group without exprs is a zero integrand, which selects no
     point and evaluates no weight.  The one place that forms e^{-Re w}."""
     balls: dict = {}
     for k, (exprs, w_fn, radius, dim) in enumerate(groups):

@@ -14,14 +14,13 @@ for 4 -> 1; over ``_TAIL_BUDGET`` nodes it raises ``ValueError``.  An axis of m
 nodes is exact for its degree < 2m, not for the bumps the library reduces: on 300
 seeded bumps on C^3, 3 -> 1 is off a 12-node rule by <= 3.6e-4 sup |f|, 3 -> 2 by 1.2e-6.
 
-When the integrand declares a ``support_radius`` R, the integrand is evaluated
-only on the (head, tail node) pairs inside its support ball,
-|head|^2 <= ``support_rsq(R)`` - |tail|^2, and never outside it: every other
-term of the tail sum is an exact zero.  The integrand is compiled once per
-call (one ``symfun.Tape``) and run on batches of whole tail nodes, at most
-``_TAIL_CHUNK`` points unless one node alone has more (a column-major array),
-and the sum is accumulated node by node in the order of the rule, so the
-values are bitwise those of the per-node loop over all pairs.
+When the integrand declares a ``support_radius`` R, it is evaluated only on the
+(head, tail node) pairs that ``support_mask``, the one support-ball test,
+keeps: every other term of the tail sum is an exact zero.  The integrand is
+compiled once per call (one ``symfun.Tape``) and run on batches of whole tail
+nodes, at most ``_TAIL_CHUNK`` points unless one node alone has more (a
+column-major array), and the sum is accumulated node by node in the order of
+the rule, so the values are bitwise those of the per-node loop over all pairs.
 Without a radius every pair is live.
 
 ``estimate`` is the one quadrature estimate (mean and stderr) of every
@@ -52,6 +51,18 @@ def support_rsq(radius: float) -> float:
     """Squared radius of the support ball with its rounding slack: a point with
     squared norm at most this is inside."""
     return radius * radius * (1.0 + 1e-12)
+
+
+def support_mask(pts: np.ndarray, radius: Optional[float], dim: int) -> np.ndarray:
+    """The one support-ball test: the points whose squared norm over the first
+    2 dim columns is at most ``support_rsq(radius)`` or not finite (so a NaN or
+    an inf reaches the integrand and propagates); every point without a radius."""
+    if radius is None:
+        return np.ones(len(pts), dtype=bool)
+    rsq = np.zeros(len(pts))
+    for c in range(min(2 * dim, pts.shape[1])):  # np.sum's row sums below 8 columns, 6x faster
+        rsq += pts[:, c] ** 2
+    return (rsq <= support_rsq(radius)) | ~np.isfinite(rsq)
 
 
 def default_a(i: int) -> float:
@@ -197,9 +208,11 @@ def integrate(f: FnBase, spec: GaussianSpec, quad: Quadrature) -> MCEstimate:
 class ReducedFn(FnBase):
     """Partial integral of ``f`` over coordinates beyond ``n`` (tail quadrature).
 
-    Exactness, support masking and batching of the tail rule as in the module
-    docstring.  Derivatives commute with the tail integral, so d_dx defers to
-    the source.
+    Exactness and batching of the tail rule as in the module docstring; its
+    masking is ``support_mask``'s rule per (head, tail node) pair,
+    |head|^2 <= support_rsq(R) - |tail|^2, on heads sorted by norm, so each
+    node's live heads are a prefix and no dead pair is built.  Derivatives
+    commute with the tail integral, so d_dx defers to the source.
     """
 
     def __init__(self, f: FnBase, n: int, tail_pts: np.ndarray, tail_w: np.ndarray):

@@ -50,7 +50,7 @@ from .dbarops import OperatorContext, Tstar, dbar, max_abs
 from .domains import Domain, levi_min_eigs
 from .forms import Form, _ball_values, _weighted_sq_vals
 from .gaussmeasure import (CheckOutcome, GaussianSpec, Quadrature, _leggauss, _mesh, estimate,
-                           json_number, sample, support_rsq, verdict)
+                           json_number, sample, support_mask, support_rsq, verdict)
 from .multiindex import check_conditions
 from .symfun import (CylinderFn, Fun, Tape, add, const, delbar_op, eval_expr, mul,
                      norm_sq_coords, poly1, support_of_sum, x, y, _as_fn)
@@ -394,11 +394,10 @@ class CauchyOracle:
     When the integrand declares R, it is evaluated only where it can be
     nonzero.  Radius rows whose circles about every evaluation point miss the
     support disc (with a pad far above the rounding of the nodes) are never
-    built.  Within the rows that are, the integrand sees only the polar nodes
-    whose computed coordinates pass the ``support_rsq(R)`` test of
-    ``ReducedFn``, and every other term is an exact zero, so the cost is
-    proportional to the live nodes.  Without R, or when an evaluation point is
-    not finite, every node is live, so a NaN propagates.  The rows are built
+    built; a non-finite evaluation point keeps every row.  Within the rows that
+    are, the integrand sees only the polar nodes ``gaussmeasure.support_mask``
+    keeps, and every other term is an exact zero, so the cost is proportional
+    to the live nodes and a NaN or an inf propagates.  The rows are built
     in batches of at most ``_ORACLE_CHUNK`` nodes, the integrand compiled once
     per call (one ``symfun.Tape``) and run on each batch; the angle sums of a batch
     are formed in one pass and accumulated over the radii in the order of the
@@ -422,12 +421,11 @@ class CauchyOracle:
         cx, sx = np.cos(th), np.sin(th)
         phase = (cx - 1j * sx)  # e^{-i theta}
         dist = np.hypot(pts[:, 0], pts[:, 1])
-        # without R, or at a non-finite point, every node is live (so a NaN propagates)
-        masked = g.support_radius is not None and bool(np.isfinite(dist).all())
-        rsq = support_rsq(g.support_radius) if masked else math.inf
-        rho = math.sqrt(rsq)
+        R = g.support_radius
+        rho = math.inf if R is None else math.sqrt(support_rsq(R))
         pad = 1e-9 * (rho + self.reach + np.max(dist))  # far above the nodes' rounding
-        # the circle of radius r about z meets the support disc only if |r - |z|| <= rho
+        # the circle of radius r about z meets the support disc only if |r - |z|| <= rho;
+        # a NaN or an inf in dist keeps every row
         lo = int(np.count_nonzero(r + rho + pad < np.min(dist)))
         hi = self.nr - int(np.count_nonzero(r - rho - pad > np.max(dist)))
         out = np.zeros(N, dtype=complex)
@@ -445,14 +443,14 @@ class CauchyOracle:
             rk = r[s:s + k, None]
             shift[:k, :, 0] = base_x + rk * tiled_cx
             shift[:k, :, 1] = base_y + rk * tiled_sx
-            live = ~(shift[:k, :, 0] ** 2 + shift[:k, :, 1] ** 2 > rsq)  # a NaN node stays live
+            nodes = shift[:k].reshape(k * M, 2)
+            live = support_mask(nodes, R, 1)
             if not live.any():
                 continue
             # complex zeros: a real value is cast exactly as the product below would
-            vals = np.zeros((k, M), dtype=complex)
-            vals[live] = fn(np.compress(live.reshape(-1), shift[:k].reshape(k * M, 2), axis=0),
-                            tape)
-            sums = (vals * tiled_phase).reshape(k, N, self.nt).sum(axis=2)
+            vals = np.zeros(k * M, dtype=complex)
+            vals[live] = fn(np.compress(live, nodes, axis=0), tape)
+            sums = (vals.reshape(k, M) * tiled_phase).reshape(k, N, self.nt).sum(axis=2)
             # radius by radius in the order of the rule, after the earlier batches
             terms = np.concatenate((out[None], (wr[s:s + k, None] * wt) * sums))
             out = np.cumsum(terms, axis=0)[-1]

@@ -179,6 +179,34 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"config error: {field} reaches coordinate ")
         assert list(out.glob("*")) == []
 
+    @pytest.mark.parametrize("command, payload, need", [
+        ("conditions", {"family": {"kind": "prior_work"}, "trunc_dim": 2,
+                        "a_rule": [0.5, 0.5], "max_index": 6}, "a_rule lists 2 scales; a_3"),
+        ("solve", {"trunc_dim": 1, "a_rule": [0.25], "family": {"kind": "prior_work"},
+                   "weights": "quadratic"}, "a_rule lists 1 scales; a_2"),
+    ], ids=["conditions", "solve"])
+    def test_short_a_rule_list_exits_two(self, tmp_path, capsys, command, payload, need):
+        # the prior-work family reads a_i past trunc_dim: a config error, not a crash
+        out = tmp_path / "r"
+        assert run([command, "--config", write_config(tmp_path, payload), "--out", out]) == 2
+        assert capsys.readouterr().err == f"config error: {need} is needed\n"
+        assert list(out.glob("*")) == []
+
+    def test_refusal_prints_its_reason_and_exits_one(self, tmp_path, capsys, monkeypatch):
+        # a refusal verified nothing, so a run of passes and refusals does not exit 0
+        def cmd(config, seed, out_dir):
+            yield CheckOutcome.judged("kept", 1.0, 0.0, 1.0, 0.0, 0.0)
+            yield CheckOutcome.refused("held", "c0 is not positive")
+
+        monkeypatch.setitem(COMMANDS, "majorant", cmd)
+        out = tmp_path / "r"
+        assert run(["majorant", "--config", write_config(tmp_path, {}), "--out", out]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(f"{'kept':32s} pass  lhs=1 ")
+        assert lines[1].startswith(f"{'held':32s} refused: c0 is not positive [")
+        records = strict_records(out / "majorant_report.jsonl")
+        assert records["kept"]["pass"] is True and records["held"]["pass"] is False
+
     def test_empty_forms_exit_zero(self, tmp_path):
         cfg = write_config(tmp_path, {"seed": 1, "trunc_dim": 2, "forms": []})
         out = tmp_path / "r"

@@ -1,12 +1,11 @@
 import numpy as np
-import pytest
 
 from dbarl2 import dbarops as do
 from dbarl2 import gaussmeasure as gm
 from dbarl2.dbarops import OperatorContext, Tstar, dbar
 from dbarl2.forms import Form
 from dbarl2.multiindex import multiplicative_family
-from dbarl2.symfun import CylinderFn
+from dbarl2.symfun import CylinderFn, eval_expr
 
 from conftest import bump_fn, random_form
 
@@ -14,16 +13,6 @@ from conftest import bump_fn, random_form
 def make_ctx(spec, fam, w1="0", w2="0", w3="0", varphi="0"):
     return OperatorContext(spec, fam, CylinderFn(w1), CylinderFn(w2),
                            CylinderFn(w3), CylinderFn(varphi))
-
-
-class TestContext:
-    def test_weights_must_be_real(self, spec2, fam):
-        ctx = make_ctx(spec2, fam, w1="x(1)", w2="x(1)")
-        pts = gm.sample(spec2, 100, 99)
-        assert ctx.check_real_weights(pts) <= 1e-12
-        bad = make_ctx(spec2, fam, w1="i*x(1)")
-        with pytest.raises(ValueError):
-            bad.check_real_weights(pts)
 
 
 class TestDbar:
@@ -122,8 +111,9 @@ class TestTstar:
         out = rng.normal(size=(500, 4))
         out /= np.linalg.norm(out, axis=1, keepdims=True)
         out *= 0.5 + 1.5 * rng.random((500, 1))
-        assert do.support_leak(Tstar(f, ctx), out) <= 1e-12
-        assert do.support_leak(dbar(f), out) <= 1e-12
+        leak = lambda form: do.max_abs(eval_expr([fn.expr for fn in form.coeffs.values()], out))
+        assert leak(Tstar(f, ctx)) <= 1e-12
+        assert leak(dbar(f)) <= 1e-12
 
 
 class TestAdjoint:
@@ -266,8 +256,6 @@ class TestMaxAbs:
         # exp(800 x1) overflows at x1 = 1: inf - inf is NaN there
         c = "exp(800*x(1))*x({}) - exp(800*x(1))*x({})"
         with np.errstate(all="ignore"):
-            u = Form((0, 1), {((), (1,)): CylinderFn(c.format(1, 1))}, fam)
-            assert np.isnan(do.support_leak(u, np.array([[1.0, 0.0]])))
             # dbar(dbar u) needs a (0, 0)-form in two variables to have a coefficient
             u2 = Form((0, 0), {((), ()): CylinderFn(c.format(2, 2))}, fam)
             pts = np.array([[1.0, 0.0, 0.5, 0.0]])
@@ -281,5 +269,4 @@ class TestMaxAbs:
         pts = gm.sample(spec2, 300, 42)
         loop = lambda form: max([0.0] + [float(np.max(np.abs(fn(pts))))
                                          for fn in form.coeffs.values()])
-        assert do.support_leak(u, pts) == loop(u) > 0.0
         assert do.st_complex_residual(u, pts) == loop(dbar(dbar(u)))

@@ -92,18 +92,6 @@ class TestLevi:
         dev = np.max(np.abs(H - np.conjugate(np.transpose(H, (0, 2, 1)))))
         assert dev <= 1e-10
 
-    def test_cylinder_over_base(self):
-        from dbarl2.symfun import norm_sq_coords
-        eta_m = CylinderFn("x(1)^2+y(1)^2", dim=1)
-
-        def base_sampler(N, seed):
-            rng = np.random.default_rng(seed)
-            return rng.normal(size=(N, 2)) * 0.3
-
-        dom = dm.cylinder_over(eta_m, 1, base_sampler=base_sampler)
-        pts = dom.sample_interior(2, 50, 82)
-        assert float(np.min(dm.levi_min_eigs(dom.eta(2), pts, 2))) >= -1e-9
-
 
 class TestGeometry:
     def test_d_V_inside(self):
@@ -164,7 +152,7 @@ class TestGeometry:
             assert dmin > 0.0
 
     def test_custom_domain_has_no_boundary_rule(self):
-        dom = dm.custom(lambda n: CylinderFn("x(1)^2"))
+        dom = dm.Domain("custom", lambda n: CylinderFn("x(1)^2"), None, None)
         with pytest.raises(ValueError):
             dm.d_V(dom, np.zeros(2))
 

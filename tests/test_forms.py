@@ -198,6 +198,27 @@ class TestWeightOnSupportBall:
         assert not np.any(sq) and not np.any(prod)
 
 
+class TestNonfinitePoints:
+    """A NaN or an inf point is inside every support ball, so a weighted
+    integrand is not finite there, as the unweighted one is."""
+
+    PTS = np.array([[np.nan, 0.1], [0.1, 0.2], [np.inf, 0.0]])
+
+    def _form(self, fam):
+        return Form((0, 0), {((), ()): CylinderFn("1+x(1)", support_radius=0.8)}, fam)
+
+    @pytest.mark.parametrize("w", [None, "x(1)^2"])
+    def test_weighted_squares_and_inner_products(self, fam, w):
+        f = self._form(fam)
+        finite = 1.1 ** 2 * (1.0 if w is None else np.exp(-0.01))
+        with np.errstate(invalid="ignore"):
+            sq, = fm._weighted_sq_vals([(f, w)], self.PTS)
+            prod = fm.inner_vals(f, f, w, self.PTS)
+        for vals in (sq, prod):
+            assert np.isnan(vals[0]) and not np.isfinite(vals[2])
+            assert vals[1] == pytest.approx(finite, rel=1e-15)
+
+
 class TestFormLiteral:
     def test_parse_entries(self, fam, spec2):
         f = parse_form_literal(

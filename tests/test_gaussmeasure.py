@@ -96,6 +96,33 @@ class TestIntegrate:
         assert not np.array_equal(other, pts)
 
 
+class TestSupportMask:
+    """The one support-ball test: squared norm over the first 2 dim columns at
+    most support_rsq(R), or not finite."""
+
+    EDGE = 0.5 * (1.0 + 2e-13)  # on the boundary, inside the 1e-12 slack
+
+    @pytest.mark.parametrize("point, live", [
+        ((0.3, 0.1, 9.0, 9.0), True),  # columns past 2 dim do not count
+        ((0.4, 0.4, 0.0, 0.0), False),
+        ((EDGE, 0.0, 0.0, 0.0), True),
+        ((0.5 * (1.0 + 1e-11), 0.0, 0.0, 0.0), False),
+        ((np.nan, 0.1, 0.0, 0.0), True),
+        ((0.4, 0.4, np.nan, 0.0), False),
+        ((np.inf, 0.0, 0.0, 0.0), True),
+        ((0.0, -np.inf, 0.0, 0.0), True),
+    ], ids=["inside", "outside", "boundary", "past-slack", "nan", "nan-uncounted", "inf",
+            "minus-inf"])
+    def test_table(self, point, live):
+        with np.errstate(invalid="ignore"):
+            got = gm.support_mask(np.array([point]), 0.5, 1)
+        assert got.dtype == bool and got.tolist() == [live]
+
+    def test_no_radius_keeps_every_point(self):
+        pts = np.array([[9.0, 9.0], [np.nan, 0.0]])
+        assert gm.support_mask(pts, None, 1).tolist() == [True, True]
+
+
 def _per_node(r, pts):
     """Reference: the tail rule as one evaluation of r.f per tail node."""
     out = np.zeros(len(pts), dtype=complex)

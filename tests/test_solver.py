@@ -14,7 +14,8 @@ from dbarl2.forms import Form, norm_sq, support_mask
 from dbarl2.multiindex import check_conditions, constant_family, multiplicative_family
 from dbarl2.symfun import CylinderFn, EvalError, delbar_op
 
-from conftest import CountingFn, ScalarTwo, bump_fn, compiles_and_runs, random_form
+from conftest import (CountingFn, RecordingFn, ScalarTwo, bump_fn, compiles_and_runs,
+                      random_form)
 
 
 R = 0.8
@@ -636,6 +637,16 @@ class TestCauchyOracle:
             got = oracle(np.array([[np.nan, 0.0], [np.inf, 0.0], [0.1, 0.2]]))
         assert np.isnan(got[:2]).all()
         assert np.array_equal(got[2:], _per_radius(oracle, f1, np.array([[0.1, 0.2]])))
+
+    def test_nonfinite_point_keeps_the_mask(self, manufactured):
+        # every node about a NaN point reaches the integrand; off the support, no
+        # node about a finite point of the same call does
+        g = RecordingFn(manufactured[1].coeff((), (1,)))
+        with np.errstate(invalid="ignore"):
+            sv.CauchyOracle(f1=g, reach=1.0, nr=64, nt=48)(np.array([[np.nan, 0.0], [0.1, 0.2]]))
+        sq = np.sum(np.concatenate(g.seen) ** 2, axis=1)
+        assert np.count_nonzero(np.isnan(sq)) == 64 * 48
+        assert np.all(sq[~np.isnan(sq)] <= gm.support_rsq(R))
 
     def test_constant_scalar_integrand(self):
         oracle = sv.CauchyOracle(f1=ScalarTwo(1), reach=1.0, nr=64, nt=48)
