@@ -16,7 +16,10 @@ seeded bumps on C^3, 3 -> 1 is off a 12-node rule by <= 3.6e-4 sup |f|, 3 -> 2 b
 
 When the integrand declares a ``support_radius`` R, it is evaluated only on the
 (head, tail node) pairs that ``support_mask``, the one support-ball test,
-keeps: every other term of the tail sum is an exact zero.  The integrand is
+keeps: every other term of the tail sum is an exact zero, and a head live at
+no node is an exact 0.  Only the heads live at some node are sorted by norm;
+each head sums its own nodes in the order of the rule, so tied heads may come
+in any order without changing a bit.  The integrand is
 compiled once per call (one ``symfun.Tape``) and run on batches of whole tail
 nodes, at most ``_TAIL_CHUNK`` points unless one node alone has more (a
 column-major array), and the sum is accumulated node by node in the order of
@@ -210,9 +213,10 @@ class ReducedFn(FnBase):
 
     Exactness and batching of the tail rule as in the module docstring; its
     masking is ``support_mask``'s rule per (head, tail node) pair,
-    |head|^2 <= support_rsq(R) - |tail|^2, on heads sorted by norm, so each
-    node's live heads are a prefix and no dead pair is built.  Derivatives
-    commute with the tail integral, so d_dx defers to the source.
+    |head|^2 <= support_rsq(R) - |tail|^2.  Only the heads live at some node
+    are sorted by norm (tied heads in any order), so each node's live heads
+    are a prefix, no dead pair is built, and every other head is an exact 0.
+    Derivatives commute with the tail integral, so d_dx defers to the source.
     """
 
     def __init__(self, f: FnBase, n: int, tail_pts: np.ndarray, tail_w: np.ndarray):
@@ -233,17 +237,19 @@ class ReducedFn(FnBase):
         N, T = head.shape[0], self._tail_pts.shape[0]
         if self.support_radius is None:
             order, live = np.arange(N), np.full(T, N)
-        else:  # heads by norm, so each node's live heads are a prefix of them
+        else:  # the heads live at some node, by norm: each node's live heads are a prefix
             hsq = np.sum(head ** 2, axis=1)
             hsq[~np.isfinite(hsq)] = -np.inf  # live at every node, so a NaN stays NaN
-            order = np.argsort(hsq, kind="stable")
-            live = np.searchsorted(hsq[order], support_rsq(self.support_radius) - self._tail_sq,
-                                   side="right")
+            bound = support_rsq(self.support_radius) - self._tail_sq
+            order = np.flatnonzero(hsq <= bound.max())
+            # each head sums its own nodes in the rule's order, so ties may come in any order
+            order = order[np.argsort(hsq[order])]
+            live = np.searchsorted(hsq[order], bound, side="right")
         head_cols = np.take(head.T, order, axis=1)
         first = np.concatenate(([0], np.cumsum(live)))  # first row of each node
         f = _as_fn(self.f)
         tape = Tape(f.expr)  # compiled once, run on every batch
-        acc = np.zeros(N, dtype=complex)  # in the order of `order`
+        acc = np.zeros(len(order), dtype=complex)  # in the order of `order`
         s = 0
         while s < T:  # whole nodes s..e-1, at most _TAIL_CHUNK rows (at least one node)
             e = max(s + 1, int(np.searchsorted(first, first[s] + _TAIL_CHUNK, side="right")) - 1)
@@ -259,7 +265,7 @@ class ReducedFn(FnBase):
                 # add.at walks pos in order: node by node, so the sum keeps its order
                 np.add.at(acc, pos, np.repeat(self._tail_w[s:e], c) * vals)
             s = e
-        out = np.empty(N, dtype=complex)
+        out = np.zeros(N, dtype=complex)  # a head live at no node is an exact 0
         out[order] = acc
         return out
 

@@ -74,13 +74,18 @@ class ResolutionError(ValueError):
 class GridFn(FnBase):
     """Values on a uniform grid over [-L, L]^(2n) with multilinear interpolation.
 
-    First derivatives are central-difference stencils on the grid and so only
-    approximate: they feed only the reported ladders, never an exact identity.
+    A point is outside, and gives 0, when a coordinate lies off the grid (an
+    inf does); a NaN coordinate is not off the grid, so a NaN gives NaN.  Each
+    of the 2^(2n) corners is one gather from the flattened grid by one flat
+    index per point, and the points are gathered and scattered only when some
+    point is outside.  First derivatives are central-difference stencils on
+    the grid and so only approximate: they feed only the reported ladders,
+    never an exact identity.
     """
 
     def __init__(self, values: np.ndarray, extent: float, n: int,
                  support_radius: Optional[float] = None):
-        self.values = np.asarray(values, dtype=complex)
+        self.values = np.ascontiguousarray(values, dtype=complex)
         self.extent = float(extent)
         self.dim = n
         self.shape = self.values.shape
@@ -95,28 +100,34 @@ class GridFn(FnBase):
         pts = np.asarray(pts, dtype=float)
         if pts.ndim == 1:
             pts = pts[None, :]
-        q = pts[:, :2 * self.dim]
-        m = self.shape[0]
-        u = (q + self.extent) / self.h
-        out = np.zeros(len(q), dtype=complex)
-        inside = np.all((u >= 0.0) & (u <= m - 1), axis=1)
-        if not np.any(inside):
-            return out
-        ui = u[inside]
-        base = np.floor(ui).astype(int)
-        base = np.minimum(base, m - 2)
-        frac = ui - base
-        d = 2 * self.dim
-        acc = np.zeros(int(inside.sum()), dtype=complex)
+        d, m = 2 * self.dim, self.shape[0]
+        u = [(pts[:, ax] + self.extent) / self.h for ax in range(d)]
+        off = (u[0] < 0.0) | (u[0] > m - 1)
+        for col in u[1:]:
+            off |= (col < 0.0) | (col > m - 1)
+        live = np.flatnonzero(~off) if off.any() else None
+        if live is not None:
+            u = [col.take(live) for col in u]
+        strides = [m ** (d - 1 - ax) for ax in range(d)]
+        flat = np.zeros(len(u[0]), dtype=np.intp)  # flat index of the base corner
+        frac = []
+        for col, stride in zip(u, strides):
+            base = np.fmin(np.floor(col), m - 2)  # fmin puts a NaN on the grid; its frac is NaN
+            t = col - base
+            frac.append((1.0 - t, t))
+            flat += base.astype(np.intp) * stride
+        grid = self.values.reshape(-1)
+        acc = np.zeros(len(flat), dtype=complex)
         for corner in range(1 << d):
-            w = np.ones(len(ui))
-            idx = []
-            for ax in range(d):
-                bit = (corner >> ax) & 1
-                w = w * (frac[:, ax] if bit else 1.0 - frac[:, ax])
-                idx.append(base[:, ax] + bit)
-            acc += w * self.values[tuple(idx)]
-        out[inside] = acc
+            bits = [(corner >> ax) & 1 for ax in range(d)]
+            w = frac[0][bits[0]]
+            for ax in range(1, d):  # the weight product in axis order
+                w = w * frac[ax][bits[ax]]
+            acc += w * grid.take(flat + sum(b * s for b, s in zip(bits, strides)))
+        if live is None:
+            return acc
+        out = np.zeros(len(off), dtype=complex)
+        out[live] = acc
         return out
 
     def _stencil(self, axis: int) -> "GridFn":
@@ -169,12 +180,6 @@ def _fftconvolve(a: np.ndarray, k: np.ndarray) -> np.ndarray:
                       for sa, sk in zip(a.shape, k.shape))]
 
 
-def fn_to_grid(f: FnBase, n: int, extent: float, grid_res: int) -> GridFn:
-    f = _as_fn(f)
-    vals = f(_mesh(np.linspace(-extent, extent, grid_res), 2 * n))
-    return GridFn(vals.reshape([grid_res] * (2 * n)), extent, n, f.support_radius)
-
-
 def _unit_kernel(n: int, delta: float, h: float) -> np.ndarray:
     """The width-delta mollifier on C^n sampled at spacing h, scaled to unit
     discrete mass (complex, for the FFT convolution)."""
@@ -201,14 +206,14 @@ def mollify(f_n: FnBase, delta: float, grid_res: int = 121) -> GridFn:
         raise ValueError("delta must be positive")
     R = f_n.support_radius
     extent = R + delta + 4.0 * delta / max(grid_res, 8)
-    grid = fn_to_grid(f_n, n, extent, grid_res)
+    pts = _mesh(np.linspace(-extent, extent, grid_res), 2 * n)  # for the values and the mask
+    grid = GridFn(f_n(pts).reshape([grid_res] * (2 * n)), extent, n, R)
     h = grid.h
     if h > delta / 2.0:
         raise ResolutionError(
             f"grid spacing {h:.4g} too coarse for delta = {delta}; raise grid_res")
     out = _fftconvolve(grid.values, _unit_kernel(n, delta, h))
     # support arithmetic is exact: kill FFT roundoff outside radius R + delta
-    pts = _mesh(grid.axes(), 2 * n)
     out[np.sum(pts * pts, axis=1).reshape(grid.shape) > (R + delta) ** 2] = 0.0
     return GridFn(out, extent, n, support_radius=R + delta)
 

@@ -49,8 +49,8 @@ from numpy.polynomial import hermite_e as herme
 from .dbarops import OperatorContext, Tstar, dbar, max_abs
 from .domains import Domain, levi_min_eigs
 from .forms import Form, _ball_values, _weighted_sq_vals
-from .gaussmeasure import (CheckOutcome, GaussianSpec, Quadrature, _leggauss, _mesh, estimate,
-                           json_number, sample, support_mask, support_rsq, verdict)
+from .gaussmeasure import (CheckOutcome, GaussianSpec, Quadrature, _leggauss, _mc_nodes_weights,
+                           _mesh, estimate, json_number, support_mask, support_rsq, verdict)
 from .multiindex import check_conditions
 from .symfun import (CylinderFn, Fun, Tape, add, const, delbar_op, eval_expr, mul,
                      norm_sq_coords, poly1, support_of_sum, x, y, _as_fn)
@@ -225,8 +225,8 @@ def solve_min_norm(p: SolveProblem) -> tuple[Form, SolveReport]:
     if tp1 < 1:
         raise ValueError("the target must be a form of degree (s, t+1)")
 
-    # closedness gate: dbar f must vanish at the audit points
-    audit_pts = sample(spec, 200, 20_202, n=spec.trunc_dim)
+    # closedness gate: dbar f must vanish at the audit points, drawn once per spec
+    audit_pts, _ = _mc_nodes_weights(spec, 200, 20_202, spec.trunc_dim)
     worst = max_abs(eval_expr([fn.expr for fn in dbar(f).coeffs.values()], audit_pts))
     if not worst <= _TOL_CLOSED:
         raise ClosednessError(f"dbar(f) reaches {worst:.3e} at audit points "

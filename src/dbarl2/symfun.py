@@ -237,40 +237,50 @@ def _require_real(v, what: str):
 
 
 def bump_values(t, k: int) -> np.ndarray:
-    """The k-th derivative of exp(-1/(1-t^2)) at real t, of t's shape; 0 where
-    1 - t^2 <= _EDGE."""
+    """The k-th derivative of exp(-1/(1-t^2)) at real t, as a float array of t's
+    shape; 0 where 1 - t^2 <= _EDGE (an inf), NaN at a NaN.  A batch whose
+    points are all inside is computed without a gather."""
     t = np.asarray(t)
     om = 1.0 - t * t
-    inside = om > _EDGE
+    outside = om <= _EDGE
+    if not outside.any():  # a 0-d t gives a numpy scalar: as an array, like the gathered path
+        return np.asarray(_bump_inside(t, om, k), dtype=float)
     out = np.zeros(t.shape)
+    inside = ~outside  # a NaN is not outside, so it propagates
     if np.any(inside):
-        omi = om[inside]
-        val = np.exp(-1.0 / omi)
-        if k > 0:
-            val = val * npoly.polyval(t[inside], np.asarray(_bump_numer(k))) / omi ** (2 * k)
-        out[inside] = val
+        out[inside] = _bump_inside(t[inside], om[inside], k)
     return out
 
 
+def _bump_inside(t, om, k: int):
+    """bump_values at points with om = 1 - t^2 > _EDGE."""
+    val = np.exp(-1.0 / om)
+    if k > 0:
+        val = val * npoly.polyval(t, np.asarray(_bump_numer(k))) / om ** (2 * k)
+    return val
+
+
 def _cubic_values(t, k: int) -> np.ndarray:
-    """The k-th derivative of the cubic step at real t (1 below 0, 0 above 1)."""
+    """The k-th derivative of the cubic step at real t (1 below 0, 0 above 1, NaN
+    at a NaN)."""
     t = np.asarray(t)
     out = np.zeros(t.shape)
     if k == 0:
         out[t < 0.0] = 1.0
-    mid = (t >= 0.0) & (t <= 1.0)
+    mid = ~((t < 0.0) | (t > 1.0))  # a NaN is mid, so it propagates
     if np.any(mid):
         out[mid] = npoly.polyval(t[mid], np.asarray(_cubic_poly(k)))
     return out
 
 
 def _step_values(t, k: int) -> np.ndarray:
-    """The k-th derivative of the smooth step germ at real t (1 below 0, 0 above 1)."""
+    """The k-th derivative of the smooth step germ at real t (1 below 0, 0 above 1,
+    NaN at a NaN)."""
     t = np.asarray(t)
     out = np.zeros(t.shape)
     if k == 0:
         out[t <= _GERM_CUT] = 1.0
-    mid = (t > _GERM_CUT) & (t < 1.0 - _GERM_CUT)
+    mid = ~((t <= _GERM_CUT) | (t >= 1.0 - _GERM_CUT))  # a NaN is mid, so it propagates
     if np.any(mid):
         sub = np.zeros((int(mid.sum()), 2))
         sub[:, 0] = t[mid]

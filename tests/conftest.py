@@ -7,8 +7,9 @@ import pytest
 
 from dbarl2 import symfun as sf
 from dbarl2.forms import Form
-from dbarl2.gaussmeasure import GaussianSpec, Quadrature
+from dbarl2.gaussmeasure import GaussianSpec, Quadrature, _mesh
 from dbarl2.multiindex import constant_family
+from dbarl2.reduction import GridFn
 
 
 @pytest.fixture(scope="session")
@@ -74,6 +75,12 @@ def bump_fn(n: int, radius: float, poly: str = "1") -> sf.CylinderFn:
     """(poly) * bump(||z||^2 / radius^2) supported in the radius ball."""
     return sf.CylinderFn(f"({poly})*bump(({radial_sq(n)})/{radius * radius})",
                          support_radius=radius)
+
+
+def grid_of(f: sf.FnBase, n: int, extent: float, res: int) -> GridFn:
+    """f sampled on the grid [-extent, extent]^(2n) of res points per axis."""
+    pts = _mesh(np.linspace(-extent, extent, res), 2 * n)
+    return GridFn(f(pts).reshape([res] * (2 * n)), extent, n, f.support_radius)
 
 
 def random_poly_str(rng: np.random.Generator, n: int) -> str:

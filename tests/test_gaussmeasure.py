@@ -338,6 +338,26 @@ class TestReduce:
         assert np.all(np.isnan(got[[0, 2]])) and np.all(np.isnan(unbounded[[0, 2]]))
         assert np.array_equal(got[[1, 3, 4]], _per_node(gm.reduce_fn(f, 1, spec2), pts[[1, 3, 4]]))
 
+    def test_tied_heads_keep_the_per_node_bits(self, spec2):
+        # a symmetric grid of heads: (+-a, +-b) and (+-b, +-a) tie in |head|^2, and
+        # tied heads may be sorted in any order, since each sums its own nodes
+        f = bump_fn(2, 0.5, poly="1+x(1)-y(1)^2+x(2)")
+        axis = np.linspace(-0.6, 0.6, 25)
+        grid = np.stack([g.reshape(-1) for g in np.meshgrid(axis, axis, indexing="ij")], 1)
+        pts = np.concatenate([grid, [[np.nan, 0.1]]])
+        hsq = np.sum(grid ** 2, axis=1)
+        assert len(np.unique(hsq)) < len(hsq) / 3
+        r = gm.reduce_fn(f, 1, spec2)
+        # live at no node: |head|^2 above the bound of the node nearest the origin
+        dead = hsq > gm.support_rsq(0.5) - np.min(np.sum(r._tail_pts ** 2, axis=1))
+        assert 0 < dead.sum() < len(grid)
+        with np.errstate(invalid="ignore"):
+            got = r(pts)
+            ref = _per_node(r, pts)
+        assert got.tobytes() == ref.tobytes()
+        assert np.isnan(got[-1]) and not np.any(np.isnan(got[:-1]))
+        assert got[:-1][dead].tobytes() == np.zeros(dead.sum(), dtype=complex).tobytes()
+
     def test_batched_tail_eval_error_propagates(self, spec3):
         r = gm.reduce_fn(CylinderFn("log(x(3))", dim=3), 1, spec3)
         with pytest.raises(EvalError):

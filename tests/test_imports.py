@@ -7,7 +7,7 @@ passed by some call, every field is read somewhere, no expression node defines
 arithmetic operators, every expression node has a typing rule, and importing
 the command line loads no third-party package but numpy, one function
 forms the weight factor e^{-Re w}, and one loop reads the clock and stamps
-each record's runtime.
+each record's runtime, and every target the benchmark's tracer patches exists.
 
 Only the standard ``ast`` module is needed for the source checks.  An imported
 name counts as used when it appears anywhere in the module as a ``Name`` node
@@ -29,6 +29,7 @@ name apart.
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -374,3 +375,33 @@ def test_cli_imports_numpy_only():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert ast.literal_eval(out.stdout) == ["dbarl2", "numpy"]
+
+
+# benchmark span targets that the program no longer has, each with the reason it stays
+MISSING_SPAN_TARGETS = {
+    ("solver", "_cg"): "the thin SVD replaced conjugate gradients; ROADMAP item 10 "
+                       "retires the target with the patching",
+}
+
+
+def test_every_span_target_resolves():
+    # as perfbench/spans.py's Tracer.install resolves them: a missing target is
+    # skipped there without a word, so a rename would blank its layer's metric
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "TARGETS" for t in node.targets))
+    missing = set()
+    for _, modname, attr in targets:
+        mod = importlib.import_module(f"dbarl2.{modname}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            cls = getattr(mod, cls_name, None)
+            found = cls is not None and meth in vars(cls)
+        else:
+            found = getattr(mod, attr, None) is not None
+        if not found:
+            missing.add((modname, attr))
+    assert missing == set(MISSING_SPAN_TARGETS), \
+        f"span targets the program lacks: {sorted(missing - set(MISSING_SPAN_TARGETS))}; " \
+        f"listed but present: {sorted(set(MISSING_SPAN_TARGETS) - missing)}"

@@ -8,7 +8,7 @@ from dbarl2 import reduction as rd
 from dbarl2.forms import Form
 from dbarl2.symfun import CylinderFn, germ_step, mul, const, add, parse, support_of_sum
 
-from conftest import bump_fn
+from conftest import bump_fn, grid_of
 
 
 class TestMollifierKernel:
@@ -140,11 +140,93 @@ class TestMollify:
 
     def test_gridfn_stencil_derivative(self, spec1):
         f = bump_fn(1, 0.5, poly="x(1)")
-        g = rd.fn_to_grid(f, 1, 0.7, 201)
+        g = grid_of(f, 1, 0.7, 201)
         dx = g.d_dx(1)
         pts = np.array([[0.1, 0.05], [0.0, 0.2]])
         sym = f.d_dx(1)(pts)
         np.testing.assert_allclose(dx(pts), sym, atol=5e-3)
+
+
+def _per_corner(g, pts):
+    """Reference: multilinear interpolation gathered per corner by 2n-d fancy
+    indexing, the points inside the grid box gathered and scattered back."""
+    q = pts[:, :2 * g.dim]
+    m = g.shape[0]
+    u = (q + g.extent) / g.h
+    out = np.zeros(len(q), dtype=complex)
+    inside = np.all((u >= 0.0) & (u <= m - 1), axis=1)
+    if not np.any(inside):
+        return out
+    ui = u[inside]
+    base = np.minimum(np.floor(ui).astype(int), m - 2)
+    frac = ui - base
+    acc = np.zeros(int(inside.sum()), dtype=complex)
+    for corner in range(1 << (2 * g.dim)):
+        w = np.ones(len(ui))
+        idx = []
+        for ax in range(2 * g.dim):
+            bit = (corner >> ax) & 1
+            w = w * (frac[:, ax] if bit else 1.0 - frac[:, ax])
+            idx.append(base[:, ax] + bit)
+        acc += w * g.values[tuple(idx)]
+    out[inside] = acc
+    return out
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestGridFn:
+    @pytest.fixture(params=[1, 2], ids=["n1", "n2"])
+    def grid(self, request):
+        # extent 1 on 9 or 5 points: h is a power of two, so the last grid line is u = m - 1
+        n = request.param
+        f = CylinderFn("(1+x(1)-0.5*y(1))*exp(x(%d)*y(%d))" % (n, n), dim=n)
+        return grid_of(f, n, 1.0, 9 if n == 1 else 5)
+
+    def test_gathers_match_the_per_corner_loop(self, grid):
+        d = 2 * grid.dim
+        rng = np.random.default_rng(23)
+        inside = rng.uniform(-1.0, 1.0, (300, d))
+        some_out = rng.uniform(-1.6, 1.6, (300, d))
+        all_out = some_out[np.any(np.abs(some_out) > 1.0, axis=1)]
+        assert 0 < len(all_out) < len(some_out)
+        lines = rng.uniform(-1.0, 1.0, (40, d))
+        lines[:20, 0] = 1.0   # u = m - 1 on the first axis
+        lines[20:, -1] = -1.0  # u = 0 on the last
+        lines[::3, 1] = 1.0
+        u_last = (lines + grid.extent) / grid.h
+        assert np.any(u_last == grid.shape[0] - 1) and np.any(u_last == 0.0)
+        mix = np.concatenate([inside[:50], all_out[:50], lines])[rng.permutation(140)]
+        for pts in (inside, some_out, all_out, lines, mix):
+            got = grid(pts)
+            assert got.shape == (len(pts),) and got.dtype == complex
+            assert _bits(got) == _bits(_per_corner(grid, pts))
+
+    def test_a_nan_gives_nan_and_an_inf_gives_zero(self, grid):
+        d = 2 * grid.dim
+        pts = np.full((5, d), 0.25)
+        pts[0, 0] = np.nan
+        pts[1, -1] = np.inf
+        pts[2, 0], pts[2, -1] = np.nan, -np.inf  # outside on one axis
+        pts[3, 0] = 1.5
+        with np.errstate(invalid="ignore"):
+            got = grid(pts)
+        assert np.isnan(got[0].real) and np.isnan(got[0].imag)
+        assert _bits(got[1:4]) == _bits(np.zeros(3, dtype=complex))
+        assert _bits(got[4:]) == _bits(_per_corner(grid, pts[4:]))
+
+    def test_mollify_builds_its_grid_mesh_once(self, monkeypatch):
+        sizes = []
+        mesh = rd._mesh
+
+        def counting(ax, d):
+            sizes.append(len(ax))
+            return mesh(ax, d)
+        monkeypatch.setattr(rd, "_mesh", counting)
+        rd.mollify(bump_fn(1, 0.5), 0.1, grid_res=61)
+        assert sizes.count(61) == 1
 
 
 class TestConvolutionAdjoint:

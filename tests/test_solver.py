@@ -240,6 +240,22 @@ class TestSpaceCache:
         assert (info.hits, info.misses) == (1, 1)
         _assert_same_bits(warm, _cold(ctx, second, fam, degree, n, quad), n)
 
+    def test_audit_points_are_drawn_once(self, fam, monkeypatch):
+        # the closedness gate reads its 200 audit points from the Monte Carlo cache
+        calls = []
+        sample = gm.sample
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:3])
+            return sample(*args, **kwargs)
+        monkeypatch.setattr(gm, "sample", counting)
+        monkeypatch.setattr(sv, "sample", counting, raising=False)
+        gm._mc_nodes_weights.cache_clear()
+        ctx = _ctx(fam, 1)
+        for poly in ("x(1)", "y(1)^2-0.5*x(1)"):
+            _solve(ctx, bump_fn(1, R, poly=poly), fam, 8, 1, GH24)
+        assert calls == [(200, 20_202)]
+
     def test_other_space_misses(self, fam):
         ctx = _ctx(fam, 1)
         u0 = bump_fn(1, R, poly="x(1)")

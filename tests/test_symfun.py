@@ -12,7 +12,7 @@ from dbarl2.symfun import (CylinderFn, EvalError, ParseError, bump, conj_,
                            del_op, delbar_op, delta_op, diff, eval_expr,
                            ZERO_FN, fd_check, parse, sigma_op)
 
-from conftest import CountingFn, ScalarTwo, bump_fn, random_form, random_smooth_expr
+from conftest import CountingFn, ScalarTwo, bump_fn, grid_of, random_form, random_smooth_expr
 
 
 def ev(text, pt):
@@ -226,9 +226,8 @@ class TestLeaf:
 
     @pytest.fixture
     def grid(self):
-        from dbarl2.reduction import fn_to_grid
-        return fn_to_grid(CylinderFn("(1+x(1)*y(1))*bump((x(1)^2+y(1)^2)/0.64)",
-                                     support_radius=0.8), 1, 1.0, 41)
+        return grid_of(CylinderFn("(1+x(1)*y(1))*bump((x(1)^2+y(1)^2)/0.64)",
+                                  support_radius=0.8), 1, 1.0, 41)
 
     @pytest.fixture
     def pts(self):
@@ -468,6 +467,39 @@ class TestGerms:
                   sf.germ_step(sf.const(0.5))):
             v = eval_expr(e, pts)
             assert v.shape == (5,) and np.all(v == v[0])
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_bump_inside_batch_matches_the_gathered_path(self, k):
+        t = np.random.default_rng(31).uniform(-0.999, 0.999, 500)
+        mixed = np.concatenate([t, [2.0, -1.0, 0.99999995]])[::-1]
+        assert sf.bump_values(t, k).tobytes() == sf.bump_values(mixed, k)[::-1][:500].tobytes()
+        # a 0-d argument keeps the 0-d float array of the gathered path
+        inside, outside = sf.bump_values(np.asarray(0.3), k), sf.bump_values(np.asarray(2.0), k)
+        assert type(inside) is type(outside) is np.ndarray
+        assert inside.shape == outside.shape == () and inside.dtype == outside.dtype == float
+        assert inside == sf.bump_values(np.array([0.3]), k)[0]
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_germs_give_nan_at_nan_and_their_tails_at_inf(self, k):
+        x1 = sf.x(1)
+        # value at -inf, +inf
+        for e, lo, hi in ((bump(x1), 0.0, 0.0), (sf.cubic_step(x1, 0.0), float(k == 0), 0.0),
+                          (sf.germ_step(x1), float(k == 0), 0.0)):
+            for _ in range(k):
+                e = diff(e, "x", 1)
+            with np.errstate(invalid="ignore"):
+                got = eval_expr(e, np.array([[np.nan, 0.0], [-np.inf, 0.0], [np.inf, 0.0],
+                                             [0.5, 0.0]])).real
+            assert np.isnan(got[0]) and got[1:3].tolist() == [lo, hi]
+            assert got[3] == eval_expr(e, np.array([[0.5, 0.0]])).real[0]
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(sf.bump_values(np.array([np.nan]), k)).all()
+
+    def test_bump_cylinder_gives_nan_at_nan(self):
+        f = CylinderFn("bump((x(1)^2+y(1)^2)/0.64)")
+        with np.errstate(invalid="ignore"):
+            got = f(np.array([[np.nan, 0.1], [np.inf, 0.1], [0.1, 0.1]]))
+        assert np.isnan(got[0]) and got[1] == 0.0 and 0.0 < got[2].real < 1.0
 
     def test_bump_higher_derivatives_match_fd(self):
         e = diff(bump(sf.x(1)), "x", 1)
