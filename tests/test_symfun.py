@@ -482,7 +482,7 @@ class TestGerms:
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_germs_give_nan_at_nan_and_their_tails_at_inf(self, k):
         x1 = sf.x(1)
-        # value at -inf, +inf
+        # (germ, its value at -inf, its value at +inf)
         for e, lo, hi in ((bump(x1), 0.0, 0.0), (sf.cubic_step(x1, 0.0), float(k == 0), 0.0),
                           (sf.germ_step(x1), float(k == 0), 0.0)):
             for _ in range(k):
