@@ -1,8 +1,12 @@
 """The pseudo-convex catalog: exhaustions, Levi forms, and boundary geometry.
 
-Each catalog domain carries a truncated exhaustion function whose complex
-Hessian (the Levi form) must be positive semidefinite.  Normalization shifts
-the exhaustion so it is nonnegative and its Levi form dominates the identity.
+The catalog is the ball (any center and radius), the polydisc and the whole
+space; each domain carries its truncated exhaustion function, its boundary
+distance and its interior sampler.  The exhaustion's complex Hessian (the Levi
+form) must be positive semidefinite.  Normalization shifts the exhaustion so
+it is nonnegative and its Levi form dominates the identity.  d_V(domain, pts)
+is the boundary-distance rule at each point, and a sub-level set is uniformly
+included when the infimum of d_V over it is positive.
 """
 
 import numpy as np
@@ -20,7 +24,7 @@ print("  Levi min eigenvalue at 0:", float(dm.levi_min_eigs(ball.eta(2), np.zero
 
 print("\nLevi scans over 50 interior points")
 for dom, name in ((ball, "ball"), (dm.polydisc(), "polydisc"),
-                  (dm.translated_scaled(ball, a=(0.2,), c=1.5), "translated/scaled"),
+                  (dm.ball(center=(0.2,), r=1.5), "translated/scaled"),
                   (dm.whole_space(), "whole space")):
     pts = dom.sample_interior(2, 50, 7)
     print(f"  {name:18s} min eig = {float(np.min(dm.levi_min_eigs(dom.eta(2), pts, 2))):+.4f}")
@@ -32,8 +36,8 @@ print("  min eta after normalization:", float(np.min(np.real(nb.eta(2)(pts)))))
 print("  min Levi eigenvalue:", float(np.min(dm.levi_min_eigs(nb.eta(2), pts[:50], 2))))
 
 print("\nBoundary geometry")
-print("  d_V at ||z|| = 0.5:", dm.d_V(ball, np.array([0.5, 0, 0, 0])))
-print("  d_V at the center (1/0 = infinity convention):", dm.d_V(ball, np.zeros(4)))
+print("  d_V at ||z|| = 0.5:", dm.d_V(ball, np.array([[0.5, 0, 0, 0]]))[0])
+print("  d_V at the center (1/0 = infinity convention):", dm.d_V(ball, np.zeros((1, 4)))[0])
 margin = dm.uniformly_included(ball, 1.0, n=2)
 print(f"  sub-level tau = 1 uniformly included: {verdict(margin, 0.0, STRICT)} "
       f"(margin {margin:.3f})")

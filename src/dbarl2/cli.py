@@ -13,10 +13,10 @@ byte-identical report files.  A record passes when ``verdict(margin, stderr,
 tol)`` of its own margin does (``CheckOutcome.judged``), save the approx
 ladder, which passes when each of its steps does.  A refused record prints
 ``refused: <reason>`` and does not pass.  Exit codes: 0 all checks pass, 1 any
-check failed or was refused, 2 config error (among them a form, expression,
-``solve_dim`` or ``n_ladder`` entry that reaches past ``trunc_dim``, or a list
-``a_rule`` shorter than the a_i a family reads), 3 a check crashed (traceback
-on stderr, no report).
+check failed or was refused, 2 config error (among them a ``trunc_dim`` below
+1, a form, expression, ``solve_dim``, ``n_ladder`` entry or ``domain.center``
+that reaches past ``trunc_dim``, or a list ``a_rule`` shorter than the a_i a
+family reads), 3 a check crashed (traceback on stderr, no report).
 """
 
 from __future__ import annotations
@@ -105,11 +105,13 @@ def _mu_from(text: str):
     return mu
 
 
-def _domain_from(config) -> domains.Domain:
+def _domain_from(config, n: int) -> domains.Domain:
+    """The config's domain, its center refused when it reaches past coordinate n = trunc_dim."""
     d = config.get("domain", {"kind": "ball", "r": 1.0})
     kind = d.get("kind", "ball")
     if kind == "ball":
         center = [complex(c[0], c[1]) for c in d.get("center", [])]
+        _within(n, len(center), "domain.center")
         return domains.ball(center=center, r=float(d.get("r", 1.0)))
     if kind == "polydisc":
         return domains.polydisc()
@@ -213,16 +215,13 @@ def cmd_conditions(config, seed, out_dir: Path):
 
 
 def cmd_domains(config, seed, out_dir: Path):
-    dom = _domain_from(config)
-    n = int(config.get("trunc_dim", 2))
-    N = int(config.get("scan_points", 50))
-    pts = dom.sample_interior(n, N, seed)
+    n = _spec_from(config).trunc_dim
+    dom = _domain_from(config, n)
+    pts = dom.sample_interior(n, int(config.get("scan_points", 50)), seed)
     eig = float(np.min(domains.levi_min_eigs(dom.eta(n), pts, n)))
     yield CheckOutcome.judged("levi_min_eig", eig, -1e-9, eig + 1e-9, 0.0, 0.0)
-    if dom.boundary_distance is not None:
-        margin = domains.uniformly_included(dom, float(config.get("tau", 1.0)), n=n,
-                                            seed=seed)
-        yield CheckOutcome.judged("sublevel_uniform_inclusion", margin, 0.0, margin, 0.0, STRICT)
+    margin = domains.uniformly_included(dom, float(config.get("tau", 1.0)), n=n, seed=seed)
+    yield CheckOutcome.judged("sublevel_uniform_inclusion", margin, 0.0, margin, 0.0, STRICT)
 
 
 def cmd_approx(config, seed, out_dir: Path):
@@ -231,7 +230,7 @@ def cmd_approx(config, seed, out_dir: Path):
     judged by verdict(errs[i] - errs[i+1], ses[i] + ses[i+1], 0)."""
     spec = _spec_from(config)
     family = _family_from(config)
-    dom = _domain_from(config)
+    dom = _domain_from(config, spec.trunc_dim)
     fl = _forms_from(config, family, spec.trunc_dim)
     n_ladder = [_within(spec.trunc_dim, int(v), "n_ladder")
                 for v in config.get("n_ladder", [spec.trunc_dim])]
@@ -255,7 +254,7 @@ def cmd_solve(config, seed, out_dir: Path):
     spec = _spec_from(config)
     n = spec.trunc_dim
     family = _family_from(config)
-    dom = _domain_from(config)
+    dom = _domain_from(config, n)
     fl = _forms_from(config, family, n)
     if not fl:
         m = config.get("manufactured", {"coeff": "x(1)*bump((x(1)^2+y(1)^2)/0.64)",

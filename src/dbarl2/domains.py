@@ -1,37 +1,38 @@
 """Pseudo-convex domain catalog, exhaustion geometry, and Levi-form scans.
 
-Each domain carries a rule producing the truncated exhaustion function eta_n
-as a symbolic cylinder function, an analytic boundary-distance rule for the
-catalog kinds, and an interior sampler for the audits.  The Levi form is the
-complex Hessian [del_i delbar_j eta]; positivity at sampled points is the
-operational pseudo-convexity check.
+The catalog is the runner's three kinds: the ball (any center and radius),
+the Hilbert polydisc and the whole space.  Each domain carries its truncated
+exhaustion eta_n as a symbolic cylinder function, its boundary distance and
+its interior sampler.  ``d_V(domain, pts)`` is the distance rule of the paper
+at each point, and ``uniformly_included`` the margin of uniform inclusion of
+a sub-level set {eta_n <= tau}.  The Levi form is the complex Hessian
+[del_i delbar_j eta]; positivity at sampled points is the operational
+pseudo-convexity check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .symfun import (CylinderFn, Expr, Var, _children, _rebuild, add,
-                     const, del_op, delbar_op, log_, mul, norm_sq_coords, pw, x, y)
+from .symfun import (CylinderFn, add, const, del_op, delbar_op, log_, mul, norm_sq_coords,
+                     pw, x, y)
 
 
 @dataclass
 class Domain:
     kind: str
     eta_builder: Callable[[int], CylinderFn]
-    boundary_distance: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    interior_sampler: Optional[Callable[[int, int, int], np.ndarray]] = None
+    boundary_distance: Callable[[np.ndarray], np.ndarray]
+    interior_sampler: Callable[[int, int, int], np.ndarray]
 
     def eta(self, n: int) -> CylinderFn:
         return self.eta_builder(n)
 
     def sample_interior(self, n: int, N: int, seed: int) -> np.ndarray:
-        if self.interior_sampler is None:
-            raise ValueError(f"domain kind {self.kind!r} has no interior sampler")
         return self.interior_sampler(n, N, seed)
 
     def sample_sublevel(self, n: int, tau: float, N: int, seed: int) -> np.ndarray:
@@ -80,10 +81,8 @@ def ball(center: Sequence[complex] = (), r: float = 1.0) -> Domain:
         return CylinderFn(mul(const(-1), log_(add(const(1.0), mul(const(-1), dev)))), dim=n)
 
     def bdist(pts: np.ndarray) -> np.ndarray:
-        n = pts.shape[1] // 2
-        c = _center_cols(center, n)
-        rad = np.sqrt(np.sum((pts - c) ** 2, axis=1))
-        return r - rad
+        c = _center_cols(center, pts.shape[1] // 2)
+        return r - np.sqrt(np.sum((pts - c) ** 2, axis=1))
 
     def sampler(n: int, N: int, seed: int) -> np.ndarray:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
@@ -105,7 +104,6 @@ def polydisc() -> Domain:
         return CylinderFn(mul(*factors), dim=n)
 
     def bdist(pts: np.ndarray) -> np.ndarray:
-        n = pts.shape[1] // 2
         mods = np.sqrt(pts[:, 0::2] ** 2 + pts[:, 1::2] ** 2)
         gaps = 1.0 - mods
         # coordinates beyond the truncation are 0, so the gap there is 1
@@ -123,48 +121,6 @@ def polydisc() -> Domain:
     return Domain("polydisc", builder, bdist, sampler)
 
 
-def translated_scaled(base: Domain, a: Sequence[complex] = (),
-                      c: Union[complex, Sequence[complex]] = 1.0) -> Domain:
-    """V + a and cV from a base domain: eta(z) = eta_base((z_i - a_i)/c_i)."""
-    a = tuple(complex(v) for v in a)
-    if isinstance(c, (int, float, complex)):
-        c_rule = lambda i: complex(c)
-    else:
-        cs = tuple(complex(v) for v in c)
-        c_rule = lambda i: cs[i - 1] if i <= len(cs) else 1.0 + 0.0j
-
-    def builder(n: int) -> CylinderFn:
-        base_eta = base.eta(n)
-        subs = {}
-        for i in range(1, n + 1):
-            ai = a[i - 1] if i <= len(a) else 0.0 + 0.0j
-            ci = c_rule(i)
-            if ci == 0:
-                raise ValueError("scaling coefficients must be nonzero")
-            # (z_i - a_i)/c_i in real coordinates; c_i complex rotates/scales
-            re, im = ci.real, ci.imag
-            det = re * re + im * im
-            xs = add(x(i), const(-ai.real))
-            ys = add(y(i), const(-ai.imag))
-            subs[("x", i)] = mul(const(1.0 / det), add(mul(const(re), xs), mul(const(im), ys)))
-            subs[("y", i)] = mul(const(1.0 / det), add(mul(const(re), ys), mul(const(-im), xs)))
-        return CylinderFn(_substitute(base_eta.expr, subs), dim=n)
-
-    def sampler(n: int, N: int, seed: int) -> np.ndarray:
-        pts = base.sample_interior(n, N, seed)
-        out = pts.copy()
-        for i in range(1, n + 1):
-            ci = c_rule(i)
-            ai = a[i - 1] if i <= len(a) else 0.0 + 0.0j
-            zx = pts[:, 2 * i - 2] * ci.real - pts[:, 2 * i - 1] * ci.imag + ai.real
-            zy = pts[:, 2 * i - 2] * ci.imag + pts[:, 2 * i - 1] * ci.real + ai.imag
-            out[:, 2 * i - 2] = zx
-            out[:, 2 * i - 1] = zy
-        return out
-
-    return Domain("translated_scaled", builder, None, sampler)
-
-
 def whole_space() -> Domain:
     """V = the whole space with exhaustion eta = ||z||^2 (Levi form = I).
 
@@ -178,20 +134,13 @@ def whole_space() -> Domain:
         return CylinderFn(norm_sq_coords(n), dim=n)
 
     def bdist(pts: np.ndarray) -> np.ndarray:
-        return np.full(len(np.atleast_2d(pts)), np.inf)
+        return np.full(len(pts), np.inf)
 
     def sampler(n: int, N: int, seed: int) -> np.ndarray:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(6,)))
         return rng.standard_normal((N, 2 * n)) * 0.4
 
     return Domain("whole_space", builder, bdist, sampler)
-
-
-def _substitute(e: Expr, subs: dict) -> Expr:
-    """e with each variable ("x"|"y", i) in subs replaced by its expression."""
-    if isinstance(e, Var):
-        return subs.get((e.kind, e.i), e)
-    return _rebuild(e, tuple(_substitute(c, subs) for c in _children(e)))
 
 
 def complex_hessian(eta: CylinderFn, points: np.ndarray, n: int) -> np.ndarray:
@@ -240,31 +189,14 @@ def normalize_eta(domain: Domain, n_probe: int = 3, seed: int = 1234) -> Domain:
                   domain.interior_sampler)
 
 
-def d_V(domain: Domain, point: np.ndarray) -> float:
-    """min of the boundary distance and 1/||z|| (1/0 = +inf) at one point."""
-    return float(_d_V_values(domain, np.asarray(point, dtype=float).reshape(1, -1))[0])
-
-
-def _d_V_values(domain: Domain, pts: np.ndarray) -> np.ndarray:
-    """d_V at each row of pts."""
-    if domain.boundary_distance is None:
-        raise ValueError(f"domain kind {domain.kind!r} has no boundary-distance rule")
-    nrm = np.linalg.norm(pts, axis=1)
+def d_V(domain: Domain, pts: np.ndarray) -> np.ndarray:
+    """min of the boundary distance and 1/||z|| (1/0 = +inf) at each row of pts."""
     with np.errstate(divide="ignore"):
-        inv = 1.0 / nrm
+        inv = 1.0 / np.linalg.norm(pts, axis=1)
     return np.minimum(domain.boundary_distance(pts), inv)
 
 
-def uniformly_included(domain: Domain, S, n: Optional[int] = None, seed: int = 99) -> float:
-    """The margin of uniform inclusion of a sample set or a sub-level set (> 0: included).
-
-    S is either an array of points or a sub-level threshold tau (float), then
-    sampled at 2000 points; the margin is the sampled infimum of d_V over S.
-    """
-    if isinstance(S, (int, float)):
-        if n is None:
-            raise ValueError("sub-level form needs the truncation dimension n")
-        pts = domain.sample_sublevel(n, float(S), 2000, seed)
-    else:
-        pts = np.atleast_2d(np.asarray(S, dtype=float))
-    return float(np.min(_d_V_values(domain, pts)))
+def uniformly_included(domain: Domain, tau: float, n: int, seed: int = 99) -> float:
+    """The margin of uniform inclusion of the sub-level set {eta_n <= tau} (> 0:
+    included): the infimum of d_V over 2000 points sampled from it."""
+    return float(np.min(d_V(domain, domain.sample_sublevel(n, tau, 2000, seed))))

@@ -23,7 +23,8 @@ import numpy as np
 
 from .domains import Domain
 from .forms import Form, _weighted_sq_vals
-from .gaussmeasure import GaussianSpec, Quadrature, _leggauss, _mesh, estimate, reduce_fn
+from .gaussmeasure import (GaussianSpec, Quadrature, _leggauss, _mesh, estimate, reduce_fn,
+                           support_mask)
 from .symfun import FnBase, _as_fn, bump_values
 from .weights import smooth_step
 
@@ -214,7 +215,7 @@ def mollify(f_n: FnBase, delta: float, grid_res: int = 121) -> GridFn:
             f"grid spacing {h:.4g} too coarse for delta = {delta}; raise grid_res")
     out = _fftconvolve(grid.values, _unit_kernel(n, delta, h))
     # support arithmetic is exact: kill FFT roundoff outside radius R + delta
-    out[np.sum(pts * pts, axis=1).reshape(grid.shape) > (R + delta) ** 2] = 0.0
+    out[~support_mask(pts, R + delta, n).reshape(grid.shape)] = 0.0
     return GridFn(out, extent, n, support_radius=R + delta)
 
 

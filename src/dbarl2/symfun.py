@@ -687,14 +687,14 @@ _FUNS = {
 }
 
 
-def _fun(name: str, arg, k: int = 0) -> Expr:
+def _fun(name: str, arg) -> Expr:
     arg = _as_expr(arg)
     if isinstance(arg, Const) and _FUNS[name][2] is None:  # a germ stays a node
         try:
             return Const(complex(_FUNS[name][0](arg.val)))
         except EvalError as exc:
             raise EvalError(f"{exc} constant") from None
-    return Fun(name, arg, k)
+    return Fun(name, arg, 0)
 
 
 def exp_(arg) -> Expr:
@@ -751,25 +751,6 @@ def conj_(arg) -> Expr:
 # ---------------------------------------------------------------------------
 # Traversal
 # ---------------------------------------------------------------------------
-
-def _rebuild(e: Expr, kids: tuple) -> Expr:
-    """The node e over new children, through the simplifying constructors."""
-    if isinstance(e, Add):
-        return add(*kids)
-    if isinstance(e, Mul):
-        return mul(*kids)
-    if isinstance(e, Div):
-        return div(*kids)
-    if isinstance(e, Pow):
-        return pw(kids[0], e.k)
-    if isinstance(e, Fun):
-        return _fun(e.name, kids[0], e.k)
-    if isinstance(e, Poly1):
-        return poly1(kids[0], e.coeffs)
-    if isinstance(e, Conj):
-        return conj_(kids[0])
-    return e
-
 
 def _walk(e: Expr):
     """Each distinct node of the tree once (shared subtrees by identity)."""

@@ -161,6 +161,19 @@ class TestExitCodes:
         if code >= 2:
             assert list(out.glob("*")) == []
 
+    @pytest.mark.parametrize("trunc_dim", [0, -1])
+    def test_domains_trunc_dim_below_one_exits_two(self, tmp_path, trunc_dim):
+        # read through the Gaussian spec, as every other command reads it
+        config = json.loads((ROOT / "configs" / "domains.json").read_text())
+        cfg = write_config(tmp_path, dict(config, trunc_dim=trunc_dim))
+        out = tmp_path / "r"
+        proc = subprocess.run([sys.executable, "-m", "dbarl2.cli", "domains", "--config",
+                               str(cfg), "--out", str(out)], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "config error: trunc_dim must be >= 1\n"
+        assert list(out.glob("*")) == []
+
     @pytest.mark.parametrize("command, change, field", [
         ("identities", {"forms": [ZERO_FORM, PAST_FORM], "trunc_dim": 1, "a_rule": [0.25]},
          "forms[1]"),
@@ -169,7 +182,11 @@ class TestExitCodes:
         ("identities", {"multiplier": "x(3)"}, "multiplier"),
         ("solve", {"solve_dim": 2}, "solve_dim"),
         ("approx", {"n_ladder": [2]}, "n_ladder"),
-    ], ids=["form-a_rule", "form", "coeff", "multiplier", "solve_dim", "n_ladder"])
+        *((command, {"trunc_dim": 2, "domain": {"kind": "ball", "r": 1.0, "center": [
+            [0.5, 0], [0.5, 0], [0.9, 0]]}}, "domain.center")
+          for command in ("domains", "approx", "solve")),
+    ], ids=["form-a_rule", "form", "coeff", "multiplier", "solve_dim", "n_ladder",
+            "center-domains", "center-approx", "center-solve"])
     def test_past_trunc_dim_exits_two(self, tmp_path, capsys, command, change, field):
         # refused while parsing, before any check runs or any file is written
         config = json.loads((ROOT / "configs" / f"{command}.json").read_text())

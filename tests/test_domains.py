@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dbarl2 import domains as dm
-from dbarl2.symfun import CylinderFn, EvalError
+from dbarl2.symfun import EvalError
 
 
 class TestBall:
@@ -62,7 +62,7 @@ class TestLevi:
 
     def test_catalog_positivity(self):
         for dom in (dm.ball(r=1.0), dm.polydisc(),
-                    dm.translated_scaled(dm.ball(r=1.0), a=(0.1 + 0.05j,), c=1.5),
+                    dm.ball(center=(0.1 + 0.05j,), r=1.5),
                     dm.whole_space()):
             pts = dom.sample_interior(2, 50, 77)
             assert float(np.min(dm.levi_min_eigs(dom.eta(2), pts, 2))) >= -1e-9
@@ -96,16 +96,16 @@ class TestLevi:
 class TestGeometry:
     def test_d_V_inside(self):
         b = dm.ball(r=1.0)
-        assert dm.d_V(b, np.array([0.5, 0, 0, 0])) == pytest.approx(0.5)
+        assert dm.d_V(b, np.array([[0.5, 0, 0, 0]])) == pytest.approx([0.5])
 
     def test_d_V_at_center_uses_inverse_norm_convention(self):
         b = dm.ball(r=1.0)
-        assert dm.d_V(b, np.zeros(4)) == pytest.approx(1.0)
+        assert dm.d_V(b, np.zeros((1, 4))) == pytest.approx([1.0])
 
     def test_whole_space_dV(self):
         w = dm.whole_space()
-        assert dm.d_V(w, np.array([2.0, 0.0])) == pytest.approx(0.5)
-        assert dm.d_V(w, np.zeros(2)) == math.inf
+        np.testing.assert_array_equal(dm.d_V(w, np.array([[2.0, 0.0], [0.0, 0.0]])),
+                                      [0.5, math.inf])
 
     def test_sublevel_uniformly_included(self):
         b = dm.ball(r=1.0)
@@ -150,22 +150,3 @@ class TestGeometry:
         if len(near):
             dmin = np.min(np.linalg.norm(inner[:, None, :] - near[None, :, :], axis=2))
             assert dmin > 0.0
-
-    def test_custom_domain_has_no_boundary_rule(self):
-        dom = dm.Domain("custom", lambda n: CylinderFn("x(1)^2"), None, None)
-        with pytest.raises(ValueError):
-            dm.d_V(dom, np.zeros(2))
-
-
-class TestTranslatedScaled:
-    def test_recentering(self):
-        ts = dm.translated_scaled(dm.ball(r=1.0), a=(0.5,), c=2.0)
-        v = np.array([0.5, 0.0, 0.0, 0.0])
-        assert ts.eta(2)(v)[0].real == pytest.approx(0.0)
-
-    def test_complex_scaling_rotation(self):
-        ts = dm.translated_scaled(dm.ball(r=1.0), c=1j)
-        # z = i*w for w in the unit ball is still the unit ball
-        v = np.array([0.0, 0.5, 0.0, 0.0])
-        expect = -math.log(1 - 0.25)
-        assert ts.eta(2)(v)[0].real == pytest.approx(expect)

@@ -14,8 +14,11 @@ name counts as used when it appears anywhere in the module as a ``Name`` node
 (a load, or the root of an attribute chain).  The package ``__init__``
 re-exports its imports and is exempt from the import check.  A definition
 counts as named when a ``Name`` load, an attribute, an imported name or a
-string that is a (dotted) identifier spells it in a module of ``src/``,
-``tests/``, ``demos/`` or ``perfbench/``, outside the definition itself; a
+string a program reads a name from spells it in a module of ``src/``,
+``tests/``, ``demos/`` or ``perfbench/``, outside the definition itself; such
+a string is the (dotted) attribute argument of ``getattr``, ``setattr`` or
+``hasattr`` (``monkeypatch.setattr`` included) or the attribute of a
+``TARGETS`` triple of the benchmark's tracer, and any other string is data.  A
 constant is a name that a module-level assignment binds (``__version__`` is
 exempt).  A defaulted parameter counts as passed when some call of a function,
 method or class of its name passes it by keyword, reaches its position, or
@@ -31,7 +34,6 @@ from __future__ import annotations
 import ast
 import importlib
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -79,6 +81,21 @@ def test_no_import_inside_a_definition():
     assert not nested, f"imports inside a definition: {', '.join(sorted(nested))}"
 
 
+def _name_strings(top: ast.stmt):
+    """The string constants in a module-level statement that a program reads a
+    name from: the attribute argument of getattr, setattr or hasattr, and the
+    attribute of each (layer, module, attribute) triple of ``TARGETS``."""
+    if isinstance(top, ast.Assign) and any(getattr(t, "id", None) == "TARGETS"
+                                           for t in top.targets):
+        yield from (elt.elts[2] for elt in getattr(top.value, "elts", ())
+                    if isinstance(elt, ast.Tuple) and len(elt.elts) == 3)
+    for node in ast.walk(top):
+        if isinstance(node, ast.Call) and len(node.args) > 1 and (
+                getattr(node.func, "id", None) or getattr(node.func, "attr", None)) \
+                in ("getattr", "setattr", "hasattr"):
+            yield node.args[1]
+
+
 def _spelled(tree: ast.Module):
     """(name, owner) for each name the module spells; owner is the module-level
     definition the spelling sits in (None outside every definition)."""
@@ -91,8 +108,8 @@ def _spelled(tree: ast.Module):
                 yield node.attr, owner
             elif isinstance(node, ast.alias):
                 yield node.name.split(".")[-1], owner
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                    and re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
+        for node in _name_strings(top):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 for part in node.value.split("."):
                     yield part, owner
 
@@ -109,23 +126,52 @@ def _defined(tree: ast.Module):
                             if isinstance(n, ast.Name) and n.id != "__version__")
 
 
-def _unnamed(readers) -> dict:
-    """name -> "module:line" of each ``src/`` definition that no reader names
-    outside the definition itself."""
+def _unnamed(readers, src: Path) -> dict:
+    """name -> "module:line" of each definition in the modules of src that no
+    reader names outside the definition itself."""
     named = set()
     for path in readers:
         for name, owner in _spelled(ast.parse(path.read_text(), filename=str(path))):
-            named.add((name, path if path.parent == SRC else None, owner))
-    return {name: f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+            named.add((name, path if path.parent == src else None, owner))
+    return {name: f"{path.name}:{line}" for path in sorted(src.glob("*.py"))
             for name, line, own in _defined(ast.parse(path.read_text(), filename=str(path)))
             if not any(n == name and (own is None or p != path or o != own)
                        for n, p, o in named)}
 
 
 def test_every_definition_is_named_elsewhere():
-    unnamed = _unnamed(READERS)
+    unnamed = _unnamed(READERS, SRC)
     assert not unnamed, \
         f"definitions nothing names: {', '.join(f'{w} {n}' for n, w in unnamed.items())}"
+
+
+def test_a_plain_string_names_no_definition(tmp_path):
+    # a kind label that happens to spell a function's name does not reach it
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "lib.py").write_text(
+        "def custom():\n    pass\n\n\ndef probed():\n    pass\n\n\n"
+        "def patched():\n    pass\n\n\nclass Traced:\n    def run(self):\n        pass\n")
+    (tmp_path / "user.py").write_text(
+        'KIND = {"kind": "custom", "label": "lib.custom"}\n'
+        'TARGETS = [("layer", "lib", "Traced.run")]\n'
+        'FOUND = hasattr(lib, "probed")\n\n\n'
+        'def test_patch(monkeypatch):\n    monkeypatch.setattr(lib, "patched", None)\n')
+    assert _unnamed([src / "lib.py", tmp_path / "user.py"], src) == {"custom": "lib.py:1"}
+
+
+def test_domain_catalog_is_the_runner_kinds():
+    # each kind domains.py builds is one the runner accepts (normalized(...) wraps one)
+    built = {node.args[0].value for node in ast.walk(ast.parse((SRC / "domains.py").read_text()))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Domain"
+             and isinstance(node.args[0], ast.Constant)}
+    reader = next(top for top in ast.parse((SRC / "cli.py").read_text()).body
+                  if getattr(top, "name", None) == "_domain_from")
+    accepted = {node.comparators[0].value for node in ast.walk(reader)
+                if isinstance(node, ast.Compare) and getattr(node.left, "id", None) == "kind"}
+    assert built == accepted, \
+        f"built but not accepted: {sorted(built - accepted)}; " \
+        f"accepted but not built: {sorted(accepted - built)}"
 
 
 # definitions that only unit tests name, each with the reason it stays
@@ -141,7 +187,7 @@ def test_every_definition_is_reached_beyond_the_unit_tests():
     # named by the package itself, the benchmark, a demo or an acceptance criterion
     reachers = MODULES + [p for p in READERS if p.parent.name in ("demos", "perfbench")] \
         + [ROOT / "tests" / "test_acceptance.py"]
-    unreached = _unnamed(reachers)
+    unreached = _unnamed(reachers, SRC)
     assert set(unreached) == set(UNIT_TESTED_ONLY), \
         f"definitions only unit tests name: " \
         f"{', '.join(f'{w} {n}' for n, w in unreached.items() if n not in UNIT_TESTED_ONLY)}; " \

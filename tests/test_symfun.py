@@ -274,20 +274,6 @@ class TestLeaf:
         assert a != b
         assert a == sf.Leaf(grid) and hash(a) == hash(sf.Leaf(grid))
 
-    def test_substitute_nothing_keeps_every_node_kind(self, grid, pts):
-        from dbarl2.domains import _substitute
-        x1, y1 = sf.x(1), sf.y(1)
-        e = sf.add(
-            sf.mul(sf.const(0.5 + 0.25j), x1, sf.Leaf(grid)),
-            sf.div(sf.exp_(y1), sf.add(sf.pw(x1, 2), sf.const(1.0))),
-            sf.bump(x1), sf.cubic_step(y1, 0.0), sf.germ_step(x1),
-            sf.poly1(y1, (1.0, 2.0, 3.0)), conj_(sf.mul(x1, sf.const(1j), y1)))
-        kinds = {type(n).__name__ for n in sf._walk(e)}
-        assert kinds == {c.__name__ for c in sf._RULES}
-        same = _substitute(e, {})
-        assert same == e
-        assert np.array_equal(eval_expr(same, pts), eval_expr(e, pts))
-
     def test_partials_beyond_the_leaf_dim_vanish(self, grid, spec2):
         from dbarl2.gaussmeasure import reduce_fn
         assert diff(sf.Leaf(grid), "x", 2) is sf.ZERO
@@ -380,12 +366,10 @@ class TestInterning:
         assert len(sf._INTERNED) == before
 
     def test_rebuilds_return_the_interned_node(self):
-        from dbarl2.domains import _substitute
         e = _every_node_kind(ScalarTwo(1))
+        assert {type(n) for n in sf._walk(e)} == set(sf._RULES)
         for n in sf._walk(e):
             assert replace(n) is n
-            assert sf._rebuild(n, sf._children(n)) is n
-        assert _substitute(e, {}) is e
 
     def test_dbar_tstar_leaves_no_cyclic_garbage(self, spec2, fam):
         gc.collect()

@@ -69,7 +69,8 @@ class TestPsiMajorant:
     def test_constant_target(self):
         # eta with constant gradient: eta = ||z||^2 has target ln(1+2.25 r^2),
         # but a linear eta in one real variable has an exactly constant target
-        dom = dm.Domain("custom", lambda n: CylinderFn("x(1)+0*y(1)", dim=n), None,
+        dom = dm.Domain("custom", lambda n: CylinderFn("x(1)+0*y(1)", dim=n),
+                        lambda pts: np.full(len(pts), np.inf),
                         lambda n, N, seed: np.random.default_rng(seed).random((N, 2 * n)) * 0.8)
         rep = wt.psi_majorant(dom, 1, levels=2, samples=500, seed=14)
         target = math.log(1 + 2.25 * 0.25)  # |dbar_1 eta|^2 = 1/4
