@@ -2,7 +2,7 @@
 
 Coefficients are reduced to a finite slice, convolved with the radial bump
 mollifier on a grid, and multiplied by a smooth cut-off in the exhaustion.
-The ladder report tracks the weighted error as the width delta shrinks.
+The ladder report tracks the unweighted error as the width delta shrinks.
 """
 
 import numpy as np
@@ -35,7 +35,7 @@ for d in (0.2, 0.1, 0.05):
 
 print("\nConvolution-transpose identity under the Gaussian measure")
 g2 = CylinderFn("bump(((x(1)-0.1)^2+y(1)^2)/0.36)", support_radius=0.7)
-res = rd.convolution_adjoint_residual(f, g2, 1, 0.1, spec, grid_res=121)
+res = rd.convolution_adjoint_residual(f, g2, 1, 0.1, spec)
 print(f"  residual = {res:.2e} (grid error budget 1e-4)")
 
 print("\nFull pipeline with the cut-off factor")

@@ -15,9 +15,8 @@ from . import (dbarops, domains, forms, gaussmeasure, multiindex, reduction,
 from .dbarops import OperatorContext, Tstar, dbar
 from .forms import Form
 from .gaussmeasure import GaussianSpec, Quadrature
-from .multiindex import (WeightFamily, check_conditions, constant_family,
-                         custom_family, epsilon, insert, multiplicative_family,
-                         prior_work_family)
+from .multiindex import (WeightFamily, check_conditions, constant_family, epsilon,
+                         insert, multiplicative_family, prior_work_family)
 from .symfun import CylinderFn, parse
 
 __version__ = "0.1.0"

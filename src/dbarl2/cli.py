@@ -13,10 +13,12 @@ byte-identical report files.  A record passes when ``verdict(margin, stderr,
 tol)`` of its own margin does (``CheckOutcome.judged``), save the approx
 ladder, which passes when each of its steps does.  A refused record prints
 ``refused: <reason>`` and does not pass.  Exit codes: 0 all checks pass, 1 any
-check failed or was refused, 2 config error (among them a ``trunc_dim`` below
-1, a form, expression, ``solve_dim``, ``n_ladder`` entry or ``domain.center``
-that reaches past ``trunc_dim``, or a list ``a_rule`` shorter than the a_i a
-family reads), 3 a check crashed (traceback on stderr, no report).
+check failed or was refused (among them a ``domains`` sub-level set
+{eta <= tau} too thin to sample), 2 config error (among them a ``trunc_dim``
+or ``scan_points`` below 1, a form, expression, ``solve_dim``, ``n_ladder``
+entry or ``domain.center`` that reaches past ``trunc_dim``, or a list
+``a_rule`` shorter than the a_i a family reads), 3 a check crashed (traceback
+on stderr, no report).
 """
 
 from __future__ import annotations
@@ -182,9 +184,7 @@ def cmd_identities(config, seed, out_dir: Path):
     pts = gaussmeasure.sample(spec, 100, seed + 3)
 
     g0 = test_fns[0]
-    wrong_a1 = config.get("perturb", {}).get("gauss_green_a1")
-    rep = gaussmeasure.gauss_green_residual(
-        g0, 1, spec, quad, None if wrong_a1 is None else float(wrong_a1))
+    rep = gaussmeasure.gauss_green_residual(g0, 1, spec, quad)
     yield CheckOutcome.judged("gauss_green_x1", abs(rep.lhs), abs(rep.rhs), -rep.residual,
                               rep.stderr, tol)
 
@@ -215,12 +215,22 @@ def cmd_conditions(config, seed, out_dir: Path):
 
 
 def cmd_domains(config, seed, out_dir: Path):
+    """Inclusion is refused when {eta <= tau} is too thin to sample (the
+    polydisc's {eta <= 1} is the origin alone)."""
     n = _spec_from(config).trunc_dim
     dom = _domain_from(config, n)
-    pts = dom.sample_interior(n, int(config.get("scan_points", 50)), seed)
+    scan_points = int(config.get("scan_points", 50))
+    if scan_points < 1:
+        raise ConfigError("scan_points must be >= 1")
+    tau = float(config.get("tau", 1.0))
+    pts = dom.sample_interior(n, scan_points, seed)
     eig = float(np.min(domains.levi_min_eigs(dom.eta(n), pts, n)))
     yield CheckOutcome.judged("levi_min_eig", eig, -1e-9, eig + 1e-9, 0.0, 0.0)
-    margin = domains.uniformly_included(dom, float(config.get("tau", 1.0)), n=n, seed=seed)
+    try:
+        margin = domains.uniformly_included(dom, tau, n=n, seed=seed)
+    except domains.SublevelShortfallError as exc:
+        yield CheckOutcome.refused("sublevel_uniform_inclusion", str(exc))
+        return
     yield CheckOutcome.judged("sublevel_uniform_inclusion", margin, 0.0, margin, 0.0, STRICT)
 
 

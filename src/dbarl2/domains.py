@@ -22,6 +22,10 @@ from .symfun import (CylinderFn, add, const, del_op, delbar_op, log_, mul, norm_
                      pw, x, y)
 
 
+class SublevelShortfallError(ValueError):
+    """Too few sampled points have eta <= tau: the set is too thin, not invalid."""
+
+
 @dataclass
 class Domain:
     kind: str
@@ -37,7 +41,7 @@ class Domain:
 
     def sample_sublevel(self, n: int, tau: float, N: int, seed: int) -> np.ndarray:
         """Rejection-sample N interior points with eta <= tau, in at most 60 draws;
-        fewer is an error."""
+        fewer raises ``SublevelShortfallError``."""
         eta = self.eta(n)
         got = []
         count = 0
@@ -51,8 +55,8 @@ class Domain:
             if count >= N:
                 break
         if count < N:
-            raise ValueError(f"only {count} of {N} interior samples have eta <= {tau} "
-                             f"after 60 draws")
+            raise SublevelShortfallError(f"only {count} of {N} interior samples have "
+                                         f"eta <= {tau} after 60 draws")
         return np.concatenate(got, axis=0)[:N]
 
 

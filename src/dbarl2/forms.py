@@ -13,7 +13,7 @@ checks downstream can pair their estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -39,8 +39,8 @@ def add_term(coeffs: dict, key: Key, term: FnBase) -> None:
 @dataclass
 class Form:
     degree: Tuple[int, int]
-    coeffs: Dict[Key, FnBase] = field(default_factory=dict)
-    family: WeightFamily = None
+    coeffs: Dict[Key, FnBase]
+    family: WeightFamily
 
     def __post_init__(self):
         s, t = self.degree
@@ -87,7 +87,7 @@ class Form:
         out = dict(self.coeffs)
         for k, fn in other.coeffs.items():
             add_term(out, k, fn)
-        return Form(self.degree, out, self.family or other.family)
+        return Form(self.degree, out, self.family)
 
     def __sub__(self, other: "Form") -> "Form":
         return self + other.scale(-1.0)
@@ -142,8 +142,7 @@ def _weighted_sq_vals(parts, pts: np.ndarray) -> list:
     for (form, _), (on, m, vals, ew) in zip(parts, _ball_values(groups, pts)):
         total = np.zeros(m)
         for (I, J), v in zip(form.coeffs, vals):
-            c = form.family.coeff(I, J) if form.family is not None else 1.0
-            total += c * np.abs(v) ** 2
+            total += form.family.coeff(I, J) * np.abs(v) ** 2
         totals.append(_spread(total, on, ew, pts.shape[0]))
     return totals
 
@@ -175,7 +174,6 @@ def inner(fa: Form, fb: Form, w_fn, spec: GaussianSpec, quad: Quadrature) -> MCE
 
 def inner_vals(fa: Form, fb: Form, w_fn, pts: np.ndarray) -> np.ndarray:
     """Pointwise integrand of the weighted inner product (for paired residuals)."""
-    family = fa.family or fb.family
     keys = list(set(fa.coeffs) & set(fb.coeffs))
     dim = max(fa.max_dim(), fb.max_dim())
     radius = support_of_product([(fa.support_radius(), fa.max_dim()),
@@ -184,8 +182,7 @@ def inner_vals(fa: Form, fb: Form, w_fn, pts: np.ndarray) -> np.ndarray:
         [([g.coeffs[k].expr for k in keys for g in (fa, fb)], w_fn, radius, dim)], pts)
     total = np.zeros(m, dtype=complex)
     for k, va, vb in zip(keys, vals[0::2], vals[1::2]):
-        c = family.coeff(*k) if family is not None else 1.0
-        total += c * va * np.conjugate(vb)
+        total += fa.family.coeff(*k) * va * np.conjugate(vb)
     return _spread(total, on, ew, pts.shape[0])
 
 

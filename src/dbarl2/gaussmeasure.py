@@ -41,7 +41,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .symfun import FnBase, Tape, _as_fn
+from .symfun import FnBase, Tape, _as_fn, eval_expr
 
 _SAMPLE_CHUNK = 1 << 16
 _GH_BUDGET = 2_000_000
@@ -117,9 +117,9 @@ class Quadrature:
     def deterministic(self) -> bool:
         return self.kind == "gauss_hermite"
 
-    def nodes_weights(self, spec: GaussianSpec, n: Optional[int] = None):
-        """Materialize points (M, 2n) and weights (M,); weights sum to 1."""
-        n = spec.trunc_dim if n is None else n
+    def nodes_weights(self, spec: GaussianSpec):
+        """Materialize points (M, 2n), n = spec.trunc_dim, and weights (M,); weights sum to 1."""
+        n = spec.trunc_dim
         if self.kind == "monte_carlo":
             return _mc_nodes_weights(spec, self.N, self.seed, n)
         if self.kind == "gauss_hermite":
@@ -261,7 +261,7 @@ class ReducedFn(FnBase):
                 cols = np.empty((2 * f.dim, rows))
                 cols[:h] = np.take(head_cols, pos, axis=1)
                 cols[h:] = np.repeat(self._tail_cols[:, s:e], c, axis=1)
-                vals = np.broadcast_to(f(cols.T, tape), (rows,))
+                vals = np.broadcast_to(eval_expr(tape, cols.T), (rows,))
                 # add.at walks pos in order: node by node, so the sum keeps its order
                 np.add.at(acc, pos, np.repeat(self._tail_w[s:e], c) * vals)
             s = e
@@ -358,20 +358,19 @@ class GaussGreenReport:
     stderr: float
 
 
-def gauss_green_residual(f: FnBase, m: int, spec: GaussianSpec, quad: Quadrature,
-                         a_m: Optional[float] = None) -> GaussGreenReport:
+def gauss_green_residual(f: FnBase, m: int, spec: GaussianSpec,
+                         quad: Quadrature) -> GaussGreenReport:
     """Residual of: integral of D_{x_m} f  equals  integral of (x_m/a_m^2) f.
 
-    a_m is the scale the right side divides by, the measure's own by default
-    (another value plants a mismatch the check must see).  Both sides share
-    one point set, so the reported stderr is that of the paired difference.
+    Both sides share one point set, so the reported stderr is that of the
+    paired difference.
     """
     f = _as_fn(f)
     if m > spec.trunc_dim:
         raise ValueError("m exceeds the truncation dimension")
     pts, w = quad.nodes_weights(spec)
     la = f.d_dx(m)(pts)
-    rb = (pts[:, 2 * (m - 1)] / (spec.a(m) if a_m is None else a_m) ** 2) * f(pts)
+    rb = (pts[:, 2 * (m - 1)] / spec.a(m) ** 2) * f(pts)
     lhs = complex(np.sum(w * la))
     rhs = complex(np.sum(w * rb))
     est = estimate(la - rb, w, quad)

@@ -2,10 +2,10 @@
 
 Multi-indices are plain tuples of positive integers in strictly increasing
 order.  ``epsilon`` is the antisymmetry sign picked up when an index ``i`` is
-wedged onto a multi-index ``L``; ``WeightFamily`` carries the per-pair weights
-c[I, J] > 0 that define the weighted form norms, together with checkers for
-the three structural conditions the estimates need (bounded ratio, positive
-ratio, multiplicativity).
+wedged onto a multi-index ``L``; a ``WeightFamily`` is one positive rule
+c[I, J] > 0 on pairs of multi-indices, the weights of the form norms, and
+``check_conditions`` checks the three structural conditions the estimates
+need (bounded ratio, positive ratio, multiplicativity).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .gaussmeasure import STRICT, CheckOutcome
@@ -95,63 +95,42 @@ class InvalidFamilyError(ValueError):
 
 @dataclass(frozen=True)
 class WeightFamily:
-    """Weights c[I, J] > 0 attached to pairs of strictly increasing multi-indices.
+    """Weights c[I, J] = rule(I, J) > 0 attached to pairs of strictly
+    increasing multi-indices, checked positive where they are evaluated."""
 
-    kind:
-      - "constant":        c[I, J] = value
-      - "multiplicative":  c[I, J] = prod(mu(j) for j in J)
-      - "custom":          c[I, J] = callback(I, J)
-
-    Every kind is checked positive where it is evaluated.
-    """
-
-    kind: str
-    value: float = 1.0
-    mu: Callable[[int], float] = field(default=lambda j: 1.0)
-    callback: Optional[Callable[[MultiIndex, MultiIndex], float]] = None
+    rule: Callable[[MultiIndex, MultiIndex], float]
 
     def coeff(self, I: MultiIndex, J: MultiIndex) -> float:
         I = tuple(I)
         J = tuple(J)
-        if self.kind == "constant":
-            v = self.value
-        elif self.kind == "multiplicative":
-            v = 1.0
-            for j in J:
-                v *= self.mu(j)
-        elif self.kind == "custom":
-            v = float(self.callback(I, J))
-        else:
-            raise ValueError(f"unknown family kind {self.kind!r}")
+        v = float(self.rule(I, J))
         if not v > 0.0:
             raise InvalidFamilyError(f"c[{I},{J}] = {v} is not positive")
         return v
 
 
 def constant_family(value: float = 1.0) -> WeightFamily:
-    return WeightFamily(kind="constant", value=value)
+    """c[I, J] = value."""
+    return WeightFamily(lambda I, J: value)
 
 
 def multiplicative_family(mu=lambda j: 1.0) -> WeightFamily:
-    return WeightFamily(kind="multiplicative", mu=mu)
+    """c[I, J] = prod(mu(j) for j in J), multiplied in the order of J."""
 
+    def rule(I, J):
+        v = 1.0
+        for j in J:
+            v *= mu(j)
+        return v
 
-def custom_family(callback) -> WeightFamily:
-    return WeightFamily(kind="custom", callback=callback)
+    return WeightFamily(rule)
 
 
 def prior_work_family(a: Callable[[int], float]) -> WeightFamily:
-    """The earlier working-space weights: 2^(|I|+|J|) * prod a_i^2 * prod a_j^2."""
-
-    def cb(I, J):
-        out = 2.0 ** (len(I) + len(J))
-        for i in I:
-            out *= a(i) ** 2
-        for j in J:
-            out *= a(j) ** 2
-        return out
-
-    return custom_family(cb)
+    """The earlier working-space weights: 2^(|I|+|J|) * prod a_i^2 * prod a_j^2,
+    multiplied in the order of I, then J."""
+    return WeightFamily(lambda I, J: math.prod([a(v) ** 2 for v in I + J],
+                                               start=2.0 ** (len(I) + len(J))))
 
 
 @dataclass

@@ -8,7 +8,8 @@ it.  Convolution runs on a uniform grid (n in {1, 2}, so 2 or 4 real
 dimensions) by numpy FFTs.  Mollified coefficients come back as grid-backed
 functions with stencil first derivatives, flagged approximate; the pipeline
 composes reduce -> mollify -> multiply by the smooth cut-off eta_rho and
-reports the weighted-norm error ladder over (n, delta).
+reports the error ladder over (n, delta) in the unweighted norm (the family's
+c[I, J], no e^{-w}); its caller gives the quadrature and the grid size.
 """
 
 from __future__ import annotations
@@ -250,13 +251,16 @@ def audit_mollifier(n: int) -> MollifierAudit:
     return MollifierAudit(mass_deviation=mass_dev, exterior_max=ext, radial_deviation=rad_dev)
 
 
+_ADJOINT_GRID = 121  # grid points per axis of convolution_adjoint_residual
+
+
 def convolution_adjoint_residual(f: FnBase, g: FnBase, n: int, delta: float,
-                                 spec: GaussianSpec, grid_res: int = 121) -> float:
+                                 spec: GaussianSpec) -> float:
     """Residual of the convolution-transpose identity under the Gaussian measure.
 
     integral f_{n,delta} g dP  ==  integral f phi_n^{-1} (g_n phi_n)_{n,delta} dP,
     with phi_n the Gaussian density of the first n coordinates.  Both sides by
-    grid quadrature with a shared kernel.
+    grid quadrature with a shared kernel, on ``_ADJOINT_GRID`` points per axis.
     """
     f = _as_fn(f)
     g = _as_fn(g)
@@ -265,13 +269,13 @@ def convolution_adjoint_residual(f: FnBase, g: FnBase, n: int, delta: float,
         g = reduce_fn(g, n, spec)
     radii = [1.0 if fn.support_radius is None else fn.support_radius for fn in (f, g)]
     extent = max(radii) + delta + 0.05
-    axes = np.linspace(-extent, extent, grid_res)
+    axes = np.linspace(-extent, extent, _ADJOINT_GRID)
     pts = _mesh(axes, 2 * n)
     h = axes[1] - axes[0]
     vol = h ** (2 * n)
     kern = _unit_kernel(n, delta, h)
 
-    shape = [grid_res] * (2 * n)
+    shape = [_ADJOINT_GRID] * (2 * n)
     fv = f(pts).reshape(shape)
     gv = g(pts).reshape(shape)
     dv = _gauss_density(pts, spec, n).reshape(shape)
@@ -304,18 +308,16 @@ class PipelineReport:
 
 
 def approx_pipeline(f: Form, domain: Domain, rho: float, n_ladder: Sequence[int],
-                    delta_ladder: Sequence[float], spec: GaussianSpec,
-                    w2: Optional[FnBase] = None, quad: Optional[Quadrature] = None,
-                    grid_res: int = 101) -> PipelineReport:
+                    delta_ladder: Sequence[float], spec: GaussianSpec, quad: Quadrature,
+                    grid_res: int) -> PipelineReport:
     """Coefficient-wise reduce -> mollify -> multiply by the cut-off eta_rho.
 
-    Reports the weighted norm of (eta_rho f_{n,delta} - f) over the requested
+    Reports the unweighted norm of (eta_rho f_{n,delta} - f) over the requested
     (n, delta) ladder; the final output uses the last ladder entry.
     """
     if any(fn.support_radius is None for fn in f.coeffs.values()):
         raise ValueError("the pipeline needs compactly supported coefficients")
-    quad = quad or Quadrature("monte_carlo", N=20_000, seed=404)
-    _, eta_rho = smooth_step(rho, domain.eta(spec.trunc_dim))
+    eta_rho = smooth_step(rho, domain.eta(spec.trunc_dim))
 
     pts, wq = quad.nodes_weights(spec)
     ladder = []
@@ -325,7 +327,7 @@ def approx_pipeline(f: Form, domain: Domain, rho: float, n_ladder: Sequence[int]
         cands = [Form(f.degree, {key: eta_rho * mollify(red, delta, grid_res=grid_res)
                                  for key, red in reduced.items()}, f.family)
                  for delta in delta_ladder]
-        totals = _weighted_sq_vals([(cand - f, w2) for cand in cands], pts)
+        totals = _weighted_sq_vals([(cand - f, None) for cand in cands], pts)
         for delta, total in zip(delta_ladder, totals):
             est = estimate(total, wq, quad)
             ladder.append(LadderRow(n=n, delta=delta,

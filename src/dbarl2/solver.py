@@ -1,9 +1,9 @@
 """Galerkin minimal-norm solver for the d-bar equation and the L2 bound audits.
 
-The trial space is a tensor Hermite-polynomial dictionary times a bump
-cut-off (so every trial function is smooth and compactly supported); the
-image matrix D holds the symbolic d-bar of each trial function, so the image
-of the trial space is represented exactly.  Matrices are assembled by
+The trial space is the profile-0 dictionary, tensor Hermite polynomials times
+the bump cut-off itself (so every trial function is smooth and compactly
+supported); the image matrix D holds the symbolic d-bar of each trial
+function, so the image of the trial space is represented exactly.  Matrices are assembled by
 deterministic Gauss-Hermite quadrature, a weight evaluated only on the
 support ball of the functions it multiplies.  After whitening the trial-space
 metric, one thin SVD of the weighted image matrix gives the minimal-norm
@@ -33,6 +33,9 @@ Bound checks follow the weighted estimates: the key inequality
 conditions and the curvature condition), the norm bound
 sqrt(c0) ||u||_{w1} <= ||f||_{w2}, the Levi-weighted bound, and the
 (1 + ||z||^2)^-2 variant with its bounded-domain form.
+
+The Cauchy oracle, the one-variable reference solution, integrates on one
+fixed polar rule: 512 Gauss-Legendre radii times 384 midpoint angles.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from numpy.polynomial import hermite_e as herme
@@ -68,29 +71,22 @@ def _herme_poly1(var, p: int, a: float):
     return poly1(var, scaled)
 
 
-def scalar_dictionary(n: int, degree: int, radius: float, spec: GaussianSpec,
-                      profiles: Sequence[int] = (0,)) -> list:
-    """Hermite-product polynomials times bump-profile derivatives.
-
-    profiles lists derivative orders of the bump factor: 0 gives the cut-off
-    itself, 1 its first derivative (needed to span the image of d-bar applied
-    to profile-0 elements).
-    """
-    s_expr = mul(const(1.0 / radius ** 2), norm_sq_coords(n))
+def scalar_dictionary(n: int, degree: int, radius: float, spec: GaussianSpec) -> list:
+    """Hermite-product polynomials of total degree <= degree times the bump
+    cut-off bump(|z|^2 / radius^2)."""
+    chi = Fun("bump", mul(const(1.0 / radius ** 2), norm_sq_coords(n)), 0)
     out = []
-    for prof in profiles:
-        chi = Fun("bump", s_expr, prof)
-        for combo in _degree_combos(2 * n, degree):
-            factors = []
-            for i in range(1, n + 1):
-                px, py = combo[2 * (i - 1)], combo[2 * (i - 1) + 1]
-                a = spec.a(i)
-                if px:
-                    factors.append(_herme_poly1(x(i), px, a))
-                if py:
-                    factors.append(_herme_poly1(y(i), py, a))
-            out.append(CylinderFn(mul(*factors, chi) if factors else mul(chi, const(1.0)),
-                                  support_radius=radius, dim=n))
+    for combo in _degree_combos(2 * n, degree):
+        factors = []
+        for i in range(1, n + 1):
+            px, py = combo[2 * (i - 1)], combo[2 * (i - 1) + 1]
+            a = spec.a(i)
+            if px:
+                factors.append(_herme_poly1(x(i), px, a))
+            if py:
+                factors.append(_herme_poly1(y(i), py, a))
+        out.append(CylinderFn(mul(*factors, chi) if factors else mul(chi, const(1.0)),
+                              support_radius=radius, dim=n))
     return out
 
 
@@ -189,10 +185,10 @@ def _galerkin_space(w1, w2, spec: GaussianSpec, family, n: int, degree: int, rad
     idx_range = range(1, n + 1)
     slots_u = tuple((I, L) for I in combinations(idx_range, s)
                     for L in combinations(idx_range, tp1 - 1))
-    dict_u = tuple(scalar_dictionary(n, degree, radius, spec, profiles=(0,)))
+    dict_u = tuple(scalar_dictionary(n, degree, radius, spec))
     basis_forms = [Form((s, tp1 - 1), {key: b}, family) for key in slots_u for b in dict_u]
 
-    pts, wq = quad.nodes_weights(spec, n=spec.trunc_dim)
+    pts, wq = quad.nodes_weights(spec)
     E = _stack_rows(basis_forms, slots_u, pts, wq, w1, family)
     images = [dbar(b) for b in basis_forms]
     D = _stack_rows(images, slots_f, pts, wq, w2, family)
@@ -377,6 +373,8 @@ def hormander_bound_check(u: Form, f: Form, ctx: OperatorContext, quad: Quadratu
 # ---------------------------------------------------------------------------
 
 _ORACLE_CHUNK = 1 << 14  # polar nodes built per batch of radii in CauchyOracle
+_ORACLE_NR = 512  # Gauss-Legendre nodes in the radius
+_ORACLE_NT = 384  # midpoint nodes in the angle
 
 
 @dataclass
@@ -384,8 +382,8 @@ class CauchyOracle:
     """u(z) = -(1/pi) integral of f(zeta)/(zeta - z) over the plane.
 
     Polar quadrature around each evaluation point keeps the integrand smooth:
-    Gauss-Legendre in the radius over [0, reach] (the rule is built once per
-    ``nr``) times the midpoint rule in the angle.  The disc of radius
+    ``_ORACLE_NR`` Gauss-Legendre radii over [0, reach] times ``_ORACLE_NT``
+    midpoint angles.  The disc of radius
     ``reach`` around z covers the support of f only for |z| <= reach - R,
     where R is the support radius of f; the result is valid only there.
     Farther out it is silently wrong: with criterion 10's reach the error is
@@ -406,18 +404,16 @@ class CauchyOracle:
 
     f1: object
     reach: float
-    nr: int = 512
-    nt: int = 384
 
     def _apply(self, g, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         N = len(pts)
-        M = N * self.nt
-        rr, wr = _leggauss(self.nr)
+        M = N * _ORACLE_NT
+        rr, wr = _leggauss(_ORACLE_NR)
         r = 0.5 * self.reach * (rr + 1.0)
         wr = 0.5 * self.reach * wr
-        th = (np.arange(self.nt) + 0.5) * (2.0 * math.pi / self.nt)
-        wt = 2.0 * math.pi / self.nt
+        th = (np.arange(_ORACLE_NT) + 0.5) * (2.0 * math.pi / _ORACLE_NT)
+        wt = 2.0 * math.pi / _ORACLE_NT
         cx, sx = np.cos(th), np.sin(th)
         phase = (cx - 1j * sx)  # e^{-i theta}
         dist = np.hypot(pts[:, 0], pts[:, 1])
@@ -427,16 +423,16 @@ class CauchyOracle:
         # the circle of radius r about z meets the support disc only if |r - |z|| <= rho;
         # a NaN or an inf in dist keeps every row
         lo = int(np.count_nonzero(r + rho + pad < np.min(dist)))
-        hi = self.nr - int(np.count_nonzero(r - rho - pad > np.max(dist)))
+        hi = _ORACLE_NR - int(np.count_nonzero(r - rho - pad > np.max(dist)))
         out = np.zeros(N, dtype=complex)
         fn = _as_fn(g)
         tape = Tape(fn.expr)  # compiled once, run on every batch of radii
-        base_x = np.repeat(pts[:, 0], self.nt)
-        base_y = np.repeat(pts[:, 1], self.nt)
+        base_x = np.repeat(pts[:, 0], _ORACLE_NT)
+        base_y = np.repeat(pts[:, 1], _ORACLE_NT)
         tiled_cx = np.tile(cx, N)
         tiled_sx = np.tile(sx, N)
         tiled_phase = np.tile(phase, N)
-        step = min(self.nr, max(1, _ORACLE_CHUNK // M))
+        step = min(_ORACLE_NR, max(1, _ORACLE_CHUNK // M))
         shift = np.empty((step, M, 2))
         for s in range(lo, hi, step):
             k = min(step, hi - s)
@@ -449,8 +445,8 @@ class CauchyOracle:
                 continue
             # complex zeros: a real value is cast exactly as the product below would
             vals = np.zeros(k * M, dtype=complex)
-            vals[live] = fn(np.compress(live, nodes, axis=0), tape)
-            sums = (vals.reshape(k, M) * tiled_phase).reshape(k, N, self.nt).sum(axis=2)
+            vals[live] = eval_expr(tape, np.compress(live, nodes, axis=0))
+            sums = (vals.reshape(k, M) * tiled_phase).reshape(k, N, _ORACLE_NT).sum(axis=2)
             # radius by radius in the order of the rule, after the earlier batches
             terms = np.concatenate((out[None], (wr[s:s + k, None] * wt) * sums))
             out = np.cumsum(terms, axis=0)[-1]

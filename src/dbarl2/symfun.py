@@ -41,20 +41,20 @@ consumer, so a subtree common to several coefficients is evaluated once and
 each value is dropped as soon as its last consumer has been computed.
 ``eval_expr`` compiles and runs one; a caller that evaluates one function on
 many point sets (the reduction tail, the Cauchy oracle) compiles it once per
-call and runs the tape on each batch.  How a node is computed is fixed when
-the node is made: a value that is real by construction (variables, real
-constants, germs, and sums, products, quotients, powers, exp, log, sin, cos,
-conjugates and real polynomials of real values) is held as float64, any
-other as complex128, and only the roots are converted to complex.  The
-results are those of evaluating everything in complex arithmetic with every
-constant a Python complex: where that arithmetic would hold a real value as
-complex, the tape computes the same real part, with ``num * (1 / den)`` for a
-quotient, numpy's complex product chain (``b*b``, ``b*(b*b)``, then binary
-exponentiation) for an integer power, and complex ``exp`` and ``log``; where
-it would hold the value as float, the tape keeps ``num / den`` and
-``b ** k``.  So on finite values the real parts agree bit for bit and the
-imaginary parts up to the sign of a zero.  An opaque leaf's value counts as
-complex.
+call and runs that tape on each batch by ``eval_expr(tape, batch)``.  How a
+node is computed is fixed when the node is made: a value that is real by
+construction (variables, real constants, germs, and sums, products, quotients,
+powers, exp, log, sin, cos, conjugates and real polynomials of real values) is
+held as float64, any other as complex128, and only the roots are converted to
+complex.  The results are those of evaluating everything in complex arithmetic
+with every constant a Python complex: where that arithmetic would hold a real
+value as complex, the tape computes the same real part, with
+``num * (1 / den)`` for a quotient, numpy's complex product chain (``b*b``,
+``b*(b*b)``, then binary exponentiation) for an integer power, and complex
+``exp`` and ``log``; where it would hold the value as float, the tape keeps
+``num / den`` and ``b ** k``.  So on finite values the real parts agree bit
+for bit and the imaginary parts up to the sign of a zero.  An opaque leaf's
+value counts as complex.
 """
 
 from __future__ import annotations
@@ -1100,10 +1100,8 @@ class CylinderFn(FnBase):
         self.dim = d if dim is None else max(int(dim), d)
         self.support_radius = support_radius
 
-    def __call__(self, pts, tape: Optional[Tape] = None) -> np.ndarray:
-        """The values at the points; ``tape``, ``Tape(self.expr)``, spares a
-        caller that evaluates the function chunk by chunk its compilation."""
-        return eval_expr(self.expr if tape is None else tape, pts)
+    def __call__(self, pts) -> np.ndarray:
+        return eval_expr(self.expr, pts)
 
     def d_dx(self, i: int) -> "CylinderFn":
         return CylinderFn(diff(self.expr, "x", i), self.support_radius, self.dim)

@@ -69,15 +69,10 @@ def cutoff(k: int, eta: Optional[CylinderFn] = None) -> CutoffFamily:
                         X_k=X_k)
 
 
-def smooth_step(rho: float, eta: Optional[CylinderFn] = None):
-    """The C-infinity cut-off h_rho(x) = germ(x - rho): 1 below rho, 0 above rho+1.
-
-    Returns (h callable, eta_rho CylinderFn or None).
-    """
-    eta_rho = None
-    if eta is not None:
-        eta_rho = CylinderFn(germ_step(add(eta.expr, const(-rho))), dim=eta.dim)
-    return _on_line(germ_step(add(x(1), const(-rho)))), eta_rho
+def smooth_step(rho: float, eta: CylinderFn) -> CylinderFn:
+    """eta_rho = h_rho(eta), with the C-infinity cut-off h_rho(x) = germ(x - rho):
+    1 below rho, 0 above rho+1."""
+    return CylinderFn(germ_step(add(eta.expr, const(-rho))), dim=eta.dim)
 
 
 # ---------------------------------------------------------------------------

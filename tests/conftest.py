@@ -160,21 +160,21 @@ class ScalarTwo(sf.FnBase):
 
 
 def compiles_and_runs(monkeypatch):
-    """Record each compiled root set, and each point set a compiled function
-    is run on with its values."""
+    """Record each compiled root set, and each point set a one-root tape is
+    run on with its value."""
     compiled, runs = [], []
-    init, call = sf.Tape.__init__, sf.CylinderFn.__call__
+    init, run = sf.Tape.__init__, sf.Tape.run
 
     def counting_init(self, e):
         compiled.append(e)
         init(self, e)
 
-    def recording_call(self, pts, tape=None):
-        out = call(self, pts, tape)
-        if tape is not None:
-            runs.append((np.array(pts), out))
-        return out
+    def recording_run(self, pts):
+        outs = run(self, pts)
+        if self.single:
+            runs.append((np.array(pts), outs[0]))
+        return outs
 
     monkeypatch.setattr(sf.Tape, "__init__", counting_init)
-    monkeypatch.setattr(sf.CylinderFn, "__call__", recording_call)
+    monkeypatch.setattr(sf.Tape, "run", recording_run)
     return compiled, runs

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dbarl2 import domains, multiindex, solver, weights
+from dbarl2 import domains, gaussmeasure, multiindex, solver, weights
 from dbarl2.cli import COMMANDS, cmd_conditions, cmd_domains, cmd_majorant, cmd_solve, main
 from dbarl2.forms import Form, parse_form_literal
 from dbarl2.gaussmeasure import CheckOutcome, GaussianSpec, Quadrature
@@ -69,6 +69,26 @@ def strict_records(path):
     return {r["check_id"]: r for r in map(strict_json, path.read_text().splitlines())}
 
 
+# a solve whose residual, about 2e-15, must be exactly 0: the check really fails
+FAILING_SOLVE = dict(json.loads((ROOT / "configs" / "solve.json").read_text()),
+                     tolerances={"residual": 0.0})
+
+
+def wrong_scale_gauss_green(a1):
+    """A planted defect: gauss_green_residual with its right side divided by
+    a1^2 instead of the measure's a_1^2."""
+    def residual(f, m, spec, quad):
+        pts, w = quad.nodes_weights(spec)
+        la = f.d_dx(m)(pts)
+        rb = (pts[:, 2 * (m - 1)] / a1 ** 2) * f(pts)
+        est = gaussmeasure.estimate(la - rb, w, quad)
+        return gaussmeasure.GaussGreenReport(lhs=complex(np.sum(w * la)),
+                                             rhs=complex(np.sum(w * rb)),
+                                             residual=abs(est.mean), stderr=est.stderr)
+
+    return residual
+
+
 class TestExitCodes:
     def test_identities_pass(self, tmp_path):
         cfg = write_config(tmp_path, BASE_IDENTITIES)
@@ -80,11 +100,8 @@ class TestExitCodes:
         assert run(["conditions", "--config", cfg, "--out", tmp_path / "r"]) == 0
 
     def test_failing_check_exits_one(self, tmp_path):
-        bad = dict(BASE_IDENTITIES)
-        # deliberately wrong a_1 on one side of Gauss-Green must break it
-        bad["perturb"] = {"gauss_green_a1": 0.05}
-        cfg = write_config(tmp_path, bad)
-        assert run(["identities", "--config", cfg, "--out", tmp_path / "r"]) == 1
+        cfg = write_config(tmp_path, FAILING_SOLVE)
+        assert run(["solve", "--config", cfg, "--out", tmp_path / "r"]) == 1
 
     def test_config_error_exits_two(self, tmp_path):
         cfg = tmp_path / "nope.json"
@@ -147,14 +164,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("code", [0, 1, 2, 3])
     def test_console_entry_point_exit_codes(self, tmp_path, code):
         # each exit code as a shell sees it; a config error or a crash writes no report
-        payload = {1: dict(BASE_IDENTITIES, perturb={"gauss_green_a1": 0.05}),
-                   2: dict(BASE_IDENTITIES, quadrature={"kind": "bogus"}),
-                   3: dict(BASE_IDENTITIES, forms=[{"degree": [0, 0], "entries": [
-                       {"I": [], "J": [], "coeff": "log(x(1))"}]}])}.get(code)
+        bad_quad = dict(BASE_IDENTITIES, quadrature={"kind": "bogus"})
+        crash = dict(BASE_IDENTITIES, forms=[{"degree": [0, 0], "entries": [
+            {"I": [], "J": [], "coeff": "log(x(1))"}]}])
+        command, payload = {1: ("solve", FAILING_SOLVE), 2: ("identities", bad_quad),
+                            3: ("identities", crash)}.get(code, ("identities", None))
         cfg = ROOT / "configs" / "identities.json" if payload is None else \
             write_config(tmp_path, payload)
         out = tmp_path / "r"
-        proc = subprocess.run([sys.executable, "-m", "dbarl2.cli", "identities", "--config",
+        proc = subprocess.run([sys.executable, "-m", "dbarl2.cli", command, "--config",
                                str(cfg), "--out", str(out)], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
         assert proc.returncode == code, proc.stderr
@@ -173,6 +191,37 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == "config error: trunc_dim must be >= 1\n"
         assert list(out.glob("*")) == []
+
+    @pytest.mark.parametrize("scan_points", [0, -3])
+    def test_domains_scan_points_below_one_exits_two(self, tmp_path, scan_points):
+        # refused by the runner, not left to numpy's empty or negative array errors
+        config = json.loads((ROOT / "configs" / "domains.json").read_text())
+        cfg = write_config(tmp_path, dict(config, scan_points=scan_points))
+        out = tmp_path / "r"
+        proc = subprocess.run([sys.executable, "-m", "dbarl2.cli", "domains", "--config",
+                               str(cfg), "--out", str(out)], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "config error: scan_points must be >= 1\n"
+        assert list(out.glob("*")) == []
+
+    def test_thin_sublevel_set_is_refused(self, tmp_path):
+        # the polydisc's {eta <= 1} is the origin alone: a valid config whose
+        # inclusion check cannot sample its set, so it is refused, not a config error
+        cfg = write_config(tmp_path, {"domain": {"kind": "polydisc"}, "trunc_dim": 2})
+        out = tmp_path / "r"
+        proc = subprocess.run([sys.executable, "-m", "dbarl2.cli", "domains", "--config",
+                               str(cfg), "--out", str(out)], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+        assert proc.returncode == 1, proc.stderr
+        levi, inclusion = proc.stdout.splitlines()
+        assert levi.startswith(f"{'levi_min_eig':32s} pass ")
+        assert inclusion.startswith(
+            f"{'sublevel_uniform_inclusion':32s} refused: only 0 of 2000 interior samples "
+            "have eta <= 1.0 after 60 draws [")
+        records = strict_records(out / "domains_report.jsonl")
+        assert list(records) == ["levi_min_eig", "sublevel_uniform_inclusion"]
+        assert records["sublevel_uniform_inclusion"]["pass"] is False
 
     @pytest.mark.parametrize("command, change, field", [
         ("identities", {"forms": [ZERO_FORM, PAST_FORM], "trunc_dim": 1, "a_rule": [0.25]},
@@ -275,24 +324,27 @@ class TestReports:
         for name in ("identities_report.jsonl", "identities_summary.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_perturbed_gauss_green_leaves_the_audit_points(self, tmp_path):
+    def test_perturbed_gauss_green_leaves_the_audit_points(self, tmp_path, monkeypatch):
         # the pointwise checks must not see the Gauss-Green quadrature points
-        bad = dict(BASE_IDENTITIES, perturb={"gauss_green_a1": 0.05})
+        cfg = write_config(tmp_path, BASE_IDENTITIES)
         out = {}
-        for name, payload in (("plain", BASE_IDENTITIES), ("perturbed", bad)):
-            cfg = write_config(tmp_path, payload, name=f"{name}.json")
+        for name in ("plain", "perturbed"):
+            if name == "perturbed":
+                monkeypatch.setattr(gaussmeasure, "gauss_green_residual",
+                                    wrong_scale_gauss_green(0.05))
             run(["identities", "--config", cfg, "--out", tmp_path / name])
             out[name] = {r["check_id"]: r for r in map(json.loads, (
                 tmp_path / name / "identities_report.jsonl").read_text().splitlines())}
+        assert out["plain"]["gauss_green_x1"] != out["perturbed"]["gauss_green_x1"]
         for check in ("commutator", "s_after_t_zero", "multiplier"):
             assert out["plain"][check] == out["perturbed"][check]
 
-    def test_perturbed_gauss_green_record(self, tmp_path):
+    def test_perturbed_gauss_green_record(self, tmp_path, monkeypatch):
         # the record reads the mismatched sides off the quadrature points
         wrong = 0.05
-        bad = dict(BASE_IDENTITIES, perturb={"gauss_green_a1": wrong})
-        cfg = write_config(tmp_path, bad)
-        run(["identities", "--config", cfg, "--out", tmp_path])
+        monkeypatch.setattr(gaussmeasure, "gauss_green_residual", wrong_scale_gauss_green(wrong))
+        cfg = write_config(tmp_path, BASE_IDENTITIES)
+        assert run(["identities", "--config", cfg, "--out", tmp_path]) == 1
         recs = {r["check_id"]: r for r in map(json.loads, (
             tmp_path / "identities_report.jsonl").read_text().splitlines())}
         quad = Quadrature("monte_carlo", N=20000, seed=7)
@@ -311,7 +363,7 @@ class TestReports:
         assert got["pass"] is (margin >= -3.0 * stderr) is False
 
     def test_complex_gauss_green_sides_are_moduli(self, tmp_path):
-        # plain and perturbed records both report |sum w la| and |sum w rb|
+        # the record reports |sum w la| and |sum w rb|, not their real parts
         coeff = "i*x(1)*bump((x(1)^2+y(1)^2+x(2)^2+y(2)^2)/0.64)"
         entries = [{"I": [], "J": [], "coeff": coeff}]
         forms = [{"degree": [0, 0], "support_radius": 0.8, "entries": entries},
@@ -321,16 +373,12 @@ class TestReports:
         g0 = parse_form_literal(entries, (0, 0), constant_family(1.0),
                                 support_radius=0.8).coeff((), ())
         la = g0.d_dx(1)(pts)
-        for a1 in (None, 0.05):
-            payload = dict(BASE_IDENTITIES, forms=forms)
-            if a1 is not None:
-                payload["perturb"] = {"gauss_green_a1": a1}
-            out = tmp_path / str(a1)
-            run(["identities", "--config", write_config(tmp_path, payload), "--out", out])
-            got = strict_records(out / "identities_report.jsonl")["gauss_green_x1"]
-            rb = (pts[:, 0] / (spec.a(1) if a1 is None else a1) ** 2) * g0(pts)
-            assert got["lhs"] == abs(complex(np.sum(w * la))) > 0.0
-            assert got["rhs"] == abs(complex(np.sum(w * rb)))
+        rb = (pts[:, 0] / spec.a(1) ** 2) * g0(pts)
+        payload = dict(BASE_IDENTITIES, forms=forms)
+        run(["identities", "--config", write_config(tmp_path, payload), "--out", tmp_path])
+        got = strict_records(tmp_path / "identities_report.jsonl")["gauss_green_x1"]
+        assert got["lhs"] == abs(complex(np.sum(w * la))) > 0.0
+        assert got["rhs"] == abs(complex(np.sum(w * rb)))
 
     def test_nan_residual_fails(self, tmp_path):
         # inf - inf: every coefficient of dbar(dbar u) is NaN, which must not pass

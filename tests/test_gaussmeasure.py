@@ -86,13 +86,13 @@ class TestIntegrate:
 
     def test_monte_carlo_points_drawn_once(self, spec3):
         q = gm.Quadrature("monte_carlo", N=1000, seed=11)
-        pts, w = q.nodes_weights(spec3, n=2)
-        again = q.nodes_weights(spec3, n=2)
+        pts, w = q.nodes_weights(spec3)
+        again = q.nodes_weights(spec3)
         assert again[0] is pts and again[1] is w
         assert not pts.flags.writeable and not w.flags.writeable
-        assert np.array_equal(pts, gm.sample(spec3, 1000, 11, n=2))
+        assert np.array_equal(pts, gm.sample(spec3, 1000, 11))
         assert np.array_equal(w, np.full(1000, 1.0 / 1000))
-        other, _ = gm.Quadrature("monte_carlo", N=1000, seed=12).nodes_weights(spec3, n=2)
+        other, _ = gm.Quadrature("monte_carlo", N=1000, seed=12).nodes_weights(spec3)
         assert not np.array_equal(other, pts)
 
 

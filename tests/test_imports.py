@@ -1,9 +1,10 @@
 """Every name a dbarl2 module imports is used in that module, no import sits
 inside a function or class, every module-level function, class and constant a
-module defines is named somewhere else, and beyond the unit tests (by the
-package, a demo, ``perfbench`` or the acceptance suite) save a list written
-here with a reason each, every defaulted parameter or field is
-passed by some call, every field is read somewhere, no expression node defines
+module defines is named somewhere else and, save a list written here with a
+reason each, beyond the unit tests (by the package, a demo, ``perfbench`` or
+the acceptance suite), every defaulted parameter or field is passed by some
+call and, save a second such list, set beyond the unit tests to another value
+than its default, every field is read somewhere, no expression node defines
 arithmetic operators, every expression node has a typing rule, and importing
 the command line loads no third-party package but numpy, one function
 forms the weight factor e^{-Re w}, and one loop reads the clock and stamps
@@ -22,7 +23,11 @@ a string is the (dotted) attribute argument of ``getattr``, ``setattr`` or
 constant is a name that a module-level assignment binds (``__version__`` is
 exempt).  A defaulted parameter counts as passed when some call of a function,
 method or class of its name passes it by keyword, reaches its position, or
-unpacks ``*args`` or ``**kwargs``.  A field (a dataclass field, an attribute an
+unpacks ``*args`` or ``**kwargs``; it counts as set beyond the unit tests
+when such a call in the package, a demo, ``perfbench`` or the acceptance
+suite gives it an argument whose source (``ast.unparse``) is not the
+default's, so a parameter only the unit tests turn reads as an option with one
+value in use.  A field (a dataclass field, an attribute an
 ``__init__`` sets on ``self``, or a property) counts as read when an attribute
 load, a constant ``getattr`` or a string spells its name in one of those
 modules; the scan goes by name, so it cannot tell two classes' fields of one
@@ -212,8 +217,9 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
 
 
 def _defaulted(tree: ast.Module):
-    """(callee name, parameter, position or None when keyword-only, line) of each
-    defaulted parameter and dataclass field; a class is called by its own name."""
+    """(callee name, parameter, position or None when keyword-only, default
+    source, line) of each defaulted parameter and dataclass field; a class is
+    called by its own name."""
     callee = {}  # an __init__ -> the name of its class
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
@@ -222,7 +228,7 @@ def _defaulted(tree: ast.Module):
                           if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)]
                 for pos, st in enumerate(fields):
                     if st.value is not None:
-                        yield node.name, st.target.id, pos, st.lineno
+                        yield node.name, st.target.id, pos, ast.unparse(st.value), st.lineno
             callee.update((st, node.name) for st in node.body
                           if isinstance(st, ast.FunctionDef) and st.name == "__init__")
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -230,40 +236,75 @@ def _defaulted(tree: ast.Module):
             a = node.args
             params = a.posonlyargs + a.args
             bound = 1 if params and params[0].arg in ("self", "cls") else 0
-            for pos in range(len(params) - len(a.defaults), len(params)):
-                yield name, params[pos].arg, pos - bound, node.lineno
+            for pos, default in zip(range(len(params) - len(a.defaults), len(params)),
+                                    a.defaults):
+                yield name, params[pos].arg, pos - bound, ast.unparse(default), node.lineno
             for arg, default in zip(a.kwonlyargs, a.kw_defaults):
                 if default is not None:
-                    yield name, arg.arg, None, node.lineno
+                    yield name, arg.arg, None, ast.unparse(default), node.lineno
 
 
-def _passed() -> tuple[set, dict, set]:
-    """Over every call in the readers: (callee, keyword) pairs, the most
-    positional arguments per callee, and the callees given *args or **kwargs."""
-    keywords, npos, unpacked = set(), {}, set()
-    for path in READERS:
+def _passed(readers) -> tuple[dict, set]:
+    """Over every call in the readers: (callee, keyword or position) -> the
+    sources of the arguments given there, and the callees given *args or
+    **kwargs."""
+    given, unpacked = {}, set()
+    for path in readers:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if not isinstance(node, ast.Call):
                 continue
             name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-            keywords |= {(name, k.arg) for k in node.keywords}
-            npos[name] = max(npos.get(name, 0), len(node.args))
-            if any(isinstance(a, ast.Starred) for a in node.args) or \
-                    any(k.arg is None for k in node.keywords):
-                unpacked.add(name)
-    return keywords, npos, unpacked
+            args = [(k.arg, k.value) for k in node.keywords] + list(enumerate(node.args))
+            for slot, value in args:
+                if slot is None or isinstance(value, ast.Starred):
+                    unpacked.add(name)
+                else:
+                    given.setdefault((name, slot), set()).add(ast.unparse(value))
+    return given, unpacked
+
+
+def _unset(readers, other_value: bool) -> dict:
+    """(callee, parameter) -> "module:line" of each defaulted parameter or
+    field in the package that no call in the readers passes (with an argument
+    whose source is not the default's, when other_value), save ``UNPASSED``."""
+    given, unpacked = _passed(readers)
+    out = {}
+    for path in MODULES:
+        for name, param, pos, default, line in _defaulted(
+                ast.parse(path.read_text(), filename=str(path))):
+            sources = given.get((name, param), set()) | given.get((name, pos), set())
+            if (name, param) not in UNPASSED and name not in unpacked and not (
+                    sources - {default} if other_value else sources):
+                out[(name, param)] = f"{path.name}:{line}"
+    return out
 
 
 def test_every_default_is_passed_somewhere():
-    keywords, npos, unpacked = _passed()
-    never = []
-    for path in MODULES:
-        for name, param, pos, line in _defaulted(ast.parse(path.read_text(), filename=str(path))):
-            if (name, param) in UNPASSED or (name, param) in keywords or name in unpacked \
-                    or (pos is not None and npos.get(name, 0) > pos):
-                continue
-            never.append(f"{path.name}:{line} {name}({param})")
-    assert not never, f"defaults no call passes: {', '.join(never)}"
+    never = _unset(READERS, other_value=False)
+    assert not never, \
+        f"defaults no call passes: {', '.join(f'{w} {n}({p})' for (n, p), w in never.items())}"
+
+
+# defaults that only unit tests set to another value, each with the reason it stays
+UNIT_TESTED_DEFAULTS = {
+    ("main", "argv"): "the console script passes nothing; tests pass the command line",
+    ("hormander_bound_check", "bounded"): "ROADMAP item 3 wires the audit into solve",
+    ("hormander_bound_check", "sup_norm_sq"): "ROADMAP item 3 wires the audit into solve",
+    ("weight_for_target", "samples"): "ROADMAP item 12 wires it into solve",
+    ("weight_for_target", "trunc_order"): "ROADMAP item 12 wires it into solve",
+    ("fd_check", "h_step"): "the finite-difference oracle's step, which tests tune",
+}
+
+
+def test_every_default_is_set_beyond_the_unit_tests():
+    # a value only the unit tests choose is an option nothing else needs
+    reachers = MODULES + [p for p in READERS if p.parent.name in ("demos", "perfbench")] \
+        + [ROOT / "tests" / "test_acceptance.py"]
+    unset = _unset(reachers, other_value=True)
+    extra = [f"{w} {n}({p})" for (n, p), w in unset.items() if (n, p) not in UNIT_TESTED_DEFAULTS]
+    assert set(unset) == set(UNIT_TESTED_DEFAULTS), \
+        f"defaults only the unit tests set: {', '.join(extra)}; " \
+        f"listed but set beyond them: {sorted(set(UNIT_TESTED_DEFAULTS) - set(unset))}"
 
 
 def _fields(tree: ast.Module):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dbarl2.multiindex import (InvalidFamilyError, as_multiindex, check_conditions,
-                               constant_family, custom_family, epsilon, insert,
+from dbarl2.multiindex import (InvalidFamilyError, WeightFamily, as_multiindex,
+                               check_conditions, constant_family, epsilon, insert,
                                multiplicative_family, perm_sign_bruteforce,
                                prior_work_family)
 
@@ -66,7 +66,7 @@ def test_coeff_examples():
 
 
 def test_custom_family_positivity():
-    bad = custom_family(lambda I, J: -1.0)
+    bad = WeightFamily(lambda I, J: -1.0)
     with pytest.raises(InvalidFamilyError):
         bad.coeff((), (1,))
 
@@ -105,7 +105,7 @@ def test_check_conditions_violation():
     def cb(I, J):
         return 3.0 if (I, J) == ((), (1, 2)) else 1.0
 
-    rep = check_conditions(custom_family(cb), max_index=4, s=0, t=0)
+    rep = check_conditions(WeightFamily(cb), max_index=4, s=0, t=0)
     assert not rep.multiplicative_ok
     first = rep.violations[0]
     assert first["J"] == (1,) and first["Jp"] == (2,)

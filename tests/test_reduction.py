@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from dbarl2 import domains as dm
-from dbarl2 import forms as fm
 from dbarl2 import gaussmeasure as gm
 from dbarl2 import reduction as rd
 from dbarl2.forms import Form
-from dbarl2.symfun import CylinderFn, germ_step, mul, const, add, parse, support_of_sum
+from dbarl2.symfun import CylinderFn, germ_step, mul, const, add, parse
 
 from conftest import bump_fn, grid_of
+
+MC20K = gm.Quadrature("monte_carlo", N=20_000, seed=404)  # a pipeline's quadrature
 
 
 class TestMollifierKernel:
@@ -239,19 +240,19 @@ class TestConvolutionAdjoint:
     def test_random_pair(self, spec1):
         f = bump_fn(1, 0.5)
         g = CylinderFn("bump(((x(1)-0.1)^2+y(1)^2)/0.36)", support_radius=0.7)
-        res = rd.convolution_adjoint_residual(f, g, 1, 0.1, spec1, grid_res=121)
+        res = rd.convolution_adjoint_residual(f, g, 1, 0.1, spec1)
         assert res <= 1e-4
 
     def test_symmetric_pair(self, spec1):
         f = bump_fn(1, 0.6)
-        res = rd.convolution_adjoint_residual(f, f, 1, 0.1, spec1, grid_res=121)
+        res = rd.convolution_adjoint_residual(f, f, 1, 0.1, spec1)
         assert res <= 1e-4
 
 
 class TestPipeline:
     def test_zero_form(self, spec1, fam):
         f = Form((0, 1), {}, fam)
-        rep = rd.approx_pipeline(f, dm.whole_space(), 2.0, [1], [0.1], spec1)
+        rep = rd.approx_pipeline(f, dm.whole_space(), 2.0, [1], [0.1], spec1, MC20K, 101)
         assert rep.output.is_zero()
         assert rep.ladder[-1].norm_error == 0.0
 
@@ -259,7 +260,7 @@ class TestPipeline:
         f = Form((0, 1), {((), (1,)): bump_fn(1, 0.4)}, fam)
         dom = dm.whole_space()
         rep = rd.approx_pipeline(f, dom, rho=2.0, n_ladder=[1],
-                                 delta_ladder=[0.1], spec=spec1,
+                                 delta_ladder=[0.1], spec=spec1, quad=MC20K,
                                  grid_res=121)
         out = rep.output
         pts = gm.sample(spec1, 200, 9)
@@ -284,25 +285,15 @@ class TestPipeline:
         assert text[0] == "n,delta,norm_error,stderr"
         assert len(text) == 4
 
-    def test_unit_weight_ladder_equals_unweighted(self, spec2, fam):
-        # eta_rho (of z1, z2) times the mollified slice (of z1 only) is bounded
-        # in C^1 but not in C^2, so the weight 1 must be applied everywhere
-        f = Form((0, 1), {((), (1,)): bump_fn(2, 0.4, poly="1+x(1)")}, fam)
-        kw = dict(n_ladder=[1], delta_ladder=[0.2, 0.1, 0.05], spec=spec2,
-                  quad=gm.Quadrature("monte_carlo", N=4000, seed=12), grid_res=61)
-        plain = rd.approx_pipeline(f, dm.whole_space(), 2.0, **kw)
-        unit = rd.approx_pipeline(f, dm.whole_space(), 2.0, w2="0", **kw)
-        assert [r.norm_error for r in unit.ladder] == [r.norm_error for r in plain.ladder]
-
     def test_zero_coefficient_output(self, spec1, fam):
         f = Form((0, 1), {((), (1,)): CylinderFn("0*x(1)", support_radius=0.4)}, fam)
         dom = dm.whole_space()
         rep = rd.approx_pipeline(f, dom, rho=2.0, n_ladder=[1], delta_ladder=[0.1],
-                                 spec=spec1, grid_res=61)
+                                 spec=spec1, quad=MC20K, grid_res=61)
         assert rep.ladder[-1].norm_error <= 1e-12
 
 
-def _ladder_reference(f, rho, n_ladder, delta_ladder, spec, w2, quad, grid_res):
+def _ladder_reference(f, rho, n_ladder, delta_ladder, spec, quad, grid_res):
     """The error ladder by a per-key loop over separately evaluated candidates."""
     eta = dm.whole_space().eta(spec.trunc_dim)
     eta_rho = CylinderFn(germ_step(add(eta.expr, const(-rho))), dim=eta.dim)
@@ -318,14 +309,6 @@ def _ladder_reference(f, rho, n_ladder, delta_ladder, spec, w2, quad, grid_res):
             for key in set(f.coeffs) | set(cand.coeffs):
                 dv = cand.coeff(*key)(pts) - fvals[key]
                 total += f.family.coeff(*key) * np.abs(dv) ** 2
-            if w2 is not None:
-                dim = max(f.max_dim(), cand.max_dim())
-                radius = support_of_sum([(fn.support_radius, fn.dim) for fn in
-                                         [*f.coeffs.values(), *cand.coeffs.values()]], dim)
-                on = slice(None) if radius is None else fm.support_mask(pts, radius, dim)
-                weighted = np.zeros_like(total)
-                weighted[on] = total[on] * np.exp(-np.real(CylinderFn(w2)(pts[on])))
-                total = weighted
             mean = float(np.sum(wq * total))
             rows.append((n, delta, np.sqrt(max(mean, 0.0)),
                          float(np.std(total) / np.sqrt(len(total)))))
@@ -333,24 +316,20 @@ def _ladder_reference(f, rho, n_ladder, delta_ladder, spec, w2, quad, grid_res):
 
 
 class TestFoldedLadder:
-    """All candidates of one n through one weighted-integrand call equal the
-    per-key loop exactly."""
+    """All candidates of one n through one integrand call equal the per-key
+    loop exactly."""
 
-    @pytest.mark.parametrize("two, w2", [(False, None), (False, "0"), (True, None),
-                                         (True, "0"), (True, "x(1)^2+y(2)^2"),
-                                         ("mixed", "x(1)^2+y(2)^2")])
-    def test_equals_the_per_key_loop(self, two, w2, spec1, spec2, fam):
+    @pytest.mark.parametrize("two", [False, True])
+    def test_equals_the_per_key_loop(self, two, spec1, spec2, fam):
         if two:
             spec = spec2
-            low = bump_fn(1, 0.4, poly="1+x(1)") if two == "mixed" else \
-                bump_fn(2, 0.4, poly="1+x(1)")
-            f = Form((0, 1), {((), (1,)): low,
+            f = Form((0, 1), {((), (1,)): bump_fn(2, 0.4, poly="1+x(1)"),
                               ((), (2,)): bump_fn(2, 0.5, poly="y(2)-x(1)")}, fam)
         else:
             spec = spec1
             f = Form((0, 1), {((), (1,)): bump_fn(1, 0.4, poly="x(1)")}, fam)
         kw = dict(rho=2.0, n_ladder=[1], delta_ladder=[0.2, 0.1, 0.05], spec=spec,
                   quad=gm.Quadrature("monte_carlo", N=4000, seed=12), grid_res=61)
-        rep = rd.approx_pipeline(f, dm.whole_space(), w2=w2, **kw)
-        want = _ladder_reference(f, w2=w2, **kw)
+        rep = rd.approx_pipeline(f, dm.whole_space(), **kw)
+        want = _ladder_reference(f, **kw)
         assert [(r.n, r.delta, r.norm_error, r.stderr) for r in rep.ladder] == want

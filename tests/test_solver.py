@@ -133,8 +133,10 @@ class TestSolve:
         # negligible against the 1e-8 target
         spec, ctx = quad_ctx
         Rwide = 1.6
-        dict_u = sv.scalar_dictionary(1, 3, Rwide, spec, profiles=(0,))
-        dict_f = sv.scalar_dictionary(1, 3, Rwide, spec, profiles=(0, 1))
+        dict_u = sv.scalar_dictionary(1, 3, Rwide, spec)
+        # the trial functions and their x-derivatives, which bring in the bump's
+        # first derivative: test forms the trial space itself does not span
+        dict_f = dict_u + [ub.d_dx(1) for ub in dict_u]
         pts, w = gm.Quadrature("gauss_hermite", nodes_per_axis=48).nodes_weights(spec)
         ew1 = np.exp(-np.real(ctx.w1(pts)))
         ew2 = np.exp(-np.real(ctx.w2(pts)))
@@ -157,7 +159,7 @@ class TestSolve:
 
     def test_stacked_rows_equal_the_per_column_loop(self, fam):
         spec = gm.GaussianSpec(2)
-        dict_u = sv.scalar_dictionary(2, 2, R, spec, profiles=(0,))
+        dict_u = sv.scalar_dictionary(2, 2, R, spec)
         slots = [((), (1,)), ((), (2,)), ((), (3,))]  # no image has a dzb_3 part
         images = [do.dbar(Form((0, 0), {((), ()): b}, fam)) for b in dict_u]
         pts, wq = gm.Quadrature("gauss_hermite", nodes_per_axis=4).nodes_weights(spec)
@@ -580,12 +582,11 @@ class TestCauchyOracle:
         for pts in (rng.uniform(-0.7, 0.7, (1, 2)), rng.uniform(-0.7, 0.7, (5, 2))):
             assert np.array_equal(oracle(pts), _per_radius(oracle, f1, pts))
         # N * nt >= _ORACLE_CHUNK: one radius per call, as the reference does
-        small = sv.CauchyOracle(f1=f1, reach=oracle.reach, nr=16)
         pts = rng.uniform(-0.7, 0.7, (43, 2))
-        assert 43 * small.nt >= sv._ORACLE_CHUNK
-        assert np.array_equal(small(pts), _per_radius(small, f1, pts))
+        assert 43 * sv._ORACLE_NT >= sv._ORACLE_CHUNK
+        assert np.array_equal(oracle(pts), _per_radius(oracle, f1, pts))
         mixed = np.concatenate([pts[:39], FAR_POINTS])
-        assert np.array_equal(small(mixed), _per_radius(small, f1, mixed))
+        assert np.array_equal(oracle(mixed), _per_radius(oracle, f1, mixed))
 
     def test_masked_equals_dense_beyond_reach(self, manufactured):
         # beyond reach - R the oracle is wrong, but bitwise as wrong as the dense rule
@@ -648,7 +649,7 @@ class TestCauchyOracle:
 
     def test_nonfinite_point_propagates(self, manufactured):
         f1 = manufactured[1].coeff((), (1,))
-        oracle = sv.CauchyOracle(f1=f1, reach=1.0, nr=64, nt=48)
+        oracle = sv.CauchyOracle(f1=f1, reach=1.0)
         with np.errstate(invalid="ignore"):
             got = oracle(np.array([[np.nan, 0.0], [np.inf, 0.0], [0.1, 0.2]]))
         assert np.isnan(got[:2]).all()
@@ -659,20 +660,20 @@ class TestCauchyOracle:
         # node about a finite point of the same call does
         g = RecordingFn(manufactured[1].coeff((), (1,)))
         with np.errstate(invalid="ignore"):
-            sv.CauchyOracle(f1=g, reach=1.0, nr=64, nt=48)(np.array([[np.nan, 0.0], [0.1, 0.2]]))
+            sv.CauchyOracle(f1=g, reach=1.0)(np.array([[np.nan, 0.0], [0.1, 0.2]]))
         sq = np.sum(np.concatenate(g.seen) ** 2, axis=1)
-        assert np.count_nonzero(np.isnan(sq)) == 64 * 48
+        assert np.count_nonzero(np.isnan(sq)) == sv._ORACLE_NR * sv._ORACLE_NT
         assert np.all(sq[~np.isnan(sq)] <= gm.support_rsq(R))
 
     def test_constant_scalar_integrand(self):
-        oracle = sv.CauchyOracle(f1=ScalarTwo(1), reach=1.0, nr=64, nt=48)
+        oracle = sv.CauchyOracle(f1=ScalarTwo(1), reach=1.0)
         pts = np.random.default_rng(9).uniform(-1, 1, (7, 2))
         got = oracle(pts)
         assert got.shape == (7,)
         assert np.array_equal(got, _per_radius(oracle, oracle.f1, pts))
 
     def test_eval_error_propagates(self):
-        oracle = sv.CauchyOracle(f1=CylinderFn("log(x(1))"), reach=1.0, nr=64, nt=48)
+        oracle = sv.CauchyOracle(f1=CylinderFn("log(x(1))"), reach=1.0)
         with pytest.raises(EvalError):
             oracle(np.zeros((1, 2)))
 
@@ -706,8 +707,8 @@ class RealPart(CountingFn):
 
 def _polar_nodes(oracle, pts):
     """The oracle's polar rule radius by radius: (weight, (N * nt, 2) nodes)."""
-    N, nt = len(pts), oracle.nt
-    rr, wr = np.polynomial.legendre.leggauss(oracle.nr)
+    N, nt = len(pts), sv._ORACLE_NT
+    rr, wr = np.polynomial.legendre.leggauss(sv._ORACLE_NR)
     r = 0.5 * oracle.reach * (rr + 1.0)
     wr = 0.5 * oracle.reach * wr
     th = (np.arange(nt) + 0.5) * (2.0 * np.pi / nt)
@@ -722,7 +723,7 @@ def _polar_nodes(oracle, pts):
 
 def _per_radius(oracle, g, pts):
     """Reference: the oracle's polar rule as one evaluation of g per radius."""
-    N, nt = len(pts), oracle.nt
+    N, nt = len(pts), sv._ORACLE_NT
     th = (np.arange(nt) + 0.5) * (2.0 * np.pi / nt)
     wt = 2.0 * np.pi / nt
     phase = np.tile(np.cos(th) - 1j * np.sin(th), N)

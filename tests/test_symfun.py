@@ -292,9 +292,11 @@ class TestLeaf:
         from dbarl2.dbarops import dbar
         from dbarl2.domains import whole_space
         from dbarl2.forms import Form
+        from dbarl2.gaussmeasure import Quadrature
         from dbarl2.reduction import approx_pipeline
         f = Form((0, 0), {((), ()): bump_fn(2, 0.4, poly="1+x(1)")}, fam)
-        out = approx_pipeline(f, whole_space(), 2.0, [1], [0.2], spec2).output
+        out = approx_pipeline(f, whole_space(), 2.0, [1], [0.2], spec2,
+                              Quadrature("monte_carlo", N=20_000, seed=404), 101).output
         df = dbar(out)
         assert set(df.coeffs) == {((), (1,)), ((), (2,))}
         pts = np.random.default_rng(14).normal(size=(20, 4), scale=0.3)

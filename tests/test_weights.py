@@ -46,10 +46,12 @@ class TestCutoffs:
             np.testing.assert_allclose(np.real(cf.X_k(far)), 0.0, atol=1e-15)
 
     def test_smooth_step_plateaus(self):
-        h, _ = wt.smooth_step(2.0)
-        assert h([1.5])[0] == 1.0
-        assert h([3.5])[0] == 0.0
-        assert 0 < h([2.5])[0] < 1
+        # eta = x1 on C: eta_rho at (t, 0) is the cut-off h_rho(t)
+        eta_rho = wt.smooth_step(2.0, CylinderFn("x(1)"))
+        h = np.real(eta_rho(np.array([[1.5, 0.0], [3.5, 0.0], [2.5, 0.0]])))
+        assert h[0] == 1.0
+        assert h[1] == 0.0
+        assert 0 < h[2] < 1
 
 
 class TestPsiMajorant:
