@@ -34,6 +34,6 @@ dev = fd_check(e, np.array([0.2, 0.1, 0.5, -0.3]), 1e-5)
 print(f"  max |symbolic - FD| = {dev:.2e}")
 
 print("\nCompact support is honored exactly")
-f = CylinderFn("bump((x(1)^2+y(1)^2)/0.25)", support_radius=0.5)
+f = CylinderFn("bump((x(1)^2+y(1)^2)/0.25)")
 outside = np.array([[0.6, 0.0], [0.0, -0.9], [2.0, 2.0]])
 print("  values outside the radius:", np.abs(f(outside)))

@@ -37,7 +37,7 @@ r0 = reduce_fn(CylinderFn("x(1)*x(3)"), 2, spec)
 print(f"  (x1 x3) reduced: max |value| = {np.max(np.abs(r0(pts))):.1e} (odd moment)")
 
 print("\nGauss-Green identity, paired Monte Carlo")
-f = CylinderFn("(1+x(1))*bump((x(1)^2+y(1)^2)/0.81)", support_radius=0.9)
+f = CylinderFn("(1+x(1))*bump((x(1)^2+y(1)^2)/0.81)")
 rep = gauss_green_residual(f, 1, spec, mc)
 print(f"  residual {rep.residual:.2e} vs 3 sigma = {3 * rep.stderr:.2e}  -> "
       f"{'consistent' if verdict(-rep.residual, rep.stderr, 1e-8) else 'violated'}")

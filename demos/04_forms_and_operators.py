@@ -19,8 +19,8 @@ spec = GaussianSpec(2)
 fam = constant_family(1.0)
 bmp = "bump(((x(1)^2+y(1)^2)+(x(2)^2+y(2)^2))/0.64)"
 
-u = Form((0, 0), {((), ()): CylinderFn(f"x(1)*{bmp}", support_radius=0.8)}, fam)
-f = Form((0, 1), {((), (1,)): CylinderFn(f"y(2)*{bmp}", support_radius=0.8)}, fam)
+u = Form((0, 0), {((), ()): CylinderFn(f"x(1)*{bmp}")}, fam)
+f = Form((0, 1), {((), (1,)): CylinderFn(f"y(2)*{bmp}")}, fam)
 
 print("dbar raises the degree; S after T vanishes identically")
 Tu = do.dbar(u)
@@ -50,9 +50,9 @@ print(f"  max pointwise residual: {res:.1e}")
 
 print("\nWeak formulation distinguishes the true image from a corrupted one")
 g = do.dbar(u)
-test = CylinderFn(f"y(1)*{bmp}", support_radius=0.8)
+test = CylinderFn(f"y(1)*{bmp}")
 good = do.weak_dbar_residual(u, g, test, (), (1,), spec, mc)
-bad_g = g + Form((0, 1), {((), (1,)): CylinderFn(bmp, support_radius=0.8)}, fam)
+bad_g = g + Form((0, 1), {((), (1,)): CylinderFn(bmp)}, fam)
 bad = do.weak_dbar_residual(u, bad_g, test, (), (1,), spec, mc)
 print(f"  true image:      {abs(good.mean):.2e}  ({abs(good.mean) / max(good.stderr, 1e-300):.1f} sigma)")
 print(f"  corrupted image: {abs(bad.mean):.2e}  ({abs(bad.mean) / max(bad.stderr, 1e-300):.1f} sigma)")

@@ -24,7 +24,7 @@ for n in (1, 2):
           f"{aud.exterior_max:.1e}, radial dev {aud.radial_deviation:.1e}")
 
 print("\nSmoothing a bump profile: the L2 error shrinks with delta")
-f = CylinderFn("bump((x(1)^2+y(1)^2)/0.25)", support_radius=0.5)
+f = CylinderFn("bump((x(1)^2+y(1)^2)/0.25)")
 for d in (0.2, 0.1, 0.05):
     g = rd.mollify(f, d, grid_res=121)
     ax = g.axes()
@@ -34,13 +34,12 @@ for d in (0.2, 0.1, 0.05):
     print(f"  delta = {d}: ||f_delta - f||_L2(P) = {err:.5f}")
 
 print("\nConvolution-transpose identity under the Gaussian measure")
-g2 = CylinderFn("bump(((x(1)-0.1)^2+y(1)^2)/0.36)", support_radius=0.7)
+g2 = CylinderFn("bump(((x(1)-0.1)^2+y(1)^2)/0.36)")
 res = rd.convolution_adjoint_residual(f, g2, 1, 0.1, spec)
 print(f"  residual = {res:.2e} (grid error budget 1e-4)")
 
 print("\nFull pipeline with the cut-off factor")
-form = Form((0, 1), {((), (1,)): CylinderFn("x(1)*bump((x(1)^2+y(1)^2)/0.16)",
-                                            support_radius=0.4)}, fam)
+form = Form((0, 1), {((), (1,)): CylinderFn("x(1)*bump((x(1)^2+y(1)^2)/0.16)")}, fam)
 rep = rd.approx_pipeline(form, dm.whole_space(), rho=2.0, n_ladder=[1],
                          delta_ladder=[0.2, 0.1, 0.05], spec=spec,
                          quad=Quadrature("monte_carlo", N=20_000, seed=404),

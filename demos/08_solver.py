@@ -25,8 +25,7 @@ phi = CylinderFn("3*(x(1)^2+y(1)^2)")
 ctx = do.OperatorContext(spec, fam, phi, phi, phi, CylinderFn("0"))
 
 R = 0.8
-u0 = Form((0, 0), {((), ()): CylinderFn(f"x(1)*bump((x(1)^2+y(1)^2)/{R * R})",
-                                        support_radius=R)}, fam)
+u0 = Form((0, 0), {((), ()): CylinderFn(f"x(1)*bump((x(1)^2+y(1)^2)/{R * R})")}, fam)
 f = do.dbar(u0)
 
 print("Minimal-norm Galerkin solve of dbar u = f (manufactured problem)")
@@ -54,8 +53,8 @@ tri, dom, kappa = wt.recipe_weights_whole_space(spec2)
 ctx2 = do.OperatorContext(spec2, fam, tri.w1, tri.w2, tri.w3, tri.phi)
 cond4_pts = dom.sample_sublevel(2, 2.0, 200, 55)
 bmp = "bump(((x(1)^2+y(1)^2)+(x(2)^2+y(2)^2))/0.36)"
-f2 = Form((0, 1), {((), (1,)): CylinderFn(f"x(2)*{bmp}", support_radius=0.6),
-                   ((), (2,)): CylinderFn(f"(x(1)+y(1))*{bmp}", support_radius=0.6)}, fam)
+f2 = Form((0, 1), {((), (1,)): CylinderFn(f"x(2)*{bmp}"),
+                   ((), (2,)): CylinderFn(f"(x(1)+y(1))*{bmp}")}, fam)
 out = sv.key_inequality_check(f2, ctx2, Quadrature("monte_carlo", N=20_000, seed=17),
                               tri, dom, cond4_pts)
 print(f"  ||T* f||^2_w1 + ||S f||^2_w3 = {out.lhs:.4f} >= c0 ||f||^2_w2 = {out.rhs:.4f}"

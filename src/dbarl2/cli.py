@@ -14,11 +14,14 @@ tol)`` of its own margin does (``CheckOutcome.judged``), save the approx
 ladder, which passes when each of its steps does.  A refused record prints
 ``refused: <reason>`` and does not pass.  Exit codes: 0 all checks pass, 1 any
 check failed or was refused (among them a ``domains`` sub-level set
-{eta <= tau} too thin to sample), 2 config error (among them a ``trunc_dim``
-or ``scan_points`` below 1, a form, expression, ``solve_dim``, ``n_ladder``
-entry or ``domain.center`` that reaches past ``trunc_dim``, or a list
-``a_rule`` shorter than the a_i a family reads), 3 a check crashed (traceback
-on stderr, no report).
+{eta <= tau} too thin to sample), 2 config error (among them a ``seed`` that
+is not an integer, a ``trunc_dim`` or ``scan_points`` below 1, a
+``basis_radius`` at or below 0, a form, expression, ``solve_dim``,
+``n_ladder`` entry or ``domain.center`` that reaches past ``trunc_dim``, a
+list ``a_rule`` shorter than the a_i a family reads, a ``support_radius``
+anywhere, since a support ball is derived from its expression, and a command
+left with nothing to check, such as ``identities`` without forms), 3 a check
+crashed (traceback on stderr, no report).
 """
 
 from __future__ import annotations
@@ -127,8 +130,7 @@ def _forms_from(config, family, n: int) -> list:
     out = []
     for k, lit in enumerate(config.get("forms", [])):
         degree = tuple(lit.get("degree", (0, 1)))
-        f = forms.parse_form_literal(lit["entries"], degree, family,
-                                     support_radius=lit.get("support_radius"))
+        f = forms.parse_form_literal(lit["entries"], degree, family)
         _within(n, max(f.max_index(), f.max_dim()), f"forms[{k}]")
         out.append(f)
     return out
@@ -152,9 +154,9 @@ def _within(n: int, reach: int, field: str) -> int:
     return reach
 
 
-def _fn_from(n: int, field: str, text: str, support_radius=None) -> CylinderFn:
+def _fn_from(n: int, field: str, text: str) -> CylinderFn:
     """A config expression, refused when it reaches past coordinate n = trunc_dim."""
-    fn = CylinderFn(text, support_radius=support_radius)
+    fn = CylinderFn(text)
     _within(n, fn.dim, field)
     return fn
 
@@ -267,9 +269,8 @@ def cmd_solve(config, seed, out_dir: Path):
     dom = _domain_from(config, n)
     fl = _forms_from(config, family, n)
     if not fl:
-        m = config.get("manufactured", {"coeff": "x(1)*bump((x(1)^2+y(1)^2)/0.64)",
-                                        "support_radius": 0.8})
-        u0 = _fn_from(n, "manufactured.coeff", m["coeff"], m.get("support_radius"))
+        m = config.get("manufactured", {"coeff": "x(1)*bump((x(1)^2+y(1)^2)/0.64)"})
+        u0 = _fn_from(n, "manufactured.coeff", m["coeff"])
         target = dbarops.dbar(forms.Form((0, 0), {((), ()): u0}, family))
     else:
         target = _one_form(fl, "solve")
@@ -281,9 +282,11 @@ def cmd_solve(config, seed, out_dir: Path):
     else:
         tri, wdom, _ = weights.recipe_weights_whole_space(spec)
     ctx = dbarops.OperatorContext(spec, family, tri.w1, tri.w2, tri.w3, tri.phi)
+    radius = float(config.get("basis_radius", 0.8))
+    if not radius > 0:
+        raise ConfigError(f"basis_radius must be > 0, not {radius!r}")
     prob = solver.SolveProblem(ctx=ctx, domain=wdom, f=target,
-                               degree=int(config.get("degree", 8)), n=solve_dim,
-                               radius=float(config.get("basis_radius", 0.8)))
+                               degree=int(config.get("degree", 8)), n=solve_dim, radius=radius)
     _, rep = solver.solve_min_norm(prob)
     (out_dir / "solve_report.json").write_text(
         json.dumps(rep.as_dict(), sort_keys=True, allow_nan=False) + "\n")
@@ -312,6 +315,14 @@ def cmd_majorant(config, seed, out_dir: Path):
 COMMANDS = {"identities": cmd_identities, "conditions": cmd_conditions,
             "domains": cmd_domains, "approx": cmd_approx, "solve": cmd_solve,
             "majorant": cmd_majorant}
+
+
+def _object(pairs) -> dict:
+    """A config object; a ``support_radius`` is refused wherever it is set."""
+    if any(k == "support_radius" for k, _ in pairs):
+        raise ConfigError("support_radius is not read: a support ball is derived from "
+                          "its expression")
+    return dict(pairs)
 
 
 def run_checks(records) -> list:
@@ -349,16 +360,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        config = json.loads(Path(args.config).read_text(), object_pairs_hook=_object)
+    except (OSError, ValueError) as exc:  # JSONDecodeError and ConfigError are ValueErrors
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     out_dir = Path(args.out)
     try:
+        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
         out_dir.mkdir(parents=True, exist_ok=True)
         records = run_checks(COMMANDS[args.command](config, seed, out_dir))
+        if not records:
+            raise ConfigError("nothing to check")
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

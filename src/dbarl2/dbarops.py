@@ -27,7 +27,7 @@ from .forms import Form, _ball_values, add_term, inner_vals
 from .gaussmeasure import GaussianSpec, MCEstimate, Quadrature, estimate
 from .multiindex import WeightFamily, as_multiindex, contractions, insertions
 from .symfun import (CylinderFn, FnBase, ZERO_FN, _as_fn, add, const, del_op, delbar_op,
-                     delta_op, eval_expr, exp_, mul, sigma_op, support_of_product)
+                     delta_op, eval_expr, exp_, mul, sigma_op)
 
 
 @dataclass
@@ -115,10 +115,9 @@ def ibp_residual(f: FnBase, g: FnBase, i: int, spec: GaussianSpec,
     adj = sigma_op(g, i, spec.a(i), _as_fn(varphi)) if weighted else delta_op(g, i, spec.a(i))
     # both integrands vanish off the supports of f and g
     dim = max(f.dim, g.dim)
-    radius = support_of_product([(f.support_radius, f.dim), (g.support_radius, g.dim)], dim)
     (on, _, (dbf, vg, vf, vadj), ew), = _ball_values(
         [([delbar_op(f, i).expr, g.expr, f.expr, adj.expr], varphi if weighted else None,
-          radius, dim)], pts)
+          dim, mul(f.expr, g.expr))], pts)
     lhs = dbf * np.conjugate(vg)
     rhs = -vf * np.conjugate(vadj)
     diff = np.zeros(pts.shape[0], dtype=complex)

@@ -20,8 +20,8 @@ import numpy as np
 
 from .gaussmeasure import GaussianSpec, MCEstimate, Quadrature, estimate, support_mask
 from .multiindex import MultiIndex, WeightFamily, as_multiindex
-from .symfun import (CylinderFn, FnBase, ZERO_FN, _as_fn, eval_expr, support_of_product,
-                     support_of_sum)
+from .symfun import (CylinderFn, FnBase, ZERO_FN, _as_fn, conj_, eval_expr, mul,
+                     support_radius_in)
 
 
 Key = Tuple[MultiIndex, MultiIndex]
@@ -68,11 +68,6 @@ class Form:
     def max_dim(self) -> int:
         return max((fn.dim for fn in self.coeffs.values()), default=0)
 
-    def support_radius(self) -> Optional[float]:
-        """Radius of a ball in C^max_dim() holding every coefficient's support."""
-        return support_of_sum([(fn.support_radius, fn.dim) for fn in self.coeffs.values()],
-                              self.max_dim())
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -104,15 +99,18 @@ class Form:
 
 
 def _ball_values(groups, pts: np.ndarray) -> list:
-    """(on, m, vals, ew) for each group (exprs, w_fn, radius, dim): the values of
-    exprs and the factor e^{-Re w_fn} (None without a weight) at the m points
-    pts[on] that ``support_mask`` keeps, or at every point when the ball is
-    unbounded or there is no weight.  Groups that select the same points share
-    one evaluation; a group without exprs is a zero integrand, which selects no
+    """(on, m, vals, ew) for each group (exprs, w_fn, dim, integrand): the values
+    of exprs and the factor e^{-Re w_fn} (None without a weight) at the m points
+    pts[on] that ``support_mask`` keeps for the ball in C^dim outside which the
+    integrand (an expression, or a sequence read as a sum) is 0, by
+    ``symfun.support_radius_in``; at every point when it has no such ball or
+    there is no weight.  Groups that select the same points share one
+    evaluation; a group without exprs is a zero integrand, which selects no
     point and evaluates no weight.  The one place that forms e^{-Re w}."""
     balls: dict = {}
-    for k, (exprs, w_fn, radius, dim) in enumerate(groups):
-        ball = None if w_fn is None or radius is None else (radius, min(dim, pts.shape[1] // 2))
+    for k, (exprs, w_fn, dim, integrand) in enumerate(groups):
+        radius = None if w_fn is None else support_radius_in(integrand, dim)
+        ball = None if radius is None else (radius, min(dim, pts.shape[1] // 2))
         balls.setdefault(ball if exprs else 0, []).append(k)
     out = [None] * len(groups)
     for ball, ks in balls.items():
@@ -136,8 +134,10 @@ def _ball_values(groups, pts: np.ndarray) -> list:
 def _weighted_sq_vals(parts, pts: np.ndarray) -> list:
     """Pointwise Sum' c[I,J] |f[I,J]|^2 e^{-w} for each (form, w_fn) in parts,
     zero outside the form's support ball when it has a weight."""
-    groups = [([fn.expr for fn in form.coeffs.values()], w_fn, form.support_radius(),
-               form.max_dim()) for form, w_fn in parts]
+    groups = []
+    for form, w_fn in parts:
+        exprs = [fn.expr for fn in form.coeffs.values()]
+        groups.append((exprs, w_fn, form.max_dim(), exprs))
     totals = []
     for (form, _), (on, m, vals, ew) in zip(parts, _ball_values(groups, pts)):
         total = np.zeros(m)
@@ -176,10 +176,9 @@ def inner_vals(fa: Form, fb: Form, w_fn, pts: np.ndarray) -> np.ndarray:
     """Pointwise integrand of the weighted inner product (for paired residuals)."""
     keys = list(set(fa.coeffs) & set(fb.coeffs))
     dim = max(fa.max_dim(), fb.max_dim())
-    radius = support_of_product([(fa.support_radius(), fa.max_dim()),
-                                 (fb.support_radius(), fb.max_dim())], dim)
-    (on, m, vals, ew), = _ball_values(
-        [([g.coeffs[k].expr for k in keys for g in (fa, fb)], w_fn, radius, dim)], pts)
+    exprs = [g.coeffs[k].expr for k in keys for g in (fa, fb)]
+    integrand = [mul(a, conj_(b)) for a, b in zip(exprs[0::2], exprs[1::2])]
+    (on, m, vals, ew), = _ball_values([(exprs, w_fn, dim, integrand)], pts)
     total = np.zeros(m, dtype=complex)
     for k, va, vb in zip(keys, vals[0::2], vals[1::2]):
         total += fa.family.coeff(*k) * va * np.conjugate(vb)
@@ -188,11 +187,13 @@ def inner_vals(fa: Form, fb: Form, w_fn, pts: np.ndarray) -> np.ndarray:
 
 def parse_form_literal(entries, degree, family: WeightFamily,
                        support_radius: Optional[float] = None) -> Form:
-    """Build a form from config-file literals: [{"I": [...], "J": [...], "coeff": "expr"}]."""
+    """Build a form from config-file literals: [{"I": [...], "J": [...], "coeff": "expr"}].
+
+    A ``support_radius`` is a claim about every coefficient, checked as
+    ``CylinderFn`` checks it and never used."""
     coeffs = {}
     for ent in entries:
         I = as_multiindex(ent.get("I", ()))
         J = as_multiindex(ent.get("J", ()))
-        add_term(coeffs, (I, J),
-                 CylinderFn(ent["coeff"], support_radius=ent.get("support_radius", support_radius)))
+        add_term(coeffs, (I, J), CylinderFn(ent["coeff"], support_radius=support_radius))
     return Form(tuple(degree), coeffs, family)

@@ -14,10 +14,11 @@ for 4 -> 1; over ``_TAIL_BUDGET`` nodes it raises ``ValueError``.  An axis of m
 nodes is exact for its degree < 2m, not for the bumps the library reduces: on 300
 seeded bumps on C^3, 3 -> 1 is off a 12-node rule by <= 3.6e-4 sup |f|, 3 -> 2 by 1.2e-6.
 
-When the integrand declares a ``support_radius`` R, it is evaluated only on the
-(head, tail node) pairs that ``support_mask``, the one support-ball test,
-keeps: every other term of the tail sum is an exact zero, and a head live at
-no node is an exact 0.  Only the heads live at some node are sorted by norm;
+When the integrand has a ``support_radius`` R (for a symbolic function, the
+radius that ``symfun.support`` derives from its expression), it is evaluated
+only on the (head, tail node) pairs that ``support_mask``, the one support-ball
+test, keeps: every other term of the tail sum is an exact zero, and a head live
+at no node is an exact 0.  Only the heads live at some node are sorted by norm;
 each head sums its own nodes in the order of the rule, so tied heads may come
 in any order without changing a bit.  The integrand is
 compiled once per call (one ``symfun.Tape``) and run on batches of whole tail
@@ -41,19 +42,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .symfun import FnBase, Tape, _as_fn, eval_expr
+from .symfun import FnBase, Tape, _as_fn, eval_expr, support_rsq
 
 _SAMPLE_CHUNK = 1 << 16
 _GH_BUDGET = 2_000_000
 _TAIL_BUDGET = 200_000
 _TAIL_NODES = 8  # nodes on the first tail axis
 _TAIL_CHUNK = 1 << 14  # points per evaluation of the integrand in ReducedFn
-
-
-def support_rsq(radius: float) -> float:
-    """Squared radius of the support ball with its rounding slack: a point with
-    squared norm at most this is inside."""
-    return radius * radius * (1.0 + 1e-12)
 
 
 def support_mask(pts: np.ndarray, radius: Optional[float], dim: int) -> np.ndarray:

@@ -217,7 +217,7 @@ def mollify(f_n: FnBase, delta: float, grid_res: int = 121) -> GridFn:
     out = _fftconvolve(grid.values, _unit_kernel(n, delta, h))
     # support arithmetic is exact: kill FFT roundoff outside radius R + delta
     out[~support_mask(pts, R + delta, n).reshape(grid.shape)] = 0.0
-    return GridFn(out, extent, n, support_radius=R + delta)
+    return GridFn(out, extent, n, R + delta)
 
 
 def l2_gauss_grid(values_fn, grid: GridFn, spec: GaussianSpec) -> float:

@@ -17,11 +17,12 @@ whitening and the thin SVD.  It is cached, keyed by the identities of w1 and
 w2, the measure, f's family, n, degree, radius, quadrature, f's degree and
 target slots, never by f's values; its arrays are read-only, so a solve gives
 the same bits whether the cache is cold or warm.  The right-hand-side half
-(``solve_min_norm``) checks closedness, stacks f with e^{-w2} on f's declared
-ball and applies the SVD.  Only a process that solves several right-hand sides
-in one space (the same w1 and w2 objects) gains: its later solves pay only for
-f.  ``dbarl2 solve``, demo 08 and criterion 10 solve once per process, so every
-solve they make is cold and builds the space as before the split.  A cached
+(``solve_min_norm``) checks closedness, stacks f with e^{-w2} on the support
+ball derived from f's expression and applies the SVD.  Only a process that
+solves several right-hand sides in one space (the same w1 and w2 objects)
+gains: its later solves pay only for f.  ``dbarl2 solve``, demo 08 and
+criterion 10 solve once per process, so every solve they make is cold and
+builds the space as before the split.  A cached
 entry, and the weights and family of its key, stay alive until it is evicted
 (at most ``_SPACE_CACHE`` entries are kept).  An entry holds about 5 M k
 complex numbers at n = 2 (E, then D and U with two target slots each) for M
@@ -56,7 +57,7 @@ from .gaussmeasure import (CheckOutcome, GaussianSpec, Quadrature, _leggauss, _m
                            _mesh, estimate, json_number, support_mask, support_rsq, verdict)
 from .multiindex import check_conditions
 from .symfun import (CylinderFn, Fun, Tape, add, const, delbar_op, eval_expr, mul,
-                     norm_sq_coords, poly1, support_of_sum, x, y, _as_fn)
+                     norm_sq_coords, poly1, x, y, _as_fn)
 from .weights import WeightTriple, check_cond4
 
 
@@ -85,8 +86,7 @@ def scalar_dictionary(n: int, degree: int, radius: float, spec: GaussianSpec) ->
                 factors.append(_herme_poly1(x(i), px, a))
             if py:
                 factors.append(_herme_poly1(y(i), py, a))
-        out.append(CylinderFn(mul(*factors, chi) if factors else mul(chi, const(1.0)),
-                              support_radius=radius, dim=n))
+        out.append(CylinderFn(mul(*factors, chi) if factors else mul(chi, const(1.0)), dim=n))
     return out
 
 
@@ -157,10 +157,9 @@ def _stack_rows(forms_per_basis, slots, pts, wq, w_fn, family):
     M = len(pts)
     cells = [(b, si, fb.coeffs[key]) for b, fb in enumerate(forms_per_basis)
              for si, key in enumerate(slots) if key in fb.coeffs]
+    exprs = [fn.expr for *_, fn in cells]
     dim = max(fb.max_dim() for fb in forms_per_basis)
-    radius = support_of_sum([(fb.support_radius(), fb.max_dim()) for fb in forms_per_basis], dim)
-    (on, _, vals, ew), = _ball_values([([fn.expr for *_, fn in cells], w_fn, radius, dim)],
-                                      pts)
+    (on, _, vals, ew), = _ball_values([(exprs, w_fn, dim, exprs)], pts)
     scale = [np.sqrt(family.coeff(*key) * wq[on] * ew) for key in slots]
     out = np.zeros((M * len(slots), len(forms_per_basis)), dtype=complex)
     for (b, si, _), v in zip(cells, vals):
@@ -264,7 +263,7 @@ def solve_min_norm(p: SolveProblem) -> tuple[Form, SolveReport]:
         terms = [mul(const(complex(cval)), bfn.expr)
                  for cval, bfn in zip(block, dict_u) if cval != 0]
         if terms:
-            coeffs[key] = CylinderFn(add(*terms), support_radius=p.radius, dim=p.n)
+            coeffs[key] = CylinderFn(add(*terms), dim=p.n)
     u = Form((s, tp1 - 1), coeffs, f.family)
 
     c0 = _conditions(f, p.n).c0_inf

@@ -59,6 +59,7 @@ value counts as complex.
 
 from __future__ import annotations
 
+import math
 import operator
 import struct
 import weakref
@@ -1006,28 +1007,76 @@ def _parse_atom(tk: _Tokens) -> Expr:
 # Function layer: cylinder functions over the tree; opaque functions as leaves
 # ---------------------------------------------------------------------------
 
-def support_of_sum(parts, dim: int) -> Optional[float]:
-    """Support radius in C^dim of a sum of parts given as (radius, dim) pairs.
+def support_rsq(radius: float) -> float:
+    """Squared radius of the support ball with its rounding slack: a point with
+    squared norm at most this is inside."""
+    return radius * radius * (1.0 + 1e-12)
 
-    A radius bounds a ball in C^d of its part's own dim d; in C^dim with
-    dim > d the part is an unbounded cylinder.  So the sum is bounded only
-    when every part is bounded in C^dim, except that the zero function
-    (radius 0) adds nothing.
+
+def support(e: Union[Expr, Sequence[Expr]]) -> Optional[tuple]:
+    """(r, k) such that e is 0 wherever |z_1..z_k| > r (r = 0: the zero
+    function), or None when the tree gives no such ball; memoised on the node.
+    A sequence of expressions is read as their sum, so no constants cancel.
+
+    A bump germ of c * sum over i <= k of (x_i - a_i)^2 + (y_i - b_i)^2, real
+    c > 0, gives (1/sqrt(c) + |(a, b)|, k).  A sum is bounded when every
+    nonzero term is (the largest r, over the fewest coordinates); a product by
+    its bounded factor over the most coordinates (then the smallest r); a
+    quotient by its numerator; a power, a conjugate and a polynomial without
+    constant term by their operand; a leaf by its function's support_radius
+    over its dim.  Anything else is unbounded.
     """
-    live = [(r, d) for r, d in parts if r != 0]
-    if any(r is None or d < dim for r, d in live):
+    if not isinstance(e, Expr):
+        live = [p for p in map(support, e) if p is None or p[0]]
+        if None in live:
+            return None
+        return (max(r for r, _ in live), min(k for _, k in live)) if live else (0.0, 0)
+    if "_support" not in e.__dict__:
+        object.__setattr__(e, "_support", _SUPPORT.get(type(e), lambda n: None)(e))
+    return e._support
+
+
+def _bump_ball(arg: Expr) -> Optional[tuple]:
+    """The support of a bump germ at arg, when arg is c * |z_1..z_k - a|^2."""
+    c, s = 1.0, arg
+    if type(arg) is Mul and len(arg.factors) == 2 and type(arg.factors[0]) is Const:
+        c, s = arg.factors[0].val, arg.factors[1]
+    if c.imag or not c.real > 0 or type(s) is not Add:
         return None
-    return max((r for r, _ in live), default=0.0)
+    centre = {}  # a repeated square only adds to the sum, so either centre bounds it
+    for term in s.terms:
+        v, a = (term.base if type(term) is Pow and term.k == 2 else None), 0.0
+        if type(v) is Add and len(v.terms) == 2 and type(v.terms[1]) is Const:
+            v, a = v.terms[0], -v.terms[1].val
+        if type(v) is not Var or a.imag:
+            return None
+        centre[v.kind, v.i] = a.real
+    k = len(centre) // 2
+    if set(centre) != {(kind, i) for i in range(1, k + 1) for kind in "xy"}:
+        return None
+    return 1.0 / math.sqrt(c.real) + math.hypot(*centre.values()), k
 
 
-def support_of_product(parts, dim: int) -> Optional[float]:
-    """Support radius in C^dim of a product of (radius, dim) factors: 0 when a
-    factor is the zero function, else the smallest radius among the factors of
-    full dim (a lower-dim factor bounds nothing in C^dim)."""
-    if any(r == 0 for r, _ in parts):
-        return 0.0
-    full = [r for r, d in parts if r is not None and d >= dim]
-    return min(full) if full else None
+_SUPPORT = {
+    Const: lambda e: (0.0, 0) if e.val == 0 else None,
+    Add: lambda e: support(e.terms),
+    # a zero factor first, then the factor over the most coordinates, then the smallest r
+    Mul: lambda e: max(filter(None, map(support, e.factors)),
+                       key=lambda p: (p[0] == 0, p[1], -p[0]), default=None),
+    Div: lambda e: support(e.num),
+    Pow: lambda e: support(e.base),
+    Conj: lambda e: support(e.arg),
+    Poly1: lambda e: None if e.coeffs[0] else support(e.arg),
+    Fun: lambda e: _bump_ball(e.arg) if e.name == "bump" else None,
+    Leaf: lambda e: None if e.fn.support_radius is None else (e.fn.support_radius, e.fn.dim),
+}
+
+
+def support_radius_in(e: Union[Expr, Sequence[Expr]], dim: int) -> Optional[float]:
+    """The radius of ``support(e)`` when its ball spans all dim coordinates
+    (any dim for the zero function), else None."""
+    s = support(e)
+    return None if s is None or (s[0] and s[1] < dim) else s[0]
 
 
 class FnBase:
@@ -1052,9 +1101,7 @@ class FnBase:
 
     def __add__(self, other):
         a, b = _as_fn(self), _as_fn(other)
-        dim = max(a.dim, b.dim)
-        return CylinderFn(add(a.expr, b.expr), support_of_sum(
-            [(a.support_radius, a.dim), (b.support_radius, b.dim)], dim), dim)
+        return CylinderFn(add(a.expr, b.expr), dim=max(a.dim, b.dim))
 
     __radd__ = __add__
 
@@ -1064,11 +1111,9 @@ class FnBase:
     def __mul__(self, other):
         a = _as_fn(self)
         if isinstance(other, (int, float, complex)):
-            return CylinderFn(mul(const(other), a.expr), a.support_radius, a.dim)
+            return CylinderFn(mul(const(other), a.expr), dim=a.dim)
         b = _as_fn(other)
-        dim = max(a.dim, b.dim)
-        return CylinderFn(mul(a.expr, b.expr), support_of_product(
-            [(a.support_radius, a.dim), (b.support_radius, b.dim)], dim), dim)
+        return CylinderFn(mul(a.expr, b.expr), dim=max(a.dim, b.dim))
 
     __rmul__ = __mul__
 
@@ -1080,7 +1125,7 @@ def _as_fn(v) -> "CylinderFn":
     if isinstance(v, CylinderFn):
         return v
     if isinstance(v, FnBase):
-        return CylinderFn(Leaf(v), v.support_radius, v.dim)
+        return CylinderFn(Leaf(v))
     if isinstance(v, (Expr, str)):
         return CylinderFn(v)
     if isinstance(v, (int, float, complex)):
@@ -1089,7 +1134,13 @@ def _as_fn(v) -> "CylinderFn":
 
 
 class CylinderFn(FnBase):
-    """Symbolic cylinder function: an Expr with a dimension and support radius."""
+    """Symbolic cylinder function: an Expr with a dimension.
+
+    Its support radius is derived from the expression (``support_radius_in``),
+    when it is read.  A ``support_radius`` given here is a claim, checked and
+    never used: below the derived radius (up to the slack of ``support_rsq``),
+    or on an expression with no derived ball, it raises ``ValueError``.
+    """
 
     def __init__(self, expr: Union[Expr, str], support_radius: Optional[float] = None,
                  dim: Optional[int] = None):
@@ -1098,22 +1149,31 @@ class CylinderFn(FnBase):
         self.expr = expr
         d = max_index(expr)
         self.dim = d if dim is None else max(int(dim), d)
-        self.support_radius = support_radius
+        if support_radius is not None:  # a claim, checked and never used
+            r = self.support_radius
+            if r is None or not (support_radius >= 0 and r * r <= support_rsq(support_radius)):
+                raise ValueError(f"support radius {support_radius!r} is declared, but " + (
+                    f"the expression gives no ball in C^{self.dim}" if r is None
+                    else f"the derived one is {r!r}"))
+
+    @property
+    def support_radius(self) -> Optional[float]:
+        return support_radius_in(self.expr, self.dim)
 
     def __call__(self, pts) -> np.ndarray:
         return eval_expr(self.expr, pts)
 
     def d_dx(self, i: int) -> "CylinderFn":
-        return CylinderFn(diff(self.expr, "x", i), self.support_radius, self.dim)
+        return CylinderFn(diff(self.expr, "x", i), dim=self.dim)
 
     def d_dy(self, i: int) -> "CylinderFn":
-        return CylinderFn(diff(self.expr, "y", i), self.support_radius, self.dim)
+        return CylinderFn(diff(self.expr, "y", i), dim=self.dim)
 
     def is_zero(self) -> bool:
         return _is_const(self.expr, 0)
 
 
-ZERO_FN = CylinderFn(ZERO, support_radius=0.0)
+ZERO_FN = CylinderFn(ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -1125,7 +1185,7 @@ def del_op(f: FnBase, i: int) -> CylinderFn:
     f = _as_fn(f)
     e = add(mul(const(0.5), diff(f.expr, "x", i)),
             mul(const(-0.5j), diff(f.expr, "y", i)))
-    return CylinderFn(e, f.support_radius, f.dim)
+    return CylinderFn(e, dim=f.dim)
 
 
 def delbar_op(f: FnBase, i: int) -> CylinderFn:
@@ -1133,7 +1193,7 @@ def delbar_op(f: FnBase, i: int) -> CylinderFn:
     f = _as_fn(f)
     e = add(mul(const(0.5), diff(f.expr, "x", i)),
             mul(const(0.5j), diff(f.expr, "y", i)))
-    return CylinderFn(e, f.support_radius, f.dim)
+    return CylinderFn(e, dim=f.dim)
 
 
 def delta_op(f: FnBase, i: int, a_i: float) -> CylinderFn:
@@ -1143,8 +1203,7 @@ def delta_op(f: FnBase, i: int, a_i: float) -> CylinderFn:
     f = _as_fn(f)
     factor = -1.0 / (2.0 * a_i ** 2)
     e = add(del_op(f, i).expr, mul(const(factor), zb(i), f.expr))
-    dim = max(f.dim, i)
-    return CylinderFn(e, support_of_product([(f.support_radius, f.dim)], dim), dim)
+    return CylinderFn(e, dim=max(f.dim, i))
 
 
 def sigma_op(f: FnBase, i: int, a_i: float, varphi: FnBase) -> CylinderFn:
@@ -1153,8 +1212,7 @@ def sigma_op(f: FnBase, i: int, a_i: float, varphi: FnBase) -> CylinderFn:
     varphi = _as_fn(varphi)
     d = delta_op(f, i, a_i)
     e = add(d.expr, mul(const(-1), f.expr, del_op(varphi, i).expr))
-    dim = max(d.dim, varphi.dim)
-    return CylinderFn(e, support_of_product([(d.support_radius, d.dim)], dim), dim)
+    return CylinderFn(e, dim=max(d.dim, varphi.dim))
 
 
 def free_variables(e: Expr) -> set:

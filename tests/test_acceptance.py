@@ -375,10 +375,10 @@ def test_criterion_13_reproducibility(tmp_path):
         "varphi": "x(1)^2", "w1": "x(1)^2", "w2": "x(1)^2", "w3": "x(1)^2",
         "multiplier": "x(1)",
         "forms": [
-            {"degree": [0, 0], "support_radius": 0.8,
+            {"degree": [0, 0],
              "entries": [{"I": [], "J": [],
                           "coeff": "x(1)*bump((" + radial_sq(2) + ")/0.64)"}]},
-            {"degree": [0, 1], "support_radius": 0.8,
+            {"degree": [0, 1],
              "entries": [{"I": [], "J": [1],
                           "coeff": "y(2)*bump((" + radial_sq(2) + ")/0.64)"}]},
         ],

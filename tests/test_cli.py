@@ -27,10 +27,10 @@ BASE_IDENTITIES = {
     "w1": "x(1)^2", "w2": "x(1)^2", "w3": "x(1)^2",
     "multiplier": "x(1)",
     "forms": [
-        {"degree": [0, 0], "support_radius": 0.8,
+        {"degree": [0, 0],
          "entries": [{"I": [], "J": [],
                       "coeff": "x(1)*bump((x(1)^2+y(1)^2+x(2)^2+y(2)^2)/0.64)"}]},
-        {"degree": [0, 1], "support_radius": 0.8,
+        {"degree": [0, 1],
          "entries": [{"I": [], "J": [1],
                       "coeff": "y(2)*bump((x(1)^2+y(1)^2+x(2)^2+y(2)^2)/0.64)"}]},
     ],
@@ -38,11 +38,11 @@ BASE_IDENTITIES = {
 
 
 # a 0-form on C, then a form on index 2 and a coefficient in x(2), each past trunc_dim 1
-ZERO_FORM = {"degree": [0, 0], "support_radius": 0.8, "entries": [
+ZERO_FORM = {"degree": [0, 0], "entries": [
     {"I": [], "J": [], "coeff": "x(1)*bump((x(1)^2+y(1)^2)/0.64)"}]}
-PAST_FORM = {"degree": [0, 1], "support_radius": 0.8, "entries": [
+PAST_FORM = {"degree": [0, 1], "entries": [
     {"I": [], "J": [2], "coeff": "x(1)*bump((x(1)^2+y(1)^2)/0.64)"}]}
-PAST_COEFF = {"degree": [0, 1], "support_radius": 0.8, "entries": [
+PAST_COEFF = {"degree": [0, 1], "entries": [
     {"I": [], "J": [1], "coeff": "x(2)*bump((x(1)^2+y(1)^2)/0.64)"}]}
 
 
@@ -140,7 +140,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["solve", "approx"])
     def test_more_than_one_form_exits_two(self, tmp_path, capsys, command):
         # a command that takes one form refuses a list rather than drop its tail
-        lit = {"degree": [0, 1], "support_radius": 0.4,
+        lit = {"degree": [0, 1],
                "entries": [{"I": [], "J": [1], "coeff": "x(1)*bump((x(1)^2+y(1)^2)/0.16)"}]}
         cfg = write_config(tmp_path, {"trunc_dim": 1, "weights": "quadratic",
                                       "domain": {"kind": "whole_space"},
@@ -155,7 +155,7 @@ class TestExitCodes:
         cfg = write_config(tmp_path, {
             "trunc_dim": 4, "a_rule": [0.25] * 4,
             "quadrature": {"kind": "monte_carlo", "N": 1000}, "n_ladder": [1],
-            "forms": [{"degree": [0, 1], "support_radius": 0.8,
+            "forms": [{"degree": [0, 1],
                        "entries": [{"I": [], "J": [1], "coeff": f"x(1)*bump(({ball})/0.64)"}]}]})
         assert run(["approx", "--config", cfg, "--out", tmp_path / "r"]) == 2
         assert capsys.readouterr().err == ("config error: a tail rule of (8, 8, 8, 8, 8, 8) "
@@ -273,11 +273,49 @@ class TestExitCodes:
         records = strict_records(out / "majorant_report.jsonl")
         assert records["kept"]["pass"] is True and records["held"]["pass"] is False
 
-    def test_empty_forms_exit_zero(self, tmp_path):
+    @pytest.mark.parametrize("command", ["identities", "approx"])
+    def test_nothing_to_check_exits_two(self, tmp_path, capsys, command):
+        # an empty report passes nothing: no records is a config error
         cfg = write_config(tmp_path, {"seed": 1, "trunc_dim": 2, "forms": []})
         out = tmp_path / "r"
-        assert run(["identities", "--config", cfg, "--out", out]) == 0
-        assert (out / "identities_report.jsonl").read_text() == ""
+        assert run([command, "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err == "config error: nothing to check\n"
+        assert list(out.glob("*")) == []
+
+    @pytest.mark.parametrize("seed", ["x", None, []], ids=["x", "null", "list"])
+    def test_non_integer_seed_exits_two(self, tmp_path, seed):
+        # read inside main's guard, so a shell sees a config error, not a failed check
+        cfg = write_config(tmp_path, {"seed": seed, "g0": "one"})
+        proc = subprocess.run([sys.executable, "-m", "dbarl2.cli", "majorant", "--config",
+                               str(cfg), "--out", str(tmp_path / "r")], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error: ")
+
+    @pytest.mark.parametrize("radius", [0, -1])
+    def test_nonpositive_basis_radius_exits_two(self, tmp_path, capsys, radius):
+        config = json.loads((ROOT / "configs" / "solve.json").read_text())
+        cfg = write_config(tmp_path, dict(config, basis_radius=radius))
+        assert run(["solve", "--config", cfg, "--out", tmp_path / "r"]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: basis_radius must be > 0, not {float(radius)!r}\n"
+
+    @pytest.mark.parametrize("command, path", [
+        ("identities", ("forms", 0)), ("approx", ("forms", 0, "entries", 0)),
+        ("solve", ("manufactured",))], ids=["form", "entry", "manufactured"])
+    def test_declared_support_radius_exits_two(self, tmp_path, capsys, command, path):
+        # a support ball is derived from the expression: the key is refused
+        # wherever it is set, true (0.8) or false (0.5) alike
+        config = json.loads((ROOT / "configs" / f"{command}.json").read_text())
+        node = config
+        for k in path:
+            node = node[k]
+        for radius in (0.8, 0.5):
+            node["support_radius"] = radius
+            cfg = write_config(tmp_path, config)
+            assert run([command, "--config", cfg, "--out", tmp_path / "r"]) == 2
+            assert capsys.readouterr().err.startswith(
+                "config error: support_radius is not read")
 
 
 class TestReports:
@@ -366,7 +404,7 @@ class TestReports:
         # the record reports |sum w la| and |sum w rb|, not their real parts
         coeff = "i*x(1)*bump((x(1)^2+y(1)^2+x(2)^2+y(2)^2)/0.64)"
         entries = [{"I": [], "J": [], "coeff": coeff}]
-        forms = [{"degree": [0, 0], "support_radius": 0.8, "entries": entries},
+        forms = [{"degree": [0, 0], "entries": entries},
                  BASE_IDENTITIES["forms"][1]]
         spec = GaussianSpec(2)
         pts, w = Quadrature("monte_carlo", N=20000, seed=7).nodes_weights(spec)
@@ -407,8 +445,7 @@ class TestReports:
         cfg = write_config(tmp_path, {
             "seed": 3, "trunc_dim": 1, "weights": "quadratic",
             "phi": "3*(x(1)^2+y(1)^2)",
-            "manufactured": {"coeff": "x(1)*bump((x(1)^2+y(1)^2)/0.64)",
-                             "support_radius": 0.8},
+            "manufactured": {"coeff": "x(1)*bump((x(1)^2+y(1)^2)/0.64)"},
             "degree": 6, "solve_dim": 1, "basis_radius": 0.8})
         out = tmp_path / "r"
         assert run(["solve", "--config", cfg, "--out", out]) == 0
@@ -465,7 +502,7 @@ class TestReports:
             "quadrature": {"kind": "monte_carlo", "N": 10000},
             "rho": 2.0, "n_ladder": [1], "delta_ladder": [0.2, 0.1],
             "grid_res": 101,
-            "forms": [{"degree": [0, 1], "support_radius": 0.4,
+            "forms": [{"degree": [0, 1],
                        "entries": [{"I": [], "J": [1],
                                     "coeff": "x(1)*bump((x(1)^2+y(1)^2)/0.16)"}]}]})
         out = tmp_path / "r"

@@ -7,7 +7,7 @@ from dbarl2 import gaussmeasure as gm
 from dbarl2 import solver as sv
 from dbarl2.forms import Form, inner, norm_sq, parse_form_literal
 from dbarl2.multiindex import constant_family, multiplicative_family
-from dbarl2.symfun import CylinderFn
+from dbarl2.symfun import CylinderFn, support_radius_in
 
 from conftest import RecordingFn, bump_fn, random_form
 
@@ -40,17 +40,22 @@ class TestFormBasics:
             _ = f + g
 
     def test_support_radius(self, fam):
+        # the ball of a form's squared norm, derived from its coefficients as a sum
+        def radius(form):
+            return support_radius_in([fn.expr for fn in form.coeffs.values()],
+                                     form.max_dim())
+
         # a dim-1 bump is a cylinder in C^2: no ball in C^2 holds the form
         low = bump_fn(1, 0.5)
         f = Form((0, 1), {((), (1,)): low, ((), (2,)): bump_fn(2, 0.8)}, fam)
-        assert f.support_radius() is None
+        assert radius(f) is None
         far = np.array([[0.1, 0.0, 5.0, 0.0]])  # |z| = 5.001 > 0.8
         assert abs(low(far)[0]) > 0.0
         same = Form((0, 1), {((), (1,)): bump_fn(2, 0.5), ((), (2,)): bump_fn(2, 0.8)}, fam)
-        assert same.support_radius() == 0.8
-        assert Form((0, 1), {}, fam).support_radius() == 0.0
+        assert radius(same) == pytest.approx(0.8, rel=1e-15)
+        assert radius(Form((0, 1), {}, fam)) == 0.0
         g = Form((0, 1), {((), (1,)): CylinderFn("x(1)")}, fam)
-        assert g.support_radius() is None
+        assert radius(g) is None
 
 
 class TestContract:
@@ -205,12 +210,15 @@ class TestNonfinitePoints:
     PTS = np.array([[np.nan, 0.1], [0.1, 0.2], [np.inf, 0.0]])
 
     def _form(self, fam):
-        return Form((0, 0), {((), ()): CylinderFn("1+x(1)", support_radius=0.8)}, fam)
+        return Form((0, 0), {((), ()): bump_fn(1, 0.8, poly="1+x(1)")}, fam)
 
     @pytest.mark.parametrize("w", [None, "x(1)^2"])
     def test_weighted_squares_and_inner_products(self, fam, w):
         f = self._form(fam)
-        finite = 1.1 ** 2 * (1.0 if w is None else np.exp(-0.01))
+        assert f.coeff((), ()).support_radius == pytest.approx(0.8, rel=1e-15)
+        v = f.coeff((), ())(self.PTS[1])[0]
+        assert v.real > 0.0
+        finite = abs(v) ** 2 * (1.0 if w is None else np.exp(-0.01))
         with np.errstate(invalid="ignore"):
             sq, = fm._weighted_sq_vals([(f, w)], self.PTS)
             prod = fm.inner_vals(f, f, w, self.PTS)
@@ -223,9 +231,10 @@ class TestFormLiteral:
     def test_parse_entries(self, fam, spec2):
         f = parse_form_literal(
             [{"I": [], "J": [1], "coeff": "x(1)"},
-             {"I": [], "J": [2], "coeff": "y(2)^2", "support_radius": 2.0}],
+             {"I": [], "J": [2], "coeff": "y(2)^2*bump((x(1)^2+y(1)^2+x(2)^2+y(2)^2)/4)"}],
             (0, 1), fam)
         assert set(f.coeffs) == {((), (1,)), ((), (2,))}
+        assert f.coeffs[((), (1,))].support_radius is None
         assert f.coeffs[((), (2,))].support_radius == 2.0
 
     def test_duplicate_keys_accumulate(self, fam):

@@ -322,10 +322,11 @@ class TestReduce:
         assert len(seen) == _live_counts(r, pts).sum()
 
     def test_lower_dim_factor_does_not_bound_the_tail(self, spec2):
-        # bump(x1) * x2^2 is not supported in the unit ball of C^2
-        f = CylinderFn("bump(x(1))", support_radius=1.0) * CylinderFn("x(2)^2")
+        # bump(|z_1|^2) * x2^2 is supported in the unit ball of C^1, not of C^2
+        f = bump_fn(1, 1.0) * CylinderFn("x(2)^2")
+        assert f.support_radius is None
         got = gm.reduce_fn(f, 1, spec2)(np.array([[0.95, 0.0]]))
-        want = math.exp(-1.0 / (1.0 - 0.95 ** 2)) * spec2.a(2) ** 2
+        want = math.exp(-1.0 / (1.0 - 0.95 ** 4)) * spec2.a(2) ** 2
         np.testing.assert_allclose(got.real, want, rtol=1e-12)
 
     def test_a_non_finite_head_is_not_masked(self, spec2):

@@ -8,7 +8,8 @@ than its default, every field is read somewhere, no expression node defines
 arithmetic operators, every expression node has a typing rule, and importing
 the command line loads no third-party package but numpy, one function
 forms the weight factor e^{-Re w}, and one loop reads the clock and stamps
-each record's runtime, and every target the benchmark's tracer patches exists.
+each record's runtime, every target the benchmark's tracer patches exists,
+and no program call or shipped config declares a support radius.
 
 Only the standard ``ast`` module is needed for the source checks.  An imported
 name counts as used when it appears anywhere in the module as a ``Name`` node
@@ -492,3 +493,20 @@ def test_every_span_target_resolves():
     assert missing == set(MISSING_SPAN_TARGETS), \
         f"span targets the program lacks: {sorted(missing - set(MISSING_SPAN_TARGETS))}; " \
         f"listed but present: {sorted(set(MISSING_SPAN_TARGETS) - missing)}"
+
+
+def test_no_support_radius_is_declared():
+    # a support ball is derived from the expression (symfun.support): no call in
+    # the package or a demo passes one (a parameter of that name passed on to
+    # CylinderFn's check is a claim forwarded, not made), and no shipped config
+    # sets the key
+    calls = [f"{path.relative_to(ROOT)}:{node.lineno}"
+             for path in READERS if path.parts[len(ROOT.parts)] in ("src", "demos")
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call)
+             for k in node.keywords if k.arg == "support_radius"
+             and getattr(k.value, "id", None) != "support_radius"]
+    assert calls == [], f"calls that declare a support radius: {', '.join(calls)}"
+    configs = [path.name for path in sorted((ROOT / "configs").glob("*.json"))
+               if '"support_radius"' in path.read_text()]
+    assert configs == [], f"configs that set support_radius: {', '.join(configs)}"

@@ -12,7 +12,7 @@ from dbarl2 import solver as sv
 from dbarl2 import weights as wt
 from dbarl2.forms import Form, norm_sq, support_mask
 from dbarl2.multiindex import check_conditions, constant_family, multiplicative_family
-from dbarl2.symfun import CylinderFn, EvalError, delbar_op
+from dbarl2.symfun import CylinderFn, EvalError, delbar_op, support_radius_in
 
 from conftest import (CountingFn, RecordingFn, ScalarTwo, bump_fn, compiles_and_runs,
                       random_form)
@@ -387,7 +387,9 @@ class TestKeyInequality:
                 total = np.zeros(len(qpts))
                 for (I, J), fn in form.coeffs.items():
                     total += form.family.coeff(I, J) * np.abs(eval_expr(fn.expr, qpts)) ** 2
-                mask = support_mask(qpts, form.support_radius(), form.max_dim())
+                radius = support_radius_in([fn.expr for fn in form.coeffs.values()],
+                                           form.max_dim())
+                mask = support_mask(qpts, radius, form.max_dim())
                 out = np.zeros_like(total)
                 out[mask] = total[mask] * np.exp(-np.real(eval_expr(_as_fn(w_fn).expr,
                                                                     qpts[mask])))
@@ -422,7 +424,7 @@ class TestBoundedDomainWeights:
         tri = wt.weight_triple(CylinderFn("-2*log(1-(x(1)^2+y(1)^2))"), CylinderFn("0"))
         ctx = do.OperatorContext(spec, fam, tri.w1, tri.w2, tri.w3, tri.phi)
         f = do.dbar(Form((0, 0), {((), ()): bump_fn(1, 0.5, poly="x(1)")}, fam))
-        assert f.support_radius() == 0.5
+        assert f.coeff((), (1,)).support_radius == 0.5
         return ctx, tri, f
 
     def test_solve_returns_a_record(self, disc):

@@ -7,7 +7,11 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
+from dbarl2 import dbarops as do
 from dbarl2 import symfun as sf
+from dbarl2.forms import Form, parse_form_literal
+from dbarl2.gaussmeasure import GaussianSpec
+from dbarl2.multiindex import constant_family
 from dbarl2.symfun import (CylinderFn, EvalError, ParseError, bump, conj_,
                            del_op, delbar_op, delta_op, diff, eval_expr,
                            ZERO_FN, fd_check, parse, sigma_op)
@@ -78,7 +82,7 @@ class TestEval:
         try:
             eval_expr(e, pts)
             sf.max_index(e)
-            CylinderFn(e, support_radius=0.8)
+            assert CylinderFn(e).support_radius is None  # the sine term is unbounded
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -205,11 +209,11 @@ class TestSupport:
         assert np.max(np.abs(f(pts))) == 0.0
 
     def test_radius_combination(self):
-        a = CylinderFn("bump(x(1))", support_radius=1.0)
-        b = CylinderFn("bump(x(1)/2)", support_radius=2.0)
+        a = CylinderFn("bump(x(1)^2+y(1)^2)")
+        b = CylinderFn("bump((x(1)^2+y(1)^2)/4)")
         assert (a * b).support_radius == 1.0
         assert (a + b).support_radius == 2.0
-        # bump(x(1)) bounds a ball in C^1; in C^2 the product is a cylinder
+        # a bounds a ball in C^1; in C^2 the product is a cylinder
         prod = a * CylinderFn("x(2)")
         assert prod.dim == 2 and prod.support_radius is None
         assert prod(np.array([[0.0, 0.0, 5.0, 0.0]]))[0] != 0.0  # |z| = 5 > 1
@@ -219,6 +223,120 @@ class TestSupport:
         c = CylinderFn("bump(x(1)^2+y(1)^2+x(2)^2+y(2)^2)", support_radius=1.0)
         assert (c * CylinderFn("x(1)")).support_radius == 1.0  # full-dim factor bounds
 
+    def test_rules(self):
+        ball = "x(1)^2+y(1)^2+x(2)^2+y(2)^2"
+        assert sf.support(parse(f"bump(({ball})/0.64)")) == (pytest.approx(0.8), 2)
+        assert sf.support(parse("bump(((x(1)-0.1)^2+y(1)^2)/0.36)")) == (pytest.approx(0.7), 1)
+        assert sf.support(parse("bump((x(1)+0.3)^2+(y(1)-0.4)^2)")) == (pytest.approx(1.5), 1)
+        assert sf.support(sf.Fun("bump", parse(f"({ball})/4"), 3)) == (2.0, 2)  # a derivative
+        # arguments that are not c * |z - a|^2 over whole coordinates, c > 0
+        for arg in ("x(1)", "x(1)^2", "x(1)^2+y(2)^2", "x(1)^2+x(1)^2", "-(x(1)^2+y(1)^2)",
+                    "i*(x(1)^2+y(1)^2)", "x(1)^2+y(1)^2+1", "2*x(1)^2+y(1)^2"):
+            assert sf.support(parse(f"bump({arg})")) is None, arg
+        bmp = "bump(x(1)^2+y(1)^2)"
+        assert sf.support(sf.ZERO) == (0.0, 0) and ZERO_FN.support_radius == 0.0
+        for text in ("1", "x(1)", f"exp({bmp})", f"sin({bmp})", f"1+{bmp}", f"x(1)/{bmp}"):
+            assert sf.support(parse(text)) is None, text
+        for text in (f"x(1)*{bmp}", f"{bmp}/(1+x(1)^2)", f"{bmp}^3", f"conj(i*{bmp})",
+                     f"x(1)*{bmp}+y(1)*bump((x(1)^2+y(1)^2)/0.25)"):
+            assert sf.support(parse(text)) == (1.0, 1), text
+        assert sf.support(sf.poly1(parse(bmp), (0.0, 1.0, 2.0))) == (1.0, 1)
+        assert sf.support(sf.poly1(parse(bmp), (1.0, 1.0))) is None
+        # a product goes by its factor over the most coordinates, then the smallest
+        assert sf.support(parse(f"bump(({ball})/4)*bump(({ball})/9)*{bmp}")) == (2.0, 2)
+        # a sum over the fewest
+        assert sf.support(parse(f"bump(({ball})/4)+bump((x(1)^2+y(1)^2)/9)")) == (3.0, 1)
+        # a sequence is a sum whose constants do not cancel
+        assert sf.support([sf.ONE, sf.const(-1)]) is None and sf.support([]) == (0.0, 0)
+        leaf = sf.Leaf(CountingFn(bump_fn(2, 0.5)))
+        assert sf.support(leaf) == (pytest.approx(0.5), 2)
+        assert sf.support(sf.Leaf(ScalarTwo(2))) is None
+        # CylinderFn reads the ball only over its own dim
+        assert CylinderFn(parse(bmp), dim=2).support_radius is None
+
+    def test_old_false_declarations_raise(self, fam):
+        # each a radius an earlier test declared and its expression does not have
+        assert abs(ev("bump(x(1))", [0.5, 5.0])) == pytest.approx(0.2636, abs=1e-4)
+        for text, radius in (("bump(x(1))", 1.0), ("1+x(1)", 0.8)):
+            with pytest.raises(ValueError, match="gives no ball"):
+                CylinderFn(text, support_radius=radius)
+        with pytest.raises(ValueError, match="gives no ball"):
+            CylinderFn("bump(x(1))", support_radius=1.0) * CylinderFn("x(2)^2")
+        with pytest.raises(ValueError, match="gives no ball"):
+            parse_form_literal([{"I": [], "J": [2], "coeff": "y(2)^2"}], (0, 1), fam,
+                               support_radius=2.0)
+
+    def test_declared_radius_is_a_checked_claim(self):
+        text = "x(1)*bump((x(1)^2+y(1)^2)/0.64)"
+        for radius in (0.8, np.nextafter(0.8, 0.0), 1.0):  # an ulp below passes
+            assert CylinderFn(text, support_radius=radius).support_radius == \
+                CylinderFn(text).support_radius
+        for radius in (0.5, 0.8 * (1 - 1e-9), -0.8, float("nan")):
+            with pytest.raises(ValueError, match="the derived one is"):
+                CylinderFn(text, support_radius=radius)
+        with pytest.raises(ValueError, match="the derived one is"):
+            CylinderFn("bump(((x(1)-0.1)^2+y(1)^2)/0.36)", support_radius=0.65)
+
+
+@st.composite
+def _bump_germ(draw):
+    """A bump germ (or one of its first derivatives) of c |z_1..z_k - a|^2."""
+    k = draw(st.integers(1, 2))
+    terms = [sf.pw(sf.add(v(i), sf.const(-draw(st.sampled_from([0.0, 0.1, -0.3])))), 2)
+             for i in range(1, k + 1) for v in (sf.x, sf.y)]
+    c = draw(st.sampled_from([0.5, 1.0, 1.5625, 4.0]))
+    return sf.Fun("bump", sf.mul(sf.const(c), sf.add(*terms)), draw(st.integers(0, 1)))
+
+
+@st.composite
+def _bounded_tree(draw, depth=2):
+    """Products, sums, quotients, powers, conjugates and polynomials of bump germs."""
+    a = draw(_bump_germ())
+    if depth == 0 or draw(st.booleans()):
+        return a
+    b = draw(_bounded_tree(depth - 1))
+    op = draw(st.sampled_from(["mul", "add", "div", "pow", "poly", "conj"]))
+    if op == "mul":
+        return sf.mul(a, draw(st.sampled_from([sf.x(1), sf.y(2), sf.const(2 - 1j), b])))
+    if op == "add":
+        return sf.add(a, sf.mul(sf.const(-0.5), b))
+    if op == "div":
+        return sf.div(sf.mul(a, b), sf.add(sf.ONE, sf.pw(sf.x(2), 2)))
+    if op == "pow":
+        return sf.pw(sf.add(a, b), 2)
+    if op == "poly":
+        return sf.poly1(sf.add(a, b), (0.0, 1.0, -2.0))
+    return conj_(sf.mul(sf.const(1j), a, b))
+
+
+_CTX = do.OperatorContext(GaussianSpec(2), constant_family(1.0), CylinderFn("x(1)^2"),
+                          CylinderFn("0.5*(x(1)^2+y(2)^2)"), CylinderFn("0"),
+                          CylinderFn("x(1)^2"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bounded_tree(), st.sampled_from(["none", "dbar1", "dbar2", "Tstar"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_support_holds_the_sampled_support(e, op, seed):
+    """support(e) is never smaller than the support sampled on random points."""
+    if op.startswith("dbar"):
+        e = delbar_op(CylinderFn(e), int(op[-1])).expr
+    elif op == "Tstar":
+        f = Form((0, 1), {((), (1,)): CylinderFn(e)}, _CTX.family)
+        e = do.Tstar(f, _CTX).coeff((), ()).expr
+    s = sf.support(e)
+    assert s is not None  # every such tree is bounded, and the rules see it
+    r, k = s
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(400, 4))
+    if k == 0:  # the zero function
+        assert not np.any(eval_expr(e, pts))
+        return
+    head = pts[:, :2 * k]
+    head *= (rng.random((400, 1)) * (2.0 * r + 0.5)) / np.linalg.norm(head, axis=1)[:, None]
+    vals = eval_expr(e, pts)
+    live = np.linalg.norm(head, axis=1)[vals != 0]
+    assert np.all(live <= r * (1 + 1e-12)), (r, k, live.max())
 
 
 class TestLeaf:
