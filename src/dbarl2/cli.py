@@ -3,25 +3,16 @@
     dbarl2 <identities|conditions|domains|approx|solve|majorant>
            --config path [--out dir] [--seed N]
 
-One JSON config per invocation.  Each command ``cmd_<name>(config, seed,
-out_dir)`` parses its config, then yields its records in order; ``run_checks``
-stamps each with the wall time since the record before it (the first's time
-includes parsing the config), which only the console shows.  The records go
-to a JSON-lines report plus a CSV summary (columns
-check_id,lhs,rhs,stderr,margin,pass); identical configs reproduce
-byte-identical report files.  A record passes when ``verdict(margin, stderr,
-tol)`` of its own margin does (``CheckOutcome.judged``), save the approx
-ladder, which passes when each of its steps does.  A refused record prints
-``refused: <reason>`` and does not pass.  Exit codes: 0 all checks pass, 1 any
-check failed or was refused (among them a ``domains`` sub-level set
-{eta <= tau} too thin to sample), 2 config error (among them a ``seed`` that
-is not an integer, a ``trunc_dim`` or ``scan_points`` below 1, a
-``basis_radius`` at or below 0, a form, expression, ``solve_dim``,
-``n_ladder`` entry or ``domain.center`` that reaches past ``trunc_dim``, a
-list ``a_rule`` shorter than the a_i a family reads, a ``support_radius``
-anywhere, since a support ball is derived from its expression, and a command
-left with nothing to check, such as ``identities`` without forms), 3 a check
-crashed (traceback on stderr, no report).
+``read_config`` checks one JSON config against ``KEYS`` (the README's table of
+keys) before any check runs; ``cmd_<name>(c, seed, out_dir)`` yields its
+records from the checked values c, each stamped by ``run_checks`` with its wall
+time, to a JSON-lines report and a CSV summary (check_id,lhs,rhs,stderr,
+margin,pass), byte-identical for identical configs.  A record passes when
+``verdict(margin, stderr, tol)`` of its own margin does, save the approx
+ladder, which passes when each step does; a refused one prints ``refused:
+<reason>``.  Exit codes: 0 all checks pass, 1 any check failed or was
+refused, 2 config error (a value ``KEYS`` refuses, a limit of the library, or
+nothing to check), 3 a check crashed (traceback on stderr, no report).
 """
 
 from __future__ import annotations
@@ -29,17 +20,20 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 import time
 import traceback
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import dbarops, domains, forms, gaussmeasure, multiindex, reduction, solver, weights
-from .gaussmeasure import STRICT, CheckOutcome, verdict
+from .gaussmeasure import STRICT, CheckOutcome, GaussianSpec, verdict
 from .symfun import CylinderFn, ParseError, eval_expr, free_variables, parse
 
 
@@ -47,57 +41,9 @@ class ConfigError(ValueError):
     pass
 
 
-def _spec_from(config) -> gaussmeasure.GaussianSpec:
-    n = int(config.get("trunc_dim", 2))
-    rule = config.get("a_rule", "default")
-    if rule == "default":
-        return gaussmeasure.GaussianSpec(trunc_dim=n)
-    if isinstance(rule, list):
-        vals = [float(v) for v in rule]
-        if len(vals) < n:
-            raise ConfigError("a_rule list shorter than trunc_dim")
-
-        def a_rule(i):
-            if i > len(vals):  # a family may read a_i past trunc_dim
-                raise ConfigError(f"a_rule lists {len(vals)} scales; a_{len(vals) + 1} is needed")
-            return vals[i - 1]
-
-        return gaussmeasure.GaussianSpec(trunc_dim=n, a_rule=a_rule)
-    raise ConfigError(f"unknown a_rule {rule!r}")
-
-
-def _quad_from(config, seed) -> gaussmeasure.Quadrature:
-    q = config.get("quadrature", {"kind": "monte_carlo", "N": 50000})
-    kind = q.get("kind", "monte_carlo")
-    if kind == "monte_carlo":
-        return gaussmeasure.Quadrature("monte_carlo", N=int(q.get("N", 50000)),
-                                       seed=int(q.get("seed", seed)))
-    if kind == "gauss_hermite":
-        return gaussmeasure.Quadrature("gauss_hermite",
-                                       nodes_per_axis=int(q.get("nodes_per_axis", 16)))
-    raise ConfigError(f"unknown quadrature kind {kind!r}")
-
-
-def _family_from(config) -> multiindex.WeightFamily:
-    fam = config.get("family", {"kind": "constant", "value": 1.0})
-    kind = fam.get("kind", "constant")
-    if kind == "constant":
-        return multiindex.constant_family(float(fam.get("value", 1.0)))
-    if kind == "multiplicative":
-        return multiindex.multiplicative_family(mu=_mu_from(fam.get("mu", "1.0")))
-    if kind == "prior_work":
-        spec = _spec_from(config)
-        return multiindex.prior_work_family(spec.a)
-    raise ConfigError(f"unknown family kind {kind!r}")
-
-
 def _mu_from(text: str):
     """mu(j) from an expression in j, read with the symfun grammar (j stands for x(1))."""
-    src = re.sub(r"\bj\b", "x(1)", text)
-    try:
-        e = parse(src)
-    except ParseError as exc:
-        raise ConfigError(f"bad mu {text!r} (read as {src!r}): {exc}") from None
+    e = parse(re.sub(r"\bj\b", "x(1)", text))
     if not free_variables(e) <= {("x", 1)}:
         raise ConfigError(f"mu {text!r} may use no variable but j")
 
@@ -106,59 +52,7 @@ def _mu_from(text: str):
         if v.imag != 0.0:
             raise ConfigError(f"mu {text!r} is not real at j = {j}")
         return v.real
-
     return mu
-
-
-def _domain_from(config, n: int) -> domains.Domain:
-    """The config's domain, its center refused when it reaches past coordinate n = trunc_dim."""
-    d = config.get("domain", {"kind": "ball", "r": 1.0})
-    kind = d.get("kind", "ball")
-    if kind == "ball":
-        center = [complex(c[0], c[1]) for c in d.get("center", [])]
-        _within(n, len(center), "domain.center")
-        return domains.ball(center=center, r=float(d.get("r", 1.0)))
-    if kind == "polydisc":
-        return domains.polydisc()
-    if kind == "whole_space":
-        return domains.whole_space()
-    raise ConfigError(f"unknown domain kind {kind!r}")
-
-
-def _forms_from(config, family, n: int) -> list:
-    """The config's forms, each refused when it reaches past coordinate n = trunc_dim."""
-    out = []
-    for k, lit in enumerate(config.get("forms", [])):
-        degree = tuple(lit.get("degree", (0, 1)))
-        f = forms.parse_form_literal(lit["entries"], degree, family)
-        _within(n, max(f.max_index(), f.max_dim()), f"forms[{k}]")
-        out.append(f)
-    return out
-
-
-def _one_form(fl: list, command: str):
-    """The one form of a command that takes one; a config listing more is refused."""
-    if len(fl) > 1:
-        raise ConfigError(f"{command} takes one form, the config lists {len(fl)}")
-    return fl[0]
-
-
-def _tol(config, name, default):
-    return float(config.get("tolerances", {}).get(name, default))
-
-
-def _within(n: int, reach: int, field: str) -> int:
-    """reach, refused when it passes coordinate n = trunc_dim."""
-    if reach > n:
-        raise ConfigError(f"{field} reaches coordinate {reach}, past trunc_dim {n}")
-    return reach
-
-
-def _fn_from(n: int, field: str, text: str) -> CylinderFn:
-    """A config expression, refused when it reaches past coordinate n = trunc_dim."""
-    fn = CylinderFn(text)
-    _within(n, fn.dim, field)
-    return fn
 
 
 def _residual(check_id: str, res: float, stderr: float, tol: float) -> CheckOutcome:
@@ -166,20 +60,174 @@ def _residual(check_id: str, res: float, stderr: float, tol: float) -> CheckOutc
     return CheckOutcome.judged(check_id, res, 0.0, -res, stderr, tol)
 
 
-# ---------------------------------------------------------------------------
-# Commands: each parses its config, then yields its records in order
-# ---------------------------------------------------------------------------
+MAX_INDEX_BUDGET = 20_000  # ratio and identity terms check_conditions may enumerate
+GRID_BUDGET = 4_000_000  # mollifier grid points over the approx ladder
+G0 = {"one": lambda v: 1.0, "quadratic": lambda v: 1.0 + v * v,
+      "staircase": lambda v: 1000.0 if v >= 5 else 1.0}
+_FAMILY = ("identities", "conditions", "approx", "solve")  # the commands that read a family
 
-def cmd_identities(config, seed, out_dir: Path):
+
+@dataclass(frozen=True)
+class Rule:
+    """A row of ``KEYS``: the commands (for a key of a kinded object, the kinds;
+    none: all) that read the key, its type, its default (None: required; a
+    function of the keys read before it), lo its least value or length (strict:
+    excluded), hi its greatest length by command, choices its closed set; make
+    turns it into what commands use, reaching at most trunc_dim; work is at
+    most budget.  Rows <key>[] and <key>.<name> check list entries and keys."""
+
+    by: tuple
+    type: str
+    default: object
+    lo: Optional[float] = None
+    strict: bool = False
+    hi: Optional[dict] = None
+    choices: tuple = ()
+    make: Optional[Callable] = None
+    reach: Optional[Callable] = None
+    work: Optional[Callable] = None
+    budget: int = 0
+
+
+def _scales(v, c):
+    """The a_rule: the default scales, or a_i = v[i - 1], refused past the list."""
+    def a_rule(i):
+        if i > len(v):
+            raise ConfigError(f"a_rule lists {len(v)} scales; a_{len(v) + 1} is needed")
+        return v[i - 1]
+    return gaussmeasure.default_a if v == "default" else a_rule
+
+
+_expr = partial(Rule, type="text", make=lambda v, c: CylinderFn(v), reach=lambda fn: fn.dim)
+KEYS = {
+    "": Rule((), "object", None),
+    "seed": Rule((), "int", 0, lo=0),
+    "trunc_dim": Rule(_FAMILY + ("domains",), "int", 2, lo=1),
+    "a_rule": Rule(_FAMILY, "list", "default", choices=("default",), make=_scales),
+    "a_rule[]": Rule((), "number", None, lo=0, strict=True),
+    "family": Rule(_FAMILY, "object", {}, make=lambda f, c:
+                   multiindex.prior_work_family(c["a_rule"]) if f["kind"] == "prior_work" else
+                   multiindex.constant_family(f["value"]) if f["kind"] == "constant" else
+                   multiindex.multiplicative_family(mu=f["mu"])),
+    "family.kind": Rule((), "text", "constant",
+                        choices=("constant", "multiplicative", "prior_work")),
+    "family.value": Rule(("constant",), "number", 1.0),
+    "family.mu": Rule(("multiplicative",), "text", "1.0", make=lambda v, c: _mu_from(v)),
+    "quadrature": Rule(("identities", "approx"), "object", {},
+                       make=lambda q, c: gaussmeasure.Quadrature(**q)),
+    "quadrature.kind": Rule((), "text", "monte_carlo", choices=("monte_carlo", "gauss_hermite")),
+    "quadrature.N": Rule(("monte_carlo",), "int", 50000, lo=1),
+    "quadrature.seed": Rule(("monte_carlo",), "int", lambda c: c["seed"], lo=0),
+    "quadrature.nodes_per_axis": Rule(("gauss_hermite",), "int", 16, lo=1),
+    "tolerances": Rule(("identities", "solve"), "object", {}),
+    "tolerances.deterministic": Rule(("identities",), "number", 1e-8, lo=0),
+    "tolerances.residual": Rule(("solve",), "number", 1e-3, lo=0),
+    "forms": Rule(("identities", "approx", "solve"), "list", [], hi={"approx": 1, "solve": 1}),
+    "forms[]": Rule((), "object", None, make=lambda f, c: forms.parse_form_literal(
+        f["entries"], f["degree"], c["family"]), reach=lambda f: max(f.max_index(), f.max_dim())),
+    "forms[].degree": Rule((), "pair", [0, 1]),
+    "forms[].degree[]": Rule((), "int", None, lo=0),
+    "forms[].entries": Rule((), "list", None),
+    "forms[].entries[]": Rule((), "object", None),
+    "forms[].entries[].I": Rule((), "list", []),
+    "forms[].entries[].I[]": Rule((), "int", None, lo=1),
+    "forms[].entries[].J": Rule((), "list", []),
+    "forms[].entries[].J[]": Rule((), "int", None, lo=1),
+    "forms[].entries[].coeff": Rule((), "text", None, make=lambda v, c: parse(v)),
+    **{key: _expr(("identities",), default="0") for key in ("varphi", "w1", "w2", "w3")},
+    "multiplier": _expr(("identities",), default="x(1)"),
+    **{key: Rule(("conditions",), "int", 0, lo=0) for key in ("s", "t")},
+    "max_index": Rule(("conditions",), "int", 6, lo=0, budget=MAX_INDEX_BUDGET, work=lambda m, c: (
+        math.comb(m, c["s"]) * math.comb(m, c["t"]) * (m - c["t"]) * (m - c["t"] + 1) // 2)),
+    "domain": Rule(("domains", "approx", "solve"), "object", {},
+                   make=lambda d, c: getattr(domains, d.pop("kind"))(**d)),
+    "domain.kind": Rule((), "text", "ball", choices=("ball", "polydisc", "whole_space")),
+    "domain.r": Rule(("ball",), "number", 1.0, lo=0, strict=True),
+    "domain.center": Rule(("ball",), "list", [], reach=len,
+                          make=lambda v, c: [complex(*p) for p in v]),
+    "domain.center[]": Rule((), "pair", None),
+    "domain.center[][]": Rule((), "number", None),
+    "scan_points": Rule(("domains",), "int", 50, lo=1),
+    "tau": Rule(("domains",), "number", 1.0),
+    "rho": Rule(("approx",), "number", 2.0, lo=0, strict=True),
+    "n_ladder": Rule(("approx",), "list", lambda c: [c["trunc_dim"]], lo=1, reach=max),
+    "n_ladder[]": Rule((), "int", None, lo=1),
+    "delta_ladder": Rule(("approx",), "list", [0.2, 0.1, 0.05], lo=1),
+    "delta_ladder[]": Rule((), "number", None, lo=0, strict=True),
+    "grid_res": Rule(("approx",), "int", 101, lo=2, budget=GRID_BUDGET, work=lambda g, c: len(
+        c["forms"]) * len(c["delta_ladder"]) * sum(g ** (2 * n) for n in c["n_ladder"])),
+    "manufactured": Rule(("solve",), "object", {}),
+    "manufactured.coeff": _expr((), default="x(1)*bump((x(1)^2+y(1)^2)/0.64)"),
+    "solve_dim": Rule(("solve",), "int", 1, lo=1, reach=lambda v: v),
+    "weights": Rule(("solve",), "text", "recipe", choices=("recipe", "quadratic")),
+    "phi": _expr(("solve",), default="3*(x(1)^2+y(1)^2)"),
+    "basis_radius": Rule(("solve",), "number", 0.8, lo=0, strict=True),
+    "degree": Rule(("solve",), "int", 8, lo=0),
+    "g0": Rule(("majorant",), "text", "one", choices=tuple(G0), make=lambda v, c: G0[v]),
+    "K_max": Rule(("majorant",), "number", 10.0, lo=0, strict=True),
+    "trunc_order": Rule(("majorant",), "int", 320, lo=1),
+}
+_FITS = {"int": lambda v: type(v) is int, "text": lambda v: type(v) is str,
+         "number": lambda v: type(v) in (int, float) and math.isfinite(v),
+         "list": lambda v: type(v) is list, "pair": lambda v: type(v) is list and len(v) == 2,
+         "object": lambda v: type(v) is dict}
+
+
+def read_config(command: str, config, seed: Optional[int] = None) -> dict:
+    """The config's values by key, checked against KEYS and made (seed: --seed, if given)."""
+    if type(config) is not dict:
+        raise ConfigError(f"a config is a JSON object, not {json.dumps(config)}")
+    return _read(command, "", "", config if seed is None else dict(config, seed=seed), {})
+
+
+def _read(command: str, key: str, path: str, v, c: dict):
+    """v checked against KEYS[key] and made, path named; the top level fills c."""
+    rule = KEYS[key]
+    closed = rule.type == "text" and rule.choices
+    if v not in rule.choices and (closed or not _FITS[rule.type](v)):
+        want = f"one of {', '.join(rule.choices)}" if closed else f"of type {rule.type}"
+        raise ConfigError(f"{path} must be {want}, not {json.dumps(v)}")
+    v = float(v) if rule.type == "number" else v
+    size = len(v) if type(v) is list else v
+    if rule.lo is not None and not (size > rule.lo if rule.strict else size >= rule.lo):
+        raise ConfigError(f"{path} must hold at least {rule.lo} entries" if type(v) is list else
+                          f"{path} must be {'>' if rule.strict else '>='} {rule.lo}, not {v!r}")
+    if rule.hi and len(v) > rule.hi.get(command, len(v)):
+        raise ConfigError(f"{command} takes at most {rule.hi[command]} {path}, not {len(v)}")
+    if type(v) is list:
+        v = [_read(command, key + "[]", f"{path}[{i}]", x, c) for i, x in enumerate(v)]
+    elif type(v) is dict:
+        pre, at = (key + ".", path + ".") if key else ("", "")
+        kind = v.get("kind", KEYS[pre + "kind"].default) if pre + "kind" in KEYS else None
+        kids = {k[len(pre):]: k for k, r in KEYS.items() if k.startswith(pre)
+                and k[len(pre):].isidentifier() and (not r.by or command in r.by or kind in r.by)}
+        out = {} if key else c
+        for name, k in kids.items():  # a kind first, so the keys kept are those of a known kind
+            if name not in v and KEYS[k].default is None:
+                raise ConfigError(f"{at}{name} is required")
+            x = v.get(name, KEYS[k].default)
+            out[name] = _read(command, k, at + name, x(c) if callable(x) else x, c)
+        if v.keys() - kids:
+            raise ConfigError(f"{at}{min(v.keys() - kids)} is not read by {kind or command}")
+        v = out
+    if rule.work and rule.work(v, c) > rule.budget:
+        raise ConfigError(f"{path} {v} asks for {rule.work(v, c)} evaluations, over {rule.budget}")
+    try:
+        v = rule.make(v, c) if rule.make else v
+    except ParseError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    if rule.reach and rule.reach(v) > c["trunc_dim"]:
+        raise ConfigError(f"{path} reaches coordinate {rule.reach(v)}, past trunc_dim "
+                          f"{c['trunc_dim']}")
+    return v
+
+
+# Commands: each yields its records in order from the checked config c
+
+def cmd_identities(c, seed, out_dir: Path):
     """Identities with residual res: margin -res; lhs res and rhs 0 (Gauss-Green: its sides)."""
-    spec = _spec_from(config)
-    quad = _quad_from(config, seed)
-    family = _family_from(config)
-    tol = _tol(config, "deterministic", 1e-8)
-    fl = _forms_from(config, family, spec.trunc_dim)
-    varphi, w1, w2, w3, multiplier = (
-        _fn_from(spec.trunc_dim, key, config.get(key, default)) for key, default in
-        (("varphi", "0"), ("w1", "0"), ("w2", "0"), ("w3", "0"), ("multiplier", "x(1)")))
+    spec, quad, fl = GaussianSpec(c["trunc_dim"], c["a_rule"]), c["quadrature"], c["forms"]
+    tol = c["tolerances"]["deterministic"]
     test_fns = [fn for f in fl for fn in f.coeffs.values()]
     if not test_fns:
         return
@@ -192,10 +240,10 @@ def cmd_identities(config, seed, out_dir: Path):
 
     g1 = test_fns[min(1, len(test_fns) - 1)]
     for weighted in (False, True):
-        est = dbarops.ibp_residual(g0, g1, 1, spec, quad, weighted=weighted, varphi=varphi)
+        est = dbarops.ibp_residual(g0, g1, 1, spec, quad, weighted=weighted, varphi=c["varphi"])
         yield _residual("ibp_sigma" if weighted else "ibp_delta", abs(est.mean), est.stderr, tol)
 
-    ctx = dbarops.OperatorContext(spec, family, w1, w2, w3, varphi)
+    ctx = dbarops.OperatorContext(spec, c["family"], c["w1"], c["w2"], c["w3"], c["varphi"])
     yield _residual("commutator", dbarops.commutator_residual(g0, 1, 1, ctx, pts), 0.0, 1e-10)
     yield _residual("s_after_t_zero", dbarops.st_complex_residual(fl[0], pts), 0.0, 1e-10)
 
@@ -206,53 +254,39 @@ def cmd_identities(config, seed, out_dir: Path):
             est = dbarops.weak_dbar_residual(fl[0], dbarops.dbar(fl[0]), g0, (), (1,), spec, quad)
             yield _residual("weak_dbar", abs(est.mean), est.stderr, tol)
 
-    yield _residual("multiplier", dbarops.multiplier_residual(multiplier, fl[0], ctx, pts),
+    yield _residual("multiplier", dbarops.multiplier_residual(c["multiplier"], fl[0], ctx, pts),
                     0.0, 1e-10)
 
 
-def cmd_conditions(config, seed, out_dir: Path):
-    yield from multiindex.check_conditions(
-        _family_from(config), int(config.get("max_index", 6)), int(config.get("s", 0)),
-        int(config.get("t", 0))).records()
+def cmd_conditions(c, seed, out_dir: Path):
+    yield from multiindex.check_conditions(c["family"], c["max_index"], c["s"], c["t"]).records()
 
 
-def cmd_domains(config, seed, out_dir: Path):
+def cmd_domains(c, seed, out_dir: Path):
     """Inclusion is refused when {eta <= tau} is too thin to sample (the
     polydisc's {eta <= 1} is the origin alone)."""
-    n = _spec_from(config).trunc_dim
-    dom = _domain_from(config, n)
-    scan_points = int(config.get("scan_points", 50))
-    if scan_points < 1:
-        raise ConfigError("scan_points must be >= 1")
-    tau = float(config.get("tau", 1.0))
-    pts = dom.sample_interior(n, scan_points, seed)
+    n, dom = c["trunc_dim"], c["domain"]
+    pts = dom.sample_interior(n, c["scan_points"], seed)
     eig = float(np.min(domains.levi_min_eigs(dom.eta(n), pts, n)))
     yield CheckOutcome.judged("levi_min_eig", eig, -1e-9, eig + 1e-9, 0.0, 0.0)
     try:
-        margin = domains.uniformly_included(dom, tau, n=n, seed=seed)
+        margin = domains.uniformly_included(dom, c["tau"], n=n, seed=seed)
     except domains.SublevelShortfallError as exc:
         yield CheckOutcome.refused("sublevel_uniform_inclusion", str(exc))
         return
     yield CheckOutcome.judged("sublevel_uniform_inclusion", margin, 0.0, margin, 0.0, STRICT)
 
 
-def cmd_approx(config, seed, out_dir: Path):
+def cmd_approx(c, seed, out_dir: Path):
     """The one record whose pass is not the verdict of its own margin
     errs[0] - errs[-1]: it passes when each step of the ladder does, step i
     judged by verdict(errs[i] - errs[i+1], ses[i] + ses[i+1], 0)."""
-    spec = _spec_from(config)
-    family = _family_from(config)
-    dom = _domain_from(config, spec.trunc_dim)
-    fl = _forms_from(config, family, spec.trunc_dim)
-    n_ladder = [_within(spec.trunc_dim, int(v), "n_ladder")
-                for v in config.get("n_ladder", [spec.trunc_dim])]
-    if not fl:
+    if not c["forms"]:
         return
     report = reduction.approx_pipeline(
-        _one_form(fl, "approx"), dom, rho=float(config.get("rho", 2.0)), n_ladder=n_ladder,
-        delta_ladder=[float(v) for v in config.get("delta_ladder", [0.2, 0.1, 0.05])],
-        spec=spec, quad=_quad_from(config, seed),
-        grid_res=int(config.get("grid_res", 101)))
+        c["forms"][0], c["domain"], rho=c["rho"], n_ladder=c["n_ladder"],
+        delta_ladder=c["delta_ladder"], spec=GaussianSpec(c["trunc_dim"], c["a_rule"]),
+        quad=c["quadrature"], grid_res=c["grid_res"])
     report.write_csv(str(out_dir / "approx_ladder.csv"))
     errs = [row.norm_error for row in report.ladder]
     ses = [row.stderr for row in report.ladder]
@@ -262,53 +296,28 @@ def cmd_approx(config, seed, out_dir: Path):
                        errs[0] - errs[-1], ok)
 
 
-def cmd_solve(config, seed, out_dir: Path):
-    spec = _spec_from(config)
-    n = spec.trunc_dim
-    family = _family_from(config)
-    dom = _domain_from(config, n)
-    fl = _forms_from(config, family, n)
-    if not fl:
-        m = config.get("manufactured", {"coeff": "x(1)*bump((x(1)^2+y(1)^2)/0.64)"})
-        u0 = _fn_from(n, "manufactured.coeff", m["coeff"])
-        target = dbarops.dbar(forms.Form((0, 0), {((), ()): u0}, family))
-    else:
-        target = _one_form(fl, "solve")
-    solve_dim = _within(n, int(config.get("solve_dim", 1)), "solve_dim")
-    if config.get("weights", "recipe") == "quadratic":
-        phi = _fn_from(n, "phi", config.get("phi", "3*(x(1)^2+y(1)^2)"))
-        tri = weights.weight_triple(phi, CylinderFn("0"))
-        wdom = dom
+def cmd_solve(c, seed, out_dir: Path):
+    spec = GaussianSpec(c["trunc_dim"], c["a_rule"])
+    target = c["forms"][0] if c["forms"] else dbarops.dbar(
+        forms.Form((0, 0), {((), ()): c["manufactured"]["coeff"]}, c["family"]))
+    if c["weights"] == "quadratic":
+        tri, wdom = weights.weight_triple(c["phi"], CylinderFn("0")), c["domain"]
     else:
         tri, wdom, _ = weights.recipe_weights_whole_space(spec)
-    ctx = dbarops.OperatorContext(spec, family, tri.w1, tri.w2, tri.w3, tri.phi)
-    radius = float(config.get("basis_radius", 0.8))
-    if not radius > 0:
-        raise ConfigError(f"basis_radius must be > 0, not {radius!r}")
-    prob = solver.SolveProblem(ctx=ctx, domain=wdom, f=target,
-                               degree=int(config.get("degree", 8)), n=solve_dim, radius=radius)
+    ctx = dbarops.OperatorContext(spec, c["family"], tri.w1, tri.w2, tri.w3, tri.phi)
+    prob = solver.SolveProblem(ctx=ctx, domain=wdom, f=target, degree=c["degree"],
+                               n=c["solve_dim"], radius=c["basis_radius"])
     _, rep = solver.solve_min_norm(prob)
     (out_dir / "solve_report.json").write_text(
         json.dumps(rep.as_dict(), sort_keys=True, allow_nan=False) + "\n")
-    tol = _tol(config, "residual", 1e-3)
+    tol = c["tolerances"]["residual"]
     yield CheckOutcome.judged("solve_residual", rep.residual, tol, tol - rep.residual, 0.0, 0.0)
     yield rep.bound
 
 
-def cmd_majorant(config, seed, out_dir: Path):
-    kind = config.get("g0", "one")
-    if kind == "one":
-        g0 = lambda v: 1.0
-    elif kind == "quadratic":
-        g0 = lambda v: 1.0 + v * v
-    elif kind == "staircase":
-        g0 = lambda v: 1000.0 if v >= 5 else 1.0
-    else:
-        raise ConfigError(f"unknown g0 fixture {kind!r}")
-    K_max = float(config.get("K_max", 10.0))
-    maj = weights.convex_majorant(g0, K_max=K_max,
-                                  trunc_order=int(config.get("trunc_order", 320)))
-    worst = maj.chain_margin(g0, np.linspace(0.0, K_max, 2001))
+def cmd_majorant(c, seed, out_dir: Path):
+    maj = weights.convex_majorant(c["g0"], K_max=c["K_max"], trunc_order=c["trunc_order"])
+    worst = maj.chain_margin(c["g0"], np.linspace(0.0, c["K_max"], 2001))
     yield CheckOutcome.judged("majorant_chain", worst, -1e-9, worst + 1e-9, 0.0, 0.0)
 
 
@@ -317,18 +326,8 @@ COMMANDS = {"identities": cmd_identities, "conditions": cmd_conditions,
             "majorant": cmd_majorant}
 
 
-def _object(pairs) -> dict:
-    """A config object; a ``support_radius`` is refused wherever it is set."""
-    if any(k == "support_radius" for k, _ in pairs):
-        raise ConfigError("support_radius is not read: a support ball is derived from "
-                          "its expression")
-    return dict(pairs)
-
-
 def run_checks(records) -> list:
-    """The records in order, each stamped with the wall time since the one
-    before it; the first's time counts from the start, so it includes the
-    command's parsing of its config.  The one place that reads the clock."""
+    """The records, each stamped with its wall time: the one place that reads the clock."""
     out, t0 = [], time.perf_counter()
     for rec in records:
         t1 = time.perf_counter()
@@ -351,8 +350,7 @@ def write_reports(records, out_dir: Path, command: str):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="dbarl2",
-                                     description="verification runner")
+    parser = argparse.ArgumentParser(prog="dbarl2", description="verification runner")
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default="reports")
@@ -360,19 +358,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = json.loads(Path(args.config).read_text(), object_pairs_hook=_object)
-    except (OSError, ValueError) as exc:  # JSONDecodeError and ConfigError are ValueErrors
+        config = json.loads(Path(args.config).read_text())
+    except (OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     out_dir = Path(args.out)
     try:
-        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+        c = read_config(args.command, config, args.seed)
         out_dir.mkdir(parents=True, exist_ok=True)
-        records = run_checks(COMMANDS[args.command](config, seed, out_dir))
+        records = run_checks(COMMANDS[args.command](c, c["seed"], out_dir))
         if not records:
             raise ConfigError("nothing to check")
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:  # a ConfigError, or a limit of the library
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a crash, not a failed check

@@ -1018,13 +1018,13 @@ def support(e: Union[Expr, Sequence[Expr]]) -> Optional[tuple]:
     function), or None when the tree gives no such ball; memoised on the node.
     A sequence of expressions is read as their sum, so no constants cancel.
 
-    A bump germ of c * sum over i <= k of (x_i - a_i)^2 + (y_i - b_i)^2, real
-    c > 0, gives (1/sqrt(c) + |(a, b)|, k).  A sum is bounded when every
-    nonzero term is (the largest r, over the fewest coordinates); a product by
-    its bounded factor over the most coordinates (then the smallest r); a
-    quotient by its numerator; a power, a conjugate and a polynomial without
-    constant term by their operand; a leaf by its function's support_radius
-    over its dim.  Anything else is unbounded.
+    A germ (bump, cubic, step) of c * (d + sum over i <= k of (x_i - a_i)^2 +
+    (y_i - b_i)^2), real c > 0 and cd < 1, gives (sqrt(1/c - d) + |(a, b)|,
+    k).  A sum is bounded when every nonzero term is (the largest r, over the
+    fewest coordinates); a product by its bounded factor over the most
+    coordinates (then the smallest r); a quotient by its numerator; a power, a
+    conjugate and a polynomial without constant term by their operand; a leaf
+    by its function's support_radius over its dim.  Anything else is unbounded.
     """
     if not isinstance(e, Expr):
         live = [p for p in map(support, e) if p is None or p[0]]
@@ -1036,15 +1036,16 @@ def support(e: Union[Expr, Sequence[Expr]]) -> Optional[tuple]:
     return e._support
 
 
-def _bump_ball(arg: Expr) -> Optional[tuple]:
-    """The support of a bump germ at arg, when arg is c * |z_1..z_k - a|^2."""
+def _germ_ball(arg: Expr) -> Optional[tuple]:
+    """The support of a germ (0 at arguments > 1) at c * (|z_1..z_k - a|^2 + d); a
+    square repeated with two centres only adds to the sum, so either bounds it."""
     c, s = 1.0, arg
     if type(arg) is Mul and len(arg.factors) == 2 and type(arg.factors[0]) is Const:
         c, s = arg.factors[0].val, arg.factors[1]
     if c.imag or not c.real > 0 or type(s) is not Add:
         return None
-    centre = {}  # a repeated square only adds to the sum, so either centre bounds it
-    for term in s.terms:
+    centre, d = {}, sum(t.val for t in s.terms if type(t) is Const)
+    for term in (t for t in s.terms if type(t) is not Const):
         v, a = (term.base if type(term) is Pow and term.k == 2 else None), 0.0
         if type(v) is Add and len(v.terms) == 2 and type(v.terms[1]) is Const:
             v, a = v.terms[0], -v.terms[1].val
@@ -1052,9 +1053,10 @@ def _bump_ball(arg: Expr) -> Optional[tuple]:
             return None
         centre[v.kind, v.i] = a.real
     k = len(centre) // 2
-    if set(centre) != {(kind, i) for i in range(1, k + 1) for kind in "xy"}:
+    if d.imag or not c.real * d.real < 1 or set(centre) != {
+            (kind, i) for i in range(1, k + 1) for kind in "xy"}:
         return None
-    return 1.0 / math.sqrt(c.real) + math.hypot(*centre.values()), k
+    return math.sqrt(1.0 - c.real * d.real) / math.sqrt(c.real) + math.hypot(*centre.values()), k
 
 
 _SUPPORT = {
@@ -1067,7 +1069,7 @@ _SUPPORT = {
     Pow: lambda e: support(e.base),
     Conj: lambda e: support(e.arg),
     Poly1: lambda e: None if e.coeffs[0] else support(e.arg),
-    Fun: lambda e: _bump_ball(e.arg) if e.name == "bump" else None,
+    Fun: lambda e: _germ_ball(e.arg) if _FUNS[e.name][2] else None,
     Leaf: lambda e: None if e.fn.support_radius is None else (e.fn.support_radius, e.fn.dim),
 }
 

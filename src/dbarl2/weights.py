@@ -135,7 +135,7 @@ def psi_majorant(domain: Domain, trunc_dim: int, levels: int,
 # Convex real-analytic majorant (series construction)
 # ---------------------------------------------------------------------------
 
-class TruncationError(ArithmeticError):
+class TruncationError(ValueError):
     pass
 
 

@@ -4,13 +4,15 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dbarl2 import domains, gaussmeasure, multiindex, solver, weights
-from dbarl2.cli import COMMANDS, cmd_conditions, cmd_domains, cmd_majorant, cmd_solve, main
+from dbarl2.cli import (COMMANDS, cmd_conditions, cmd_domains, cmd_majorant, cmd_solve, main,
+                        read_config)
 from dbarl2.forms import Form, parse_form_literal
 from dbarl2.gaussmeasure import CheckOutcome, GaussianSpec, Quadrature
 from dbarl2.multiindex import ConditionReport, constant_family
@@ -119,7 +121,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["identities", "conditions"])
     def test_nonpositive_family_exits_two(self, tmp_path, capsys, command):
         # c[(),(1,)] = mu(1) = -1: a config error, whatever the family kind
-        config = json.loads((ROOT / "configs" / "identities.json").read_text())
+        config = json.loads((ROOT / "configs" / f"{command}.json").read_text())
         config["family"] = {"kind": "multiplicative", "mu": "-1"}
         cfg = write_config(tmp_path, config)
         assert run([command, "--config", cfg, "--out", tmp_path / "r"]) == 2
@@ -142,12 +144,12 @@ class TestExitCodes:
         # a command that takes one form refuses a list rather than drop its tail
         lit = {"degree": [0, 1],
                "entries": [{"I": [], "J": [1], "coeff": "x(1)*bump((x(1)^2+y(1)^2)/0.16)"}]}
-        cfg = write_config(tmp_path, {"trunc_dim": 1, "weights": "quadratic",
-                                      "domain": {"kind": "whole_space"},
-                                      "forms": [lit, lit, lit]})
+        cfg = write_config(tmp_path, {"trunc_dim": 1, "domain": {"kind": "whole_space"},
+                                      "forms": [lit, lit, lit],
+                                      **({"weights": "quadratic"} if command == "solve" else {})})
         assert run([command, "--config", cfg, "--out", tmp_path / "r"]) == 2
         assert capsys.readouterr().err == \
-            f"config error: {command} takes one form, the config lists 3\n"
+            f"config error: {command} takes at most 1 forms, not 3\n"
 
     def test_tail_rule_over_budget_exits_two(self, tmp_path, capsys):
         # equal scales keep 8 nodes on each of the 6 tail axes of 4 -> 1
@@ -189,7 +191,7 @@ class TestExitCodes:
                                str(cfg), "--out", str(out)], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
         assert proc.returncode == 2, proc.stderr
-        assert proc.stderr == "config error: trunc_dim must be >= 1\n"
+        assert proc.stderr == f"config error: trunc_dim must be >= 1, not {trunc_dim}\n"
         assert list(out.glob("*")) == []
 
     @pytest.mark.parametrize("scan_points", [0, -3])
@@ -202,7 +204,7 @@ class TestExitCodes:
                                str(cfg), "--out", str(out)], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
         assert proc.returncode == 2, proc.stderr
-        assert proc.stderr == "config error: scan_points must be >= 1\n"
+        assert proc.stderr == f"config error: scan_points must be >= 1, not {scan_points}\n"
         assert list(out.glob("*")) == []
 
     def test_thin_sublevel_set_is_refused(self, tmp_path):
@@ -300,12 +302,13 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             f"config error: basis_radius must be > 0, not {float(radius)!r}\n"
 
-    @pytest.mark.parametrize("command, path", [
-        ("identities", ("forms", 0)), ("approx", ("forms", 0, "entries", 0)),
-        ("solve", ("manufactured",))], ids=["form", "entry", "manufactured"])
-    def test_declared_support_radius_exits_two(self, tmp_path, capsys, command, path):
-        # a support ball is derived from the expression: the key is refused
-        # wherever it is set, true (0.8) or false (0.5) alike
+    @pytest.mark.parametrize("command, path, where", [
+        ("identities", ("forms", 0), "forms[0]"),
+        ("approx", ("forms", 0, "entries", 0), "forms[0].entries[0]"),
+        ("solve", ("manufactured",), "manufactured")], ids=["form", "entry", "manufactured"])
+    def test_declared_support_radius_exits_two(self, tmp_path, capsys, command, path, where):
+        # a support ball is derived from the expression: no object has the key,
+        # so it is refused by name wherever it is set, true (0.8) or false (0.5) alike
         config = json.loads((ROOT / "configs" / f"{command}.json").read_text())
         node = config
         for k in path:
@@ -314,8 +317,75 @@ class TestExitCodes:
             node["support_radius"] = radius
             cfg = write_config(tmp_path, config)
             assert run([command, "--config", cfg, "--out", tmp_path / "r"]) == 2
-            assert capsys.readouterr().err.startswith(
-                "config error: support_radius is not read")
+            assert capsys.readouterr().err == \
+                f"config error: {where}.support_radius is not read by {command}\n"
+
+    @pytest.mark.parametrize("text", ["[]", "3", '"x"', "null"])
+    def test_non_object_config_exits_two(self, tmp_path, capsys, text):
+        # read before any key is: a config is one JSON object
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        out = tmp_path / "r"
+        assert run(["majorant", "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err == f"config error: a config is a JSON object, not {text}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "identities"])
+    def test_negative_seed_flag_exits_two(self, tmp_path, capsys, command):
+        # --seed takes the place of the config's seed and goes through its rule
+        out = tmp_path / "r"
+        assert run([command, "--config", ROOT / "configs" / f"{command}.json", "--seed", "-1",
+                    "--out", out]) == 2
+        assert capsys.readouterr().err == "config error: seed must be >= 0, not -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, change, message", [
+        ("approx", {"rho": 0}, "rho must be > 0, not 0.0"),
+        ("approx", {"rho": -1}, "rho must be > 0, not -1.0"),
+        ("approx", {"grid_res": 0}, "grid_res must be >= 2, not 0"),
+        ("approx", {"grid_res": 0.5}, "grid_res must be of type int, not 0.5"),
+        ("approx", {"seed": 0.5}, "seed must be of type int, not 0.5"),
+        ("conditions", {"s": 0.5}, "s must be of type int, not 0.5"),
+        ("solve", {"weights": "x"}, 'weights must be one of recipe, quadratic, not "x"'),
+        ("solve", {"weights": None}, "weights must be one of recipe, quadratic, not null"),
+        ("solve", {"solve_dim": 0.5}, "solve_dim must be of type int, not 0.5"),
+        ("approx", {"grid_rez": 101}, "grid_rez is not read by approx"),
+        ("identities", {"support_radius": 0.8}, "support_radius is not read by identities"),
+        ("identities", {"quadrature": {"kind": "monte_carlo", "nodes_per_axis": 8}},
+         "quadrature.nodes_per_axis is not read by monte_carlo"),
+        ("solve", {"tolerances": {"deterministic": 1e-8}},
+         "tolerances.deterministic is not read by solve"),
+        ("identities", {"varphi": 0}, "varphi must be of type text, not 0"),
+        ("conditions", {"family": 3}, "family must be of type object, not 3"),
+    ], ids=["rho-0", "rho-neg", "grid_res-0", "grid_res-half", "seed-half", "s-half",
+            "weights-x", "weights-null", "solve_dim-half", "misspelt", "support_radius",
+            "other-kind", "other-command", "varphi-number", "family-number"])
+    def test_table_refusals_exit_two(self, tmp_path, capsys, command, change, message):
+        # values that used to run (exit 0), be truncated or crash (exit 3)
+        config = json.loads((ROOT / "configs" / f"{command}.json").read_text())
+        out = tmp_path / "r"
+        assert run([command, "--config", write_config(tmp_path, dict(config, **change)),
+                    "--out", out]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_trunc_order_too_small_exits_two(self, tmp_path, capsys):
+        # the majorant's own limit: a config error with its message, not a crash
+        cfg = write_config(tmp_path, {"g0": "staircase", "K_max": 10.0, "trunc_order": 5})
+        assert run(["majorant", "--config", cfg, "--out", tmp_path / "r"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: series terms still grow at x = 10.0 (ratio ")
+        assert err.endswith("); raise trunc_order\n")
+
+    @pytest.mark.parametrize("command, key", [("conditions", "max_index"), ("approx", "grid_res")])
+    def test_work_over_budget_exits_two_at_once(self, tmp_path, capsys, command, key):
+        # refused from the work it asks for, before any of it is done
+        config = json.loads((ROOT / "configs" / f"{command}.json").read_text())
+        cfg = write_config(tmp_path, dict(config, **{key: 100000}))
+        start = time.perf_counter()
+        assert run([command, "--config", cfg, "--out", tmp_path / "r"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.startswith(f"config error: {key} 100000 asks for ")
 
 
 class TestReports:
@@ -342,12 +412,11 @@ class TestReports:
 
     def test_conditions_mu_matches_python_rule(self, tmp_path, monkeypatch):
         # reference: the same rule written as a Python function
-        from dbarl2 import cli, multiindex
+        from dbarl2 import cli
 
         cfg = Path(__file__).resolve().parents[1] / "configs" / "conditions.json"
         assert run(["conditions", "--config", cfg, "--out", tmp_path / "grammar"]) == 0
-        monkeypatch.setattr(cli, "_family_from", lambda config: multiindex.multiplicative_family(
-            mu=lambda j: 1.0 + 1.0 / j))
+        monkeypatch.setattr(cli, "_mu_from", lambda text: lambda j: 1.0 + 1.0 / j)
         assert run(["conditions", "--config", cfg, "--out", tmp_path / "python"]) == 0
         for name in ("conditions_report.jsonl", "conditions_summary.csv"):
             assert ((tmp_path / "grammar" / name).read_bytes()
@@ -574,7 +643,7 @@ class TestRecordEdges:
             rep = ConditionReport(c1_sup=c1, c0_inf=c0, multiplicative_ok=not violations,
                                   violations=list(violations))
             monkeypatch.setattr(multiindex, "check_conditions", lambda *args: rep)
-            recs = list(cmd_conditions({}, 0, None))
+            recs = list(cmd_conditions(read_config("conditions", {}), 0, None))
             assert rep.passed is all(r.passed for r in recs)
             return [r.passed for r in recs]
 
@@ -587,7 +656,7 @@ class TestRecordEdges:
         assert records(violations=[{}]) == [True, True, False]
 
     def test_conditions_multiplicative_margin_is_minus_zero(self):
-        rec = list(cmd_conditions({}, 0, None))[2]
+        rec = list(cmd_conditions(read_config("conditions", {}), 0, None))[2]
         assert rec.check_id == "condition3_multiplicative"
         assert math.copysign(1.0, rec.margin) == -1.0 and rec.row()[4] == "-0.0"
 
@@ -597,7 +666,7 @@ class TestRecordEdges:
         def passes(eig=1.0, inclusion=1.0):
             monkeypatch.setattr(domains, "levi_min_eigs", lambda *args: np.array([eig, 1.0]))
             monkeypatch.setattr(domains, "uniformly_included", lambda *a, **k: inclusion)
-            return [r.passed for r in cmd_domains(config, 0, None)]
+            return [r.passed for r in cmd_domains(read_config("domains", config), 0, None)]
 
         assert passes(eig=-1e-9) == [True, True]
         assert passes(eig=np.nextafter(-1e-9, -np.inf)) == [False, True]
@@ -615,8 +684,9 @@ class TestRecordEdges:
                                      kernel_orth=0.0)
             monkeypatch.setattr(solver, "solve_min_norm",
                                 lambda prob: (Form((0, 0), {}, prob.f.family), rep))
-            return list(cmd_solve({"trunc_dim": 1, "weights": "quadratic",
-                                   "tolerances": {"residual": tol}}, 0, tmp_path))
+            return list(cmd_solve(read_config("solve", {
+                "trunc_dim": 1, "weights": "quadratic", "tolerances": {"residual": tol}}),
+                0, tmp_path))
 
         res, nb = records(tol)
         assert (res.check_id, res.passed, res.margin) == ("solve_residual", True, 0.0)
@@ -639,7 +709,7 @@ class TestRecordEdges:
         def passes(worst):
             fake = type("Majorant", (), {"chain_margin": lambda self, g0, grid: worst})()
             monkeypatch.setattr(weights, "convex_majorant", lambda *a, **k: fake)
-            (rec,) = cmd_majorant({}, 0, None)
+            (rec,) = cmd_majorant(read_config("majorant", {}), 0, None)
             return rec.passed
 
         assert passes(-1e-9) is True

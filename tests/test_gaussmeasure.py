@@ -423,7 +423,7 @@ class TestVerdict:
                       "tolerances": {"deterministic": tol},
                       "forms": [{"degree": [0, 0],
                                  "entries": [{"I": [], "J": [], "coeff": "x(1)"}]}]}
-            rec = next(cli.cmd_identities(config, 0, None))
+            rec = next(cli.cmd_identities(cli.read_config("identities", config), 0, None))
             assert (rec.check_id, rec.margin, rec.stderr) == ("gauss_green_x1", -residual,
                                                                stderr)
             return rec.passed

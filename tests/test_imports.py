@@ -46,6 +46,8 @@ from pathlib import Path
 
 import pytest
 
+from dbarl2.cli import KEYS
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "dbarl2"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -171,14 +173,28 @@ def test_domain_catalog_is_the_runner_kinds():
     built = {node.args[0].value for node in ast.walk(ast.parse((SRC / "domains.py").read_text()))
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Domain"
              and isinstance(node.args[0], ast.Constant)}
-    reader = next(top for top in ast.parse((SRC / "cli.py").read_text()).body
-                  if getattr(top, "name", None) == "_domain_from")
-    accepted = {node.comparators[0].value for node in ast.walk(reader)
-                if isinstance(node, ast.Compare) and getattr(node.left, "id", None) == "kind"}
+    accepted = set(KEYS["domain.kind"].choices)
     assert built == accepted, \
         f"built but not accepted: {sorted(built - accepted)}; " \
         f"accepted but not built: {sorted(accepted - built)}"
 
+
+def test_commands_read_only_checked_values():
+    # each key goes through cli.KEYS: no cmd_* body calls .get, int or float on
+    # its config, so a command cannot read a key the table does not check
+    found = []
+    for fn in ast.parse((SRC / "cli.py").read_text()).body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")):
+            continue
+        config = fn.args.args[0].arg
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and (
+                    getattr(node.func, "id", None) in ("int", "float") and any(
+                        getattr(n, "id", None) == config for a in node.args for n in ast.walk(a))
+                    or getattr(node.func, "attr", None) == "get" and any(
+                        getattr(n, "id", None) == config for n in ast.walk(node.func.value))):
+                found.append(f"{fn.name}:{node.lineno} {ast.unparse(node)}")
+    assert not found, f"commands that read their config around the table: {', '.join(found)}"
 
 # definitions that only unit tests name, each with the reason it stays
 UNIT_TESTED_ONLY = {

@@ -7,7 +7,7 @@ from dbarl2 import reduction as rd
 from dbarl2.forms import Form
 from dbarl2.symfun import CylinderFn, germ_step, mul, const, add, parse
 
-from conftest import CountingFn, bump_fn, grid_of
+from conftest import bump_fn, grid_of
 
 MC20K = gm.Quadrature("monte_carlo", N=20_000, seed=404)  # a pipeline's quadrature
 
@@ -85,12 +85,10 @@ class TestFFTConvolve:
 
 class TestMollify:
     def test_plateau_preserved(self, spec1):
-        # the step germ of 2(|z|^2 - 1/4) is 0 from |z|^2 = 3/4 on, a ball the
-        # support rule does not derive from a step, so an opaque leaf declares it
-        ind = CountingFn(CylinderFn(germ_step(mul(const(2.0), add(parse("x(1)^2+y(1)^2"),
-                                                                  const(-0.25))))))
-        assert ind.support_radius is None
-        ind.support_radius = float(np.sqrt(0.75))
+        # the step germ of 2(|z|^2 - 1/4) is 0 from |z|^2 = 3/4 on, the ball the
+        # support rule derives from it
+        ind = CylinderFn(germ_step(mul(const(2.0), add(parse("x(1)^2+y(1)^2"), const(-0.25)))))
+        assert ind.support_radius == pytest.approx(np.sqrt(0.75), rel=1e-15)
         g = rd.mollify(ind, 0.1, grid_res=161)
         inner = np.array([[0.0, 0.0], [0.1, 0.1], [0.3, 0.0]])
         np.testing.assert_allclose(g(inner).real, 1.0, atol=1e-9)

@@ -9,9 +9,11 @@ from numpy.polynomial import polynomial as npoly
 
 from dbarl2 import dbarops as do
 from dbarl2 import symfun as sf
+from dbarl2.domains import whole_space
 from dbarl2.forms import Form, parse_form_literal
 from dbarl2.gaussmeasure import GaussianSpec
 from dbarl2.multiindex import constant_family
+from dbarl2.weights import smooth_step
 from dbarl2.symfun import (CylinderFn, EvalError, ParseError, bump, conj_,
                            del_op, delbar_op, delta_op, diff, eval_expr,
                            ZERO_FN, fd_check, parse, sigma_op)
@@ -253,6 +255,25 @@ class TestSupport:
         assert sf.support(sf.Leaf(ScalarTwo(2))) is None
         # CylinderFn reads the ball only over its own dim
         assert CylinderFn(parse(bmp), dim=2).support_radius is None
+
+    def test_germ_rule(self):
+        # bump, cubic and step are each 0 where their argument is > 1, so one rule
+        # bounds c * (|z - a|^2 + d) for all three: the ball of radius sqrt(1/c - d)
+        assert sf.support(smooth_step(2.0, whole_space().eta(2)).expr) == (math.sqrt(3.0), 2)
+        step = sf.germ_step(sf.mul(sf.const(2.0), sf.add(parse("x(1)^2+y(1)^2"), sf.const(-0.25))))
+        assert sf.support(step) == (pytest.approx(math.sqrt(0.75), rel=1e-15), 1)
+        rng = np.random.default_rng(5)
+        pts = rng.normal(size=(2000, 4))
+        pts *= (1.0 + 1e-9 + rng.random((2000, 1))) / np.linalg.norm(pts, axis=1, keepdims=True)
+        pts[:, 0] += 0.1  # |z - a| > 1 for a = (0.1, 0, 0, 0)
+        arg = parse("2*((x(1)-0.1)^2+y(1)^2+x(2)^2+y(2)^2-0.5)")
+        for name in ("bump", "cubic", "step"):
+            germ = sf.Fun(name, arg, 0)
+            assert sf.support(germ) == (pytest.approx(1.1), 2), name
+            assert np.max(np.abs(eval_expr(germ, pts))) == 0.0, name
+            assert np.max(np.abs(eval_expr(germ, np.zeros((1, 4))))) > 0.0, name
+            # 1/c - d <= 0: the argument is >= 1 everywhere, and the rule gives no ball
+            assert sf.support(sf.Fun(name, parse("x(1)^2+y(1)^2+1"), 0)) is None, name
 
     def test_old_false_declarations_raise(self, fam):
         # each a radius an earlier test declared and its expression does not have
