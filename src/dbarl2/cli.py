@@ -168,7 +168,7 @@ KEYS = {
     "trunc_order": Rule(("majorant",), "int", 320, lo=1),
 }
 _FITS = {"int": lambda v: type(v) is int, "text": lambda v: type(v) is str,
-         "number": lambda v: type(v) in (int, float) and math.isfinite(v),
+         "number": lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
          "list": lambda v: type(v) is list, "pair": lambda v: type(v) is list and len(v) == 2,
          "object": lambda v: type(v) is dict}
 

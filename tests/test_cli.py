@@ -357,9 +357,10 @@ class TestExitCodes:
          "tolerances.deterministic is not read by solve"),
         ("identities", {"varphi": 0}, "varphi must be of type text, not 0"),
         ("conditions", {"family": 3}, "family must be of type object, not 3"),
+        ("domains", {"tau": 10 ** 400}, f"tau must be of type number, not {10 ** 400}"),
     ], ids=["rho-0", "rho-neg", "grid_res-0", "grid_res-half", "seed-half", "s-half",
             "weights-x", "weights-null", "solve_dim-half", "misspelt", "support_radius",
-            "other-kind", "other-command", "varphi-number", "family-number"])
+            "other-kind", "other-command", "varphi-number", "family-number", "tau-huge"])
     def test_table_refusals_exit_two(self, tmp_path, capsys, command, change, message):
         # values that used to run (exit 0), be truncated or crash (exit 3)
         config = json.loads((ROOT / "configs" / f"{command}.json").read_text())

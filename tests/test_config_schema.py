@@ -15,10 +15,8 @@ import io
 import json
 import math
 import re
-import time
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from dbarl2 import cli
@@ -116,14 +114,12 @@ def test_every_shipped_key_has_cases():
 
 
 def test_every_refused_value_names_its_key(tmp_path):
-    start = time.perf_counter()
     wrong = []
     for command, path, bad, named in CASES:
         code, err = _run(command, _set(CONFIGS[command], path, bad), tmp_path)
         if code != 2 or not err.startswith("config error: ") or _shown(named) not in err:
             wrong.append(f"{command} {_shown(path)}={json.dumps(bad)}: exit {code}, {err!r}")
     assert not wrong, "\n".join(wrong)
-    assert time.perf_counter() - start < 4.0
 
 
 def _wrong_type(rule):

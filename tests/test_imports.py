@@ -196,6 +196,7 @@ def test_commands_read_only_checked_values():
                 found.append(f"{fn.name}:{node.lineno} {ast.unparse(node)}")
     assert not found, f"commands that read their config around the table: {', '.join(found)}"
 
+
 # definitions that only unit tests name, each with the reason it stays
 UNIT_TESTED_ONLY = {
     "hormander_bound_check": "ROADMAP item 3 wires it into solve",
