@@ -28,6 +28,9 @@ CONFIGS = {p.stem: json.loads(p.read_text()) for p in sorted((ROOT / "configs").
 # a value of each JSON type; the types a row does not take give its wrong-type values
 SAMPLES = {"int": [-1, 3], "number": [0.5], "text": ["x", "(("], "list": [[]],
            "pair": [[0, 0]], "object": [{}], "none": [None], "bool": [True]}
+# the types of SAMPLES each row type takes (a pair is a list of two)
+TAKES = {"int": {"int"}, "number": {"int", "number"}, "text": {"text"},
+         "list": {"list", "pair"}, "pair": {"list", "pair"}, "object": {"object"}}
 
 
 def _walk(value, path=()):
@@ -67,9 +70,7 @@ def _invalid(key, value, command):
     command takes, one over its budget, and an object with a key it does not
     read: support_radius, a misspelt key, or one of another command or kind."""
     rule = KEYS[key]
-    takes = {"int": {"int"}, "number": {"int", "number"}, "text": {"text"},
-             "list": {"list", "pair"}, "pair": {"pair"}, "object": {"object"}}[rule.type]
-    out = [v for kind, vs in SAMPLES.items() if kind not in takes for v in vs
+    out = [v for kind, vs in SAMPLES.items() if kind not in TAKES[rule.type] for v in vs
            if v not in rule.choices]
     out += [math.inf] if rule.type == "number" else []
     out += [[0], [0, 0, 0]] if rule.type == "pair" else []
@@ -123,26 +124,18 @@ def test_every_refused_value_names_its_key(tmp_path):
 
 
 def _wrong_type(rule):
-    """A strategy for values of another type than the row's, or out of its range."""
-    kinds = [st.none(), st.booleans(), st.text(max_size=3),
-             st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
-             st.lists(st.integers(), max_size=3)]
-    if rule.type in ("int", "number"):
-        kinds = kinds[:4] + [st.lists(st.integers(), max_size=3)]
-        if rule.type == "int":
-            kinds.append(st.floats(allow_nan=True).filter(lambda v: not float(v).is_integer()))
-        else:
-            kinds.append(st.sampled_from([math.nan, math.inf, -math.inf]))
-        if rule.lo is not None:
-            kinds.append(st.integers(max_value=math.ceil(rule.lo) - 1))
-    elif rule.type == "text":
-        kinds = [k for i, k in enumerate(kinds) if i != 2] + [st.integers(), st.floats()]
-        if rule.choices:
-            kinds.append(st.text(max_size=5).filter(lambda v: v not in rule.choices))
-    elif rule.type in ("list", "pair"):
-        kinds = kinds[:4] + [st.integers(), st.floats()]
-    else:
-        kinds = kinds[:3] + [st.lists(st.integers(), max_size=3), st.integers(), st.floats()]
+    """A strategy for values of another type than the row's, or below its range."""
+    other = {"none": st.none(), "bool": st.booleans(), "text": st.text(max_size=3),
+             "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+             "list": st.lists(st.integers(), max_size=3), "int": st.integers(),
+             "number": st.floats()}
+    kinds = [s for kind, s in other.items() if kind not in TAKES[rule.type]]
+    if rule.type == "number":
+        kinds.append(st.sampled_from([math.nan, math.inf, -math.inf]))
+    if rule.lo is not None and rule.type in ("int", "number"):
+        kinds.append(st.integers(max_value=math.ceil(rule.lo) - 1))
+    if rule.choices and rule.type == "text":
+        kinds.append(st.text(max_size=5))
     return st.one_of(kinds).filter(lambda v: v not in rule.choices)
 
 
