@@ -26,7 +26,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -42,11 +42,13 @@ class ConfigError(ValueError):
 
 
 def _mu_from(text: str):
-    """mu(j) from an expression in j, read with the symfun grammar (j stands for x(1))."""
+    """mu(j) from an expression in j, read with the symfun grammar (j stands for x(1));
+    each j is evaluated once, as a family asks for the same mu(j) for every J."""
     e = parse(re.sub(r"\bj\b", "x(1)", text))
     if not free_variables(e) <= {("x", 1)}:
         raise ConfigError(f"mu {text!r} may use no variable but j")
 
+    @cache
     def mu(j):
         v = complex(np.asarray(eval_expr(e, np.array([[float(j), 0.0]]))).reshape(-1)[0])
         if v.imag != 0.0:
@@ -62,6 +64,7 @@ def _residual(check_id: str, res: float, stderr: float, tol: float) -> CheckOutc
 
 MAX_INDEX_BUDGET = 20_000  # ratio and identity terms check_conditions may enumerate
 GRID_BUDGET = 4_000_000  # mollifier grid points over the approx ladder
+SAMPLE_BUDGET = 1_000_000  # coordinates of the Monte Carlo or scan points drawn
 G0 = {"one": lambda v: 1.0, "quadratic": lambda v: 1.0 + v * v,
       "staircase": lambda v: 1000.0 if v >= 5 else 1.0}
 _FAMILY = ("identities", "conditions", "approx", "solve")  # the commands that read a family
@@ -99,6 +102,8 @@ def _scales(v, c):
 
 
 _expr = partial(Rule, type="text", make=lambda v, c: CylinderFn(v), reach=lambda fn: fn.dim)
+_draws = partial(Rule, type="int", lo=1, budget=SAMPLE_BUDGET,
+                 work=lambda N, c: N * 2 * c["trunc_dim"])  # N points in R^(2 trunc_dim)
 KEYS = {
     "": Rule((), "object", None),
     "seed": Rule((), "int", 0, lo=0),
@@ -116,7 +121,7 @@ KEYS = {
     "quadrature": Rule(("identities", "approx"), "object", {},
                        make=lambda q, c: gaussmeasure.Quadrature(**q)),
     "quadrature.kind": Rule((), "text", "monte_carlo", choices=("monte_carlo", "gauss_hermite")),
-    "quadrature.N": Rule(("monte_carlo",), "int", 50000, lo=1),
+    "quadrature.N": _draws(("monte_carlo",), default=50000),
     "quadrature.seed": Rule(("monte_carlo",), "int", lambda c: c["seed"], lo=0),
     "quadrature.nodes_per_axis": Rule(("gauss_hermite",), "int", 16, lo=1),
     "tolerances": Rule(("identities", "solve"), "object", {}),
@@ -147,7 +152,7 @@ KEYS = {
                           make=lambda v, c: [complex(*p) for p in v]),
     "domain.center[]": Rule((), "pair", None),
     "domain.center[][]": Rule((), "number", None),
-    "scan_points": Rule(("domains",), "int", 50, lo=1),
+    "scan_points": _draws(("domains",), default=50),
     "tau": Rule(("domains",), "number", 1.0),
     "rho": Rule(("approx",), "number", 2.0, lo=0, strict=True),
     "n_ladder": Rule(("approx",), "list", lambda c: [c["trunc_dim"]], lo=1, reach=max),

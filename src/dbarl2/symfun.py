@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 import struct
 import weakref
 from dataclasses import dataclass, fields
@@ -76,9 +77,7 @@ class EvalError(ArithmeticError):
 
 
 class ParseError(ValueError):
-    def __init__(self, msg: str, pos: int):
-        super().__init__(f"{msg} (at position {pos})")
-        self.pos = pos
+    """An expression string outside the grammar."""
 
 
 # ---------------------------------------------------------------------------
@@ -862,145 +861,93 @@ def max_index(e: Expr) -> int:
 # Parser (exact grammar; z(i)/zb(i) are sugar over x, y)
 # ---------------------------------------------------------------------------
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        self.skip_ws()
-        if self.peek() != ch:
-            raise ParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def ident(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalpha():
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            raise ParseError("expected an integer", self.pos)
-        return int(self.text[start:self.pos])
-
-    def number(self) -> float:
-        self.skip_ws()
-        start = self.pos
-        t = self.text
-        while self.pos < len(t) and (t[self.pos].isdigit() or t[self.pos] == "."):
-            self.pos += 1
-        if self.pos < len(t) and t[self.pos] in "eE":
-            save = self.pos
-            self.pos += 1
-            if self.pos < len(t) and t[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < len(t) and t[self.pos].isdigit():
-                while self.pos < len(t) and t[self.pos].isdigit():
-                    self.pos += 1
-            else:
-                self.pos = save
-        try:
-            return float(t[start:self.pos])
-        except ValueError:
-            raise ParseError("bad number literal", start) from None
+# a number, a name or any other one character; findall skips the whitespace between
+_TOKEN = re.compile(r"[0-9.]+(?:[eE][+-]?[0-9]+)?|[A-Za-z]+|\S")
+_MAX_NESTING = 100  # parentheses and calls open at once, each two Python frames deep
+_VARS = {"x": x, "y": y, "z": z, "zb": zb}
+_CALLS = {"exp": exp_, "log": log_, "sin": sin_, "cos": cos_, "bump": bump, "conj": conj_}
 
 
 def parse(text: str) -> Expr:
     """Parse an expression string; `z(i)` expands to x(i)+i*y(i), `zb(i)` to the conjugate."""
-    tk = _Tokens(text)
-    e = _parse_expr(tk)
-    tk.skip_ws()
-    if tk.pos != len(text):
-        raise ParseError("unexpected trailing input", tk.pos)
+    toks = _TOKEN.findall(text) + [""]  # "" ends the text
+    e, j = _parse_sum(toks, 0, 0)
+    if toks[j]:
+        raise ParseError(f"unexpected {toks[j]!r} after a complete expression")
     return e
 
 
-def _parse_expr(tk: _Tokens) -> Expr:
-    sign = 1
-    if tk.peek() in ("+", "-"):
-        if tk.peek() == "-":
-            sign = -1
-        tk.pos += 1
-    e = _parse_term(tk)
-    if sign < 0:
-        e = mul(const(-1), e)
-    while tk.peek() in ("+", "-"):
-        op = tk.peek()
-        tk.pos += 1
-        rhs = _parse_term(tk)
-        e = add(e, rhs if op == "+" else mul(const(-1), rhs))
-    return e
+def _parse_sum(toks: list, j: int, depth: int) -> tuple:
+    """The sum that starts at toks[j], and the index of the token after it.
+
+    One ``add`` of all the terms builds the tree of adding them one at a time,
+    since add folds its constants left to right from +0 and so never makes a
+    zero part negative.  A product keeps mul's left fold: mul multiplies a
+    nested product's constant by 1 again, which can flip the sign of a zero
+    part (i*i*i gives -1j left to right but -0.0-1j in one call)."""
+    terms, sign = [], "+"
+    if toks[j] in ("+", "-"):
+        sign, j = toks[j], j + 1
+    while True:
+        e, j = _parse_factor(toks, j, depth)
+        while toks[j] in ("*", "/"):
+            f, k = _parse_factor(toks, j + 1, depth)
+            e, j = mul(e, f) if toks[j] == "*" else div(e, f), k
+        terms.append(mul(const(-1), e) if sign == "-" else e)
+        sign = toks[j]
+        if sign not in ("+", "-"):
+            return add(*terms) if len(terms) > 1 else terms[0], j
+        j += 1
 
 
-def _parse_term(tk: _Tokens) -> Expr:
-    e = _parse_factor(tk)
-    while tk.peek() in ("*", "/"):
-        op = tk.peek()
-        tk.pos += 1
-        rhs = _parse_factor(tk)
-        e = mul(e, rhs) if op == "*" else div(e, rhs)
-    return e
+def _parse_factor(toks: list, j: int, depth: int) -> tuple:
+    """The factor (an atom, maybe raised to an integer power) that starts at
+    toks[j], and the index of the token after it."""
+    t = toks[j]
+    if t == "(" or t in _CALLS:
+        if depth == _MAX_NESTING:
+            raise ParseError(f"more than {_MAX_NESTING} nested parentheses")
+        e, j = _parse_sum(toks, j + 1 if t == "(" else _expect(toks, j + 1, "("), depth + 1)
+        j = _expect(toks, j, ")")
+        e = e if t == "(" else _CALLS[t](e)
+    elif t in _VARS:
+        i = _integer(toks[_expect(toks, j + 1, "(")])
+        if i < 1:
+            raise ParseError(f"index must be >= 1, not {i}")
+        e, j = _VARS[t](i), _expect(toks, j + 3, ")")
+    elif t == "i":
+        e, j = const(1j), j + 1
+    elif t and t[0] in "0123456789.":
+        e, j = const(_literal(t)), j + 1
+    else:
+        raise ParseError(f"expected an atom, not {t or 'the end'!r}")
+    if toks[j] == "^":
+        neg = toks[j + 1] == "-"
+        k = _integer(toks[j + 1 + neg])
+        e, j = pw(e, -k if neg else k), j + 2 + neg
+    return e, j
 
 
-def _parse_factor(tk: _Tokens) -> Expr:
-    e = _parse_atom(tk)
-    if tk.peek() == "^":
-        tk.pos += 1
-        neg = False
-        if tk.peek() == "-":
-            neg = True
-            tk.pos += 1
-        k = tk.integer()
-        e = pw(e, -k if neg else k)
-    return e
+def _expect(toks: list, j: int, want: str) -> int:
+    if toks[j] != want:
+        raise ParseError(f"expected {want!r}, not {toks[j] or 'the end'!r}")
+    return j + 1
 
 
-def _parse_indexed(tk: _Tokens, builder):
-    tk.expect("(")
-    i = tk.integer()
-    if i < 1:
-        raise ParseError("index must be >= 1", tk.pos)
-    tk.expect(")")
-    return builder(i)
+def _integer(t: str) -> int:
+    if not (t.isascii() and t.isdigit()):
+        raise ParseError(f"expected an integer, not {t or 'the end'!r}")
+    return int(t)
 
 
-def _parse_atom(tk: _Tokens) -> Expr:
-    c = tk.peek()
-    if c == "(":
-        tk.pos += 1
-        e = _parse_expr(tk)
-        tk.expect(")")
-        return e
-    if c.isdigit() or c == ".":
-        return const(tk.number())
-    if c.isalpha():
-        name = tk.ident()
-        if name == "i":
-            return const(1j)
-        builder = {"x": x, "y": y, "z": z, "zb": zb}.get(name)
-        if builder is not None:
-            return _parse_indexed(tk, builder)
-        if name in ("exp", "log", "sin", "cos", "bump", "conj"):
-            tk.expect("(")
-            arg = _parse_expr(tk)
-            tk.expect(")")
-            return conj_(arg) if name == "conj" else _fun(name, arg)
-        raise ParseError(f"unknown identifier {name!r}", tk.pos)
-    raise ParseError("expected an atom", tk.pos)
+def _literal(t: str) -> float:
+    try:
+        v = float(t)
+    except ValueError:
+        raise ParseError(f"bad number literal {t!r}") from None
+    if not math.isfinite(v):
+        raise ParseError(f"number literal {t} is too large for a float")
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from dbarl2 import domains, gaussmeasure, multiindex, solver, weights
-from dbarl2.cli import (COMMANDS, cmd_conditions, cmd_domains, cmd_majorant, cmd_solve, main,
-                        read_config)
+from dbarl2.cli import (COMMANDS, SAMPLE_BUDGET, ConfigError, cmd_conditions, cmd_domains,
+                        cmd_majorant, cmd_solve, main, read_config)
 from dbarl2.forms import Form, parse_form_literal
 from dbarl2.gaussmeasure import CheckOutcome, GaussianSpec, Quadrature
 from dbarl2.multiindex import ConditionReport, constant_family
@@ -378,15 +378,49 @@ class TestExitCodes:
         assert err.startswith("config error: series terms still grow at x = 10.0 (ratio ")
         assert err.endswith("); raise trunc_order\n")
 
-    @pytest.mark.parametrize("command, key", [("conditions", "max_index"), ("approx", "grid_res")])
-    def test_work_over_budget_exits_two_at_once(self, tmp_path, capsys, command, key):
+    @pytest.mark.parametrize("command, key, change", [
+        ("conditions", "max_index 100000", {"max_index": 100000}),
+        ("approx", "grid_res 100000", {"grid_res": 100000}),
+        ("identities", f"quadrature.N {10 ** 13}",
+         {"quadrature": {"kind": "monte_carlo", "N": 10 ** 13}}),
+        ("domains", f"scan_points {10 ** 13}", {"scan_points": 10 ** 13}),
+    ], ids=["conditions-max_index", "approx-grid_res", "identities-quadrature.N",
+            "domains-scan_points"])
+    def test_work_over_budget_exits_two_at_once(self, tmp_path, capsys, command, key, change):
         # refused from the work it asks for, before any of it is done
         config = json.loads((ROOT / "configs" / f"{command}.json").read_text())
-        cfg = write_config(tmp_path, dict(config, **{key: 100000}))
+        cfg = write_config(tmp_path, dict(config, **change))
         start = time.perf_counter()
         assert run([command, "--config", cfg, "--out", tmp_path / "r"]) == 2
         assert time.perf_counter() - start < 1.0
-        assert capsys.readouterr().err.startswith(f"config error: {key} 100000 asks for ")
+        assert capsys.readouterr().err.startswith(f"config error: {key} asks for ")
+
+    @pytest.mark.parametrize("command, key, change", [
+        ("identities", "quadrature.N", lambda N: {"quadrature": {"kind": "monte_carlo", "N": N}}),
+        ("domains", "scan_points", lambda N: {"scan_points": N}),
+    ], ids=["quadrature.N", "scan_points"])
+    def test_sampling_budget_counts_coordinates(self, command, key, change):
+        # N points in R^(2 trunc_dim)
+        config = json.loads((ROOT / "configs" / f"{command}.json").read_text())
+        most = SAMPLE_BUDGET // (2 * config["trunc_dim"])
+        read_config(command, dict(config, **change(most)))
+        with pytest.raises(ConfigError, match=f"^{key} {most + 1} asks for "):
+            read_config(command, dict(config, **change(most + 1)))
+
+    @pytest.mark.parametrize("multiplier, message", [
+        ("(" * 300 + "x(1)" + ")" * 300, "more than 100 nested parentheses"),
+        ("1e400*x(1)", "number literal 1e400 is too large for a float"),
+    ], ids=["nested-300", "literal-1e400"])
+    def test_expression_the_parser_refuses_exits_two(self, tmp_path, multiplier, message):
+        # at the parent, a RecursionError (exit 3) and a NaN constant
+        cfg = write_config(tmp_path, dict(BASE_IDENTITIES, multiplier=multiplier))
+        out = tmp_path / "r"
+        proc = subprocess.run([sys.executable, "-m", "dbarl2.cli", "identities", "--config",
+                               str(cfg), "--out", str(out)], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == f"config error: multiplier: {message}\n"
+        assert not out.exists()
 
 
 class TestReports:
@@ -422,6 +456,21 @@ class TestReports:
         for name in ("conditions_report.jsonl", "conditions_summary.csv"):
             assert ((tmp_path / "grammar" / name).read_bytes()
                     == (tmp_path / "python" / name).read_bytes())
+
+    def test_mu_is_evaluated_once_per_index(self, monkeypatch):
+        # a family asks for the same mu(j) for every J; 13 s at max_index 10, s = t = 2 before
+        from dbarl2 import cli
+
+        evaluate, seen = cli.eval_expr, []
+
+        def counted(e, pts):
+            seen.append(float(pts[0, 0]))
+            return evaluate(e, pts)
+
+        monkeypatch.setattr(cli, "eval_expr", counted)
+        fam = multiindex.multiplicative_family(mu=cli._mu_from("1.0 + 1.0/j"))
+        multiindex.check_conditions(fam, 8, 1, 1)
+        assert 0 < len(seen) <= 8 and len(set(seen)) == len(seen)
 
     def test_reproducibility_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, BASE_IDENTITIES)

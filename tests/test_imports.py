@@ -201,8 +201,6 @@ def test_commands_read_only_checked_values():
 UNIT_TESTED_ONLY = {
     "hormander_bound_check": "ROADMAP item 3 wires it into solve",
     "weight_for_target": "ROADMAP item 12 wires it into solve on a bounded domain",
-    "sin_": "a public constructor of the expression grammar",
-    "cos_": "a public constructor of the expression grammar",
 }
 
 

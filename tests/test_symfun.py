@@ -1,5 +1,6 @@
 import gc
 import math
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -54,6 +55,116 @@ class TestParser:
     def test_funcs(self):
         assert ev("exp(0*x(1))", [5.0, 0.0]) == pytest.approx(1.0)
         assert ev("conj(z(1))", [0.3, 0.4]) == pytest.approx(0.3 - 0.4j)
+
+
+_WS = st.sampled_from(["", " ", "  ", "\t", "\n"])
+_LITERALS = ["2", "0.5", ".25", "3.", "1e-3", "1.5E+1", "7"]
+_CALLS = {"exp": sf.exp_, "log": sf.log_, "sin": sf.sin_, "cos": sf.cos_, "bump": bump,
+          "conj": conj_}
+
+
+def _draw_sum(draw, depth):
+    """A sum in the grammar, spaced at random, and the node that applying its
+    operators one at a time, left to right, builds through the constructors."""
+    def spaced(*parts):
+        return "".join(p + draw(_WS) for p in parts)
+
+    def factor():
+        kind = draw(st.sampled_from(["number", "i", "var"] + ["paren", "call"] * (depth > 0)))
+        if kind == "number":
+            text = draw(st.sampled_from(_LITERALS))
+            e = sf.const(float(text))
+        elif kind == "i":
+            text, e = "i", sf.const(1j)
+        elif kind == "var":
+            name, i = draw(st.sampled_from(["x", "y", "z", "zb"])), draw(st.integers(1, 3))
+            text, e = spaced(name, "(", str(i)) + ")", getattr(sf, name)(i)
+        else:
+            name = draw(st.sampled_from(sorted(_CALLS))) if kind == "call" else ""
+            inner, e = _draw_sum(draw, depth - 1)
+            text, e = spaced(name, "(" + inner) + ")", _CALLS[name](e) if name else e
+        k = draw(st.none() | st.integers(-3, 3))
+        if k is not None:
+            text, e = spaced(text, "^", "-" * (k < 0)) + str(abs(k)), sf.pw(e, k)
+        return text, e
+
+    def term():
+        text, e = factor()
+        for _ in range(draw(st.integers(0, 3))):
+            op, (ftext, f) = draw(st.sampled_from("*/")), factor()
+            text, e = spaced(text, op) + ftext, sf.mul(e, f) if op == "*" else sf.div(e, f)
+        return text, e
+
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    text, e = term()
+    text, e = spaced("", sign) + text, sf.mul(sf.const(-1), e) if sign == "-" else e
+    for _ in range(draw(st.integers(0, 3))):
+        op, (ttext, t) = draw(st.sampled_from("+-")), term()
+        text, e = spaced(text, op) + ttext, sf.add(e, t if op == "+" else sf.mul(sf.const(-1), t))
+    return spaced(text), e
+
+
+@st.composite
+def _text_and_node(draw):
+    with np.errstate(all="ignore"):
+        try:
+            text, e = _draw_sum(draw, 2)
+        except (ZeroDivisionError, EvalError):  # a constant folds to no value
+            assume(False)
+    # the n-ary fold can differ only where a folded constant is not finite
+    assume(all(np.isfinite(n.val) for n in sf._walk(e) if isinstance(n, sf.Const)))
+    return text, e
+
+
+class TestParseOnePass:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(_text_and_node())
+    def test_the_tree_of_applying_each_operator_in_turn(self, case):
+        text, node = case
+        with np.errstate(all="ignore"):
+            assert parse(text) is node
+
+    @pytest.mark.parametrize("n", [2000, 20000])
+    def test_a_sum_is_one_add(self, monkeypatch, n):
+        # a product stays one mul per '*' (see _parse_sum)
+        calls = {"add": 0, "mul": 0}
+
+        def counted(name, build):
+            def call(*args):
+                calls[name] += 1
+                return build(*args)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(sf, name, counted(name, getattr(sf, name)))
+        e = parse(" + ".join(f"{k}*x(1)*y({k % 3 + 1})" for k in range(1, n + 1)))
+        assert calls == {"add": 1, "mul": 2 * n}
+        assert len(e.terms) == n
+
+    @pytest.mark.parametrize("opener", ["(", "exp(", "conj("])
+    def test_nesting_past_the_bound_is_a_parse_error(self, opener):
+        deep = sf._MAX_NESTING
+        e = parse(opener * deep + "x(1)" + ")" * deep)
+        for _ in range(deep):
+            e = e.arg if opener == "exp(" else e
+        assert e is sf.x(1)
+        with pytest.raises(ParseError, match=f"more than {deep} nested parentheses"):
+            parse(opener * (deep + 1) + "x(1)" + ")" * (deep + 1))
+
+    @pytest.mark.parametrize("text", ["1e400*x(1)", "x(1) - 2.5E+308", "1" + "0" * 400])
+    def test_a_literal_too_large_for_a_float_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="too large for a float"):
+            parse(text)
+
+    def test_a_literal_that_underflows_is_zero(self):
+        assert parse("1e-400*x(1)") is sf.ZERO
+        assert parse("1.7976931348623157e308") is sf.const(sys.float_info.max)
+
+    @pytest.mark.parametrize("text", ["x(\u0663)", "\u00b2", "x(1)^\u00b2", "\u00e9xp(x(1))"])
+    def test_digits_and_names_are_ascii(self, text):
+        with pytest.raises(ParseError):
+            parse(text)
 
 
 class TestEval:
