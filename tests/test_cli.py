@@ -412,7 +412,7 @@ class TestExitCodes:
         ("1e400*x(1)", "number literal 1e400 is too large for a float"),
     ], ids=["nested-300", "literal-1e400"])
     def test_expression_the_parser_refuses_exits_two(self, tmp_path, multiplier, message):
-        # at the parent, a RecursionError (exit 3) and a NaN constant
+        # these used to crash with RecursionError (exit 3) and to run on a NaN constant
         cfg = write_config(tmp_path, dict(BASE_IDENTITIES, multiplier=multiplier))
         out = tmp_path / "r"
         proc = subprocess.run([sys.executable, "-m", "dbarl2.cli", "identities", "--config",
@@ -458,7 +458,8 @@ class TestReports:
                     == (tmp_path / "python" / name).read_bytes())
 
     def test_mu_is_evaluated_once_per_index(self, monkeypatch):
-        # a family asks for the same mu(j) for every J; 13 s at max_index 10, s = t = 2 before
+        # a family asks for the same mu(j) for every J: evaluating it on each call took
+        # 13 s at max_index 10, s = t = 2
         from dbarl2 import cli
 
         evaluate, seen = cli.eval_expr, []

@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from dbarl2 import dbarops as do
@@ -70,7 +70,7 @@ def _draw_sum(draw, depth):
         return "".join(p + draw(_WS) for p in parts)
 
     def factor():
-        kind = draw(st.sampled_from(["number", "i", "var"] + ["paren", "call"] * (depth > 0)))
+        kind = draw(st.sampled_from(["number", "i", "i", "var"] + ["paren", "call"] * (depth > 0)))
         if kind == "number":
             text = draw(st.sampled_from(_LITERALS))
             e = sf.const(float(text))
@@ -98,7 +98,7 @@ def _draw_sum(draw, depth):
     sign = draw(st.sampled_from(["", "+", "-"]))
     text, e = term()
     text, e = spaced("", sign) + text, sf.mul(sf.const(-1), e) if sign == "-" else e
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(0, 2))):
         op, (ttext, t) = draw(st.sampled_from("+-")), term()
         text, e = spaced(text, op) + ttext, sf.add(e, t if op == "+" else sf.mul(sf.const(-1), t))
     return spaced(text), e
@@ -111,15 +111,15 @@ def _text_and_node(draw):
             text, e = _draw_sum(draw, 2)
         except (ZeroDivisionError, EvalError):  # a constant folds to no value
             assume(False)
-    # the n-ary fold can differ only where a folded constant is not finite
-    assume(all(np.isfinite(n.val) for n in sf._walk(e) if isinstance(n, sf.Const)))
     return text, e
 
 
 class TestParseOnePass:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
     @given(_text_and_node())
+    @example(("i*i*i*x(1)", sf.mul(sf.mul(sf.mul(sf.const(1j), sf.const(1j)), sf.const(1j)),
+                                   sf.x(1))))  # -1j; one mul of the four gives -0.0-1j
     def test_the_tree_of_applying_each_operator_in_turn(self, case):
         text, node = case
         with np.errstate(all="ignore"):
@@ -144,11 +144,10 @@ class TestParseOnePass:
 
     @pytest.mark.parametrize("opener", ["(", "exp(", "conj("])
     def test_nesting_past_the_bound_is_a_parse_error(self, opener):
-        deep = sf._MAX_NESTING
-        e = parse(opener * deep + "x(1)" + ")" * deep)
+        deep, want = sf._MAX_NESTING, sf.x(1)
         for _ in range(deep):
-            e = e.arg if opener == "exp(" else e
-        assert e is sf.x(1)
+            want = {"(": want, "exp(": sf.exp_(want), "conj(": conj_(want)}[opener]
+        assert parse(opener * deep + "x(1)" + ")" * deep) is want
         with pytest.raises(ParseError, match=f"more than {deep} nested parentheses"):
             parse(opener * (deep + 1) + "x(1)" + ")" * (deep + 1))
 
