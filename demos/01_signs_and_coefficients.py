@@ -7,8 +7,6 @@ few signs by hand, then runs the three structural condition checkers on the
 families the estimates care about.
 """
 
-import numpy as np
-
 from dbarl2.multiindex import (check_conditions, constant_family, epsilon,
                                insert, multiplicative_family, prior_work_family)
 

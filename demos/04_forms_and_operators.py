@@ -7,10 +7,8 @@ the adjoint pairing, integration by parts, the commutator, the weak
 formulation, and the multiplier rule.
 """
 
-import numpy as np
-
 from dbarl2 import dbarops as do
-from dbarl2.forms import Form, norm_sq
+from dbarl2.forms import Form
 from dbarl2.gaussmeasure import GaussianSpec, Quadrature, sample
 from dbarl2.multiindex import constant_family
 from dbarl2.symfun import CylinderFn

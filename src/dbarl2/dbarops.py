@@ -26,8 +26,8 @@ import numpy as np
 from .forms import Form, _ball_values, add_term, inner_vals
 from .gaussmeasure import GaussianSpec, MCEstimate, Quadrature, estimate
 from .multiindex import WeightFamily, as_multiindex, contractions, insertions
-from .symfun import (CylinderFn, FnBase, ZERO_FN, _as_fn, add, const, del_op, delbar_op,
-                     delta_op, eval_expr, exp_, mul, sigma_op)
+from .symfun import (CylinderFn, ZERO_FN, add, const, del_op, delbar_op, delta_op, eval_expr,
+                     exp_, mul, sigma_op)
 
 
 @dataclass
@@ -36,16 +36,10 @@ class OperatorContext:
 
     spec: GaussianSpec
     family: WeightFamily
-    w1: FnBase
-    w2: FnBase
-    w3: FnBase
-    varphi: FnBase
-
-    def __post_init__(self):
-        self.w1 = _as_fn(self.w1)
-        self.w2 = _as_fn(self.w2)
-        self.w3 = _as_fn(self.w3)
-        self.varphi = _as_fn(self.varphi)
+    w1: CylinderFn
+    w2: CylinderFn
+    w3: CylinderFn
+    varphi: CylinderFn
 
 
 def _wedge(f: Form, r: int, term) -> Form:
@@ -99,20 +93,19 @@ def adjoint_residual(u: Form, f: Form, ctx: OperatorContext,
     return estimate(lhs_vals - rhs_vals, w, quad)
 
 
-def ibp_residual(f: FnBase, g: FnBase, i: int, spec: GaussianSpec,
+def ibp_residual(f: CylinderFn, g: CylinderFn, i: int, spec: GaussianSpec,
                  quad: Quadrature, weighted: bool = False,
-                 varphi: Optional[FnBase] = None) -> MCEstimate:
+                 varphi: Optional[CylinderFn] = None) -> MCEstimate:
     """Residual of the integration-by-parts identity.
 
     Unweighted: integral(dbar_i f * conj(g)) + integral(f * conj(delta_i g)).
     Weighted:   the same with sigma_i in place of delta_i and an e^{-varphi}
     factor under both integrals.
     """
-    f, g = _as_fn(f), _as_fn(g)
     if weighted and varphi is None:
         raise ValueError("weighted variant needs varphi")
     pts, w = quad.nodes_weights(spec)
-    adj = sigma_op(g, i, spec.a(i), _as_fn(varphi)) if weighted else delta_op(g, i, spec.a(i))
+    adj = sigma_op(g, i, spec.a(i), varphi) if weighted else delta_op(g, i, spec.a(i))
     # both integrands vanish off the supports of f and g
     dim = max(f.dim, g.dim)
     (on, _, (dbf, vg, vf, vadj), ew), = _ball_values(
@@ -125,14 +118,13 @@ def ibp_residual(f: FnBase, g: FnBase, i: int, spec: GaussianSpec,
     return estimate(diff, w, quad)
 
 
-def commutator_residual(h: FnBase, i: int, j: int, ctx: OperatorContext,
+def commutator_residual(h: CylinderFn, i: int, j: int, ctx: OperatorContext,
                         points: np.ndarray) -> float:
     """Max pointwise residual of the sigma/dbar commutator identity.
 
     (dbar_i sigma_j - sigma_j dbar_i) h = -h (dbar_i d_j varphi)
                                           - (kron(i,j)/(2 a_j^2)) h.
     """
-    h = _as_fn(h)
     varphi = ctx.varphi
     a_j = ctx.spec.a(j)
     left = delbar_op(sigma_op(h, j, a_j, varphi), i) \
@@ -143,7 +135,7 @@ def commutator_residual(h: FnBase, i: int, j: int, ctx: OperatorContext,
     return max_abs([vl + vc + (kron / (2.0 * a_j ** 2)) * vh])
 
 
-def weak_dbar_residual(f: Form, g: Form, testfn: FnBase, I, K,
+def weak_dbar_residual(f: Form, g: Form, testfn: CylinderFn, I, K,
                        spec: GaussianSpec, quad: Quadrature) -> MCEstimate:
     """Residual of the weak d-bar identity for the (I, K) component.
 
@@ -154,7 +146,6 @@ def weak_dbar_residual(f: Form, g: Form, testfn: FnBase, I, K,
     s, t = f.degree
     if len(I) != s or len(K) != t + 1:
         raise ValueError("index cardinalities do not match the degrees")
-    testfn = _as_fn(testfn)
     pts, w = quad.nodes_weights(spec)
     sgn = -1.0 if (s + 1) % 2 else 1.0
     lhs = np.zeros(pts.shape[0], dtype=complex)
@@ -169,17 +160,15 @@ def weak_dbar_residual(f: Form, g: Form, testfn: FnBase, I, K,
     return estimate(lhs - rhs, w, quad)
 
 
-def wedge_dbar_fn(m: FnBase, f: Form) -> Form:
+def wedge_dbar_fn(m: CylinderFn, f: Form) -> Form:
     """(T m) wedge f = (-1)^s sum eps^K_{iJ} f[I,J] dbar_i(m) dz_I dzb_K."""
-    m = _as_fn(m)
     return _wedge(f, max(f.max_index(), m.dim, f.max_dim()),
                   lambda fn, i: fn * delbar_op(m, i))
 
 
-def multiplier_residual(m: FnBase, f: Form, ctx: OperatorContext,
+def multiplier_residual(m: CylinderFn, f: Form, ctx: OperatorContext,
                         points: np.ndarray) -> float:
     """Max pointwise coefficient residual of T(m f) = m (T f) + (T m) wedge f."""
-    m = _as_fn(m)
     lhs = dbar(f.mul_fn(m))
     rhs = dbar(f).mul_fn(m) + wedge_dbar_fn(m, f)
     keys = set(lhs.coeffs) | set(rhs.coeffs)

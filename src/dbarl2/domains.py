@@ -29,15 +29,9 @@ class SublevelShortfallError(ValueError):
 @dataclass
 class Domain:
     kind: str
-    eta_builder: Callable[[int], CylinderFn]
+    eta: Callable[[int], CylinderFn]  # n -> the truncated exhaustion eta_n
     boundary_distance: Callable[[np.ndarray], np.ndarray]
-    interior_sampler: Callable[[int, int, int], np.ndarray]
-
-    def eta(self, n: int) -> CylinderFn:
-        return self.eta_builder(n)
-
-    def sample_interior(self, n: int, N: int, seed: int) -> np.ndarray:
-        return self.interior_sampler(n, N, seed)
+    sample_interior: Callable[[int, int, int], np.ndarray]  # (n, N, seed) -> points
 
     def sample_sublevel(self, n: int, tau: float, N: int, seed: int) -> np.ndarray:
         """Rejection-sample N interior points with eta <= tau, in at most 60 draws;
@@ -190,7 +184,7 @@ def normalize_eta(domain: Domain, n_probe: int = 3, seed: int = 1234) -> Domain:
         return CylinderFn(add(base.expr, norm_sq_coords(n), const(-c_shift)), dim=n)
 
     return Domain(f"normalized({domain.kind})", builder, domain.boundary_distance,
-                  domain.interior_sampler)
+                  domain.sample_interior)
 
 
 def d_V(domain: Domain, pts: np.ndarray) -> np.ndarray:

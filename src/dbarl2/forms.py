@@ -2,8 +2,8 @@
 
 A form is a finite sum of coefficients f[I, J] dz_I wedge dzb_J over strictly
 increasing multi-indices with |I| = s and |J| = t.  Coefficients are cylinder
-functions (an opaque FnBase is lifted into one as a leaf); absent keys are
-zero.  The squared norm is
+functions (``CylinderFn``; a values-only payload enters one as a ``Leaf``);
+absent keys are zero.  The squared norm is
 
     sum' c[I, J] * integral of |f[I, J]|^2 e^(-w) dP,
 
@@ -20,8 +20,7 @@ import numpy as np
 
 from .gaussmeasure import GaussianSpec, MCEstimate, Quadrature, estimate, support_mask
 from .multiindex import MultiIndex, WeightFamily, as_multiindex
-from .symfun import (CylinderFn, FnBase, ZERO_FN, _as_fn, conj_, eval_expr, mul,
-                     support_radius_in)
+from .symfun import CylinderFn, ZERO_FN, conj_, eval_expr, mul, support_radius_in
 
 
 Key = Tuple[MultiIndex, MultiIndex]
@@ -31,7 +30,7 @@ class DegreeError(ValueError):
     pass
 
 
-def add_term(coeffs: dict, key: Key, term: FnBase) -> None:
+def add_term(coeffs: dict, key: Key, term: CylinderFn) -> None:
     """coeffs[key] += term; a new key starts at term."""
     coeffs[key] = coeffs[key] + term if key in coeffs else term
 
@@ -39,7 +38,7 @@ def add_term(coeffs: dict, key: Key, term: FnBase) -> None:
 @dataclass
 class Form:
     degree: Tuple[int, int]
-    coeffs: Dict[Key, FnBase]
+    coeffs: Dict[Key, CylinderFn]
     family: WeightFamily
 
     def __post_init__(self):
@@ -51,12 +50,11 @@ class Form:
             I, J = as_multiindex(I), as_multiindex(J)
             if len(I) != s or len(J) != t:
                 raise DegreeError(f"key ({I},{J}) has wrong cardinalities for degree {self.degree}")
-            fn = _as_fn(fn)
             if not fn.is_zero():
                 clean[(I, J)] = fn
         self.coeffs = clean
 
-    def coeff(self, I, J) -> FnBase:
+    def coeff(self, I, J) -> CylinderFn:
         return self.coeffs.get((tuple(I), tuple(J)), ZERO_FN)
 
     def max_index(self) -> int:
@@ -92,9 +90,8 @@ class Form:
             return Form(self.degree, {}, self.family)
         return self.map_coeffs(lambda fn: c * fn)
 
-    def mul_fn(self, m: FnBase) -> "Form":
+    def mul_fn(self, m: CylinderFn) -> "Form":
         """Multiply every coefficient by a scalar function (m . f)."""
-        m = _as_fn(m)
         return self.map_coeffs(lambda fn: m * fn)
 
 
@@ -120,7 +117,7 @@ def _ball_values(groups, pts: np.ndarray) -> list:
         roots = []
         for k in ks:
             exprs, w_fn = groups[k][:2]
-            roots += list(exprs) if w_fn is None else [*exprs, _as_fn(w_fn).expr]
+            roots += list(exprs) if w_fn is None else [*exprs, w_fn.expr]
         vals = iter(eval_expr(roots, sub) if len(sub) else
                     [np.zeros(0, dtype=complex)] * len(roots))
         for k in ks:

@@ -42,7 +42,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .symfun import FnBase, Tape, _as_fn, eval_expr, support_rsq
+from .symfun import CylinderFn, Leaf, Tape, eval_expr, support_rsq
 
 _SAMPLE_CHUNK = 1 << 16
 _GH_BUDGET = 2_000_000
@@ -194,17 +194,17 @@ def estimate(vals: np.ndarray, w: np.ndarray, quad: Quadrature) -> MCEstimate:
     return MCEstimate(mean, float(np.std(vals) / math.sqrt(len(vals))))
 
 
-def integrate(f: FnBase, spec: GaussianSpec, quad: Quadrature) -> MCEstimate:
+def integrate(f: CylinderFn, spec: GaussianSpec, quad: Quadrature) -> MCEstimate:
     """Integral of f against the truncated product measure."""
-    fn = _as_fn(f)
-    if fn.dim > spec.trunc_dim:
-        raise ValueError(f"integrand dim {fn.dim} exceeds truncation {spec.trunc_dim}")
+    if f.dim > spec.trunc_dim:
+        raise ValueError(f"integrand dim {f.dim} exceeds truncation {spec.trunc_dim}")
     pts, w = quad.nodes_weights(spec)
-    return estimate(np.asarray(fn(pts)), w, quad)
+    return estimate(np.asarray(f(pts)), w, quad)
 
 
-class ReducedFn(FnBase):
-    """Partial integral of ``f`` over coordinates beyond ``n`` (tail quadrature).
+class ReducedFn:
+    """Partial integral of ``f`` over coordinates beyond ``n`` (tail quadrature),
+    a payload that ``reduce_fn`` wraps as a ``Leaf``.
 
     Exactness and batching of the tail rule as in the module docstring; its
     masking is ``support_mask``'s rule per (head, tail node) pair,
@@ -214,7 +214,7 @@ class ReducedFn(FnBase):
     Derivatives commute with the tail integral, so d_dx defers to the source.
     """
 
-    def __init__(self, f: FnBase, n: int, tail_pts: np.ndarray, tail_w: np.ndarray):
+    def __init__(self, f: CylinderFn, n: int, tail_pts: np.ndarray, tail_w: np.ndarray):
         self.f = f
         self.dim = n
         self.support_radius = f.support_radius
@@ -242,8 +242,7 @@ class ReducedFn(FnBase):
             live = np.searchsorted(hsq[order], bound, side="right")
         head_cols = np.take(head.T, order, axis=1)
         first = np.concatenate(([0], np.cumsum(live)))  # first row of each node
-        f = _as_fn(self.f)
-        tape = Tape(f.expr)  # compiled once, run on every batch
+        tape = Tape(self.f.expr)  # compiled once, run on every batch
         acc = np.zeros(len(order), dtype=complex)  # in the order of `order`
         s = 0
         while s < T:  # whole nodes s..e-1, at most _TAIL_CHUNK rows (at least one node)
@@ -253,7 +252,7 @@ class ReducedFn(FnBase):
             if rows:
                 pos = np.arange(rows) - np.repeat(first[s:e] - first[s], c)
                 # the points column by column: each coordinate read is contiguous
-                cols = np.empty((2 * f.dim, rows))
+                cols = np.empty((2 * self.f.dim, rows))
                 cols[:h] = np.take(head_cols, pos, axis=1)
                 cols[h:] = np.repeat(self._tail_cols[:, s:e], c, axis=1)
                 vals = np.broadcast_to(eval_expr(tape, cols.T), (rows,))
@@ -265,20 +264,15 @@ class ReducedFn(FnBase):
         return out
 
     def d_dx(self, i: int) -> "ReducedFn":
-        if i > self.dim:
-            raise ValueError("derivative index beyond the reduced dimension")
         return ReducedFn(self.f.d_dx(i), self.dim, self._tail_pts, self._tail_w)
 
     def d_dy(self, i: int) -> "ReducedFn":
-        if i > self.dim:
-            raise ValueError("derivative index beyond the reduced dimension")
         return ReducedFn(self.f.d_dy(i), self.dim, self._tail_pts, self._tail_w)
 
 
-def reduce_fn(f: FnBase, n: int, spec: GaussianSpec) -> FnBase:
-    """f integrated over the coordinates beyond n; returns f itself when it
-    already lives in dimension <= n."""
-    f = _as_fn(f)
+def reduce_fn(f: CylinderFn, n: int, spec: GaussianSpec) -> CylinderFn:
+    """f integrated over the coordinates beyond n, a ``ReducedFn`` leaf; f
+    itself when it already lives in dimension <= n."""
     if f.dim <= n:
         return f
     tail_sig = spec.sigma_cols(f.dim)[2 * n:]
@@ -286,7 +280,7 @@ def reduce_fn(f: FnBase, n: int, spec: GaussianSpec) -> FnBase:
     if math.prod(counts) > _TAIL_BUDGET:
         raise ValueError(f"a tail rule of {counts} nodes per axis exceeds the "
                          f"{_TAIL_BUDGET} node budget")
-    return ReducedFn(f, n, *_gh_tensor(counts, tail_sig))
+    return CylinderFn(Leaf(ReducedFn(f, n, *_gh_tensor(counts, tail_sig))))
 
 
 def verdict(margin: float, stderr: float, tol: float) -> bool:
@@ -353,14 +347,13 @@ class GaussGreenReport:
     stderr: float
 
 
-def gauss_green_residual(f: FnBase, m: int, spec: GaussianSpec,
+def gauss_green_residual(f: CylinderFn, m: int, spec: GaussianSpec,
                          quad: Quadrature) -> GaussGreenReport:
     """Residual of: integral of D_{x_m} f  equals  integral of (x_m/a_m^2) f.
 
     Both sides share one point set, so the reported stderr is that of the
     paired difference.
     """
-    f = _as_fn(f)
     if m > spec.trunc_dim:
         raise ValueError("m exceeds the truncation dimension")
     pts, w = quad.nodes_weights(spec)

@@ -26,7 +26,7 @@ from .domains import Domain
 from .forms import Form, _weighted_sq_vals
 from .gaussmeasure import (GaussianSpec, Quadrature, _leggauss, _mesh, estimate, reduce_fn,
                            support_mask)
-from .symfun import FnBase, _as_fn, bump_values
+from .symfun import CylinderFn, bump_values
 from .weights import smooth_step
 
 
@@ -73,8 +73,9 @@ class ResolutionError(ValueError):
     pass
 
 
-class GridFn(FnBase):
-    """Values on a uniform grid over [-L, L]^(2n) with multilinear interpolation.
+class GridFn:
+    """Values on a uniform grid over [-L, L]^(2n) with multilinear interpolation,
+    a payload that enters an expression as a ``Leaf``.
 
     A point is outside, and gives 0, when a coordinate lies off the grid (an
     inf does); a NaN coordinate is not off the grid, so a NaN gives NaN.  Each
@@ -191,14 +192,13 @@ def _unit_kernel(n: int, delta: float, h: float) -> np.ndarray:
     return (kern / kern.sum()).astype(complex)
 
 
-def mollify(f_n: FnBase, delta: float, grid_res: int = 121) -> GridFn:
+def mollify(f_n: CylinderFn, delta: float, grid_res: int = 121) -> GridFn:
     """Convolution with the width-delta mollifier on a uniform grid.
 
     Needs a compactly supported input in dimension n <= 2 (grid convolution).
     The sampled kernel is renormalized to unit discrete mass, which removes
     the sampling bias; the continuum unit-mass audit lives on the Mollifier.
     """
-    f_n = _as_fn(f_n)
     n = f_n.dim
     if n > 2:
         raise ResolutionError("grid convolution supports n <= 2 complex dimensions")
@@ -254,7 +254,7 @@ def audit_mollifier(n: int) -> MollifierAudit:
 _ADJOINT_GRID = 121  # grid points per axis of convolution_adjoint_residual
 
 
-def convolution_adjoint_residual(f: FnBase, g: FnBase, n: int, delta: float,
+def convolution_adjoint_residual(f: CylinderFn, g: CylinderFn, n: int, delta: float,
                                  spec: GaussianSpec) -> float:
     """Residual of the convolution-transpose identity under the Gaussian measure.
 
@@ -262,8 +262,6 @@ def convolution_adjoint_residual(f: FnBase, g: FnBase, n: int, delta: float,
     with phi_n the Gaussian density of the first n coordinates.  Both sides by
     grid quadrature with a shared kernel, on ``_ADJOINT_GRID`` points per axis.
     """
-    f = _as_fn(f)
-    g = _as_fn(g)
     if f.dim > n or g.dim > n:
         f = reduce_fn(f, n, spec)
         g = reduce_fn(g, n, spec)

@@ -57,7 +57,7 @@ from .gaussmeasure import (CheckOutcome, GaussianSpec, Quadrature, _leggauss, _m
                            _mesh, estimate, json_number, support_mask, support_rsq, verdict)
 from .multiindex import check_conditions
 from .symfun import (CylinderFn, Fun, Tape, add, const, delbar_op, eval_expr, mul,
-                     norm_sq_coords, poly1, x, y, _as_fn)
+                     norm_sq_coords, poly1, x, y)
 from .weights import WeightTriple, check_cond4
 
 
@@ -332,10 +332,9 @@ def _bound_c0(f: Form, ctx: OperatorContext, levi_points: np.ndarray,
     return _conditions(f, ctx.spec.trunc_dim).c0_inf
 
 
-def weighted_bound_check(u: Form, f: Form, ctx: OperatorContext, c_fn,
+def weighted_bound_check(u: Form, f: Form, ctx: OperatorContext, c_fn: CylinderFn,
                          quad: Quadrature, levi_points: np.ndarray) -> CheckOutcome:
     """Levi-weighted estimate: ||u||^2_phi <= 2 ||f/sqrt(c)||^2_phi / (c0 (t+1))."""
-    c_fn = _as_fn(c_fn)
     c0 = _bound_c0(f, ctx, levi_points, np.real(c_fn(levi_points)))
     if c0 is None:
         return CheckOutcome.refused("weighted_bound",
@@ -401,7 +400,7 @@ class CauchyOracle:
     rule, so the values are bitwise those of the dense radius-by-radius sum.
     """
 
-    f1: object
+    f1: CylinderFn
     reach: float
 
     def _apply(self, g, pts: np.ndarray) -> np.ndarray:
@@ -424,8 +423,7 @@ class CauchyOracle:
         lo = int(np.count_nonzero(r + rho + pad < np.min(dist)))
         hi = _ORACLE_NR - int(np.count_nonzero(r - rho - pad > np.max(dist)))
         out = np.zeros(N, dtype=complex)
-        fn = _as_fn(g)
-        tape = Tape(fn.expr)  # compiled once, run on every batch of radii
+        tape = Tape(g.expr)  # compiled once, run on every batch of radii
         base_x = np.repeat(pts[:, 0], _ORACLE_NT)
         base_y = np.repeat(pts[:, 1], _ORACLE_NT)
         tiled_cx = np.tile(cx, N)

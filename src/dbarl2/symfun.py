@@ -18,16 +18,20 @@ so their derivatives stay exact:
 
 Truncated power series (for weights built from series majorants) are ``Poly1``.
 
-A function known only by its values (a grid function, a reduced integral)
-enters the tree as an opaque ``Leaf``: evaluation calls it, and its partials
-are whatever its own ``d_dx``/``d_dy`` return (zero in the coordinates beyond
-its ``dim``).  So there is one algebra, and the Wirtinger operators act on
-every function through the tree.
+``CylinderFn`` (an expression with a dimension) is the one function type:
+every function the package takes or returns is one.  A function known only
+by its values (a grid function, a reduced integral) is a payload with
+``dim``, ``support_radius``, a call on points and optional ``d_dx``/``d_dy``;
+it enters a tree only as an opaque ``Leaf``: evaluation calls it, and its
+partials are whatever its own ``d_dx``/``d_dy`` return (zero in the
+coordinates beyond its ``dim``).  So there is one algebra, and the Wirtinger
+operators act on every function through the tree.
 
 Nodes are made by the constructor functions (``add``, ``mul``, ``div``,
-``pw``, ``exp_``, ...) and define no operators.  ``FnBase`` is the one
-arithmetic: ``+``, ``-`` and ``*`` on functions lift both operands to
-``CylinderFn`` and build the node with those constructors.
+``pw``, ``exp_``, ...) and define no operators.  ``CylinderFn`` is the one
+arithmetic: ``+``, ``-`` and ``*`` take a ``CylinderFn``, a number or a
+payload (as a ``Leaf``, in its place) and build the node with those
+constructors.
 
 Nodes are hash-consed: a constructor returns the one live node with the same
 type, scalar fields (floats and complex values by their exact bits) and
@@ -59,6 +63,7 @@ value counts as complex.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 import re
@@ -208,7 +213,8 @@ class Conj(Expr):
 
 @dataclass(frozen=True, eq=False)
 class Leaf(Expr):
-    """An opaque function (FnBase protocol) of the point array, interned by identity."""
+    """An opaque payload (dim, support_radius, a call on points, optional
+    d_dx/d_dy), interned by identity."""
     fn: object
 
 
@@ -778,9 +784,9 @@ def _bump_numer(k: int) -> tuple:
     one_m_t2 = np.array([1.0, 0.0, -1.0])
     kk = k - 1
     Nd = npoly.polyder(N) if len(N) > 1 else np.array([0.0])
-    inner = npoly.polyadd(npoly.polymul(Nd, one_m_t2),
-                          npoly.polymul(np.array([0.0, 4.0 * kk]), N))
-    out = npoly.polysub(npoly.polymul(inner, one_m_t2),
+    mid = npoly.polyadd(npoly.polymul(Nd, one_m_t2),
+                        npoly.polymul(np.array([0.0, 4.0 * kk]), N))
+    out = npoly.polysub(npoly.polymul(mid, one_m_t2),
                         npoly.polymul(np.array([0.0, 2.0]), N))
     return tuple(out)
 
@@ -869,11 +875,19 @@ _CALLS = {"exp": exp_, "log": log_, "sin": sin_, "cos": cos_, "bump": bump, "con
 
 
 def parse(text: str) -> Expr:
-    """Parse an expression string; `z(i)` expands to x(i)+i*y(i), `zb(i)` to the conjugate."""
+    """Parse an expression string; `z(i)` expands to x(i)+i*y(i), `zb(i)` to the conjugate.
+    A constant that folds to no value (1/0, log(0), 2^5000) or to a non-finite
+    one (exp(1000)) is a ``ParseError``."""
     toks = _TOKEN.findall(text) + [""]  # "" ends the text
-    e, j = _parse_sum(toks, 0, 0)
+    try:
+        with np.errstate(all="ignore"):  # a non-finite fold is refused below
+            e, j = _parse_sum(toks, 0, 0)
+    except ArithmeticError as exc:  # ZeroDivisionError, OverflowError, EvalError
+        raise ParseError(f"a constant folds to no value: {exc}") from None
     if toks[j]:
         raise ParseError(f"unexpected {toks[j]!r} after a complete expression")
+    if any(type(n) is Const and not cmath.isfinite(n.val) for n in _walk(e)):
+        raise ParseError("a constant folds to a non-finite value")
     return e
 
 
@@ -1028,67 +1042,28 @@ def support_radius_in(e: Union[Expr, Sequence[Expr]], dim: int) -> Optional[floa
     return None if s is None or (s[0] and s[1] < dim) else s[0]
 
 
-class FnBase:
-    """Leaf protocol: dim, support_radius, a call on (N, 2n) points, and
-    optional partials d_dx/d_dy.
-
-    Arithmetic lifts both operands through _as_fn, so every sum or product
-    is a CylinderFn and an opaque function enters it as a Leaf.
-    """
-
-    dim: int
-    support_radius: Optional[float]
-
-    def __call__(self, pts) -> np.ndarray:
-        raise NotImplementedError
-
-    def d_dx(self, i: int) -> "FnBase":
-        raise NotImplementedError
-
-    def d_dy(self, i: int) -> "FnBase":
-        raise NotImplementedError
-
-    def __add__(self, other):
-        a, b = _as_fn(self), _as_fn(other)
-        return CylinderFn(add(a.expr, b.expr), dim=max(a.dim, b.dim))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-1.0) * _as_fn(other)
-
-    def __mul__(self, other):
-        a = _as_fn(self)
-        if isinstance(other, (int, float, complex)):
-            return CylinderFn(mul(const(other), a.expr), dim=a.dim)
-        b = _as_fn(other)
-        return CylinderFn(mul(a.expr, b.expr), dim=max(a.dim, b.dim))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return (-1.0) * self
-
-
-def _as_fn(v) -> "CylinderFn":
+def _operand(v) -> tuple:
+    """(expression, dim) of the other operand of CylinderFn arithmetic: a
+    CylinderFn's own, a number as a constant, a payload as a Leaf."""
     if isinstance(v, CylinderFn):
-        return v
-    if isinstance(v, FnBase):
-        return CylinderFn(Leaf(v))
-    if isinstance(v, (Expr, str)):
-        return CylinderFn(v)
+        return v.expr, v.dim
     if isinstance(v, (int, float, complex)):
-        return CylinderFn(const(v))
-    raise TypeError(f"cannot coerce {type(v)} to a function")
+        return const(v), 0
+    if not callable(v):  # a text or an Expr is not a function
+        raise TypeError(f"a {type(v).__name__} is not a function")
+    return Leaf(v), v.dim
 
 
-class CylinderFn(FnBase):
+class CylinderFn:
     """Symbolic cylinder function: an Expr with a dimension.
 
     Its support radius is derived from the expression (``support_radius_in``),
     when it is read.  A ``support_radius`` given here is a claim, checked and
     never used: below the derived radius (up to the slack of ``support_rsq``),
     or on an expression with no derived ball, it raises ``ValueError``.
+
+    ``+``, ``-`` and ``*`` build the node with the other operand in its place,
+    except that a number is a product's first factor.
     """
 
     def __init__(self, expr: Union[Expr, str], support_radius: Optional[float] = None,
@@ -1121,44 +1096,67 @@ class CylinderFn(FnBase):
     def is_zero(self) -> bool:
         return _is_const(self.expr, 0)
 
+    def __add__(self, other) -> "CylinderFn":
+        e, d = _operand(other)
+        return CylinderFn(add(self.expr, e), dim=max(self.dim, d))
+
+    def __radd__(self, other) -> "CylinderFn":
+        e, d = _operand(other)
+        return CylinderFn(add(e, self.expr), dim=max(self.dim, d))
+
+    def __sub__(self, other) -> "CylinderFn":
+        e, d = _operand(other)
+        return self + CylinderFn(mul(const(-1.0), e), dim=d)
+
+    def __rsub__(self, other) -> "CylinderFn":
+        return other + (-self)
+
+    def __mul__(self, other) -> "CylinderFn":
+        if isinstance(other, (int, float, complex)):
+            return self.__rmul__(other)
+        e, d = _operand(other)
+        return CylinderFn(mul(self.expr, e), dim=max(self.dim, d))
+
+    def __rmul__(self, other) -> "CylinderFn":
+        e, d = _operand(other)
+        return CylinderFn(mul(e, self.expr), dim=max(self.dim, d))
+
+    def __neg__(self) -> "CylinderFn":
+        return (-1.0) * self
+
 
 ZERO_FN = CylinderFn(ZERO)
 
 
 # ---------------------------------------------------------------------------
-# Wirtinger / Gaussian-adjoint operators (any function, through _as_fn)
+# Wirtinger / Gaussian-adjoint operators
 # ---------------------------------------------------------------------------
 
-def del_op(f: FnBase, i: int) -> CylinderFn:
+def del_op(f: CylinderFn, i: int) -> CylinderFn:
     """Holomorphic Wirtinger derivative: (d/dx_i - i d/dy_i)/2."""
-    f = _as_fn(f)
     e = add(mul(const(0.5), diff(f.expr, "x", i)),
             mul(const(-0.5j), diff(f.expr, "y", i)))
     return CylinderFn(e, dim=f.dim)
 
 
-def delbar_op(f: FnBase, i: int) -> CylinderFn:
+def delbar_op(f: CylinderFn, i: int) -> CylinderFn:
     """Antiholomorphic Wirtinger derivative: (d/dx_i + i d/dy_i)/2."""
-    f = _as_fn(f)
     e = add(mul(const(0.5), diff(f.expr, "x", i)),
             mul(const(0.5j), diff(f.expr, "y", i)))
     return CylinderFn(e, dim=f.dim)
 
 
-def delta_op(f: FnBase, i: int, a_i: float) -> CylinderFn:
+def delta_op(f: CylinderFn, i: int, a_i: float) -> CylinderFn:
     """delta_i f = del_i f - zb_i/(2 a_i^2) * f."""
     if not a_i > 0:
         raise ValueError("a_i must be positive")
-    f = _as_fn(f)
     factor = -1.0 / (2.0 * a_i ** 2)
     e = add(del_op(f, i).expr, mul(const(factor), zb(i), f.expr))
     return CylinderFn(e, dim=max(f.dim, i))
 
 
-def sigma_op(f: FnBase, i: int, a_i: float, varphi: FnBase) -> CylinderFn:
+def sigma_op(f: CylinderFn, i: int, a_i: float, varphi: CylinderFn) -> CylinderFn:
     """sigma_i f = delta_i f - f * del_i(varphi)."""
-    f = _as_fn(f)
-    varphi = _as_fn(varphi)
     d = delta_op(f, i, a_i)
     e = add(d.expr, mul(const(-1), f.expr, del_op(varphi, i).expr))
     return CylinderFn(e, dim=max(d.dim, varphi.dim))
@@ -1175,13 +1173,12 @@ def free_variables(e: Expr) -> set:
     return out
 
 
-def fd_check(f: Union[Expr, CylinderFn], point: np.ndarray, h_step: float = 1e-5) -> float:
+def fd_check(expr: Expr, point: np.ndarray, h_step: float = 1e-5) -> float:
     """Max deviation between symbolic partials and centered finite differences.
 
     The finite-difference side is the independent oracle; it never reuses the
     symbolic derivative code.
     """
-    expr = f.expr if isinstance(f, CylinderFn) else f
     point = np.asarray(point, dtype=float).reshape(-1)
     worst = 0.0
     for kind, i in sorted(free_variables(expr)):

@@ -77,7 +77,7 @@ def bump_fn(n: int, radius: float, poly: str = "1") -> sf.CylinderFn:
                          support_radius=radius)
 
 
-def grid_of(f: sf.FnBase, n: int, extent: float, res: int) -> GridFn:
+def grid_of(f: sf.CylinderFn, n: int, extent: float, res: int) -> GridFn:
     """f sampled on the grid [-extent, extent]^(2n) of res points per axis."""
     pts = _mesh(np.linspace(-extent, extent, res), 2 * n)
     return GridFn(f(pts).reshape([res] * (2 * n)), extent, n, f.support_radius)
@@ -116,8 +116,13 @@ def random_form(rng: np.random.Generator, degree, n: int, radius: float,
     return Form(degree, coeffs, family)
 
 
-class CountingFn(sf.FnBase):
-    """Wraps a function and counts how often it is evaluated."""
+def as_leaf(payload) -> sf.CylinderFn:
+    """A values-only payload (a fake below, a GridFn) as the one function type."""
+    return sf.CylinderFn(sf.Leaf(payload))
+
+
+class CountingFn:
+    """Wraps a function and counts how often it is evaluated (a payload)."""
 
     def __init__(self, f):
         self.f, self.dim, self.support_radius = f, f.dim, f.support_radius
@@ -147,8 +152,8 @@ class RecordingFn(CountingFn):
         return self.f.d_dy(i)
 
 
-class ScalarTwo(sf.FnBase):
-    """A constant whose evaluation returns a Python scalar, not an array."""
+class ScalarTwo:
+    """A constant whose evaluation returns a Python scalar, not an array (a payload)."""
 
     support_radius = None
 

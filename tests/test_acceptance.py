@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from dbarl2 import dbarops as do
 from dbarl2 import domains as dm
@@ -19,7 +18,7 @@ from dbarl2 import reduction as rd
 from dbarl2 import solver as sv
 from dbarl2 import weights as wt
 from dbarl2.cli import main as cli_main
-from dbarl2.forms import Form, norm_sq
+from dbarl2.forms import Form
 from dbarl2.multiindex import (check_conditions, constant_family, epsilon,
                                multiplicative_family, perm_sign_bruteforce,
                                prior_work_family)

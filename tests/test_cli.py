@@ -410,9 +410,16 @@ class TestExitCodes:
     @pytest.mark.parametrize("multiplier, message", [
         ("(" * 300 + "x(1)" + ")" * 300, "more than 100 nested parentheses"),
         ("1e400*x(1)", "number literal 1e400 is too large for a float"),
-    ], ids=["nested-300", "literal-1e400"])
+        ("1/0*x(1)", "a constant folds to no value: division by constant zero"),
+        ("log(0)*x(1)", "a constant folds to no value: log of nonpositive real constant"),
+        ("2^5000*x(1)", "a constant folds to no value: complex exponentiation"),
+        ("exp(1000)*x(1)", "a constant folds to a non-finite value"),
+        ("1e300*1e300*x(1)", "a constant folds to a non-finite value"),
+    ], ids=["nested-300", "literal-1e400", "fold-div-zero", "fold-log-zero", "fold-overflow",
+            "fold-exp-inf", "fold-product-inf"])
     def test_expression_the_parser_refuses_exits_two(self, tmp_path, multiplier, message):
-        # these used to crash with RecursionError (exit 3) and to run on a NaN constant
+        # these used to crash (RecursionError, ZeroDivisionError, EvalError, OverflowError:
+        # exit 3) or to run on a NaN or inf constant (exit 1)
         cfg = write_config(tmp_path, dict(BASE_IDENTITIES, multiplier=multiplier))
         out = tmp_path / "r"
         proc = subprocess.run([sys.executable, "-m", "dbarl2.cli", "identities", "--config",

@@ -9,7 +9,7 @@ from dbarl2.forms import Form, inner, norm_sq, parse_form_literal
 from dbarl2.multiindex import constant_family, multiplicative_family
 from dbarl2.symfun import CylinderFn, support_radius_in
 
-from conftest import RecordingFn, bump_fn, random_form
+from conftest import RecordingFn, as_leaf, bump_fn, random_form
 
 
 GH = gm.Quadrature("gauss_hermite", nodes_per_axis=10)
@@ -108,8 +108,9 @@ class TestNorm:
         spec = gm.GaussianSpec(2, a_rule=lambda i: 0.5)
         quad = gm.Quadrature("monte_carlo", N=20_000, seed=3)
         f = Form((0, 1), {((), (1,)): bump_fn(1, 0.5), ((), (2,)): bump_fn(2, 0.8)}, fam)
-        assert norm_sq(f, "0", spec, quad).mean == norm_sq(f, None, spec, quad).mean
-        assert inner(f, f, "0", spec, quad).mean == inner(f, f, None, spec, quad).mean
+        zero = CylinderFn("0")
+        assert norm_sq(f, zero, spec, quad).mean == norm_sq(f, None, spec, quad).mean
+        assert inner(f, f, zero, spec, quad).mean == inner(f, f, None, spec, quad).mean
 
     def test_parallelogram_law(self, fam, spec2):
         rng = np.random.default_rng(5)
@@ -176,14 +177,14 @@ class TestWeightOnSupportBall:
 
     def test_weighted_squares_and_inner_products(self, fam):
         f, g, pts, w = self._parts(fam)
-        fm._weighted_sq_vals([(f, w), (g, w)], pts)
-        fm.inner_vals(f, g, w, pts)
+        fm._weighted_sq_vals([(f, as_leaf(w)), (g, as_leaf(w))], pts)
+        fm.inner_vals(f, g, as_leaf(w), pts)
         self._assert_inside(w, pts)
 
     def test_stacked_rows(self, fam):
         f, g, pts, w = self._parts(fam)
         wq = np.full(len(pts), 1.0 / len(pts))
-        sv._stack_rows([f, g], sorted(set(f.coeffs) | set(g.coeffs)), pts, wq, w, fam)
+        sv._stack_rows([f, g], sorted(set(f.coeffs) | set(g.coeffs)), pts, wq, as_leaf(w), fam)
         self._assert_inside(w, pts)
 
     def test_weighted_ibp_residual(self, fam, spec2):
@@ -191,14 +192,14 @@ class TestWeightOnSupportBall:
         quad = gm.Quadrature("monte_carlo", N=2000, seed=23)
         do.ibp_residual(bump_fn(2, self.RADIUS, poly="x(1)+y(2)"),
                         bump_fn(2, self.RADIUS, poly="1-x(2)"), 1, spec2, quad,
-                        weighted=True, varphi=w)
+                        weighted=True, varphi=as_leaf(w))
         self._assert_inside(w, quad.nodes_weights(spec2)[0])
 
     def test_zero_integrand_never_evaluates_the_weight(self, fam):
         f, _, pts, w = self._parts(fam)
         zero = Form((0, 1), {}, fam)
-        sq, = fm._weighted_sq_vals([(zero, w)], pts)
-        prod = fm.inner_vals(zero, f, w, pts)
+        sq, = fm._weighted_sq_vals([(zero, as_leaf(w))], pts)
+        prod = fm.inner_vals(zero, f, as_leaf(w), pts)
         assert not w.seen
         assert not np.any(sq) and not np.any(prod)
 
@@ -214,7 +215,7 @@ class TestNonfinitePoints:
 
     @pytest.mark.parametrize("w", [None, "x(1)^2"])
     def test_weighted_squares_and_inner_products(self, fam, w):
-        f = self._form(fam)
+        f, w = self._form(fam), None if w is None else CylinderFn(w)
         assert f.coeff((), ()).support_radius == pytest.approx(0.8, rel=1e-15)
         v = f.coeff((), ())(self.PTS[1])[0]
         assert v.real > 0.0

@@ -9,7 +9,7 @@ from dbarl2 import forms as fm
 from dbarl2 import gaussmeasure as gm
 from dbarl2.symfun import CylinderFn, EvalError, delbar_op, delta_op, sigma_op
 
-from conftest import (CountingFn, RecordingFn, ScalarTwo, bump_fn, compiles_and_runs,
+from conftest import (CountingFn, RecordingFn, ScalarTwo, as_leaf, bump_fn, compiles_and_runs,
                       random_bump_fn)
 
 
@@ -123,8 +123,14 @@ class TestSupportMask:
         assert gm.support_mask(pts, None, 1).tolist() == [True, True]
 
 
+def _rule(r):
+    """The ReducedFn payload of a reduction (a CylinderFn leaf)."""
+    return r.expr.fn
+
+
 def _per_node(r, pts):
     """Reference: the tail rule as one evaluation of r.f per tail node."""
+    r = _rule(r)
     out = np.zeros(len(pts), dtype=complex)
     full = np.empty((len(pts), 2 * r.f.dim))
     full[:, :2 * r.dim] = pts[:, :2 * r.dim]
@@ -136,11 +142,12 @@ def _per_node(r, pts):
 
 def _counts(r):
     """The nodes per axis of a reduction's tensor tail rule."""
-    return [len(np.unique(col)) for col in r._tail_pts.T]
+    return [len(np.unique(col)) for col in _rule(r)._tail_pts.T]
 
 
 def _live_counts(r, pts):
     """Reference: per tail node, the heads whose pair lies in the support ball."""
+    r = _rule(r)
     head = np.sum(pts[:, :2 * r.dim] ** 2, axis=1)
     tail = np.sum(r._tail_pts ** 2, axis=1)
     thr = gm.support_rsq(r.support_radius)
@@ -151,6 +158,16 @@ class TestReduce:
     def test_identity_when_low_dim(self, spec3):
         f = bump_fn(2, 0.7)
         assert gm.reduce_fn(f, 2, spec3) is f
+
+    def test_a_reduction_is_a_leaf_of_its_payload(self, spec3):
+        # a CylinderFn in both branches: f itself (above), or its ReducedFn as a
+        # Leaf, whose values are the payload's bits
+        r = gm.reduce_fn(random_bump_fn(np.random.default_rng(29), 3, 0.8), 1, spec3)
+        assert type(r) is CylinderFn and type(_rule(r)) is gm.ReducedFn
+        assert r.dim == 1 and r.support_radius == _rule(r).support_radius == 0.8
+        pts = gm.sample(spec3, 300, 17, n=1)
+        for fn in (r, r.d_dx(1), r.d_dy(1)):
+            assert fn(pts).tobytes() == _rule(fn)(pts).tobytes()
 
     def test_odd_tail_vanishes(self, spec3):
         f = CylinderFn("x(1)*x(3)")
@@ -213,7 +230,7 @@ class TestReduce:
 
     def test_batched_tail_constant_integrand(self, spec3):
         pts = gm.sample(spec3, 200, 4, n=1)
-        for f in (CylinderFn("2", dim=3), ScalarTwo(3)):
+        for f in (CylinderFn("2", dim=3), as_leaf(ScalarTwo(3))):
             r = gm.reduce_fn(f, 1, spec3)
             got = r(pts)
             assert got.shape == (200,)
@@ -226,10 +243,10 @@ class TestReduce:
         f = bump_fn(4, 0.8, poly="1+x(4)^2")
         r = gm.reduce_fn(f, 1, spec4)
         assert _counts(r) == [8, 8, 4, 4, 2, 2]
-        assert r._tail_pts.shape[0] == 4096
+        assert _rule(r)._tail_pts.shape[0] == 4096
         again = gm.reduce_fn(f, 1, spec4)
-        assert r._tail_pts.tobytes() == again._tail_pts.tobytes()
-        assert r._tail_w.tobytes() == again._tail_w.tobytes()
+        assert _rule(r)._tail_pts.tobytes() == _rule(again)._tail_pts.tobytes()
+        assert _rule(r)._tail_w.tobytes() == _rule(again)._tail_w.tobytes()
         pts = gm.sample(spec4, 200, 5, n=1)
         assert np.array_equal(r(pts), _per_node(r, pts))
         assert _counts(gm.reduce_fn(f, 2, spec4)) == [8, 8, 4, 4]
@@ -253,13 +270,13 @@ class TestReduce:
 
     def test_batched_tail_one_call_per_batch(self, spec3):
         f = RecordingFn(bump_fn(3, 0.8))
-        r = gm.reduce_fn(f, 1, spec3)
+        r = gm.reduce_fn(as_leaf(f), 1, spec3)
         T = math.prod(_counts(r))
-        assert r._tail_pts.shape[0] == T
+        assert _rule(r)._tail_pts.shape[0] == T
         pts = gm.sample(spec3, 200, 6, n=1)
         r(pts)
         live = _live_counts(r, pts)
-        node = {tuple(t): j for j, t in enumerate(r._tail_pts)}
+        node = {tuple(t): j for j, t in enumerate(_rule(r)._tail_pts)}
         seen = set()
         for call in f.seen:
             assert len(call) <= gm._TAIL_CHUNK
@@ -283,7 +300,7 @@ class TestReduce:
         r = gm.reduce_fn(f, 1, spec3)
         pts = gm.sample(spec3, 200, 6, n=1)
         compiled, runs = compiles_and_runs(monkeypatch)
-        got = r(pts)
+        got = _rule(r)(pts)
         monkeypatch.undo()
         assert len(runs) > 1 and compiled == [f.expr]  # several batches, one tape
         for cols, vals in runs:  # each batch as its own evaluation of f
@@ -307,13 +324,13 @@ class TestReduce:
         # every head outside the ball: zeros, and the integrand is never called
         counting = CountingFn(f)
         far = grid[np.sum(grid ** 2, axis=1) > 0.41 ** 2]
-        got = gm.reduce_fn(counting, 1, spec2)(far)
+        got = gm.reduce_fn(as_leaf(counting), 1, spec2)(far)
         assert got.shape == (len(far),) and np.array_equal(got, np.zeros(len(far)))
         assert counting.calls == 0
 
     def test_integrand_sees_only_its_support_ball(self, spec3):
         f = RecordingFn(random_bump_fn(np.random.default_rng(13), 3, 0.8))
-        r = gm.reduce_fn(f, 1, spec3)
+        r = gm.reduce_fn(as_leaf(f), 1, spec3)
         pts = gm.sample(spec3, 400, 14, n=1)
         r(pts)
         seen = np.concatenate(f.seen)
@@ -350,7 +367,7 @@ class TestReduce:
         assert len(np.unique(hsq)) < len(hsq) / 3
         r = gm.reduce_fn(f, 1, spec2)
         # live at no node: |head|^2 above the bound of the node nearest the origin
-        dead = hsq > gm.support_rsq(0.5) - np.min(np.sum(r._tail_pts ** 2, axis=1))
+        dead = hsq > gm.support_rsq(0.5) - np.min(np.sum(_rule(r)._tail_pts ** 2, axis=1))
         assert 0 < dead.sum() < len(grid)
         with np.errstate(invalid="ignore"):
             got = r(pts)

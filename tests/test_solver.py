@@ -14,7 +14,7 @@ from dbarl2.forms import Form, norm_sq, support_mask
 from dbarl2.multiindex import check_conditions, constant_family, multiplicative_family
 from dbarl2.symfun import CylinderFn, EvalError, delbar_op, support_radius_in
 
-from conftest import (CountingFn, RecordingFn, ScalarTwo, bump_fn, compiles_and_runs,
+from conftest import (CountingFn, RecordingFn, ScalarTwo, as_leaf, bump_fn, compiles_and_runs,
                       random_form)
 
 
@@ -373,7 +373,7 @@ class TestKeyInequality:
         """One memo for all coefficients, values dropped after their last use,
         against one root per coefficient and per weight: the shared peak stays
         within twice that (1.70 times measured, numpy 2.4.6)."""
-        from dbarl2.symfun import _as_fn, eval_expr
+        from dbarl2.symfun import eval_expr
         spec = gm.GaussianSpec(2)
         tri, dom, _ = wt.recipe_weights_whole_space(spec)
         ctx = do.OperatorContext(spec, fam, tri.w1, tri.w2, tri.w3, tri.phi)
@@ -391,7 +391,7 @@ class TestKeyInequality:
                                            form.max_dim())
                 mask = support_mask(qpts, radius, form.max_dim())
                 out = np.zeros_like(total)
-                out[mask] = total[mask] * np.exp(-np.real(eval_expr(_as_fn(w_fn).expr,
+                out[mask] = total[mask] * np.exp(-np.real(eval_expr(w_fn.expr,
                                                                     qpts[mask])))
                 outs.append(out)
             return outs
@@ -604,7 +604,7 @@ class TestCauchyOracle:
         f1 = manufactured[1].coeff((), (1,))
         oracle = sv.CauchyOracle(f1=f1, reach=0.7 * np.sqrt(2) + R + 0.1)
         pts = np.concatenate([gm._mesh(np.linspace(-0.7, 0.7, 3), 2), FAR_POINTS[:1]])
-        for g in (delbar_op(f1, 1), RealPart(manufactured[0].coeff((), ()))):
+        for g in (delbar_op(f1, 1), as_leaf(RealPart(manufactured[0].coeff((), ())))):
             assert np.array_equal(oracle._apply(g, pts), _per_radius(oracle, g, pts))
 
     def test_integrand_sees_only_live_nodes(self, manufactured):
@@ -614,7 +614,7 @@ class TestCauchyOracle:
         for pts in (rng.uniform(-0.7, 0.7, (1, 2)), FAR_POINTS[:1],
                     np.concatenate([rng.uniform(-0.7, 0.7, (3, 2)), FAR_POINTS])):
             g = InsideSupport(f1)
-            oracle = sv.CauchyOracle(f1=g, reach=reach)
+            oracle = sv.CauchyOracle(f1=as_leaf(g), reach=reach)
             oracle(pts)
             # exactly the polar nodes that pass the support test, each once
             assert g.points == sum(np.count_nonzero(np.sum(shift ** 2, axis=1)
@@ -622,7 +622,7 @@ class TestCauchyOracle:
                                    for _, shift in _polar_nodes(oracle, pts))
         # every circle about (5, 0) misses the support: no row is built
         g = InsideSupport(f1)
-        assert np.array_equal(sv.CauchyOracle(f1=g, reach=reach)(np.array([[5.0, 0.0]])),
+        assert np.array_equal(sv.CauchyOracle(f1=as_leaf(g), reach=reach)(np.array([[5.0, 0.0]])),
                               np.zeros(1))
         assert g.calls == 0
 
@@ -632,7 +632,7 @@ class TestCauchyOracle:
         # radii r = 1 + t with t <= -0.2 (223 of 512, the nearest 0.002 from the
         # edge), in batches of 16384 // 384 = 42 rows: ceil(223 / 42) = 6 calls
         g = CountingFn(manufactured[1].coeff((), (1,)))
-        sv.CauchyOracle(f1=g, reach=2.0)(np.zeros((1, 2)))
+        sv.CauchyOracle(f1=as_leaf(g), reach=2.0)(np.zeros((1, 2)))
         rows = int(np.count_nonzero(sv._leggauss(512)[0] + 1.0 <= 0.8))
         assert rows == 223
         assert g.calls == 6 == -(-rows // (sv._ORACLE_CHUNK // 384))
@@ -662,13 +662,13 @@ class TestCauchyOracle:
         # node about a finite point of the same call does
         g = RecordingFn(manufactured[1].coeff((), (1,)))
         with np.errstate(invalid="ignore"):
-            sv.CauchyOracle(f1=g, reach=1.0)(np.array([[np.nan, 0.0], [0.1, 0.2]]))
+            sv.CauchyOracle(f1=as_leaf(g), reach=1.0)(np.array([[np.nan, 0.0], [0.1, 0.2]]))
         sq = np.sum(np.concatenate(g.seen) ** 2, axis=1)
         assert np.count_nonzero(np.isnan(sq)) == sv._ORACLE_NR * sv._ORACLE_NT
         assert np.all(sq[~np.isnan(sq)] <= gm.support_rsq(R))
 
     def test_constant_scalar_integrand(self):
-        oracle = sv.CauchyOracle(f1=ScalarTwo(1), reach=1.0)
+        oracle = sv.CauchyOracle(f1=as_leaf(ScalarTwo(1)), reach=1.0)
         pts = np.random.default_rng(9).uniform(-1, 1, (7, 2))
         got = oracle(pts)
         assert got.shape == (7,)

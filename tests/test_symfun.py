@@ -19,7 +19,8 @@ from dbarl2.symfun import (CylinderFn, EvalError, ParseError, bump, conj_,
                            del_op, delbar_op, delta_op, diff, eval_expr,
                            ZERO_FN, fd_check, parse, sigma_op)
 
-from conftest import CountingFn, ScalarTwo, bump_fn, grid_of, random_form, random_smooth_expr
+from conftest import (CountingFn, ScalarTwo, as_leaf, bump_fn, grid_of, random_form,
+                      random_smooth_expr)
 
 
 def ev(text, pt):
@@ -491,15 +492,35 @@ class TestLeaf:
     def test_reduced_plus_cylinder(self, spec2):
         from dbarl2.gaussmeasure import ReducedFn, reduce_fn
         red = reduce_fn(bump_fn(2, 0.8), 1, spec2)
-        assert isinstance(red, ReducedFn)
+        assert isinstance(red.expr.fn, ReducedFn)
         cf = CylinderFn("sin(x(1))")
         total = red + cf
         assert isinstance(total, CylinderFn)
         pts = np.random.default_rng(12).normal(size=(40, 2), scale=0.3)
         assert np.array_equal(total(pts), red(pts) + cf(pts))
 
+    def test_a_payload_keeps_its_place(self, grid):
+        # a values-only operand is a Leaf where it stands; a number leads a product
+        cf, leaf = CylinderFn("exp(x(1))+y(2)"), sf.Leaf(grid)
+        assert (grid * cf).expr is (as_leaf(grid) * cf).expr is sf.mul(leaf, cf.expr)
+        assert (cf * grid).expr is sf.mul(cf.expr, leaf)
+        assert (grid + cf).expr is (as_leaf(grid) + cf).expr is sf.add(leaf, cf.expr)
+        assert (cf + grid).expr is sf.add(cf.expr, leaf)
+        assert (grid - cf).expr is sf.add(leaf, sf.mul(sf.const(-1.0), cf.expr))
+        assert (cf - grid).expr is sf.add(cf.expr, sf.mul(sf.const(-1.0), leaf))
+        assert (2 * cf).expr is (cf * 2).expr is sf.mul(sf.const(2), cf.expr)
+        # folded in the other order, 2j * -1j would be 2 - 0j, not 2 + 0j
+        i2 = CylinderFn("2*i*x(1)")
+        assert (i2 * -1j).expr is (-1j * i2).expr is sf.mul(sf.const(-1j), i2.expr) \
+            is not sf.mul(i2.expr, sf.const(-1j))
+        assert (2 - cf).expr is sf.add(sf.const(2), sf.mul(sf.const(-1.0), cf.expr))
+        assert (grid * cf).dim == (cf - grid).dim == 2 and (2 * as_leaf(grid)).dim == 1
+        for other in ("x(2)", sf.x(2), None):
+            with pytest.raises(TypeError):
+                cf + other
+
     def test_negated_grid(self, grid, pts):
-        neg = -grid
+        neg = -as_leaf(grid)
         assert isinstance(neg, CylinderFn)
         assert np.array_equal(neg(pts), (-1.0) * grid(pts))
 
@@ -857,7 +878,7 @@ def _node_value(n, memo, pts):
     raise TypeError(type(n))
 
 
-class _Wave(sf.FnBase):
+class _Wave:
     """An opaque function with complex values (real ones when ``real``)."""
 
     dim, support_radius = 2, None
