@@ -107,10 +107,9 @@ def ibp_residual(f: CylinderFn, g: CylinderFn, i: int, spec: GaussianSpec,
     pts, w = quad.nodes_weights(spec)
     adj = sigma_op(g, i, spec.a(i), varphi) if weighted else delta_op(g, i, spec.a(i))
     # both integrands vanish off the supports of f and g
-    dim = max(f.dim, g.dim)
     (on, _, (dbf, vg, vf, vadj), ew), = _ball_values(
         [([delbar_op(f, i).expr, g.expr, f.expr, adj.expr], varphi if weighted else None,
-          dim, mul(f.expr, g.expr))], pts)
+          mul(f.expr, g.expr))], pts)
     lhs = dbf * np.conjugate(vg)
     rhs = -vf * np.conjugate(vadj)
     diff = np.zeros(pts.shape[0], dtype=complex)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .gaussmeasure import GaussianSpec, MCEstimate, Quadrature, estimate, support_mask
 from .multiindex import MultiIndex, WeightFamily, as_multiindex
-from .symfun import CylinderFn, ZERO_FN, conj_, eval_expr, mul, support_radius_in
+from .symfun import CylinderFn, ZERO_FN, conj_, eval_expr, mul, support
 
 
 Key = Tuple[MultiIndex, MultiIndex]
@@ -96,23 +96,21 @@ class Form:
 
 
 def _ball_values(groups, pts: np.ndarray) -> list:
-    """(on, m, vals, ew) for each group (exprs, w_fn, dim, integrand): the values
-    of exprs and the factor e^{-Re w_fn} (None without a weight) at the m points
-    pts[on] that ``support_mask`` keeps for the ball in C^dim outside which the
-    integrand (an expression, or a sequence read as a sum) is 0, by
-    ``symfun.support_radius_in``; at every point when it has no such ball or
-    there is no weight.  Groups that select the same points share one
-    evaluation; a group without exprs is a zero integrand, which selects no
-    point and evaluates no weight.  The one place that forms e^{-Re w}."""
+    """(on, m, vals, ew) for each group (exprs, w_fn, integrand): the values of
+    exprs and the factor e^{-Re w_fn} (None without a weight) at the m points
+    pts[on].  One rule, weighted or not: pts[on] are the points ``support_mask``
+    keeps for the ball (r, k) that ``symfun.support`` derives for the integrand
+    (an expression, or a sequence read as a sum), which is 0 off it; every point
+    when it derives none.  Groups that select the same points share one
+    evaluation; a group without exprs, as the zero function, selects no point
+    and evaluates no weight.  The one place that forms e^{-Re w}."""
     balls: dict = {}
-    for k, (exprs, w_fn, dim, integrand) in enumerate(groups):
-        radius = None if w_fn is None else support_radius_in(integrand, dim)
-        ball = None if radius is None else (radius, min(dim, pts.shape[1] // 2))
-        balls.setdefault(ball if exprs else 0, []).append(k)
+    for k, (exprs, _, integrand) in enumerate(groups):
+        balls.setdefault(support(integrand) if exprs else (0.0, 0), []).append(k)
     out = [None] * len(groups)
     for ball, ks in balls.items():
         on = slice(None) if ball is None else \
-            support_mask(pts, *ball) if ball else np.zeros(len(pts), dtype=bool)
+            support_mask(pts, *ball) if ball[0] else np.zeros(len(pts), dtype=bool)
         sub = pts if ball is None else np.compress(on, pts, axis=0)  # pts[on], but faster
         roots = []
         for k in ks:
@@ -129,12 +127,12 @@ def _ball_values(groups, pts: np.ndarray) -> list:
 
 
 def _weighted_sq_vals(parts, pts: np.ndarray) -> list:
-    """Pointwise Sum' c[I,J] |f[I,J]|^2 e^{-w} for each (form, w_fn) in parts,
-    zero outside the form's support ball when it has a weight."""
+    """Pointwise Sum' c[I,J] |f[I,J]|^2 e^{-w} (no factor without a weight) for
+    each (form, w_fn) in parts, zero off the form's support ball."""
     groups = []
     for form, w_fn in parts:
         exprs = [fn.expr for fn in form.coeffs.values()]
-        groups.append((exprs, w_fn, form.max_dim(), exprs))
+        groups.append((exprs, w_fn, exprs))
     totals = []
     for (form, _), (on, m, vals, ew) in zip(parts, _ball_values(groups, pts)):
         total = np.zeros(m)
@@ -172,10 +170,9 @@ def inner(fa: Form, fb: Form, w_fn, spec: GaussianSpec, quad: Quadrature) -> MCE
 def inner_vals(fa: Form, fb: Form, w_fn, pts: np.ndarray) -> np.ndarray:
     """Pointwise integrand of the weighted inner product (for paired residuals)."""
     keys = list(set(fa.coeffs) & set(fb.coeffs))
-    dim = max(fa.max_dim(), fb.max_dim())
     exprs = [g.coeffs[k].expr for k in keys for g in (fa, fb)]
     integrand = [mul(a, conj_(b)) for a, b in zip(exprs[0::2], exprs[1::2])]
-    (on, m, vals, ew), = _ball_values([(exprs, w_fn, dim, integrand)], pts)
+    (on, m, vals, ew), = _ball_values([(exprs, w_fn, integrand)], pts)
     total = np.zeros(m, dtype=complex)
     for k, va, vb in zip(keys, vals[0::2], vals[1::2]):
         total += fa.family.coeff(*k) * va * np.conjugate(vb)

@@ -20,11 +20,11 @@ only on the (head, tail node) pairs that ``support_mask``, the one support-ball
 test, keeps: every other term of the tail sum is an exact zero, and a head live
 at no node is an exact 0.  Only the heads live at some node are sorted by norm;
 each head sums its own nodes in the order of the rule, so tied heads may come
-in any order without changing a bit.  The integrand is
-compiled once per call (one ``symfun.Tape``) and run on batches of whole tail
-nodes, at most ``_TAIL_CHUNK`` points unless one node alone has more (a
-column-major array), and the sum is accumulated node by node in the order of
-the rule, so the values are bitwise those of the per-node loop over all pairs.
+in any order without changing a bit.  The integrand (it compiles itself once)
+is called on batches of whole tail nodes, at most ``_TAIL_CHUNK`` points
+unless one node alone has more (a column-major array), and the sum is
+accumulated node by node in the order of the rule, so the values are bitwise
+those of the per-node loop over all pairs.
 Without a radius every pair is live.
 
 ``estimate`` is the one quadrature estimate (mean and stderr) of every
@@ -42,7 +42,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .symfun import CylinderFn, Leaf, Tape, eval_expr, support_rsq
+from .symfun import CylinderFn, Leaf, support_rsq
 
 _SAMPLE_CHUNK = 1 << 16
 _GH_BUDGET = 2_000_000
@@ -242,7 +242,6 @@ class ReducedFn:
             live = np.searchsorted(hsq[order], bound, side="right")
         head_cols = np.take(head.T, order, axis=1)
         first = np.concatenate(([0], np.cumsum(live)))  # first row of each node
-        tape = Tape(self.f.expr)  # compiled once, run on every batch
         acc = np.zeros(len(order), dtype=complex)  # in the order of `order`
         s = 0
         while s < T:  # whole nodes s..e-1, at most _TAIL_CHUNK rows (at least one node)
@@ -255,7 +254,7 @@ class ReducedFn:
                 cols = np.empty((2 * self.f.dim, rows))
                 cols[:h] = np.take(head_cols, pos, axis=1)
                 cols[h:] = np.repeat(self._tail_cols[:, s:e], c, axis=1)
-                vals = np.broadcast_to(eval_expr(tape, cols.T), (rows,))
+                vals = self.f(cols.T)
                 # add.at walks pos in order: node by node, so the sum keeps its order
                 np.add.at(acc, pos, np.repeat(self._tail_w[s:e], c) * vals)
             s = e

@@ -26,7 +26,7 @@ from .domains import Domain
 from .forms import Form, _weighted_sq_vals
 from .gaussmeasure import (GaussianSpec, Quadrature, _leggauss, _mesh, estimate, reduce_fn,
                            support_mask)
-from .symfun import CylinderFn, bump_values
+from .symfun import CylinderFn, bump_values, support
 from .weights import smooth_step
 
 
@@ -134,8 +134,8 @@ class GridFn:
         return out
 
     def _stencil(self, axis: int) -> "GridFn":
-        g = np.gradient(self.values, self.h, axis=axis)
-        return GridFn(g, self.extent, self.dim, self.support_radius)
+        g = np.gradient(self.values, self.h, axis=axis)  # nonzero one cell further out
+        return GridFn(g, self.extent, self.dim, self.support_radius + self.h)
 
     def d_dx(self, i: int) -> "GridFn":
         return self._stencil(2 * (i - 1))
@@ -208,16 +208,16 @@ def mollify(f_n: CylinderFn, delta: float, grid_res: int = 121) -> GridFn:
         raise ValueError("delta must be positive")
     R = f_n.support_radius
     extent = R + delta + 4.0 * delta / max(grid_res, 8)
-    pts = _mesh(np.linspace(-extent, extent, grid_res), 2 * n)  # for the values and the mask
-    grid = GridFn(f_n(pts).reshape([grid_res] * (2 * n)), extent, n, R)
-    h = grid.h
+    h = 2.0 * extent / (grid_res - 1)
     if h > delta / 2.0:
         raise ResolutionError(
             f"grid spacing {h:.4g} too coarse for delta = {delta}; raise grid_res")
-    out = _fftconvolve(grid.values, _unit_kernel(n, delta, h))
+    pts = _mesh(np.linspace(-extent, extent, grid_res), 2 * n)  # for the values and the mask
+    out = _fftconvolve(f_n(pts).reshape([grid_res] * (2 * n)), _unit_kernel(n, delta, h))
     # support arithmetic is exact: kill FFT roundoff outside radius R + delta
-    out[~support_mask(pts, R + delta, n).reshape(grid.shape)] = 0.0
-    return GridFn(out, extent, n, R + delta)
+    out[~support_mask(pts, R + delta, n).reshape(out.shape)] = 0.0
+    # the interpolation reaches one cell diagonal past the last nonzero grid value
+    return GridFn(out, extent, n, R + delta + h * math.sqrt(2 * n))
 
 
 def l2_gauss_grid(values_fn, grid: GridFn, spec: GaussianSpec) -> float:
@@ -311,13 +311,17 @@ def approx_pipeline(f: Form, domain: Domain, rho: float, n_ladder: Sequence[int]
     """Coefficient-wise reduce -> mollify -> multiply by the cut-off eta_rho.
 
     Reports the unweighted norm of (eta_rho f_{n,delta} - f) over the requested
-    (n, delta) ladder; the final output uses the last ladder entry.
+    (n, delta) ladder; the final output uses the last ladder entry.  The
+    difference is evaluated on its support ball (``forms._ball_values``'s
+    rule), and eta_rho exists only inside the domain: a quadrature point on
+    that ball outside the domain raises ``ValueError`` before any is evaluated.
     """
     if any(fn.support_radius is None for fn in f.coeffs.values()):
         raise ValueError("the pipeline needs compactly supported coefficients")
     eta_rho = smooth_step(rho, domain.eta(spec.trunc_dim))
 
     pts, wq = quad.nodes_weights(spec)
+    outside = pts[domain.boundary_distance(pts) <= 0]  # where eta_rho is undefined
     ladder = []
     cands = []
     for n in n_ladder:
@@ -325,7 +329,14 @@ def approx_pipeline(f: Form, domain: Domain, rho: float, n_ladder: Sequence[int]
         cands = [Form(f.degree, {key: eta_rho * mollify(red, delta, grid_res=grid_res)
                                  for key, red in reduced.items()}, f.family)
                  for delta in delta_ladder]
-        totals = _weighted_sq_vals([(cand - f, None) for cand in cands], pts)
+        diffs = [cand - f for cand in cands]
+        for diff in diffs:
+            r, k = support([fn.expr for fn in diff.coeffs.values()])
+            if r and support_mask(outside, r, k).any():
+                raise ValueError(f"the approximation's support ball of radius {r:.6g} "
+                                 f"in C^{k} leaves the {domain.kind} domain at a "
+                                 f"quadrature point, where its cut-off is undefined")
+        totals = _weighted_sq_vals([(diff, None) for diff in diffs], pts)
         for delta, total in zip(delta_ladder, totals):
             est = estimate(total, wq, quad)
             ladder.append(LadderRow(n=n, delta=delta,

@@ -56,7 +56,7 @@ from .forms import Form, _ball_values, _weighted_sq_vals
 from .gaussmeasure import (CheckOutcome, GaussianSpec, Quadrature, _leggauss, _mc_nodes_weights,
                            _mesh, estimate, json_number, support_mask, support_rsq, verdict)
 from .multiindex import check_conditions
-from .symfun import (CylinderFn, Fun, Tape, add, const, delbar_op, eval_expr, mul,
+from .symfun import (CylinderFn, Fun, add, const, delbar_op, eval_expr, mul,
                      norm_sq_coords, poly1, x, y)
 from .weights import WeightTriple, check_cond4
 
@@ -158,8 +158,7 @@ def _stack_rows(forms_per_basis, slots, pts, wq, w_fn, family):
     cells = [(b, si, fb.coeffs[key]) for b, fb in enumerate(forms_per_basis)
              for si, key in enumerate(slots) if key in fb.coeffs]
     exprs = [fn.expr for *_, fn in cells]
-    dim = max(fb.max_dim() for fb in forms_per_basis)
-    (on, _, vals, ew), = _ball_values([(exprs, w_fn, dim, exprs)], pts)
+    (on, _, vals, ew), = _ball_values([(exprs, w_fn, exprs)], pts)
     scale = [np.sqrt(family.coeff(*key) * wq[on] * ew) for key in slots]
     out = np.zeros((M * len(slots), len(forms_per_basis)), dtype=complex)
     for (b, si, _), v in zip(cells, vals):
@@ -347,9 +346,10 @@ def weighted_bound_check(u: Form, f: Form, ctx: OperatorContext, c_fn: CylinderF
 
 
 def hormander_bound_check(u: Form, f: Form, ctx: OperatorContext, quad: Quadrature,
-                          levi_points: np.ndarray, bounded: bool = False,
-                          sup_norm_sq: float = 1.0) -> CheckOutcome:
-    """The (1 + ||z||^2)^-2 weighted bound; bounded domains use the sup factor."""
+                          levi_points: np.ndarray,
+                          sup_norm_sq: Optional[float] = None) -> CheckOutcome:
+    """The (1 + ||z||^2)^-2 weighted bound; on a bounded domain, where
+    ||z||^2 <= sup_norm_sq, the constant factor (1 + sup_norm_sq)^2 instead."""
     c0 = _bound_c0(f, ctx, levi_points, 0.0)
     if c0 is None:
         return CheckOutcome.refused("hormander_bound",
@@ -357,7 +357,7 @@ def hormander_bound_check(u: Form, f: Form, ctx: OperatorContext, quad: Quadratu
     pts, wq = quad.nodes_weights(ctx.spec)
     u_sq, f_sq = _weighted_sq_vals([(u, ctx.w3), (f, ctx.w3)], pts)
     rhs_vals = f_sq / (c0 * f.degree[1])  # degree[1] = t + 1
-    if bounded:
+    if sup_norm_sq is not None:
         lhs_vals = u_sq
         rhs_vals = (1.0 + sup_norm_sq) ** 2 * rhs_vals
     else:
@@ -394,10 +394,10 @@ class CauchyOracle:
     are, the integrand sees only the polar nodes ``gaussmeasure.support_mask``
     keeps, and every other term is an exact zero, so the cost is proportional
     to the live nodes and a NaN or an inf propagates.  The rows are built
-    in batches of at most ``_ORACLE_CHUNK`` nodes, the integrand compiled once
-    per call (one ``symfun.Tape``) and run on each batch; the angle sums of a batch
-    are formed in one pass and accumulated over the radii in the order of the
-    rule, so the values are bitwise those of the dense radius-by-radius sum.
+    in batches of at most ``_ORACLE_CHUNK`` nodes, and the integrand is called
+    on each batch (it compiles itself once); the angle sums of a batch are
+    formed in one pass and accumulated over the radii in the order of the rule,
+    so the values are bitwise those of the dense radius-by-radius sum.
     """
 
     f1: CylinderFn
@@ -423,7 +423,6 @@ class CauchyOracle:
         lo = int(np.count_nonzero(r + rho + pad < np.min(dist)))
         hi = _ORACLE_NR - int(np.count_nonzero(r - rho - pad > np.max(dist)))
         out = np.zeros(N, dtype=complex)
-        tape = Tape(g.expr)  # compiled once, run on every batch of radii
         base_x = np.repeat(pts[:, 0], _ORACLE_NT)
         base_y = np.repeat(pts[:, 1], _ORACLE_NT)
         tiled_cx = np.tile(cx, N)
@@ -442,7 +441,7 @@ class CauchyOracle:
                 continue
             # complex zeros: a real value is cast exactly as the product below would
             vals = np.zeros(k * M, dtype=complex)
-            vals[live] = eval_expr(tape, np.compress(live, nodes, axis=0))
+            vals[live] = g(np.compress(live, nodes, axis=0))
             sums = (vals.reshape(k, M) * tiled_phase).reshape(k, N, _ORACLE_NT).sum(axis=2)
             # radius by radius in the order of the rule, after the earlier batches
             terms = np.concatenate((out[None], (wr[s:s + k, None] * wt) * sums))

@@ -43,9 +43,9 @@ Evaluation compiles one root or several to a ``Tape``: every distinct node
 under them, children first, each with its kernel and the slot of its last
 consumer, so a subtree common to several coefficients is evaluated once and
 each value is dropped as soon as its last consumer has been computed.
-``eval_expr`` compiles and runs one; a caller that evaluates one function on
-many point sets (the reduction tail, the Cauchy oracle) compiles it once per
-call and runs that tape on each batch by ``eval_expr(tape, batch)``.  How a
+``eval_expr`` compiles and runs one; a ``CylinderFn`` compiles its own on its
+first call and keeps it, so a caller that evaluates one function on many
+point sets (the reduction tail, the Cauchy oracle) just calls it.  How a
 node is computed is fixed when the node is made: a value that is real by
 construction (variables, real constants, germs, and sums, products, quotients,
 powers, exp, log, sin, cos, conjugates and real polynomials of real values) is
@@ -464,8 +464,8 @@ _RULES = {Const: _r_const, Var: _r_var, Add: _r_fold, Mul: _r_fold, Div: _r_div,
 
 class Tape:
     """One root or several compiled once: every distinct node under them,
-    children first, with its kernel and the slot of its last consumer.  Run
-    by ``eval_expr(tape, pts)``; the typing rules are in the module docstring.
+    children first, with its kernel and the slot of its last consumer.  The
+    typing rules are in the module docstring.
     """
 
     __slots__ = ("roots", "single", "steps", "last", "out_at")
@@ -503,8 +503,12 @@ class Tape:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def run(self, pts: np.ndarray) -> list:
-        """The complex value of every root at points of shape (N, 2n)."""
+    def run(self, pts) -> list:
+        """The complex value of every root at points of shape (N, 2n) (one
+        point of shape (2n,))."""
+        pts = np.asarray(pts, dtype=float)
+        if pts.ndim == 1:
+            pts = pts[None, :]
         N = pts.shape[0]
         last, out_at = self.last, self.out_at
         vals = [None] * len(self.steps)
@@ -531,19 +535,15 @@ class Tape:
         return outs
 
 
-def eval_expr(e: Union[Expr, Sequence[Expr], Tape], pts: np.ndarray):
+def eval_expr(e: Union[Expr, Sequence[Expr]], pts: np.ndarray):
     """Evaluate on points of shape (N, 2n): one root gives an (N,) complex
     array, a sequence of roots gives a list of them.
 
-    The roots are compiled to one ``Tape`` (or ``e`` is one, compiled by a
-    caller that runs it on many point sets): nodes are interned, so a subtree
+    The roots are compiled to one ``Tape``: nodes are interned, so a subtree
     common to several roots is evaluated once, and each value is dropped as
     soon as its last consumer has been computed.
     """
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    tape = e if isinstance(e, Tape) else Tape(e)
+    tape = Tape(e)
     outs = tape.run(pts)
     return outs[0] if tape.single else outs
 
@@ -1063,8 +1063,11 @@ class CylinderFn:
     or on an expression with no derived ball, it raises ``ValueError``.
 
     ``+``, ``-`` and ``*`` build the node with the other operand in its place,
-    except that a number is a product's first factor.
+    except that a number is a product's first factor.  A call compiles the
+    expression's ``Tape`` the first time and keeps it.
     """
+
+    _tape = None  # compiled on the first call
 
     def __init__(self, expr: Union[Expr, str], support_radius: Optional[float] = None,
                  dim: Optional[int] = None):
@@ -1085,7 +1088,9 @@ class CylinderFn:
         return support_radius_in(self.expr, self.dim)
 
     def __call__(self, pts) -> np.ndarray:
-        return eval_expr(self.expr, pts)
+        if self._tape is None:
+            self._tape = Tape(self.expr)
+        return self._tape.run(pts)[0]
 
     def d_dx(self, i: int) -> "CylinderFn":
         return CylinderFn(diff(self.expr, "x", i), dim=self.dim)

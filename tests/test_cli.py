@@ -91,7 +91,38 @@ def wrong_scale_gauss_green(a1):
     return residual
 
 
+def shipped(command, **changes):
+    """The shipped config of a command, with some keys replaced."""
+    return dict(json.loads((ROOT / "configs" / f"{command}.json").read_text()), **changes)
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("kind", ["ball", "polydisc", "whole_space"])
+    @pytest.mark.parametrize("command", ["approx", "solve", "domains"])
+    def test_domain_kinds_run_fail_or_refuse(self, tmp_path, capsys, command, kind):
+        # a shipped config on every domain kind: a pass, a failed check or a refusal, no crash
+        cfg = write_config(tmp_path, shipped(command, domain={"kind": kind}))
+        code = run([command, "--config", cfg, "--out", tmp_path / "r"])
+        assert code in (0, 1, 2), capsys.readouterr().err
+
+    def test_approx_on_the_unit_ball_matches_whole_space(self, tmp_path):
+        # the cut-off is 1 on the difference's support ball in both domains
+        ladders = []
+        for k, domain in enumerate([{"kind": "whole_space"}, {}, {"kind": "ball", "r": 1.0}]):
+            cfg = write_config(tmp_path, shipped("approx", domain=domain), f"c{k}.json")
+            assert run(["approx", "--config", cfg, "--out", tmp_path / f"r{k}"]) == 0
+            ladders.append((tmp_path / f"r{k}" / "approx_ladder.csv").read_bytes())
+        assert ladders[1] == ladders[0] and ladders[2] == ladders[0]
+
+    def test_approx_refuses_a_support_ball_past_the_domain(self, tmp_path, capsys):
+        # R + delta = 1.1 > 1: the cut-off of the unit ball is undefined on some points
+        wide = {"degree": [0, 1], "entries": [
+            {"I": [], "J": [1], "coeff": "x(1)*bump((x(1)^2+y(1)^2)/0.81)"}]}
+        cfg = write_config(tmp_path, shipped("approx", domain={"kind": "ball"}, forms=[wide]))
+        assert run(["approx", "--config", cfg, "--out", tmp_path / "r"]) == 2
+        err = capsys.readouterr().err
+        assert "leaves the ball domain" in err and "radius 1.12608" in err
+
     def test_identities_pass(self, tmp_path):
         cfg = write_config(tmp_path, BASE_IDENTITIES)
         assert run(["identities", "--config", cfg, "--out", tmp_path / "r"]) == 0

@@ -7,7 +7,7 @@ from dbarl2 import gaussmeasure as gm
 from dbarl2 import solver as sv
 from dbarl2.forms import Form, inner, norm_sq, parse_form_literal
 from dbarl2.multiindex import constant_family, multiplicative_family
-from dbarl2.symfun import CylinderFn, support_radius_in
+from dbarl2.symfun import CylinderFn, support, support_radius_in
 
 from conftest import RecordingFn, as_leaf, bump_fn, random_form
 
@@ -103,8 +103,9 @@ class TestNorm:
         assert 0 < weighted < plain
 
     def test_unit_weight_on_mixed_dims_equals_no_weight(self, fam):
-        # the weight is evaluated only inside the form's support ball, and a
-        # dim-1 coefficient has none in C^2: the weight "0" must change nothing
+        # the weight is evaluated only on the form's support ball, here the
+        # cylinder over z1 that a dim-1 coefficient gives: the weight "0" must
+        # change nothing
         spec = gm.GaussianSpec(2, a_rule=lambda i: 0.5)
         quad = gm.Quadrature("monte_carlo", N=20_000, seed=3)
         f = Form((0, 1), {((), (1,)): bump_fn(1, 0.5), ((), (2,)): bump_fn(2, 0.8)}, fam)
@@ -158,8 +159,9 @@ class TestNorm:
 
 
 class TestWeightOnSupportBall:
-    """A weight is evaluated only inside its integrand's support ball, and never
-    for a zero integrand (an opaque weight would be undefined elsewhere)."""
+    """A weight, and an integrand with or without one, is evaluated only inside
+    the integrand's support ball, and never for a zero integrand (an opaque
+    weight would be undefined elsewhere)."""
 
     RADIUS = 0.4
 
@@ -194,6 +196,34 @@ class TestWeightOnSupportBall:
                         bump_fn(2, self.RADIUS, poly="1-x(2)"), 1, spec2, quad,
                         weighted=True, varphi=as_leaf(w))
         self._assert_inside(w, quad.nodes_weights(spec2)[0])
+
+    def test_unweighted_payload_sees_only_its_ball(self, fam):
+        # one rule with or without a weight: the integrand is computed on its ball
+        f, _, pts, _ = self._parts(fam)
+        g = RecordingFn(bump_fn(2, self.RADIUS, poly="1+x(1)"))
+        form = Form((0, 1), {((), (1,)): as_leaf(g)}, fam)
+        sq, = fm._weighted_sq_vals([(form, None)], pts)
+        prod = fm.inner_vals(form, form, None, pts)
+        inside = fm.support_mask(pts, self.RADIUS, 2)
+        seen = np.concatenate(g.seen)
+        assert g.calls == 2 and len(seen) == 2 * np.count_nonzero(inside) < len(pts)
+        assert np.all(np.sum(seen ** 2, axis=1) <= gm.support_rsq(self.RADIUS))
+        # the points off the ball are the zeros an evaluation there gives
+        assert np.array_equal(sq, np.abs(g.f(pts)) ** 2)
+        assert np.array_equal(prod, np.abs(g.f(pts)) ** 2)
+
+    def test_cylinder_weight_sees_only_its_cylinder(self, fam):
+        # a coefficient on C^2 whose ball spans z1 alone: its weight is
+        # evaluated on that cylinder, not at every point
+        *_, pts, w = self._parts(fam)
+        coeff = CylinderFn(f"x(2)*bump((x(1)^2+y(1)^2)/{self.RADIUS ** 2})")
+        assert coeff.dim == 2 and support(coeff.expr) == (pytest.approx(self.RADIUS), 1)
+        form = Form((0, 1), {((), (1,)): coeff}, fam)
+        fm._weighted_sq_vals([(form, as_leaf(w))], pts)
+        seen = np.concatenate(w.seen)
+        assert len(seen) == np.count_nonzero(fm.support_mask(pts, self.RADIUS, 1)) < len(pts)
+        assert np.all(seen[:, 0] ** 2 + seen[:, 1] ** 2 <= gm.support_rsq(self.RADIUS))
+        assert np.max(np.abs(seen[:, 2:])) > self.RADIUS  # not a ball in C^2
 
     def test_zero_integrand_never_evaluates_the_weight(self, fam):
         f, _, pts, w = self._parts(fam)

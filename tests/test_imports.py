@@ -314,7 +314,6 @@ def test_every_default_is_passed_somewhere():
 # defaults that only unit tests set to another value, each with the reason it stays
 UNIT_TESTED_DEFAULTS = {
     ("main", "argv"): "the console script passes nothing; tests pass the command line",
-    ("hormander_bound_check", "bounded"): "ROADMAP item 3 wires the audit into solve",
     ("hormander_bound_check", "sup_norm_sq"): "ROADMAP item 3 wires the audit into solve",
     ("weight_for_target", "samples"): "ROADMAP item 12 wires it into solve",
     ("weight_for_target", "trunc_order"): "ROADMAP item 12 wires it into solve",

@@ -96,13 +96,31 @@ class TestMollify:
     def test_support_growth(self, spec1):
         f = bump_fn(1, 0.5)
         g = rd.mollify(f, 0.1, grid_res=121)
-        assert g.support_radius == pytest.approx(0.6)
+        # R + delta, and one cell diagonal of the interpolation past it
+        assert g.support_radius == pytest.approx(0.6 + g.h * np.sqrt(2), rel=1e-15)
         ax = g.axes()
         mesh = np.meshgrid(ax, ax, indexing="ij")
         radii = np.sqrt(mesh[0] ** 2 + mesh[1] ** 2)
         exterior = np.abs(g.values)[radii > 0.6]
         assert exterior.size > 0
         assert float(np.max(exterior)) == 0.0
+
+    def test_no_value_past_the_support_radius(self):
+        # the multilinear interpolation reaches one cell diagonal past the last
+        # nonzero grid value, R + delta = 0.5 here; at grid_res 41 the values
+        # leak up to |z| = 0.530, so R + delta alone is not a bound
+        g = rd.mollify(CylinderFn("x(1)*bump((x(1)^2+y(1)^2)/0.16)"), 0.1, grid_res=41)
+        rng = np.random.default_rng(41)
+
+        def shell(lo, hi, m=200_000):
+            rad = hi - (hi - lo) * rng.random(m)  # in (lo, hi]
+            ang = rng.uniform(0.0, 2.0 * np.pi, m)
+            return np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
+
+        assert np.count_nonzero(g(shell(0.5, g.support_radius))) > 0
+        for fn in (g, g.d_dx(1), g.d_dy(1)):
+            r = fn.support_radius
+            assert not np.any(fn(shell(r, r + 0.05)))
 
     def test_delta_ladder_decreases(self, spec1):
         f = bump_fn(1, 0.5)

@@ -478,10 +478,9 @@ class TestBoundChecks:
                                n=1, radius=R, quad=GH24)
         u, _ = sv.solve_min_norm(prob)
         levi_pts = gm.sample(spec, 50, 12)
-        out = sv.hormander_bound_check(u, f, ctx, GH24, levi_pts, bounded=True,
-                                       sup_norm_sq=1.0)
+        out = sv.hormander_bound_check(u, f, ctx, GH24, levi_pts, sup_norm_sq=1.0)
         assert out.passed
-        out2 = sv.hormander_bound_check(u, f, ctx, GH24, levi_pts, bounded=False)
+        out2 = sv.hormander_bound_check(u, f, ctx, GH24, levi_pts)
         assert out2.passed
 
     def test_scaled_solution_fails(self, quad_ctx, manufactured, fam):
@@ -489,13 +488,14 @@ class TestBoundChecks:
         u0, f = manufactured
         levi_pts = gm.sample(spec, 50, 13)
         out = sv.hormander_bound_check(u0.scale(10.0), f, ctx, GH24, levi_pts,
-                                       bounded=True, sup_norm_sq=1.0)
+                                       sup_norm_sq=1.0)
         assert out.passed is False
 
 
-def _bound_reference(u, f, ctx, quad, c_fn=None, bounded=False, sup_norm_sq=1.0):
+def _bound_reference(u, f, ctx, quad, c_fn=None, sup_norm_sq=None):
     """(lhs, rhs, margin, stderr) of a bound audit from per-coefficient loops:
-    the weighted bound when c_fn is given, else the (1 + |z|^2)^-2 bound."""
+    the weighted bound when c_fn is given, else the (1 + |z|^2)^-2 bound, or
+    its bounded-domain form when sup_norm_sq is given."""
     pts, wq = quad.nodes_weights(ctx.spec)
     ephi = np.exp(-np.real(ctx.w3(pts)))
     u_vals = np.zeros(pts.shape[0])
@@ -512,7 +512,7 @@ def _bound_reference(u, f, ctx, quad, c_fn=None, bounded=False, sup_norm_sq=1.0)
         rhs_vals = 2.0 * f_vals / np.real(c_fn(pts)) * ephi / (c0 * tp1)
     else:
         rhs_vals = f_vals * ephi / (c0 * tp1)
-        if bounded:
+        if sup_norm_sq is not None:
             lhs_vals = u_vals * ephi
             rhs_vals = (1.0 + sup_norm_sq) ** 2 * rhs_vals
         else:
@@ -548,11 +548,10 @@ class TestFoldedBoundAudits:
             c = CylinderFn("2+x(1)^2")
             outs = [(sv.weighted_bound_check(u, f, ctx, c, quad, levi),
                      _bound_reference(u, f, ctx, quad, c_fn=c))]
-            for bounded in (False, True):
+            for sup_norm_sq in (None, 0.7):
                 outs.append((sv.hormander_bound_check(u, f, ctx, quad, levi,
-                                                      bounded=bounded, sup_norm_sq=0.7),
-                             _bound_reference(u, f, ctx, quad, bounded=bounded,
-                                              sup_norm_sq=0.7)))
+                                                      sup_norm_sq=sup_norm_sq),
+                             _bound_reference(u, f, ctx, quad, sup_norm_sq=sup_norm_sq)))
             for out, (lhs, rhs, margin, se) in outs:
                 assert out.passed is not None
                 assert out.lhs == pytest.approx(lhs, rel=1e-12)
@@ -638,13 +637,15 @@ class TestCauchyOracle:
         assert g.calls == 6 == -(-rows // (sv._ORACLE_CHUNK // 384))
 
     def test_integrand_is_compiled_once_per_call(self, manufactured, monkeypatch):
-        f1 = manufactured[1].coeff((), (1,))
+        f1 = CylinderFn(manufactured[1].coeff((), (1,)).expr)  # never called yet
         oracle = sv.CauchyOracle(f1=f1, reach=2.0)
         pts = np.array([[0.1, -0.2], [0.3, 0.25]])
         compiled, runs = compiles_and_runs(monkeypatch)
         got = oracle(pts)
+        assert np.array_equal(oracle(pts), got)
         monkeypatch.undo()
-        assert len(runs) > 1 and compiled == [f1.expr]  # several batches of radii, one tape
+        # several batches of radii over two calls, one tape: the function keeps its own
+        assert len(runs) > 2 and compiled == [f1.expr]
         for shift, vals in runs:  # each batch as its own evaluation of f1
             assert np.array_equal(vals, f1(shift))
         assert np.array_equal(got, _per_radius(oracle, f1, pts))
