@@ -199,7 +199,7 @@ class TestWeightOnSupportBall:
 
     def test_unweighted_payload_sees_only_its_ball(self, fam):
         # one rule with or without a weight: the integrand is computed on its ball
-        f, _, pts, _ = self._parts(fam)
+        *_, pts, _ = self._parts(fam)
         g = RecordingFn(bump_fn(2, self.RADIUS, poly="1+x(1)"))
         form = Form((0, 1), {((), (1,)): as_leaf(g)}, fam)
         sq, = fm._weighted_sq_vals([(form, None)], pts)
