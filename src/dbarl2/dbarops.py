@@ -12,8 +12,8 @@ contraction coefficients of the family):
            (delta_i f[I,iL] - f[I,iL] d_i w2) dz_I dzb_L.
 
 Every named identity (integration by parts, the adjoint pairing, the
-commutator, weak d-bar, and the multiplier rule) has a residual function that
-shares one point set across both sides, so the Monte Carlo noise pairs off.
+commutator, weak d-bar, and the multiplier rule) has a residual function; an
+integral one pairs its two sides in ``gaussmeasure.integrals``, so noise cancels.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .forms import Form, _ball_values, add_term, inner_vals
-from .gaussmeasure import GaussianSpec, MCEstimate, Quadrature, estimate
+from .forms import Form, _ball_values, _spread, add_term, inner_vals
+from .gaussmeasure import GaussianSpec, MCEstimate, Quadrature, integrals
 from .multiindex import WeightFamily, as_multiindex, contractions, insertions
 from .symfun import (CylinderFn, ZERO_FN, add, const, del_op, delbar_op, delta_op, eval_expr,
                      exp_, mul, sigma_op)
@@ -87,10 +87,9 @@ def adjoint_residual(u: Form, f: Form, ctx: OperatorContext,
     """| <Tu, f>_{w2} - <u, T*f>_{w1} | with shared quadrature points."""
     Tu = dbar(u)
     Tsf = Tstar(f, ctx)
-    pts, w = quad.nodes_weights(ctx.spec)
-    lhs_vals = inner_vals(Tu, f, ctx.w2, pts)
-    rhs_vals = inner_vals(u, Tsf, ctx.w1, pts)
-    return estimate(lhs_vals - rhs_vals, w, quad)
+    (est, _, _), = integrals(quad, ctx.spec, lambda pts: [
+        (inner_vals(Tu, f, ctx.w2, pts), inner_vals(u, Tsf, ctx.w1, pts))])
+    return est
 
 
 def ibp_residual(f: CylinderFn, g: CylinderFn, i: int, spec: GaussianSpec,
@@ -104,17 +103,16 @@ def ibp_residual(f: CylinderFn, g: CylinderFn, i: int, spec: GaussianSpec,
     """
     if weighted and varphi is None:
         raise ValueError("weighted variant needs varphi")
-    pts, w = quad.nodes_weights(spec)
     adj = sigma_op(g, i, spec.a(i), varphi) if weighted else delta_op(g, i, spec.a(i))
-    # both integrands vanish off the supports of f and g
-    (on, _, (dbf, vg, vf, vadj), ew), = _ball_values(
-        [([delbar_op(f, i).expr, g.expr, f.expr, adj.expr], varphi if weighted else None,
-          mul(f.expr, g.expr))], pts)
-    lhs = dbf * np.conjugate(vg)
-    rhs = -vf * np.conjugate(vadj)
-    diff = np.zeros(pts.shape[0], dtype=complex)
-    diff[on] = lhs - rhs if ew is None else lhs * ew - rhs * ew
-    return estimate(diff, w, quad)
+
+    def sides(pts):  # both integrands vanish off the supports of f and g
+        (on, _, (dbf, vg, vf, vadj), ew), = _ball_values(
+            [([delbar_op(f, i).expr, g.expr, f.expr, adj.expr], varphi if weighted else None,
+              mul(f.expr, g.expr))], pts)
+        return [(_spread(dbf * np.conjugate(vg), on, ew, len(pts)),
+                 _spread(-vf * np.conjugate(vadj), on, ew, len(pts)))]
+    (est, _, _), = integrals(quad, spec, sides)
+    return est
 
 
 def commutator_residual(h: CylinderFn, i: int, j: int, ctx: OperatorContext,
@@ -145,18 +143,15 @@ def weak_dbar_residual(f: Form, g: Form, testfn: CylinderFn, I, K,
     s, t = f.degree
     if len(I) != s or len(K) != t + 1:
         raise ValueError("index cardinalities do not match the degrees")
-    pts, w = quad.nodes_weights(spec)
     sgn = -1.0 if (s + 1) % 2 else 1.0
-    lhs = np.zeros(pts.shape[0], dtype=complex)
-    for i, J, sign in contractions(K):
-        fn = f.coeffs.get((I, J))
-        if fn is None:
-            continue
-        dtest = delta_op(testfn, i, spec.a(i))
-        lhs += sgn * sign * fn(pts) * np.conjugate(dtest(pts))
+    terms = [(sgn * sign, f.coeffs[(I, J)], delta_op(testfn, i, spec.a(i)))
+             for i, J, sign in contractions(K) if (I, J) in f.coeffs]
     gfn = g.coeffs.get((I, K), ZERO_FN)
-    rhs = gfn(pts) * np.conjugate(testfn(pts))
-    return estimate(lhs - rhs, w, quad)
+    (est, _, _), = integrals(quad, spec, lambda pts: [(
+        sum((c * fn(pts) * np.conjugate(dtest(pts)) for c, fn, dtest in terms),
+            np.zeros(len(pts), dtype=complex)),
+        gfn(pts) * np.conjugate(testfn(pts)))])
+    return est
 
 
 def wedge_dbar_fn(m: CylinderFn, f: Form) -> Form:

@@ -7,8 +7,8 @@ absent keys are zero.  The squared norm is
 
     sum' c[I, J] * integral of |f[I, J]|^2 e^(-w) dP,
 
-computed with one shared point set across all coefficients so that residual
-checks downstream can pair their estimates.
+computed by ``gaussmeasure.integrals``, the one integral function, on one point
+set shared by all coefficients, so that residual checks can pair their estimates.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .gaussmeasure import GaussianSpec, MCEstimate, Quadrature, estimate, support_mask
+from .gaussmeasure import GaussianSpec, MCEstimate, Quadrature, integrals, support_mask
 from .multiindex import MultiIndex, WeightFamily, as_multiindex
-from .symfun import CylinderFn, ZERO_FN, conj_, eval_expr, mul, support
+from .symfun import CylinderFn, ZERO_FN, conj_, eval_expr, max_index, mul, support
 
 
 Key = Tuple[MultiIndex, MultiIndex]
@@ -103,7 +103,8 @@ def _ball_values(groups, pts: np.ndarray) -> list:
     (an expression, or a sequence read as a sum), which is 0 off it; every point
     when it derives none.  Groups that select the same points share one
     evaluation; a group without exprs, as the zero function, selects no point
-    and evaluates no weight.  The one place that forms e^{-Re w}."""
+    and evaluates no weight; an expression past the points' dimension raises
+    ``ValueError``, even on an empty ball.  The one place that forms e^{-Re w}."""
     balls: dict = {}
     for k, (exprs, _, integrand) in enumerate(groups):
         balls.setdefault(support(integrand) if exprs else (0.0, 0), []).append(k)
@@ -116,6 +117,8 @@ def _ball_values(groups, pts: np.ndarray) -> list:
         for k in ks:
             exprs, w_fn = groups[k][:2]
             roots += list(exprs) if w_fn is None else [*exprs, w_fn.expr]
+        if 2 * max(map(max_index, roots), default=0) > pts.shape[1]:
+            raise ValueError(f"an integrand exceeds the points' C^{pts.shape[1] // 2}")
         vals = iter(eval_expr(roots, sub) if len(sub) else
                     [np.zeros(0, dtype=complex)] * len(roots))
         for k in ks:
@@ -151,20 +154,17 @@ def _spread(total: np.ndarray, on, ew, size: int) -> np.ndarray:
 
 def norm_sq(form: Form, w_fn, spec: GaussianSpec, quad: Quadrature) -> MCEstimate:
     """Weighted squared norm with a shared point set across coefficients."""
-    if form.max_dim() > spec.trunc_dim:
-        raise ValueError("form coefficients exceed the truncation dimension")
-    pts, wq = quad.nodes_weights(spec)
-    vals, = _weighted_sq_vals([(form, w_fn)], pts)
-    return estimate(vals, wq, quad)
+    (est, _, _), = integrals(quad, spec,
+                             lambda pts: [(_weighted_sq_vals([(form, w_fn)], pts)[0], 0)])
+    return est
 
 
 def inner(fa: Form, fb: Form, w_fn, spec: GaussianSpec, quad: Quadrature) -> MCEstimate:
     """Weighted inner product sum' c[I,J] integral f_a conj(f_b) e^{-w} dP."""
     if fa.degree != fb.degree:
         raise DegreeError("inner product needs equal degrees")
-    pts, wq = quad.nodes_weights(spec)
-    vals = inner_vals(fa, fb, w_fn, pts)
-    return estimate(vals, wq, quad)
+    (est, _, _), = integrals(quad, spec, lambda pts: [(inner_vals(fa, fb, w_fn, pts), 0)])
+    return est
 
 
 def inner_vals(fa: Form, fb: Form, w_fn, pts: np.ndarray) -> np.ndarray:

@@ -27,10 +27,10 @@ accumulated node by node in the order of the rule, so the values are bitwise
 those of the per-node loop over all pairs.
 Without a radius every pair is live.
 
-``estimate`` is the one quadrature estimate (mean and stderr) of every
-integral the package audits, ``verdict`` the one pass rule of every record, and
-``CheckOutcome`` the one record a check returns, ``judged`` by ``verdict`` of its
-own margin or ``refused``.
+``integrals`` is the one integral function of the package, the only place that
+reads a rule's nodes and estimates on them (``estimate``: mean and stderr);
+``verdict`` is the one pass rule of every record, and ``CheckOutcome`` the one
+record a check returns, ``judged`` by ``verdict`` of its margin or ``refused``.
 """
 
 from __future__ import annotations
@@ -185,21 +185,30 @@ def _mesh(ax: np.ndarray, d: int) -> np.ndarray:
 
 
 def estimate(vals: np.ndarray, w: np.ndarray, quad: Quadrature) -> MCEstimate:
-    """The one quadrature estimate: mean sum(w vals); stderr std(vals)/sqrt(N)
-    for Monte Carlo, 0 for a deterministic rule.  A residual passes the paired
-    difference of its two sides, so the noise they share cancels."""
+    """Mean sum(w vals); stderr std(vals)/sqrt(N) for Monte Carlo, 0 for a
+    deterministic rule.  Called by ``integrals`` only."""
     mean = complex(np.sum(w * vals))
     if quad.deterministic:
         return MCEstimate(mean, 0.0)
     return MCEstimate(mean, float(np.std(vals) / math.sqrt(len(vals))))
 
 
+def integrals(quad: Quadrature, spec: GaussianSpec, pairs) -> list:
+    """The one integral function: (estimate(a - b), sum(w a), sum(w b)) for each
+    pointwise pair (a, b) that ``pairs`` gives on the rule's nodes, b = 0 for a
+    single integral.  A residual's two sides share one point set, so its stderr
+    is that of the paired difference and the noise they share cancels."""
+    pts, w = quad.nodes_weights(spec)
+    return [(estimate(a - b, w, quad), complex(np.sum(w * a)), complex(np.sum(w * b)))
+            for a, b in pairs(pts)]
+
+
 def integrate(f: CylinderFn, spec: GaussianSpec, quad: Quadrature) -> MCEstimate:
     """Integral of f against the truncated product measure."""
     if f.dim > spec.trunc_dim:
         raise ValueError(f"integrand dim {f.dim} exceeds truncation {spec.trunc_dim}")
-    pts, w = quad.nodes_weights(spec)
-    return estimate(np.asarray(f(pts)), w, quad)
+    (est, _, _), = integrals(quad, spec, lambda pts: [(f(pts), 0)])
+    return est
 
 
 class ReducedFn:
@@ -348,17 +357,10 @@ class GaussGreenReport:
 
 def gauss_green_residual(f: CylinderFn, m: int, spec: GaussianSpec,
                          quad: Quadrature) -> GaussGreenReport:
-    """Residual of: integral of D_{x_m} f  equals  integral of (x_m/a_m^2) f.
-
-    Both sides share one point set, so the reported stderr is that of the
-    paired difference.
-    """
-    if m > spec.trunc_dim:
-        raise ValueError("m exceeds the truncation dimension")
-    pts, w = quad.nodes_weights(spec)
-    la = f.d_dx(m)(pts)
-    rb = (pts[:, 2 * (m - 1)] / spec.a(m) ** 2) * f(pts)
-    lhs = complex(np.sum(w * la))
-    rhs = complex(np.sum(w * rb))
-    est = estimate(la - rb, w, quad)
+    """Residual of: integral of D_{x_m} f  equals  integral of (x_m/a_m^2) f,
+    its stderr that of the paired difference (``integrals``)."""
+    if max(m, f.dim) > spec.trunc_dim:
+        raise ValueError(f"m or the integrand dim {f.dim} exceeds truncation {spec.trunc_dim}")
+    (est, lhs, rhs), = integrals(quad, spec, lambda pts: [
+        (f.d_dx(m)(pts), (pts[:, 2 * (m - 1)] / spec.a(m) ** 2) * f(pts))])
     return GaussGreenReport(lhs=lhs, rhs=rhs, residual=abs(est.mean), stderr=est.stderr)

@@ -18,13 +18,14 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .domains import Domain
 from .forms import Form, _weighted_sq_vals
-from .gaussmeasure import (GaussianSpec, Quadrature, _leggauss, _mesh, estimate, reduce_fn,
+from .gaussmeasure import (GaussianSpec, Quadrature, _leggauss, _mesh, integrals, reduce_fn,
                            support_mask)
 from .symfun import CylinderFn, bump_values, support
 from .weights import smooth_step
@@ -320,26 +321,27 @@ def approx_pipeline(f: Form, domain: Domain, rho: float, n_ladder: Sequence[int]
         raise ValueError("the pipeline needs compactly supported coefficients")
     eta_rho = smooth_step(rho, domain.eta(spec.trunc_dim))
 
-    pts, wq = quad.nodes_weights(spec)
-    outside = pts[domain.boundary_distance(pts) <= 0]  # where eta_rho is undefined
-    ladder = []
     cands = []
-    for n in n_ladder:
-        reduced = {key: reduce_fn(fn, n, spec) for key, fn in f.coeffs.items()}
-        cands = [Form(f.degree, {key: eta_rho * mollify(red, delta, grid_res=grid_res)
-                                 for key, red in reduced.items()}, f.family)
-                 for delta in delta_ladder]
-        diffs = [cand - f for cand in cands]
-        for diff in diffs:
-            r, k = support([fn.expr for fn in diff.coeffs.values()])
-            if r and support_mask(outside, r, k).any():
-                raise ValueError(f"the approximation's support ball of radius {r:.6g} "
-                                 f"in C^{k} leaves the {domain.kind} domain at a "
-                                 f"quadrature point, where its cut-off is undefined")
-        totals = _weighted_sq_vals([(diff, None) for diff in diffs], pts)
-        for delta, total in zip(delta_ladder, totals):
-            est = estimate(total, wq, quad)
-            ladder.append(LadderRow(n=n, delta=delta,
-                                    norm_error=math.sqrt(max(est.mean.real, 0.0)),
-                                    stderr=est.stderr))
-    return PipelineReport(output=cands[-1] if cands else None, ladder=ladder)
+
+    def ladder(pts):  # one (norm^2, 0) pair per (n, delta), n slowest
+        nonlocal cands
+        outside = pts[domain.boundary_distance(pts) <= 0]  # where eta_rho is undefined
+        for n in n_ladder:
+            reduced = {key: reduce_fn(fn, n, spec) for key, fn in f.coeffs.items()}
+            cands = [Form(f.degree, {key: eta_rho * mollify(red, delta, grid_res=grid_res)
+                                     for key, red in reduced.items()}, f.family)
+                     for delta in delta_ladder]
+            diffs = [cand - f for cand in cands]
+            for diff in diffs:
+                r, k = support([fn.expr for fn in diff.coeffs.values()])
+                if r and support_mask(outside, r, k).any():
+                    raise ValueError(f"the approximation's support ball of radius {r:.6g} "
+                                     f"in C^{k} leaves the {domain.kind} domain at a "
+                                     f"quadrature point, where its cut-off is undefined")
+            totals = _weighted_sq_vals([(diff, None) for diff in diffs], pts)
+            yield from ((total, 0) for total in totals)
+    ests = integrals(quad, spec, ladder)
+    rows = [LadderRow(n=n, delta=delta, norm_error=math.sqrt(max(est.mean.real, 0.0)),
+                      stderr=est.stderr)
+            for (n, delta), (est, _, _) in zip(product(n_ladder, delta_ladder), ests)]
+    return PipelineReport(output=cands[-1] if cands else None, ladder=rows)

@@ -54,7 +54,7 @@ from .dbarops import OperatorContext, Tstar, dbar, max_abs
 from .domains import Domain, levi_min_eigs
 from .forms import Form, _ball_values, _weighted_sq_vals
 from .gaussmeasure import (CheckOutcome, GaussianSpec, Quadrature, _leggauss, _mc_nodes_weights,
-                           _mesh, estimate, json_number, support_mask, support_rsq, verdict)
+                           _mesh, integrals, json_number, support_mask, support_rsq, verdict)
 from .multiindex import check_conditions
 from .symfun import (CylinderFn, Fun, add, const, delbar_op, eval_expr, mul,
                      norm_sq_coords, poly1, x, y)
@@ -283,15 +283,15 @@ def _conditions(f: Form, n: int):
     return check_conditions(f.family, max(n, f.max_index(), s + tp1) + 2, s, tp1 - 1)
 
 
-def _audit(check_id: str, lhs_vals: np.ndarray, rhs_vals: np.ndarray, wq: np.ndarray,
-           quad: Quadrature, upper: bool, tol) -> CheckOutcome:
-    """The record of lhs >= rhs (lhs <= rhs when upper) from pointwise integrands
-    on one point set: the margin and its stderr are those of the paired
-    difference, the verdict is ``verdict`` at tolerance tol(lhs, rhs)."""
-    lhs = float(np.sum(wq * lhs_vals))
-    rhs = float(np.sum(wq * rhs_vals))
-    est = estimate(rhs_vals - lhs_vals if upper else lhs_vals - rhs_vals, wq, quad)
-    return CheckOutcome.judged(check_id, lhs, rhs, est.mean.real, est.stderr, tol(lhs, rhs))
+def _audit(check_id: str, sides, spec: GaussianSpec, quad: Quadrature, upper: bool,
+           tol) -> CheckOutcome:
+    """The record of lhs >= rhs from the pointwise sides (lhs, rhs) that
+    sides(pts) gives; lhs <= rhs when upper, the margin negated exactly (0.0 - m
+    keeps a zero +0.0).  The verdict is ``verdict`` at tolerance tol(lhs, rhs)."""
+    (est, lhs, rhs), = integrals(quad, spec, lambda pts: [sides(pts)])
+    margin = 0.0 - est.mean.real if upper else est.mean.real
+    return CheckOutcome.judged(check_id, lhs.real, rhs.real, margin, est.stderr,
+                               tol(lhs.real, rhs.real))
 
 
 def key_inequality_check(f: Form, ctx: OperatorContext, quad: Quadrature,
@@ -313,11 +313,12 @@ def key_inequality_check(f: Form, ctx: OperatorContext, quad: Quadrature,
     if not verdict(c4, 0.0, 0.0):
         return CheckOutcome.refused("key_inequality",
                                     f"curvature condition fails with margin {c4:.3e}")
+    parts = [(Tstar(f, ctx), ctx.w1), (dbar(f), ctx.w3), (f, ctx.w2)]
 
-    pts, wq = quad.nodes_weights(ctx.spec)
-    sq_tsf, sq_sf, sq_f = _weighted_sq_vals(
-        [(Tstar(f, ctx), ctx.w1), (dbar(f), ctx.w3), (f, ctx.w2)], pts)
-    return _audit("key_inequality", sq_tsf + sq_sf, rep.c0_inf * sq_f, wq, quad, False,
+    def sides(pts):
+        sq_tsf, sq_sf, sq_f = _weighted_sq_vals(parts, pts)
+        return sq_tsf + sq_sf, rep.c0_inf * sq_f
+    return _audit("key_inequality", sides, ctx.spec, quad, False,
                   lambda lhs, rhs: 1e-9 * max(abs(lhs), abs(rhs), 1.0))
 
 
@@ -338,10 +339,11 @@ def weighted_bound_check(u: Form, f: Form, ctx: OperatorContext, c_fn: CylinderF
     if c0 is None:
         return CheckOutcome.refused("weighted_bound",
                                     "Levi form does not dominate c at the audit points")
-    pts, wq = quad.nodes_weights(ctx.spec)
-    u_sq, f_sq = _weighted_sq_vals([(u, ctx.w3), (f, ctx.w3)], pts)
-    rhs_vals = 2.0 * (f_sq / np.real(c_fn(pts))) / (c0 * f.degree[1])  # degree[1] = t + 1
-    return _audit("weighted_bound", u_sq, rhs_vals, wq, quad, True,
+
+    def sides(pts):
+        u_sq, f_sq = _weighted_sq_vals([(u, ctx.w3), (f, ctx.w3)], pts)
+        return u_sq, 2.0 * (f_sq / np.real(c_fn(pts))) / (c0 * f.degree[1])  # degree[1] = t + 1
+    return _audit("weighted_bound", sides, ctx.spec, quad, True,
                   lambda lhs, rhs: _BOUND_TOL * rhs)
 
 
@@ -354,15 +356,14 @@ def hormander_bound_check(u: Form, f: Form, ctx: OperatorContext, quad: Quadratu
     if c0 is None:
         return CheckOutcome.refused("hormander_bound",
                                     "phi is not plurisubharmonic at the audit points")
-    pts, wq = quad.nodes_weights(ctx.spec)
-    u_sq, f_sq = _weighted_sq_vals([(u, ctx.w3), (f, ctx.w3)], pts)
-    rhs_vals = f_sq / (c0 * f.degree[1])  # degree[1] = t + 1
-    if sup_norm_sq is not None:
-        lhs_vals = u_sq
-        rhs_vals = (1.0 + sup_norm_sq) ** 2 * rhs_vals
-    else:
-        lhs_vals = u_sq / (1.0 + np.sum(pts ** 2, axis=1)) ** 2
-    return _audit("hormander_bound", lhs_vals, rhs_vals, wq, quad, True,
+
+    def sides(pts):
+        u_sq, f_sq = _weighted_sq_vals([(u, ctx.w3), (f, ctx.w3)], pts)
+        rhs_vals = f_sq / (c0 * f.degree[1])  # degree[1] = t + 1
+        if sup_norm_sq is not None:
+            return u_sq, (1.0 + sup_norm_sq) ** 2 * rhs_vals
+        return u_sq / (1.0 + np.sum(pts ** 2, axis=1)) ** 2, rhs_vals
+    return _audit("hormander_bound", sides, ctx.spec, quad, True,
                   lambda lhs, rhs: _BOUND_TOL * rhs)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -78,9 +80,13 @@ def bump_fn(n: int, radius: float, poly: str = "1") -> sf.CylinderFn:
 
 
 def grid_of(f: sf.CylinderFn, n: int, extent: float, res: int) -> GridFn:
-    """f sampled on the grid [-extent, extent]^(2n) of res points per axis."""
+    """f sampled on the grid [-extent, extent]^(2n) of res points per axis.  Its
+    radius is f's R plus a cell diagonal h sqrt(2n), as ``mollify`` declares: the
+    multilinear interpolation is nonzero up to that far past R."""
     pts = _mesh(np.linspace(-extent, extent, res), 2 * n)
-    return GridFn(f(pts).reshape([res] * (2 * n)), extent, n, f.support_radius)
+    R, h = f.support_radius, 2.0 * extent / (res - 1)
+    return GridFn(f(pts).reshape([res] * (2 * n)), extent, n,
+                  None if R is None else R + h * math.sqrt(2 * n))
 
 
 def random_poly_str(rng: np.random.Generator, n: int) -> str:

@@ -470,6 +470,31 @@ class TestVerdict:
         assert gm.verdict(np.nextafter(0.0, 1.0), 0.0, gm.STRICT) is True
 
 
+class TestPastTheTruncation:
+    """An integrand over more coordinates than the truncation is refused with
+    ``ValueError`` at every entry point, also where its support ball keeps no
+    node: x(3) times a bump of radius 0.1 in C^3, at trunc_dim 2 with GH4, where
+    every node has |x1| >= 0.18."""
+
+    F = CylinderFn("x(3)*bump((x(1)^2+y(1)^2+x(2)^2+y(2)^2+x(3)^2+y(3)^2)/0.01)")
+    GH4 = gm.Quadrature("gauss_hermite", nodes_per_axis=4)
+
+    @pytest.mark.parametrize("entry", ["integrate", "gauss_green_residual", "norm_sq",
+                                       "inner", "ibp_residual", "ibp_residual_weighted"])
+    def test_is_refused(self, spec2, fam, entry):
+        f, g, q = self.F, CylinderFn("1+x(1)"), self.GH4
+        u = fm.Form((0, 0), {((), ()): f}, fam)
+        run = {"integrate": lambda: gm.integrate(f, spec2, q),
+               "gauss_green_residual": lambda: gm.gauss_green_residual(f, 1, spec2, q),
+               "norm_sq": lambda: fm.norm_sq(u, None, spec2, q),
+               "inner": lambda: fm.inner(u, u, CylinderFn("x(1)^2"), spec2, q),
+               "ibp_residual": lambda: do.ibp_residual(f, g, 1, spec2, q),
+               "ibp_residual_weighted": lambda: do.ibp_residual(
+                   f, g, 1, spec2, q, weighted=True, varphi=CylinderFn("x(1)^2"))}[entry]
+        with pytest.raises(ValueError, match="exceed"):
+            run()
+
+
 class TestEstimate:
     """One estimator: mean sum(w v); stderr std(v)/sqrt(N) for Monte Carlo, 0 for
     Gauss-Hermite.  Every integral and residual is that estimate of its integrand."""

@@ -9,9 +9,10 @@ every field is read somewhere, no expression node defines arithmetic
 operators, ``CylinderFn`` is the one function class with arithmetic and the
 only caller of the operand lift, every expression node has a typing rule, and
 importing the command line loads no third-party package but numpy, one
-function forms the weight factor e^{-Re w}, and one loop reads the clock and
-stamps each record's runtime, every target the benchmark's tracer patches
-exists, and no program call or shipped config declares a support radius.
+function forms the weight factor e^{-Re w}, one function reads a quadrature
+rule's nodes and estimates on them, and one loop reads the clock and stamps
+each record's runtime, every target the benchmark's tracer patches exists, and
+no program call or shipped config declares a support radius.
 
 Only the standard ``ast`` module is needed for the source checks.  An imported
 name counts as used when it appears anywhere in the module as a ``Name`` node
@@ -494,6 +495,18 @@ def _calls(tree: ast.Module):
                 if isinstance(node, ast.Call):
                     func = node.func
                     yield owner, getattr(func, "id", None) or getattr(func, "attr", None), node
+
+
+def test_one_function_reads_the_nodes_and_estimates():
+    # every integral goes through gaussmeasure.integrals; the Galerkin space reads
+    # its nodes to assemble matrices and estimates nothing
+    found = {f"{path.name}:{owner}:{name}" for path in MODULES
+             for owner, name, _ in _calls(ast.parse(path.read_text(), filename=str(path)))
+             if name in ("nodes_weights", "estimate")}
+    assert found == {"gaussmeasure.py:integrals:nodes_weights",
+                     "gaussmeasure.py:integrals:estimate",
+                     "solver.py:_galerkin_space:nodes_weights"}, \
+        f"rule nodes read or estimated outside gaussmeasure.integrals: {sorted(found)}"
 
 
 def test_one_loop_times_the_records():

@@ -248,6 +248,18 @@ class TestGridFn:
         rd.mollify(bump_fn(1, 0.5), 0.1, grid_res=61)
         assert sizes.count(61) == 1
 
+    def test_grid_of_declares_a_true_radius(self):
+        # the interpolation is nonzero up to a cell diagonal past f's radius 0.5: the
+        # test helper declares 0.5 + h sqrt(2), as mollify does, and nothing lies beyond
+        g = grid_of(CylinderFn("(1+x(1))*bump((x(1)^2+y(1)^2)/0.25)"), 1, 0.7, 21)
+        assert g.support_radius == pytest.approx(0.5 + 0.07 * np.sqrt(2.0), rel=1e-15)
+        rng = np.random.default_rng(31)
+        r, t = rng.uniform(0.5, 0.65, 200_000), rng.uniform(0.0, 2.0 * np.pi, 200_000)
+        vals = g(np.stack([r * np.cos(t), r * np.sin(t)], axis=1))
+        assert np.count_nonzero(vals[r <= g.support_radius]) > 0
+        assert np.max(r[vals != 0]) > 0.59
+        assert np.count_nonzero(vals[r > g.support_radius]) == 0
+
 
 class TestConvolutionAdjoint:
     def test_zero_g(self, spec1):
