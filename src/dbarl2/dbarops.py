@@ -26,7 +26,7 @@ import numpy as np
 from .forms import Form, _ball_values, _spread, add_term, inner_vals
 from .gaussmeasure import GaussianSpec, MCEstimate, Quadrature, integrals
 from .multiindex import WeightFamily, as_multiindex, contractions, insertions
-from .symfun import (CylinderFn, ZERO_FN, add, const, del_op, delbar_op, delta_op, eval_expr,
+from .symfun import (CylinderFn, add, const, del_op, delbar_op, delta_op, eval_expr,
                      exp_, mul, sigma_op)
 
 
@@ -144,13 +144,19 @@ def weak_dbar_residual(f: Form, g: Form, testfn: CylinderFn, I, K,
     if len(I) != s or len(K) != t + 1:
         raise ValueError("index cardinalities do not match the degrees")
     sgn = -1.0 if (s + 1) % 2 else 1.0
-    terms = [(sgn * sign, f.coeffs[(I, J)], delta_op(testfn, i, spec.a(i)))
+    terms = [(sgn * sign, f.coeffs[(I, J)].expr, delta_op(testfn, i, spec.a(i)).expr)
              for i, J, sign in contractions(K) if (I, J) in f.coeffs]
-    gfn = g.coeffs.get((I, K), ZERO_FN)
-    (est, _, _), = integrals(quad, spec, lambda pts: [(
-        sum((c * fn(pts) * np.conjugate(dtest(pts)) for c, fn, dtest in terms),
-            np.zeros(len(pts), dtype=complex)),
-        gfn(pts) * np.conjugate(testfn(pts)))])
+    pairs = [(fe, de) for _, fe, de in terms] + [(g.coeff(I, K).expr, testfn.expr)]
+
+    def sides(pts):  # both integrands vanish off the supports of their products
+        (on, m, vals, _), = _ball_values(
+            [([e for pair in pairs for e in pair], None, [mul(a, b) for a, b in pairs])], pts)
+        lhs = np.zeros(m, dtype=complex)
+        for (c, _, _), vf, vd in zip(terms, vals[0::2], vals[1::2]):
+            lhs += c * vf * np.conjugate(vd)
+        return [(_spread(lhs, on, None, len(pts)),
+                 _spread(vals[-2] * np.conjugate(vals[-1]), on, None, len(pts)))]
+    (est, _, _), = integrals(quad, spec, sides)
     return est
 
 

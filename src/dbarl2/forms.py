@@ -9,18 +9,24 @@ absent keys are zero.  The squared norm is
 
 computed by ``gaussmeasure.integrals``, the one integral function, on one point
 set shared by all coefficients, so that residual checks can pair their estimates.
+Every integrand is computed by ``_ball_values``, which keeps the values of each
+root it evaluated on the last read-only point set it was given, so the checks
+that share one Monte Carlo set (the adjoint pairing, integration by parts,
+weak d-bar) compute a coefficient or a weight there once.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .gaussmeasure import GaussianSpec, MCEstimate, Quadrature, integrals, support_mask
 from .multiindex import MultiIndex, WeightFamily, as_multiindex
-from .symfun import CylinderFn, ZERO_FN, conj_, eval_expr, max_index, mul, support
+from .symfun import Const, CylinderFn, ZERO_FN, conj_, eval_expr, max_index, mul, support
 
 
 Key = Tuple[MultiIndex, MultiIndex]
@@ -95,6 +101,13 @@ class Form:
         return self.map_coeffs(lambda fn: m * fn)
 
 
+# The value memo of ``_ball_values``: the last point set it was given, when
+# that array is read-only and owns its data, and for each support ball on it
+# (the selection, the points on it, a weak table from each non-constant root
+# to its read-only values there).  Any other point set empties it.
+_memo = SimpleNamespace(pts=None, balls={})
+
+
 def _ball_values(groups, pts: np.ndarray) -> list:
     """(on, m, vals, ew) for each group (exprs, w_fn, integrand): the values of
     exprs and the factor e^{-Re w_fn} (None without a weight) at the m points
@@ -104,29 +117,58 @@ def _ball_values(groups, pts: np.ndarray) -> list:
     when it derives none.  Groups that select the same points share one
     evaluation; a group without exprs, as the zero function, selects no point
     and evaluates no weight; an expression past the points' dimension raises
-    ``ValueError``, even on an empty ball.  The one place that forms e^{-Re w}."""
+    ``ValueError``, even on an empty ball.  The one place that forms e^{-Re w}.
+
+    On a read-only point set that owns its data (the cached Monte Carlo sets,
+    the Galerkin nodes) the values of every non-constant root are kept per
+    ball while its node lives and pts is the last point set given, so a later
+    call computes only the roots it lacks, and nothing below one it has.  The
+    values are read-only; they are those of a cold call, bit for bit."""
     balls: dict = {}
     for k, (exprs, _, integrand) in enumerate(groups):
         balls.setdefault(support(integrand) if exprs else (0.0, 0), []).append(k)
+    if _memo.pts is not pts:
+        _memo.pts = pts if not pts.flags.writeable and pts.flags.owndata else None
+        _memo.balls = {}
+    slot = _memo.balls if _memo.pts is pts else {}
     out = [None] * len(groups)
     for ball, ks in balls.items():
-        on = slice(None) if ball is None else \
-            support_mask(pts, *ball) if ball[0] else np.zeros(len(pts), dtype=bool)
-        sub = pts if ball is None else np.compress(on, pts, axis=0)  # pts[on], but faster
         roots = []
         for k in ks:
             exprs, w_fn = groups[k][:2]
             roots += list(exprs) if w_fn is None else [*exprs, w_fn.expr]
         if 2 * max(map(max_index, roots), default=0) > pts.shape[1]:
             raise ValueError(f"an integrand exceeds the points' C^{pts.shape[1] // 2}")
-        vals = iter(eval_expr(roots, sub) if len(sub) else
-                    [np.zeros(0, dtype=complex)] * len(roots))
+        if ball not in slot:
+            on = slice(None) if ball is None else \
+                support_mask(pts, *ball) if ball[0] else np.zeros(len(pts), dtype=bool)
+            sub = pts if ball is None else np.compress(on, pts, axis=0)  # pts[on], but faster
+            slot[ball] = (on, sub, weakref.WeakKeyDictionary())
+        on, sub, known = slot[ball]
+        vals = iter(_root_values(roots, sub, known))
         for k in ks:
             exprs, w_fn = groups[k][:2]
             coeff_vals = [next(vals) for _ in exprs]
             ew = None if w_fn is None else np.exp(-np.real(next(vals)))
             out[k] = (on, len(sub), coeff_vals, ew)
     return out
+
+
+def _root_values(roots, pts: np.ndarray, known) -> list:
+    """The values of roots at pts: those the weak table known keeps, and the
+    others from one evaluation that reads them; each new non-constant value
+    is kept in known, read-only."""
+    if not len(pts):
+        return [np.zeros(0, dtype=complex)] * len(roots)
+    have = dict(known.items())
+    lacking = [r for r in dict.fromkeys(roots) if r not in have]
+    if lacking:
+        for r, v in zip(lacking, eval_expr(lacking, pts, known=have)):
+            v = have[r] = v.view()
+            v.flags.writeable = False
+            if not isinstance(r, Const):
+                known[r] = v
+    return [have[r] for r in roots]
 
 
 def _weighted_sq_vals(parts, pts: np.ndarray) -> list:

@@ -176,9 +176,9 @@ def compiles_and_runs(monkeypatch):
     compiled, runs = [], []
     init, run = sf.Tape.__init__, sf.Tape.run
 
-    def counting_init(self, e):
+    def counting_init(self, e, known=None):
         compiled.append(e)
-        init(self, e)
+        init(self, e, known)
 
     def recording_run(self, pts):
         outs = run(self, pts)

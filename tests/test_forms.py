@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -275,3 +277,97 @@ class TestFormLiteral:
             (0, 1), fam)
         pts = np.array([[0.5, 0.0]])
         assert f.coeff((), (1,))(pts)[0] == pytest.approx(1.0)
+
+
+def _memo_values() -> list:
+    """Every value the value memo keeps, over the balls of its slot."""
+    return [v for *_, known in fm._memo.balls.values() for v in known.values()]
+
+
+def _empty_memo():
+    fm._memo.pts, fm._memo.balls = None, {}
+
+
+class TestValueMemo:
+    """On a read-only point set that owns its data, ``_ball_values`` computes
+    each non-constant root once while its node lives and the set is the last
+    one given; the values, and so every estimate, are those of a cold call."""
+
+    def _pairings(self, fam, spec2, g0, quad):
+        """adjoint_residual, both ibp_residual variants and weak_dbar_residual
+        on forms whose first coefficient is g0, as ``dbarl2 identities`` pairs them."""
+        ctx = do.OperatorContext(spec2, fam, CylinderFn("x(1)^2"),
+                                 CylinderFn("0.5*(x(1)^2+y(2)^2)"), CylinderFn("0"),
+                                 CylinderFn("x(1)^2"))
+        u = Form((0, 0), {((), ()): g0}, fam)
+        f = Form((0, 1), {((), (1,)): bump_fn(2, 0.8, poly="x(2)+y(1)"),
+                          ((), (2,)): bump_fn(2, 0.8, poly="1-x(1)")}, fam)
+        g1 = f.coeff((), (1,))
+        return [lambda: do.adjoint_residual(u, f, ctx, quad),
+                lambda: do.ibp_residual(g0, g1, 1, spec2, quad),
+                lambda: do.ibp_residual(g0, g1, 1, spec2, quad, weighted=True,
+                                        varphi=ctx.varphi),
+                lambda: do.weak_dbar_residual(u, do.dbar(u), g0, (), (1,), spec2, quad)]
+
+    def test_leaf_is_called_once_across_the_pairings(self, fam, spec2):
+        # without the memo, each of the first three calls evaluates the leaf again
+        g0 = RecordingFn(bump_fn(2, 0.8, poly="1+x(1)-y(2)"))
+        quad = gm.Quadrature("monte_carlo", N=5000, seed=31)
+        for run in self._pairings(fam, spec2, as_leaf(g0), quad):
+            run()
+        assert g0.calls == 1
+        assert np.array_equal(g0.seen[0], quad.nodes_weights(spec2)[0][
+            fm.support_mask(quad.nodes_weights(spec2)[0], 0.8, 2)])
+
+    def test_warm_and_cold_estimates_agree(self, fam, spec2):
+        runs = self._pairings(fam, spec2, bump_fn(2, 0.8, poly="1+x(1)-y(2)"),
+                              gm.Quadrature("monte_carlo", N=5000, seed=32))
+        cold = []
+        for run in runs:
+            _empty_memo()
+            cold.append(repr(run()))
+        _empty_memo()
+        warming = [repr(run()) for run in runs]
+        warm = [repr(run()) for run in runs]
+        assert warming == cold and warm == cold
+
+    def test_writable_points_mutated_in_place_give_new_values(self, fam, spec2):
+        form = Form((0, 1), {((), (1,)): bump_fn(2, 0.8, poly="1+x(1)")}, fam)
+        w = CylinderFn("x(1)^2")
+        pts = gm.sample(spec2, 500, 33)
+        before, = fm._weighted_sq_vals([(form, w)], pts)
+        pts *= 0.5
+        after, = fm._weighted_sq_vals([(form, w)], pts)
+        fresh = pts.copy()
+        fresh.flags.writeable = False
+        assert np.array_equal(after, fm._weighted_sq_vals([(form, w)], fresh)[0])
+        assert not np.array_equal(after, before)
+
+    def test_dead_forms_leave_the_slot(self, fam, spec2):
+        pts = gm.sample(spec2, 500, 34)
+        pts.flags.writeable = False
+        form = Form((0, 1), {((), (1,)): bump_fn(2, 0.7, poly="0.29+x(1)"),
+                             ((), (2,)): CylinderFn("0.41*x(2)*y(1)")}, fam)
+        w = CylinderFn("0.37*x(1)^2+0.13*y(2)^2")
+        fm._weighted_sq_vals([(form, w)], pts)
+        fm.inner_vals(form, form, w, pts)
+        assert fm._memo.pts is pts and len(_memo_values()) == 3  # two coefficients, one weight
+        assert all(not v.flags.writeable for v in _memo_values())
+        del form, w
+        gc.collect()
+        assert fm._memo.pts is pts and not _memo_values()
+
+    def test_a_new_point_set_empties_the_slot(self, fam, spec2):
+        form = Form((0, 1), {((), (1,)): bump_fn(2, 0.8, poly="1+y(2)")}, fam)
+        a, b = gm.sample(spec2, 500, 35), gm.sample(spec2, 400, 36)
+        a.flags.writeable = b.flags.writeable = False
+        fm._weighted_sq_vals([(form, None)], a)
+        slot = fm._memo.balls
+        assert fm._memo.pts is a and len(_memo_values()) == 1
+        fm._weighted_sq_vals([(form, None)], b)
+        assert fm._memo.pts is b and fm._memo.balls is not slot
+        (on, sub, _), = fm._memo.balls.values()
+        assert len(sub) == np.count_nonzero(on) and [len(v) for v in _memo_values()] == [len(sub)]
+        # a read-only view does not own its points: it is not kept, and empties the slot
+        fm._weighted_sq_vals([(form, None)], b[:100])
+        assert fm._memo.pts is None and not fm._memo.balls

@@ -480,7 +480,8 @@ class TestPastTheTruncation:
     GH4 = gm.Quadrature("gauss_hermite", nodes_per_axis=4)
 
     @pytest.mark.parametrize("entry", ["integrate", "gauss_green_residual", "norm_sq",
-                                       "inner", "ibp_residual", "ibp_residual_weighted"])
+                                       "inner", "ibp_residual", "ibp_residual_weighted",
+                                       "weak_dbar_residual"])
     def test_is_refused(self, spec2, fam, entry):
         f, g, q = self.F, CylinderFn("1+x(1)"), self.GH4
         u = fm.Form((0, 0), {((), ()): f}, fam)
@@ -490,7 +491,9 @@ class TestPastTheTruncation:
                "inner": lambda: fm.inner(u, u, CylinderFn("x(1)^2"), spec2, q),
                "ibp_residual": lambda: do.ibp_residual(f, g, 1, spec2, q),
                "ibp_residual_weighted": lambda: do.ibp_residual(
-                   f, g, 1, spec2, q, weighted=True, varphi=CylinderFn("x(1)^2"))}[entry]
+                   f, g, 1, spec2, q, weighted=True, varphi=CylinderFn("x(1)^2")),
+               "weak_dbar_residual": lambda: do.weak_dbar_residual(
+                   u, do.dbar(u), g, (), (1,), spec2, q)}[entry]
         with pytest.raises(ValueError, match="exceed"):
             run()
 

@@ -10,8 +10,9 @@ operators, ``CylinderFn`` is the one function class with arithmetic and the
 only caller of the operand lift, every expression node has a typing rule, and
 importing the command line loads no third-party package but numpy, one
 function forms the weight factor e^{-Re w}, one function reads a quadrature
-rule's nodes and estimates on them, and one loop reads the clock and stamps
-each record's runtime, every target the benchmark's tracer patches exists, and
+rule's nodes and estimates on them, ``Tape`` is named only in ``symfun`` and
+``forms._ball_values`` evaluates through ``eval_expr`` alone, one loop reads
+the clock and stamps each record's runtime, every target the benchmark's tracer patches exists, and
 no program call or shipped config declares a support radius.
 
 Only the standard ``ast`` module is needed for the source checks.  An imported
@@ -507,6 +508,20 @@ def test_one_function_reads_the_nodes_and_estimates():
                      "gaussmeasure.py:integrals:estimate",
                      "solver.py:_galerkin_space:nodes_weights"}, \
         f"rule nodes read or estimated outside gaussmeasure.integrals: {sorted(found)}"
+
+
+def test_forms_evaluates_through_eval_expr():
+    # the benchmark's tracer times evaluation by patching symfun.eval_expr in every
+    # module that holds it; a tape compiled outside symfun would run untimed
+    named = {path.name for path in MODULES
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if "Tape" in (getattr(node, "id", None), getattr(node, "attr", None),
+                           getattr(node, "name", None))}
+    assert named == {"symfun.py"}, f"Tape named outside symfun: {', '.join(sorted(named))}"
+    calls = {(owner, name) for owner, name, _ in _calls(ast.parse((SRC / "forms.py").read_text()))
+             if name in ("eval_expr", "_root_values")}
+    assert calls == {("_ball_values", "_root_values"), ("_root_values", "eval_expr")}, \
+        f"forms evaluates outside _ball_values and eval_expr: {sorted(calls)}"
 
 
 def test_one_loop_times_the_records():
