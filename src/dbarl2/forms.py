@@ -164,7 +164,7 @@ def _root_values(roots, pts: np.ndarray, known) -> list:
     lacking = [r for r in dict.fromkeys(roots) if r not in have]
     if lacking:
         for r, v in zip(lacking, eval_expr(lacking, pts, known=have)):
-            v = have[r] = v.view()
+            v = have[r] = v.view()  # a view: a leaf may return its payload's own array
             v.flags.writeable = False
             if not isinstance(r, Const):
                 known[r] = v

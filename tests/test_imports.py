@@ -12,8 +12,9 @@ importing the command line loads no third-party package but numpy, one
 function forms the weight factor e^{-Re w}, one function reads a quadrature
 rule's nodes and estimates on them, ``Tape`` is named only in ``symfun`` and
 ``forms._ball_values`` evaluates through ``eval_expr`` alone, one loop reads
-the clock and stamps each record's runtime, every target the benchmark's tracer patches exists, and
-no program call or shipped config declares a support radius.
+the clock and stamps each record's runtime, every target the benchmark's
+tracer patches exists, and no program call or shipped config declares a
+support radius.
 
 Only the standard ``ast`` module is needed for the source checks.  An imported
 name counts as used when it appears anywhere in the module as a ``Name`` node
