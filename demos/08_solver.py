@@ -6,8 +6,6 @@ a-priori bound, and the classical planar transform gives an independent
 second solution whose norm can only be larger.
 """
 
-import math
-
 import numpy as np
 
 from dbarl2 import dbarops as do
@@ -39,7 +37,7 @@ print(f"  numerical rank {rep.rank} of basis size {rep.basis_dim}, "
       f"condition number {rep.cond:.2e}")
 
 print("\nIndependent oracle: the planar transform u_c(z) = -(1/pi) int f/(zeta - z)")
-oracle = sv.CauchyOracle(f1=f.coeff((), (1,)), reach=0.7 * math.sqrt(2) + R + 0.1)
+oracle = sv.CauchyOracle(f1=f.coeff((), (1,)))
 val = oracle.dbar_residual_on_grid(extent=0.7, res=7)
 print(f"  oracle validation: max |dbar u_c - f| on a grid = {val:.1e}")
 pts, w = prob.quad.nodes_weights(spec)

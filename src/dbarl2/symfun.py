@@ -910,22 +910,56 @@ def _parse_sum(toks: list, j: int, depth: int) -> tuple:
 
     One ``add`` of all the terms builds the tree of adding them one at a time,
     since add folds its constants left to right from +0 and so never makes a
-    zero part negative.  A product keeps mul's left fold: mul multiplies a
-    nested product's constant by 1 again, which can flip the sign of a zero
-    part (i*i*i gives -1j left to right but -0.0-1j in one call)."""
+    zero part negative.  A product builds mul's left fold (``_parse_product``):
+    mul multiplies a nested product's constant by 1 again, which can flip the
+    sign of a zero part (i*i*i gives -1j left to right but -0.0-1j in one call)."""
     terms, sign = [], "+"
     if toks[j] in ("+", "-"):
         sign, j = toks[j], j + 1
     while True:
         e, j = _parse_factor(toks, j, depth)
         while toks[j] in ("*", "/"):
-            f, k = _parse_factor(toks, j + 1, depth)
-            e, j = mul(e, f) if toks[j] == "*" else div(e, f), k
+            if toks[j] == "*":
+                e, j = _parse_product(toks, j, depth, e)
+            else:
+                f, j = _parse_factor(toks, j + 1, depth)
+                e = div(e, f)
         terms.append(mul(const(-1), e) if sign == "-" else e)
         sign = toks[j]
         if sign not in ("+", "-"):
             return add(*terms) if len(terms) > 1 else terms[0], j
         j += 1
+
+
+def _parse_product(toks: list, j: int, depth: int, e: Expr) -> tuple:
+    """The node mul(...mul(mul(e, f1), f2)..., fm) of the run '* f1 * ... * fm'
+    at toks[j], and the index of the token after it, in one pass: after the
+    first mul the fold is its constant ``head`` (or None) and its other
+    factors, and each step does mul's constant arithmetic, (1+0j) * head * the
+    new factor's constants in order, dropping a constant of exactly 1 and
+    collapsing to ZERO at 0, without copying the factors at every step."""
+    f, j = _parse_factor(toks, j + 1, depth)
+    e = mul(e, f)
+    if toks[j] != "*":
+        return e, j
+    rest = list(e.factors if isinstance(e, Mul) else (e,))
+    head = rest.pop(0) if isinstance(rest[0], Const) else None
+    while toks[j] == "*":
+        f, j = _parse_factor(toks, j + 1, depth)
+        cval = 1.0 + 0.0j if head is None else (1.0 + 0.0j) * head.val
+        for g in (f.factors if isinstance(f, Mul) else (f,)):
+            if isinstance(g, Const):
+                cval *= g.val
+            else:
+                rest.append(g)
+        if cval == 0:
+            head, rest = ZERO, []
+        elif cval != 1:
+            head = Const(cval)
+        else:
+            head = None if rest else ONE
+    out = [head] + rest if head is not None else rest
+    return (out[0] if len(out) == 1 else Mul(tuple(out))), j
 
 
 def _parse_factor(toks: list, j: int, depth: int) -> tuple:

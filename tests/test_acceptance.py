@@ -308,7 +308,7 @@ def test_criterion_10_minimal_norm_solve():
     # Cauchy-transform oracle on the first problem
     u, rep, f = norms[0]
     f1 = f.coeff((), (1,))
-    oracle = sv.CauchyOracle(f1=f1, reach=0.7 * math.sqrt(2) + R + 0.1)
+    oracle = sv.CauchyOracle(f1=f1)
     val = oracle.dbar_residual_on_grid(extent=0.7, res=9)
     ok = ok and val <= 1e-4
     pts, w = gh.nodes_weights(spec1)

@@ -29,7 +29,7 @@ GOLDEN_STDOUT = {
     "05": "89418d12ea880d36b6cc2e749f9b1bbb0caa4e374f7c102721f5e0f58d628ef5",
     "06": "ba95c6f7d8e45a9475e95df75666b2b57856a5002e9e19f6fa421c3fee2cb29d",
     "07": "ab6d4fbcef448d0d78ca1e10cbf0eadd9e0d1f3cde4c7baea8c3b6f7197457fd",
-    "08": "a9d3a7d02cbf891087267e1ab4f2a3d46a06870c523ba65d7aece4a465ddaebe",
+    "08": "eff86404c640e1ee9e034dd7fd8cb21fd71ca4a85685a3f7250373468b510e11",
 }
 
 

@@ -13,15 +13,15 @@ from dbarl2 import solver as sv
 from dbarl2 import weights as wt
 from dbarl2.forms import Form, norm_sq, support_mask
 from dbarl2.multiindex import check_conditions, constant_family, multiplicative_family
-from dbarl2.symfun import CylinderFn, EvalError, delbar_op, support_radius_in
+from dbarl2.symfun import CylinderFn, EvalError, support_radius_in
 
-from conftest import (CountingFn, RecordingFn, ScalarTwo, as_leaf, bump_fn, compiles_and_runs,
+from conftest import (CountingFn, ScalarTwo, as_leaf, bump_fn, compiles_and_runs,
                       random_form)
 
 
 R = 0.8
 GH24 = gm.Quadrature("gauss_hermite", nodes_per_axis=24)
-# points where the oracle with criterion 10's reach is out of range
+# points beyond the support disc of radius R
 FAR_POINTS = np.array([(2.48, 0.0), (-1.8, -1.2), (1.5, 1.0), (-1.2, -2.1)])
 
 
@@ -570,7 +570,7 @@ class TestCauchyOracle:
         spec, ctx = quad_ctx
         u0, f = manufactured
         f1 = f.coeff((), (1,))
-        oracle = sv.CauchyOracle(f1=f1, reach=0.7 * np.sqrt(2) + R + 0.1)
+        oracle = sv.CauchyOracle(f1=f1)
         assert oracle.dbar_residual_on_grid(extent=0.7, res=7) <= 1e-4
         prob = sv.SolveProblem(ctx=ctx, domain=dm.ball(r=1.0), f=f, degree=8,
                                n=1, radius=R, quad=GH24)
@@ -580,107 +580,104 @@ class TestCauchyOracle:
         norm_uc = float(np.sqrt(np.sum(w * np.abs(oracle(pts)) ** 2 * w1v)))
         assert rep.norm_u_w1 <= norm_uc * (1 + 1e-3)
 
-    def test_batched_equals_per_radius_loop(self, manufactured):
-        f1 = manufactured[1].coeff((), (1,))
-        oracle = sv.CauchyOracle(f1=f1, reach=0.7 * np.sqrt(2) + R + 0.1)
-        rng = np.random.default_rng(8)
-        for pts in (rng.uniform(-0.7, 0.7, (1, 2)), rng.uniform(-0.7, 0.7, (5, 2))):
-            assert np.array_equal(oracle(pts), _per_radius(oracle, f1, pts))
-        # N * nt >= _ORACLE_CHUNK: one radius per call, as the reference does
-        pts = rng.uniform(-0.7, 0.7, (43, 2))
-        assert 43 * sv._ORACLE_NT >= sv._ORACLE_CHUNK
-        assert np.array_equal(oracle(pts), _per_radius(oracle, f1, pts))
-        mixed = np.concatenate([pts[:39], FAR_POINTS])
-        assert np.array_equal(oracle(mixed), _per_radius(oracle, f1, mixed))
+    @pytest.mark.parametrize("poly", ["x(1)", "x(1)+0.5*y(1)^2"])
+    def test_exact_transform_at_every_point(self, poly, quad_ctx, fam):
+        # criterion 10's problems: f = dbar u0 with u0 compactly supported, so
+        # the transform of f is u0 itself, inside the support disc and beyond it
+        u0 = bump_fn(1, R, poly=poly)
+        oracle = sv.CauchyOracle(f1=do.dbar(Form((0, 0), {((), ()): u0}, fam)).coeff((), (1,)))
+        sup = float(np.max(np.abs(u0(gm._mesh(np.linspace(-R, R, 401), 2)))))
+        near = np.random.default_rng(11).uniform(-0.7, 0.7, (200, 2))
+        for pts in (near, FAR_POINTS, GH24.nodes_weights(quad_ctx[0])[0]):
+            assert np.max(np.abs(oracle(pts) - u0(pts))) <= 1e-9 * sup
 
-    def test_masked_equals_dense_beyond_reach(self, manufactured):
-        # beyond reach - R the oracle is wrong, but bitwise as wrong as the dense rule
-        f1 = manufactured[1].coeff((), (1,))
-        oracle = sv.CauchyOracle(f1=f1, reach=0.7 * np.sqrt(2) + R + 0.1)
-        for z in FAR_POINTS:
-            assert np.array_equal(oracle(z[None]), _per_radius(oracle, f1, z[None]))
-        near_far = np.concatenate([[[0.1, -0.3], [0.0, 0.0]], FAR_POINTS, [[5.0, 0.0]]])
-        assert np.array_equal(oracle(near_far), _per_radius(oracle, f1, near_far))
+    def test_batch_equals_per_point_calls(self, manufactured):
+        oracle = sv.CauchyOracle(f1=manufactured[1].coeff((), (1,)))
+        rng = np.random.default_rng(12)
+        pts = np.concatenate([rng.uniform(-0.7, 0.7, (6, 2)), FAR_POINTS,
+                              [[0.0, 0.0], [R, 0.0], [0.0, -R], [5.0, 0.0]]])
+        got = oracle(pts)
+        assert np.array_equal(got, [oracle(p[None])[0] for p in pts])
+        assert np.array_equal(oracle(pts[::-1]), got[::-1])
 
-    def test_masked_equals_dense_on_other_integrands(self, manufactured):
-        # the dbar integrand of dbar_residual_on_grid, and a real-valued one
-        f1 = manufactured[1].coeff((), (1,))
-        oracle = sv.CauchyOracle(f1=f1, reach=0.7 * np.sqrt(2) + R + 0.1)
-        pts = np.concatenate([gm._mesh(np.linspace(-0.7, 0.7, 3), 2), FAR_POINTS[:1]])
-        for g in (delbar_op(f1, 1), as_leaf(RealPart(manufactured[0].coeff((), ())))):
-            assert np.array_equal(oracle._apply(g, pts), _per_radius(oracle, g, pts))
+    def test_far_field_moments_of_a_dbar_vanish(self, manufactured):
+        # beyond R, u(z) = 2 sum_k m_k z^-(k+1) with m_k/R^(k+1) = int f (zeta/R)^k dA / (2 pi R):
+        # on the circle |z| = 1.25 R the modes of u give the moments, which are 0
+        # for f = dbar u0 with u0 compactly supported, and not for (1 + x1) bump
+        rad, nt = 1.25 * R, 64
+        th = np.arange(nt) * (2 * np.pi / nt)
+        circle = rad * np.stack([np.cos(th), np.sin(th)], axis=1)
+        k = np.arange(sv._ORACLE_NT // 2)
+
+        def moments(f1):
+            modes = np.fft.fft(sv.CauchyOracle(f1=f1)(circle)) / nt
+            return 0.5 * modes[-(k + 1)] * (rad / R) ** (k + 1)
+        assert np.max(np.abs(moments(manufactured[1].coeff((), (1,))))) <= 1e-12
+        assert np.max(np.abs(moments(bump_fn(1, R, poly="1+x(1)")))) >= 1e-2
+
+    def test_nested_counts_agree(self, monkeypatch):
+        # f = (1 + x1) bump has no compactly supported primitive: the transform
+        # is known only through the rule, at counts m and 2m
+        oracle = sv.CauchyOracle(f1=bump_fn(1, R, poly="1+x(1)"))
+        pts = np.concatenate([np.random.default_rng(13).uniform(-0.7, 0.7, (40, 2)), FAR_POINTS])
+        got = oracle(pts)
+        monkeypatch.setattr(sv, "_ORACLE_NR", 2 * sv._ORACLE_NR)
+        monkeypatch.setattr(sv, "_ORACLE_NT", 2 * sv._ORACLE_NT)
+        ref = oracle(pts)
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_integrand_sees_only_live_nodes(self, manufactured):
+        # one call of the integrand per call of the oracle, on nodes inside the
+        # support disc: one set of radii shared by the points beyond R, two per point inside
         f1 = manufactured[1].coeff((), (1,))
-        reach = 0.7 * np.sqrt(2) + R + 0.1
         rng = np.random.default_rng(10)
-        for pts in (rng.uniform(-0.7, 0.7, (1, 2)), FAR_POINTS[:1],
-                    np.concatenate([rng.uniform(-0.7, 0.7, (3, 2)), FAR_POINTS])):
+        for pts, rows in ((rng.uniform(-0.7, 0.7, (1, 2)), 2), (FAR_POINTS[:1], 1),
+                          (np.concatenate([rng.uniform(-0.7, 0.7, (3, 2)), FAR_POINTS]), 7)):
             g = InsideSupport(f1)
-            oracle = sv.CauchyOracle(f1=as_leaf(g), reach=reach)
-            oracle(pts)
-            # exactly the polar nodes that pass the support test, each once
-            assert g.points == sum(np.count_nonzero(np.sum(shift ** 2, axis=1)
-                                                    <= gm.support_rsq(R))
-                                   for _, shift in _polar_nodes(oracle, pts))
-        # every circle about (5, 0) misses the support: no row is built
-        g = InsideSupport(f1)
-        assert np.array_equal(sv.CauchyOracle(f1=as_leaf(g), reach=reach)(np.array([[5.0, 0.0]])),
-                              np.zeros(1))
-        assert g.calls == 0
-
-    def test_one_call_per_batch_of_radii(self, manufactured):
-        # reach 2, z = 0: only the radii r <= R = 0.8 reach the support disc, and
-        # each of those circles lies inside it. They are the Gauss-Legendre
-        # radii r = 1 + t with t <= -0.2 (223 of 512, the nearest 0.002 from the
-        # edge), in batches of 16384 // 384 = 42 rows: ceil(223 / 42) = 6 calls
-        g = CountingFn(manufactured[1].coeff((), (1,)))
-        sv.CauchyOracle(f1=as_leaf(g), reach=2.0)(np.zeros((1, 2)))
-        rows = int(np.count_nonzero(sv._leggauss(512)[0] + 1.0 <= 0.8))
-        assert rows == 223
-        assert g.calls == 6 == -(-rows // (sv._ORACLE_CHUNK // 384))
+            sv.CauchyOracle(f1=as_leaf(g))(pts)
+            assert g.calls == 1 and g.points == rows * sv._ORACLE_NR * sv._ORACLE_NT
 
     def test_integrand_is_compiled_once_per_call(self, manufactured, monkeypatch):
         f1 = CylinderFn(manufactured[1].coeff((), (1,)).expr)  # never called yet
-        oracle = sv.CauchyOracle(f1=f1, reach=2.0)
-        pts = np.array([[0.1, -0.2], [0.3, 0.25]])
+        oracle = sv.CauchyOracle(f1=f1)
+        pts = np.array([[0.1, -0.2], [0.3, 0.25], [1.5, 1.0]])
         compiled, runs = compiles_and_runs(monkeypatch)
         got = oracle(pts)
         assert np.array_equal(oracle(pts), got)
         monkeypatch.undo()
-        # several batches of radii over two calls, one tape: the function keeps its own
-        assert len(runs) > 2 and compiled == [f1.expr]
-        for shift, vals in runs:  # each batch as its own evaluation of f1
-            assert np.array_equal(vals, f1(shift))
-        assert np.array_equal(got, _per_radius(oracle, f1, pts))
+        # one run per call, one tape: the function keeps its own
+        assert len(runs) == 2 and compiled == [f1.expr]
+        for nodes, vals in runs:
+            assert np.array_equal(vals, f1(nodes))
 
     def test_nonfinite_point_propagates(self, manufactured):
+        # a non-finite point gives NaN, reaches no integrand, and leaves the other points as they are
         f1 = manufactured[1].coeff((), (1,))
-        oracle = sv.CauchyOracle(f1=f1, reach=1.0)
-        with np.errstate(invalid="ignore"):
-            got = oracle(np.array([[np.nan, 0.0], [np.inf, 0.0], [0.1, 0.2]]))
-        assert np.isnan(got[:2]).all()
-        assert np.array_equal(got[2:], _per_radius(oracle, f1, np.array([[0.1, 0.2]])))
-
-    def test_nonfinite_point_keeps_the_mask(self, manufactured):
-        # every node about a NaN point reaches the integrand; off the support, no
-        # node about a finite point of the same call does
-        g = RecordingFn(manufactured[1].coeff((), (1,)))
-        with np.errstate(invalid="ignore"):
-            sv.CauchyOracle(f1=as_leaf(g), reach=1.0)(np.array([[np.nan, 0.0], [0.1, 0.2]]))
-        sq = np.sum(np.concatenate(g.seen) ** 2, axis=1)
-        assert np.count_nonzero(np.isnan(sq)) == sv._ORACLE_NR * sv._ORACLE_NT
-        assert np.all(sq[~np.isnan(sq)] <= gm.support_rsq(R))
+        oracle = sv.CauchyOracle(f1=as_leaf(InsideSupport(f1)))
+        got = oracle(np.array([[np.nan, 0.0], [np.inf, 0.0], [0.1, 0.2], [2.0, -np.inf]]))
+        assert np.isnan(got[[0, 1, 3]]).all()
+        assert np.array_equal(got[2:3], oracle(np.array([[0.1, 0.2]])))
 
     def test_constant_scalar_integrand(self):
-        oracle = sv.CauchyOracle(f1=as_leaf(ScalarTwo(1)), reach=1.0)
-        pts = np.random.default_rng(9).uniform(-1, 1, (7, 2))
-        got = oracle(pts)
-        assert got.shape == (7,)
-        assert np.array_equal(got, _per_radius(oracle, oracle.f1, pts))
+        # a function with no derived disc in C^1 is refused, naming it: a constant,
+        # a logarithm, and a bump over C^2
+        for f1 in (as_leaf(ScalarTwo(1)), CylinderFn("log(x(1))"), CylinderFn("2"),
+                   bump_fn(2, R)):
+            with pytest.raises(ValueError, match="none is derived for"):
+                sv.CauchyOracle(f1=f1)
+        with pytest.raises(ValueError, match="ScalarTwo"):
+            sv.CauchyOracle(f1=as_leaf(ScalarTwo(1)))
+
+    def test_reach_is_a_checked_claim(self, manufactured):
+        f1 = manufactured[1].coeff((), (1,))
+        for reach in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="reach"):
+                sv.CauchyOracle(f1=f1, reach=reach)
+        pts = np.concatenate([[[0.1, 0.2]], FAR_POINTS])
+        assert np.array_equal(sv.CauchyOracle(f1=f1, reach=0.5)(pts), sv.CauchyOracle(f1=f1)(pts))
 
     def test_eval_error_propagates(self):
-        oracle = sv.CauchyOracle(f1=CylinderFn("log(x(1))"), reach=1.0)
+        oracle = sv.CauchyOracle(f1=bump_fn(1, R, poly="log(x(1))"))
         with pytest.raises(EvalError):
             oracle(np.zeros((1, 2)))
 
@@ -703,38 +700,3 @@ class InsideSupport(CountingFn):
         assert np.all(pts[:, 0] ** 2 + pts[:, 1] ** 2 <= gm.support_rsq(self.support_radius))
         self.points += len(pts)
         return super().__call__(pts)
-
-
-class RealPart(CountingFn):
-    """The real part of a function, as a float array."""
-
-    def __call__(self, pts):
-        return np.real(super().__call__(pts))
-
-
-def _polar_nodes(oracle, pts):
-    """The oracle's polar rule radius by radius: (weight, (N * nt, 2) nodes)."""
-    N, nt = len(pts), sv._ORACLE_NT
-    rr, wr = np.polynomial.legendre.leggauss(sv._ORACLE_NR)
-    r = 0.5 * oracle.reach * (rr + 1.0)
-    wr = 0.5 * oracle.reach * wr
-    th = (np.arange(nt) + 0.5) * (2.0 * np.pi / nt)
-    cx, sx = np.cos(th), np.sin(th)
-    base_x, base_y = np.repeat(pts[:, 0], nt), np.repeat(pts[:, 1], nt)
-    shift = np.empty((N * nt, 2))
-    for rj, wj in zip(r, wr):
-        shift[:, 0] = base_x + rj * np.tile(cx, N)
-        shift[:, 1] = base_y + rj * np.tile(sx, N)
-        yield wj, shift
-
-
-def _per_radius(oracle, g, pts):
-    """Reference: the oracle's polar rule as one evaluation of g per radius."""
-    N, nt = len(pts), sv._ORACLE_NT
-    th = (np.arange(nt) + 0.5) * (2.0 * np.pi / nt)
-    wt = 2.0 * np.pi / nt
-    phase = np.tile(np.cos(th) - 1j * np.sin(th), N)
-    out = np.zeros(N, dtype=complex)
-    for wj, shift in _polar_nodes(oracle, pts):
-        out += (wj * wt) * (g(shift) * phase).reshape(N, nt).sum(axis=1)
-    return -out / np.pi

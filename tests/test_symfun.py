@@ -1,6 +1,7 @@
 import gc
 import math
 import sys
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -105,6 +106,19 @@ def _draw_sum(draw, depth):
     return spaced(text), e
 
 
+# factors of a product, with the nodes the parser builds for them: i and the
+# constants whose zero parts carry a sign, zeros, an underflow, nested products
+_PRODUCT_FACTORS = {
+    "i": sf.const(1j), "(0-1)": sf.add(sf.const(0.0), sf.mul(sf.const(-1), sf.const(1.0))),
+    "(i*i)": sf.mul(sf.const(1j), sf.const(1j)), "x(1)": sf.x(1), "y(2)": sf.y(2),
+    "z(1)": sf.z(1), "2": sf.const(2.0), "0.5": sf.const(0.5), "0": sf.const(0.0),
+    "1e-200": sf.const(1e-200), "(2*x(1))": sf.mul(sf.const(2.0), sf.x(1)),
+    "(0*x(1))": sf.mul(sf.const(0.0), sf.x(1)),
+    "(i*x(1)*y(1))": sf.mul(sf.mul(sf.const(1j), sf.x(1)), sf.y(1)),
+}
+_DIVISORS = ["i", "(0-1)", "(i*i)", "x(1)", "z(1)", "2", "0.5", "(2*x(1))"]
+
+
 @st.composite
 def _text_and_node(draw):
     with np.errstate(all="ignore"):
@@ -126,9 +140,31 @@ class TestParseOnePass:
         with np.errstate(all="ignore"):
             assert parse(text) is node
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(sorted(_PRODUCT_FACTORS)),
+           st.lists(st.one_of(st.tuples(st.just("*"), st.sampled_from(sorted(_PRODUCT_FACTORS))),
+                              st.tuples(st.just("/"), st.sampled_from(_DIVISORS))), max_size=30))
+    @example("i", [("*", "i"), ("*", "i"), ("*", "x(1)")])  # -1j, not -0.0-1j
+    @example("2", [("*", "0.5"), ("*", "2"), ("*", "0.5")])  # ONE, not a complex 1
+    @example("x(1)", [("*", "0"), ("*", "y(2)")])  # ZERO
+    @example("1e-200", [("*", "1e-200"), ("*", "x(1)")])  # underflows to ZERO
+    def test_a_product_is_the_left_fold(self, first, steps):
+        # the very node of applying mul or div one factor at a time, left to right
+        text, e = first, _PRODUCT_FACTORS[first]
+        for op, f in steps:
+            text += op + f
+            e = sf.mul(e, _PRODUCT_FACTORS[f]) if op == "*" else sf.div(e, _PRODUCT_FACTORS[f])
+        assert parse(text) is e
+
+    def test_a_long_product_parses_in_linear_time(self):
+        start = time.perf_counter()
+        e = parse("*".join(["x(1)"] * 20_000))
+        assert time.perf_counter() - start < 1.0
+        assert e.factors == (sf.x(1),) * 20_000
+
     @pytest.mark.parametrize("n", [2000, 20000])
     def test_a_sum_is_one_add(self, monkeypatch, n):
-        # a product stays one mul per '*' (see _parse_sum)
+        # a run of '*' is one mul, its first step (see _parse_product)
         calls = {"add": 0, "mul": 0}
 
         def counted(name, build):
@@ -140,7 +176,7 @@ class TestParseOnePass:
         for name in calls:
             monkeypatch.setattr(sf, name, counted(name, getattr(sf, name)))
         e = parse(" + ".join(f"{k}*x(1)*y({k % 3 + 1})" for k in range(1, n + 1)))
-        assert calls == {"add": 1, "mul": 2 * n}
+        assert calls == {"add": 1, "mul": n}
         assert len(e.terms) == n
 
     @pytest.mark.parametrize("opener", ["(", "exp(", "conj("])
