@@ -12,7 +12,8 @@ margin,pass), byte-identical for identical configs.  A record passes when
 ladder, which passes when each step does; a refused one prints ``refused:
 <reason>``.  Exit codes: 0 all checks pass, 1 any check failed or was
 refused, 2 config error (a value ``KEYS`` refuses, a limit of the library, or
-nothing to check), 3 a check crashed (traceback on stderr, no report).
+nothing to check), 3 a check crashed (traceback on stderr; the report holds
+the records made before it and an ``error`` record naming the exception).
 """
 
 from __future__ import annotations
@@ -331,14 +332,14 @@ COMMANDS = {"identities": cmd_identities, "conditions": cmd_conditions,
             "majorant": cmd_majorant}
 
 
-def run_checks(records) -> list:
-    """The records, each stamped with its wall time: the one place that reads the clock."""
-    out, t0 = [], time.perf_counter()
+def run_checks(records, out: list):
+    """Append the records to out, each stamped with its wall time: the one
+    place that reads the clock.  When a check raises, out keeps those before it."""
+    t0 = time.perf_counter()
     for rec in records:
         t1 = time.perf_counter()
         out.append(replace(rec, runtime_ms=(t1 - t0) * 1e3))
         t0 = t1
-    return out
 
 
 def write_reports(records, out_dir: Path, command: str):
@@ -368,11 +369,12 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    out_dir = Path(args.out)
+    out_dir, checks, records = Path(args.out), None, []
     try:
         c = read_config(args.command, config, args.seed)
         out_dir.mkdir(parents=True, exist_ok=True)
-        records = run_checks(COMMANDS[args.command](c, c["seed"], out_dir))
+        checks = COMMANDS[args.command](c, c["seed"], out_dir)
+        run_checks(checks, records)
         if not records:
             raise ConfigError("nothing to check")
     except ValueError as exc:  # a ConfigError, or a limit of the library
@@ -381,6 +383,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # a crash, not a failed check
         traceback.print_exc()
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if checks is not None:  # the checks had started
+            write_reports(records + [CheckOutcome.crashed(exc)], out_dir, args.command)
         return 3
 
     write_reports(records, out_dir, args.command)

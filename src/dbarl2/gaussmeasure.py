@@ -303,12 +303,15 @@ def verdict(margin: float, stderr: float, tol: float) -> bool:
 STRICT = -math.ulp(0.0)
 
 
+ERROR = "error"  # the check_id of the record a crashed check leaves
+
+
 @dataclass
 class CheckOutcome:
     """One check: its two sides, stderr, margin and verdict (None when refused,
     with the reason).  The runtime, stamped by ``cli.run_checks``, is
     console-only, so reports stay byte-identical across runs.  Build a record
-    with ``judged`` or ``refused``."""
+    with ``judged``, ``refused`` or ``crashed``."""
 
     check_id: str
     lhs: float
@@ -330,6 +333,13 @@ class CheckOutcome:
         """The record of a check whose hypotheses fail: no numbers, no verdict."""
         return CheckOutcome(check_id, 0.0, 0.0, 0.0, 0.0, None, reason=reason)
 
+    @staticmethod
+    def crashed(exc: Exception) -> "CheckOutcome":
+        """The ``error`` record of a check that raised: no numbers, failed,
+        its reason (written to the report) the exception's type and message."""
+        return CheckOutcome(ERROR, math.nan, math.nan, math.nan, math.nan, False,
+                            reason=f"{type(exc).__name__}: {exc}")
+
     def row(self):
         return [self.check_id, repr(float(self.lhs)), repr(float(self.rhs)),
                 repr(float(self.stderr)), repr(float(self.margin)),
@@ -339,7 +349,8 @@ class CheckOutcome:
         """The report record as strict JSON: a non-finite number is null."""
         return {"check_id": self.check_id, "pass": bool(self.passed),
                 **{k: json_number(float(getattr(self, k)))
-                   for k in ("lhs", "rhs", "stderr", "margin")}}
+                   for k in ("lhs", "rhs", "stderr", "margin")},
+                **({"reason": self.reason} if self.check_id == ERROR else {})}
 
 
 def json_number(v):

@@ -36,8 +36,12 @@ constructors.
 Nodes are hash-consed: a constructor returns the one live node with the same
 type, scalar fields (floats and complex values by their exact bits) and
 children, so structurally equal trees are one object and node equality is
-identity.  A node's ``max_index`` is computed once, when it is made, and
-derivatives are kept in a bounded table keyed by node.
+identity.  Nodes are slotted dataclasses with no instance dict.  On a miss the
+interning metaclass makes the node itself (``object.__new__``, its field
+slots, then its typing ``_op`` and ``max_index``, each computed once from its
+children's), and ``support`` memoises in a slot of its own.  ``add`` and
+``mul`` flatten and fold their constants in one pass.  Derivatives are kept in
+a bounded table keyed by node.
 
 Evaluation compiles one root or several to a ``Tape``: every distinct node
 under them, children first, each with its kernel and the slot of its last
@@ -123,73 +127,126 @@ def _forget(ref, table=_INTERNED):
         del table[ref.key]
 
 
+class _Ref(weakref.ref):
+    """An intern table entry: a weak reference to a node that carries the
+    node's key for ``_forget`` (``weakref.KeyedRef`` without its Python-level
+    ``__new__`` and ``__init__``)."""
+    __slots__ = ("key",)
+
+
 class _Interned(type):
     """Node classes whose constructor returns the one live node with the same
     type, scalar fields and children (Filliatre & Conchon, hash-consing).
 
     Structurally equal trees are therefore one object, so node equality and
     hashing are identity, and an id-keyed memo shares every common subtree.
+
+    A node's key is ``(cls, *map(_field_key, fields))`` (``Expr._key``).  On
+    a miss the node is made here: its slots are set, and its ``_op`` and
+    ``_max_index`` are computed once, from its children's.
     """
+
+    def __init__(cls, name, bases, ns):
+        super().__init__(name, bases, ns)
+        if bases:  # a node class: the setters of its fields, in order
+            cls._puts = tuple(cls.__dict__[f].__set__ for f in ns["__slots__"])
 
     def __call__(cls, *args, **kwargs):
         if kwargs:  # dataclasses.replace passes every field by name
             args += tuple(kwargs[f.name] for f in fields(cls)[len(args):])
-        key = (cls, *map(_field_key, args))
+        key = cls._key(*args)
         ref = _INTERNED.get(key)
-        node = ref() if ref is not None else None
-        if node is None:
-            node = super().__call__(*args)
-            _INTERNED[key] = weakref.KeyedRef(node, _forget, key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = _new(cls)
+        for put, v in zip(cls._puts, args):
+            put(node, v)
+        op = _RULES[cls](node)
+        kids = op[0]
+        if kids:
+            top = kids[0]._max_index if len(kids) == 1 else max([c._max_index for c in kids])
+        elif cls is Var:
+            top = node.i
+        elif cls is Leaf:
+            top = node.fn.dim
+        else:
+            top = 0
+        _put_op(node, op)
+        _put_max_index(node, top)
+        ref = _INTERNED[key] = _Ref(node, _forget)
+        ref.key = key
         return node
+
+
+_new = object.__new__
 
 
 @dataclass(frozen=True, eq=False)
 class Expr(metaclass=_Interned):
-    def __post_init__(self):
-        # depends only on the node, so it is computed once, from the children's:
-        # the largest variable index, and how a Tape evaluates the node
-        op = _RULES[type(self)](self)
-        if op[0]:
-            top = max([c._max_index for c in op[0]])
-        elif isinstance(self, Var):
-            top = self.i
-        elif isinstance(self, Leaf):
-            top = self.fn.dim
-        else:
-            top = 0
-        object.__setattr__(self, "_max_index", top)
-        object.__setattr__(self, "_op", op)
+    # _op: how a Tape evaluates the node (its rule's value); _max_index: the
+    # largest variable index; _support: support()'s memo, set when first read
+    __slots__ = ("_max_index", "_op", "_support", "__weakref__")
+
+    @classmethod
+    def _key(cls, *fields):
+        """The node's intern key; the classes made most often build it directly."""
+        return (cls, *map(_field_key, fields))
+
+
+_put_op = Expr._op.__set__
+_put_max_index = Expr._max_index.__set__
+_put_support = Expr._support.__set__
 
 
 @dataclass(frozen=True, eq=False)
 class Const(Expr):
+    __slots__ = ("val",)
     val: complex
+
+    @staticmethod
+    def _key(val):
+        return Const, (_PACK2(val.real, val.imag) if type(val) is complex else _field_key(val))
 
 
 @dataclass(frozen=True, eq=False)
 class Var(Expr):
+    __slots__ = ("kind", "i")
     kind: str  # "x" or "y"
     i: int
 
 
 @dataclass(frozen=True, eq=False)
 class Add(Expr):
+    __slots__ = ("terms",)
     terms: tuple
+
+    @staticmethod
+    def _key(terms):  # a tuple of nodes is its own key
+        return Add, (terms if type(terms) is tuple else _field_key(terms))
 
 
 @dataclass(frozen=True, eq=False)
 class Mul(Expr):
+    __slots__ = ("factors",)
     factors: tuple
+
+    @staticmethod
+    def _key(factors):
+        return Mul, (factors if type(factors) is tuple else _field_key(factors))
 
 
 @dataclass(frozen=True, eq=False)
 class Div(Expr):
+    __slots__ = ("num", "den")
     num: Expr
     den: Expr
 
 
 @dataclass(frozen=True, eq=False)
 class Pow(Expr):
+    __slots__ = ("base", "k")
     base: Expr
     k: int
 
@@ -197,6 +254,7 @@ class Pow(Expr):
 @dataclass(frozen=True, eq=False)
 class Fun(Expr):
     """The k-th derivative of the primitive ``name`` (a key of _FUNS) at arg."""
+    __slots__ = ("name", "arg", "k")
     name: str
     arg: Expr
     k: int  # no default, so a node's intern key does not depend on how it is built
@@ -205,12 +263,14 @@ class Fun(Expr):
 @dataclass(frozen=True, eq=False)
 class Poly1(Expr):
     """Polynomial in one subexpression, ascending coefficients."""
+    __slots__ = ("arg", "coeffs")
     arg: Expr
     coeffs: tuple
 
 
 @dataclass(frozen=True, eq=False)
 class Conj(Expr):
+    __slots__ = ("arg",)
     arg: Expr
 
 
@@ -218,6 +278,7 @@ class Conj(Expr):
 class Leaf(Expr):
     """An opaque payload (dim, support_radius, a call on points, optional
     d_dx/d_dy), interned by identity."""
+    __slots__ = ("fn",)
     fn: object
 
 
@@ -603,20 +664,24 @@ def _is_const(e: Expr, v=None) -> bool:
 
 
 def add(*terms) -> Expr:
-    flat = []
+    """The sum, flat: a nested sum's terms in its place, and every constant
+    folded into one, the last term, added left to right from +0."""
+    out = []
     cval = 0.0 + 0.0j
     for t in terms:
-        t = _as_expr(t)
-        if isinstance(t, Add):
-            flat.extend(t.terms)
-        else:
-            flat.append(t)
-    out = []
-    for t in flat:
-        if isinstance(t, Const):
+        tt = type(t)
+        if tt is Add:
+            for s in t.terms:
+                if type(s) is Const:
+                    cval += s.val
+                else:
+                    out.append(s)
+        elif tt is Const:
             cval += t.val
-        else:
+        elif isinstance(t, Expr):
             out.append(t)
+        else:
+            cval += _as_expr(t).val
     if cval != 0:
         out.append(Const(cval))
     if not out:
@@ -627,20 +692,25 @@ def add(*terms) -> Expr:
 
 
 def mul(*factors) -> Expr:
-    flat = []
+    """The product, flat: a nested product's factors in its place, and every
+    constant folded into one, the first factor, multiplied left to right from
+    1; ZERO when that constant is 0."""
+    out = []
     cval = 1.0 + 0.0j
     for f in factors:
-        f = _as_expr(f)
-        if isinstance(f, Mul):
-            flat.extend(f.factors)
-        else:
-            flat.append(f)
-    out = []
-    for f in flat:
-        if isinstance(f, Const):
+        ft = type(f)
+        if ft is Mul:
+            for g in f.factors:
+                if type(g) is Const:
+                    cval *= g.val
+                else:
+                    out.append(g)
+        elif ft is Const:
             cval *= f.val
-        else:
+        elif isinstance(f, Expr):
             out.append(f)
+        else:
+            cval *= _as_expr(f).val
     if cval == 0:
         return ZERO
     if cval != 1:
@@ -1040,9 +1110,12 @@ def support(e: Union[Expr, Sequence[Expr]]) -> Optional[tuple]:
         if None in live:
             return None
         return (max(r for r, _ in live), min(k for _, k in live)) if live else (0.0, 0)
-    if "_support" not in e.__dict__:
-        object.__setattr__(e, "_support", _SUPPORT.get(type(e), lambda n: None)(e))
-    return e._support
+    try:
+        return e._support
+    except AttributeError:  # not read yet
+        s = _SUPPORT[type(e)](e)
+        _put_support(e, s)
+        return s
 
 
 def _germ_ball(arg: Expr) -> Optional[tuple]:
@@ -1070,6 +1143,7 @@ def _germ_ball(arg: Expr) -> Optional[tuple]:
 
 _SUPPORT = {
     Const: lambda e: (0.0, 0) if e.val == 0 else None,
+    Var: lambda e: None,
     Add: lambda e: support(e.terms),
     # a zero factor first, then the factor over the most coordinates, then the smallest r
     Mul: lambda e: max(filter(None, map(support, e.factors)),

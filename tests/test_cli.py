@@ -168,7 +168,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("Traceback")
         assert err.endswith("\nerror: EvalError: log of nonpositive real\n")
-        assert not (out / "identities_report.jsonl").exists()
+        # the first check raised: the report is its error record alone
+        assert (out / "identities_report.jsonl").read_text() == json.dumps(
+            {"check_id": "error", "lhs": None, "margin": None, "pass": False,
+             "reason": "EvalError: log of nonpositive real", "rhs": None, "stderr": None},
+            sort_keys=True) + "\n"
+        assert (out / "identities_summary.csv").read_text().splitlines() == [
+            "check_id,lhs,rhs,stderr,margin,pass", "error,nan,nan,nan,nan,false"]
+
+    def test_crash_keeps_the_records_before_it(self, tmp_path, capsys):
+        # the second form's log(x(1)) raises in ibp_delta, after gauss_green_x1 on the first
+        crash = dict(BASE_IDENTITIES, forms=[BASE_IDENTITIES["forms"][0], {
+            "degree": [0, 1], "entries": [{"I": [], "J": [1], "coeff": "log(x(1))"}]}])
+        assert run(["identities", "--config", write_config(tmp_path, crash),
+                    "--out", tmp_path / "crash"]) == 3
+        assert capsys.readouterr().out == ""
+        assert run(["identities", "--config", write_config(tmp_path, BASE_IDENTITIES, "base.json"),
+                    "--out", tmp_path / "base"]) == 0
+        got = (tmp_path / "crash" / "identities_report.jsonl").read_text().splitlines()
+        base = (tmp_path / "base" / "identities_report.jsonl").read_text().splitlines()
+        assert got[0] == base[0] and json.loads(base[0])["check_id"] == "gauss_green_x1"
+        assert json.loads(got[1]) == {
+            "check_id": "error", "lhs": None, "margin": None, "pass": False,
+            "reason": "EvalError: log of nonpositive real", "rhs": None, "stderr": None}
+        assert len(got) == 2
 
     @pytest.mark.parametrize("command", ["solve", "approx"])
     def test_more_than_one_form_exits_two(self, tmp_path, capsys, command):
@@ -196,7 +219,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("code", [0, 1, 2, 3])
     def test_console_entry_point_exit_codes(self, tmp_path, code):
-        # each exit code as a shell sees it; a config error or a crash writes no report
+        # each exit code as a shell sees it; a config error writes no report, and
+        # a crash one that ends in its error record
         bad_quad = dict(BASE_IDENTITIES, quadrature={"kind": "bogus"})
         crash = dict(BASE_IDENTITIES, forms=[{"degree": [0, 0], "entries": [
             {"I": [], "J": [], "coeff": "log(x(1))"}]}])
@@ -209,8 +233,13 @@ class TestExitCodes:
                                str(cfg), "--out", str(out)], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
         assert proc.returncode == code, proc.stderr
-        if code >= 2:
+        if code == 2:
             assert list(out.glob("*")) == []
+        if code == 3:
+            assert sorted(p.name for p in out.glob("*")) == [
+                "identities_report.jsonl", "identities_summary.csv"]
+            assert json.loads((out / "identities_report.jsonl").read_text())["reason"] == \
+                "EvalError: log of nonpositive real"
 
     @pytest.mark.parametrize("trunc_dim", [0, -1])
     def test_domains_trunc_dim_below_one_exits_two(self, tmp_path, trunc_dim):

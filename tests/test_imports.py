@@ -20,8 +20,9 @@ Only the standard ``ast`` module is needed for the source checks.  An imported
 name counts as used when it appears anywhere in the module as a ``Name`` node
 (a load, or the root of an attribute chain).  The package ``__init__``
 re-exports its imports and is exempt from the import check.  A definition
-counts as named when a ``Name`` load, an attribute, an imported name or a
-string a program reads a name from spells it in a module of ``src/``,
+counts as named when a ``Name`` load (save one of a name that an enclosing
+function binds: a parameter or a local variable), an attribute, an imported
+name or a string a program reads a name from spells it in a module of ``src/``,
 ``tests/``, ``demos/`` or ``perfbench/``, outside the definition itself; such
 a string is the (dotted) attribute argument of ``getattr``, ``setattr`` or
 ``hasattr`` (``monkeypatch.setattr`` included) or the attribute of a
@@ -113,15 +114,62 @@ def _name_strings(top: ast.stmt):
             yield node.args[1]
 
 
+def _bound(fn) -> set:
+    """The names a function or lambda binds in its own scope: its parameters,
+    and each name its body assigns, imports, defines or catches, less those
+    it declares global or nonlocal.  A nested function's body is its own
+    scope; a comprehension's variables count as the function's."""
+    a = fn.args
+    names = {p.arg for p in [*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg] if p}
+    declared = set()
+    stack = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        elif isinstance(node, ast.alias):
+            names.add((node.asname or node.name).split(".")[0])
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        if isinstance(node, DEFS):
+            names.add(node.name)
+        if not isinstance(node, (*DEFS, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+    return names - declared
+
+
+def _loads(node: ast.AST, local: frozenset = frozenset()):
+    """Each name a Name node under node loads, save one that an enclosing
+    function or lambda binds in its own scope (``_bound``); a function's
+    decorators, defaults and annotations are read in the scope around it."""
+    if isinstance(node, ast.Name):
+        if isinstance(node.ctx, ast.Load) and node.id not in local:
+            yield node.id
+        return
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        for outer in [*getattr(node, "decorator_list", ()), node.args,
+                      getattr(node, "returns", None)]:
+            if outer is not None:
+                yield from _loads(outer, local)
+        inner = local | _bound(node)
+        for stmt in node.body if isinstance(node.body, list) else [node.body]:
+            yield from _loads(stmt, inner)
+        return
+    for child in ast.iter_child_nodes(node):
+        yield from _loads(child, local)
+
+
 def _spelled(tree: ast.Module):
     """(name, owner) for each name the module spells; owner is the module-level
     definition the spelling sits in (None outside every definition)."""
     for top in tree.body:
         owner = top.name if isinstance(top, DEFS) else None
+        for name in _loads(top):
+            yield name, owner
         for node in ast.walk(top):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                yield node.id, owner
-            elif isinstance(node, ast.Attribute):
+            if isinstance(node, ast.Attribute):
                 yield node.attr, owner
             elif isinstance(node, ast.alias):
                 yield node.name.split(".")[-1], owner
@@ -175,6 +223,23 @@ def test_a_plain_string_names_no_definition(tmp_path):
         'FOUND = hasattr(lib, "probed")\n\n\n'
         'def test_patch(monkeypatch):\n    monkeypatch.setattr(lib, "patched", None)\n')
     assert _unnamed([src / "lib.py", tmp_path / "user.py"], src) == {"custom": "lib.py:1"}
+
+
+def test_a_local_name_names_no_definition(tmp_path):
+    # a parameter or local variable spelled like a definition does not reach
+    # it, in its own function or in one nested in it; a default does
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "lib.py").write_text("".join(f"def {name}():\n    pass\n\n\n" for name in (
+        "inner", "outer", "caught", "shadowed", "default", "declared", "loaded")))
+    (tmp_path / "user.py").write_text(
+        "def f(inner, x=default):\n    return inner(x)\n\n\n"
+        "def g():\n    outer = 1\n    try:\n        pass\n    except ValueError as caught:\n"
+        "        pass\n\n    def h():\n        return outer + caught\n\n"
+        "    return lambda shadowed: shadowed\n\n\n"
+        "def k():\n    global declared\n    declared = 1\n    return declared + loaded()\n")
+    assert _unnamed([src / "lib.py", tmp_path / "user.py"], src) == {
+        "inner": "lib.py:1", "outer": "lib.py:5", "caught": "lib.py:9", "shadowed": "lib.py:13"}
 
 
 def test_domain_catalog_is_the_runner_kinds():

@@ -600,6 +600,22 @@ class TestCauchyOracle:
         assert np.array_equal(got, [oracle(p[None])[0] for p in pts])
         assert np.array_equal(oracle(pts[::-1]), got[::-1])
 
+    def test_a_large_call_holds_one_group_at_a_time(self, manufactured):
+        # 1,000 points inside the disc: one evaluation of all their 12,288,000
+        # nodes would trace about 1 GB (200 points: 171 MiB); groups of
+        # _ORACLE_GROUP points trace 6.9 MiB
+        oracle = sv.CauchyOracle(f1=manufactured[1].coeff((), (1,)))
+        pts = np.random.default_rng(14).uniform(-0.5, 0.5, (1000, 2))
+        oracle(pts[:1])  # the tape is compiled outside the traced call
+        tracemalloc.start()
+        try:
+            got = oracle(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+        assert np.array_equal(got, [oracle(p[None])[0] for p in pts])
+
     def test_far_field_moments_of_a_dbar_vanish(self, manufactured):
         # beyond R, u(z) = 2 sum_k m_k z^-(k+1) with m_k/R^(k+1) = int f (zeta/R)^k dA / (2 pi R):
         # on the circle |z| = 1.25 R the modes of u give the moments, which are 0

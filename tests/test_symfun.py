@@ -1062,3 +1062,189 @@ class TestTape:
                   sf.Fun("log", sf.Mul((one, sf.Pow(x1, 2))), 0)):
             (want,), _ = _reference([e], pts)
             assert np.array_equal(eval_expr(e, pts).real, want.real)
+
+
+# ---------------------------------------------------------------------------
+# The node layer: slotted interned nodes made on the metaclass's miss path
+# ---------------------------------------------------------------------------
+
+def _recipe(n):
+    """n as plain data that holds no node: (class, field values), a child as
+    its own recipe and a tuple of children as a list of them."""
+    args = []
+    for fld in fields(n):
+        v = getattr(n, fld.name)
+        if isinstance(v, sf.Expr):
+            v = _recipe(v)
+        elif type(v) is tuple and v and isinstance(v[0], sf.Expr):
+            v = [_recipe(c) for c in v]
+        args.append(v)
+    return type(n), tuple(args)
+
+
+def _build(recipe, reverse):
+    """The node of a recipe, every child made before its parent: first to
+    last, or last to first when reverse."""
+    cls, args = recipe
+
+    def made(v):
+        if isinstance(v, list):
+            kids = [None] * len(v)
+            for j in (reversed(range(len(v))) if reverse else range(len(v))):
+                kids[j] = _build(v[j], reverse)
+            return tuple(kids)
+        return _build(v, reverse) if type(v) is tuple and isinstance(v[0], type) else v
+
+    out = list(args)
+    for j in (reversed(range(len(args))) if reverse else range(len(args))):
+        out[j] = made(args[j])
+    return cls(*out)
+
+
+def _bits(v):
+    """A kernel argument as comparable data: floats and complex values by
+    their bits, arrays by dtype and bytes, tuples item by item."""
+    if isinstance(v, np.ndarray):
+        return v.dtype.str, v.shape, v.tobytes()
+    if type(v) is tuple:
+        return tuple(map(_bits, v))
+    return sf._field_key(v) if type(v) in (float, complex) else v
+
+
+def _cold_support(e):
+    """support(e) through the rules alone: every node's own rule again, no
+    memo read or written (a sequence keeps its rule, which maps the patched
+    support over it)."""
+    memoised = sf.support
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sf, "support", lambda n: (
+            sf._SUPPORT[type(n)](n) if isinstance(n, sf.Expr) else memoised(n)))
+        return sf.support(e)
+
+
+class TestNodeLayer:
+    """Nodes made on the miss path are the nodes a cold build gives."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_a_rebuilt_tree_is_the_cold_tree(self, data, seed):
+        recipe = _recipe(data.draw(_tree()))  # the drawn tree is freed
+        before = set(sf._INTERNED)
+        first = _build(recipe, reverse=False)
+        assert _build(recipe, reverse=True) is first
+        for n in sf._walk(first):
+            self._check_node(n)
+        # nodes hold no cycles, so reference counting frees them: no entry the
+        # builds made outlives them, before any collection (the collector may
+        # free other entries meanwhile, so the table's size is no measure here,
+        # and a full gc.collect() per example would be most of this test's time)
+        del first, n
+        assert sf._INTERNED.keys() <= before
+        # the tape of the rebuilt tree: one step per distinct structure, the
+        # all-complex evaluator's values
+        e = _build(recipe, reverse=True)
+        assert len(sf.Tape(e)) == _structural_counts([e])[1]
+        pts = np.random.default_rng(seed).uniform(-1.5, 1.5, (64, 4))
+        with np.errstate(all="ignore"):
+            try:
+                (want,), finite = _reference([e], pts)
+            except EvalError as exc:
+                with pytest.raises(EvalError, match=str(exc)):
+                    eval_expr(e, pts)
+                return
+            got = eval_expr(e, pts)
+        if finite:
+            assert np.array_equal(got.real, want.real) and np.array_equal(got.imag, want.imag)
+
+    @staticmethod
+    def _check_node(n):
+        """n's key, slots, typing, largest index and support are a cold build's."""
+        vals = [getattr(n, fld.name) for fld in fields(n)]
+        assert type(n)._key(*vals) == (type(n), *map(sf._field_key, vals))
+        assert not hasattr(n, "__dict__")
+        assert _bits(n._op) == _bits(sf._RULES[type(n)](n))
+        assert n._max_index == max(
+            [m.i if isinstance(m, sf.Var) else m.fn.dim if isinstance(m, sf.Leaf) else 0
+             for m in sf._walk(n)])
+        assert sf.support(n) == _cold_support(n) == sf.support(n)
+
+    def test_a_tree_of_every_kind_leaves_the_table_as_it_was(self):
+        gc.collect()
+        size = len(sf._INTERNED)
+        e = _every_node_kind(_Wave(True))  # a new payload, so a new leaf
+        assert len(sf._INTERNED) > size
+        del e
+        gc.collect()
+        assert len(sf._INTERNED) == size
+
+    def test_odd_scalars_keep_their_keys(self):
+        # a value of another type than the usual one is keyed as _field_key keys
+        # it: by bits, or by identity, never merged with the usual one
+        for cls, args in ((sf.Const, (np.float64(0.5),)), (sf.Const, (complex(0.0, -0.0),)),
+                          (sf.Add, ([sf.x(1), sf.y(1)],)), (sf.Mul, ([sf.x(1), sf.y(1)],))):
+            assert cls._key(*args) == (cls, *map(sf._field_key, args))
+        assert sf.Var("x", np.int64(1)) is not sf.x(1)
+        assert sf.Const(complex(0.0, -0.0)) is not sf.Const(0j)
+
+    def test_nodes_have_no_instance_dict(self):
+        e = _every_node_kind(ScalarTwo(1))
+        for n in sf._walk(e):
+            assert not hasattr(n, "__dict__") and repr(n).startswith(type(n).__name__)
+            # the metaclass sets the slots in the order of the constructor's arguments
+            assert type(n).__slots__ == tuple(fld.name for fld in fields(n))
+        assert set(sf.Expr.__slots__) == {"_max_index", "_op", "_support", "__weakref__"}
+
+
+def _add_ref(*terms):
+    """add as two passes: flatten, then fold the constants (the reference)."""
+    flat = []
+    for t in map(sf._as_expr, terms):
+        flat.extend(t.terms if isinstance(t, sf.Add) else (t,))
+    cval = 0.0 + 0.0j
+    out = []
+    for t in flat:
+        if isinstance(t, sf.Const):
+            cval += t.val
+        else:
+            out.append(t)
+    if cval != 0:
+        out.append(sf.Const(cval))
+    return sf.ZERO if not out else out[0] if len(out) == 1 else sf.Add(tuple(out))
+
+
+def _mul_ref(*factors):
+    """mul as two passes: flatten, then fold the constants (the reference)."""
+    flat = []
+    for f in map(sf._as_expr, factors):
+        flat.extend(f.factors if isinstance(f, sf.Mul) else (f,))
+    cval = 1.0 + 0.0j
+    out = []
+    for f in flat:
+        if isinstance(f, sf.Const):
+            cval *= f.val
+        else:
+            out.append(f)
+    if cval == 0:
+        return sf.ZERO
+    if cval != 1:
+        out.insert(0, sf.Const(cval))
+    return sf.ONE if not out else out[0] if len(out) == 1 else sf.Mul(tuple(out))
+
+
+_X1, _Y2 = sf.x(1), sf.y(2)
+_OPERANDS = st.one_of(
+    st.sampled_from([_X1, _Y2, sf.ZERO, sf.ONE, sf.Const(-0.0), sf.Const(complex(0.0, -0.0)),
+                     sf.add(_X1, sf.const(2.0)), sf.add(_Y2, sf.const(-0.5j), _X1),
+                     sf.mul(sf.const(3j), _Y2), sf.mul(_X1, _Y2), sf.exp_(_X1),
+                     sf.Const(math.inf), sf.Const(complex(math.nan, 1.0)), 2, -1, 0.0, 1j]),
+    _SMALL.map(sf.Const), st.tuples(_SMALL, _SMALL).map(lambda p: sf.Const(complex(*p))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_OPERANDS, max_size=6))
+def test_one_pass_add_and_mul_are_the_two_pass_folds(ops):
+    # the same node: the same operands, constants and signs of zero parts
+    with np.errstate(all="ignore"):
+        assert sf.add(*ops) is _add_ref(*ops)
+        assert sf.mul(*ops) is _mul_ref(*ops)
