@@ -29,7 +29,7 @@ import traceback
 from dataclasses import dataclass, replace
 from functools import cache, partial
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -66,6 +66,7 @@ def _residual(check_id: str, res: float, stderr: float, tol: float) -> CheckOutc
 MAX_INDEX_BUDGET = 20_000  # ratio and identity terms check_conditions may enumerate
 GRID_BUDGET = 4_000_000  # mollifier grid points over the approx ladder
 SAMPLE_BUDGET = 1_000_000  # coordinates of the Monte Carlo or scan points drawn
+HESSIAN_BUDGET = 125_000  # terms of a complex Hessian over trunc_dim coordinates
 G0 = {"one": lambda v: 1.0, "quadratic": lambda v: 1.0 + v * v,
       "staircase": lambda v: 1000.0 if v >= 5 else 1.0}
 _FAMILY = ("identities", "conditions", "approx", "solve")  # the commands that read a family
@@ -78,7 +79,8 @@ class Rule:
     function of the keys read before it), lo its least value or length (strict:
     excluded), hi its greatest length by command, choices its closed set; make
     turns it into what commands use, reaching at most trunc_dim; work is at
-    most budget.  Rows <key>[] and <key>.<name> check list entries and keys."""
+    most budget (a dict: by command, none for a command it does not name).
+    Rows <key>[] and <key>.<name> check list entries and keys."""
 
     by: tuple
     type: str
@@ -90,7 +92,7 @@ class Rule:
     make: Optional[Callable] = None
     reach: Optional[Callable] = None
     work: Optional[Callable] = None
-    budget: int = 0
+    budget: Union[int, dict] = 0
 
 
 def _scales(v, c):
@@ -108,7 +110,9 @@ _draws = partial(Rule, type="int", lo=1, budget=SAMPLE_BUDGET,
 KEYS = {
     "": Rule((), "object", None),
     "seed": Rule((), "int", 0, lo=0),
-    "trunc_dim": Rule(_FAMILY + ("domains",), "int", 2, lo=1),
+    # the domains scan builds trunc_dim^2 Hessian entries of about trunc_dim terms each
+    "trunc_dim": Rule(_FAMILY + ("domains",), "int", 2, lo=1,
+                      budget={"domains": HESSIAN_BUDGET}, work=lambda n, c: n ** 3),
     "a_rule": Rule(_FAMILY, "list", "default", choices=("default",), make=_scales),
     "a_rule[]": Rule((), "number", None, lo=0, strict=True),
     "family": Rule(_FAMILY, "object", {}, make=lambda f, c:
@@ -216,8 +220,9 @@ def _read(command: str, key: str, path: str, v, c: dict):
         if v.keys() - kids:
             raise ConfigError(f"{at}{min(v.keys() - kids)} is not read by {kind or command}")
         v = out
-    if rule.work and rule.work(v, c) > rule.budget:
-        raise ConfigError(f"{path} {v} asks for {rule.work(v, c)} evaluations, over {rule.budget}")
+    budget = rule.budget.get(command, math.inf) if type(rule.budget) is dict else rule.budget
+    if rule.work and rule.work(v, c) > budget:
+        raise ConfigError(f"{path} {v} asks for {rule.work(v, c)} evaluations, over {budget}")
     try:
         v = rule.make(v, c) if rule.make else v
     except ParseError as exc:

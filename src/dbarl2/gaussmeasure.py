@@ -20,12 +20,16 @@ only on the (head, tail node) pairs that ``support_mask``, the one support-ball
 test, keeps: every other term of the tail sum is an exact zero, and a head live
 at no node is an exact 0.  Only the heads live at some node are sorted by norm;
 each head sums its own nodes in the order of the rule, so tied heads may come
-in any order without changing a bit.  The integrand (it compiles itself once)
-is called on batches of whole tail nodes, at most ``_TAIL_CHUNK`` points
-unless one node alone has more (a column-major array), and the sum is
-accumulated node by node in the order of the rule, so the values are bitwise
-those of the per-node loop over all pairs.
-Without a radius every pair is live.
+in any order without changing a bit.  |head|^2 is ``sq_norms``, the one
+squared norm of the support test, summed column by column (np.sum's bits
+below 8 columns).  The integrand (it compiles itself once) is called on
+batches of whole tail nodes, at most ``_TAIL_CHUNK`` points unless one node
+alone has more, and the sum is accumulated node by node in the order of the
+rule, so the values are bitwise those of the per-node loop over all pairs.
+Each call builds its batches in one column-major buffer, sized for its
+largest batch: every coordinate row of a batch is written whole (the head
+rows by contiguous ``take`` into the buffer), so no row of an earlier batch
+is read.  Without a radius every pair is live.
 
 ``integrals`` is the one integral function of the package, the only place that
 reads a rule's nodes and estimates on them (``estimate``: mean and stderr);
@@ -51,15 +55,23 @@ _TAIL_NODES = 8  # nodes on the first tail axis
 _TAIL_CHUNK = 1 << 14  # points per evaluation of the integrand in ReducedFn
 
 
+def sq_norms(pts: np.ndarray, cols: int) -> np.ndarray:
+    """The squared norm of each point over its first ``cols`` columns, summed
+    column by column: the bits of np.sum(pts[:, :cols] ** 2, axis=1) below 8
+    columns, and about 12 times faster on the 121^2 points of a mollifier grid."""
+    rsq = np.zeros(len(pts))
+    for c in range(min(cols, pts.shape[1])):
+        rsq += pts[:, c] ** 2
+    return rsq
+
+
 def support_mask(pts: np.ndarray, radius: Optional[float], dim: int) -> np.ndarray:
     """The one support-ball test: the points whose squared norm over the first
     2 dim columns is at most ``support_rsq(radius)`` or not finite (so a NaN or
     an inf reaches the integrand and propagates); every point without a radius."""
     if radius is None:
         return np.ones(len(pts), dtype=bool)
-    rsq = np.zeros(len(pts))
-    for c in range(min(2 * dim, pts.shape[1])):  # np.sum's row sums below 8 columns, 6x faster
-        rsq += pts[:, c] ** 2
+    rsq = sq_norms(pts, 2 * dim)
     return (rsq <= support_rsq(radius)) | ~np.isfinite(rsq)
 
 
@@ -237,21 +249,23 @@ class ReducedFn:
         if pts.ndim == 1:
             pts = pts[None, :]
         h = 2 * self.dim
-        head = pts[:, :h]
-        N, T = head.shape[0], self._tail_pts.shape[0]
+        N, T = pts.shape[0], self._tail_pts.shape[0]
         if self.support_radius is None:
             order, live = np.arange(N), np.full(T, N)
         else:  # the heads live at some node, by norm: each node's live heads are a prefix
-            hsq = np.sum(head ** 2, axis=1)
+            hsq = sq_norms(pts, h)
             hsq[~np.isfinite(hsq)] = -np.inf  # live at every node, so a NaN stays NaN
             bound = support_rsq(self.support_radius) - self._tail_sq
             order = np.flatnonzero(hsq <= bound.max())
             # each head sums its own nodes in the rule's order, so ties may come in any order
             order = order[np.argsort(hsq[order])]
             live = np.searchsorted(hsq[order], bound, side="right")
-        head_cols = np.take(head.T, order, axis=1)
+        head_cols = [pts[:, c].take(order) for c in range(h)]
         first = np.concatenate(([0], np.cumsum(live)))  # first row of each node
         acc = np.zeros(len(order), dtype=complex)  # in the order of `order`
+        # one buffer of columns for every batch: whole nodes, so at most the
+        # larger of _TAIL_CHUNK and a node's live heads, and at most all rows
+        buf = np.empty((2 * self.f.dim, min(int(first[-1]), max(_TAIL_CHUNK, int(live.max())))))
         s = 0
         while s < T:  # whole nodes s..e-1, at most _TAIL_CHUNK rows (at least one node)
             e = max(s + 1, int(np.searchsorted(first, first[s] + _TAIL_CHUNK, side="right")) - 1)
@@ -259,9 +273,10 @@ class ReducedFn:
             rows = int(first[e] - first[s])
             if rows:
                 pos = np.arange(rows) - np.repeat(first[s:e] - first[s], c)
-                # the points column by column: each coordinate read is contiguous
-                cols = np.empty((2 * self.f.dim, rows))
-                cols[:h] = np.take(head_cols, pos, axis=1)
+                # the points column by column, each written whole: no stale row is read
+                cols = buf[:, :rows]
+                for col, row in zip(head_cols, cols):
+                    col.take(pos, out=row, mode="clip")
                 cols[h:] = np.repeat(self._tail_cols[:, s:e], c, axis=1)
                 vals = self.f(cols.T)
                 # add.at walks pos in order: node by node, so the sum keeps its order

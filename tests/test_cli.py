@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from dbarl2 import domains, gaussmeasure, multiindex, solver, weights
-from dbarl2.cli import (COMMANDS, SAMPLE_BUDGET, ConfigError, cmd_conditions, cmd_domains,
-                        cmd_majorant, cmd_solve, main, read_config)
+from dbarl2.cli import (COMMANDS, HESSIAN_BUDGET, SAMPLE_BUDGET, ConfigError, cmd_conditions,
+                        cmd_domains, cmd_majorant, cmd_solve, main, read_config)
 from dbarl2.forms import Form, parse_form_literal
 from dbarl2.gaussmeasure import CheckOutcome, GaussianSpec, Quadrature
 from dbarl2.multiindex import ConditionReport, constant_family
@@ -444,8 +444,9 @@ class TestExitCodes:
         ("identities", f"quadrature.N {10 ** 13}",
          {"quadrature": {"kind": "monte_carlo", "N": 10 ** 13}}),
         ("domains", f"scan_points {10 ** 13}", {"scan_points": 10 ** 13}),
+        ("domains", "trunc_dim 1000", {"trunc_dim": 1000}),
     ], ids=["conditions-max_index", "approx-grid_res", "identities-quadrature.N",
-            "domains-scan_points"])
+            "domains-scan_points", "domains-trunc_dim"])
     def test_work_over_budget_exits_two_at_once(self, tmp_path, capsys, command, key, change):
         # refused from the work it asks for, before any of it is done
         config = json.loads((ROOT / "configs" / f"{command}.json").read_text())
@@ -454,6 +455,18 @@ class TestExitCodes:
         assert run([command, "--config", cfg, "--out", tmp_path / "r"]) == 2
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err.startswith(f"config error: {key} asks for ")
+
+    def test_trunc_dim_budget_counts_hessian_terms(self):
+        # the domains scan builds trunc_dim^2 Hessian entries of about trunc_dim
+        # terms; no other command builds them, so none other is refused for them
+        config = json.loads((ROOT / "configs" / "domains.json").read_text())
+        read_config("domains", dict(config, trunc_dim=50))
+        with pytest.raises(ConfigError, match=f"^trunc_dim 51 asks for {51 ** 3} evaluations, "
+                                              f"over {HESSIAN_BUDGET}$"):
+            read_config("domains", dict(config, trunc_dim=51))
+        for command in ("conditions", "solve"):
+            config = json.loads((ROOT / "configs" / f"{command}.json").read_text())
+            assert read_config(command, dict(config, trunc_dim=1000))["trunc_dim"] == 1000
 
     @pytest.mark.parametrize("command, key, change", [
         ("identities", "quadrature.N", lambda N: {"quadrature": {"kind": "monte_carlo", "N": N}}),

@@ -80,7 +80,7 @@ def _invalid(key, value, command):
                    rule.lo if rule.strict else rule.lo - (1 if rule.type == "int" else 0.5))
     if rule.hi and command in rule.hi:
         out.append(value * (rule.hi[command] + 1))
-    if rule.work:
+    if rule.work and (type(rule.budget) is not dict or command in rule.budget):
         out.append(10 ** 6)
     out = [(v, ()) for v in out]
     if rule.type == "object":

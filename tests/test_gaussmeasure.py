@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dbarl2 import cli
 from dbarl2 import dbarops as do
@@ -121,6 +122,21 @@ class TestSupportMask:
     def test_no_radius_keeps_every_point(self):
         pts = np.array([[9.0, 9.0], [np.nan, 0.0]])
         assert gm.support_mask(pts, None, 1).tolist() == [True, True]
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 7).flatmap(lambda k: st.lists(st.lists(
+        st.floats(allow_nan=True, allow_infinity=True, width=64) | st.sampled_from([0.0, -0.0]),
+        min_size=k, max_size=k), min_size=1, max_size=30)), st.integers(1, 4),
+           st.floats(0.01, 100.0))
+    def test_sq_norms_are_the_row_sums_and_give_the_live_set(self, rows, dim, radius):
+        # the one |.|^2 of support_mask and ReducedFn: np.sum's bits below 8
+        # columns, and the same live set as the row sums give
+        pts = np.array(rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rsq = np.sum(pts[:, :2 * dim] ** 2, axis=1)
+            assert gm.sq_norms(pts, 2 * dim).tobytes() == rsq.tobytes()
+            live = (rsq <= gm.support_rsq(radius)) | ~np.isfinite(rsq)
+            assert np.array_equal(gm.support_mask(pts, radius, dim), live)
 
 
 def _rule(r):
@@ -375,6 +391,30 @@ class TestReduce:
         assert got.tobytes() == ref.tobytes()
         assert np.isnan(got[-1]) and not np.any(np.isnan(got[:-1]))
         assert got[:-1][dead].tobytes() == np.zeros(dead.sum(), dtype=complex).tobytes()
+
+    # head coordinates: tied values of both signs, signed zeros, coordinates
+    # whose head is dead at every node, and non-finite ones
+    _COORD = st.sampled_from([0.0, -0.0, 0.1, -0.1, 0.2, -0.2, 0.3, -0.45, 0.7, -0.9,
+                              np.nan, np.inf, -np.inf]) | st.floats(-0.6, 0.6)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=60), st.integers(7, 48))
+    @example([(a, b) for a in (0.0, -0.0, 0.1, -0.1, 0.2) for b in (0.0, 0.1, -0.2)]
+             + [(np.nan, 0.1), (0.7, 0.0), (np.inf, 0.0)], 7)
+    def test_short_batches_keep_the_per_node_bits(self, heads, chunk):
+        # a few dozen rows per batch: many batches through one column buffer,
+        # a node alone past the batch size, and a short last batch; a row of
+        # an earlier batch left in the buffer changes a value
+        spec2 = gm.GaussianSpec(2)
+        pts = np.array(heads)
+        saved, gm._TAIL_CHUNK = gm._TAIL_CHUNK, chunk
+        try:
+            with np.errstate(invalid="ignore"):  # (1 + inf) * 0
+                for r in (gm.reduce_fn(bump_fn(2, 0.5, poly="1+x(1)-y(1)^2+x(2)"), 1, spec2),
+                          gm.reduce_fn(bump_fn(2, 0.5, poly="x(1)*y(2)-0.3"), 1, spec2).d_dy(1)):
+                    assert r(pts).tobytes() == _per_node(r, pts).tobytes()
+        finally:
+            gm._TAIL_CHUNK = saved
 
     def test_batched_tail_eval_error_propagates(self, spec3):
         r = gm.reduce_fn(CylinderFn("log(x(3))", dim=3), 1, spec3)
