@@ -5,16 +5,7 @@ mass; its normalising constant comes from a 600-node Gauss-Legendre rule of
 the radial integral, and the unit-mass audit reads the kernel with a distinct
 400-node rule, so the audit measures the normalisation instead of repeating
 it.  Convolution runs on a uniform grid (n in {1, 2}, so 2 or 4 real
-dimensions) by numpy FFTs.  The half of a convolution that does not depend on
-the function, the grid's mesh, the mask of the points beyond R + delta and the
-kernel's FFT at the padded shape, is a read-only grid plan made once per
-(n, R, delta, grid_res) and kept for the last ``_PLAN_CACHE`` = 3 keys, one
-delta ladder.  At n = 1 and 121 points per axis an entry holds 0.54-0.67 MB
-(the mesh 234 KB, the mask 15 KB, the kernel's FFT 292-420 KB for delta
-0.05-0.2 at R = 0.4), so 1.8 MB for the ladder (0.2, 0.1, 0.05); at n = 2 the
-mesh alone is 32 grid_res^4 bytes, and an entry at 21 points per axis holds
-19 MB, at 33 (the most a three-delta ladder gets under the CLI's grid budget)
-105 MB at delta 0.1.  Mollified coefficients come back as grid-backed
+dimensions) by numpy FFTs.  Mollified coefficients come back as grid-backed
 functions with stencil first derivatives, flagged approximate; the pipeline
 composes reduce -> mollify -> multiply by the smooth cut-off eta_rho and
 reports the error ladder over (n, delta) in the unweighted norm (the family's
@@ -183,21 +174,14 @@ def _smooth_len(m: int) -> int:
     return best
 
 
-def _kernel_plan(shape, k: np.ndarray):
-    """The FFT of the kernel k at the 5-smooth padded shape for a grid of the
-    given shape, and the crop of the linear convolution back to that grid."""
-    padded = [_smooth_len(sa + sk - 1) for sa, sk in zip(shape, k.shape)]
-    crop = tuple(slice((sk - 1) // 2, (sk - 1) // 2 + sa) for sa, sk in zip(shape, k.shape))
-    return np.fft.fftn(k, padded, tuple(range(k.ndim))), crop
-
-
-def _convolve(a: np.ndarray, plan) -> np.ndarray:
+def _fftconvolve(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     """The linear convolution a * k cropped to the grid of a (centred, like a
-    "same" convolution), by FFTs padded to 5-smooth lengths, for the kernel k
-    whose ``_kernel_plan(a.shape, k)`` is plan."""
-    kf, crop = plan
+    "same" convolution), by FFTs padded to 5-smooth lengths."""
     axes = tuple(range(a.ndim))
-    return np.fft.ifftn(np.fft.fftn(a, kf.shape, axes) * kf, axes=axes)[crop]
+    shape = [_smooth_len(sa + sk - 1) for sa, sk in zip(a.shape, k.shape)]
+    full = np.fft.ifftn(np.fft.fftn(a, shape, axes) * np.fft.fftn(k, shape, axes), axes=axes)
+    return full[tuple(slice((sk - 1) // 2, (sk - 1) // 2 + sa)
+                      for sa, sk in zip(a.shape, k.shape))]
 
 
 def _unit_kernel(n: int, delta: float, h: float) -> np.ndarray:
@@ -209,38 +193,12 @@ def _unit_kernel(n: int, delta: float, h: float) -> np.ndarray:
     return (kern / kern.sum()).astype(complex)
 
 
-# Grid plans kept for later mollifications: three, one delta ladder of the
-# approximation pipeline (configs/approx.json and the benchmark: 0.2, 0.1, 0.05)
-_PLAN_CACHE = 3
-
-
-@lru_cache(maxsize=_PLAN_CACHE)
-def _grid_plan(n: int, R: float, delta: float, grid_res: int) -> tuple:
-    """The half of a mollification that does not depend on the function, built
-    once per key: the grid's extent and spacing, its mesh of points, the mask
-    of the grid points beyond R + delta, and the kernel's ``_kernel_plan``.
-    Every array is read-only."""
-    extent = R + delta + 4.0 * delta / max(grid_res, 8)
-    h = 2.0 * extent / (grid_res - 1)
-    if h > delta / 2.0:
-        raise ResolutionError(
-            f"grid spacing {h:.4g} too coarse for delta = {delta}; raise grid_res")
-    shape = [grid_res] * (2 * n)
-    pts = _mesh(np.linspace(-extent, extent, grid_res), 2 * n)
-    outside = ~support_mask(pts, R + delta, n).reshape(shape)
-    kf, crop = _kernel_plan(shape, _unit_kernel(n, delta, h))
-    for a in (pts, outside, kf):
-        a.flags.writeable = False
-    return extent, h, pts, outside, (kf, crop)
-
-
 def mollify(f_n: CylinderFn, delta: float, grid_res: int = 121) -> GridFn:
     """Convolution with the width-delta mollifier on a uniform grid.
 
     Needs a compactly supported input in dimension n <= 2 (grid convolution).
     The sampled kernel is renormalized to unit discrete mass, which removes
     the sampling bias; the continuum unit-mass audit lives on the Mollifier.
-    The grid, its exterior mask and the kernel's FFT come from ``_grid_plan``.
     """
     n = f_n.dim
     if n > 2:
@@ -250,10 +208,15 @@ def mollify(f_n: CylinderFn, delta: float, grid_res: int = 121) -> GridFn:
     if not 0 < delta:
         raise ValueError("delta must be positive")
     R = f_n.support_radius
-    extent, h, pts, outside, plan = _grid_plan(n, R, delta, grid_res)
-    out = _convolve(f_n(pts).reshape(outside.shape), plan)
+    extent = R + delta + 4.0 * delta / max(grid_res, 8)
+    h = 2.0 * extent / (grid_res - 1)
+    if h > delta / 2.0:
+        raise ResolutionError(
+            f"grid spacing {h:.4g} too coarse for delta = {delta}; raise grid_res")
+    pts = _mesh(np.linspace(-extent, extent, grid_res), 2 * n)  # for the values and the mask
+    out = _fftconvolve(f_n(pts).reshape([grid_res] * (2 * n)), _unit_kernel(n, delta, h))
     # support arithmetic is exact: kill FFT roundoff outside radius R + delta
-    out[outside] = 0.0
+    out[~support_mask(pts, R + delta, n).reshape(out.shape)] = 0.0
     # the interpolation reaches one cell diagonal past the last nonzero grid value
     return GridFn(out, extent, n, R + delta + h * math.sqrt(2 * n))
 
@@ -309,14 +272,15 @@ def convolution_adjoint_residual(f: CylinderFn, g: CylinderFn, n: int, delta: fl
     pts = _mesh(axes, 2 * n)
     h = axes[1] - axes[0]
     vol = h ** (2 * n)
+    kern = _unit_kernel(n, delta, h)
+
     shape = [_ADJOINT_GRID] * (2 * n)
-    plan = _kernel_plan(shape, _unit_kernel(n, delta, h))
     fv = f(pts).reshape(shape)
     gv = g(pts).reshape(shape)
     dv = _gauss_density(pts, spec, n).reshape(shape)
 
-    lhs = np.sum(_convolve(fv, plan) * gv * dv) * vol
-    rhs = np.sum(fv * _convolve(gv * dv, plan)) * vol
+    lhs = np.sum(_fftconvolve(fv, kern) * gv * dv) * vol
+    rhs = np.sum(fv * _fftconvolve(gv * dv, kern)) * vol
     return float(abs(lhs - rhs))
 
 

@@ -433,8 +433,7 @@ class CauchyOracle:
     radii do not depend on z (the far-field expansion): a call evaluates f
     there once for all its points beyond R.  f sees only points inside its
     disc, 12,288 per point inside it, taken ``_ORACLE_GROUP`` points at a
-    time (the far-field row with the first group; a call with no more inside
-    points is one group in the points' own order), so a call's memory does
+    time (the far-field row with the first group), so a call's memory does
     not grow with its points; a batch gives its points' values taken one at
     a time, bit for bit.  The counts come from a nested pair: on
     criterion 10's problems 96 x 64 is within 5e-13 of sup|u0| of the exact
@@ -458,9 +457,6 @@ class CauchyOracle:
         live = np.flatnonzero(np.isfinite(pts[:, :2]).all(axis=1))
         z = pts[live, 0] + 1j * pts[live, 1]
         inside = np.abs(z) < R
-        if np.count_nonzero(inside) <= _ORACLE_GROUP:  # one group: the points in their own order
-            out[live] = _cauchy(g, R, z)
-            return out
         near = np.flatnonzero(inside)
         # the points beyond R go with the first group, so their shared row [0, R] is made once
         groups = [np.concatenate([np.flatnonzero(~inside), near[:_ORACLE_GROUP]])]

@@ -61,7 +61,7 @@ class TestFFTConvolve:
         a = rng.standard_normal(a_shape) + 1j * rng.standard_normal(a_shape)
         k = rng.standard_normal(k_shape) + 1j * rng.standard_normal(k_shape)
         ref = direct_same_convolution(a, k)
-        got = rd._convolve(a, rd._kernel_plan(a.shape, k))
+        got = rd._fftconvolve(a, k)
         assert got.shape == a.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -158,34 +158,6 @@ class TestMollify:
         with pytest.raises(rd.ResolutionError):
             rd.mollify(bump_fn(3, 0.5), 0.1)
 
-    def test_a_second_mollify_reuses_the_grid_plan(self, monkeypatch):
-        # the mesh, the exterior mask and the kernel's FFT are built once per
-        # (n, R, delta, grid_res), read-only, and give the values of a mollify
-        # that builds every grid object afresh
-        kernels = []
-        unit_kernel = rd._unit_kernel
-
-        def counting(*args):
-            kernels.append(args)
-            return unit_kernel(*args)
-        monkeypatch.setattr(rd, "_unit_kernel", counting)
-        rd._grid_plan.cache_clear()
-        f = bump_fn(1, 0.5, poly="1+x(1)-y(1)^2")
-        first, again = rd.mollify(f, 0.1, grid_res=61), rd.mollify(f, 0.1, grid_res=61)
-        assert len(kernels) == 1
-        assert first.values.tobytes() == again.values.tobytes() == _mollified(f, 0.1, 61).tobytes()
-        _, _, pts, outside, (kf, _) = rd._grid_plan(1, 0.5, 0.1, 61)
-        assert not any(a.flags.writeable for a in (pts, outside, kf))
-        rd._grid_plan.cache_clear()
-
-    def test_the_grid_plan_cache_holds_one_delta_ladder(self):
-        rd._grid_plan.cache_clear()
-        f = bump_fn(1, 0.5)
-        for delta in (0.2, 0.1, 0.05, 0.04, 0.2):
-            rd.mollify(f, delta, grid_res=121)
-            assert rd._grid_plan.cache_info().currsize <= rd._PLAN_CACHE
-        assert rd._grid_plan.cache_info().maxsize == rd._PLAN_CACHE == 3
-
     def test_gridfn_stencil_derivative(self, spec1):
         f = bump_fn(1, 0.5, poly="x(1)")
         g = grid_of(f, 1, 0.7, 201)
@@ -193,18 +165,6 @@ class TestMollify:
         pts = np.array([[0.1, 0.05], [0.0, 0.2]])
         sym = f.d_dx(1)(pts)
         np.testing.assert_allclose(dx(pts), sym, atol=5e-3)
-
-
-def _mollified(f, delta, grid_res):
-    """Reference: mollify's values with the mesh, the mask and the kernel built afresh."""
-    n, R = f.dim, f.support_radius
-    extent = R + delta + 4.0 * delta / max(grid_res, 8)
-    h = 2.0 * extent / (grid_res - 1)
-    pts = gm._mesh(np.linspace(-extent, extent, grid_res), 2 * n)
-    vals = f(pts).reshape([grid_res] * (2 * n))
-    out = rd._convolve(vals, rd._kernel_plan(vals.shape, rd._unit_kernel(n, delta, h)))
-    out[~gm.support_mask(pts, R + delta, n).reshape(out.shape)] = 0.0
-    return out
 
 
 def _per_corner(g, pts):
