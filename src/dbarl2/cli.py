@@ -126,7 +126,8 @@ KEYS = {
     "quadrature": Rule(("identities", "approx"), "object", {},
                        make=lambda q, c: gaussmeasure.Quadrature(**q)),
     "quadrature.kind": Rule((), "text", "monte_carlo", choices=("monte_carlo", "gauss_hermite")),
-    "quadrature.N": _draws(("monte_carlo",), default=50000),
+    # one point states no error (its stderr is 0), so a Monte Carlo rule takes two
+    "quadrature.N": _draws(("monte_carlo",), default=50000, lo=2),
     "quadrature.seed": Rule(("monte_carlo",), "int", lambda c: c["seed"], lo=0),
     "quadrature.nodes_per_axis": Rule(("gauss_hermite",), "int", 16, lo=1),
     "tolerances": Rule(("identities", "solve"), "object", {}),

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .forms import Form, _ball_values, _spread, add_term, inner_vals
+from .forms import Form, add_term, inner_vals, integrands
 from .gaussmeasure import GaussianSpec, MCEstimate, Quadrature, integrals
 from .multiindex import WeightFamily, as_multiindex, contractions, insertions
 from .symfun import (CylinderFn, add, const, del_op, delbar_op, delta_op, eval_expr,
@@ -105,13 +105,9 @@ def ibp_residual(f: CylinderFn, g: CylinderFn, i: int, spec: GaussianSpec,
         raise ValueError("weighted variant needs varphi")
     adj = sigma_op(g, i, spec.a(i), varphi) if weighted else delta_op(g, i, spec.a(i))
 
-    def sides(pts):  # both integrands vanish off the supports of f and g
-        (on, _, (dbf, vg, vf, vadj), ew), = _ball_values(
-            [([delbar_op(f, i).expr, g.expr, f.expr, adj.expr], varphi if weighted else None,
-              mul(f.expr, g.expr))], pts)
-        return [(_spread(dbf * np.conjugate(vg), on, ew, len(pts)),
-                 _spread(-vf * np.conjugate(vadj), on, ew, len(pts)))]
-    (est, _, _), = integrals(quad, spec, sides)
+    w_fn = varphi if weighted else None
+    groups = [([(1.0, delbar_op(f, i).expr, g.expr)], w_fn), ([(-1.0, f.expr, adj.expr)], w_fn)]
+    (est, _, _), = integrals(quad, spec, lambda pts: [integrands(groups, pts)])
     return est
 
 
@@ -144,19 +140,11 @@ def weak_dbar_residual(f: Form, g: Form, testfn: CylinderFn, I, K,
     if len(I) != s or len(K) != t + 1:
         raise ValueError("index cardinalities do not match the degrees")
     sgn = -1.0 if (s + 1) % 2 else 1.0
-    terms = [(sgn * sign, f.coeffs[(I, J)].expr, delta_op(testfn, i, spec.a(i)).expr)
-             for i, J, sign in contractions(K) if (I, J) in f.coeffs]
-    pairs = [(fe, de) for _, fe, de in terms] + [(g.coeff(I, K).expr, testfn.expr)]
-
-    def sides(pts):  # both integrands vanish off the supports of their products
-        (on, m, vals, _), = _ball_values(
-            [([e for pair in pairs for e in pair], None, [mul(a, b) for a, b in pairs])], pts)
-        lhs = np.zeros(m, dtype=complex)
-        for (c, _, _), vf, vd in zip(terms, vals[0::2], vals[1::2]):
-            lhs += c * vf * np.conjugate(vd)
-        return [(_spread(lhs, on, None, len(pts)),
-                 _spread(vals[-2] * np.conjugate(vals[-1]), on, None, len(pts)))]
-    (est, _, _), = integrals(quad, spec, sides)
+    lhs = [(sgn * sign, f.coeffs[(I, J)].expr, delta_op(testfn, i, spec.a(i)).expr)
+           for i, J, sign in contractions(K) if (I, J) in f.coeffs]
+    rhs = [(1.0, g.coeff(I, K).expr, testfn.expr)]
+    (est, _, _), = integrals(quad, spec,
+                             lambda pts: [integrands([(lhs, None), (rhs, None)], pts)])
     return est
 
 

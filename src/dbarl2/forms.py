@@ -9,10 +9,11 @@ absent keys are zero.  The squared norm is
 
 computed by ``gaussmeasure.integrals``, the one integral function, on one point
 set shared by all coefficients, so that residual checks can pair their estimates.
-Every integrand is computed by ``_ball_values``, which keeps the values of each
-root it evaluated on the last read-only point set it was given, so the checks
-that share one Monte Carlo set (the adjoint pairing, integration by parts,
-weak d-bar) compute a coefficient or a weight there once.
+Every pairing integrand (a squared norm, an inner product, the sides of
+integration by parts and weak d-bar) is a term list summed by ``integrands``
+over the values of ``_ball_values``, which keeps the values of each root it
+evaluated on the last read-only point set it was given, so the checks that
+share one Monte Carlo set compute a coefficient or a weight there once.
 """
 
 from __future__ import annotations
@@ -122,8 +123,8 @@ def _ball_values(groups, pts: np.ndarray) -> list:
     On a read-only point set that owns its data (the cached Monte Carlo sets,
     the Galerkin nodes) the values of every non-constant root are kept per
     ball while its node lives and pts is the last point set given, so a later
-    call computes only the roots it lacks, and nothing below one it has.  The
-    values are read-only; they are those of a cold call, bit for bit."""
+    call computes only the roots it lacks, in one plain tape.  The values are
+    read-only; they are those of a cold call, bit for bit."""
     balls: dict = {}
     for k, (exprs, _, integrand) in enumerate(groups):
         balls.setdefault(support(integrand) if exprs else (0.0, 0), []).append(k)
@@ -156,14 +157,14 @@ def _ball_values(groups, pts: np.ndarray) -> list:
 
 def _root_values(roots, pts: np.ndarray, known) -> list:
     """The values of roots at pts: those the weak table known keeps, and the
-    others from one evaluation that reads them; each new non-constant value
-    is kept in known, read-only."""
+    others from one plain evaluation; each new non-constant value is kept in
+    known, read-only."""
     if not len(pts):
         return [np.zeros(0, dtype=complex)] * len(roots)
     have = dict(known.items())
     lacking = [r for r in dict.fromkeys(roots) if r not in have]
     if lacking:
-        for r, v in zip(lacking, eval_expr(lacking, pts, known=have)):
+        for r, v in zip(lacking, eval_expr(lacking, pts)):
             v = have[r] = v.view()  # a view: a leaf may return its payload's own array
             v.flags.writeable = False
             if not isinstance(r, Const):
@@ -171,27 +172,34 @@ def _root_values(roots, pts: np.ndarray, known) -> list:
     return [have[r] for r in roots]
 
 
+def integrands(groups, pts: np.ndarray) -> list:
+    """For each group (terms, w_fn) the pointwise sum over its terms (c, a, b)
+    of (c * a) * conj(b), times e^{-Re w_fn} (no factor without a weight), on
+    the ball ``_ball_values`` picks for the sum of a * conj(b) and zero off it;
+    a and b are expressions.  A term (c, a, None) gives c * |a|^2, and a group
+    of such terms only is float64."""
+    plan = [([e for _, a, b in terms for e in (a, b) if e is not None], w_fn,
+             [a if b is None else mul(a, conj_(b)) for _, a, b in terms])
+            for terms, w_fn in groups]
+    out = []
+    for (terms, _), (on, m, vals, ew) in zip(groups, _ball_values(plan, pts)):
+        vals = iter(vals)
+        total = np.zeros(m, dtype=complex if any(b is not None for *_, b in terms) else float)
+        for c, _, b in terms:
+            v = next(vals)
+            total += c * np.abs(v) ** 2 if b is None else c * v * np.conjugate(next(vals))
+        full = np.zeros(len(pts), dtype=total.dtype)
+        full[on] = total if ew is None else total * ew
+        out.append(full)
+    return out
+
+
 def _weighted_sq_vals(parts, pts: np.ndarray) -> list:
     """Pointwise Sum' c[I,J] |f[I,J]|^2 e^{-w} (no factor without a weight) for
     each (form, w_fn) in parts, zero off the form's support ball."""
-    groups = []
-    for form, w_fn in parts:
-        exprs = [fn.expr for fn in form.coeffs.values()]
-        groups.append((exprs, w_fn, exprs))
-    totals = []
-    for (form, _), (on, m, vals, ew) in zip(parts, _ball_values(groups, pts)):
-        total = np.zeros(m)
-        for (I, J), v in zip(form.coeffs, vals):
-            total += form.family.coeff(I, J) * np.abs(v) ** 2
-        totals.append(_spread(total, on, ew, pts.shape[0]))
-    return totals
-
-
-def _spread(total: np.ndarray, on, ew, size: int) -> np.ndarray:
-    """total * ew (total without a weight) at the selected points, zero elsewhere."""
-    out = np.zeros(size, dtype=total.dtype)
-    out[on] = total if ew is None else total * ew
-    return out
+    return integrands([([(form.family.coeff(I, J), fn.expr, None)
+                         for (I, J), fn in form.coeffs.items()], w_fn)
+                       for form, w_fn in parts], pts)
 
 
 def norm_sq(form: Form, w_fn, spec: GaussianSpec, quad: Quadrature) -> MCEstimate:
@@ -212,13 +220,8 @@ def inner(fa: Form, fb: Form, w_fn, spec: GaussianSpec, quad: Quadrature) -> MCE
 def inner_vals(fa: Form, fb: Form, w_fn, pts: np.ndarray) -> np.ndarray:
     """Pointwise integrand of the weighted inner product (for paired residuals)."""
     keys = list(set(fa.coeffs) & set(fb.coeffs))
-    exprs = [g.coeffs[k].expr for k in keys for g in (fa, fb)]
-    integrand = [mul(a, conj_(b)) for a, b in zip(exprs[0::2], exprs[1::2])]
-    (on, m, vals, ew), = _ball_values([(exprs, w_fn, integrand)], pts)
-    total = np.zeros(m, dtype=complex)
-    for k, va, vb in zip(keys, vals[0::2], vals[1::2]):
-        total += fa.family.coeff(*k) * va * np.conjugate(vb)
-    return _spread(total, on, ew, pts.shape[0])
+    terms = [(fa.family.coeff(*k), fa.coeffs[k].expr, fb.coeffs[k].expr) for k in keys]
+    return integrands([(terms, w_fn)], pts)[0]
 
 
 def parse_form_literal(entries, degree, family: WeightFamily,

@@ -49,11 +49,8 @@ consumer, so a subtree common to several coefficients is evaluated once and
 each value is dropped as soon as its last consumer has been computed.
 ``eval_expr`` compiles and runs one; a ``CylinderFn`` compiles its own on its
 first call and keeps it, so a caller that evaluates one function on many
-point sets (the reduction tail, the Cauchy oracle) just calls it.  A caller
-that holds some nodes' values at the points already (``forms``' value memo)
-passes them as ``known``: the tape reads them as seeded slots, held as it
-would hold them, and computes only what lies above them.  How a
-node is computed is fixed when the node is made: a value that is real by
+point sets (the reduction tail, the Cauchy oracle) just calls it.  How a node
+is computed is fixed when the node is made: a value that is real by
 construction (variables, real constants, germs, and sums, products, quotients,
 powers, exp, log, sin, cos, conjugates and real polynomials of real values) is
 held as float64, any other as complex128, and only the roots are converted to
@@ -529,43 +526,33 @@ _RULES = {Const: _r_const, Var: _r_var, Add: _r_fold, Mul: _r_fold, Div: _r_div,
 class Tape:
     """One root or several compiled once: every distinct node under them,
     children first, with its kernel and the slot of its last consumer.  The
-    typing rules are in the module docstring.
-
-    ``known`` maps nodes to their complex values at the points the tape is run
-    on.  Such a node is a seeded slot, held as the tape would hold it (the
-    ``.real`` of a real-typed node), and nothing below it is computed.
-    """
+    typing rules are in the module docstring."""
 
     __slots__ = ("roots", "single", "steps", "last", "out_at")
 
-    def __init__(self, e: Union[Expr, Sequence[Expr]], known: Optional[dict] = None):
+    def __init__(self, e: Union[Expr, Sequence[Expr]]):
         self.single = isinstance(e, Expr)
         self.roots = (e,) if self.single else tuple(e)
-        known = known or {}
         slot: dict = {}
         steps, last = [], []
         for r in self.roots:
             if r in slot:
                 continue
-            stack = [(r, iter(() if r in known else r._op[0]))]
+            stack = [(r, iter(r._op[0]))]
             while stack:
                 n, it = stack[-1]
                 for c in it:
                     if c not in slot:
-                        stack.append((c, iter(() if c in known else c._op[0])))
+                        stack.append((c, iter(c._op[0])))
                         break
                 else:
                     stack.pop()
                     i = len(steps)
-                    if n in known:
-                        v = known[n]
-                        steps.append((_k_const, (), v.real if n._op[3] & _R else v))
-                    else:
-                        kids, kern, arg, _ = n._op
-                        ks = tuple(map(slot.__getitem__, kids)) if kids else ()
-                        for s in ks:
-                            last[s] = i
-                        steps.append((kern, ks, arg))
+                    kids, kern, arg, _ = n._op
+                    ks = tuple(map(slot.__getitem__, kids)) if kids else ()
+                    for s in ks:
+                        last[s] = i
+                    steps.append((kern, ks, arg))
                     slot[n] = i
                     last.append(-1)  # a root that no node consumes
         self.steps, self.last = steps, last
@@ -608,17 +595,15 @@ class Tape:
         return outs
 
 
-def eval_expr(e: Union[Expr, Sequence[Expr]], pts: np.ndarray, known: Optional[dict] = None):
+def eval_expr(e: Union[Expr, Sequence[Expr]], pts: np.ndarray):
     """Evaluate on points of shape (N, 2n): one root gives an (N,) complex
     array, a sequence of roots gives a list of them.
 
     The roots are compiled to one ``Tape``: nodes are interned, so a subtree
     common to several roots is evaluated once, and each value is dropped as
-    soon as its last consumer has been computed.  ``known`` maps nodes to
-    their complex values at pts, computed before: the tape reads them, so
-    nothing below them is computed again.
+    soon as its last consumer has been computed.
     """
-    tape = Tape(e, known)
+    tape = Tape(e)
     outs = tape.run(pts)
     return outs[0] if tape.single else outs
 

@@ -267,6 +267,19 @@ class TestExitCodes:
         assert proc.stderr == f"config error: scan_points must be >= 1, not {scan_points}\n"
         assert list(out.glob("*")) == []
 
+    def test_one_monte_carlo_point_exits_two(self, tmp_path, capsys):
+        # one point gives every Monte Carlo record stderr 0, judged at the
+        # deterministic tolerance: correct identities failed (gauss_green_x1
+        # margin -0.167); scan_points, which states no error, still takes 1
+        config = json.loads((ROOT / "configs" / "identities.json").read_text())
+        config["quadrature"]["N"] = 1
+        out = tmp_path / "r"
+        assert run(["identities", "--config", write_config(tmp_path, config), "--out", out]) == 2
+        assert capsys.readouterr().err == "config error: quadrature.N must be >= 2, not 1\n"
+        assert not out.exists() or list(out.glob("*")) == []
+        domains = json.loads((ROOT / "configs" / "domains.json").read_text())
+        assert read_config("domains", dict(domains, scan_points=1))["scan_points"] == 1
+
     def test_thin_sublevel_set_is_refused(self, tmp_path):
         # the polydisc's {eta <= 1} is the origin alone: a valid config whose
         # inclusion check cannot sample its set, so it is refused, not a config error

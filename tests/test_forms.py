@@ -9,13 +9,31 @@ from dbarl2 import gaussmeasure as gm
 from dbarl2 import solver as sv
 from dbarl2.forms import Form, inner, norm_sq, parse_form_literal
 from dbarl2.multiindex import constant_family, multiplicative_family
-from dbarl2.symfun import CylinderFn, support, support_radius_in
+from dbarl2.symfun import (CylinderFn, conj_, delbar_op, delta_op, mul, sigma_op, support,
+                           support_radius_in)
 
 from conftest import RecordingFn, as_leaf, bump_fn, random_form
 
 
 GH = gm.Quadrature("gauss_hermite", nodes_per_axis=10)
 MC = gm.Quadrature("monte_carlo", N=50_000, seed=21)
+
+
+class RadiusFreePartials:
+    """f's values with the support radius given; its partials are f's, with
+    none (a payload)."""
+
+    def __init__(self, f, support_radius=None):
+        self.f, self.dim, self.support_radius = f, f.dim, support_radius
+
+    def __call__(self, pts):
+        return self.f(pts)
+
+    def d_dx(self, i):
+        return RadiusFreePartials(self.f.d_dx(i))
+
+    def d_dy(self, i):
+        return RadiusFreePartials(self.f.d_dy(i))
 
 
 class TestFormBasics:
@@ -235,6 +253,70 @@ class TestWeightOnSupportBall:
         assert not w.seen
         assert not np.any(sq) and not np.any(prod)
 
+    def _pair(self):
+        """Two complex coefficients on the ball of RADIUS in C^2, and a weight."""
+        a = bump_fn(2, self.RADIUS, poly="1+x(1)") + 0.5j * bump_fn(2, self.RADIUS, poly="y(2)")
+        b = bump_fn(2, self.RADIUS, poly="x(2)-0.3") - 0.7j * bump_fn(2, self.RADIUS, poly="y(1)")
+        return a, b, CylinderFn("x(1)^2+y(1)^2-0.5*x(2)")
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_terms_give_their_products_bit_for_bit(self, fam, weighted):
+        # (c, a, None) gives c |a|^2 as float64 and (c, a, b) gives (c a) conj(b),
+        # summed in term order from zero, times e^{-Re w} on the ball, zero off it
+        a, b, w = self._pair()
+        w = w if weighted else None
+        *_, pts, _ = self._parts(fam)
+        sq, prod = fm.integrands([([(0.7, a.expr, None), (1.3, b.expr, None)], w),
+                                  ([(0.7, a.expr, b.expr), (-1.3j, b.expr, a.expr)], w)], pts)
+        on = fm.support_mask(pts, self.RADIUS, 2)
+        assert 0 < np.count_nonzero(on) < len(pts)
+        va, vb = a(pts[on]), b(pts[on])
+        ew = None if w is None else np.exp(-np.real(w(pts[on])))
+
+        def spread(total):
+            out = np.zeros(len(pts), dtype=total.dtype)
+            out[on] = total if ew is None else total * ew
+            return out
+        ref_sq = spread(np.zeros(len(va)) + 0.7 * np.abs(va) ** 2 + 1.3 * np.abs(vb) ** 2)
+        ref_prod = spread(np.zeros(len(va), dtype=complex) + 0.7 * va * np.conjugate(vb)
+                          + -1.3j * vb * np.conjugate(va))
+        assert sq.dtype == np.float64 and prod.dtype == np.complex128
+        assert sq.tobytes() == ref_sq.tobytes() and prod.tobytes() == ref_prod.tobytes()
+        # a payload that is not 0 off the radius it declares is zero there all the same
+        lying = RadiusFreePartials(CylinderFn("1+x(1)", dim=2), self.RADIUS)
+        cut, = fm.integrands([([(2.0, as_leaf(lying).expr, None)], w)], pts)
+        ref_cut = spread(np.zeros(len(va)) + 2.0 * np.abs(lying(pts[on])) ** 2)
+        assert cut.tobytes() == ref_cut.tobytes()
+        assert not np.any(cut[~on]) and np.all(cut[on] > 0)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_ibp_sides_on_two_balls_equal_the_one_ball_formula(self, spec2, weighted):
+        # f's ball lies strictly inside g's, and its partials declare no radius, so
+        # d-bar f conj(g) is computed on g's ball and f conj(adj g) on f's; both
+        # sides vanish between the balls, so the estimate is that of computing
+        # everything on the ball of f g, bit for bit
+        f = as_leaf(RadiusFreePartials(bump_fn(2, 0.25, poly="x(1)+y(2)"), 0.25))
+        g = bump_fn(2, self.RADIUS, poly="1-x(2)+0.5*y(1)")
+        varphi = self._pair()[2] if weighted else None
+        adj = sigma_op(g, 1, spec2.a(1), varphi) if weighted else delta_op(g, 1, spec2.a(1))
+        dbf = delbar_op(f, 1)
+        balls = support(mul(dbf.expr, conj_(g.expr))), support(mul(f.expr, conj_(adj.expr)))
+        assert balls == (support(g.expr), support(f.expr)) and balls[0][0] > balls[1][0]
+        quad = gm.Quadrature("monte_carlo", N=4000, seed=24)
+
+        def one_ball(pts):
+            on = fm.support_mask(pts, *support(mul(f.expr, g.expr)))
+            vdbf, vg, vf, vadj = (h(pts[on]) for h in (dbf, g, f, adj))
+            ew = None if varphi is None else np.exp(-np.real(varphi(pts[on])))
+            sides = []
+            for total in (vdbf * np.conjugate(vg), -vf * np.conjugate(vadj)):
+                sides.append(np.zeros(len(pts), dtype=complex))
+                sides[-1][on] = total if ew is None else total * ew
+            return [sides]
+        (ref, _, _), = gm.integrals(quad, spec2, one_ball)
+        got = do.ibp_residual(f, g, 1, spec2, quad, weighted=weighted, varphi=varphi)
+        assert repr(got) == repr(ref) and got.mean != 0
+
 
 class TestNonfinitePoints:
     """A NaN or an inf point is inside every support ball, so a weighted
@@ -309,15 +391,24 @@ class TestValueMemo:
                                         varphi=ctx.varphi),
                 lambda: do.weak_dbar_residual(u, do.dbar(u), g0, (), (1,), spec2, quad)]
 
-    def test_leaf_is_called_once_across_the_pairings(self, fam, spec2):
-        # without the memo, each of the first three calls evaluates the leaf again
-        g0 = RecordingFn(bump_fn(2, 0.8, poly="1+x(1)-y(2)"))
+    def test_leaf_root_is_evaluated_once_across_the_pairings(self, fam, spec2):
+        # the leaf is a root of the first three pairings: with the memo it is
+        # evaluated once for all three, against once a pairing without; weak
+        # d-bar also reads it inside the root delta_1 of it, whose plain tape
+        # evaluates the leaf again, so four pairings make two calls, not four
         quad = gm.Quadrature("monte_carlo", N=5000, seed=31)
-        for run in self._pairings(fam, spec2, as_leaf(g0), quad):
-            run()
         pts = quad.nodes_weights(spec2)[0]
-        assert g0.calls == 1  # on its ball only
-        assert np.array_equal(g0.seen[0], pts[fm.support_mask(pts, 0.8, 2)])
+        for memo, counts in ((True, [1, 1, 1, 2]), (False, [1, 2, 3, 4])):
+            g0 = RecordingFn(bump_fn(2, 0.8, poly="1+x(1)-y(2)"))
+            calls = []
+            for run in self._pairings(fam, spec2, as_leaf(g0), quad):
+                if not memo:
+                    _empty_memo()
+                run()
+                calls.append(g0.calls)
+            assert calls == counts
+            for seen in g0.seen:  # on its ball only
+                assert np.array_equal(seen, pts[fm.support_mask(pts, 0.8, 2)])
 
     def test_warm_and_cold_estimates_agree(self, fam, spec2):
         runs = self._pairings(fam, spec2, bump_fn(2, 0.8, poly="1+x(1)-y(2)"),

@@ -11,10 +11,12 @@ only caller of the operand lift, every expression node has a typing rule, and
 importing the command line loads no third-party package but numpy, one
 function forms the weight factor e^{-Re w}, one function reads a quadrature
 rule's nodes and estimates on them, ``Tape`` is named only in ``symfun`` and
-``forms._ball_values`` evaluates through ``eval_expr`` alone, one loop reads
-the clock and stamps each record's runtime, every target the benchmark's
-tracer patches exists, and no program call or shipped config declares a
-support radius.
+``forms._ball_values`` evaluates through ``eval_expr`` alone, every pairing
+goes through ``forms.integrands`` (only the solver's linear rows read
+``_ball_values`` besides) and ``dbarops`` names no private name of ``forms``,
+one loop reads the clock and stamps each record's runtime, every target the
+benchmark's tracer patches exists, and no program call or shipped config
+declares a support radius.
 
 Only the standard ``ast`` module is needed for the source checks.  An imported
 name counts as used when it appears anywhere in the module as a ``Name`` node
@@ -588,6 +590,23 @@ def test_forms_evaluates_through_eval_expr():
              if name in ("eval_expr", "_root_values")}
     assert calls == {("_ball_values", "_root_values"), ("_root_values", "eval_expr")}, \
         f"forms evaluates outside _ball_values and eval_expr: {sorted(calls)}"
+
+
+def test_every_pairing_goes_through_the_integrand_builder():
+    # a pairing is a term list over forms.integrands; only the solver's linear rows
+    # read _ball_values' raw values, and dbarops reaches no private name of forms
+    callers = {f"{path.name}:{owner}" for path in MODULES
+               for owner, name, _ in _calls(ast.parse(path.read_text(), filename=str(path)))
+               if name == "_ball_values"}
+    assert callers == {"forms.py:integrands", "solver.py:_stack_rows"}, \
+        f"_ball_values called outside the builder and the solver rows: {sorted(callers)}"
+    tree = ast.parse((SRC / "dbarops.py").read_text())
+    private = {a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "forms"
+               for a in node.names if a.name.startswith("_")}
+    private |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and getattr(node.value, "id", None) == "forms" and node.attr.startswith("_")}
+    assert not private, f"dbarops reaches private names of forms: {sorted(private)}"
 
 
 def test_one_loop_times_the_records():

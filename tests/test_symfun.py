@@ -1020,36 +1020,6 @@ class TestTape:
             assert g.shape == w.shape == (len(pts),)
             assert np.array_equal(g.real, w.real) and np.array_equal(g.imag, w.imag)
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
-              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
-    @given(e=_tree(), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
-    def test_seeded_nodes_give_the_cold_values(self, e, seed, data):
-        # values of some nodes, computed before as roots, seed a later tape:
-        # its root is that of a cold evaluation, bit for bit (NaNs and zero signs too)
-        pts = np.random.default_rng(seed).uniform(-1.5, 1.5, (64, 4))
-        nodes = [n for n in sf._walk(e) if not isinstance(n, sf.Const)]
-        seeds = data.draw(st.lists(st.sampled_from(nodes), max_size=3)) if nodes else []
-        with np.errstate(all="ignore"):
-            try:
-                cold = eval_expr(e, pts)
-            except EvalError:
-                return
-            known = dict(zip(seeds, eval_expr(seeds, pts)))
-            got = eval_expr(e, pts, known=known)
-        bits = lambda v: np.ascontiguousarray(v).view(np.uint64)  # a constant is a broadcast
-        assert np.array_equal(bits(got), bits(cold))
-
-    def test_nothing_below_a_seeded_node_is_computed(self):
-        counting = CountingFn(bump_fn(2, 0.8))
-        inner = sf.mul(sf.x(1), sf.Leaf(counting))
-        e = sf.add(sf.exp_(inner), sf.y(2))
-        pts = np.random.default_rng(18).normal(size=(50, 4))
-        known = {inner: eval_expr(inner, pts)}
-        cold = eval_expr(e, pts)
-        calls = counting.calls
-        assert np.array_equal(eval_expr(e, pts, known=known), cold)
-        assert counting.calls == calls
-
     def test_real_parts_follow_the_complex_rules(self):
         # the all-complex evaluator holds x(1)^3 as float (b ** 3) and
         # (x(1) * (1+0j))^3 as complex (b * (b * b)); the quotients, exp and log alike
